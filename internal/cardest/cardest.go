@@ -15,7 +15,9 @@ import (
 // Estimator estimates the result cardinality of joining a subset of a
 // query's relations (with all applicable filter predicates pushed down).
 // The optimizer calls it once per connected subset during plan enumeration,
-// so a Join-eight query costs up to 2⁹−1 = 511 estimates.
+// so a Join-eight query costs up to 2⁹−1 = 511 estimates — which, through a
+// SessionEstimator's session, is 511 recurrent-cell applications rather
+// than 511 whole-tree forward passes.
 //
 // Implementations must be safe for concurrent EstimateSubset calls and must
 // return the same value for the same (query, subset) pair regardless of
@@ -25,6 +27,27 @@ import (
 type Estimator interface {
 	Name() string
 	EstimateSubset(q *query.Query, mask query.BitSet) float64
+}
+
+// SessionEstimator is optionally implemented by estimators that can share
+// work across the estimates of one plan search. BeginQuery returns an
+// estimator bound to q that must return exactly what the stateless
+// EstimateSubset would, for any call order; it is used by one goroutine,
+// for q only, and is simply dropped when the search ends. All work a session
+// defers must happen inside its EstimateSubset (or inside BeginQuery), so
+// Timed attributes it to inference.
+type SessionEstimator interface {
+	Estimator
+	BeginQuery(q *query.Query) Estimator
+}
+
+// BeginQuery opens est's session for one plan search over q, or returns est
+// itself when it has none.
+func BeginQuery(est Estimator, q *query.Query) Estimator {
+	if s, ok := est.(SessionEstimator); ok {
+		return s.BeginQuery(q)
+	}
+	return est
 }
 
 // Timed wraps an estimator and accumulates the wall-clock time spent inside
@@ -47,10 +70,32 @@ func (t *Timed) Name() string { return t.Inner.Name() }
 
 // EstimateSubset implements Estimator, timing the inner call.
 func (t *Timed) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
+	return timedSession{t, t.Inner}.EstimateSubset(q, mask)
+}
+
+// BeginQuery implements SessionEstimator: it forwards to the inner
+// estimator and keeps charging the session's set-up and calls to t.
+func (t *Timed) BeginQuery(q *query.Query) Estimator {
 	start := time.Now()
-	v := t.Inner.EstimateSubset(q, mask)
+	inner := BeginQuery(t.Inner, q)
 	t.Time += time.Since(start)
-	t.Calls++
+	return timedSession{t, inner}
+}
+
+// timedSession times calls to inner (the wrapped estimator or its session)
+// into t's totals.
+type timedSession struct {
+	t     *Timed
+	inner Estimator
+}
+
+func (s timedSession) Name() string { return s.inner.Name() }
+
+func (s timedSession) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
+	start := time.Now()
+	v := s.inner.EstimateSubset(q, mask)
+	s.t.Time += time.Since(start)
+	s.t.Calls++
 	return v
 }
 

@@ -76,3 +76,44 @@ func TestTimedAccumulates(t *testing.T) {
 		t.Fatal("reset failed")
 	}
 }
+
+// sessionFake's session answers 2 where the stateless path answers 1, and
+// both its BeginQuery and its session calls take a millisecond.
+type sessionFake struct{ begun int }
+
+func (f *sessionFake) Name() string                                      { return "fake" }
+func (f *sessionFake) EstimateSubset(*query.Query, query.BitSet) float64 { return 1 }
+func (f *sessionFake) BeginQuery(*query.Query) Estimator {
+	f.begun++
+	time.Sleep(time.Millisecond)
+	return FuncEstimator{Label: "fake", Fn: func(*query.Query, query.BitSet) float64 {
+		time.Sleep(time.Millisecond)
+		return 2
+	}}
+}
+
+func TestBeginQuery(t *testing.T) {
+	q := testQuery()
+	plain := Fixed{Value: 5}
+	if s := BeginQuery(plain, q); s != Estimator(plain) {
+		t.Fatal("an estimator without sessions should be its own session")
+	}
+	fake := &sessionFake{}
+	timed := NewTimed(fake)
+	s := BeginQuery(timed, q)
+	if fake.begun != 1 {
+		t.Fatalf("Timed forwarded BeginQuery %d times, want 1", fake.begun)
+	}
+	for i := 0; i < 2; i++ {
+		if got := s.EstimateSubset(q, 1); got != 2 {
+			t.Fatalf("estimate = %v, want the inner session's 2", got)
+		}
+	}
+	// set-up and both calls are inference time; only the calls are calls
+	if timed.Calls != 2 || timed.Time < 3*time.Millisecond {
+		t.Fatalf("calls = %d, time = %v; want 2 calls and >= 3ms", timed.Calls, timed.Time)
+	}
+	if s.Name() != "fake" {
+		t.Fatalf("name = %s", s.Name())
+	}
+}

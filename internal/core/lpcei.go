@@ -2,12 +2,9 @@ package core
 
 import (
 	"github.com/lpce-db/lpce/internal/autodiff"
-	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/encode"
-	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/plan"
-	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/tensor"
 	"github.com/lpce-db/lpce/internal/treenn"
 )
@@ -204,24 +201,3 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 	}
 	return student
 }
-
-// TreeEstimator adapts any tree model to the optimizer's estimator
-// interface: a table subset is featurized through its canonical logical
-// plan (scan leaves plus left-deep joins) and the model's root prediction is
-// the estimate. It serves LPCE-I, TLSTM and the LPCE ablation variants.
-type TreeEstimator struct {
-	Label string
-	Model *treenn.TreeModel
-	Enc   *encode.Encoder
-}
-
-// Name implements cardest.Estimator.
-func (e *TreeEstimator) Name() string { return e.Label }
-
-// EstimateSubset implements cardest.Estimator.
-func (e *TreeEstimator) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
-	node := exec.CanonicalPlan(q, mask)
-	return e.Model.Predict(node, func(n *plan.Node) tensor.Vec { return e.Enc.EncodeNode(n) })
-}
-
-var _ cardest.Estimator = (*TreeEstimator)(nil)

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/lpce-db/lpce/internal/autodiff"
-	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/plan"
@@ -267,8 +266,8 @@ func (r *Refiner) adjust(cfg RefinerConfig, samples []Sample) {
 // executedOverrides computes, for each executed subtree root, the embedding
 // the refine module sees in place of that child: the connect-layer merge of
 // the content and cardinality embeddings (full design) or the cardinality
-// embedding alone (two-module ablation). The module embeddings are detached
-// so no gradient reaches the frozen modules.
+// embedding alone (two-module ablation). The frozen modules run tape-free and
+// their embeddings enter the tape as constants, so no gradient reaches them.
 func (r *Refiner) executedOverrides(t *autodiff.Tape, execRoots []*plan.Node) map[*plan.Node]*autodiff.Node {
 	return r.executedOverridesUsing(t, r.Connect, execRoots)
 }
@@ -278,24 +277,18 @@ func (r *Refiner) executedOverrides(t *autodiff.Tape, execRoots []*plan.Node) ma
 // frozen content/cardinality modules are shared read-only.
 func (r *Refiner) executedOverridesUsing(t *autodiff.Tape, connect *ConnectLayer, execRoots []*plan.Node) map[*plan.Node]*autodiff.Node {
 	childC := make(map[*plan.Node]*autodiff.Node, len(execRoots))
+	cardFeat := CardFeature(r.Enc, r.LogMax, r.DB)
+	a := tensor.NewArena(0)
 	for _, sub := range execRoots {
-		cB := r.moduleEmbedding(r.CardM, sub, CardFeature(r.Enc, r.LogMax, r.DB))
+		cB, _ := r.CardM.Encode(a, sub, cardFeat)
 		if r.Kind == RefinerFull {
-			cA := r.moduleEmbedding(r.Content, sub, func(n *plan.Node) tensor.Vec { return r.Enc.EncodeNode(n) })
+			cA, _ := r.Content.Encode(a, sub, r.Enc.EncodeNode)
 			childC[sub] = connect.Apply(t, t.Const(cA), t.Const(cB))
 		} else {
 			childC[sub] = t.Const(cB)
 		}
 	}
 	return childC
-}
-
-// moduleEmbedding runs a frozen module over an executed subtree on a
-// throwaway tape and returns the detached root encoding.
-func (r *Refiner) moduleEmbedding(m *treenn.TreeModel, sub *plan.Node, feat treenn.FeatureFn) tensor.Vec {
-	t := autodiff.NewTape()
-	outs := m.Forward(t, sub, feat, nil)
-	return outs[sub].C.Data.Clone()
 }
 
 // PrefixSubtrees partitions a plan after its first k post-order operators
@@ -417,54 +410,9 @@ func childCard(n *plan.Node, executed map[*plan.Node]bool, cards map[*plan.Node]
 	return cards[n]
 }
 
-// ExecutedSub describes one executed sub-plan handed to the refinement
-// estimator at re-optimization time: the subtree (with true cardinalities
-// stamped by the executor) and its exact output cardinality.
-type ExecutedSub struct {
-	Node *plan.Node
-	Card float64
-}
-
-// Mask returns the table subset the executed sub-plan covers.
-func (e ExecutedSub) Mask() query.BitSet { return e.Node.Tables }
-
-// Estimator returns a cardest.Estimator that refines subset estimates using
-// the executed sub-plans: subsets exactly matching an executed sub-plan get
-// its exact cardinality; other subsets are estimated by the refine module
-// over a unit tree in which executed sub-plans appear as pre-embedded
-// leaves.
-func (r *Refiner) Estimator(q *query.Query, execs []ExecutedSub) cardest.Estimator {
-	// keep maximal, disjoint executed subtrees, largest first
-	sort.Slice(execs, func(i, j int) bool { return execs[i].Mask().Count() > execs[j].Mask().Count() })
-	var kept []ExecutedSub
-	var covered query.BitSet
-	for _, e := range execs {
-		if e.Mask().Intersects(covered) {
-			continue
-		}
-		kept = append(kept, e)
-		covered = covered.Union(e.Mask())
-	}
-	return &refinedEstimator{r: r, q: q, execs: kept}
-}
-
-type refinedEstimator struct {
-	r     *Refiner
-	q     *query.Query
-	execs []ExecutedSub
-}
-
-func (e *refinedEstimator) Name() string { return e.r.Kind.String() }
-
-func (e *refinedEstimator) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
-	// exact answers for executed subsets
-	for _, ex := range e.execs {
-		if ex.Mask() == mask {
-			return ex.Card
-		}
-	}
-	// build the unit tree: executed sub-plans fully inside the mask become
-	// leaves, remaining tables become scan leaves
+// singleEstimate is the LPCE-R-Single estimate of a subset: the unit tree
+// is built whole and run through the cardinality module on a tape.
+func (e *refinedEstimator) singleEstimate(q *query.Query, mask query.BitSet) float64 {
 	var units []ExecutedSub
 	var covered query.BitSet
 	for _, ex := range e.execs {
@@ -474,17 +422,7 @@ func (e *refinedEstimator) EstimateSubset(q *query.Query, mask query.BitSet) flo
 		}
 	}
 	root := buildUnitPlan(q, mask, covered, units)
-	switch e.r.Kind {
-	case RefinerSingle:
-		executed := markExecuted(execNodes(units))
-		cards := e.r.singleCards(root, executed)
-		return cards[root]
-	default:
-		t := autodiff.NewTape()
-		childC := e.r.executedOverrides(t, execNodes(units))
-		outs := e.r.Refine.Forward(t, root, func(n *plan.Node) tensor.Vec { return e.r.Enc.EncodeNode(n) }, childC)
-		return outs[root].Card(e.r.LogMax)
-	}
+	return e.r.singleCards(root, markExecuted(execNodes(units)))[root]
 }
 
 func execNodes(units []ExecutedSub) []*plan.Node {

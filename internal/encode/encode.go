@@ -101,43 +101,55 @@ func (e *Encoder) EncodeNode(n *plan.Node) tensor.Vec {
 // EncodeScan encodes a base-table scan with its predicates.
 func (e *Encoder) EncodeScan(preds []query.Predicate) tensor.Vec {
 	v := tensor.NewVec(e.Dim())
+	e.EncodeScanInto(v, preds)
+	return v
+}
+
+// EncodeScanInto writes EncodeScan's features over dst[:Dim()], allocating
+// nothing; inference sessions encode into scratch through it.
+func (e *Encoder) EncodeScanInto(dst tensor.Vec, preds []query.Predicate) {
+	v := dst[:e.Dim()]
+	v.Zero()
 	v[FuncScan] = 1
-	// accumulate per-column admitted intervals
-	type iv struct{ lo, hi float64 }
-	intervals := make(map[int]iv, len(preds))
+	// accumulate per-column admitted intervals in the output slots
+	// themselves; the presence flag marks a column already seen
 	for _, p := range preds {
 		lo, hi := e.interval(p)
 		id := p.Col.GlobalID
-		if cur, ok := intervals[id]; ok {
+		if v[e.presenceOff()+id] == 1 {
 			// multiple predicates on one column: intersect
-			if lo < cur.lo {
-				lo = cur.lo
+			if cur := v[e.loOff()+id]; lo < cur {
+				lo = cur
 			}
-			if hi > cur.hi {
-				hi = cur.hi
+			if cur := v[e.hiOff()+id]; hi > cur {
+				hi = cur
 			}
 		}
-		intervals[id] = iv{lo, hi}
+		v[e.presenceOff()+id] = 1
+		v[e.loOff()+id] = lo
+		v[e.hiOff()+id] = hi
 		v[e.predOpOff()+int(p.Op)] += 1
 	}
-	for id, in := range intervals {
-		v[e.presenceOff()+id] = 1
-		v[e.loOff()+id] = in.lo
-		v[e.hiOff()+id] = in.hi
-	}
-	return v
 }
 
 // EncodeJoin encodes a join node with its equi-join conditions as the
 // two-hot column vector of Figure 5.
 func (e *Encoder) EncodeJoin(conds []query.Join) tensor.Vec {
 	v := tensor.NewVec(e.Dim())
+	e.EncodeJoinInto(v, conds)
+	return v
+}
+
+// EncodeJoinInto writes EncodeJoin's features over dst[:Dim()], allocating
+// nothing.
+func (e *Encoder) EncodeJoinInto(dst tensor.Vec, conds []query.Join) {
+	v := dst[:e.Dim()]
+	v.Zero()
 	v[FuncJoin] = 1
 	for _, j := range conds {
 		v[e.joinOff()+j.Left.GlobalID] += 1
 		v[e.joinOff()+j.Right.GlobalID] += 1
 	}
-	return v
 }
 
 // interval maps a predicate to the normalized value interval it admits on

@@ -77,12 +77,15 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 	// Per-run estimate cache: the paper stores sub-query estimates in a
 	// memory pool so each subset is estimated once.
 	cards := make(map[query.BitSet]float64)
+	// One estimation session per search lets the estimator share work
+	// between the subsets (LPCE memoizes sub-plan encodings by mask).
+	session := cardest.BeginQuery(o.Est, q)
 	est := func(mask query.BitSet) float64 {
 		if v, ok := cards[mask]; ok {
 			return v
 		}
 		stats.EstimateCalls++
-		v := o.Est.EstimateSubset(q, mask)
+		v := session.EstimateSubset(q, mask)
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
 			v = 1
 		}
@@ -147,15 +150,15 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 					continue // no cross products
 				}
 				cardL, cardR := est(sub), est(rest)
-				childCost := le.cost + re.cost
-				for _, cand := range o.joinCandidates(le.node, re.node, conds, cardL, cardR, outCard) {
-					total := childCost + cand.cost
-					if bestEntry == nil || total < bestEntry.cost {
-						node := cand.node
-						node.EstCard = outCard
-						node.EstCost = total
-						bestEntry = &dpEntry{node: node, cost: total}
-					}
+				// Cost the operators first and build a node only for one that
+				// beats the incumbent: building clones both subtrees, so DP
+				// entries sharing a subtree never alias annotations.
+				op, total := o.cheapestJoin(re.node, le.cost+re.cost, cardL, cardR, outCard)
+				if bestEntry == nil || total < bestEntry.cost {
+					node := plan.NewJoin(op, le.node.Clone(), re.node.Clone(), conds)
+					node.EstCard = outCard
+					node.EstCost = total
+					bestEntry = &dpEntry{node: node, cost: total}
 				}
 			}
 			if bestEntry != nil {
@@ -172,27 +175,24 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 	return root.node, stats, nil
 }
 
-type joinCand struct {
-	node *plan.Node
-	cost float64
-}
-
-// joinCandidates enumerates the physical join operators for one (left,
-// right) split. Children are cloned per candidate so the DP can hold
-// multiple plans sharing subtrees without aliasing annotations.
-func (o *Optimizer) joinCandidates(l, r *plan.Node, conds []query.Join, cardL, cardR, out float64) []joinCand {
-	var cands []joinCand
-	add := func(op plan.PhysOp, cost float64) {
-		cands = append(cands, joinCand{node: plan.NewJoin(op, l.Clone(), r.Clone(), conds), cost: cost})
-	}
-	add(plan.HashJoin, o.Cost.HashJoinCost(cardL, cardR, out))
-	add(plan.MergeJoin, o.Cost.MergeJoinCost(cardL, cardR, out))
+// cheapestJoin costs the physical join operators for one (left, right)
+// split on top of the children's cost and returns the cheapest total. Totals
+// are compared, not operator costs, and only a strictly cheaper one wins, so
+// on a tie — including one the addition rounds into — hash beats merge beats
+// nested loop.
+func (o *Optimizer) cheapestJoin(r *plan.Node, childCost, cardL, cardR, out float64) (plan.PhysOp, float64) {
+	nl := o.Cost.RescanNLJoinCost(cardL, cardR, out)
 	if r.IsLeaf() && r.Op != plan.MatScan {
-		add(plan.NestLoopJoin, o.Cost.IndexNLJoinCost(cardL, out))
-	} else {
-		add(plan.NestLoopJoin, o.Cost.RescanNLJoinCost(cardL, cardR, out))
+		nl = o.Cost.IndexNLJoinCost(cardL, out)
 	}
-	return cands
+	op, best := plan.HashJoin, childCost+o.Cost.HashJoinCost(cardL, cardR, out)
+	if total := childCost + o.Cost.MergeJoinCost(cardL, cardR, out); total < best {
+		op, best = plan.MergeJoin, total
+	}
+	if total := childCost + nl; total < best {
+		op, best = plan.NestLoopJoin, total
+	}
+	return op, best
 }
 
 // bestScan picks the cheaper of a sequential scan and an index scan for one

@@ -170,3 +170,39 @@ func (m *Mat) AddOuter(alpha float64, x, y Vec) {
 		}
 	}
 }
+
+// Arena hands out vectors carved from one growing float64 buffer, so a
+// forward pass that needs a few dozen short-lived activations costs no heap
+// allocation once the buffer has reached its working size. Vectors stay
+// valid until the next Reset. An Arena is not safe for concurrent use.
+type Arena struct {
+	buf []float64
+	off int
+}
+
+// NewArena returns an arena with room for n floats before it first grows.
+func NewArena(n int) *Arena { return &Arena{buf: make([]float64, n)} }
+
+// Vec carves an n-vector whose contents are unspecified; the caller must
+// overwrite every element. When the buffer is exhausted a larger one
+// replaces it (vectors carved earlier keep the old buffer alive).
+func (a *Arena) Vec(n int) Vec {
+	if a.off+n > len(a.buf) {
+		a.buf = make([]float64, 2*len(a.buf)+n)
+		a.off = 0
+	}
+	v := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	return v
+}
+
+// Zeros carves a zeroed n-vector.
+func (a *Arena) Zeros(n int) Vec {
+	v := a.Vec(n)
+	v.Zero()
+	return v
+}
+
+// Reset makes the whole buffer available again, invalidating every vector
+// carved since the previous Reset.
+func (a *Arena) Reset() { a.off = 0 }

@@ -33,9 +33,11 @@ func (k CellKind) String() string {
 
 // Cell computes a node's encoding c and representation h from its embedded
 // input x and the encodings/representations of its children (zero vectors
-// at leaves).
+// at leaves). Apply records on a tape for training; Infer writes the same
+// values into c and h without one, using a for scratch.
 type Cell interface {
 	Apply(t *autodiff.Tape, x, cl, cr *autodiff.Node) (c, h *autodiff.Node)
+	Infer(a *tensor.Arena, x, cl, cr, c, h tensor.Vec)
 	Hidden() int
 }
 
@@ -237,14 +239,6 @@ func (m *TreeModel) forward(t *autodiff.Tape, n *plan.Node, feat FeatureFn, chil
 	logit, pred := m.Out.ApplyPreOutput(t, h)
 	outs[n] = &NodeOut{X: x, C: c, H: h, Logit: logit, Pred: pred}
 	return c
-}
-
-// Predict runs an inference-only forward pass and returns the estimated
-// cardinality of the root.
-func (m *TreeModel) Predict(root *plan.Node, feat FeatureFn) float64 {
-	t := autodiff.NewTape()
-	outs := m.Forward(t, root, feat, nil)
-	return outs[root].Card(m.LogMax)
 }
 
 // NumWeights reports the model size (the paper's >10x compression claim is
