@@ -6,15 +6,17 @@ import (
 	"github.com/lpce-db/lpce/internal/plan"
 )
 
-// BatchSize is the number of tuples a batch holds at most. 1024 rows of a
-// few dozen int64 columns keep a batch within L2 cache while amortizing the
+// BatchSize is the number of tuples a batch holds at most. 1024 projected
+// rows — a handful of int64 columns — sit well within L2 while amortizing the
 // per-call overhead (interface dispatch, work charging, cancellation polls)
 // over a thousand tuples. It deliberately equals cancelPollInterval so the
 // batch path polls the context about as often as the scalar path.
 const BatchSize = 1024
 
 // Batch is a reusable column-width × BatchSize tuple buffer backed by a
-// single flat arena, in row-major order. A batch returned by NextBatch —
+// single flat arena, in row-major order. The width is the projected tuple
+// width and may be 0 (no column is read above the producer): such a batch
+// has no arena and carries only its row count. A batch returned by NextBatch —
 // and every row view derived from it — is valid only until the next
 // NextBatch or Close call on the producing operator; consumers that need
 // the data longer must copy it (drainBatch does).
@@ -152,7 +154,7 @@ func RunBatch(ctx *Ctx, root *plan.Node) (int, error) {
 // drainBatch pulls every batch from a child operator into one flat arena
 // and returns stable row views into it — the batch path's materialization
 // routine. It charges the same per-tuple materialization cost as drain
-// (1 + width/4 work plus one materialized row each), lumped per batch; when
+// (matCost work plus one materialized row each), lumped per batch; when
 // the MaxMatRows limit falls inside a batch, work is charged only for the
 // tuples up to and including the first exceeding row, so the work counter
 // and the *ResourceError payload match the scalar path exactly.
@@ -167,7 +169,7 @@ func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) 
 		return nil, err
 	}
 	w := ctx.Layout(node.Tables).Width()
-	cost := 1 + int64(w)/4
+	cost := matCost(ctx, node)
 	var arena []int64
 	total := 0
 	for {
@@ -199,11 +201,7 @@ func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) 
 		total += b.n
 	}
 	node.TrueCard = float64(total)
-	rows := make([][]int64, total)
-	for i := range rows {
-		rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
-	}
-	return rows, nil
+	return rowViews(arena, w, total), nil
 }
 
 // lowerOp adapts a BatchOperator to the scalar Operator interface so

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/catalog"
@@ -47,24 +48,116 @@ func joinPlan(q *query.Query) *plan.Node {
 	return plan.NewJoin(plan.HashJoin, probe, build, q.Joins)
 }
 
+// chainDB builds a five-table foreign-key chain t0 <- t1 <- ... <- t4 over
+// tables of 3-5 columns: t0 has dim rows, each later table fans out 4x (up
+// to 256*dim rows in t4) with every row referencing a row of the table
+// before it, so the full join has as many rows as t4. Only the id and fk
+// columns ever join; the pad columns are what an unprojected tuple would
+// have dragged through every join.
+func chainDB(dim int) (*storage.Database, *query.Query) {
+	s := catalog.NewSchema()
+	tabs := make([]*catalog.Table, 5)
+	for i := range tabs {
+		specs := []catalog.ColumnSpec{catalog.PK("id")}
+		if i > 0 {
+			specs = append(specs, catalog.FK("fk", tabs[i-1].Column("id")))
+		}
+		for len(specs) < 3+i%3 {
+			specs = append(specs, catalog.Attr(fmt.Sprintf("pad%d", len(specs))))
+		}
+		tabs[i] = s.AddTable(fmt.Sprintf("t%d", i), specs...)
+	}
+	db := storage.NewDatabase(s)
+	rows := dim
+	var joins []query.Join
+	for i, t := range tabs {
+		st := storage.NewTable(t, rows)
+		for c := range st.Cols {
+			for r := 0; r < rows; r++ {
+				st.Cols[c][r] = int64(r * (c + 1))
+			}
+		}
+		if i > 0 {
+			for r := 0; r < rows; r++ {
+				st.ColByName("fk")[r] = int64(r / 4)
+			}
+			joins = append(joins, query.Join{Left: t.Column("fk"), Right: tabs[i-1].Column("id")})
+		}
+		db.Tables[t.ID] = st
+		st.FinishLoad()
+		rows *= 4
+	}
+	return db, query.New(tabs, joins, nil)
+}
+
+// chainPlan is the left-deep hash-join chain with the largest table as the
+// streaming probe side: t4 probes t3's table, the result probes t2's, and so
+// on, so every output row is stitched four times on its way up.
+func chainPlan(q *query.Query) *plan.Node {
+	leaf := func(i int) *plan.Node { return plan.NewLeaf(plan.SeqScan, q.Tables[i], i, nil) }
+	cur := leaf(4)
+	for i := 3; i >= 0; i-- {
+		cur = plan.NewJoin(plan.HashJoin, cur, leaf(i), q.JoinsBetween(cur.Tables, query.NewBitSet().Set(i)))
+	}
+	return cur
+}
+
 func BenchmarkHashJoinProbe(b *testing.B) {
 	db, q := benchDB(4096, 1<<16)
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(&Ctx{DB: db, Q: q}, joinPlan(q)); err != nil {
-				b.Fatal(err)
-			}
+	chDB, chQ := chainDB(256)
+	for _, bc := range []struct {
+		name string
+		db   *storage.Database
+		q    *query.Query
+		plan func(*query.Query) *plan.Node
+	}{{"", db, q, joinPlan}, {"chain5/", chDB, chQ, chainPlan}} {
+		for _, path := range []struct {
+			name string
+			run  func(*Ctx, *plan.Node) (int, error)
+		}{{"scalar", Run}, {"batch", RunBatch}} {
+			b.Run(bc.name+path.name, func(b *testing.B) {
+				b.ReportAllocs()
+				rows := 0
+				for i := 0; i < b.N; i++ {
+					n, err := path.run(&Ctx{DB: bc.db, Q: bc.q}, bc.plan(bc.q))
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += n
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/output-row")
+			})
 		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunBatch(&Ctx{DB: db, Q: q}, joinPlan(q)); err != nil {
-				b.Fatal(err)
-			}
+	}
+}
+
+// TestZeroWidthProbeAllocatesNothing: the root of a COUNT(*) plan has no live
+// column, so a warm batch probe loop only counts — it allocates nothing and
+// its output batch never acquires an arena.
+func TestZeroWidthProbeAllocatesNothing(t *testing.T) {
+	db, q := benchDB(4096, 1<<16)
+	ctx := &Ctx{DB: db, Q: q}
+	op, err := newBatchHashJoin(ctx, joinPlan(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	next := func() {
+		b, err := op.NextBatch(ctx)
+		if err != nil || b == nil || b.Width() != 0 || b.Len() != BatchSize {
+			t.Fatalf("probe batch = %+v, err %v; want a full zero-width batch", b, err)
 		}
-	})
+	}
+	next() // warm: the probe-side scan sizes its arena on first use
+	if allocs := testing.AllocsPerRun(40, next); allocs != 0 {
+		t.Fatalf("warm zero-width probe loop allocates %v blocks per batch", allocs)
+	}
+	if cap(op.out.data) != 0 {
+		t.Fatalf("zero-width output arena grew to %d values", cap(op.out.data))
+	}
 }
 
 // scanPlan is a single-table filtered scan: f < 50 keeps half the rows.

@@ -122,7 +122,7 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 }
 
 func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	h.out.reset(h.merge.width)
+	h.out.reset(h.merge.width())
 	for {
 		// walk the current probe row's candidate chain
 		if h.chain != -1 {
@@ -267,7 +267,7 @@ func (m *batchMergeJoin) Open(ctx *Ctx) (err error) {
 }
 
 func (m *batchMergeJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	m.out.reset(m.merge.width)
+	m.out.reset(m.merge.width())
 	for {
 		// emit the cross product of the current key group
 		if m.gi < len(m.groupL) {
@@ -351,6 +351,7 @@ type batchNLJoin struct {
 	idxCondOff int
 	idxMatches []int32
 	mi         int
+	innerCols  []int // live column positions of the inner table
 	innerBuf   Tuple
 
 	// rescan path
@@ -379,9 +380,10 @@ func newBatchNLJoin(ctx *Ctx, n *plan.Node) (*batchNLJoin, error) {
 	// Index path selection mirrors newNLJoin exactly.
 	if n.Right.IsLeaf() && n.Right.Op != plan.MatScan && len(conds) > 0 {
 		j.idxTable = ctx.DB.Table(n.Right.Table)
-		j.idxCol = conds[0].rightOff
+		j.innerCols = leafCols(ctx, n.Right)
+		j.idxCol = j.innerCols[conds[0].rightOff]
 		j.idxCondOff = conds[0].leftOff
-		j.innerBuf = make(Tuple, len(n.Right.Table.Columns))
+		j.innerBuf = make(Tuple, len(j.innerCols))
 		return j, nil
 	}
 	r, err := BuildBatch(ctx, n.Right)
@@ -426,7 +428,7 @@ func (j *batchNLJoin) Open(ctx *Ctx) (err error) {
 }
 
 func (j *batchNLJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	j.out.reset(j.merge.width)
+	j.out.reset(j.merge.width())
 	if j.idxTable != nil {
 		return j.nextIndexBatch(ctx)
 	}
@@ -445,13 +447,11 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 			if !rowMatches(j.idxTable, r, j.node.Right.Preds) {
 				continue
 			}
-			for c := range j.innerBuf {
-				j.innerBuf[c] = j.idxTable.Cols[c][r]
-			}
+			fetchRow(j.innerBuf, j.idxTable, j.innerCols, r)
 			cur := j.outer[j.oi-1]
 			// the index probe only guarantees the first condition; the
-			// inner tuple is a bare table row, whose single-table layout
-			// starts at 0, so condsEqual applies directly
+			// inner tuple is the row in the leaf's own layout, so
+			// condsEqual applies directly
 			if !condsEqual(j.conds, cur, j.innerBuf) {
 				continue
 			}

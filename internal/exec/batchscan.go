@@ -19,6 +19,7 @@ import (
 type batchSeqScan struct {
 	node  *plan.Node
 	table *storage.Table
+	cols  []int         // live column positions, in tuple order
 	zs    *segScanState // shared read-only with morsel replicas; nil = raw
 	row   int
 	end   int // one past the last physical row to scan (morsel bound)
@@ -29,7 +30,7 @@ type batchSeqScan struct {
 }
 
 func newBatchSeqScan(ctx *Ctx, n *plan.Node) *batchSeqScan {
-	return &batchSeqScan{node: n, table: ctx.DB.Table(n.Table)}
+	return &batchSeqScan{node: n, table: ctx.DB.Table(n.Table), cols: leafCols(ctx, n)}
 }
 
 func (s *batchSeqScan) Open(ctx *Ctx) error {
@@ -41,7 +42,6 @@ func (s *batchSeqScan) Open(ctx *Ctx) error {
 }
 
 func (s *batchSeqScan) NextBatch(ctx *Ctx) (*Batch, error) {
-	width := len(s.table.Meta.Columns)
 	for s.row < s.end {
 		lo := s.row
 		hi := lo + BatchSize
@@ -60,11 +60,11 @@ func (s *batchSeqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 		if len(s.sel) == 0 {
 			continue
 		}
-		s.out.reset(width)
+		s.out.reset(len(s.cols))
 		if s.zs != nil {
-			s.zs.gather(&s.out, s.sel)
+			s.zs.gather(&s.out, s.cols, s.sel)
 		} else {
-			gatherRows(&s.out, s.table, s.sel)
+			gatherRows(&s.out, s.table, s.cols, s.sel)
 		}
 		s.count += len(s.sel)
 		return &s.out, nil
@@ -195,15 +195,17 @@ func filterSel(sel []int32, col []int64, p query.Predicate) []int32 {
 	return out
 }
 
-// gatherRows copies the selected rows of a column-major table into the
-// batch arena, column by column so each source column is read sequentially.
-func gatherRows(b *Batch, t *storage.Table, sel []int32) {
+// gatherRows copies the given columns of the selected rows of a column-major
+// table into the batch arena (whose width is len(cols)), column by column so
+// each source column is read sequentially. With no live column it only
+// counts.
+func gatherRows(b *Batch, t *storage.Table, cols []int, sel []int32) {
 	w := b.width
-	for c := 0; c < w; c++ {
+	for k, c := range cols {
 		col := t.Cols[c]
-		d := b.data[c:]
-		for k, r := range sel {
-			d[k*w] = col[r]
+		d := b.data[k:]
+		for i, r := range sel {
+			d[i*w] = col[r]
 		}
 	}
 	b.n = len(sel)
@@ -218,6 +220,7 @@ func gatherRows(b *Batch, t *storage.Table, sel []int32) {
 type batchIndexScan struct {
 	node  *plan.Node
 	table *storage.Table
+	cols  []int         // live column positions, in tuple order
 	zs    *segScanState // shared read-only with morsel replicas; nil = raw
 	rids  []int32
 	rest  []query.Predicate
@@ -232,7 +235,7 @@ func newBatchIndexScan(ctx *Ctx, n *plan.Node) (*batchIndexScan, error) {
 	if n.IndexPred == nil {
 		return nil, errNoIndexPred(n)
 	}
-	return &batchIndexScan{node: n, table: ctx.DB.Table(n.Table)}, nil
+	return &batchIndexScan{node: n, table: ctx.DB.Table(n.Table), cols: leafCols(ctx, n)}, nil
 }
 
 func (s *batchIndexScan) Open(ctx *Ctx) error {
@@ -258,7 +261,6 @@ func (s *batchIndexScan) Open(ctx *Ctx) error {
 }
 
 func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
-	width := len(s.table.Meta.Columns)
 	for s.pos < s.end {
 		lo := s.pos
 		hi := lo + BatchSize
@@ -283,11 +285,11 @@ func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
 		if len(s.sel) == 0 {
 			continue
 		}
-		s.out.reset(width)
+		s.out.reset(len(s.cols))
 		if s.zs != nil {
-			s.zs.gather(&s.out, s.sel)
+			s.zs.gather(&s.out, s.cols, s.sel)
 		} else {
-			gatherRows(&s.out, s.table, s.sel)
+			gatherRows(&s.out, s.table, s.cols, s.sel)
 		}
 		s.count += len(s.sel)
 		return &s.out, nil
@@ -313,10 +315,10 @@ func newBatchMatScan(ctx *Ctx, n *plan.Node) *batchMatScan {
 	return &batchMatScan{node: n, width: ctx.Layout(n.Tables).Width()}
 }
 
-func (s *batchMatScan) Open(*Ctx) error {
+func (s *batchMatScan) Open(ctx *Ctx) error {
 	s.pos = 0
 	s.end = len(s.node.Mat.Rows)
-	return nil
+	return checkMatLayout(ctx, s.node)
 }
 
 func (s *batchMatScan) NextBatch(ctx *Ctx) (*Batch, error) {

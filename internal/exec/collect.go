@@ -44,9 +44,10 @@ func collect(ctx *Ctx, n *plan.Node) ([][]int64, error) {
 
 func collectScan(ctx *Ctx, n *plan.Node) ([][]int64, error) {
 	t := ctx.DB.Table(n.Table)
-	var out [][]int64
+	cols := leafCols(ctx, n)
+	var arena []int64
+	count := 0
 	nrows := t.NumRows()
-	width := len(t.Meta.Columns)
 	for r := 0; r < nrows; r++ {
 		if err := ctx.charge(1); err != nil {
 			return nil, err
@@ -54,88 +55,72 @@ func collectScan(ctx *Ctx, n *plan.Node) ([][]int64, error) {
 		if !rowMatches(t, r, n.Preds) {
 			continue
 		}
-		row := make([]int64, width)
-		for c := 0; c < width; c++ {
-			row[c] = t.Cols[c][r]
+		for _, c := range cols {
+			arena = append(arena, t.Cols[c][r])
 		}
-		out = append(out, row)
+		count++
 	}
-	n.TrueCard = float64(len(out))
-	return out, nil
+	n.TrueCard = float64(count)
+	return rowViews(arena, len(cols), count), nil
+}
+
+// rowViews slices a flat row-major arena of n tuples into stable row views.
+func rowViews(arena []int64, width, n int) [][]int64 {
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = arena[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, error) {
-	conds, err := resolveConds(ctx, n.JoinConds, n.Left.Tables, n.Right.Tables)
+	// build on the smaller side for speed; the output layout depends only on
+	// the union of the two subsets, so the sides swap freely
+	probeN, buildN, probe, build := n.Left, n.Right, left, right
+	if len(left) < len(right) {
+		probeN, buildN, probe, build = n.Right, n.Left, right, left
+	}
+	conds, err := resolveConds(ctx, n.JoinConds, probeN.Tables, buildN.Tables)
 	if err != nil {
 		return nil, err
 	}
-	merge := newJoinMerge(ctx, n.Left.Tables, n.Right.Tables)
+	merge := newJoinMerge(ctx, probeN.Tables, buildN.Tables)
+	if err := checkVecBuildSize(len(build)); err != nil {
+		return nil, err
+	}
+	if err := ctx.charge(int64(len(build))); err != nil {
+		return nil, err
+	}
+	table := buildVecTable(ctx, build, conds, 1)
 
-	// build on the smaller side for speed; swap offsets if we build left
-	build, probe := right, left
-	buildRight := true
-	if len(left) < len(right) {
-		build, probe = left, right
-		buildRight = false
-	}
-	table := make(map[uint64][][]int64, len(build))
-	key := make([]int64, len(conds))
-	for _, row := range build {
-		for i, c := range conds {
-			if buildRight {
-				key[i] = row[c.rightOff]
-			} else {
-				key[i] = row[c.leftOff]
-			}
-		}
-		k := hashKey(key)
-		table[k] = append(table[k], row)
-		if err := ctx.charge(1); err != nil {
-			return nil, err
-		}
-	}
-	var out [][]int64
+	// a match costs 1 per candidate plus the width-weighted charge that
+	// makes the budget bound buffered memory (logical width, see matCost)
+	w := merge.width()
+	widthCost := int64(ctx.Layout(n.Tables).FullWidth()) / 4
+	var charges pendingCharger
+	var arena []int64
+	count := 0
 	for _, row := range probe {
-		for i, c := range conds {
-			if buildRight {
-				key[i] = row[c.leftOff]
-			} else {
-				key[i] = row[c.rightOff]
-			}
-		}
-		if err := ctx.charge(1); err != nil {
-			return nil, err
-		}
-		for _, m := range table[hashKey(key)] {
-			if err := ctx.charge(1); err != nil {
+		charges.add(1)
+		for r := table.lookup(hashRowConds(row, conds, true)); r != -1; r = table.next[r] {
+			charges.add(1)
+			if err := charges.flushIfFull(ctx); err != nil {
 				return nil, err
 			}
-			l, r := row, m
-			if !buildRight {
-				l, r = m, row
+			if !condsEqual(conds, row, build[r]) {
+				continue // hash collision
 			}
-			match := true
-			for _, c := range conds {
-				if l[c.leftOff] != r[c.rightOff] {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			t := merge.merge(nil, l, r)
-			// width-weighted charge: the budget bounds buffered memory
-			if err := ctx.charge(int64(len(t)) / 4); err != nil {
-				return nil, err
-			}
-			cp := make([]int64, len(t))
-			copy(cp, t)
-			out = append(out, cp)
+			charges.add(widthCost)
+			arena = append(arena, make([]int64, w)...)
+			merge.mergeFlat(arena[len(arena)-w:], row, build[r])
+			count++
 		}
 	}
-	n.TrueCard = float64(len(out))
-	return out, nil
+	if err := charges.flush(ctx); err != nil {
+		return nil, err
+	}
+	n.TrueCard = float64(count)
+	return rowViews(arena, w, count), nil
 }
 
 // TrueCardOracle computes exact cardinalities for arbitrary table subsets

@@ -26,8 +26,10 @@ import (
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
-// Tuple is one intermediate-result row: the concatenated columns of the
-// covered tables in ascending local-index order (see plan.Layout).
+// Tuple is one intermediate-result row: the live columns of the covered
+// tables — those some join above can still read — in ascending local-index
+// order (see plan.Layout). A tuple covering every table of the query is
+// empty: a COUNT(*) root only counts.
 type Tuple = []int64
 
 // ErrBudget is returned when a query exceeds the context's work budget; the
@@ -153,8 +155,8 @@ type Ctx struct {
 	layouts map[query.BitSet]*plan.Layout
 }
 
-// Layout returns the memoized tuple layout for the subset mask of the
-// context's query.
+// Layout returns the memoized projected tuple layout for the subset mask of
+// the context's query.
 func (c *Ctx) Layout(mask query.BitSet) *plan.Layout {
 	if l, ok := c.layouts[mask]; ok {
 		return l
@@ -324,6 +326,7 @@ func drain(ctx *Ctx, node *plan.Node, op Operator) ([][]int64, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
+	cost := matCost(ctx, node)
 	var rows [][]int64
 	for {
 		t, ok, err := op.Next(ctx)
@@ -333,9 +336,7 @@ func drain(ctx *Ctx, node *plan.Node, op Operator) ([][]int64, error) {
 		if !ok {
 			break
 		}
-		// materialization cost scales with tuple width, which also keeps
-		// the work budget an effective bound on buffered memory
-		if err := ctx.charge(1 + int64(len(t))/4); err != nil {
+		if err := ctx.charge(cost); err != nil {
 			return nil, err
 		}
 		if err := ctx.chargeMat(); err != nil {
@@ -357,43 +358,62 @@ func checkpoint(ctx *Ctx, node *plan.Node, rows [][]int64) error {
 	return ctx.Controller.OnMaterialized(node, rows)
 }
 
-// joinMerge precomputes how to stitch a left tuple and a right tuple into
-// the output layout (tables in ascending local-index order).
-type joinMerge struct {
-	width int
-	segs  []mergeSeg
+// matCost is the work charged per materialized tuple of node. It scales
+// with the logical (unprojected) tuple width — not the bytes actually
+// buffered — so budgets, checkpoints and the collected training set are
+// independent of the projection, and the work budget still bounds buffered
+// memory from above.
+func matCost(ctx *Ctx, node *plan.Node) int64 {
+	return 1 + int64(ctx.Layout(node.Tables).FullWidth())/4
 }
 
-type mergeSeg struct {
+// leafCols returns the column positions a scan of leaf n materializes: the
+// live columns of its table, in tuple order. Predicates are evaluated on the
+// stored columns before the gather, so predicate-only columns are not listed.
+func leafCols(ctx *Ctx, n *plan.Node) []int {
+	live := ctx.Layout(n.Tables).Live()
+	cols := make([]int, len(live))
+	for i, c := range live {
+		cols[i] = c.Pos
+	}
+	return cols
+}
+
+// joinMerge precomputes how to stitch a left tuple and a right tuple into
+// the projected output layout: one entry per output column, naming the child
+// and the offset it is read from. Columns live in a child but dead above the
+// join — typically the join's own keys — are simply not listed.
+type joinMerge struct {
+	cols []mergeCol
+}
+
+type mergeCol struct {
 	fromLeft bool
-	srcOff   int
-	dstOff   int
-	n        int
+	off      int
 }
 
 func newJoinMerge(ctx *Ctx, left, right query.BitSet) joinMerge {
-	q := ctx.Q
-	leftLayout := ctx.Layout(left)
-	rightLayout := ctx.Layout(right)
-	out := ctx.Layout(left.Union(right))
-	var m joinMerge
-	m.width = out.Width()
-	for _, i := range left.Union(right).Indices() {
-		n := len(q.Tables[i].Columns)
-		if left.Has(i) {
-			m.segs = append(m.segs, mergeSeg{true, leftLayout.TableOffset(i), out.TableOffset(i), n})
+	leftLayout, rightLayout := ctx.Layout(left), ctx.Layout(right)
+	live := ctx.Layout(left.Union(right)).Live()
+	m := joinMerge{cols: make([]mergeCol, len(live))}
+	for i, c := range live {
+		if left.Has(ctx.Q.TableIndex(c.Table)) {
+			m.cols[i] = mergeCol{true, leftLayout.ColOffset(c)}
 		} else {
-			m.segs = append(m.segs, mergeSeg{false, rightLayout.TableOffset(i), out.TableOffset(i), n})
+			m.cols[i] = mergeCol{false, rightLayout.ColOffset(c)}
 		}
 	}
 	return m
 }
 
+// width is the output tuple width.
+func (m joinMerge) width() int { return len(m.cols) }
+
 func (m joinMerge) merge(dst, l, r Tuple) Tuple {
-	if cap(dst) < m.width {
-		dst = make(Tuple, m.width)
+	if cap(dst) < len(m.cols) {
+		dst = make(Tuple, len(m.cols))
 	}
-	dst = dst[:m.width]
+	dst = dst[:len(m.cols)]
 	m.mergeFlat(dst, l, r)
 	return dst
 }
@@ -402,12 +422,13 @@ func (m joinMerge) merge(dst, l, r Tuple) Tuple {
 // width — the allocation-free variant the batch operators use to write
 // straight into a batch arena.
 func (m joinMerge) mergeFlat(dst, l, r []int64) {
-	for _, s := range m.segs {
-		src := r
-		if s.fromLeft {
-			src = l
+	dst = dst[:len(m.cols)]
+	for i, c := range m.cols {
+		if c.fromLeft {
+			dst[i] = l[c.off]
+		} else {
+			dst[i] = r[c.off]
 		}
-		copy(dst[s.dstOff:s.dstOff+s.n], src[s.srcOff:s.srcOff+s.n])
 	}
 }
 

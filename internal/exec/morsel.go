@@ -65,7 +65,7 @@ func (s *batchSeqScan) morselUnits() int { return s.table.NumRows() }
 // replica-private.
 func (s *batchSeqScan) morselReplica(lo, hi int) BatchOperator {
 	shadow := *s.node
-	return &batchSeqScan{node: &shadow, table: s.table, zs: s.zs, row: lo, end: hi}
+	return &batchSeqScan{node: &shadow, table: s.table, cols: s.cols, zs: s.zs, row: lo, end: hi}
 }
 
 func (s *batchIndexScan) morselUnits() int { return len(s.rids) }
@@ -74,7 +74,7 @@ func (s *batchIndexScan) morselUnits() int { return len(s.rids) }
 // the 16-unit index-descent charge stays with the source's serial Open.
 func (s *batchIndexScan) morselReplica(lo, hi int) BatchOperator {
 	shadow := *s.node
-	return &batchIndexScan{node: &shadow, table: s.table, zs: s.zs, rids: s.rids, rest: s.rest, pos: lo, end: hi}
+	return &batchIndexScan{node: &shadow, table: s.table, cols: s.cols, zs: s.zs, rids: s.rids, rest: s.rest, pos: lo, end: hi}
 }
 
 func (s *batchMatScan) morselUnits() int { return len(s.node.Mat.Rows) }
@@ -100,6 +100,7 @@ func (j *batchNLJoin) morselReplica(lo, hi int) BatchOperator {
 		idxTable:   j.idxTable,
 		idxCol:     j.idxCol,
 		idxCondOff: j.idxCondOff,
+		innerCols:  j.innerCols,
 	}
 	if j.idxTable != nil {
 		r.innerBuf = make(Tuple, len(j.innerBuf))

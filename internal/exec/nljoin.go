@@ -34,6 +34,7 @@ type nlJoin struct {
 	idxCondOff int // offset of the probe value in the outer tuple
 	idxMatches []int32
 	mi         int
+	innerCols  []int // live column positions of the inner table
 	innerBuf   Tuple
 
 	// rescan path
@@ -61,12 +62,13 @@ func newNLJoin(ctx *Ctx, n *plan.Node) (*nlJoin, error) {
 	// Index path: inner is a base-table leaf and some equi-join condition
 	// lands on one of its columns.
 	if n.Right.IsLeaf() && n.Right.Op != plan.MatScan && len(conds) > 0 {
-		// A single-table layout starts at offset 0, so rightOff is directly
-		// the probe column's position within the inner table.
+		// The inner tuple is fetched in the leaf's own layout, so rightOff
+		// indexes innerCols to recover the probe column's table position.
 		j.idxTable = ctx.DB.Table(n.Right.Table)
-		j.idxCol = conds[0].rightOff
+		j.innerCols = leafCols(ctx, n.Right)
+		j.idxCol = j.innerCols[conds[0].rightOff]
 		j.idxCondOff = conds[0].leftOff
-		j.innerBuf = make(Tuple, len(n.Right.Table.Columns))
+		j.innerBuf = make(Tuple, len(j.innerCols))
 		return j, nil
 	}
 	r, err := Build(ctx, n.Right)
@@ -122,11 +124,11 @@ func (j *nlJoin) nextIndex(ctx *Ctx) (Tuple, bool, error) {
 			if !rowMatches(j.idxTable, r, j.node.Right.Preds) {
 				continue
 			}
-			for c := range j.innerBuf {
-				j.innerBuf[c] = j.idxTable.Cols[c][r]
-			}
+			fetchRow(j.innerBuf, j.idxTable, j.innerCols, r)
 			cur := j.outer[j.oi-1]
-			if !j.extraCondsMatch(cur, j.innerBuf) {
+			// the index probe only guarantees the first condition; the
+			// inner tuple is in the leaf's own layout, which rightOff indexes
+			if !condsEqual(j.conds, cur, j.innerBuf) {
 				continue
 			}
 			j.out = j.merge.merge(j.out, cur, j.innerBuf)
@@ -145,19 +147,6 @@ func (j *nlJoin) nextIndex(ctx *Ctx) (Tuple, bool, error) {
 		j.idxMatches = j.idxTable.HashIndex(j.idxCol).Lookup(cur[j.idxCondOff])
 		j.mi = 0
 	}
-}
-
-// extraCondsMatch verifies every join condition against an inner base-table
-// row (the index probe only guarantees the first condition).
-func (j *nlJoin) extraCondsMatch(outer, inner Tuple) bool {
-	for _, c := range j.conds {
-		// inner tuple is the bare table row, so rightOff is relative to the
-		// single-table layout which starts at 0.
-		if outer[c.leftOff] != inner[c.rightOff] {
-			return false
-		}
-	}
-	return true
 }
 
 // nextRescan runs the classic quadratic loop over two buffers.

@@ -123,42 +123,47 @@ func trueCards(p *plan.Node) map[query.BitSet]float64 {
 	return out
 }
 
-// equivCorpus yields randomized (query, plan-variant) pairs: canonical
-// plans under each join algorithm, a mixed-operator assignment, and an
-// index-scan conversion.
+// equivCorpus yields randomized (query, plan-variant) pairs; see
+// planVariants for the variants.
 func equivCorpus(t *testing.T, db *storage.Database, seed int64, n int, fn func(q *query.Query, p *plan.Node, variant string)) {
 	g := workload.NewGenerator(db, seed)
 	for i := 0; i < n; i++ {
-		q := g.Query(1 + i%3)
-		base := CanonicalPlan(q, q.AllTablesMask())
-		for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
-			p := base.Clone()
-			setJoinOps(p, op)
-			fn(q, p, op.String())
+		planVariants(g.Query(1+i%3), fn)
+	}
+}
+
+// planVariants yields the plan variants of one query: its canonical plan
+// under each join algorithm, a mixed-operator assignment, and an index-scan
+// conversion.
+func planVariants(q *query.Query, fn func(q *query.Query, p *plan.Node, variant string)) {
+	base := CanonicalPlan(q, q.AllTablesMask())
+	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+		p := base.Clone()
+		setJoinOps(p, op)
+		fn(q, p, op.String())
+	}
+	// mixed operators: alternate join algorithms down the tree
+	mixed := base.Clone()
+	k := 0
+	mixed.Walk(func(x *plan.Node) {
+		if x.Op.IsJoin() {
+			x.Op = []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin}[k%3]
+			k++
 		}
-		// mixed operators: alternate join algorithms down the tree
-		mixed := base.Clone()
-		k := 0
-		mixed.Walk(func(x *plan.Node) {
-			if x.Op.IsJoin() {
-				x.Op = []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin}[k%3]
-				k++
-			}
-		})
-		fn(q, mixed, "mixed")
-		// index scans on every eligible leaf
-		idx := base.Clone()
-		converted := false
-		idx.Walk(func(x *plan.Node) {
-			if x.IsLeaf() && len(x.Preds) > 0 && x.Preds[0].Op != query.OpNE {
-				x.Op = plan.IndexScan
-				x.IndexPred = &x.Preds[0]
-				converted = true
-			}
-		})
-		if converted {
-			fn(q, idx, "indexscan")
+	})
+	fn(q, mixed, "mixed")
+	// index scans on every eligible leaf
+	idx := base.Clone()
+	converted := false
+	idx.Walk(func(x *plan.Node) {
+		if x.IsLeaf() && len(x.Preds) > 0 && x.Preds[0].Op != query.OpNE {
+			x.Op = plan.IndexScan
+			x.IndexPred = &x.Preds[0]
+			converted = true
 		}
+	})
+	if converted {
+		fn(q, idx, "indexscan")
 	}
 }
 

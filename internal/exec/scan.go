@@ -8,23 +8,25 @@ import (
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
-// seqScan reads a base table row by row, applying the leaf's predicates.
+// seqScan reads a base table row by row, applying the leaf's predicates and
+// materializing only the leaf's live columns.
 type seqScan struct {
 	node  *plan.Node
 	table *storage.Table
+	cols  []int // live column positions, in tuple order
 	row   int
 	buf   Tuple
 	count int
 }
 
 func newSeqScan(ctx *Ctx, n *plan.Node) *seqScan {
-	return &seqScan{node: n, table: ctx.DB.Table(n.Table)}
+	return &seqScan{node: n, table: ctx.DB.Table(n.Table), cols: leafCols(ctx, n)}
 }
 
 func (s *seqScan) Open(*Ctx) error {
 	s.row = 0
 	s.count = 0
-	s.buf = make(Tuple, len(s.table.Meta.Columns))
+	s.buf = make(Tuple, len(s.cols))
 	return nil
 }
 
@@ -39,9 +41,7 @@ func (s *seqScan) Next(ctx *Ctx) (Tuple, bool, error) {
 		if !rowMatches(s.table, r, s.node.Preds) {
 			continue
 		}
-		for c := range s.buf {
-			s.buf[c] = s.table.Cols[c][r]
-		}
+		fetchRow(s.buf, s.table, s.cols, r)
 		s.count++
 		return s.buf, true, nil
 	}
@@ -50,6 +50,13 @@ func (s *seqScan) Next(ctx *Ctx) (Tuple, bool, error) {
 }
 
 func (s *seqScan) Close() {}
+
+// fetchRow copies the given column positions of physical row r into dst.
+func fetchRow(dst Tuple, t *storage.Table, cols []int, r int) {
+	for k, c := range cols {
+		dst[k] = t.Cols[c][r]
+	}
+}
 
 // rowMatches evaluates all predicates on one physical row.
 func rowMatches(t *storage.Table, row int, preds []query.Predicate) bool {
@@ -66,6 +73,7 @@ func rowMatches(t *storage.Table, row int, preds []query.Predicate) bool {
 type indexScan struct {
 	node    *plan.Node
 	table   *storage.Table
+	cols    []int // live column positions, in tuple order
 	rids    []int32
 	rest    []query.Predicate
 	pos     int
@@ -78,7 +86,7 @@ func newIndexScan(ctx *Ctx, n *plan.Node) (*indexScan, error) {
 	if n.IndexPred == nil {
 		return nil, errNoIndexPred(n)
 	}
-	return &indexScan{node: n, table: ctx.DB.Table(n.Table)}, nil
+	return &indexScan{node: n, table: ctx.DB.Table(n.Table), cols: leafCols(ctx, n)}, nil
 }
 
 func errNoIndexPred(n *plan.Node) error {
@@ -115,7 +123,7 @@ func resolveIndexRids(t *storage.Table, p query.Predicate, prev []int32) ([]int3
 func (s *indexScan) Open(ctx *Ctx) error {
 	s.pos = 0
 	s.count = 0
-	s.buf = make(Tuple, len(s.table.Meta.Columns))
+	s.buf = make(Tuple, len(s.cols))
 	s.rest = s.rest[:0]
 	for i := range s.node.Preds {
 		if &s.node.Preds[i] != s.node.IndexPred {
@@ -149,9 +157,7 @@ func (s *indexScan) Next(ctx *Ctx) (Tuple, bool, error) {
 		if !rowMatches(s.table, r, s.rest) {
 			continue
 		}
-		for c := range s.buf {
-			s.buf[c] = s.table.Cols[c][r]
-		}
+		fetchRow(s.buf, s.table, s.cols, r)
 		s.count++
 		return s.buf, true, nil
 	}
@@ -170,8 +176,21 @@ type matScan struct {
 
 func newMatScan(n *plan.Node) *matScan { return &matScan{node: n} }
 
-func (s *matScan) Open(*Ctx) error {
+func (s *matScan) Open(ctx *Ctx) error {
 	s.pos = 0
+	return checkMatLayout(ctx, s.node)
+}
+
+// checkMatLayout rejects a materialized intermediate whose rows are not in
+// the projected layout of its subset — rows buffered for another query, or
+// by code that predates the projection, would otherwise be read at the wrong
+// offsets. Rows of one intermediate share a producer, so the first suffices.
+func checkMatLayout(ctx *Ctx, n *plan.Node) error {
+	w := ctx.Layout(n.Tables).Width()
+	if rows := n.Mat.Rows; len(rows) > 0 && len(rows[0]) != w {
+		return fmt.Errorf("exec: materialized rows of subset %b have width %d, layout width %d",
+			uint32(n.Tables), len(rows[0]), w)
+	}
 	return nil
 }
 

@@ -221,17 +221,17 @@ func (zs *segScanState) filterSel(sel []int32, p query.Predicate) []int32 {
 	return out
 }
 
-// gather is the late-materialization counterpart of gatherRows: the
-// selected rows are decoded straight into the batch arena column by
-// column, one Segment.Gather call per (column, segment run) so each run is
-// a tight copy or unpack loop.
-func (zs *segScanState) gather(b *Batch, sel []int32) {
+// gather is the late-materialization counterpart of gatherRows: the given
+// columns of the selected rows are decoded straight into the batch arena
+// column by column, one Segment.Gather call per (column, segment run) so
+// each run is a tight copy or unpack loop. Dead columns are never decoded.
+func (zs *segScanState) gather(b *Batch, cols []int, sel []int32) {
 	w := b.width
 	segRows := zs.segRows
 	var dec int64
-	for c := 0; c < w; c++ {
+	for k, c := range cols {
 		segs := zs.cols[c]
-		d := b.data[c:]
+		d := b.data[k:]
 		// sel need not be sorted (index scans emit rids in index order), so
 		// runs are maximal stretches of ids that happen to share a segment.
 		for i := 0; i < len(sel); {

@@ -7,7 +7,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/lpce-db/lpce/internal/catalog"
@@ -52,7 +54,9 @@ func (op PhysOp) IsJoin() bool { return op >= HashJoin }
 
 // Materialized holds the buffered output of an executed sub-plan, keyed by
 // the table subset it covers. Re-optimized plans scan these instead of
-// recomputing the executed work (paper §6.2).
+// recomputing the executed work (paper §6.2). Rows are in the projected
+// layout of Tables (see Layout), which is the same for every plan of the
+// query.
 type Materialized struct {
 	Tables query.BitSet
 	Rows   [][]int64
@@ -218,48 +222,69 @@ func (n *Node) render(b *strings.Builder, depth int, annot func(*Node) string) {
 	}
 }
 
-// Layout maps columns to offsets within the tuples produced by a node that
-// covers a given table subset. Tuples are the concatenation of the covered
-// tables' rows in ascending local-index order.
+// Layout is the projected tuple layout of a node covering a table subset S
+// of query q. A column of a table in S is live iff some join condition of q
+// has it on one side and a table outside S on the other: those are the only
+// values an operator above the node can read. Tuples over S hold exactly the
+// live columns, ordered by local table index and then column position, so
+// the full mask has width 0 and a COUNT(*) root counts rows without writing
+// any. The rule depends only on (q, S) — never on the plan that produced the
+// tuples — so an intermediate materialized under one plan can be scanned by
+// any re-optimized plan over the same subset.
 type Layout struct {
-	q       *query.Query
-	offsets map[int]int // local table index -> starting offset
-	width   int
+	mask      query.BitSet
+	live      []*catalog.Column // tuple offset -> column
+	fullWidth int
 }
 
-// NewLayout computes the tuple layout for the subset mask of query q.
+// NewLayout computes the projected tuple layout for the subset mask of
+// query q.
 func NewLayout(q *query.Query, mask query.BitSet) *Layout {
-	l := &Layout{q: q, offsets: make(map[int]int)}
-	for _, i := range mask.Indices() {
-		l.offsets[i] = l.width
-		l.width += len(q.Tables[i].Columns)
+	l := &Layout{mask: mask}
+	for i, t := range q.Tables {
+		if mask.Has(i) {
+			l.fullWidth += len(t.Columns)
+		}
 	}
+	for _, j := range q.Joins {
+		inL, inR := mask.Has(q.TableIndex(j.Left.Table)), mask.Has(q.TableIndex(j.Right.Table))
+		switch {
+		case inL && !inR:
+			l.live = append(l.live, j.Left)
+		case inR && !inL:
+			l.live = append(l.live, j.Right)
+		}
+	}
+	// Local table indices ascend with catalog IDs (query.New sorts by ID), so
+	// (table ID, column position) order is tuple order; a column named by
+	// several conditions (a star's hub key) is kept once.
+	slices.SortFunc(l.live, func(a, b *catalog.Column) int {
+		return cmp.Or(cmp.Compare(a.Table.ID, b.Table.ID), cmp.Compare(a.Pos, b.Pos))
+	})
+	l.live = slices.Compact(l.live)
 	return l
 }
 
-// Width returns the tuple width in columns.
-func (l *Layout) Width() int { return l.width }
+// Width returns the physical tuple width: the number of live columns.
+func (l *Layout) Width() int { return len(l.live) }
 
-// TableOffset returns the starting offset of the table at local index i.
-func (l *Layout) TableOffset(i int) int {
-	off, ok := l.offsets[i]
-	if !ok {
-		panic(fmt.Sprintf("plan: table index %d not in layout", i))
-	}
-	return off
-}
+// FullWidth returns the unprojected width — every column of every covered
+// table. Nothing is stored at this width; the executor charges
+// materialization work by it so work accounting (budgets, checkpoints, the
+// collected training set) does not depend on the projection.
+func (l *Layout) FullWidth() int { return l.fullWidth }
 
-// ColOffset returns the tuple offset of column c.
+// Live returns the live columns in tuple order. Callers must not modify it.
+func (l *Layout) Live() []*catalog.Column { return l.live }
+
+// ColOffset returns the tuple offset of column c. It panics when c is not
+// live in this layout: reading a projected-away column is a planner bug and
+// must fail loudly rather than return a neighbouring column's value.
 func (l *Layout) ColOffset(c *catalog.Column) int {
-	idx := l.q.TableIndex(c.Table)
-	if idx < 0 {
-		panic(fmt.Sprintf("plan: column %s not in query", c.QualifiedName()))
+	for i, x := range l.live {
+		if x == c {
+			return i
+		}
 	}
-	return l.TableOffset(idx) + c.Pos
-}
-
-// HasTable reports whether the layout covers local table index i.
-func (l *Layout) HasTable(i int) bool {
-	_, ok := l.offsets[i]
-	return ok
+	panic(fmt.Sprintf("plan: column %s is not live in the layout of subset %b", c.QualifiedName(), uint32(l.mask)))
 }
