@@ -40,8 +40,6 @@ type session struct {
 	enc *encode.Encoder
 	q   *query.Query
 
-	ends []joinEnds     // q.Joins in local table indices
-	adj  []query.BitSet // adj[i]: tables sharing a join condition with i
 	pre  []query.BitSet // masks of the pre-embedded units, disjoint
 	memo map[query.BitSet]tensor.Vec
 
@@ -53,8 +51,6 @@ type session struct {
 	preds   []query.Predicate
 }
 
-type joinEnds struct{ l, r int }
-
 // newSession opens a session expecting about hint memoized subsets. pre and
 // preC are the masks and encodings of the pre-embedded units.
 func newSession(m *treenn.TreeModel, enc *encode.Encoder, q *query.Query, pre []query.BitSet, preC []tensor.Vec, hint int) *session {
@@ -62,8 +58,6 @@ func newSession(m *treenn.TreeModel, enc *encode.Encoder, q *query.Query, pre []
 	hidden := m.Cfg.Hidden
 	s := &session{
 		m: m, enc: enc, q: q, pre: pre,
-		ends:    make([]joinEnds, len(q.Joins)),
-		adj:     make([]query.BitSet, n),
 		memo:    make(map[query.BitSet]tensor.Vec, hint+len(pre)),
 		store:   tensor.NewArena(hint * hidden),
 		scratch: tensor.NewArena(16*hidden + m.Cfg.OutWidth),
@@ -71,14 +65,6 @@ func newSession(m *treenn.TreeModel, enc *encode.Encoder, q *query.Query, pre []
 		units:   make([]query.BitSet, 0, n),
 		conds:   make([]query.Join, 0, len(q.Joins)),
 		preds:   make([]query.Predicate, 0, len(q.Preds)),
-	}
-	for i, j := range q.Joins {
-		l, r := q.TableIndex(j.Left.Table), q.TableIndex(j.Right.Table)
-		s.ends[i] = joinEnds{l, r}
-		if l != r {
-			s.adj[l] = s.adj[l].Set(r)
-			s.adj[r] = s.adj[r].Set(l)
-		}
 	}
 	for i, mask := range pre {
 		s.memo[mask] = preC[i]
@@ -119,12 +105,7 @@ func (s *session) estimate(mask query.BitSet) float64 {
 	}
 	for _, u := range units[from:] {
 		cr := s.unit(u)
-		s.conds = s.conds[:0]
-		for i, e := range s.ends {
-			if (cur.Has(e.l) && u.Has(e.r)) || (cur.Has(e.r) && u.Has(e.l)) {
-				s.conds = append(s.conds, s.q.Joins[i])
-			}
-		}
+		s.conds = s.q.AppendJoinsBetween(s.conds[:0], cur, u)
 		s.enc.EncodeJoinInto(s.feat, s.conds)
 		cur |= u
 		c, h = s.node(cur, c, cr)
@@ -150,7 +131,7 @@ func (s *session) order(mask query.BitSet) []query.BitSet {
 			units[k], units[k-1] = units[k-1], units[k]
 		}
 	}
-	reach := s.reach(units[0])
+	reach := s.q.Neighbors(units[0])
 	for j := 1; j < len(units); j++ {
 		pick := j
 		for k := j; k < len(units); k++ {
@@ -162,18 +143,9 @@ func (s *session) order(mask query.BitSet) []query.BitSet {
 		u := units[pick]
 		copy(units[j+1:pick+1], units[j:pick]) // keep the skipped units sorted
 		units[j] = u
-		reach |= s.reach(u)
+		reach |= s.q.Neighbors(u)
 	}
 	return units
-}
-
-// reach returns the tables sharing a join condition with any table of mask.
-func (s *session) reach(mask query.BitSet) query.BitSet {
-	var r query.BitSet
-	for ; mask != 0; mask &= mask - 1 {
-		r |= s.adj[bits.TrailingZeros32(uint32(mask))]
-	}
-	return r
 }
 
 // unit returns the encoding of one unit: memoized, or a scan leaf's.
@@ -278,24 +250,43 @@ func (r *Refiner) Estimator(q *query.Query, execs []ExecutedSub) cardest.Estimat
 	}
 	if r.Kind != RefinerSingle {
 		a := tensor.NewArena(0)
-		cardFeat := CardFeature(r.Enc, r.LogMax, r.DB)
+		plain, card := r.arenaFeatures(a)
 		for _, ex := range e.execs {
-			e.embeds = append(e.embeds, r.executedEmbedding(a, ex.Node, cardFeat))
+			e.embeds = append(e.embeds, r.executedEmbedding(a, ex.Node, plain, card))
 		}
 	}
 	return e
+}
+
+// arenaFeatures returns the plain and the cardinality-augmented feature
+// functions (EncodeNode's and CardFeature's), writing every vector into
+// scratch carved from a instead of allocating it.
+func (r *Refiner) arenaFeatures(a *tensor.Arena) (plain, card treenn.FeatureFn) {
+	plain = func(n *plan.Node) tensor.Vec {
+		v := a.Vec(r.Enc.Dim())
+		r.Enc.EncodeNodeInto(v, n)
+		return v
+	}
+	card = func(n *plan.Node) tensor.Vec {
+		v := a.Vec(r.Enc.DimWithCards())
+		r.Enc.EncodeNodeInto(v, n)
+		left, right := childCards(r.DB, n)
+		r.Enc.EncodeCardsInto(v, left, right, r.LogMax)
+		return v
+	}
+	return plain, card
 }
 
 // executedEmbedding computes what the refine module sees in place of an
 // executed subtree: the connect-layer merge of the frozen content and
 // cardinality modules' encodings (full design) or the cardinality encoding
 // alone (two-module ablation).
-func (r *Refiner) executedEmbedding(a *tensor.Arena, sub *plan.Node, cardFeat treenn.FeatureFn) tensor.Vec {
-	cB, _ := r.CardM.Encode(a, sub, cardFeat)
+func (r *Refiner) executedEmbedding(a *tensor.Arena, sub *plan.Node, plain, card treenn.FeatureFn) tensor.Vec {
+	cB, _ := r.CardM.Encode(a, sub, card)
 	if r.Kind != RefinerFull {
 		return cB
 	}
-	cA, _ := r.Content.Encode(a, sub, r.Enc.EncodeNode)
+	cA, _ := r.Content.Encode(a, sub, plain)
 	out := a.Vec(len(cA))
 	r.Connect.Infer(a, cA, cB, out)
 	return out

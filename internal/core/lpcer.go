@@ -277,12 +277,12 @@ func (r *Refiner) executedOverrides(t *autodiff.Tape, execRoots []*plan.Node) ma
 // frozen content/cardinality modules are shared read-only.
 func (r *Refiner) executedOverridesUsing(t *autodiff.Tape, connect *ConnectLayer, execRoots []*plan.Node) map[*plan.Node]*autodiff.Node {
 	childC := make(map[*plan.Node]*autodiff.Node, len(execRoots))
-	cardFeat := CardFeature(r.Enc, r.LogMax, r.DB)
 	a := tensor.NewArena(0)
+	plain, cardFeat := r.arenaFeatures(a)
 	for _, sub := range execRoots {
 		cB, _ := r.CardM.Encode(a, sub, cardFeat)
 		if r.Kind == RefinerFull {
-			cA, _ := r.Content.Encode(a, sub, r.Enc.EncodeNode)
+			cA, _ := r.Content.Encode(a, sub, plain)
 			childC[sub] = connect.Apply(t, t.Const(cA), t.Const(cB))
 		} else {
 			childC[sub] = t.Const(cB)
@@ -459,7 +459,7 @@ func buildUnitPlan(q *query.Query, mask, covered query.BitSet, units []ExecutedS
 	for len(rest) > 0 {
 		pick := -1
 		for i, u := range rest {
-			if len(q.JoinsBetween(cur.mask, u.mask)) > 0 {
+			if q.Neighbors(cur.mask)&u.mask != 0 {
 				pick = i
 				break
 			}

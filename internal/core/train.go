@@ -60,21 +60,26 @@ func (c TrainConfig) Defaults() TrainConfig {
 // attributes") and zero.
 func CardFeature(enc *encode.Encoder, logMax float64, db *storage.Database) treenn.FeatureFn {
 	return func(n *plan.Node) tensor.Vec {
-		base := enc.EncodeNode(n)
-		var l, r float64
-		switch {
-		case n.Left != nil:
-			l = n.Left.TrueCard
-			if n.Right != nil {
-				r = n.Right.TrueCard
-			}
-		case n.Table != nil:
-			l = float64(db.Table(n.Table).NumRows())
-		case n.Mat != nil:
-			l = float64(n.Mat.Card())
-		}
-		return enc.WithCards(base, l, r, logMax)
+		l, r := childCards(db, n)
+		return enc.WithCards(enc.EncodeNode(n), l, r, logMax)
 	}
+}
+
+// childCards returns the two cardinalities CardFeature appends to n's
+// features.
+func childCards(db *storage.Database, n *plan.Node) (l, r float64) {
+	switch {
+	case n.Left != nil:
+		l = n.Left.TrueCard
+		if n.Right != nil {
+			r = n.Right.TrueCard
+		}
+	case n.Table != nil:
+		l = float64(db.Table(n.Table).NumRows())
+	case n.Mat != nil:
+		l = float64(n.Mat.Card())
+	}
+	return l, r
 }
 
 // TrainTreeModel trains a tree model (any cell, either loss) on the

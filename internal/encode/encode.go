@@ -92,10 +92,19 @@ func (e *Encoder) predOpOff() int   { return NumFuncs + 4*e.nCols }
 // leaves encode as plain scans (their contents are summarized separately by
 // LPCE-R's executed-sub-plan embeddings).
 func (e *Encoder) EncodeNode(n *plan.Node) tensor.Vec {
+	v := tensor.NewVec(e.Dim())
+	e.EncodeNodeInto(v, n)
+	return v
+}
+
+// EncodeNodeInto writes EncodeNode's features over dst[:Dim()], allocating
+// nothing.
+func (e *Encoder) EncodeNodeInto(dst tensor.Vec, n *plan.Node) {
 	if n.Op.IsJoin() {
-		return e.EncodeJoin(n.JoinConds)
+		e.EncodeJoinInto(dst, n.JoinConds)
+		return
 	}
-	return e.EncodeScan(n.Preds)
+	e.EncodeScanInto(dst, n.Preds)
 }
 
 // EncodeScan encodes a base-table scan with its predicates.
@@ -209,6 +218,14 @@ func (e *Encoder) WithCards(feat tensor.Vec, leftCard, rightCard, logMax float64
 	out[len(feat)] = normLog(leftCard, logMax)
 	out[len(feat)+1] = normLog(rightCard, logMax)
 	return out
+}
+
+// EncodeCardsInto writes the two slots WithCards appends to a Dim()-wide
+// feature vector into dst[Dim()] and dst[Dim()+1], allocating nothing;
+// dst[:Dim()] is left as it is.
+func (e *Encoder) EncodeCardsInto(dst tensor.Vec, leftCard, rightCard, logMax float64) {
+	dst[e.Dim()] = normLog(leftCard, logMax)
+	dst[e.Dim()+1] = normLog(rightCard, logMax)
 }
 
 func normLog(card, logMax float64) float64 {

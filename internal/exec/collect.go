@@ -213,9 +213,9 @@ func CanonicalPlan(q *query.Query, mask query.BitSet) *plan.Node {
 		// the canonical tree never contains cross products when the subset
 		// is connected
 		pick := -1
+		reach := q.Neighbors(covered)
 		for pi, i := range remaining {
-			single := query.NewBitSet().Set(i)
-			if len(q.JoinsBetween(covered, single)) > 0 {
+			if reach.Has(i) {
 				pick = pi
 				break
 			}

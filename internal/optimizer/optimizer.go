@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/obs"
@@ -51,10 +52,25 @@ type Stats struct {
 	PlannedMasks  int // connected subsets with a plan
 }
 
+// dpEntry is the search's state for one table subset: its cardinality and
+// the cheapest plan found for it so far — a leaf (a base-table scan or a
+// materialized intermediate) or a join of the split (left, subset &^ left).
+// The search only compares costs; the chosen tree is built from the entries
+// once it is over, so no plan node is built or cloned per split.
 type dpEntry struct {
-	node *plan.Node
-	cost float64
+	card  float64      // estimated rows; exact for a materialized subset
+	cost  float64      // of the plan, valid when planned
+	leaf  *plan.Node   // the leaf plan, or nil for a join or no plan yet
+	op    plan.PhysOp  // the join plan's operator
+	left  query.BitSet // the join plan's left input; 0 for a leaf or no plan
+	known bool         // card is set: a zero-row intermediate's card is 0
 }
+
+func (e *dpEntry) planned() bool { return e.leaf != nil || e.left != 0 }
+
+// scanLeaf reports whether the plan is a base-table scan, the inner side an
+// index nested loop can probe.
+func (e *dpEntry) scanLeaf() bool { return e.leaf != nil && e.leaf.Op != plan.MatScan }
 
 // Plan optimizes the query from scratch.
 func (o *Optimizer) Plan(q *query.Query) (*plan.Node, Stats, error) {
@@ -74,15 +90,17 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 	full := q.AllTablesMask()
 	var stats Stats
 
-	// Per-run estimate cache: the paper stores sub-query estimates in a
-	// memory pool so each subset is estimated once.
-	cards := make(map[query.BitSet]float64)
+	// The search visits every subset mask up to full, so its state is one
+	// slice indexed by mask. Each subset is estimated once: the paper keeps
+	// sub-query estimates in a memory pool for the same reason.
+	dp := make([]dpEntry, uint64(full)+1)
 	// One estimation session per search lets the estimator share work
 	// between the subsets (LPCE memoizes sub-plan encodings by mask).
 	session := cardest.BeginQuery(o.Est, q)
 	est := func(mask query.BitSet) float64 {
-		if v, ok := cards[mask]; ok {
-			return v
+		e := &dp[mask]
+		if e.known {
+			return e.card
 		}
 		stats.EstimateCalls++
 		v := session.EstimateSubset(q, mask)
@@ -90,99 +108,99 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 			v = 1
 		}
 		o.CE.RecordEstimate(q.Fingerprint(), mask, v)
-		cards[mask] = v
+		e.card, e.known = v, true
 		return v
 	}
-	// Materialized subsets have exact cardinalities; seed the cache so
+	// Materialized subsets have exact cardinalities; seed them so
 	// refinement models and overlays agree with reality for executed parts.
 	for mask, m := range mats {
-		cards[mask] = float64(m.Card())
+		dp[mask].card, dp[mask].known = float64(m.Card()), true
 	}
-
-	best := make(map[query.BitSet]*dpEntry)
 
 	// Level 1: base-table access paths.
 	for i := 0; i < n; i++ {
 		mask := query.NewBitSet().Set(i)
-		e := o.bestScan(q, i, est(mask))
-		best[mask] = e
+		leaf := o.bestScan(q, i, est(mask))
+		dp[mask].leaf, dp[mask].cost = leaf, leaf.EstCost
 	}
 	// Materialized leaves compete with whatever covers the same subset.
 	for mask, m := range mats {
 		cost := o.Cost.MatScanCost(float64(m.Card()))
-		node := plan.NewMatLeaf(m)
-		node.EstCost = cost
-		if cur, ok := best[mask]; !ok || cost < cur.cost {
-			best[mask] = &dpEntry{node: node, cost: cost}
+		if e := &dp[mask]; !e.planned() || cost < e.cost {
+			e.leaf = plan.NewMatLeaf(m)
+			e.leaf.EstCost = cost
+			e.cost = cost
 		}
 	}
 
-	// Levels 2..n: enumerate connected subsets by increasing size.
-	masks := make([][]query.BitSet, n+1)
-	for mask := query.BitSet(1); mask <= full; mask++ {
-		if mask&full != mask {
-			continue
-		}
-		masks[mask.Count()] = append(masks[mask.Count()], mask)
-	}
+	// Levels 2..n: connected subsets by increasing size, each size in
+	// ascending mask order.
 	for size := 2; size <= n; size++ {
-		for _, mask := range masks[size] {
+		for m := uint64(1)<<uint(size) - 1; m <= uint64(full); m = nextSameCount(m) {
+			mask := query.BitSet(m)
 			if !q.Connected(mask) {
 				continue
 			}
 			outCard := est(mask)
-			var bestEntry *dpEntry
-			if e, ok := best[mask]; ok {
-				bestEntry = e // a materialized leaf already covers it
-			}
+			cur := dp[mask] // a materialized leaf may already cover it
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 				rest := mask &^ sub
-				if o.Shape == ShapeLeftDeep && rest.Count() != 1 {
+				if o.Shape == ShapeLeftDeep && rest&(rest-1) != 0 {
 					continue // right child must be a single relation
 				}
-				le, lok := best[sub]
-				re, rok := best[rest]
-				if !lok || !rok {
-					continue
+				le, re := &dp[sub], &dp[rest]
+				if !le.planned() || !re.planned() || q.Neighbors(sub)&rest == 0 {
+					continue // no plan for a side, or a cross product
 				}
-				conds := q.JoinsBetween(sub, rest)
-				if len(conds) == 0 {
-					continue // no cross products
-				}
-				cardL, cardR := est(sub), est(rest)
-				// Cost the operators first and build a node only for one that
-				// beats the incumbent: building clones both subtrees, so DP
-				// entries sharing a subtree never alias annotations.
-				op, total := o.cheapestJoin(re.node, le.cost+re.cost, cardL, cardR, outCard)
-				if bestEntry == nil || total < bestEntry.cost {
-					node := plan.NewJoin(op, le.node.Clone(), re.node.Clone(), conds)
-					node.EstCard = outCard
-					node.EstCost = total
-					bestEntry = &dpEntry{node: node, cost: total}
+				op, total := o.cheapestJoin(re.scanLeaf(), le.cost+re.cost, le.card, re.card, outCard)
+				if !cur.planned() || total < cur.cost {
+					cur.leaf, cur.op, cur.left, cur.cost = nil, op, sub, total
 				}
 			}
-			if bestEntry != nil {
-				best[mask] = bestEntry
+			if cur.planned() {
+				dp[mask] = cur
 				stats.PlannedMasks++
 			}
 		}
 	}
 
-	root, ok := best[full]
-	if !ok {
+	if !dp[full].planned() {
 		return nil, stats, fmt.Errorf("optimizer: query join graph is disconnected")
 	}
-	return root.node, stats, nil
+	return buildPlan(q, dp, full), stats, nil
+}
+
+// nextSameCount returns the smallest integer above m with as many set bits
+// (Gosper's hack); m must be non-zero.
+func nextSameCount(m uint64) uint64 {
+	low := m & -m
+	r := m + low
+	return r | (r^m)>>(2+uint(bits.TrailingZeros64(low)))
+}
+
+// buildPlan constructs the tree the search chose for mask, top-down. Every
+// subset appears once in it, so every node is fresh and none is shared.
+func buildPlan(q *query.Query, dp []dpEntry, mask query.BitSet) *plan.Node {
+	e := &dp[mask]
+	if e.leaf != nil {
+		return e.leaf
+	}
+	rest := mask &^ e.left
+	node := plan.NewJoin(e.op, buildPlan(q, dp, e.left), buildPlan(q, dp, rest), q.JoinsBetween(e.left, rest))
+	node.EstCard = e.card
+	node.EstCost = e.cost
+	return node
 }
 
 // cheapestJoin costs the physical join operators for one (left, right)
 // split on top of the children's cost and returns the cheapest total. Totals
 // are compared, not operator costs, and only a strictly cheaper one wins, so
 // on a tie — including one the addition rounds into — hash beats merge beats
-// nested loop.
-func (o *Optimizer) cheapestJoin(r *plan.Node, childCost, cardL, cardR, out float64) (plan.PhysOp, float64) {
+// nested loop. scanRight says the right input is a base-table scan, which an
+// index nested loop probes instead of rescanning.
+func (o *Optimizer) cheapestJoin(scanRight bool, childCost, cardL, cardR, out float64) (plan.PhysOp, float64) {
 	nl := o.Cost.RescanNLJoinCost(cardL, cardR, out)
-	if r.IsLeaf() && r.Op != plan.MatScan {
+	if scanRight {
 		nl = o.Cost.IndexNLJoinCost(cardL, out)
 	}
 	op, best := plan.HashJoin, childCost+o.Cost.HashJoinCost(cardL, cardR, out)
@@ -196,8 +214,8 @@ func (o *Optimizer) cheapestJoin(r *plan.Node, childCost, cardL, cardR, out floa
 }
 
 // bestScan picks the cheaper of a sequential scan and an index scan for one
-// base table.
-func (o *Optimizer) bestScan(q *query.Query, idx int, estCard float64) *dpEntry {
+// base table; the leaf's EstCost is its cost.
+func (o *Optimizer) bestScan(q *query.Query, idx int, estCard float64) *plan.Node {
 	t := q.Tables[idx]
 	preds := q.PredsOn(t)
 	rows := float64(o.DB.Table(t).NumRows())
@@ -206,7 +224,7 @@ func (o *Optimizer) bestScan(q *query.Query, idx int, estCard float64) *dpEntry 
 	seq.EstCard = estCard
 	seqCost := o.Cost.SeqScanCost(rows)
 	seq.EstCost = seqCost
-	bestE := &dpEntry{node: seq, cost: seqCost}
+	best := seq
 
 	// Index scan: any predicate except != can drive an index. Each candidate
 	// is costed with its own selectivity from the catalog statistics, so the
@@ -218,15 +236,15 @@ func (o *Optimizer) bestScan(q *query.Query, idx int, estCard float64) *dpEntry 
 		}
 		matches := indexMatches(preds[pi], estCard, rows, len(preds))
 		cost := o.Cost.IndexScanCost(matches)
-		if cost < bestE.cost {
+		if cost < best.EstCost {
 			node := plan.NewLeaf(plan.IndexScan, t, idx, preds)
 			node.IndexPred = &node.Preds[pi]
 			node.EstCard = estCard
 			node.EstCost = cost
-			bestE = &dpEntry{node: node, cost: cost}
+			best = node
 		}
 	}
-	return bestE
+	return best
 }
 
 // indexMatches estimates how many rows an index fetch driven by predicate p

@@ -250,12 +250,12 @@ func TestIndexPredPicksMostSelective(t *testing.T) {
 	}
 	q := query.New([]*catalog.Table{title}, nil, preds)
 	o := oracleOpt(db)
-	e := o.bestScan(q, 0, 1)
-	if e.node.Op != plan.IndexScan {
-		t.Fatalf("scan op = %v, want IndexScan for a one-row equality", e.node.Op)
+	leaf := o.bestScan(q, 0, 1)
+	if leaf.Op != plan.IndexScan {
+		t.Fatalf("scan op = %v, want IndexScan for a one-row equality", leaf.Op)
 	}
-	if e.node.IndexPred == nil || e.node.IndexPred.Col != id {
-		t.Fatalf("index predicate on %v, want the equality on title.id", e.node.IndexPred)
+	if leaf.IndexPred == nil || leaf.IndexPred.Col != id {
+		t.Fatalf("index predicate on %v, want the equality on title.id", leaf.IndexPred)
 	}
 }
 

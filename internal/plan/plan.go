@@ -246,8 +246,9 @@ func NewLayout(q *query.Query, mask query.BitSet) *Layout {
 			l.fullWidth += len(t.Columns)
 		}
 	}
-	for _, j := range q.Joins {
-		inL, inR := mask.Has(q.TableIndex(j.Left.Table)), mask.Has(q.TableIndex(j.Right.Table))
+	for i, j := range q.Joins {
+		ls, rs := q.JoinSides(i)
+		inL, inR := mask&ls != 0, mask&rs != 0
 		switch {
 		case inL && !inR:
 			l.live = append(l.live, j.Left)

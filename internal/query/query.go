@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -110,6 +111,10 @@ func (j Join) String() string {
 	return j.Left.QualifiedName() + " = " + j.Right.QualifiedName()
 }
 
+// MaxTables is the most relations one query may join: a BitSet has one bit
+// per table. New panics past it and the SQL parser rejects it.
+const MaxTables = 32
+
 // Query is a COUNT(*) select-project-equijoin query. A Query is immutable
 // after New and safe for concurrent use.
 type Query struct {
@@ -119,26 +124,60 @@ type Query struct {
 
 	tableIdx map[int]int // catalog table ID -> local index
 	fp       uint64      // structural fingerprint, frozen at construction
+
+	// The join graph in local table indices, so that subset questions are
+	// mask arithmetic: sides[i] holds the one-table masks of Joins[i]'s two
+	// tables, adj[t] the tables sharing a join condition with table t.
+	sides []joinSides
+	adj   []BitSet
 }
 
+// joinSides is one join condition's left and right table as one-table masks;
+// a side whose table is not in the query (same ID, different schema) is 0
+// and lies in no subset.
+type joinSides struct{ l, r BitSet }
+
 // New builds a query and freezes its table ordering (sorted by catalog ID so
-// bitmask subsets are canonical).
+// bitmask subsets are canonical). It panics when a join or predicate names a
+// table outside the list, or when the list is longer than MaxTables.
 func New(tables []*catalog.Table, joins []Join, preds []Predicate) *Query {
+	if len(tables) > MaxTables {
+		panic(fmt.Sprintf("query: %d tables, at most %d fit a BitSet", len(tables), MaxTables))
+	}
 	ts := append([]*catalog.Table(nil), tables...)
 	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
-	q := &Query{Tables: ts, Joins: joins, Preds: preds, tableIdx: make(map[int]int)}
+	q := &Query{
+		Tables: ts, Joins: joins, Preds: preds, tableIdx: make(map[int]int),
+		sides: make([]joinSides, len(joins)),
+		adj:   make([]BitSet, len(ts)),
+	}
 	for i, t := range ts {
 		q.tableIdx[t.ID] = i
 	}
-	for _, j := range joins {
+	for i, j := range joins {
 		q.mustHave(j.Left.Table)
 		q.mustHave(j.Right.Table)
+		li, ri := q.TableIndex(j.Left.Table), q.TableIndex(j.Right.Table)
+		s := joinSides{tableBit(li), tableBit(ri)}
+		q.sides[i] = s
+		if s.l != 0 && s.r != 0 && li != ri {
+			q.adj[li] |= s.r
+			q.adj[ri] |= s.l
+		}
 	}
 	for _, p := range preds {
 		q.mustHave(p.Col.Table)
 	}
 	q.fp = q.computeFingerprint()
 	return q
+}
+
+// tableBit is the one-table mask of local index i, or 0 for -1.
+func tableBit(i int) BitSet {
+	if i < 0 {
+		return 0
+	}
+	return NewBitSet().Set(i)
 }
 
 // Fingerprint returns a stable structural hash of the query (tables, join
@@ -206,15 +245,20 @@ func (q *Query) PredsOn(t *catalog.Table) []Predicate {
 	return out
 }
 
+// JoinSides returns the one-table masks of join condition i's left and
+// right tables; a side whose table is not in the query is 0.
+func (q *Query) JoinSides(i int) (left, right BitSet) {
+	s := q.sides[i]
+	return s.l, s.r
+}
+
 // JoinsWithin returns the join conditions whose both sides fall inside the
 // table subset mask.
 func (q *Query) JoinsWithin(mask BitSet) []Join {
 	var out []Join
-	for _, j := range q.Joins {
-		li := q.TableIndex(j.Left.Table)
-		ri := q.TableIndex(j.Right.Table)
-		if mask.Has(li) && mask.Has(ri) {
-			out = append(out, j)
+	for i, s := range q.sides {
+		if mask&s.l != 0 && mask&s.r != 0 {
+			out = append(out, q.Joins[i])
 		}
 	}
 	return out
@@ -223,55 +267,50 @@ func (q *Query) JoinsWithin(mask BitSet) []Join {
 // JoinsBetween returns the join conditions with one side in left and the
 // other in right.
 func (q *Query) JoinsBetween(left, right BitSet) []Join {
-	var out []Join
-	for _, j := range q.Joins {
-		li := q.TableIndex(j.Left.Table)
-		ri := q.TableIndex(j.Right.Table)
-		if (left.Has(li) && right.Has(ri)) || (left.Has(ri) && right.Has(li)) {
-			out = append(out, j)
+	return q.AppendJoinsBetween(nil, left, right)
+}
+
+// AppendJoinsBetween appends JoinsBetween(left, right) to dst, in condition
+// order, and returns the extended slice.
+func (q *Query) AppendJoinsBetween(dst []Join, left, right BitSet) []Join {
+	for i, s := range q.sides {
+		if (left&s.l != 0 && right&s.r != 0) || (left&s.r != 0 && right&s.l != 0) {
+			dst = append(dst, q.Joins[i])
 		}
 	}
-	return out
+	return dst
+}
+
+// Neighbors returns the tables sharing a join condition with some table of
+// mask. The result may include tables of mask itself; for disjoint a and b,
+// Neighbors(a)&b == 0 exactly when JoinsBetween(a, b) is empty. Bits of mask
+// beyond the query's tables are ignored.
+func (q *Query) Neighbors(mask BitSet) BitSet {
+	var r BitSet
+	for m := mask & q.AllTablesMask(); m != 0; m &= m - 1 {
+		r |= q.adj[bits.TrailingZeros32(uint32(m))]
+	}
+	return r
 }
 
 // Connected reports whether the tables in mask form a connected subgraph
 // under the query's join conditions.
 func (q *Query) Connected(mask BitSet) bool {
-	if mask.Count() <= 1 {
-		return mask.Count() == 1
+	if mask&(mask-1) == 0 {
+		return mask != 0
 	}
-	start := mask.First()
-	frontier := NewBitSet().Set(start)
-	for {
-		grown := frontier
-		for _, j := range q.Joins {
-			li := q.TableIndex(j.Left.Table)
-			ri := q.TableIndex(j.Right.Table)
-			if !mask.Has(li) || !mask.Has(ri) {
-				continue
-			}
-			if grown.Has(li) {
-				grown = grown.Set(ri)
-			}
-			if grown.Has(ri) {
-				grown = grown.Set(li)
-			}
-		}
-		if grown == frontier {
-			break
-		}
-		frontier = grown
+	// flood-fill from the lowest table, expanding each table once
+	seen := mask & -mask
+	for frontier := seen; frontier != 0; {
+		frontier = q.Neighbors(frontier) & mask &^ seen
+		seen |= frontier
 	}
-	return frontier == mask
+	return seen == mask
 }
 
 // AllTablesMask returns the mask covering every table of the query.
 func (q *Query) AllTablesMask() BitSet {
-	m := NewBitSet()
-	for i := range q.Tables {
-		m = m.Set(i)
-	}
-	return m
+	return BitSet(uint64(1)<<uint(len(q.Tables)) - 1)
 }
 
 // SQL renders the query as a SQL string for logs and examples.
@@ -297,8 +336,10 @@ func (q *Query) SQL() string {
 	return b.String()
 }
 
-// BitSet is a subset of a query's tables by local index. It supports up to
-// 32 relations, far beyond the paper's 9-relation maximum.
+// BitSet is a subset of a query's tables by local index, bit i for table i.
+// It holds indices 0 to MaxTables-1 (32 relations, far beyond the paper's
+// 9-relation maximum); Set, Clear and Has must not be called with an index
+// outside that range, where the shift loses the bit.
 type BitSet uint32
 
 // NewBitSet returns the empty set.
@@ -320,33 +361,21 @@ func (b BitSet) Union(o BitSet) BitSet { return b | o }
 func (b BitSet) Intersects(o BitSet) bool { return b&o != 0 }
 
 // Count returns the number of set bits.
-func (b BitSet) Count() int {
-	n := 0
-	for x := b; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
+func (b BitSet) Count() int { return bits.OnesCount32(uint32(b)) }
 
 // First returns the lowest set bit index, or -1 for the empty set.
 func (b BitSet) First() int {
 	if b == 0 {
 		return -1
 	}
-	i := 0
-	for !b.Has(i) {
-		i++
-	}
-	return i
+	return bits.TrailingZeros32(uint32(b))
 }
 
 // Indices returns the set bits in ascending order.
 func (b BitSet) Indices() []int {
 	var out []int
-	for i := 0; i < 32; i++ {
-		if b.Has(i) {
-			out = append(out, i)
-		}
+	for x := b; x != 0; x &= x - 1 {
+		out = append(out, bits.TrailingZeros32(uint32(x)))
 	}
 	return out
 }

@@ -203,3 +203,49 @@ func TestBitSetUnionCountProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewPanicsPastMaxTables: a BitSet has one bit per table, so a query of
+// more than MaxTables tables cannot be represented and New refuses it rather
+// than plan without some of its tables.
+func TestNewPanicsPastMaxTables(t *testing.T) {
+	s := graphSchema(MaxTables + 1)
+	New(s.Tables[:MaxTables], nil, nil) // at the limit: fine
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted %d tables", MaxTables+1)
+		}
+	}()
+	New(s.Tables, nil, nil)
+}
+
+// TestBitSetAtMaxTables checks the top bit of a MaxTables-table query: the
+// full mask holds every table, and a chain over all of them is connected
+// only as a whole.
+func TestBitSetAtMaxTables(t *testing.T) {
+	s := graphSchema(MaxTables)
+	var joins []Join
+	for i := 1; i < MaxTables; i++ {
+		joins = append(joins, Join{Left: s.Tables[i-1].Column("id"), Right: s.Tables[i].Column("a")})
+	}
+	q := New(s.Tables, joins, nil)
+	full := q.AllTablesMask()
+	if full != ^BitSet(0) || full.Count() != MaxTables || !full.Has(MaxTables-1) {
+		t.Fatalf("full mask %b, count %d", uint32(full), full.Count())
+	}
+	if got := full.Indices(); len(got) != MaxTables || got[MaxTables-1] != MaxTables-1 {
+		t.Fatalf("Indices = %v", got)
+	}
+	top := NewBitSet().Set(MaxTables - 1)
+	if top.First() != MaxTables-1 || top.Count() != 1 {
+		t.Fatalf("top bit %b: First %d, Count %d", uint32(top), top.First(), top.Count())
+	}
+	if !q.Connected(full) || q.Connected(full.Clear(MaxTables/2)) {
+		t.Fatal("chain over every table: connectivity wrong")
+	}
+	if got := q.Neighbors(top); got != NewBitSet().Set(MaxTables-2) {
+		t.Fatalf("Neighbors(top) = %b", uint32(got))
+	}
+	if got := q.JoinsBetween(full.Clear(MaxTables-1), top); len(got) != 1 || got[0] != joins[MaxTables-2] {
+		t.Fatalf("JoinsBetween(rest, top) = %v", got)
+	}
+}

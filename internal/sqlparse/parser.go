@@ -118,6 +118,9 @@ func (p *parser) parseTables() error {
 		if _, dup := p.tables[meta.Name]; dup {
 			return p.errf(t, "table %q listed twice (self-joins are not supported)", t.text)
 		}
+		if len(p.order) == query.MaxTables {
+			return p.errf(t, "table %q is one too many: a query joins at most %d tables", t.text, query.MaxTables)
+		}
 		p.tables[meta.Name] = meta
 		p.order = append(p.order, meta)
 		if c := p.cur(); c.kind == tokSymbol && c.text == "," {

@@ -1,9 +1,11 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/lpce-db/lpce/internal/catalog"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/testutil"
@@ -129,6 +131,35 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Fatalf("%q: error %q missing %q", c.sql, err, c.frag)
 		}
+	}
+}
+
+// TestParseRejectsTooManyTables pins the table limit: a FROM list of
+// query.MaxTables tables parses, one more is an error positioned at the
+// first table past the limit, not a query that silently drops a table.
+func TestParseRejectsTooManyTables(t *testing.T) {
+	s := catalog.NewSchema()
+	var names []string
+	for i := 0; i <= query.MaxTables; i++ {
+		names = append(names, fmt.Sprintf("t%d", i))
+		s.AddTable(names[i], catalog.PK("id"))
+	}
+	atLimit := "SELECT COUNT(*) FROM " + strings.Join(names[:query.MaxTables], ", ")
+	q, err := Parse(s, atLimit)
+	if err != nil {
+		t.Fatalf("%d tables: %v", query.MaxTables, err)
+	}
+	if got := q.AllTablesMask().Count(); got != query.MaxTables {
+		t.Fatalf("%d tables parsed into a %d-table mask", query.MaxTables, got)
+	}
+	over := atLimit + ", " + names[query.MaxTables]
+	_, err = Parse(s, over)
+	if err == nil {
+		t.Fatalf("%d tables parsed without error", query.MaxTables+1)
+	}
+	want := fmt.Sprintf("offset %d:", strings.LastIndex(over, names[query.MaxTables]))
+	if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("at most %d tables", query.MaxTables)) {
+		t.Fatalf("error %q, want it at %q naming the limit", err, want)
 	}
 }
 

@@ -117,19 +117,87 @@ func (m *Mat) Zero() { m.Data.Zero() }
 
 // MatVec computes out = m * x. out must have length m.Rows and x length
 // m.Cols; out is overwritten.
+//
+// Each out[i] is the sum of row[j]*x[j] over ascending j, starting from +0.
+// When at most a quarter of x is nonzero — a plan node's feature vector has
+// a handful of nonzeros in some 145 columns — only the nonzero columns are
+// summed, in the same ascending order, and the result is bitwise the dense
+// one: a finite weight times ±0 is ±0, and adding ±0 leaves any accumulator
+// but −0 unchanged; the accumulator is never −0, since it starts at +0 and a
+// round-to-nearest sum is −0 only when both operands are. A NaN or ±Inf
+// weight would turn its skipped product into NaN, so the sparse path runs
+// only over a matrix whose weights are all finite.
 func (m *Mat) MatVec(x, out Vec) {
 	if len(x) != m.Cols || len(out) != m.Rows {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch: %dx%d * %d -> %d",
 			m.Rows, m.Cols, len(x), len(out)))
 	}
-	for i := 0; i < m.Rows; i++ {
+	var buf [sparseMax]int32
+	if nz, ok := nonzeroCols(x, buf[:0]); ok && allFinite(m.Data) {
+		for i := range out {
+			row := m.Data[i*m.Cols : (i+1)*m.Cols]
+			var s float64
+			for _, j := range nz {
+				s += row[j] * x[j]
+			}
+			out[i] = s
+		}
+		return
+	}
+	for i := range out {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row = row[:len(x)] // lets the compiler drop the per-element bounds check
 		var s float64
 		for j, xj := range x {
 			s += row[j] * xj
 		}
 		out[i] = s
 	}
+}
+
+// sparseMax is the most nonzero columns MatVec's sparse path gathers.
+const sparseMax = 64
+
+// nonzeroCols appends the indices of x's nonzero elements (NaN included) to
+// nz in ascending order, and reports whether they number at most a quarter
+// of x and fit nz's capacity. Checking every weight costs about a quarter of
+// a dense pass, so sparser inputs are the ones worth summing sparsely.
+func nonzeroCols(x Vec, nz []int32) ([]int32, bool) {
+	limit := min(len(x)/4, cap(nz))
+	for j, v := range x {
+		if v != 0 {
+			if len(nz) == limit {
+				return nz, false
+			}
+			nz = append(nz, int32(j))
+		}
+	}
+	return nz, true
+}
+
+// allFinite reports whether v holds no NaN or ±Inf. It sums v in six
+// independent chains, so the adds overlap instead of waiting on each other
+// (more chains spill registers): a non-finite addend makes its chain's sum
+// non-finite for good, as Inf+finite is Inf and Inf−Inf and NaN+anything are
+// NaN. A finite sum that overflows also reads as non-finite, which merely
+// sends MatVec down its dense path.
+func allFinite(v Vec) bool {
+	var s0, s1, s2, s3, s4, s5 float64
+	n := len(v) - len(v)%6
+	for i := 0; i < n; i += 6 {
+		w := v[i : i+6 : i+6]
+		s0 += w[0]
+		s1 += w[1]
+		s2 += w[2]
+		s3 += w[3]
+		s4 += w[4]
+		s5 += w[5]
+	}
+	for _, x := range v[n:] {
+		s0 += x
+	}
+	s := ((s0 + s1) + (s2 + s3)) + (s4 + s5)
+	return s-s == 0
 }
 
 // MatVecT computes out += mᵀ * x (the transpose product), used by the

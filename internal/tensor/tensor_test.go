@@ -194,3 +194,119 @@ func TestXavierBound(t *testing.T) {
 		t.Fatal("xavier left matrix zeroed")
 	}
 }
+
+// denseMatVec is the plain dense product, every column summed in ascending
+// order. It is the oracle TestMatVecMatchesDense holds MatVec to, bit for
+// bit.
+func denseMatVec(m *Mat, x, out Vec) {
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		for j := 0; j < m.Cols; j++ {
+			s += m.Data[i*m.Cols+j] * x[j]
+		}
+		out[i] = s
+	}
+}
+
+// special draws the value of one nonzero element: mostly normal, sometimes a
+// subnormal, and — when wild is set — sometimes NaN or ±Inf.
+func special(r *RNG, wild bool) float64 {
+	switch k := r.Intn(40); {
+	case k == 0:
+		return math.SmallestNonzeroFloat64 * float64(1+r.Intn(1000))
+	case k == 1:
+		return -0x1p-1030
+	case k == 2 && wild:
+		return math.NaN()
+	case k == 3 && wild:
+		return math.Inf(1)
+	case k == 4 && wild:
+		return math.Inf(-1)
+	default:
+		return r.NormFloat64()
+	}
+}
+
+// TestMatVecMatchesDense compares MatVec with the dense reference loop by
+// Float64bits over widths 1-300 and input densities 0-1. Zero inputs are a
+// mix of +0 and -0; nonzero inputs and weights include subnormals; some
+// inputs carry NaN or ±Inf; and some matrices put NaN or ±Inf weights in the
+// columns where x is zero, which the sparse path skips and must still
+// propagate exactly as the dense sum does.
+func TestMatVecMatchesDense(t *testing.T) {
+	r := NewRNG(11)
+	densities := []float64{0, 0.01, 0.03, 0.1, 0.25, 0.5, 0.75, 1}
+	for cols := 1; cols <= 300; cols++ {
+		for _, density := range densities {
+			for variant := 0; variant < 4; variant++ {
+				wildX, wildW := variant&1 != 0, variant&2 != 0
+				rows := 1 + r.Intn(5)
+				m := NewMat(rows, cols)
+				for i := range m.Data {
+					m.Data[i] = special(r, false)
+				}
+				x := NewVec(cols)
+				for j := range x {
+					switch {
+					case r.Float64() < density:
+						x[j] = special(r, wildX)
+					case r.Intn(2) == 0:
+						x[j] = math.Copysign(0, -1)
+					}
+				}
+				if wildW {
+					// poison a few weights in columns the sparse path skips
+					for k := 0; k < 3; k++ {
+						j := r.Intn(cols)
+						if x[j] != 0 {
+							continue
+						}
+						m.Set(r.Intn(rows), j, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k])
+					}
+				}
+				got, want := NewVec(rows), NewVec(rows)
+				m.MatVec(x, got)
+				denseMatVec(m, x, want)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%dx%d density %v variant %d: out[%d] = %v (%#x), dense %v (%#x)",
+							rows, cols, density, variant, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatVec measures the two shapes inference multiplies most: a
+// 32-wide embedding layer over a 145-wide plan-node feature vector with four
+// nonzeros, and a dense 32x32 hidden layer.
+func BenchmarkMatVec(b *testing.B) {
+	r := NewRNG(5)
+	cases := []struct {
+		name       string
+		rows, cols int
+		nonzero    []int
+	}{
+		{"feature-sparse-32x145", 32, 145, []int{1, 40, 41, 90}},
+		{"dense-32x32", 32, 32, nil},
+	}
+	for _, c := range cases {
+		m := NewMat(c.rows, c.cols)
+		r.FillNormal(m.Data, 0, 1)
+		x := NewVec(c.cols)
+		if c.nonzero == nil {
+			r.FillNormal(x, 0, 1)
+		}
+		for _, j := range c.nonzero {
+			x[j] = 1
+		}
+		out := NewVec(c.rows)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.MatVec(x, out)
+			}
+		})
+	}
+}
