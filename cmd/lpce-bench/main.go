@@ -7,9 +7,9 @@
 //	           parallel|observe|trainbench|execbench|storagebench|loadbench]
 //	           [-parallel N] [-o file]
 //	           [-trace] [-metrics-out file] [-bench-out file]
-//	           [-timeout D] [-max-mat-rows N] [-exec batch|scalar]
+//	           [-timeout D] [-max-mat-rows N]
 //	           [-exec-workers N] [-build-workers N]
-//	           [-segment-rows N] [-raw-scan]
+//	           [-segment-rows N]
 //	           [-models-in dir] [-train-workers N]
 //	           [-cpuprofile file] [-memprofile file]
 //
@@ -45,28 +45,23 @@
 // the weights are bit-identical, and reports the speedup.
 //
 // "execbench" (also run automatically when -bench-out is set) measures the
-// vectorized batch executor against the scalar reference on a hash-join
-// probe hot path and across the JOB-like suite, asserting identical result
-// counts. -exec selects the executor for the observe experiment ("batch" is
-// the engine default; "scalar" forces the tuple-at-a-time reference path)
-// so the two can be compared under the full observability layer.
+// executor on a hash-join probe hot path and across the JOB-like suite.
 //
 // -exec-workers enables morsel-driven intra-query parallelism at the given
 // worker count (default 4; <= 1 keeps execution strictly serial). The
 // observe experiment then adds one extra "<config>/px<N>" run per
 // configuration alongside the serial baselines, and execbench adds
-// batch-vs-parallel measurements, so the perf snapshot carries serial and
-// parallel exec walls side by side. Results are byte-identical to the serial
-// batch path for any worker count; wall-clock gains track available cores.
+// serial-vs-parallel measurements (asserting identical result counts), so
+// the perf snapshot carries serial and parallel exec walls side by side.
+// Results are byte-identical to the serial path for any worker count;
+// wall-clock gains track available cores.
 //
 // "storagebench" (also run automatically when -bench-out is set) measures
-// the segmented columnar scan path with zone-map pruning against the raw
-// column path on a clustered synthetic table, asserting identical result
-// counts and recording the segment skip rate that cmd/benchdiff gates.
-// -segment-rows overrides the rows-per-segment granularity for tables
-// sealed after startup, and -raw-scan disables the segmented path engine-wide
-// (the oracle escape hatch, mirroring engine.Config.RawScan) so the two can
-// be compared under the full observability layer.
+// the segmented columnar scan path with zone-map pruning on a clustered
+// synthetic table, checking its result counts against a raw-column loop and
+// recording the segment skip rate that cmd/benchdiff gates. -segment-rows
+// overrides the rows-per-segment granularity for tables sealed after
+// startup.
 //
 // "loadbench" (also run automatically when -bench-out is set) measures the
 // parallel build side: the partitioned hash-join build and parallel segment
@@ -110,18 +105,12 @@ func main() {
 	maxMatRows := flag.Int64("max-mat-rows", 0, "per-query cap on materialized intermediate rows (0 = unlimited)")
 	modelsIn := flag.String("models-in", "", "load trained models from this artifact directory instead of training")
 	trainWorkers := flag.Int("train-workers", 0, "training worker goroutines (0 = serial; weights are identical for any value)")
-	execMode := flag.String("exec", "batch", "executor for the observe experiment: batch (default) or scalar")
 	execWorkers := flag.Int("exec-workers", 4, "morsel-parallelism worker count for observe/execbench (<= 1 = serial only)")
 	buildWorkers := flag.Int("build-workers", 0, "parallel segment-sealing workers for loads and stats refresh (0 = match -exec-workers)")
 	segmentRows := flag.Int("segment-rows", 0, "rows per columnar segment (0 = default; applies to data generated after startup)")
-	rawScan := flag.Bool("raw-scan", false, "disable zone-map segment scans and read raw columns (oracle escape hatch)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	flag.Parse()
-	if *execMode != "batch" && *execMode != "scalar" {
-		fmt.Fprintf(os.Stderr, "unknown -exec mode %q (want batch or scalar)\n", *execMode)
-		os.Exit(1)
-	}
 	if *metricsOut != "" || *benchOut != "" {
 		*trace = true
 	}
@@ -166,8 +155,7 @@ func main() {
 	opts := obsOpts{
 		metricsOut: *metricsOut, benchOut: *benchOut, scale: *scale, seed: *seed,
 		timeout: *timeout, maxMatRows: *maxMatRows, trainWorkers: *trainWorkers,
-		scalarExec: *execMode == "scalar", execWorkers: *execWorkers, rawScan: *rawScan,
-		buildWorkers: bw,
+		execWorkers: *execWorkers, buildWorkers: bw,
 	}
 	// Profiles cover the experiment only; the setup phase (data generation
 	// and training) would otherwise drown the executor hot spots.
@@ -214,10 +202,8 @@ type obsOpts struct {
 	timeout      time.Duration
 	maxMatRows   int64
 	trainWorkers int
-	scalarExec   bool
 	execWorkers  int
 	buildWorkers int
-	rawScan      bool
 }
 
 func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpts) error {
@@ -280,7 +266,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 		}
 		fmt.Fprintln(w, r.Render())
 		if !r.CountsIdentical {
-			return fmt.Errorf("exec bench: batch path result counts differ from scalar")
+			return fmt.Errorf("exec bench: parallel result counts differ from serial")
 		}
 	case "storagebench":
 		r, err := experiments.StorageBench(opts.buildWorkers)
@@ -288,9 +274,6 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 			return err
 		}
 		fmt.Fprintln(w, r.Render())
-		if !r.CountsIdentical {
-			return fmt.Errorf("storage bench: zone-map path result counts differ from raw scan")
-		}
 	case "loadbench":
 		r := experiments.LoadBench(opts.buildWorkers)
 		fmt.Fprintln(w, r.Render())
@@ -303,7 +286,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 	case "observe":
 		r, err := experiments.ObservabilityWithOptions(env, experiments.ObsOptions{
 			Workers: workers, Timeout: opts.timeout, MaxMatRows: opts.maxMatRows,
-			ScalarExec: opts.scalarExec, ExecWorkers: opts.execWorkers, RawScan: opts.rawScan,
+			ExecWorkers: opts.execWorkers,
 		})
 		if err != nil {
 			return err
@@ -325,8 +308,8 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 			if !snap.Training.WeightsIdentical {
 				return fmt.Errorf("train bench: parallel weights differ from serial weights")
 			}
-			// ... and the executor benchmark, so it also watches batch-path
-			// regressions (correctness and speedup).
+			// ... and the executor benchmark, so it also watches executor
+			// walls and serial/parallel count parity.
 			eb, err := experiments.ExecBench(env, opts.execWorkers)
 			if err != nil {
 				return err
@@ -334,7 +317,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 			snap.Exec = eb
 			fmt.Fprintln(w, eb.Render())
 			if !eb.CountsIdentical {
-				return fmt.Errorf("exec bench: batch path result counts differ from scalar")
+				return fmt.Errorf("exec bench: parallel result counts differ from serial")
 			}
 			// ... and the serving benchmark, so it also watches the
 			// multi-tenant server path (throughput, tail latency, hot-swap).
@@ -354,16 +337,14 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 				return fmt.Errorf("server bench: served %d of %d queries under rate limiting", sb.Served, sb.Queries)
 			}
 			// ... and the storage benchmark, so it also watches the segmented
-			// scan path (byte-identity with raw scans and zone-map skip rate).
+			// scan path (counts against the raw columns and zone-map skip
+			// rate).
 			stb, err := experiments.StorageBench(opts.buildWorkers)
 			if err != nil {
 				return err
 			}
 			snap.Storage = stb
 			fmt.Fprintln(w, stb.Render())
-			if !stb.CountsIdentical {
-				return fmt.Errorf("storage bench: zone-map path result counts differ from raw scan")
-			}
 			// ... and the build-side benchmark, so it also watches the
 			// parallel hash-join build and parallel sealing (walls and
 			// bitwise layout parity against the serial oracles).

@@ -61,23 +61,12 @@ type Config struct {
 	// builds. It exists for the fault-injection harness; production configs
 	// leave it nil.
 	ExecWrap exec.WrapFunc
-	// ScalarExec forces the tuple-at-a-time executor. The default (false)
-	// runs the vectorized batch executor, which produces identical results,
-	// TrueCard stamps, checkpoint sequences, and typed errors while
-	// amortizing per-tuple overheads over 1024-row batches; the scalar path
-	// remains as the reference implementation and an escape hatch.
-	ScalarExec bool
-	// ExecWorkers enables morsel-driven intra-query parallelism on the batch
+	// ExecWorkers enables morsel-driven intra-query parallelism in the
 	// executor: eligible scan→hash-join pipelines are split into morsels and
 	// probed by up to ExecWorkers goroutines behind an order-preserving
 	// exchange. Results stay byte-identical to the serial path for any value;
-	// <= 1 (and ScalarExec) keep execution strictly serial.
+	// <= 1 keeps execution strictly serial.
 	ExecWorkers int
-	// RawScan forces batch scans to bypass the encoded column segments and
-	// their zone maps, reading the flat raw columns directly — the oracle
-	// escape hatch for the segment layer, mirroring what ScalarExec is for
-	// the batch executor. Results are byte-identical either way.
-	RawScan bool
 	// BuildWorkers is the sealing parallelism loaders apply on behalf of
 	// this config (via storage.SetBuildWorkers): FinishLoad fans per-column
 	// statistics and per-(column, segment) encoding across this many
@@ -233,16 +222,10 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 		ectx := &exec.Ctx{
 			DB: e.DB, Q: q, Controller: ctrl, Budget: cfg.Budget, Trace: qt.NewRound(),
 			Context: ctx, MaxMatRows: cfg.Limits.MaxMatRows, Wrap: cfg.ExecWrap,
-			ExecWorkers: cfg.ExecWorkers,
-			Metrics:     cfg.Obs.Registry(), RawScan: cfg.RawScan,
+			ExecWorkers: cfg.ExecWorkers, Metrics: cfg.Obs.Registry(),
 		}
 		execStart := time.Now()
-		var count int
-		if cfg.ScalarExec {
-			count, err = exec.Run(ectx, p)
-		} else {
-			count, err = exec.RunBatch(ectx, p)
-		}
+		count, err := exec.Run(ectx, p)
 		res.ExecTime += time.Since(execStart)
 		res.ExecWork += ectx.Work()
 		switch {

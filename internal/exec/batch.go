@@ -9,8 +9,8 @@ import (
 // BatchSize is the number of tuples a batch holds at most. 1024 projected
 // rows — a handful of int64 columns — sit well within L2 while amortizing the
 // per-call overhead (interface dispatch, work charging, cancellation polls)
-// over a thousand tuples. It deliberately equals cancelPollInterval so the
-// batch path polls the context about as often as the scalar path.
+// over a thousand tuples. It deliberately equals cancelPollInterval, so a
+// batch boundary falls about once per cancellation poll.
 const BatchSize = 1024
 
 // Batch is a reusable column-width × BatchSize tuple buffer backed by a
@@ -64,22 +64,19 @@ func (b *Batch) full() bool { return b.n >= BatchSize }
 
 // BatchOperator is the vectorized Volcano interface: NextBatch returns up
 // to BatchSize tuples at a time, or nil at exhaustion (never an empty
-// batch). Operators charge the same work totals as their scalar
-// counterparts, lumped at batch granularity, and stamp plan.Node.TrueCard
-// at exhaustion exactly like the scalar path.
+// batch). Operators charge work per tuple examined, lumped at batch
+// granularity, and stamp plan.Node.TrueCard at exhaustion.
 type BatchOperator interface {
 	Open(ctx *Ctx) error
 	NextBatch(ctx *Ctx) (*Batch, error)
 	Close()
 }
 
-// BuildBatch constructs the batch operator tree for a physical plan. It
-// mirrors Build: with ctx.Trace set every operator is wrapped in a
-// stats-collecting shim, and ctx.Wrap — a scalar-level interceptor — is
-// honoured by lowering the batch operator to the scalar interface, offering
-// it to Wrap, and lifting the result back only when Wrap actually replaced
-// it, so the common not-wrapped case stays on the batch fast path.
-func BuildBatch(ctx *Ctx, n *plan.Node) (BatchOperator, error) {
+// Build constructs the operator tree for a physical plan. With ctx.Trace set
+// every operator (this node and, through the recursive constructor calls,
+// all children) is wrapped in a stats-collecting shim; ctx.Wrap, when set,
+// is applied outermost.
+func Build(ctx *Ctx, n *plan.Node) (BatchOperator, error) {
 	var op BatchOperator
 	var err error
 	switch n.Op {
@@ -102,32 +99,18 @@ func BuildBatch(ctx *Ctx, n *plan.Node) (BatchOperator, error) {
 		return nil, err
 	}
 	if ctx.Trace != nil {
-		op = &tracedBatchOp{inner: op, node: n, tr: ctx.Trace}
+		op = &tracedOp{inner: op, node: n, tr: ctx.Trace}
 	}
 	if ctx.Wrap != nil {
-		low := &lowerOp{inner: op}
-		wrapped := ctx.Wrap(ctx, low, n)
-		if wrapped != Operator(low) {
-			op = &liftOp{inner: wrapped}
-		}
-	}
-	if testBatchWrap != nil {
-		op = testBatchWrap(op, n)
+		op = ctx.Wrap(ctx, op, n)
 	}
 	return op, nil
 }
 
-// testBatchWrap, when set by a test, wraps every batch operator BuildBatch
-// constructs (outermost). The lifecycle suite uses it to install
-// close-counting and Open-failing shims without touching ctx.Wrap, which
-// would route execution through the scalar lower/lift adapters.
-var testBatchWrap func(op BatchOperator, n *plan.Node) BatchOperator
-
-// RunBatch executes the plan through the batch path and returns the
-// COUNT(*) result — the vectorized equivalent of Run, with identical
-// counts, TrueCard stamps, checkpoint sequences, and typed errors.
-func RunBatch(ctx *Ctx, root *plan.Node) (int, error) {
-	op, err := BuildBatch(ctx, root)
+// Run executes the plan and returns the COUNT(*) result. On a *ReoptSignal,
+// ErrBudget or any other error the rows counted so far are discarded.
+func Run(ctx *Ctx, root *plan.Node) (int, error) {
+	op, err := Build(ctx, root)
 	if err != nil {
 		return 0, err
 	}
@@ -151,13 +134,13 @@ func RunBatch(ctx *Ctx, root *plan.Node) (int, error) {
 	return count, nil
 }
 
-// drainBatch pulls every batch from a child operator into one flat arena
-// and returns stable row views into it — the batch path's materialization
-// routine. It charges the same per-tuple materialization cost as drain
-// (matCost work plus one materialized row each), lumped per batch; when
+// drainBatch pulls every batch from a child operator into one flat arena,
+// stamps the child's true cardinality, and returns stable row views into the
+// arena — the shared materialization routine of the pipeline breakers. Each
+// tuple costs matCost work plus one materialized row, lumped per batch; when
 // the MaxMatRows limit falls inside a batch, work is charged only for the
 // tuples up to and including the first exceeding row, so the work counter
-// and the *ResourceError payload match the scalar path exactly.
+// and the *ResourceError payload do not depend on batch boundaries.
 func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) {
 	op = maybeExchange(ctx, op)
 	// Close the child on every exit, not just the clean one: a budget or
@@ -183,8 +166,8 @@ func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) 
 		n := int64(b.n)
 		if ctx.MaxMatRows > 0 && ctx.matRows+n > ctx.MaxMatRows {
 			// the limit trips at row k of this batch: charge work for
-			// exactly k tuples (budget errors take precedence, as in the
-			// scalar loop), then fail on the materialized-rows budget
+			// exactly k tuples (a budget error takes precedence), then fail
+			// on the materialized-rows budget
 			k := ctx.MaxMatRows - ctx.matRows + 1
 			if err := ctx.charge(k * cost); err != nil {
 				return nil, err
@@ -203,81 +186,3 @@ func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) 
 	node.TrueCard = float64(total)
 	return rowViews(arena, w, total), nil
 }
-
-// lowerOp adapts a BatchOperator to the scalar Operator interface so
-// scalar-level wrappers (fault injection, unconverted consumers) compose
-// with batch producers. Tuples are served as views into the current batch,
-// which stays valid until the next pull — matching the scalar contract
-// that a tuple is valid until the next Next call.
-type lowerOp struct {
-	inner BatchOperator
-	cur   *Batch
-	i     int
-}
-
-func (l *lowerOp) Open(ctx *Ctx) error {
-	l.cur, l.i = nil, 0
-	return l.inner.Open(ctx)
-}
-
-func (l *lowerOp) Next(ctx *Ctx) (Tuple, bool, error) {
-	for l.cur == nil || l.i >= l.cur.n {
-		b, err := l.inner.NextBatch(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		l.cur, l.i = b, 0
-	}
-	t := l.cur.Row(l.i)
-	l.i++
-	return t, true, nil
-}
-
-func (l *lowerOp) Close() { l.inner.Close() }
-
-// liftOp adapts a scalar Operator to the batch interface by accumulating
-// its tuples into a reusable batch. Each tuple is copied because scalar
-// operators reuse their output buffer between Next calls.
-type liftOp struct {
-	inner Operator
-	out   Batch
-	done  bool
-}
-
-func (l *liftOp) Open(ctx *Ctx) error {
-	l.done = false
-	return l.inner.Open(ctx)
-}
-
-func (l *liftOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if l.done {
-		return nil, nil
-	}
-	started := false
-	for {
-		t, ok, err := l.inner.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			l.done = true
-			if !started {
-				return nil, nil
-			}
-			return &l.out, nil
-		}
-		if !started {
-			l.out.reset(len(t))
-			started = true
-		}
-		copy(l.out.pushRow(), t)
-		if l.out.full() {
-			return &l.out, nil
-		}
-	}
-}
-
-func (l *liftOp) Close() { l.inner.Close() }

@@ -111,23 +111,18 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		q    *query.Query
 		plan func(*query.Query) *plan.Node
 	}{{"", db, q, joinPlan}, {"chain5/", chDB, chQ, chainPlan}} {
-		for _, path := range []struct {
-			name string
-			run  func(*Ctx, *plan.Node) (int, error)
-		}{{"scalar", Run}, {"batch", RunBatch}} {
-			b.Run(bc.name+path.name, func(b *testing.B) {
-				b.ReportAllocs()
-				rows := 0
-				for i := 0; i < b.N; i++ {
-					n, err := path.run(&Ctx{DB: bc.db, Q: bc.q}, bc.plan(bc.q))
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows += n
+		b.Run(bc.name+"batch", func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				n, err := Run(&Ctx{DB: bc.db, Q: bc.q}, bc.plan(bc.q))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/output-row")
-			})
-		}
+				rows += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/output-row")
+		})
 	}
 }
 
@@ -171,48 +166,32 @@ func scanPlan(q *query.Query) (*plan.Node, *query.Query) {
 func BenchmarkScanFilter(b *testing.B) {
 	db, q := benchDB(64, 1<<18)
 	p, q2 := scanPlan(q)
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(&Ctx{DB: db, Q: q2}, p); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(&Ctx{DB: db, Q: q2}, p); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunBatch(&Ctx{DB: db, Q: q2}, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // TestBatchProbeAllocsPerTuple asserts the headline allocation claim: the
 // batch hash join allocates O(log n) blocks per execution (arena growth,
-// hash table, batches) — amortized ~0 per tuple — while the scalar path
-// allocates per build row (map growth + per-row copies). The thresholds
-// are generous so the test pins the complexity class, not exact counts.
+// hash table, batches) — amortized ~0 per tuple, where a row-at-a-time
+// build would allocate at least one copy per build row. The thresholds are
+// generous so the test pins the complexity class, not exact counts.
 func TestBatchProbeAllocsPerTuple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow")
 	}
-	db, q := benchDB(4096, 1<<15)
-	scalar := testing.AllocsPerRun(5, func() {
+	const buildRows = 4096
+	db, q := benchDB(buildRows, 1<<15)
+	batch := testing.AllocsPerRun(5, func() {
 		if _, err := Run(&Ctx{DB: db, Q: q}, joinPlan(q)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	batch := testing.AllocsPerRun(5, func() {
-		if _, err := RunBatch(&Ctx{DB: db, Q: q}, joinPlan(q)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// scalar allocates at least one copy per build row; batch must stay at
-	// least an order of magnitude below that and well under one per tuple
-	if batch >= scalar/10 {
-		t.Fatalf("batch path allocates too much: %v allocs vs scalar %v", batch, scalar)
+	if batch >= buildRows/10 {
+		t.Fatalf("batch path allocates too much: %v allocs for %d build rows", batch, buildRows)
 	}
 	if perTuple := batch / float64(1<<15); perTuple >= 0.01 {
 		t.Fatalf("batch path allocates %v per probe tuple, want ~0", perTuple)

@@ -10,7 +10,7 @@ import (
 // pendingCharger accumulates per-tuple work charges and flushes them as one
 // lump, amortizing the charge call (and its budget/cancellation checks)
 // over a batch. flushAt bounds how much work can accrue between flushes so
-// cancellation latency stays close to the scalar path's poll interval.
+// cancellation latency stays close to one poll interval.
 type pendingCharger struct {
 	pending int64
 }
@@ -38,7 +38,7 @@ func (p *pendingCharger) flushIfFull(ctx *Ctx) error {
 
 // batchHashJoin is the vectorized hash join: the build side is drained into
 // a flat arena and indexed by a vecTable during Open (one pipeline breaker
-// with a checkpoint, exactly like the scalar hashJoin), then probe batches
+// with a checkpoint), then probe batches
 // stream from the left child and matches are emitted straight into the
 // output arena.
 type batchHashJoin struct {
@@ -64,11 +64,11 @@ type batchHashJoin struct {
 }
 
 func newBatchHashJoin(ctx *Ctx, n *plan.Node) (*batchHashJoin, error) {
-	l, err := BuildBatch(ctx, n.Left)
+	l, err := Build(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := BuildBatch(ctx, n.Right)
+	r, err := Build(ctx, n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -205,11 +205,11 @@ type batchMergeJoin struct {
 }
 
 func newBatchMergeJoin(ctx *Ctx, n *plan.Node) (*batchMergeJoin, error) {
-	l, err := BuildBatch(ctx, n.Left)
+	l, err := Build(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := BuildBatch(ctx, n.Right)
+	r, err := Build(ctx, n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +330,16 @@ func (m *batchMergeJoin) Close() {
 	m.lrows, m.rrows = nil, nil
 }
 
-// batchNLJoin is the vectorized nested loop join. As in the scalar nlJoin
-// (paper Figure 10c), the outer side is always materialized with a
-// checkpoint; the inner either probes a base table's hash index per outer
-// row or rescans a materialized buffer.
+// batchNLJoin is the vectorized nested loop join. Following the paper's
+// Figure 10(c), the outer (left) side is always materialized with a
+// checkpoint — the one materialization the paper *adds* to PostgreSQL,
+// acceptable because NL join is only chosen for small outer sides. Two inner
+// strategies:
+//   - index path: when the inner child is a base-table scan and a join
+//     condition touches one of its columns, each outer row probes the
+//     table's hash index (PostgreSQL's index nested loop);
+//   - rescan path: otherwise the inner is materialized once and scanned per
+//     outer row (PostgreSQL's Materialize node under a nest loop).
 type batchNLJoin struct {
 	node  *plan.Node
 	left  BatchOperator
@@ -364,7 +370,7 @@ type batchNLJoin struct {
 }
 
 func newBatchNLJoin(ctx *Ctx, n *plan.Node) (*batchNLJoin, error) {
-	l, err := BuildBatch(ctx, n.Left)
+	l, err := Build(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +383,10 @@ func newBatchNLJoin(ctx *Ctx, n *plan.Node) (*batchNLJoin, error) {
 		conds: conds,
 		merge: newJoinMerge(ctx, n.Left.Tables, n.Right.Tables),
 	}
-	// Index path selection mirrors newNLJoin exactly.
+	// Index path: the inner is a base-table leaf and some equi-join
+	// condition lands on one of its columns. The inner row is fetched in
+	// the leaf's own layout, so rightOff indexes innerCols to recover the
+	// probe column's table position.
 	if n.Right.IsLeaf() && n.Right.Op != plan.MatScan && len(conds) > 0 {
 		j.idxTable = ctx.DB.Table(n.Right.Table)
 		j.innerCols = leafCols(ctx, n.Right)
@@ -386,7 +395,7 @@ func newBatchNLJoin(ctx *Ctx, n *plan.Node) (*batchNLJoin, error) {
 		j.innerBuf = make(Tuple, len(j.innerCols))
 		return j, nil
 	}
-	r, err := BuildBatch(ctx, n.Right)
+	r, err := Build(ctx, n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -525,4 +534,18 @@ func (j *batchNLJoin) Close() {
 		j.right.Close()
 	}
 	j.outer, j.inner = nil, nil
+}
+
+// sortCost is the work charged for sorting n buffered rows: n·⌊log2 n⌋,
+// at least 1.
+func sortCost(n int) int64 {
+	if n <= 1 {
+		return 1
+	}
+	c := int64(n)
+	bits := int64(0)
+	for x := n; x > 1; x >>= 1 {
+		bits++
+	}
+	return c * bits
 }

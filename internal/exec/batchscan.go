@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/storage"
@@ -9,13 +11,14 @@ import (
 // batchSeqScan reads a base table in fixed chunks of physical rows,
 // evaluates the leaf predicates column-at-a-time into a selection vector,
 // and gathers the passing rows into the output arena. Work is charged per
-// chunk (1 per physical row examined, as in the scalar scan) — including
-// chunks the zone maps skip, so work accounting is independent of pruning.
+// chunk (1 per physical row examined) — including chunks the zone maps skip,
+// so work accounting is independent of pruning.
 //
 // When the table is sealed and the scan has predicates, filtering and
 // gathering go through the encoded segment layer (zs): pruned segments are
 // never decoded, surviving ones are filtered on their encoded form and
-// late-materialized by selection vector. Ctx.RawScan forces the raw path.
+// late-materialized by selection vector (see newSegScanState for when the
+// raw columns are read instead).
 type batchSeqScan struct {
 	node  *plan.Node
 	table *storage.Table
@@ -211,10 +214,10 @@ func gatherRows(b *Batch, t *storage.Table, cols []int, sel []int32) {
 	b.n = len(sel)
 }
 
-// batchIndexScan drives the scan from the IndexPred column's index (same
-// rid resolution as the scalar indexScan, including the 16-unit descent
-// charge) and applies the remaining predicates per chunk of rids. With the
-// segment layer available, a rid landing in a segment where some residual
+// batchIndexScan drives the scan from the IndexPred column's index (a
+// 16-unit descent charge, then 1 per rid examined) and applies the remaining
+// predicates per chunk of rids. With the segment layer available, a rid
+// landing in a segment where some residual
 // predicate is zone-map-disproven is dropped before any column is read,
 // and the survivors are filtered and gathered through the encoded form.
 type batchIndexScan struct {
@@ -301,8 +304,8 @@ func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
 func (s *batchIndexScan) Close() {}
 
 // batchMatScan replays a materialized intermediate result in chunks,
-// charging 1 per emitted row like the scalar matScan. Rows are copied into
-// the arena because Mat.Rows may be retained by the controller.
+// charging 1 per emitted row. Rows are copied into the arena because
+// Mat.Rows may be retained by the controller.
 type batchMatScan struct {
 	node  *plan.Node
 	width int
@@ -344,3 +347,69 @@ func (s *batchMatScan) NextBatch(ctx *Ctx) (*Batch, error) {
 }
 
 func (s *batchMatScan) Close() {}
+
+// fetchRow copies the given column positions of physical row r into dst.
+func fetchRow(dst Tuple, t *storage.Table, cols []int, r int) {
+	for k, c := range cols {
+		dst[k] = t.Cols[c][r]
+	}
+}
+
+// rowMatches evaluates all predicates on one physical row.
+func rowMatches(t *storage.Table, row int, preds []query.Predicate) bool {
+	for _, p := range preds {
+		if !p.Eval(t.Cols[p.Col.Pos][row]) {
+			return false
+		}
+	}
+	return true
+}
+
+func errNoIndexPred(n *plan.Node) error {
+	return fmt.Errorf("exec: IndexScan on %s without an index predicate", n.Table.Name)
+}
+
+// resolveIndexRids resolves the row ids matching an index predicate. The
+// prev slice is reused for the OpIn gather; the other cases return
+// index-owned slices which callers must treat as read-only.
+func resolveIndexRids(t *storage.Table, p query.Predicate, prev []int32) ([]int32, error) {
+	switch p.Op {
+	case query.OpEQ:
+		return t.HashIndex(p.Col.Pos).Lookup(p.Operand), nil
+	case query.OpIn:
+		ix := t.HashIndex(p.Col.Pos)
+		rids := prev[:0]
+		for _, v := range p.InSet {
+			rids = append(rids, ix.Lookup(v)...)
+		}
+		return rids, nil
+	case query.OpLT:
+		return t.OrderedIndex(p.Col.Pos).Range(minInt64, p.Operand-1), nil
+	case query.OpLE:
+		return t.OrderedIndex(p.Col.Pos).Range(minInt64, p.Operand), nil
+	case query.OpGT:
+		return t.OrderedIndex(p.Col.Pos).Range(p.Operand+1, maxInt64), nil
+	case query.OpGE:
+		return t.OrderedIndex(p.Col.Pos).Range(p.Operand, maxInt64), nil
+	default:
+		return nil, fmt.Errorf("exec: operator %v cannot drive an index scan", p.Op)
+	}
+}
+
+const (
+	minInt64 = int64(-1 << 63)
+	maxInt64 = int64(1<<63 - 1)
+)
+
+// checkMatLayout rejects a materialized intermediate whose rows are not in
+// the projected layout of its subset — rows buffered for another query, or
+// by code that predates the projection, would otherwise be read at the wrong
+// offsets. Rows of one intermediate share a producer, so the first suffices.
+func checkMatLayout(ctx *Ctx, n *plan.Node) error {
+	w := ctx.Layout(n.Tables).Width()
+	if rows := n.Mat.Rows; len(rows) > 0 && len(rows[0]) != w {
+		return fmt.Errorf("exec: materialized rows of subset %b have width %d, layout width %d",
+			uint32(n.Tables), len(rows[0]), w)
+	}
+	return nil
+}

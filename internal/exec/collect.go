@@ -169,7 +169,7 @@ func (o *TrueCardOracle) TryEstimate(q *query.Query, mask query.BitSet) (float64
 	// duplicates write the same value
 	node := CanonicalPlan(q, mask)
 	ctx := &Ctx{DB: o.DB, Q: q, Budget: o.Budget}
-	count, err := RunBatch(ctx, node)
+	count, err := Run(ctx, node)
 	if err != nil {
 		return 0, err
 	}

@@ -18,8 +18,8 @@ var errExchangeStopped = errors.New("exec: exchange stopped")
 // work counters. The coordinator replays the recorded amounts on the real
 // Ctx in morsel order, so budget trips, work totals, and their interleaving
 // with checkpoints are identical to the serial batch path for any worker
-// count. The recorder still polls cancellation at the scalar path's
-// interval, keeping cancellation latency bounded even though the budget
+// count. The recorder still polls cancellation every cancelPollInterval
+// units, keeping cancellation latency bounded even though the budget
 // verdict itself is the coordinator's.
 type morselRecorder struct {
 	cancel    context.Context
@@ -77,8 +77,8 @@ type morselItem struct {
 // stamps, checkpoint sequences, work and materialization totals, and typed
 // errors are byte-identical to the serial batch path for any worker count.
 //
-// Pipelines the exchange cannot split (merge joins, scalar-wrapped
-// operators, single-morsel inputs) pass through to the inner operator
+// Pipelines the exchange cannot split (merge joins, operators replaced by a
+// WrapFunc, single-morsel inputs) pass through to the inner operator
 // untouched.
 type exchangeOp struct {
 	inner   BatchOperator
@@ -367,7 +367,7 @@ func (e *exchangeOp) stealBatch(b *Batch) *Batch {
 // exhaustion — the same inclusive window the serial shim records. Per-stage
 // time is not separable when all stages run concurrently, so every stage of
 // the pipeline reports the shared span.
-func (t *tracedBatchOp) markParallel(rows, batches int64) {
+func (t *tracedOp) markParallel(rows, batches int64) {
 	t.rows = rows
 	t.batches = batches
 	t.exhausted = true

@@ -1,5 +1,8 @@
-// Package exec implements the Volcano-style pipelined execution engine. It
-// mirrors the PostgreSQL behaviours the paper depends on (§6):
+// Package exec implements the pipelined execution engine: Volcano-style
+// operators that pull batches of up to BatchSize tuples (batch.go), with
+// morsel-driven intra-query parallelism behind an order-preserving exchange
+// (exchange.go). It mirrors the PostgreSQL behaviours the paper depends on
+// (§6):
 //
 //   - pipelined processing: tuples flow through operators without
 //     materialization except at pipeline breakers;
@@ -88,7 +91,9 @@ func (NopController) OnMaterialized(*plan.Node, [][]int64) error { return nil }
 // operator it creates (outermost, above the tracing shim). The
 // fault-injection harness uses it to wrap chosen operators with injected
 // errors and stalls; a nil WrapFunc costs one pointer check per Build call.
-type WrapFunc func(ctx *Ctx, op Operator, n *plan.Node) Operator
+// A wrapped operator is opaque to the morsel exchange, so the pipeline it
+// sits in runs serially.
+type WrapFunc func(ctx *Ctx, op BatchOperator, n *plan.Node) BatchOperator
 
 // Ctx carries the per-execution state shared by all operators.
 type Ctx struct {
@@ -96,10 +101,10 @@ type Ctx struct {
 	Q          *query.Query
 	Controller Controller
 	// Trace, when non-nil, collects per-operator runtime stats (rows,
-	// estimated vs actual cardinality, inclusive wall time) for this
-	// execution attempt: Build wraps every operator in a timing shim. A nil
-	// Trace leaves the operator tree untouched, so disabled tracing costs
-	// nothing.
+	// batches, estimated vs actual cardinality, inclusive wall time) for
+	// this execution attempt: Build wraps every operator in a timing shim.
+	// A nil Trace leaves the operator tree untouched, so disabled tracing
+	// costs nothing.
 	Trace *obs.ExecTrace
 	// Context, when non-nil, cancels execution cooperatively: every operator
 	// inner loop charges work, and charge polls the context once per
@@ -121,16 +126,11 @@ type Ctx struct {
 	// storage.bytes_decoded). Scans resolve their counters once in Open, so
 	// a nil registry costs nothing on the per-batch paths.
 	Metrics *obs.Registry
-	// RawScan forces batch scans to bypass the encoded segment layer and
-	// read the flat columns directly — the oracle escape hatch for the
-	// zone-map/compression machinery. Results are byte-identical either
-	// way; only wall time and the storage metrics differ.
-	RawScan bool
-	// ExecWorkers enables morsel-driven intra-query parallelism on the batch
-	// path: RunBatch and drainBatch wrap eligible pipelines in an
-	// order-preserving exchange running up to ExecWorkers goroutines. Values
-	// <= 1 keep execution strictly serial. Results are byte-identical for any
-	// worker count (see exchange.go).
+	// ExecWorkers enables morsel-driven intra-query parallelism: Run and
+	// drainBatch wrap eligible pipelines in an order-preserving exchange
+	// running up to ExecWorkers goroutines. Values <= 1 keep execution
+	// strictly serial. Results are byte-identical for any worker count (see
+	// exchange.go).
 	ExecWorkers int
 	work        int64
 	matRows     int64
@@ -218,19 +218,10 @@ func (c *Ctx) charge(n int64) error {
 	return nil
 }
 
-// chargeMat accounts one materialized row against the buffered-rows budget.
-func (c *Ctx) chargeMat() error {
-	c.matRows++
-	if c.MaxMatRows > 0 && c.matRows > c.MaxMatRows {
-		return &ResourceError{Resource: "materialized-rows", Limit: c.MaxMatRows, Used: c.matRows}
-	}
-	return nil
-}
-
-// chargeMatN accounts n materialized rows at once — the batch path's
-// counterpart of chargeMat. When the lump would cross the limit it stops at
-// the first exceeding row, so the counter and the *ResourceError payload are
-// identical to n scalar chargeMat calls.
+// chargeMatN accounts n materialized rows at once. When the lump would
+// cross the limit it stops at the first exceeding row, so the counter and
+// the *ResourceError payload name the row that crossed it whatever the
+// batch boundaries.
 func (c *Ctx) chargeMatN(n int64) error {
 	if c.MaxMatRows > 0 && c.matRows+n > c.MaxMatRows {
 		c.matRows = c.MaxMatRows + 1
@@ -246,109 +237,6 @@ func (c *Ctx) MatRows() int64 { return c.matRows }
 // Work reports the consumed work units, a deterministic proxy for execution
 // effort used by tests.
 func (c *Ctx) Work() int64 { return c.work }
-
-// Operator is the Volcano iterator interface.
-type Operator interface {
-	Open(ctx *Ctx) error
-	Next(ctx *Ctx) (Tuple, bool, error)
-	Close()
-}
-
-// Build constructs the operator tree for a physical plan. With ctx.Trace
-// set, every operator (this node and, through the recursive constructor
-// calls, all children) is wrapped in a stats-collecting shim.
-func Build(ctx *Ctx, n *plan.Node) (Operator, error) {
-	var op Operator
-	var err error
-	switch n.Op {
-	case plan.SeqScan:
-		op = newSeqScan(ctx, n)
-	case plan.IndexScan:
-		op, err = newIndexScan(ctx, n)
-	case plan.MatScan:
-		op = newMatScan(n)
-	case plan.HashJoin:
-		op, err = newHashJoin(ctx, n)
-	case plan.MergeJoin:
-		op, err = newMergeJoin(ctx, n)
-	case plan.NestLoopJoin:
-		op, err = newNLJoin(ctx, n)
-	default:
-		return nil, fmt.Errorf("exec: unknown operator %v", n.Op)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Trace != nil {
-		op = &tracedOp{inner: op, node: n, tr: ctx.Trace}
-	}
-	if ctx.Wrap != nil {
-		op = ctx.Wrap(ctx, op, n)
-	}
-	return op, nil
-}
-
-// Run executes the plan and returns the COUNT(*) result. On a
-// *ReoptSignal or ErrBudget the error is returned with the rows counted so
-// far discarded.
-func Run(ctx *Ctx, root *plan.Node) (int, error) {
-	op, err := Build(ctx, root)
-	if err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
-	count := 0
-	for {
-		_, ok, err := op.Next(ctx)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	root.TrueCard = float64(count)
-	return count, nil
-}
-
-// drain pulls every tuple from a child operator into a buffer, counting
-// work, and stamps the child's true cardinality. It is the shared
-// materialization routine of the pipeline breakers.
-func drain(ctx *Ctx, node *plan.Node, op Operator) ([][]int64, error) {
-	// Close the child on every exit, not just the clean one: a budget or
-	// cancellation error mid-drain must still tear down the child's own
-	// subtree. Operators tolerate the caller's second Close.
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	cost := matCost(ctx, node)
-	var rows [][]int64
-	for {
-		t, ok, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := ctx.charge(cost); err != nil {
-			return nil, err
-		}
-		if err := ctx.chargeMat(); err != nil {
-			return nil, err
-		}
-		cp := make([]int64, len(t))
-		copy(cp, t)
-		rows = append(rows, cp)
-	}
-	node.TrueCard = float64(len(rows))
-	return rows, nil
-}
 
 // checkpoint reports a completed materialization to the controller.
 func checkpoint(ctx *Ctx, node *plan.Node, rows [][]int64) error {
@@ -409,18 +297,8 @@ func newJoinMerge(ctx *Ctx, left, right query.BitSet) joinMerge {
 // width is the output tuple width.
 func (m joinMerge) width() int { return len(m.cols) }
 
-func (m joinMerge) merge(dst, l, r Tuple) Tuple {
-	if cap(dst) < len(m.cols) {
-		dst = make(Tuple, len(m.cols))
-	}
-	dst = dst[:len(m.cols)]
-	m.mergeFlat(dst, l, r)
-	return dst
-}
-
 // mergeFlat stitches l and r into dst, which must already have the output
-// width — the allocation-free variant the batch operators use to write
-// straight into a batch arena.
+// width — typically a row pushed onto a batch arena.
 func (m joinMerge) mergeFlat(dst, l, r []int64) {
 	dst = dst[:len(m.cols)]
 	for i, c := range m.cols {
@@ -457,19 +335,9 @@ func resolveConds(ctx *Ctx, conds []query.Join, left, right query.BitSet) ([]con
 	return out, nil
 }
 
-// hashKey mixes the join-key values of a tuple into a single hash; matches
-// are verified value-by-value so collisions only cost time.
-func hashKey(vals []int64) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range vals {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// hashRowConds hashes a tuple's join-key columns in place — bit-identical
-// to hashKey over the gathered key, without materializing it.
+// hashRowConds hashes a tuple's join-key columns in place (FNV-1a over the
+// key values in condition order); matches are verified value-by-value, so
+// collisions only cost time.
 func hashRowConds(row []int64, conds []condOffsets, left bool) uint64 {
 	var h uint64 = 14695981039346656037
 	for _, c := range conds {

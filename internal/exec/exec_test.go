@@ -307,10 +307,13 @@ func TestCanonicalPlanConnectedNoCross(t *testing.T) {
 	}
 }
 
+// TestHashKeyDistinguishesOrder: the join-key hash mixes the key columns in
+// condition order, so swapping two key values changes the hash.
 func TestHashKeyDistinguishesOrder(t *testing.T) {
-	a := hashKey([]int64{1, 2})
-	b := hashKey([]int64{2, 1})
+	conds := []condOffsets{{leftOff: 0, rightOff: 0}, {leftOff: 1, rightOff: 1}}
+	a := hashRowConds([]int64{1, 2}, conds, true)
+	b := hashRowConds([]int64{2, 1}, conds, true)
 	if a == b {
-		t.Fatal("hashKey should be order-sensitive")
+		t.Fatal("hashRowConds should be order-sensitive")
 	}
 }

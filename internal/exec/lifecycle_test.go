@@ -33,17 +33,12 @@ type lifecycleProbe struct {
 
 var errInjectedOpen = errors.New("exec test: injected Open failure")
 
-func (p *lifecycleProbe) install(t *testing.T) {
-	t.Helper()
-	if testBatchWrap != nil {
-		t.Fatal("testBatchWrap already installed")
-	}
-	testBatchWrap = func(op BatchOperator, n *plan.Node) BatchOperator {
-		c := &countingBatchOp{inner: op, node: n, owner: p}
-		p.ops = append(p.ops, c)
-		return c
-	}
-	t.Cleanup(func() { testBatchWrap = nil })
+// wrap is the probe's WrapFunc: it installs a counting shim around every
+// operator Build constructs.
+func (p *lifecycleProbe) wrap(_ *Ctx, op BatchOperator, n *plan.Node) BatchOperator {
+	c := &countingBatchOp{inner: op, node: n, owner: p}
+	p.ops = append(p.ops, c)
+	return c
 }
 
 func (c *countingBatchOp) Open(ctx *Ctx) error {
@@ -78,7 +73,7 @@ func TestDrainBatchClosesChildOnError(t *testing.T) {
 	tripped := 0
 	lifecyclePlans(t, func(q *query.Query, p *plan.Node, variant string) {
 		ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: 1}
-		inner, err := BuildBatch(ctx, p)
+		inner, err := Build(ctx, p)
 		if err != nil {
 			t.Fatalf("%s/%s: build: %v", q.SQL(), variant, err)
 		}
@@ -116,12 +111,11 @@ func (c *closeCountingBatchOp) Close() { *c.closes++; c.inner.Close() }
 func TestBatchOpenFailureLifecycle(t *testing.T) {
 	db := testutil.TinyDB()
 	probe := &lifecycleProbe{}
-	probe.install(t)
 	lifecyclePlans(t, func(q *query.Query, p *plan.Node, variant string) {
 		// first pass: count Open attempts on a clean run
 		probe.ops, probe.openSeq, probe.failOpen = nil, 0, 0
-		ctx := &Ctx{DB: db, Q: q, Controller: NopController{}}
-		op, err := BuildBatch(ctx, p.Clone())
+		ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, Wrap: probe.wrap}
+		op, err := Build(ctx, p.Clone())
 		if err != nil {
 			t.Fatalf("%s/%s: build: %v", q.SQL(), variant, err)
 		}
@@ -133,8 +127,8 @@ func TestBatchOpenFailureLifecycle(t *testing.T) {
 
 		for k := 1; k <= attempts; k++ {
 			probe.ops, probe.openSeq, probe.failOpen = nil, 0, k
-			ctx := &Ctx{DB: db, Q: q, Controller: NopController{}}
-			op, err := BuildBatch(ctx, p.Clone())
+			ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, Wrap: probe.wrap}
+			op, err := Build(ctx, p.Clone())
 			if err != nil {
 				t.Fatalf("%s/%s k=%d: build: %v", q.SQL(), variant, k, err)
 			}
@@ -159,12 +153,11 @@ func TestBatchOpenFailureLifecycle(t *testing.T) {
 func TestBatchBudgetFailureLifecycle(t *testing.T) {
 	db := testutil.TinyDB()
 	probe := &lifecycleProbe{}
-	probe.install(t)
 	lifecyclePlans(t, func(q *query.Query, p *plan.Node, variant string) {
 		for _, budget := range []int64{1, 7, 63, 500, 2000} {
 			probe.ops, probe.openSeq, probe.failOpen = nil, 0, 0
-			ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, Budget: budget}
-			op, err := BuildBatch(ctx, p.Clone())
+			ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, Budget: budget, Wrap: probe.wrap}
+			op, err := Build(ctx, p.Clone())
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", q.SQL(), variant, err)
 			}
@@ -199,7 +192,7 @@ func TestBatchHashJoinReleasesOnOpenFailure(t *testing.T) {
 		}
 		rc := &ckptRecorder{failAt: p.Right.Tables}
 		ctx := &Ctx{DB: db, Q: q, Controller: rc}
-		op, err := BuildBatch(ctx, p)
+		op, err := Build(ctx, p)
 		if err != nil {
 			t.Fatalf("%s/%s: build: %v", q.SQL(), variant, err)
 		}
@@ -246,39 +239,3 @@ func TestVecBuildSizeGuard(t *testing.T) {
 		t.Fatalf("unexpected payload: %+v", re)
 	}
 }
-
-// TestScalarDrainClosesChildOnError is drain's counterpart of the
-// drainBatch regression: the scalar pipeline breakers must also close their
-// drained child on a mid-drain error.
-func TestScalarDrainClosesChildOnError(t *testing.T) {
-	db := testutil.TinyDB()
-	lifecyclePlans(t, func(q *query.Query, p *plan.Node, variant string) {
-		if !p.Op.IsJoin() {
-			return
-		}
-		closes := 0
-		ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: 1}
-		inner, err := Build(ctx, p.Right)
-		if err != nil {
-			t.Fatalf("%s/%s: build: %v", q.SQL(), variant, err)
-		}
-		counted := &closeCountingOp{inner: inner, closes: &closes}
-		_, err = drain(ctx, p.Right, counted)
-		var re *ResourceError
-		if !errors.As(err, &re) {
-			return // side materializes <= 1 row
-		}
-		if closes == 0 {
-			t.Fatalf("%s/%s: drain error left child open", q.SQL(), variant)
-		}
-	})
-}
-
-type closeCountingOp struct {
-	inner  Operator
-	closes *int
-}
-
-func (c *closeCountingOp) Open(ctx *Ctx) error                { return c.inner.Open(ctx) }
-func (c *closeCountingOp) Next(ctx *Ctx) (Tuple, bool, error) { return c.inner.Next(ctx) }
-func (c *closeCountingOp) Close()                             { *c.closes++; c.inner.Close() }

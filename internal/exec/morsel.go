@@ -129,7 +129,7 @@ func (h *batchHashJoin) probeReplica(left BatchOperator) *batchHashJoin {
 // trace at exhaustion.
 type pipeNode struct {
 	op   BatchOperator
-	shim *tracedBatchOp
+	shim *tracedOp
 	plan *plan.Node
 }
 
@@ -137,15 +137,14 @@ type pipeNode struct {
 // streaming edge — hash joins stream their left child; every other operator
 // either is a source or materializes its children in Open — and returns the
 // pipeline stages bottom-up plus the morsel source at the bottom. It returns
-// ok=false when any stage is not morsel-aware (scalar-wrapped lift adapters,
-// merge joins, test wrappers), in which case the caller keeps the serial
-// path.
+// ok=false when any stage is not morsel-aware (operators replaced by a
+// WrapFunc, merge joins), in which case the caller keeps the serial path.
 func extractPipeline(op BatchOperator) ([]pipeNode, morselSource, bool) {
 	var rev []pipeNode
 	cur := op
 	for {
-		var shim *tracedBatchOp
-		if t, ok := cur.(*tracedBatchOp); ok {
+		var shim *tracedOp
+		if t, ok := cur.(*tracedOp); ok {
 			shim = t
 			cur = t.inner
 		}

@@ -3,7 +3,10 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,17 +14,17 @@ import (
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/testutil"
-	"github.com/lpce-db/lpce/internal/workload"
 )
 
 // The morsel-driven parallel path must be observationally identical to the
-// scalar reference for every worker count: same counts, same result rows in
-// the same order, same TrueCard stamps, same checkpoint sequences, the same
-// work and materialization totals on success, and the same typed errors
-// under budget / MaxMatRows / reopt / cancellation. These tests sweep
+// serial run for every worker count: same counts, same checkpoint sequences
+// (rows in the same order), same TrueCard stamps, the same work and
+// materialization totals on success, and the same typed errors under budget
+// / MaxMatRows / reopt / cancellation — and, like the serial run, it must
+// match the scalar reference (reference_equiv_test.go). These tests sweep
 // Workers ∈ {1, 2, 4, 8} over the same randomized corpus as the serial
-// equivalence suite, with morselSize shrunk so the tiny fixtures split into
-// many morsels.
+// suite, with morselSize shrunk so the tiny fixtures split into many
+// morsels.
 
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
@@ -31,93 +34,34 @@ var parallelWorkerCounts = []int{1, 2, 4, 8}
 // host — the equivalence property must hold regardless of cores. Both are
 // restored afterwards; tests in this package run sequentially, so the swap
 // cannot race.
-func shrinkMorsels(t *testing.T) {
-	old := morselSize
-	morselSize = 64
-	t.Cleanup(func() { morselSize = old })
-	t.Cleanup(SetExchangeWorkerCap(64))
-}
-
-// runPathWorkers executes a plan on the batch path behind maybeExchange with
-// the given worker count — the same wiring RunBatch uses — returning the
-// count, an order-sensitive content hash of the emitted rows, and the error.
-func runPathWorkers(ctx *Ctx, p *plan.Node, workers int) (int, uint64, error) {
-	ctx.ExecWorkers = workers
-	var hash uint64 = 14695981039346656037
-	op, err := BuildBatch(ctx, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	op = maybeExchange(ctx, op)
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return 0, 0, err
-	}
-	count := 0
-	for {
-		b, err := op.NextBatch(ctx)
-		if err != nil {
-			return 0, 0, err
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			for _, v := range row {
-				hash ^= uint64(v)
-				hash *= 1099511628211
-			}
-		}
-		count += b.Len()
-	}
-	p.TrueCard = float64(count)
-	return count, hash, nil
+func shrinkMorsels(tb testing.TB) {
+	tb.Cleanup(SetMorselSize(64))
+	tb.Cleanup(SetExchangeWorkerCap(64))
 }
 
 func TestScalarBatchParallelEquivalence(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 41, 8, func(q *query.Query, p *plan.Node, variant string) {
+		name := q.SQL() + "/" + variant
+		ref := newRefEval(db, q)
 		ps := p.Clone()
-		rcS := &ckptRecorder{}
-		ctxS := &Ctx{DB: db, Q: q, Controller: rcS}
-		cS, hS, errS := runPath(ctxS, ps, false)
-		if errS != nil {
-			t.Fatalf("%s/%s: scalar err %v", q.SQL(), variant, errS)
-		}
+		ctxS, eventsS := checkAgainstReference(t, db, q, ps, name, 1, ref)
 		tcS := trueCards(ps)
 		for _, w := range parallelWorkerCounts {
 			pw := p.Clone()
-			rcW := &ckptRecorder{}
-			ctxW := &Ctx{DB: db, Q: q, Controller: rcW}
-			cW, hW, errW := runPathWorkers(ctxW, pw, w)
-			if errW != nil {
-				t.Fatalf("%s/%s w=%d: err %v", q.SQL(), variant, w, errW)
-			}
-			if cW != cS || hW != hS {
-				t.Fatalf("%s/%s w=%d: count/hash %d/%x, scalar %d/%x", q.SQL(), variant, w, cW, hW, cS, hS)
-			}
+			ctxW, eventsW := checkAgainstReference(t, db, q, pw, fmt.Sprintf("%s w=%d", name, w), w, ref)
 			if ctxW.Work() != ctxS.Work() {
-				t.Fatalf("%s/%s w=%d: work %d, scalar %d", q.SQL(), variant, w, ctxW.Work(), ctxS.Work())
+				t.Fatalf("%s w=%d: work %d, serial %d", name, w, ctxW.Work(), ctxS.Work())
 			}
 			if ctxW.MatRows() != ctxS.MatRows() {
-				t.Fatalf("%s/%s w=%d: matRows %d, scalar %d", q.SQL(), variant, w, ctxW.MatRows(), ctxS.MatRows())
+				t.Fatalf("%s w=%d: matRows %d, serial %d", name, w, ctxW.MatRows(), ctxS.MatRows())
 			}
-			if len(rcW.events) != len(rcS.events) {
-				t.Fatalf("%s/%s w=%d: %d checkpoints, scalar %d", q.SQL(), variant, w, len(rcW.events), len(rcS.events))
+			if !slices.Equal(eventsW, eventsS) {
+				t.Fatalf("%s w=%d: checkpoints %+v, serial %+v", name, w, eventsW, eventsS)
 			}
-			for i := range rcS.events {
-				if rcW.events[i] != rcS.events[i] {
-					t.Fatalf("%s/%s w=%d: checkpoint %d differs: %+v vs %+v",
-						q.SQL(), variant, w, i, rcW.events[i], rcS.events[i])
-				}
-			}
-			tcW := trueCards(pw)
-			for mask, v := range tcS {
-				if tcW[mask] != v {
-					t.Fatalf("%s/%s w=%d: TrueCard at %b: %v, scalar %v", q.SQL(), variant, w, uint32(mask), tcW[mask], v)
-				}
+			if !maps.Equal(trueCards(pw), tcS) {
+				t.Fatalf("%s w=%d: TrueCards %v, serial %v", name, w, trueCards(pw), tcS)
 			}
 		}
 	})
@@ -127,33 +71,22 @@ func TestScalarBatchParallelEquivalenceUnderBudget(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 42, 4, func(q *query.Query, p *plan.Node, variant string) {
-		probe := &Ctx{DB: db, Q: q, Controller: NopController{}}
-		if _, err := Run(probe, p.Clone()); err != nil {
-			t.Fatalf("%s/%s: unlimited run failed: %v", q.SQL(), variant, err)
-		}
+		name := q.SQL() + "/" + variant
+		ref := newRefEval(db, q)
+		probe, full := checkAgainstReference(t, db, q, p.Clone(), name, 1, ref)
 		total := probe.Work()
 		for _, budget := range []int64{1, total / 2, total - 1, total, total + 1} {
 			if budget <= 0 {
 				continue
 			}
-			rcS := &ckptRecorder{}
-			ctxS := &Ctx{DB: db, Q: q, Controller: rcS, Budget: budget}
-			_, _, errS := runPath(ctxS, p.Clone(), false)
+			eventsS, errS := budgetOutcome(t, db, q, p.Clone(), name, 1, budget, total, full, ref)
 			for _, w := range []int{2, 4} {
-				rcW := &ckptRecorder{}
-				ctxW := &Ctx{DB: db, Q: q, Controller: rcW, Budget: budget}
-				_, _, errW := runPathWorkers(ctxW, p.Clone(), w)
+				eventsW, errW := budgetOutcome(t, db, q, p.Clone(), fmt.Sprintf("%s w=%d", name, w), w, budget, total, full, ref)
 				if !sameTypedError(errS, errW) {
-					t.Fatalf("%s/%s budget %d w=%d: scalar err %v, parallel err %v", q.SQL(), variant, budget, w, errS, errW)
+					t.Fatalf("%s budget %d w=%d: serial err %v, parallel err %v", name, budget, w, errS, errW)
 				}
-				if len(rcW.events) != len(rcS.events) {
-					t.Fatalf("%s/%s budget %d w=%d: %d checkpoints, scalar %d",
-						q.SQL(), variant, budget, w, len(rcW.events), len(rcS.events))
-				}
-				for i := range rcS.events {
-					if rcW.events[i] != rcS.events[i] {
-						t.Fatalf("%s/%s budget %d w=%d: checkpoint %d differs", q.SQL(), variant, budget, w, i)
-					}
+				if !slices.Equal(eventsW, eventsS) {
+					t.Fatalf("%s budget %d w=%d: checkpoints %+v, serial %+v", name, budget, w, eventsW, eventsS)
 				}
 			}
 		}
@@ -164,10 +97,8 @@ func TestScalarBatchParallelEquivalenceUnderMatLimit(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 43, 4, func(q *query.Query, p *plan.Node, variant string) {
-		probe := &Ctx{DB: db, Q: q, Controller: NopController{}}
-		if _, err := Run(probe, p.Clone()); err != nil {
-			t.Fatal(err)
-		}
+		name := q.SQL() + "/" + variant
+		probe, _ := checkAgainstReference(t, db, q, p.Clone(), name, 1, newRefEval(db, q))
 		total := probe.MatRows()
 		if total == 0 {
 			return
@@ -176,21 +107,10 @@ func TestScalarBatchParallelEquivalenceUnderMatLimit(t *testing.T) {
 			if limit <= 0 {
 				continue
 			}
-			ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: limit}
-			_, _, errS := runPath(ctxS, p.Clone(), false)
 			for _, w := range []int{2, 4} {
-				ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: limit}
-				_, _, errW := runPathWorkers(ctxW, p.Clone(), w)
-				if !sameTypedError(errS, errW) {
-					t.Fatalf("%s/%s limit %d w=%d: scalar err %v, parallel err %v", q.SQL(), variant, limit, w, errS, errW)
-				}
-				if ctxW.MatRows() != ctxS.MatRows() {
-					t.Fatalf("%s/%s limit %d w=%d: matRows %d, scalar %d",
-						q.SQL(), variant, limit, w, ctxW.MatRows(), ctxS.MatRows())
-				}
-				if errS == nil && ctxW.Work() != ctxS.Work() {
-					t.Fatalf("%s/%s limit %d w=%d: work %d, scalar %d",
-						q.SQL(), variant, limit, w, ctxW.Work(), ctxS.Work())
+				ctxW, err := matLimitOutcome(t, db, q, p.Clone(), fmt.Sprintf("%s w=%d", name, w), w, limit, total)
+				if err == nil && ctxW.Work() != probe.Work() {
+					t.Fatalf("%s limit %d w=%d: work %d, serial %d", name, limit, w, ctxW.Work(), probe.Work())
 				}
 			}
 		}
@@ -200,30 +120,25 @@ func TestScalarBatchParallelEquivalenceUnderMatLimit(t *testing.T) {
 func TestScalarBatchParallelEquivalenceUnderReoptSignal(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.TinyDB()
-	g := workload.NewGenerator(db, 44)
-	tested := 0
-	for i := 0; i < 20 && tested < 6; i++ {
-		q := g.Query(2)
-		p := CanonicalPlan(q, q.AllTablesMask())
-		failMask := p.Left.Right.Tables
-		rcS := &ckptRecorder{failAt: failMask}
-		_, _, errS := runPath(&Ctx{DB: db, Q: q, Controller: rcS}, p.Clone(), false)
+	reoptCorpus(t, db, 6, func(q *query.Query, p *plan.Node, failMask query.BitSet) {
+		ref := newRefEval(db, q)
+		rcS := &ckptRecorder{failAt: failMask, t: t, name: q.SQL(), ref: ref}
+		_, errS := Run(&Ctx{DB: db, Q: q, Controller: rcS}, p.Clone())
 		for _, w := range []int{2, 4} {
-			rcW := &ckptRecorder{failAt: failMask}
-			_, _, errW := runPathWorkers(&Ctx{DB: db, Q: q, Controller: rcW}, p.Clone(), w)
+			rcW := &ckptRecorder{failAt: failMask, t: t, name: q.SQL(), ref: ref}
+			_, errW := Run(&Ctx{DB: db, Q: q, Controller: rcW, ExecWorkers: w}, p.Clone())
 			if !sameTypedError(errS, errW) {
-				t.Fatalf("%s w=%d: scalar err %v, parallel err %v", q.SQL(), w, errS, errW)
+				t.Fatalf("%s w=%d: serial err %v, parallel err %v", q.SQL(), w, errS, errW)
 			}
 			var sig *ReoptSignal
-			if !errors.As(errW, &sig) || sig.Node.Tables != failMask {
-				t.Fatalf("%s w=%d: expected ReoptSignal at %b, got %v", q.SQL(), w, uint32(failMask), errW)
+			if !errors.As(errW, &sig) || sig.Node.Tables != failMask || sig.Actual != len(ref.projected(failMask)) {
+				t.Fatalf("%s w=%d: expected ReoptSignal at %b with the reference cardinality, got %v", q.SQL(), w, uint32(failMask), errW)
+			}
+			if !slices.Equal(rcW.events, rcS.events) {
+				t.Fatalf("%s w=%d: checkpoints %+v, serial %+v", q.SQL(), w, rcW.events, rcS.events)
 			}
 		}
-		tested++
-	}
-	if tested == 0 {
-		t.Fatal("no multi-join queries generated")
-	}
+	})
 }
 
 func TestScalarBatchParallelEquivalenceUnderCancellation(t *testing.T) {
@@ -233,10 +148,9 @@ func TestScalarBatchParallelEquivalenceUnderCancellation(t *testing.T) {
 	cancel()
 	equivCorpus(t, db, 45, 3, func(q *query.Query, p *plan.Node, variant string) {
 		for _, w := range []int{2, 4} {
-			ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Context: cancelled}
-			_, _, errW := runPathWorkers(ctxW, p.Clone(), w)
-			if !errors.Is(errW, context.Canceled) {
-				t.Fatalf("%s/%s w=%d: expected context.Canceled, got %v", q.SQL(), variant, w, errW)
+			ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Context: cancelled, ExecWorkers: w}
+			if _, err := Run(ctxW, p.Clone()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s/%s w=%d: expected context.Canceled, got %v", q.SQL(), variant, w, err)
 			}
 		}
 	})
@@ -244,45 +158,37 @@ func TestScalarBatchParallelEquivalenceUnderCancellation(t *testing.T) {
 
 // TestScalarBatchParallelWithTraceAndWrap checks that the exchange composes
 // with the observability shims (aggregated per-node Rows/ActualRows match
-// the scalar trace) and that scalar-level wrappers force the affected
-// pipelines back to the serial batch path without changing results.
+// the serial trace) and that operators replaced by a WrapFunc force their
+// pipelines back to the serial path without changing results.
 func TestScalarBatchParallelWithTraceAndWrap(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.TinyDB()
-	wrapEven := func(ctx *Ctx, op Operator, n *plan.Node) Operator {
-		if len(n.Tables.Indices())%2 == 0 {
-			return passThrough{op}
-		}
-		return op
-	}
 	for _, wrap := range []WrapFunc{nil, wrapEven} {
 		equivCorpus(t, db, 46, 4, func(q *query.Query, p *plan.Node, variant string) {
+			name := q.SQL() + "/" + variant
+			ref := newRefEval(db, q)
 			trS := &obs.ExecTrace{}
+			ps := p.Clone()
 			ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}, Trace: trS, Wrap: wrap}
-			cS, hS, errS := runPath(ctxS, p.Clone(), false)
+			cS, errS := Run(ctxS, ps)
 			if errS != nil {
-				t.Fatalf("%s/%s: scalar err %v", q.SQL(), variant, errS)
+				t.Fatalf("%s: serial err %v", name, errS)
 			}
+			checkTrace(t, name, ps, trS)
 			for _, w := range []int{2, 4} {
 				trW := &obs.ExecTrace{}
-				ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Trace: trW, Wrap: wrap}
-				cW, hW, errW := runPathWorkers(ctxW, p.Clone(), w)
+				pw := p.Clone()
+				rc := &ckptRecorder{t: t, name: name, ref: ref}
+				ctxW := &Ctx{DB: db, Q: q, Controller: rc, Trace: trW, Wrap: wrap, ExecWorkers: w}
+				cW, errW := Run(ctxW, pw)
 				if errW != nil {
-					t.Fatalf("%s/%s w=%d: err %v", q.SQL(), variant, w, errW)
+					t.Fatalf("%s w=%d: err %v", name, w, errW)
 				}
-				if cW != cS || hW != hS {
-					t.Fatalf("%s/%s w=%d: results differ under trace (counts %d/%d)", q.SQL(), variant, w, cW, cS)
+				if cW != cS || ctxW.Work() != ctxS.Work() {
+					t.Fatalf("%s w=%d: results differ under trace (counts %d/%d, work %d/%d)", name, w, cW, cS, ctxW.Work(), ctxS.Work())
 				}
-				for _, s := range trS.Ops {
-					b := trW.ByMask(s.Mask)
-					if b == nil {
-						t.Fatalf("%s/%s w=%d: parallel trace missing op at %b", q.SQL(), variant, w, uint32(s.Mask))
-					}
-					if b.Rows != s.Rows || b.ActualRows != s.ActualRows {
-						t.Fatalf("%s/%s w=%d: trace at %b: scalar rows=%d actual=%v, parallel rows=%d actual=%v",
-							q.SQL(), variant, w, uint32(s.Mask), s.Rows, s.ActualRows, b.Rows, b.ActualRows)
-					}
-				}
+				checkTrueCards(t, name, pw, ref)
+				checkTrace(t, fmt.Sprintf("%s w=%d", name, w), pw, trW)
 			}
 		})
 	}
@@ -299,14 +205,12 @@ func TestScalarBatchParallelNoGoroutineLeaks(t *testing.T) {
 	cancel()
 	equivCorpus(t, db, 47, 3, func(q *query.Query, p *plan.Node, variant string) {
 		for _, w := range []int{2, 8} {
-			ctxOK := &Ctx{DB: db, Q: q, Controller: NopController{}}
-			if _, _, err := runPathWorkers(ctxOK, p.Clone(), w); err != nil {
+			ctxOK := &Ctx{DB: db, Q: q, Controller: NopController{}, ExecWorkers: w}
+			if _, err := Run(ctxOK, p.Clone()); err != nil {
 				t.Fatalf("%s/%s w=%d: %v", q.SQL(), variant, w, err)
 			}
-			ctxB := &Ctx{DB: db, Q: q, Controller: NopController{}, Budget: 10}
-			_, _, _ = runPathWorkers(ctxB, p.Clone(), w)
-			ctxC := &Ctx{DB: db, Q: q, Controller: NopController{}, Context: cancelled}
-			_, _, _ = runPathWorkers(ctxC, p.Clone(), w)
+			_, _ = Run(&Ctx{DB: db, Q: q, Controller: NopController{}, Budget: 10, ExecWorkers: w}, p.Clone())
+			_, _ = Run(&Ctx{DB: db, Q: q, Controller: NopController{}, Context: cancelled, ExecWorkers: w}, p.Clone())
 		}
 	})
 	deadline := time.Now().Add(5 * time.Second)

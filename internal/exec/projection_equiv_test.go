@@ -29,8 +29,8 @@ import (
 //     full-width commit: COUNT(*), Work(), MatRows(), per-node TrueCards,
 //     checkpoint (mask, card) sequences and the typed errors under a work
 //     budget and a materialized-rows limit, per plan variant, plus the
-//     training-sample collector's work, TrueCards and budget outcome. Scalar
-//     and batch at 1/2/4/8 workers must all reproduce the pinned line.
+//     training-sample collector's work, TrueCards and budget outcome. The
+//     executor at 1/2/4/8 workers must reproduce the pinned line.
 
 var updatePins = flag.Bool("update-pins", false,
 	"rewrite testdata/projection_pins.golden from this build instead of checking it (only meaningful on a commit whose accounting is the reference)")
@@ -42,6 +42,10 @@ type refEval struct {
 	db   *storage.Database
 	q    *query.Query
 	memo map[query.BitSet][][]int64 // projected, sorted rows per subset
+}
+
+func newRefEval(db *storage.Database, q *query.Query) *refEval {
+	return &refEval{db: db, q: q, memo: make(map[query.BitSet][][]int64)}
 }
 
 // fullOffsets returns each covered table's starting offset in a full-width
@@ -172,6 +176,19 @@ func (r *refEval) projected(mask query.BitSet) [][]int64 {
 	return rows
 }
 
+// checkRows fails t unless rows, as a multiset, equal the reference rows of
+// mask projected to the live columns.
+func (r *refEval) checkRows(t testing.TB, name string, mask query.BitSet, rows [][]int64) {
+	t.Helper()
+	got := slices.Clone(rows)
+	slices.SortFunc(got, slices.Compare[[]int64])
+	want := r.projected(mask)
+	if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
+		t.Fatalf("%s: rows buffered at subset %b differ from the projected reference (%d rows of width %d, want %d of width %d)",
+			name, uint32(mask), len(got), rowWidth(got), len(want), rowWidth(want))
+	}
+}
+
 // refController checks every checkpoint's rows against the reference and
 // records the (mask, card) sequence.
 type refController struct {
@@ -183,15 +200,8 @@ type refController struct {
 
 func (c *refController) OnMaterialized(n *plan.Node, rows [][]int64) error {
 	c.ckpts = append(c.ckpts, fmt.Sprintf("%b:%d", uint32(n.Tables), len(rows)))
-	if c.ref == nil {
-		return nil
-	}
-	got := slices.Clone(rows)
-	slices.SortFunc(got, slices.Compare[[]int64])
-	want := c.ref.projected(n.Tables)
-	if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
-		c.t.Fatalf("%s: rows buffered at subset %b differ from the projected reference (%d rows of width %d, want %d of width %d)",
-			c.name, uint32(n.Tables), len(got), rowWidth(got), len(want), rowWidth(want))
+	if c.ref != nil {
+		c.ref.checkRows(c.t, c.name, n.Tables, rows)
 	}
 	return nil
 }
@@ -201,25 +211,6 @@ func rowWidth(rows [][]int64) int {
 		return -1
 	}
 	return len(rows[0])
-}
-
-// projMode selects an executor: workers == 0 is the scalar path, otherwise
-// the batch path behind the exchange with that many workers.
-type projMode struct {
-	name    string
-	workers int
-}
-
-var projModes = []projMode{{"scalar", 0}, {"batch/1", 1}, {"batch/2", 2}, {"batch/4", 4}, {"batch/8", 8}}
-
-// runMode executes p under the mode with ctx's limits, returning the count.
-func runMode(ctx *Ctx, p *plan.Node, m projMode) (int, error) {
-	if m.workers == 0 {
-		c, _, err := runPath(ctx, p, false)
-		return c, err
-	}
-	c, _, err := runPathWorkers(ctx, p, m.workers)
-	return c, err
 }
 
 // errPin renders an execution error for the pin line: the typed errors'
@@ -236,21 +227,21 @@ func errPin(err error) string {
 	}
 }
 
-// observe runs one plan variant under one mode — unlimited, then under half
-// its work budget and under half its materialized rows — and renders every
-// pinned observable as one line. With ref set, the unlimited run's
-// checkpoint rows and final count are checked against the reference.
-func observe(t *testing.T, db *storage.Database, q *query.Query, p *plan.Node, name string, m projMode, ref *refEval) string {
+// observe runs one plan variant at one worker count — unlimited, then
+// under half its work budget and under half its materialized rows — and
+// renders every pinned observable as one line. With ref set, the unlimited
+// run's checkpoint rows and final count are checked against the reference.
+func observe(t *testing.T, db *storage.Database, q *query.Query, p *plan.Node, name string, workers int, ref *refEval) string {
 	full := p.Clone()
-	rc := &refController{t: t, name: name + " " + m.name, ref: ref}
-	ctx := &Ctx{DB: db, Q: q, Controller: rc}
-	count, err := runMode(ctx, full, m)
+	rc := &refController{t: t, name: fmt.Sprintf("%s w=%d", name, workers), ref: ref}
+	ctx := &Ctx{DB: db, Q: q, Controller: rc, ExecWorkers: workers}
+	count, err := Run(ctx, full)
 	if err != nil {
-		t.Fatalf("%s %s: %v", name, m.name, err)
+		t.Fatalf("%s w=%d: %v", name, workers, err)
 	}
 	if ref != nil {
 		if want := len(ref.projected(q.AllTablesMask())); count != want {
-			t.Fatalf("%s %s: count %d, reference %d", name, m.name, count, want)
+			t.Fatalf("%s w=%d: count %d, reference %d", name, workers, count, want)
 		}
 	}
 	var cards []string
@@ -261,15 +252,15 @@ func observe(t *testing.T, db *storage.Database, q *query.Query, p *plan.Node, n
 	// a budget of half the work: the typed error and how many checkpoints
 	// completed before it (work at the failure point is path-specific)
 	rb := &refController{}
-	bctx := &Ctx{DB: db, Q: q, Controller: rb, Budget: ctx.Work() / 2}
-	_, err = runMode(bctx, p.Clone(), m)
+	bctx := &Ctx{DB: db, Q: q, Controller: rb, Budget: ctx.Work() / 2, ExecWorkers: workers}
+	_, err = Run(bctx, p.Clone())
 	line += fmt.Sprintf(" budget/2=%s@%d", errPin(err), len(rb.ckpts))
 
 	// a limit of half the materialized rows: the typed error carries the
 	// limit and the row that crossed it
 	if half := ctx.MatRows() / 2; half > 0 {
-		mctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: half}
-		_, err = runMode(mctx, p.Clone(), m)
+		mctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: half, ExecWorkers: workers}
+		_, err = Run(mctx, p.Clone())
 		line += fmt.Sprintf(" mat/2=%s", errPin(err))
 	}
 	return line
@@ -324,7 +315,7 @@ func deepPlanQueries(t *testing.T, db *storage.Database) []*query.Query {
 }
 
 // TestProjectedExecution runs the plan-variant corpus and the deep_plan
-// queries through every executor mode against both oracles.
+// queries through the executor at every worker count against both oracles.
 func TestProjectedExecution(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.SmallDB()
@@ -372,18 +363,18 @@ func TestProjectedExecution(t *testing.T) {
 			// the row check needs the projected executor; an -update-pins
 			// run (on a full-width commit) records accounting only
 			if ref = refs[v.q]; ref == nil {
-				ref = &refEval{db: db, q: v.q, memo: make(map[query.BitSet][][]int64)}
+				ref = newRefEval(db, v.q)
 				refs[v.q] = ref
 			}
 		}
 		first := ""
 		collected := observeCollect(t, db, v.q, v.p, v.name, ref)
-		for _, m := range projModes {
-			line := observe(t, db, v.q, v.p, v.name, m, ref) + collected
+		for _, w := range parallelWorkerCounts {
+			line := observe(t, db, v.q, v.p, v.name, w, ref) + collected
 			if first == "" {
 				first = line
 			} else if line != first {
-				t.Fatalf("%s differs from %s:\n%s\n%s", m.name, projModes[0].name, line, first)
+				t.Fatalf("w=%d differs from w=%d:\n%s\n%s", w, parallelWorkerCounts[0], line, first)
 			}
 		}
 		if *updatePins {
@@ -436,31 +427,27 @@ func TestProjectedMatScanReuseAcrossJoinColumn(t *testing.T) {
 	if want == 0 {
 		t.Fatal("fixture query is empty")
 	}
-	for _, batch := range []bool{false, true} {
-		rec := &rowKeeper{failAt: sub}
-		_, _, err := runPath(&Ctx{DB: db, Q: q, Controller: rec}, planA.Clone(), batch)
-		var sig *ReoptSignal
-		if !errors.As(err, &sig) || sig.Node.Tables != sub {
-			t.Fatalf("batch=%v: expected a ReoptSignal at the pair, got %v", batch, err)
-		}
-		// title.id and movie_keyword.keyword_id survive; movie_keyword.movie_id
-		// was consumed by the join inside the subset
-		if w := rowWidth(rec.rows); w != 2 {
-			t.Fatalf("batch=%v: buffered pair rows have width %d, want 2", batch, w)
-		}
-		// plan B: (MatScan{title, movie_keyword} ⋈ cast_info on title.id) ⋈ keyword
-		mat := plan.NewMatLeaf(&plan.Materialized{Tables: sub, Rows: rec.rows})
-		star := plan.NewJoin(plan.HashJoin, mat, ci.Clone(), q.JoinsBetween(sub, ciMask))
-		planB := plan.NewJoin(plan.HashJoin, star, kw.Clone(), q.JoinsBetween(star.Tables, kwMask))
-		for _, resumeBatch := range []bool{false, true} {
-			got, _, err := runPath(&Ctx{DB: db, Q: q, Controller: NopController{}}, planB.Clone(), resumeBatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("buffered by batch=%v, resumed by batch=%v: count %d, want %d", batch, resumeBatch, got, want)
-			}
-		}
+	rec := &rowKeeper{failAt: sub}
+	_, err = Run(&Ctx{DB: db, Q: q, Controller: rec}, planA)
+	var sig *ReoptSignal
+	if !errors.As(err, &sig) || sig.Node.Tables != sub {
+		t.Fatalf("expected a ReoptSignal at the pair, got %v", err)
+	}
+	// title.id and movie_keyword.keyword_id survive; movie_keyword.movie_id
+	// was consumed by the join inside the subset
+	if w := rowWidth(rec.rows); w != 2 {
+		t.Fatalf("buffered pair rows have width %d, want 2", w)
+	}
+	// plan B: (MatScan{title, movie_keyword} ⋈ cast_info on title.id) ⋈ keyword
+	mat := plan.NewMatLeaf(&plan.Materialized{Tables: sub, Rows: rec.rows})
+	star := plan.NewJoin(plan.HashJoin, mat, ci, q.JoinsBetween(sub, ciMask))
+	planB := plan.NewJoin(plan.HashJoin, star, kw.Clone(), q.JoinsBetween(star.Tables, kwMask))
+	got, err := Run(&Ctx{DB: db, Q: q, Controller: NopController{}}, planB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("resumed from the buffered pair: count %d, want %d", got, want)
 	}
 }
 
@@ -489,9 +476,7 @@ func TestMatScanRejectsForeignLayout(t *testing.T) {
 	mask := query.NewBitSet().Set(q.TableIndex(db.Schema.Table("title")))
 	wide := [][]int64{make([]int64, len(db.Schema.Table("title").Columns))}
 	leaf := plan.NewMatLeaf(&plan.Materialized{Tables: mask, Rows: wide})
-	for _, batch := range []bool{false, true} {
-		if _, _, err := runPath(&Ctx{DB: db, Q: q}, leaf, batch); err == nil || !strings.Contains(err.Error(), "width") {
-			t.Fatalf("batch=%v: full-width rows accepted by a projected MatScan: %v", batch, err)
-		}
+	if _, err := Run(&Ctx{DB: db, Q: q}, leaf); err == nil || !strings.Contains(err.Error(), "width") {
+		t.Fatalf("full-width rows accepted by a projected MatScan: %v", err)
 	}
 }

@@ -49,10 +49,11 @@ func TestJoinMergeLayoutProperty(t *testing.T) {
 			rt[i] = rng.Int63n(1000) + 10000
 		}
 		m := newJoinMerge(&Ctx{Q: q}, left, right)
-		out := m.merge(nil, lt, rt)
-		if len(out) != outLayout.Width() {
+		if m.width() != outLayout.Width() {
 			return false
 		}
+		out := make(Tuple, m.width())
+		m.mergeFlat(out, lt, rt)
 		// every live column value must survive at its out-layout offset
 		for _, col := range outLayout.Live() {
 			var src Tuple

@@ -3,13 +3,13 @@ package exec
 // vecTable is the batch hash join's open-addressing build table: a
 // power-of-two array of (hash, chain-head) slots probed linearly on the
 // full 64-bit key hash, with per-row chain links into the flat build arena.
-// It replaces the scalar path's map[uint64][][]int64 — no per-bucket slice
-// headers, no map overhead, and probes touch at most two contiguous arrays.
+// Compared with a map[uint64][][]int64 it has no per-bucket slice headers
+// and no map overhead, and probes touch at most two contiguous arrays.
 //
 // Rows with equal full hashes (equal keys or rare 64-bit collisions) share
 // one slot and are chained in build insertion order, so a probe visits
-// exactly the candidates the scalar map bucket holds, in the same order —
-// keeping output row order and per-candidate work charges identical.
+// exactly the candidates sharing its hash, in build order — keeping output
+// row order and per-candidate work charges independent of the layout.
 //
 // Probing is partition-bounded: the slot array is split into fixed runs of
 // vecPartSlots slots, and a probe wraps within the home partition of its

@@ -15,8 +15,7 @@ import (
 //
 // The contract with the equivalence suites: pruning changes which values
 // are *read*, never which rows qualify or how much work is *charged* — the
-// per-chunk ctx.charge(hi-lo) stays exactly the scalar scan's accounting,
-// so Work(), checkpoints, and budget errors are byte-identical to the raw
+// per-chunk ctx.charge(hi-lo) counts every physical row in range, so Work(), checkpoints, and budget errors are byte-identical to the raw
 // path for any worker count. Wall time, not work units, is where skipping
 // pays.
 
@@ -65,7 +64,7 @@ type segScanState struct {
 
 // newSegScanState returns the segment view for a scan with the given
 // conjunctive predicates, or nil when the scan should use the raw columns:
-// the raw escape hatch is on, the table is unsealed (DML since the last
+// the table is unsealed (DML since the last
 // stats refresh), there are no predicates (a full gather gains nothing
 // over the raw alias — zone maps have nothing to act on), or the zone
 // maps prune no segment at all (unselective predicates on this data; the
@@ -76,7 +75,7 @@ type segScanState struct {
 // never visited); index scans do not, since they only touch indexed rids
 // and use the zone maps per-rid.
 func newSegScanState(ctx *Ctx, t *storage.Table, preds []query.Predicate, recordSkips bool) *segScanState {
-	if ctx.RawScan || len(preds) == 0 || !t.Sealed() || t.SegRows() <= 0 || len(t.Cols) == 0 {
+	if len(preds) == 0 || !t.Sealed() || t.SegRows() <= 0 || len(t.Cols) == 0 {
 		return nil
 	}
 	zs := &segScanState{

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/catalog"
@@ -14,11 +16,11 @@ import (
 // The zone-map scan path must be byte-identical to the raw path: pruning
 // and encoded-form filtering change which values are read, never which
 // rows qualify, how much work is charged, or what any observer sees. These
-// tests sweep the same randomized corpus as the scalar/batch equivalence
-// suite with the segment layer engaged (segments shrunk so tiny fixtures
-// split into many), compare against both the scalar oracle and the
-// RawScan escape hatch, and pin the ≥50% skip rate on selective reference
-// queries.
+// tests sweep the same randomized corpus as the reference equivalence suite
+// with the segment layer engaged (segments shrunk so tiny fixtures split
+// into many), compare against both the scalar reference and the raw column
+// path — reached by running the same plan over an unsealed copy of the
+// data — and pin the ≥50% skip rate on selective reference queries.
 
 func TestSegPrune(t *testing.T) {
 	col := &catalog.Column{}
@@ -67,44 +69,60 @@ func segTinyDB(t *testing.T) *storage.Database {
 	return datagen.Generate(datagen.Config{Titles: 300, Seed: 42})
 }
 
-// TestZoneMapScanEquivalence compares, over the full plan-variant corpus:
-// the scalar oracle, the batch path reading raw columns (RawScan), and the
-// batch path reading through segments with zone maps. Counts, row-content
-// hashes, work totals, materialization totals, and TrueCard stamps must
-// all be identical.
+// unsealedCopy returns a database holding copies of db's columns in tables
+// that were never sealed: every scan over it reads the raw columns, the
+// path the segment layer must be indistinguishable from.
+func unsealedCopy(db *storage.Database) *storage.Database {
+	out := storage.NewDatabase(db.Schema)
+	for id, t := range db.Tables {
+		c := storage.NewTable(t.Meta, 0)
+		for i, col := range t.Cols {
+			c.Cols[i] = slices.Clone(col)
+		}
+		out.Tables[id] = c
+	}
+	return out
+}
+
+// TestZoneMapScanEquivalence compares, over the full plan-variant corpus,
+// the executor reading through segments with zone maps against the scalar
+// reference and against the raw column path. Counts, checkpoint sequences
+// (rows in order), work totals, materialization totals, and TrueCard stamps
+// must all be identical.
 func TestZoneMapScanEquivalence(t *testing.T) {
 	db := segTinyDB(t)
-	reg := obs.NewRegistry()
+	raw := unsealedCopy(db)
+	reg, regR := obs.NewRegistry(), obs.NewRegistry()
 	equivCorpus(t, db, 51, 10, func(q *query.Query, p *plan.Node, variant string) {
-		ps, pr, pz := p.Clone(), p.Clone(), p.Clone()
-		ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}}
-		ctxR := &Ctx{DB: db, Q: q, Controller: NopController{}, RawScan: true}
-		ctxZ := &Ctx{DB: db, Q: q, Controller: NopController{}, Metrics: reg}
-		cS, hS, errS := runPath(ctxS, ps, false)
-		cR, hR, errR := runPath(ctxR, pr, true)
-		cZ, hZ, errZ := runPath(ctxZ, pz, true)
-		if errS != nil || errR != nil || errZ != nil {
-			t.Fatalf("%s/%s: errs scalar=%v raw=%v zone=%v", q.SQL(), variant, errS, errR, errZ)
+		name := q.SQL() + "/" + variant
+		pr, pz := p.Clone(), p.Clone()
+		rcR, rcZ := &ckptRecorder{}, &ckptRecorder{t: t, name: name, ref: newRefEval(db, q)}
+		ctxR := &Ctx{DB: raw, Q: q, Controller: rcR, Metrics: regR}
+		ctxZ := &Ctx{DB: db, Q: q, Controller: rcZ, Metrics: reg}
+		cR, errR := Run(ctxR, pr)
+		cZ, errZ := Run(ctxZ, pz)
+		if errR != nil || errZ != nil {
+			t.Fatalf("%s: errs raw=%v zone=%v", name, errR, errZ)
 		}
-		if cS != cR || cS != cZ {
-			t.Fatalf("%s/%s: counts scalar=%d raw=%d zone=%d", q.SQL(), variant, cS, cR, cZ)
+		if cR != cZ || cZ != len(rcZ.ref.projected(q.AllTablesMask())) {
+			t.Fatalf("%s: counts raw=%d zone=%d reference=%d", name, cR, cZ, len(rcZ.ref.projected(q.AllTablesMask())))
 		}
-		if hS != hR || hS != hZ {
-			t.Fatalf("%s/%s: row hashes scalar=%x raw=%x zone=%x", q.SQL(), variant, hS, hR, hZ)
+		if ctxR.Work() != ctxZ.Work() || ctxR.MatRows() != ctxZ.MatRows() {
+			t.Fatalf("%s: work raw=%d zone=%d, matRows raw=%d zone=%d", name, ctxR.Work(), ctxZ.Work(), ctxR.MatRows(), ctxZ.MatRows())
 		}
-		if ctxS.Work() != ctxZ.Work() || ctxR.Work() != ctxZ.Work() {
-			t.Fatalf("%s/%s: work scalar=%d raw=%d zone=%d", q.SQL(), variant, ctxS.Work(), ctxR.Work(), ctxZ.Work())
+		if !slices.Equal(rcR.events, rcZ.events) {
+			t.Fatalf("%s: checkpoints raw=%+v zone=%+v", name, rcR.events, rcZ.events)
 		}
-		if ctxS.MatRows() != ctxZ.MatRows() {
-			t.Fatalf("%s/%s: matRows scalar=%d zone=%d", q.SQL(), variant, ctxS.MatRows(), ctxZ.MatRows())
-		}
-		tcS, tcZ := trueCards(ps), trueCards(pz)
-		for mask, v := range tcS {
-			if tcZ[mask] != v {
-				t.Fatalf("%s/%s: TrueCard at %b: scalar %v, zone %v", q.SQL(), variant, uint32(mask), v, tcZ[mask])
-			}
+		if !maps.Equal(trueCards(pr), trueCards(pz)) {
+			t.Fatalf("%s: TrueCards raw=%v zone=%v", name, trueCards(pr), trueCards(pz))
 		}
 	})
+	if reg.Counter("storage.segments_total").Value() == 0 {
+		t.Fatal("corpus never engaged the segment scan path")
+	}
+	if regR.Counter("storage.segments_total").Value() != 0 {
+		t.Fatal("the unsealed copy engaged the segment scan path")
+	}
 	if reg.Counter("storage.segments_total").Value() == 0 {
 		t.Fatal("corpus never engaged the segment scan path")
 	}
@@ -119,21 +137,23 @@ func TestZoneMapParallelEquivalence(t *testing.T) {
 	db := segTinyDB(t)
 	equivCorpus(t, db, 52, 6, func(q *query.Query, p *plan.Node, variant string) {
 		regS := obs.NewRegistry()
-		ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}, Metrics: regS}
-		cS, hS, errS := runPath(ctxS, p.Clone(), true)
+		rcS := &ckptRecorder{}
+		ctxS := &Ctx{DB: db, Q: q, Controller: rcS, Metrics: regS}
+		cS, errS := Run(ctxS, p.Clone())
 		if errS != nil {
 			t.Fatalf("%s/%s: serial err %v", q.SQL(), variant, errS)
 		}
 		base := regS.Snapshot()
 		for _, w := range parallelWorkerCounts {
 			regW := obs.NewRegistry()
-			ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Metrics: regW}
-			cW, hW, errW := runPathWorkers(ctxW, p.Clone(), w)
+			rcW := &ckptRecorder{}
+			ctxW := &Ctx{DB: db, Q: q, Controller: rcW, Metrics: regW, ExecWorkers: w}
+			cW, errW := Run(ctxW, p.Clone())
 			if errW != nil {
 				t.Fatalf("%s/%s w=%d: err %v", q.SQL(), variant, w, errW)
 			}
-			if cW != cS || hW != hS {
-				t.Fatalf("%s/%s w=%d: count/hash %d/%x, serial %d/%x", q.SQL(), variant, w, cW, hW, cS, hS)
+			if cW != cS || !slices.Equal(rcW.events, rcS.events) {
+				t.Fatalf("%s/%s w=%d: count %d, checkpoints %+v; serial %d, %+v", q.SQL(), variant, w, cW, rcW.events, cS, rcS.events)
 			}
 			if ctxW.Work() != ctxS.Work() {
 				t.Fatalf("%s/%s w=%d: work %d, serial %d", q.SQL(), variant, w, ctxW.Work(), ctxS.Work())
@@ -177,6 +197,7 @@ func zoneRefDB(t *testing.T) (*storage.Database, *catalog.Table) {
 func TestZoneMapSkipRateReference(t *testing.T) {
 	shrinkMorsels(t)
 	db, meta := zoneRefDB(t)
+	raw := unsealedCopy(db)
 	preds := map[string][]query.Predicate{
 		"grp-eq":    {{Col: meta.Column("grp"), Op: query.OpEQ, Operand: 11}},
 		"val-range": {{Col: meta.Column("val"), Op: query.OpLT, Operand: 9000}},
@@ -187,20 +208,20 @@ func TestZoneMapSkipRateReference(t *testing.T) {
 		q := query.New([]*catalog.Table{meta}, nil, ps)
 		mkPlan := func() *plan.Node { return plan.NewLeaf(plan.SeqScan, meta, 0, ps) }
 
-		rawCtx := &Ctx{DB: db, Q: q, RawScan: true, Controller: NopController{}}
-		cRaw, hRaw, err := runPath(rawCtx, mkPlan(), true)
+		rawCtx := &Ctx{DB: raw, Q: q, Controller: NopController{}}
+		cRaw, err := Run(rawCtx, mkPlan())
 		if err != nil {
 			t.Fatalf("%s: raw path: %v", name, err)
 		}
 
 		reg := obs.NewRegistry()
 		zCtx := &Ctx{DB: db, Q: q, Metrics: reg, Controller: NopController{}}
-		cZ, hZ, err := runPath(zCtx, mkPlan(), true)
+		cZ, err := Run(zCtx, mkPlan())
 		if err != nil {
 			t.Fatalf("%s: zone path: %v", name, err)
 		}
-		if cZ != cRaw || hZ != hRaw {
-			t.Fatalf("%s: zone path count/hash %d/%x, raw %d/%x", name, cZ, hZ, cRaw, hRaw)
+		if cZ != cRaw {
+			t.Fatalf("%s: zone path count %d, raw %d", name, cZ, cRaw)
 		}
 		if rawCtx.Work() != zCtx.Work() {
 			t.Fatalf("%s: zone path work %d, raw %d", name, zCtx.Work(), rawCtx.Work())
@@ -216,12 +237,13 @@ func TestZoneMapSkipRateReference(t *testing.T) {
 
 		for _, w := range parallelWorkerCounts {
 			wCtx := &Ctx{DB: db, Q: q, Controller: NopController{}}
-			cW, hW, err := runPathWorkers(wCtx, mkPlan(), w)
+			wCtx.ExecWorkers = w
+			cW, err := Run(wCtx, mkPlan())
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", name, w, err)
 			}
-			if cW != cRaw || hW != hRaw {
-				t.Fatalf("%s w=%d: count/hash %d/%x, raw %d/%x", name, w, cW, hW, cRaw, hRaw)
+			if cW != cRaw {
+				t.Fatalf("%s w=%d: count %d, raw %d", name, w, cW, cRaw)
 			}
 		}
 	}
@@ -238,7 +260,7 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	ctx := &Ctx{DB: db, Q: q, Metrics: reg, Controller: NopController{}}
-	c0, _, err := runPath(ctx, plan.NewLeaf(plan.SeqScan, meta, 0, preds), true)
+	c0, err := Run(ctx, plan.NewLeaf(plan.SeqScan, meta, 0, preds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +280,7 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 	tbl.MaintenanceAppend(rows)
 	reg2 := obs.NewRegistry()
 	ctx2 := &Ctx{DB: db, Q: q, Metrics: reg2, Controller: NopController{}}
-	c1, _, err := runPath(ctx2, plan.NewLeaf(plan.SeqScan, meta, 0, preds), true)
+	c1, err := Run(ctx2, plan.NewLeaf(plan.SeqScan, meta, 0, preds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +296,7 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 	tbl.FinishLoad()
 	reg3 := obs.NewRegistry()
 	ctx3 := &Ctx{DB: db, Q: q, Metrics: reg3, Controller: NopController{}}
-	c2, _, err := runPath(ctx3, plan.NewLeaf(plan.SeqScan, meta, 0, preds), true)
+	c2, err := Run(ctx3, plan.NewLeaf(plan.SeqScan, meta, 0, preds))
 	if err != nil {
 		t.Fatal(err)
 	}

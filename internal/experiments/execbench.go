@@ -13,32 +13,27 @@ import (
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
-// ExecBenchResult is the scalar-vs-batch executor benchmark recorded in
-// BENCH_e2e.json. Two measurements: a synthetic hash-join probe hot path
-// (the workload the vectorized executor targets — per-tuple interface
-// calls, per-tuple hashing, Go-map probes), and the environment's JOB-like
-// suite executed end to end on both paths with the counts compared.
+// ExecBenchResult is the executor benchmark recorded in BENCH_e2e.json.
+// Two measurements: a synthetic hash-join probe hot path (the workload the
+// vectorized executor targets), and the environment's JOB-like suite
+// executed end to end — both serially and, when ExecWorkers > 1, with
+// morsel-driven parallelism, with the result counts compared.
 type ExecBenchResult struct {
 	// Hot path: probe ProbeRows rows against a build side of BuildRows.
-	BuildRows          int     `json:"build_rows"`
-	ProbeRows          int     `json:"probe_rows"`
-	ScalarProbeSeconds float64 `json:"scalar_probe_seconds"`
-	BatchProbeSeconds  float64 `json:"batch_probe_seconds"`
-	// Speedup is scalar/batch time on the probe hot path; the bench gate
-	// fails when it drops below 1 (batch slower than scalar).
-	Speedup float64 `json:"speedup"`
+	BuildRows         int     `json:"build_rows"`
+	ProbeRows         int     `json:"probe_rows"`
+	BatchProbeSeconds float64 `json:"batch_probe_seconds"`
 
 	// ExecWorkers is the morsel-parallelism worker count the parallel
 	// measurements ran with; 0 when the parallel pass was skipped. The
 	// parallel numbers ride the same probe hot path and suite with
 	// Ctx.ExecWorkers set, and their counts fold into CountsIdentical.
 	// Wall-clock gains track available cores: on a single-core host the
-	// parallel wall is expected to roughly match the serial batch wall (the
-	// benchdiff gate only rejects it exceeding serial by more than 10%).
+	// parallel wall is expected to roughly match the serial wall.
 	ExecWorkers          int     `json:"exec_workers,omitempty"`
 	ParallelProbeSeconds float64 `json:"parallel_probe_seconds,omitempty"`
-	// ParallelSpeedup is serial-batch/parallel-batch time on the probe hot
-	// path (not scalar/parallel), isolating what the exchange adds.
+	// ParallelSpeedup is serial/parallel time on the probe hot path,
+	// isolating what the exchange adds.
 	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 
 	// Build wall: the vecTable build phase alone (drain and probe excluded)
@@ -52,14 +47,12 @@ type ExecBenchResult struct {
 
 	// Suite: executor wall (T_E only) across the JOB-like queries.
 	SuiteQueries         int     `json:"suite_queries"`
-	SuiteScalarSeconds   float64 `json:"suite_scalar_exec_seconds"`
 	SuiteBatchSeconds    float64 `json:"suite_batch_exec_seconds"`
-	SuiteSpeedup         float64 `json:"suite_speedup"`
 	SuiteParallelSeconds float64 `json:"suite_parallel_exec_seconds,omitempty"`
 	SuiteParallelSpeedup float64 `json:"suite_parallel_speedup,omitempty"`
-	// CountsIdentical asserts every measured path — scalar, batch, and the
-	// morsel-parallel batch when enabled — returned the same COUNT(*) for
-	// every suite query and for the probe hot path.
+	// CountsIdentical asserts the morsel-parallel run, when enabled,
+	// returned the serial run's COUNT(*) for every suite query and for the
+	// probe hot path.
 	CountsIdentical bool `json:"counts_identical"`
 }
 
@@ -91,11 +84,11 @@ func execBenchDB(buildRows, probeRows int) (*storage.Database, *query.Query) {
 	return db, q
 }
 
-// ExecBench measures the batch executor against the scalar reference, and —
-// when execWorkers > 1 — the morsel-parallel batch path against both. The
-// hot-path numbers are best-of-reps to shed scheduler noise; the suite
-// numbers are single-pass sums of executor wall time under the PostgreSQL
-// (histogram) configuration.
+// ExecBench measures the executor on the probe hot path and the JOB-like
+// suite, and — when execWorkers > 1 — the morsel-parallel path against the
+// serial one. The hot-path numbers are best-of-reps to shed scheduler
+// noise; the suite numbers are single-pass sums of executor wall time under
+// the PostgreSQL (histogram) configuration.
 func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 	const buildRows, probeRows, reps = 4096, 1 << 16, 5
 	res := &ExecBenchResult{BuildRows: buildRows, ProbeRows: probeRows, CountsIdentical: true}
@@ -104,24 +97,14 @@ func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 	}
 
 	db, q := execBenchDB(buildRows, probeRows)
-	// mode: 0 = scalar, 1 = batch, 2 = morsel-parallel batch.
-	best := func(mode int) (float64, int, error) {
+	best := func(workers int) (float64, int, error) {
 		bestSec := 0.0
 		count := 0
 		for r := 0; r < reps; r++ {
 			pl := planOnly(q)
-			ctx := &exec.Ctx{DB: db, Q: q}
-			if mode == 2 {
-				ctx.ExecWorkers = execWorkers
-			}
+			ctx := &exec.Ctx{DB: db, Q: q, ExecWorkers: workers}
 			start := time.Now()
-			var c int
-			var err error
-			if mode != 0 {
-				c, err = exec.RunBatch(ctx, pl)
-			} else {
-				c, err = exec.Run(ctx, pl)
-			}
+			c, err := exec.Run(ctx, pl)
 			sec := time.Since(start).Seconds()
 			if err != nil {
 				return 0, 0, err
@@ -133,24 +116,13 @@ func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 		}
 		return bestSec, count, nil
 	}
-	scalarSec, scalarCount, err := best(0)
-	if err != nil {
-		return nil, err
-	}
 	batchSec, batchCount, err := best(1)
 	if err != nil {
 		return nil, err
 	}
-	if scalarCount != batchCount {
-		res.CountsIdentical = false
-	}
-	res.ScalarProbeSeconds = scalarSec
 	res.BatchProbeSeconds = batchSec
-	if batchSec > 0 {
-		res.Speedup = scalarSec / batchSec
-	}
 	if res.ExecWorkers > 1 {
-		parSec, parCount, err := best(2)
+		parSec, parCount, err := best(execWorkers)
 		if err != nil {
 			return nil, err
 		}
@@ -173,54 +145,43 @@ func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 		res.ParallelBuildWallSeconds = buildPar
 	}
 
-	// Suite comparison: the JOB-like queries end to end, summing executor
-	// wall only, with the result counts cross-checked.
+	// Suite: the JOB-like queries end to end, summing executor wall only,
+	// with the parallel run's result counts cross-checked.
 	queries, err := joblike.Queries(e.DB.Schema)
 	if err != nil {
 		return nil, err
 	}
 	eng := engine.New(e.DB)
-	cfg := engine.Config{Estimator: e.Histogram, Budget: e.P.budget}
 	counts := make(map[string]int)
-	modes := []int{0, 1}
-	if res.ExecWorkers > 1 {
-		modes = append(modes, 2)
-	}
-	for _, mode := range modes {
-		c := cfg
-		c.ScalarExec = mode == 0
-		if mode == 2 {
-			c.ExecWorkers = execWorkers
-		}
+	suite := func(workers int) (float64, error) {
+		cfg := engine.Config{Estimator: e.Histogram, Budget: e.P.budget, ExecWorkers: workers}
 		var wall time.Duration
 		for _, name := range joblike.Names() {
-			r, err := eng.Execute(queries[name], c)
+			r, err := eng.Execute(queries[name], cfg)
 			if err != nil {
-				return nil, fmt.Errorf("execbench %s: %w", name, err)
+				return 0, fmt.Errorf("execbench %s: %w", name, err)
 			}
 			wall += r.ExecTime
-			if mode == 0 {
+			if workers <= 1 {
 				counts[name] = r.Count
 			} else if counts[name] != r.Count {
 				res.CountsIdentical = false
 			}
 		}
-		switch mode {
-		case 0:
-			res.SuiteScalarSeconds = wall.Seconds()
-		case 1:
-			res.SuiteBatchSeconds = wall.Seconds()
-		case 2:
-			res.SuiteParallelSeconds = wall.Seconds()
+		return wall.Seconds(), nil
+	}
+	if res.SuiteBatchSeconds, err = suite(1); err != nil {
+		return nil, err
+	}
+	if res.ExecWorkers > 1 {
+		if res.SuiteParallelSeconds, err = suite(execWorkers); err != nil {
+			return nil, err
+		}
+		if res.SuiteParallelSeconds > 0 {
+			res.SuiteParallelSpeedup = res.SuiteBatchSeconds / res.SuiteParallelSeconds
 		}
 	}
 	res.SuiteQueries = len(joblike.Names())
-	if res.SuiteBatchSeconds > 0 {
-		res.SuiteSpeedup = res.SuiteScalarSeconds / res.SuiteBatchSeconds
-	}
-	if res.SuiteParallelSeconds > 0 {
-		res.SuiteParallelSpeedup = res.SuiteBatchSeconds / res.SuiteParallelSeconds
-	}
 	return res, nil
 }
 
@@ -235,37 +196,32 @@ func planOnly(q *query.Query) *plan.Node {
 // Render formats the benchmark for terminal output.
 func (r *ExecBenchResult) Render() string {
 	t := &Table{
-		Title: fmt.Sprintf("Executor: scalar vs batch (probe %d rows x build %d, counts identical: %v)",
+		Title: fmt.Sprintf("Executor (probe %d rows x build %d, counts identical: %v)",
 			r.ProbeRows, r.BuildRows, r.CountsIdentical),
-		Header: []string{"workload", "scalar", "batch", "speedup"},
+		Header: []string{"workload", "serial", "parallel", "speedup"},
 	}
-	t.AddRow("hash-join probe", FmtDur(r.ScalarProbeSeconds), FmtDur(r.BatchProbeSeconds),
-		fmt.Sprintf("%.2fx", r.Speedup))
-	t.AddRow(fmt.Sprintf("JOB-like suite T_E (%d queries)", r.SuiteQueries),
-		FmtDur(r.SuiteScalarSeconds), FmtDur(r.SuiteBatchSeconds),
-		fmt.Sprintf("%.2fx", r.SuiteSpeedup))
-	t.AddRow(fmt.Sprintf("hash build wall (%d rows)", r.BuildBenchRows),
-		FmtDur(r.BuildWallSeconds), "", "")
-	out := t.String()
 	if r.ExecWorkers > 1 {
-		p := &Table{
-			Title: fmt.Sprintf("Executor: batch vs morsel-parallel batch (%d workers)",
-				r.ExecWorkers),
-			Header: []string{"workload", "batch", "parallel", "speedup"},
-		}
-		p.AddRow("hash-join probe", FmtDur(r.BatchProbeSeconds), FmtDur(r.ParallelProbeSeconds),
-			fmt.Sprintf("%.2fx", r.ParallelSpeedup))
-		p.AddRow(fmt.Sprintf("JOB-like suite T_E (%d queries)", r.SuiteQueries),
-			FmtDur(r.SuiteBatchSeconds), FmtDur(r.SuiteParallelSeconds),
-			fmt.Sprintf("%.2fx", r.SuiteParallelSpeedup))
-		buildSpeedup := 0.0
-		if r.ParallelBuildWallSeconds > 0 {
-			buildSpeedup = r.BuildWallSeconds / r.ParallelBuildWallSeconds
-		}
-		p.AddRow(fmt.Sprintf("hash build wall (%d rows)", r.BuildBenchRows),
-			FmtDur(r.BuildWallSeconds), FmtDur(r.ParallelBuildWallSeconds),
-			fmt.Sprintf("%.2fx", buildSpeedup))
-		out += "\n" + p.String()
+		t.Title += fmt.Sprintf(", morsel-parallel at %d workers", r.ExecWorkers)
 	}
-	return out
+	speedup := func(serial, parallel float64) string {
+		if parallel <= 0 {
+			return ""
+		}
+		return fmt.Sprintf("%.2fx", serial/parallel)
+	}
+	dur := func(sec float64) string {
+		if sec <= 0 {
+			return ""
+		}
+		return FmtDur(sec)
+	}
+	t.AddRow("hash-join probe", FmtDur(r.BatchProbeSeconds), dur(r.ParallelProbeSeconds),
+		speedup(r.BatchProbeSeconds, r.ParallelProbeSeconds))
+	t.AddRow(fmt.Sprintf("JOB-like suite T_E (%d queries)", r.SuiteQueries),
+		FmtDur(r.SuiteBatchSeconds), dur(r.SuiteParallelSeconds),
+		speedup(r.SuiteBatchSeconds, r.SuiteParallelSeconds))
+	t.AddRow(fmt.Sprintf("hash build wall (%d rows)", r.BuildBenchRows),
+		FmtDur(r.BuildWallSeconds), dur(r.ParallelBuildWallSeconds),
+		speedup(r.BuildWallSeconds, r.ParallelBuildWallSeconds))
+	return t.String()
 }

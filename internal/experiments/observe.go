@@ -66,17 +66,11 @@ type ObsOptions struct {
 	// attempt; an exceeded query fails with *exec.ResourceError and is
 	// counted as degraded.
 	MaxMatRows int64
-	// ScalarExec forces the tuple-at-a-time executor instead of the default
-	// vectorized batch path (see engine.Config.ScalarExec).
-	ScalarExec bool
-	// RawScan disables the segmented scan path with zone-map pruning and
-	// reads raw columns directly (see engine.Config.RawScan).
-	RawScan bool
 	// ExecWorkers, when > 1, adds one extra run per configuration with
 	// morsel-driven intra-query parallelism enabled at that worker count,
 	// named "<config>/px<N>". The base runs stay serial, so the snapshot
 	// carries serial and parallel exec walls side by side for the benchdiff
-	// speedup-sanity gate. Ignored when ScalarExec is set.
+	// speedup-sanity gate.
 	ExecWorkers int
 }
 
@@ -119,8 +113,6 @@ func ObservabilityWithOptions(e *Env, opt ObsOptions) (*ObsResult, error) {
 		cfg.Obs = o
 		cfg.Estimator = cardest.NewCacheWithMetrics(cfg.Estimator, o.Registry())
 		cfg.Limits.MaxMatRows = opt.MaxMatRows
-		cfg.ScalarExec = opt.ScalarExec
-		cfg.RawScan = opt.RawScan
 		cfg.ExecWorkers = execWorkers
 		var execWall atomic.Int64 // summed T_E nanos across workers
 		start := time.Now()
@@ -156,7 +148,7 @@ func ObservabilityWithOptions(e *Env, opt ObsOptions) (*ObsResult, error) {
 			continue
 		}
 		runOne(rc.Name, rc.Cfg, 0)
-		if opt.ExecWorkers > 1 && !opt.ScalarExec {
+		if opt.ExecWorkers > 1 {
 			runOne(fmt.Sprintf("%s/px%d", rc.Name, opt.ExecWorkers), rc.Cfg, opt.ExecWorkers)
 		}
 	}

@@ -14,28 +14,25 @@ import (
 
 // StorageBenchResult is the segment-scan microbenchmark recorded in
 // BENCH_e2e.json: a clustered synthetic table scanned with selective
-// predicates through the raw column path (the RawScan escape hatch) and
-// through the segmented path with zone-map pruning, with the result counts
-// cross-checked and the pruning counters captured. The skip rate is the
-// number benchdiff gates: a change that silently stops pruning (bad zone
-// maps, a disabled segment path) shows up here before it shows up as a
-// wall-time regression on bigger data.
+// predicates through the segmented path with zone-map pruning, with the
+// result counts checked against a plain loop over the raw columns and the
+// pruning counters captured. The skip rate is the number benchdiff gates: a
+// change that silently stops pruning (bad zone maps, a disabled segment
+// path) shows up here before it shows up as a wall-time regression on
+// bigger data.
 type StorageBenchResult struct {
 	Rows        int `json:"rows"`
 	SegmentRows int `json:"segment_rows"`
 	Queries     int `json:"queries"`
-	// Wall times are best-of-reps over the whole selective query set.
-	RawScanSeconds  float64 `json:"raw_scan_seconds"`
+	// ZoneScanSeconds is best-of-reps over the whole selective query set;
+	// reported, not gated (microbenchmark walls are noisy across CI
+	// machines — the skip rate is the stable signal).
 	ZoneScanSeconds float64 `json:"zone_scan_seconds"`
-	// Speedup is raw/zone time; reported, not gated (microbenchmark walls
-	// are noisy across CI machines — the skip rate is the stable signal).
-	Speedup float64 `json:"speedup"`
 	// Pruning counters from one instrumented pass over the query set.
 	SegmentsTotal   int64   `json:"segments_total"`
 	SegmentsSkipped int64   `json:"segments_skipped"`
 	SkipRate        float64 `json:"skip_rate"`
 	BytesDecoded    int64   `json:"bytes_decoded"`
-	CountsIdentical bool    `json:"counts_identical"`
 	// Seal walls: FinishLoad over a fresh copy of the bench table, serial
 	// and (when BuildWorkers > 1) fanned across BuildWorkers workers. The
 	// serial/parallel layout parity lives in the load_bench block, which
@@ -92,77 +89,69 @@ func storageBenchTable(segs int) (*storage.Database, *catalog.Table, *storage.Ta
 	return db, t, st
 }
 
-// StorageBench measures the segmented scan path against the raw column
-// path on the clustered synthetic table, plus the wall time of sealing it
-// (serially and, when buildWorkers > 1, with parallel sealing).
-// Self-contained: it builds its own database at the production segment
-// granularity, so it needs no Env.
+// rawCount counts the rows of q's single table passing every predicate with
+// a plain loop over the raw columns — the storage benchmark's result check,
+// sharing no code with the segment layer.
+func rawCount(db *storage.Database, q *query.Query) int {
+	t := db.Table(q.Tables[0])
+	n := 0
+	for r := 0; r < t.NumRows(); r++ {
+		ok := true
+		for _, p := range q.Preds {
+			ok = ok && p.Eval(t.Cols[p.Col.Pos][r])
+		}
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// StorageBench measures the segmented scan path on the clustered synthetic
+// table, plus the wall time of sealing it (serially and, when buildWorkers
+// > 1, with parallel sealing). A scan count that differs from the raw-column
+// loop fails the benchmark. Self-contained: it builds its own database at
+// the production segment granularity, so it needs no Env.
 func StorageBench(buildWorkers int) (*StorageBenchResult, error) {
 	const segs, reps = 32, 5
 	db, qs := storageBenchDB(segs)
 	res := &StorageBenchResult{
 		Rows: segs * storage.SegmentRows(), SegmentRows: storage.SegmentRows(),
-		Queries: len(qs), CountsIdentical: true,
+		Queries: len(qs),
 	}
 
 	// runAll executes every query once (fresh single-leaf plans — plans
-	// carry TrueCard stamps) and returns the wall time and result counts.
-	runAll := func(raw bool, reg *obs.Registry) (float64, []int, error) {
-		counts := make([]int, len(qs))
+	// carry TrueCard stamps) and returns the wall time.
+	runAll := func(reg *obs.Registry) (float64, error) {
 		start := time.Now()
 		for i, q := range qs {
 			pl := plan.NewLeaf(plan.SeqScan, q.Tables[0], 0, q.Preds)
-			ctx := &exec.Ctx{DB: db, Q: q, RawScan: raw, Metrics: reg}
-			c, err := exec.RunBatch(ctx, pl)
+			c, err := exec.Run(&exec.Ctx{DB: db, Q: q, Metrics: reg}, pl)
 			if err != nil {
-				return 0, nil, err
+				return 0, fmt.Errorf("storage bench query %d: %w", i, err)
 			}
-			counts[i] = c
-		}
-		return time.Since(start).Seconds(), counts, nil
-	}
-
-	best := func(raw bool) (float64, []int, error) {
-		bestSec := 0.0
-		var counts []int
-		for r := 0; r < reps; r++ {
-			sec, c, err := runAll(raw, nil)
-			if err != nil {
-				return 0, nil, err
+			if want := rawCount(db, q); c != want {
+				return 0, fmt.Errorf("storage bench query %d: segment scan counted %d rows, raw columns %d", i, c, want)
 			}
-			if bestSec == 0 || sec < bestSec {
-				bestSec = sec
-			}
-			counts = c
 		}
-		return bestSec, counts, nil
+		return time.Since(start).Seconds(), nil
 	}
-
-	rawSec, rawCounts, err := best(true)
-	if err != nil {
-		return nil, fmt.Errorf("storage bench raw path: %w", err)
-	}
-	zoneSec, zoneCounts, err := best(false)
-	if err != nil {
-		return nil, fmt.Errorf("storage bench zone path: %w", err)
-	}
-	for i := range rawCounts {
-		if rawCounts[i] != zoneCounts[i] {
-			res.CountsIdentical = false
+	for r := 0; r < reps; r++ {
+		sec, err := runAll(nil)
+		if err != nil {
+			return nil, err
 		}
-	}
-	res.RawScanSeconds = rawSec
-	res.ZoneScanSeconds = zoneSec
-	if zoneSec > 0 {
-		res.Speedup = rawSec / zoneSec
+		if res.ZoneScanSeconds == 0 || sec < res.ZoneScanSeconds {
+			res.ZoneScanSeconds = sec
+		}
 	}
 
 	// One instrumented pass for the pruning counters (kept out of the timed
 	// reps so the registry's atomics don't color the walls, and so the
 	// counters reflect exactly one execution of each query).
 	reg := obs.NewRegistry()
-	if _, _, err := runAll(false, reg); err != nil {
-		return nil, fmt.Errorf("storage bench metrics pass: %w", err)
+	if _, err := runAll(reg); err != nil {
+		return nil, err
 	}
 	res.SegmentsTotal = reg.Counter("storage.segments_total").Value()
 	res.SegmentsSkipped = reg.Counter("storage.segments_skipped").Value()
@@ -198,14 +187,12 @@ func StorageBench(buildWorkers int) (*StorageBenchResult, error) {
 // Render formats the benchmark for terminal output.
 func (r *StorageBenchResult) Render() string {
 	t := &Table{
-		Title: fmt.Sprintf("Storage: raw vs zone-map segment scan (%d rows, %d/segment, counts identical: %v)",
-			r.Rows, r.SegmentRows, r.CountsIdentical),
+		Title: fmt.Sprintf("Storage: zone-map segment scan (%d rows, %d/segment)",
+			r.Rows, r.SegmentRows),
 		Header: []string{"metric", "value"},
 	}
 	t.AddRow("selective queries", fmt.Sprint(r.Queries))
-	t.AddRow("raw scan wall", FmtDur(r.RawScanSeconds))
 	t.AddRow("zone scan wall", FmtDur(r.ZoneScanSeconds))
-	t.AddRow("speedup", fmt.Sprintf("%.2fx", r.Speedup))
 	t.AddRow("segments scanned", fmt.Sprint(r.SegmentsTotal))
 	t.AddRow("segments skipped", fmt.Sprintf("%d (%.1f%%)", r.SegmentsSkipped, r.SkipRate*100))
 	t.AddRow("bytes decoded", fmt.Sprint(r.BytesDecoded))

@@ -13,6 +13,7 @@ import (
 	"github.com/lpce-db/lpce/internal/fault"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/obs"
+	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
@@ -154,58 +155,99 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 	t.Logf("chaos: %d/%d degraded; guard %+v", degraded, len(queries), gs)
 }
 
-// TestChaosScalarBatchParity runs the chaos workload through the scalar
-// and the vectorized batch executor with identical operator-fault seeds.
-// Fault decisions are a pure hash of (query fingerprint, plan-node subset)
-// — independent of the executor — so the two paths must agree query by
-// query: the same results where execution succeeds, and the same injected
-// error where it does not. This pins the batch adapters (WrapFunc lowering
-// and lifting) to the scalar fault semantics.
-func TestChaosScalarBatchParity(t *testing.T) {
+// opRows wraps every operator in a row counter and records, per operator,
+// whether the injector would select it and how many rows it produced.
+type opRows struct {
+	sel   *fault.Ops
+	stats []*opStat
+}
+
+type opStat struct {
+	selected bool
+	rows     int64
+}
+
+func (r *opRows) wrap(ctx *exec.Ctx, op exec.BatchOperator, n *plan.Node) exec.BatchOperator {
+	st := &opStat{selected: r.sel.Wrap(ctx, op, n) != op}
+	r.stats = append(r.stats, st)
+	return rowCounter{op, st}
+}
+
+// faults reports whether a selected operator reached the fault row.
+func (r *opRows) faults(atRow int64) bool {
+	for _, st := range r.stats {
+		if st.selected && st.rows >= atRow {
+			return true
+		}
+	}
+	return false
+}
+
+type rowCounter struct {
+	exec.BatchOperator
+	st *opStat
+}
+
+func (c rowCounter) NextBatch(ctx *exec.Ctx) (*exec.Batch, error) {
+	b, err := c.BatchOperator.NextBatch(ctx)
+	if b != nil {
+		c.st.rows += int64(b.Len())
+	}
+	return b, err
+}
+
+// TestChaosOpFaultsMatchFaultFreeRun runs the chaos workload with operator
+// faults and holds every query to its fault-free run. Fault decisions are a
+// pure hash of (query fingerprint, plan-node subset), and a fault fires in
+// the batch holding the operator's AtRow-th row, so the fault-free run
+// predicts the outcome: a query fails with ErrInjected exactly when some
+// selected operator produced at least AtRow rows there, and otherwise
+// returns the fault-free count.
+func TestChaosOpFaultsMatchFaultFreeRun(t *testing.T) {
 	db := testutil.TinyDB()
 	queries := chaosWorkload(t)
 	hist := histogram.NewEstimator(db)
 	eng := engine.New(db)
-	ops := &fault.Ops{Err: fault.Injector{Seed: 104, Rate: 0.04}, AtRow: 2}
-	mk := func(scalar bool) engine.Config {
-		return engine.Config{
-			Estimator:  hist,
-			ExecWrap:   ops.Wrap,
-			Limits:     engine.Limits{MaxMatRows: 2_000_000},
-			ScalarExec: scalar,
-		}
-	}
+	const atRow = 2
+	inj := fault.Injector{Seed: 104, Rate: 0.04}
+	ops := &fault.Ops{Err: inj, AtRow: atRow}
+	limits := engine.Limits{MaxMatRows: 2_000_000}
 
 	faulted, completed := 0, 0
 	for i, q := range queries {
-		sres, serr := eng.Execute(q, mk(true))
-		bres, berr := eng.Execute(q, mk(false))
-		switch {
-		case serr == nil && berr == nil:
-			completed++
-			if sres.Count != bres.Count {
-				t.Errorf("query %d: scalar count %d != batch count %d", i, sres.Count, bres.Count)
-			}
-		case serr != nil && berr != nil:
+		probe := &opRows{sel: &fault.Ops{Err: inj, AtRow: atRow}}
+		clean, err := eng.Execute(q, engine.Config{Estimator: hist, ExecWrap: probe.wrap, Limits: limits})
+		if err != nil {
+			t.Fatalf("query %d: fault-free run failed: %v", i, err)
+		}
+		res, err := eng.Execute(q, engine.Config{Estimator: hist, ExecWrap: ops.Wrap, Limits: limits})
+		switch want := probe.faults(atRow); {
+		case want && !errors.Is(err, fault.ErrInjected):
+			t.Errorf("query %d: a selected operator reached row %d, but got %v", i, atRow, err)
+		case !want && err != nil:
+			t.Errorf("query %d: no selected operator reached row %d, but got %v", i, atRow, err)
+		case want:
 			faulted++
-			if !errors.Is(serr, fault.ErrInjected) || !errors.Is(berr, fault.ErrInjected) {
-				t.Errorf("query %d: untyped chaos errors: scalar %v, batch %v", i, serr, berr)
-			}
+		case res.Count != clean.Count:
+			t.Errorf("query %d: count %d, fault-free %d", i, res.Count, clean.Count)
 		default:
-			t.Errorf("query %d: fault fired on one path only: scalar %v, batch %v", i, serr, berr)
+			completed++
 		}
 	}
 	if faulted == 0 || completed == 0 {
 		t.Fatalf("want a mix of faulted and clean queries, got %d/%d", faulted, completed)
 	}
+	if ops.Errs.Load() != int64(faulted) {
+		t.Fatalf("%d injected errors fired for %d faulted queries", ops.Errs.Load(), faulted)
+	}
 }
 
-// TestChaosParallelExecParity re-runs the scalar/batch parity check with
-// morsel-driven intra-query parallelism on: for every worker count the
-// engine must fault exactly the same queries with the same typed errors and
-// return identical counts, result work, and materialization totals on the
-// clean ones. Faulted operators are scalar-wrapped, which forces their
-// pipelines back to the serial batch path — parity covers that fallback too.
+// TestChaosParallelExecParity re-runs the chaos workload with morsel-driven
+// intra-query parallelism on: for every worker count the engine must fault
+// exactly the same queries with the same typed errors as the serial run and
+// return identical counts and work on the clean ones. Faulted operators are
+// opaque to the exchange, which forces their pipelines back to the serial
+// path — parity covers that fallback too.
 func TestChaosParallelExecParity(t *testing.T) {
 	t.Cleanup(exec.SetMorselSize(64)) // tiny fixtures must split into many morsels
 	t.Cleanup(exec.SetExchangeWorkerCap(64))

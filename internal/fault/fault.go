@@ -1,6 +1,7 @@
 // Package fault provides deterministic, seed-driven fault injection for the
 // chaos test suite: estimator panics, latency spikes, and garbage
-// estimates, plus operator errors and stalls at a chosen output row.
+// estimates, plus operator errors and stalls in the batch holding a chosen
+// output row.
 //
 // Every decision is a pure hash of (seed, site, key) — never a stateful RNG
 // — so whether a given query is faulted does not depend on goroutine
@@ -117,15 +118,16 @@ func (f *Estimator) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
 }
 
 // Ops injects operator-level faults through exec.Ctx.Wrap: a chosen
-// operator fails with ErrInjected, or stalls, when it produces its N-th
-// output row. Decisions key on (query fingerprint, covered subset), so the
-// same plan nodes fault on every run.
+// operator fails with ErrInjected, or stalls, in the batch that holds its
+// AtRow-th output row. Decisions key on (query fingerprint, covered subset),
+// so the same plan nodes fault on every run, whatever the worker count.
 type Ops struct {
 	Err   Injector
 	Stall Injector
-	// AtRow is the 1-based output row at which the fault fires (default 1).
-	// Row counting is per operator instance; an operator whose child faults
-	// first simply propagates the child's error.
+	// AtRow is the 1-based output row whose batch fires the fault (default
+	// 1): an operator that produces fewer rows never faults. Row counting is
+	// per operator instance; an operator whose child faults first simply
+	// propagates the child's error.
 	AtRow int64
 	// StallFor is how long a stall sleeps (default 1ms). The stall happens
 	// once, then the operator continues — it models a hiccuping data source,
@@ -138,7 +140,7 @@ type Ops struct {
 
 // Wrap is an exec.WrapFunc. Operators not selected by any injector are
 // returned untouched.
-func (f *Ops) Wrap(ctx *exec.Ctx, op exec.Operator, n *plan.Node) exec.Operator {
+func (f *Ops) Wrap(ctx *exec.Ctx, op exec.BatchOperator, n *plan.Node) exec.BatchOperator {
 	key := mix(ctx.Q.Fingerprint() ^ uint64(n.Tables)*0x9e3779b97f4a7c15 ^ 0x0b5)
 	fail := f.Err.Hit("op-err", key)
 	stall := f.Stall.Hit("op-stall", key)
@@ -161,7 +163,7 @@ func (f *Ops) Wrap(ctx *exec.Ctx, op exec.Operator, n *plan.Node) exec.Operator 
 
 // faultyOp is the injected operator shim.
 type faultyOp struct {
-	inner    exec.Operator
+	inner    exec.BatchOperator
 	node     *plan.Node
 	owner    *Ops
 	fail     bool
@@ -176,13 +178,14 @@ func (o *faultyOp) Open(ctx *exec.Ctx) error {
 	return o.inner.Open(ctx)
 }
 
-func (o *faultyOp) Next(ctx *exec.Ctx) (exec.Tuple, bool, error) {
-	t, ok, err := o.inner.Next(ctx)
-	if err != nil || !ok {
-		return t, ok, err
+func (o *faultyOp) NextBatch(ctx *exec.Ctx) (*exec.Batch, error) {
+	b, err := o.inner.NextBatch(ctx)
+	if err != nil || b == nil {
+		return b, err
 	}
-	o.rows++
-	if o.rows == o.at {
+	before := o.rows
+	o.rows += int64(b.Len())
+	if before < o.at && o.rows >= o.at {
 		if o.stall {
 			o.owner.Stalls.Add(1)
 			time.Sleep(o.stallFor)
@@ -191,17 +194,17 @@ func (o *faultyOp) Next(ctx *exec.Ctx) (exec.Tuple, bool, error) {
 			// the next work-charge poll.
 			if ctx.Context != nil {
 				if err := ctx.Context.Err(); err != nil {
-					return nil, false, err
+					return nil, err
 				}
 			}
 		}
 		if o.fail {
 			o.owner.Errs.Add(1)
-			return nil, false, fmt.Errorf("%w (%v over %#x at row %d)",
-				ErrInjected, o.node.Op, uint64(o.node.Tables), o.rows)
+			return nil, fmt.Errorf("%w (%v over %#x at row %d)",
+				ErrInjected, o.node.Op, uint64(o.node.Tables), o.at)
 		}
 	}
-	return t, ok, nil
+	return b, nil
 }
 
 func (o *faultyOp) Close() { o.inner.Close() }

@@ -27,13 +27,13 @@ import (
 // budget-based, never wall-clock-based — so the serial oracles skip the
 // padding and stay fast.
 type slowOp struct {
-	exec.Operator
+	exec.BatchOperator
 	d time.Duration
 }
 
 func (o slowOp) Open(ctx *exec.Ctx) error {
 	time.Sleep(o.d)
-	return o.Operator.Open(ctx)
+	return o.BatchOperator.Open(ctx)
 }
 
 // TestServerOverloadSoak extends the chaos soak with the full overload
@@ -88,8 +88,8 @@ func TestServerOverloadSoak(t *testing.T) {
 	var transMu sync.Mutex
 	var transitions []string
 	ops := chaosOps()
-	slowWrap := func(ctx *exec.Ctx, op exec.Operator, n *plan.Node) exec.Operator {
-		return slowOp{Operator: ops.Wrap(ctx, op, n), d: 500 * time.Microsecond}
+	slowWrap := func(ctx *exec.Ctx, op exec.BatchOperator, n *plan.Node) exec.BatchOperator {
+		return slowOp{BatchOperator: ops.Wrap(ctx, op, n), d: 500 * time.Microsecond}
 	}
 	cfg := Config{
 		DB:   db,

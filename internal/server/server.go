@@ -88,7 +88,6 @@ type Config struct {
 	// Engine knobs, applied to every query.
 	Budget       int64
 	ExecWorkers  int
-	ScalarExec   bool
 	OverlayReopt bool
 	// ExecWrap intercepts every executor operator (fault-injection harness).
 	ExecWrap exec.WrapFunc
@@ -391,7 +390,6 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 		Obs:           tn.obs,
 		Limits:        tn.limits,
 		ExecWrap:      s.cfg.ExecWrap,
-		ScalarExec:    s.cfg.ScalarExec,
 		ExecWorkers:   s.cfg.ExecWorkers,
 	})
 	elapsed := time.Since(start)

@@ -203,12 +203,12 @@ func newGate() *gate {
 	return &gate{release: make(chan struct{}), announce: make(chan struct{}, 1024)}
 }
 
-func (g *gate) wrap(ctx *exec.Ctx, op exec.Operator, n *plan.Node) exec.Operator {
+func (g *gate) wrap(ctx *exec.Ctx, op exec.BatchOperator, n *plan.Node) exec.BatchOperator {
 	return &gatedOp{inner: op, g: g}
 }
 
 type gatedOp struct {
-	inner exec.Operator
+	inner exec.BatchOperator
 	g     *gate
 }
 
@@ -229,7 +229,7 @@ func (o *gatedOp) Open(ctx *exec.Ctx) error {
 	return o.inner.Open(ctx)
 }
 
-func (o *gatedOp) Next(ctx *exec.Ctx) (exec.Tuple, bool, error) { return o.inner.Next(ctx) }
+func (o *gatedOp) NextBatch(ctx *exec.Ctx) (*exec.Batch, error) { return o.inner.NextBatch(ctx) }
 func (o *gatedOp) Close()                                       { o.inner.Close() }
 
 // TestServerQueueOverflowRejects asserts the bounded wait queue sheds load

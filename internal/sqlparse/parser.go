@@ -20,9 +20,10 @@ import (
 //	colref   := table "." column
 //	op       := "=" | "<>" | "!=" | "<" | "<=" | ">" | ">="
 //
-// A condition comparing two column references with "=" becomes an
+// A condition comparing columns of two different tables with "=" becomes an
 // equi-join; a condition comparing a column to a number becomes a filter
-// predicate.
+// predicate. Comparing two columns of one table is rejected, like a table
+// listed twice: the executor has no per-row column-to-column filter.
 func Parse(schema *catalog.Schema, sql string) (*query.Query, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -180,6 +181,10 @@ func (p *parser) parseCond() error {
 		}
 		if op != query.OpEQ {
 			return p.errf(t, "only equi-joins are supported between columns (found %q)", t.text)
+		}
+		if right.Table == col.Table {
+			return p.errf(rhs, "%s and %s are columns of one table (same-table comparisons are not supported)",
+				col.QualifiedName(), right.QualifiedName())
 		}
 		p.joins = append(p.joins, query.Join{Left: col, Right: right})
 		return nil

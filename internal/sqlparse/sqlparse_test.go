@@ -134,6 +134,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsSameTableColumnComparison: "=" between two columns of one
+// table is not a join. Accepting it as one made the engine drop the
+// condition — title.id = title.kind_id counted every title, and beside a
+// second table it left the join graph disconnected — so it is an error
+// positioned at the right-hand column.
+func TestParseRejectsSameTableColumnComparison(t *testing.T) {
+	db := testutil.TinyDB()
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM title WHERE title.id = title.kind_id",
+		"SELECT COUNT(*) FROM title, kind_type WHERE title.kind_id = kind_type.id AND title.id = title.kind_id",
+		"SELECT COUNT(*) FROM title WHERE title.id = title.id",
+	} {
+		_, err := Parse(db.Schema, sql)
+		if err == nil {
+			t.Fatalf("%q: accepted a same-table column comparison", sql)
+		}
+		want := fmt.Sprintf("offset %d:", strings.LastIndex(sql, "title."))
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "one table") {
+			t.Fatalf("%q: error %q, want it at %q naming the cause", sql, err, want)
+		}
+	}
+}
+
 // TestParseRejectsTooManyTables pins the table limit: a FROM list of
 // query.MaxTables tables parses, one more is an error positioned at the
 // first table past the limit, not a query that silently drops a table.
