@@ -52,15 +52,16 @@ func NewDriftMonitor(baselineMedianQ, factor float64, windowSize int) *DriftMoni
 	return maintain.NewMonitor(baselineMedianQ, factor, windowSize)
 }
 
-// RefreshStats recomputes catalog and histogram statistics after data
-// updates (ANALYZE), re-sealing tables and rebuilding the column segments
-// invalidated since the last seal.
+// RefreshStats brings catalog and histogram statistics up to date after
+// data updates (ANALYZE): tables appended to since their last seal are
+// re-analyzed and re-sealed, rebuilding the column segments the appends
+// invalidated; clean tables are left as they are.
 func RefreshStats(db *Database) { maintain.RefreshStats(db) }
 
 // AppendRows applies post-load DML to a table: sealed tables reject direct
 // Table.AppendRows calls, so updates go through the maintenance path, which
-// invalidates the affected segments and indexes. Follow a batch of appends
-// with RefreshStats.
+// invalidates the affected segments and statistics and extends the table's
+// built indexes. Follow a batch of appends with RefreshStats.
 func AppendRows(t *StorageTable, rows [][]int64) { maintain.AppendRows(t, rows) }
 
 // Concurrent workload execution.

@@ -9,119 +9,38 @@
 package histogram
 
 import (
-	"sort"
-
 	"github.com/lpce-db/lpce/internal/catalog"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
-// Tunables mirroring PostgreSQL's default_statistics_target behaviour.
-const (
-	numMCVs    = 16
-	numBuckets = 64
-)
-
-// ColStats holds the statistics for one column.
-type ColStats struct {
-	RowCount int
-	NDV      int
-	// MCVs: most common values with their frequency fractions.
-	MCVVals  []int64
-	MCVFreqs []float64
-	mcvFrac  float64
-	// Bounds are equi-depth histogram bucket boundaries over the non-MCV
-	// values (len = numBuckets+1 when populated).
-	Bounds []int64
-}
-
 // Stats holds statistics for every column of a database, i.e. the result of
-// the paper's ANALYZE warm-up step.
+// the paper's ANALYZE warm-up step. The per-column statistics are built by
+// the storage layer (storage.ColStats) when a table is sealed.
 type Stats struct {
-	cols map[int]*ColStats // keyed by catalog.Column.GlobalID
+	cols map[int]*storage.ColStats // keyed by catalog.Column.GlobalID
 }
 
-// Analyze scans every table and builds the statistics.
+// Analyze gathers the statistics of every column: the seal-time ones of
+// sealed tables, fresh ones for tables not sealed since their last append.
 func Analyze(db *storage.Database) *Stats {
-	s := &Stats{cols: make(map[int]*ColStats)}
+	s := &Stats{cols: make(map[int]*storage.ColStats)}
 	for _, t := range db.Tables {
 		if t == nil {
 			continue
 		}
 		for pos, meta := range t.Meta.Columns {
-			s.cols[meta.GlobalID] = analyzeColumn(t.Cols[pos])
+			s.cols[meta.GlobalID] = t.ColStats(pos)
 		}
 	}
 	return s
 }
 
 // Col returns the statistics for a column, or nil.
-func (s *Stats) Col(c *catalog.Column) *ColStats { return s.cols[c.GlobalID] }
-
-func analyzeColumn(col []int64) *ColStats {
-	cs := &ColStats{RowCount: len(col)}
-	if len(col) == 0 {
-		return cs
-	}
-	freq := make(map[int64]int, 1024)
-	for _, v := range col {
-		freq[v]++
-	}
-	cs.NDV = len(freq)
-
-	// MCVs: the top-k frequent values.
-	type vc struct {
-		v int64
-		c int
-	}
-	all := make([]vc, 0, len(freq))
-	for v, c := range freq {
-		all = append(all, vc{v, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].v < all[j].v
-	})
-	k := numMCVs
-	if k > len(all) {
-		k = len(all)
-	}
-	mcvSet := make(map[int64]bool, k)
-	n := float64(len(col))
-	for i := 0; i < k; i++ {
-		cs.MCVVals = append(cs.MCVVals, all[i].v)
-		f := float64(all[i].c) / n
-		cs.MCVFreqs = append(cs.MCVFreqs, f)
-		cs.mcvFrac += f
-		mcvSet[all[i].v] = true
-	}
-
-	// Equi-depth histogram over the remaining values.
-	rest := make([]int64, 0, len(col))
-	for _, v := range col {
-		if !mcvSet[v] {
-			rest = append(rest, v)
-		}
-	}
-	if len(rest) > 0 {
-		sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-		b := numBuckets
-		if b > len(rest) {
-			b = len(rest)
-		}
-		cs.Bounds = append(cs.Bounds, rest[0])
-		for i := 1; i <= b; i++ {
-			idx := i * (len(rest) - 1) / b
-			cs.Bounds = append(cs.Bounds, rest[idx])
-		}
-	}
-	return cs
-}
+func (s *Stats) Col(c *catalog.Column) *storage.ColStats { return s.cols[c.GlobalID] }
 
 // eqSel estimates the selectivity of col = v.
-func (cs *ColStats) eqSel(v int64) float64 {
+func eqSel(cs *storage.ColStats, v int64) float64 {
 	for i, mv := range cs.MCVVals {
 		if mv == v {
 			return cs.MCVFreqs[i]
@@ -131,25 +50,24 @@ func (cs *ColStats) eqSel(v int64) float64 {
 	if restNDV <= 0 {
 		return 0
 	}
-	return (1 - cs.mcvFrac) / float64(restNDV)
+	return (1 - cs.MCVFrac) / float64(restNDV)
 }
 
 // ltSel estimates the selectivity of col < v (strict).
-func (cs *ColStats) ltSel(v int64) float64 {
+func ltSel(cs *storage.ColStats, v int64) float64 {
 	var sel float64
 	for i, mv := range cs.MCVVals {
 		if mv < v {
 			sel += cs.MCVFreqs[i]
 		}
 	}
-	sel += (1 - cs.mcvFrac) * cs.histFracBelow(v)
+	sel += (1 - cs.MCVFrac) * histFracBelow(cs.Bounds, v)
 	return clamp01(sel)
 }
 
 // histFracBelow returns the fraction of histogram-covered values strictly
-// below v, with linear interpolation inside the containing bucket.
-func (cs *ColStats) histFracBelow(v int64) float64 {
-	b := cs.Bounds
+// below v, with linear interpolation inside the containing bucket b.
+func histFracBelow(b []int64, v int64) float64 {
 	if len(b) < 2 {
 		return 0.5
 	}
@@ -192,21 +110,21 @@ func (s *Stats) Selectivity(p query.Predicate) float64 {
 	}
 	switch p.Op {
 	case query.OpEQ:
-		return cs.eqSel(p.Operand)
+		return eqSel(cs, p.Operand)
 	case query.OpNE:
-		return clamp01(1 - cs.eqSel(p.Operand))
+		return clamp01(1 - eqSel(cs, p.Operand))
 	case query.OpLT:
-		return cs.ltSel(p.Operand)
+		return ltSel(cs, p.Operand)
 	case query.OpLE:
-		return clamp01(cs.ltSel(p.Operand) + cs.eqSel(p.Operand))
+		return clamp01(ltSel(cs, p.Operand) + eqSel(cs, p.Operand))
 	case query.OpGT:
-		return clamp01(1 - cs.ltSel(p.Operand) - cs.eqSel(p.Operand))
+		return clamp01(1 - ltSel(cs, p.Operand) - eqSel(cs, p.Operand))
 	case query.OpGE:
-		return clamp01(1 - cs.ltSel(p.Operand))
+		return clamp01(1 - ltSel(cs, p.Operand))
 	case query.OpIn:
 		var sel float64
 		for _, v := range p.InSet {
-			sel += cs.eqSel(v)
+			sel += eqSel(cs, v)
 		}
 		return clamp01(sel)
 	default:

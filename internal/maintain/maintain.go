@@ -116,22 +116,26 @@ func (m *Monitor) Drifted() bool {
 
 // AppendRows is the DML entry point for tables that are already serving
 // queries: it appends through storage.Table.MaintenanceAppend, which
-// unseals the table and invalidates exactly the column segments the new
-// rows dirty (scans fall back to the raw path until stats are refreshed).
-// Callers must still externally synchronize against in-flight readers, and
-// should follow a batch of appends with RefreshStats to re-seal the table,
-// rebuild the dirtied segments, and re-ANALYZE.
+// unseals the table, invalidates exactly the column segments the new rows
+// dirty (scans fall back to the raw path until stats are refreshed), and
+// extends the table's built indexes with the new rows. Callers must still
+// externally synchronize against in-flight readers, and should follow a
+// batch of appends with RefreshStats to re-seal the table, rebuild the
+// dirtied segments, and re-ANALYZE it.
 func AppendRows(t *storage.Table, rows [][]int64) {
 	t.MaintenanceAppend(rows)
 }
 
-// RefreshStats re-computes catalog column statistics and histogram
-// statistics after data updates (the engine's ANALYZE), re-sealing every
-// table and rebuilding the segments invalidated by DML since the last
-// seal. Sealing fans out across the storage.SetBuildWorkers pool (set it
-// from engine.Config.EffectiveBuildWorkers; the result is byte-equal to
-// serial sealing for any worker count). Learned models are NOT retrained
-// here — Monitor decides when that is worth the cost.
+// RefreshStats brings catalog column statistics and histogram statistics
+// up to date after data updates (the engine's ANALYZE): it re-seals every
+// table appended to since its last seal, re-analyzing its columns and
+// rebuilding the segments the appends invalidated, and leaves clean tables
+// untouched. Sealing fans out across the storage.SetBuildWorkers pool (set
+// it from engine.Config.EffectiveBuildWorkers; the result is byte-equal to
+// serial sealing for any worker count). The returned Stats gathers the
+// seal-time statistics; estimators built before the refresh keep theirs.
+// Learned models are NOT retrained here — Monitor decides when that is
+// worth the cost.
 func RefreshStats(db *storage.Database) *histogram.Stats {
 	for _, t := range db.Tables {
 		if t != nil {

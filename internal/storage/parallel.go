@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// Parallel sealing: FinishLoad's two passes — per-column catalog statistics
-// and per-(column, segment) encoding — are embarrassingly parallel, and both
+// Parallel sealing: FinishLoad's two passes — per-column statistics and
+// per-(column, segment) encoding — are embarrassingly parallel, and both
 // are deterministic per job (buildSegment is one-pass with a sorted
-// dictionary; min/max/NDV are exact). Fanning the jobs across a bounded
+// dictionary; a column's statistics are a function of its sorted values). Fanning the jobs across a bounded
 // worker pool with results landing by index therefore produces a sealed
 // table byte-equal to serial sealing for any worker count, which the
 // equivalence suite asserts under the race detector.

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -11,12 +12,12 @@ import (
 )
 
 // Parallel sealing must be byte-equal to serial sealing for every worker
-// count: same catalog statistics, same segment geometry, same per-segment
-// encoding choice, dictionary, packed words, and zone maps. These tests
-// compare whole sealed tables field by field — including the unexported
-// packed/dict arrays — against a serially sealed copy of the same data,
-// across the same worker grid as the executor's equivalence suite, plus the
-// unseal/reseal transition after MaintenanceAppend.
+// count: same catalog and column statistics, same segment geometry, same
+// per-segment encoding choice, dictionary, packed words, and zone maps.
+// These tests compare whole sealed tables field by field — including the
+// unexported packed/dict arrays — against a serially sealed copy of the
+// same data, across the same worker grid as the executor's equivalence
+// suite, plus the unseal/reseal transition after MaintenanceAppend.
 
 var parallelSealWorkers = []int{1, 2, 4, 8}
 
@@ -84,6 +85,9 @@ func requireSealedIdentical(t *testing.T, label string, a, b *Table) {
 		if am.Min != bm.Min || am.Max != bm.Max || am.NDV != bm.NDV {
 			t.Fatalf("%s col %d: stats (%d,%d,%d), serial (%d,%d,%d)",
 				label, c, bm.Min, bm.Max, bm.NDV, am.Min, am.Max, am.NDV)
+		}
+		if !reflect.DeepEqual(a.ColStats(c), b.ColStats(c)) {
+			t.Fatalf("%s col %d: column statistics differ from serial", label, c)
 		}
 		as, bs := a.Segments(c), b.Segments(c)
 		if len(as) != len(bs) {

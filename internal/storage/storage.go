@@ -3,12 +3,15 @@
 // dictionary-encoded to integers before load, as the paper does for
 // categorical columns), with hash and ordered indexes built per column on
 // demand for index scans, index nested-loop joins, and the sampling-based
-// estimators.
+// estimators. Sealing a table (FinishLoad) computes its column statistics
+// and encoded segments; appends extend the indexes already built, and the
+// next seal re-analyzes only the tables they dirtied.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,7 +22,7 @@ import (
 // FinishLoad has sealed a table: direct appends would race lazy index
 // construction and the encoded segment layer. DML against a sealed table
 // must go through maintain.AppendRows, which uses MaintenanceAppend to
-// invalidate exactly the affected state.
+// invalidate exactly the dirtied segments and statistics.
 var ErrSealed = errors.New("table is sealed; route appends through internal/maintain")
 
 // Table holds one relation's data column-major. Reads (including lazy
@@ -30,15 +33,17 @@ type Table struct {
 	Meta *catalog.Table
 	Cols [][]int64
 
-	mu      sync.Mutex // guards lazy index construction
-	hashIdx map[int]*HashIndex
-	ordIdx  map[int]*OrderedIndex
+	mu      sync.Mutex      // guards lazy index construction
+	hashIdx []*HashIndex    // per column position, nil until first use
+	ordIdx  []*OrderedIndex // per column position, nil until first use
 
-	// Segment state (see segment.go). sealed flips on FinishLoad and off
-	// on MaintenanceAppend; scans only trust segments while sealed.
+	// Seal state (see segment.go and colstats.go). sealed flips on
+	// FinishLoad and off on MaintenanceAppend; scans only trust segments,
+	// and Analyze only the seal-time statistics, while sealed.
 	sealed  bool
 	segRows int          // segment granularity this table was sealed with
 	segs    [][]*Segment // per column position, nil until first seal
+	stats   []*ColStats  // per column position, computed at seal
 }
 
 // NewTable allocates a table for the given catalog entry with numRows rows.
@@ -46,8 +51,8 @@ func NewTable(meta *catalog.Table, numRows int) *Table {
 	t := &Table{
 		Meta:    meta,
 		Cols:    make([][]int64, len(meta.Columns)),
-		hashIdx: make(map[int]*HashIndex),
-		ordIdx:  make(map[int]*OrderedIndex),
+		hashIdx: make([]*HashIndex, len(meta.Columns)),
+		ordIdx:  make([]*OrderedIndex, len(meta.Columns)),
 	}
 	for i := range t.Cols {
 		t.Cols[i] = make([]int64, numRows)
@@ -76,7 +81,7 @@ func (t *Table) ColByName(name string) []int64 {
 }
 
 // AppendRows adds rows to the table during the initial load (each row must
-// have one value per column), invalidating any indexes built so far. Once
+// have one value per column), extending any indexes built so far. Once
 // FinishLoad has sealed the table it returns an error wrapping ErrSealed;
 // post-load DML must go through internal/maintain instead, which pairs the
 // append with segment invalidation and a stats refresh.
@@ -92,7 +97,8 @@ func (t *Table) AppendRows(rows [][]int64) error {
 // unseals the table (scans fall back to the raw path until the next
 // FinishLoad) and drops only the segment tail the new rows dirty, so
 // resealing re-encodes the affected segments instead of the whole table.
-// Callers outside internal/maintain should use maintain.AppendRows.
+// Built indexes are extended with the new rows. Callers outside
+// internal/maintain should use maintain.AppendRows.
 func (t *Table) MaintenanceAppend(rows [][]int64) {
 	oldRows := t.NumRows()
 	t.appendRows(rows)
@@ -109,7 +115,12 @@ func (t *Table) MaintenanceAppend(rows [][]int64) {
 	t.sealed = false
 }
 
+// appendRows appends the rows and extends every built index with them, to
+// exactly what a rebuild over the grown column would produce: hash index
+// row lists gain the new row ids in row order, and an ordered index is
+// replaced by its merge with the new (value, row) pairs.
 func (t *Table) appendRows(rows [][]int64) {
+	base := t.NumRows()
 	for _, row := range rows {
 		if len(row) != len(t.Cols) {
 			panic(fmt.Sprintf("storage: row width %d, table %s has %d columns",
@@ -119,49 +130,71 @@ func (t *Table) appendRows(rows [][]int64) {
 			t.Cols[c] = append(t.Cols[c], v)
 		}
 	}
-	// indexes are stale now; drop them so the next access rebuilds
-	t.hashIdx = make(map[int]*HashIndex)
-	t.ordIdx = make(map[int]*OrderedIndex)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for pos, ix := range t.hashIdx {
+		if ix == nil {
+			continue
+		}
+		for r, v := range t.Cols[pos][base:] {
+			ix.Rows[v] = append(ix.Rows[v], int32(base+r))
+		}
+	}
+	for pos, ix := range t.ordIdx {
+		if ix != nil {
+			t.ordIdx[pos] = ix.merge(sortedPairs(t.Cols[pos][base:], base))
+		}
+	}
 }
 
-// FinishLoad computes per-column statistics (min, max, NDV) into the
-// catalog, then seals the table and builds its encoded column segments.
-// Call once after populating the columns; maintain.RefreshStats calls it
-// again after DML, which rebuilds only the segments the DML invalidated.
-// Both passes fan out across SetBuildWorkers workers (clamped to the core
-// count), byte-equal to serial sealing for any worker count; see parallel.go.
+// FinishLoad seals the table: it computes each column's statistics — the
+// catalog's min, max and NDV and the histogram's ColStats — from one sort of
+// a copy of the column, then builds the encoded column segments. Call once
+// after populating the columns; maintain.RefreshStats calls it again after
+// DML, which re-analyzes the table and rebuilds only the segments the DML
+// invalidated. On a table sealed at the current segment granularity with
+// no append since, it returns at once. Both passes fan out across
+// SetBuildWorkers workers (clamped to the core count), byte-equal to serial
+// sealing for any worker count; see parallel.go.
 func (t *Table) FinishLoad() {
+	if t.sealed && t.segRows == segmentRows {
+		return
+	}
 	workers := buildWorkers
 	if workers > sealWorkerCap {
 		workers = sealWorkerCap
 	}
-	runSealJobs(workers, len(t.Meta.Columns), t.statsColumn)
+	if !t.sealed {
+		stats := make([]*ColStats, len(t.Cols))
+		runSealJobs(workers, len(t.Cols), func(i int) { stats[i] = t.analyzeColumn(i) })
+		t.stats = stats
+	}
 	t.buildSegments(workers)
 	t.sealed = true
 }
 
-// statsColumn computes the catalog statistics for column i — each column's
-// stats are independent and exact (order-insensitive), so FinishLoad fans
-// the columns across workers.
-func (t *Table) statsColumn(i int) {
+// analyzeColumn computes column i's statistics and writes its catalog min,
+// max and NDV. Each column is independent and exact, so FinishLoad fans the
+// columns across workers.
+func (t *Table) analyzeColumn(i int) *ColStats {
+	sorted := sortedCopy(t.Cols[i])
+	cs := statsOfSorted(sorted)
 	meta := t.Meta.Columns[i]
-	col := t.Cols[i]
-	if len(col) == 0 {
-		meta.Min, meta.Max, meta.NDV = 0, 0, 0
-		return
+	meta.Min, meta.Max, meta.NDV = 0, 0, cs.NDV
+	if n := len(sorted); n > 0 {
+		meta.Min, meta.Max = sorted[0], sorted[n-1]
 	}
-	mn, mx := col[0], col[0]
-	distinct := make(map[int64]struct{}, 1024)
-	for _, v := range col {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-		distinct[v] = struct{}{}
+	return cs
+}
+
+// ColStats returns column pos's statistics: the ones computed at seal time
+// while the table is sealed, otherwise a fresh computation over the raw
+// column by the same function.
+func (t *Table) ColStats(pos int) *ColStats {
+	if t.sealed {
+		return t.stats[pos]
 	}
-	meta.Min, meta.Max, meta.NDV = mn, mx, len(distinct)
+	return statsOfSorted(sortedCopy(t.Cols[pos]))
 }
 
 // buildSegments (re)encodes the segment layer. Valid segments from a prior
@@ -219,7 +252,7 @@ func (t *Table) Segments(pos int) []*Segment {
 	return t.segs[pos]
 }
 
-// HashIndex maps a column value to the row IDs holding it.
+// HashIndex maps a column value to the row IDs holding it, in row order.
 type HashIndex struct {
 	Rows map[int64][]int32
 }
@@ -228,13 +261,19 @@ type HashIndex struct {
 func (ix *HashIndex) Lookup(v int64) []int32 { return ix.Rows[v] }
 
 // HashIndex returns (building if necessary) the hash index on column pos.
+// The map is sized from the column's NDV once the table is sealed, from
+// the row count before.
 func (t *Table) HashIndex(pos int) *HashIndex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ix, ok := t.hashIdx[pos]; ok {
+	if ix := t.hashIdx[pos]; ix != nil {
 		return ix
 	}
-	ix := &HashIndex{Rows: make(map[int64][]int32, t.NumRows())}
+	size := t.NumRows()
+	if t.sealed {
+		size = t.Meta.Columns[pos].NDV
+	}
+	ix := &HashIndex{Rows: make(map[int64][]int32, size)}
 	for r, v := range t.Cols[pos] {
 		ix.Rows[v] = append(ix.Rows[v], int32(r))
 	}
@@ -242,7 +281,8 @@ func (t *Table) HashIndex(pos int) *HashIndex {
 	return ix
 }
 
-// OrderedIndex holds (value, row) pairs sorted by value for range scans.
+// OrderedIndex holds (value, row) pairs sorted by value, then row, for
+// range scans.
 type OrderedIndex struct {
 	Vals []int64
 	Rids []int32
@@ -253,16 +293,14 @@ type OrderedIndex struct {
 func (t *Table) OrderedIndex(pos int) *OrderedIndex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ix, ok := t.ordIdx[pos]; ok {
+	if ix := t.ordIdx[pos]; ix != nil {
 		return ix
 	}
-	n := t.NumRows()
-	ix := &OrderedIndex{Vals: make([]int64, n), Rids: make([]int32, n)}
-	copy(ix.Vals, t.Cols[pos])
-	for i := range ix.Rids {
-		ix.Rids[i] = int32(i)
+	ps := sortedPairs(t.Cols[pos], 0)
+	ix := &OrderedIndex{Vals: make([]int64, len(ps)), Rids: make([]int32, len(ps))}
+	for i, p := range ps {
+		ix.Vals[i], ix.Rids[i] = p.v, p.r
 	}
-	sort.Sort(byVal{ix})
 	t.ordIdx[pos] = ix
 	return ix
 }
@@ -278,13 +316,45 @@ func (ix *OrderedIndex) Range(lo, hi int64) []int32 {
 	return ix.Rids[start:end]
 }
 
-type byVal struct{ ix *OrderedIndex }
+// ordPair is one (value, row) entry of an ordered index.
+type ordPair struct {
+	v int64
+	r int32
+}
 
-func (b byVal) Len() int           { return len(b.ix.Vals) }
-func (b byVal) Less(i, j int) bool { return b.ix.Vals[i] < b.ix.Vals[j] }
-func (b byVal) Swap(i, j int) {
-	b.ix.Vals[i], b.ix.Vals[j] = b.ix.Vals[j], b.ix.Vals[i]
-	b.ix.Rids[i], b.ix.Rids[j] = b.ix.Rids[j], b.ix.Rids[i]
+// sortedPairs returns the pairs (vals[i], base+i) sorted by value, then row.
+func sortedPairs(vals []int64, base int) []ordPair {
+	ps := make([]ordPair, len(vals))
+	for i, v := range vals {
+		ps[i] = ordPair{v, int32(base + i)}
+	}
+	slices.SortFunc(ps, func(a, b ordPair) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return int(a.r - b.r)
+	})
+	return ps
+}
+
+// merge returns a new index holding ix's pairs and the sorted pairs add,
+// whose rows all follow ix's: on equal values ix's pairs come first.
+func (ix *OrderedIndex) merge(add []ordPair) *OrderedIndex {
+	n := len(ix.Vals) + len(add)
+	out := &OrderedIndex{Vals: make([]int64, 0, n), Rids: make([]int32, 0, n)}
+	i := 0
+	for _, p := range add {
+		j := i + sort.Search(len(ix.Vals)-i, func(k int) bool { return ix.Vals[i+k] > p.v })
+		out.Vals = append(append(out.Vals, ix.Vals[i:j]...), p.v)
+		out.Rids = append(append(out.Rids, ix.Rids[i:j]...), p.r)
+		i = j
+	}
+	out.Vals = append(out.Vals, ix.Vals[i:]...)
+	out.Rids = append(out.Rids, ix.Rids[i:]...)
+	return out
 }
 
 // Database is a set of loaded tables plus their schema.
