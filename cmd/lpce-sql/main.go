@@ -22,8 +22,8 @@
 //
 // -build-workers fans the initial load's segment sealing (and any later
 // stats refresh) across the given worker count; the sealed table is
-// byte-identical to serial sealing for any value. Zero resolves like
-// engine.Config.BuildWorkers (default ExecWorkers, i.e. serial here).
+// byte-identical to serial sealing for any value. Values below 1 seal
+// serially.
 //
 // With -serve, the process becomes a resident server exposing POST /query,
 // POST /explain, GET /healthz, GET /metrics, and POST /admin/models/swap,
@@ -63,7 +63,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	estName := flag.String("estimator", "lpce-r", "histogram, lpce, or lpce-r")
 	modelsIn := flag.String("models-in", "", "load trained models from this artifact directory instead of training")
-	buildWorkers := flag.Int("build-workers", 0, "parallel segment-sealing workers for the load and stats refresh (0 = engine default)")
+	buildWorkers := flag.Int("build-workers", 0, "parallel segment-sealing workers for the load and stats refresh (<= 1 = serial)")
 	serve := flag.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of the interactive shell")
 	tenants := flag.String("tenants", "default:1", "comma-separated tenant:weight pairs for -serve")
 	maxConcurrent := flag.Int64("max-concurrent", 8, "admission capacity in weight units for -serve")
@@ -76,7 +76,7 @@ func main() {
 
 	// Resolve sealing parallelism before generating: datagen seals every
 	// table at the end of the load.
-	storage.SetBuildWorkers(engine.Config{BuildWorkers: *buildWorkers}.EffectiveBuildWorkers())
+	storage.SetBuildWorkers(*buildWorkers)
 
 	fmt.Printf("generating database (titles=%d)...\n", *titles)
 	db := datagen.Generate(datagen.Config{Titles: *titles, Seed: *seed})

@@ -6,8 +6,8 @@
 //
 // Training is deterministic per (scale, seed) and byte-identical for every
 // -workers value, so artifacts are cacheable by (scale, seed, code
-// version): the CI bench gate trains once, caches the directory, and every
-// subsequent run skips straight to evaluation.
+// version): train once, keep the directory, and every later run skips
+// straight to evaluation.
 //
 // Usage:
 //

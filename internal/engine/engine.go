@@ -67,27 +67,6 @@ type Config struct {
 	// exchange. Results stay byte-identical to the serial path for any value;
 	// <= 1 keeps execution strictly serial.
 	ExecWorkers int
-	// BuildWorkers is the sealing parallelism loaders apply on behalf of
-	// this config (via storage.SetBuildWorkers): FinishLoad fans per-column
-	// statistics and per-(column, segment) encoding across this many
-	// workers, byte-equal to serial sealing for any value. Zero defaults to
-	// ExecWorkers; the effective count also clamps to the host's core count.
-	// The engine itself never seals — resolve the value with
-	// EffectiveBuildWorkers at load/refresh sites.
-	BuildWorkers int
-}
-
-// EffectiveBuildWorkers resolves Config.BuildWorkers: itself when positive,
-// else ExecWorkers, never below 1 (serial).
-func (c Config) EffectiveBuildWorkers() int {
-	w := c.BuildWorkers
-	if w <= 0 {
-		w = c.ExecWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Limits are the per-query resource budgets. The zero value disables every

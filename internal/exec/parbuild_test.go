@@ -18,6 +18,43 @@ import (
 // buildConds is the single-key join condition every build test hashes on.
 var buildConds = []condOffsets{{0, 0}}
 
+// hashBuildRows fabricates n single-column build rows with keys drawn from
+// [0, keySpace) by a fixed-seed LCG — deterministic across runs and hosts.
+func hashBuildRows(n, keySpace int) [][]int64 {
+	rows := make([][]int64, n)
+	vals := make([]int64, n)
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := range rows {
+		state = state*6364136223846793005 + 1442695040888963407
+		vals[i] = int64(state>>33) % int64(keySpace)
+		rows[i] = vals[i : i+1 : i+1]
+	}
+	return rows
+}
+
+// vecTablesEqual reports bitwise layout equality: geometry, slot heads, the
+// hash of every occupied slot, and the full chain-link array (which pins
+// equal-hash chain order down to the last row).
+func vecTablesEqual(a, b *vecTable) bool {
+	if a.mask != b.mask || a.partMask != b.partMask || len(a.next) != len(b.next) {
+		return false
+	}
+	for i := range a.heads {
+		if a.heads[i] != b.heads[i] {
+			return false
+		}
+		if a.heads[i] != -1 && a.hashes[i] != b.hashes[i] {
+			return false
+		}
+	}
+	for i := range a.next {
+		if a.next[i] != b.next[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestBuildEquivalenceWorkerCounts sweeps buildVecTable over sizes and key
 // distributions — heavy duplicate chains through mostly-distinct keys — and
 // requires each parallel worker count to reproduce the serial layout bit for

@@ -66,12 +66,6 @@ type ObsOptions struct {
 	// attempt; an exceeded query fails with *exec.ResourceError and is
 	// counted as degraded.
 	MaxMatRows int64
-	// ExecWorkers, when > 1, adds one extra run per configuration with
-	// morsel-driven intra-query parallelism enabled at that worker count,
-	// named "<config>/px<N>". The base runs stay serial, so the snapshot
-	// carries serial and parallel exec walls side by side for the benchdiff
-	// speedup-sanity gate.
-	ExecWorkers int
 }
 
 // Observability executes the JOB-like named suite under the PostgreSQL,
@@ -107,13 +101,15 @@ func ObservabilityWithOptions(e *Env, opt ObsOptions) (*ObsResult, error) {
 	want := map[string]bool{"PostgreSQL": true, "LPCE-I": true, "LPCE-R": true}
 	res := &ObsResult{Label: fmt.Sprintf("JOB-like suite (%d queries)", len(wl)), Workers: workers}
 	eng := engine.New(e.DB)
-	runOne := func(name string, base engine.Config, execWorkers int) {
+	for _, rc := range e.Configs() {
+		if !want[rc.Name] {
+			continue
+		}
 		o := obs.NewObserver()
-		cfg := base
+		cfg := rc.Cfg
 		cfg.Obs = o
 		cfg.Estimator = cardest.NewCacheWithMetrics(cfg.Estimator, o.Registry())
 		cfg.Limits.MaxMatRows = opt.MaxMatRows
-		cfg.ExecWorkers = execWorkers
 		var execWall atomic.Int64 // summed T_E nanos across workers
 		start := time.Now()
 		errs := workload.RunEach(context.Background(), len(wl), workers, func(i int) error {
@@ -130,7 +126,7 @@ func ObservabilityWithOptions(e *Env, opt ObsOptions) (*ObsResult, error) {
 			}
 			return nil
 		})
-		run := ObsRun{Name: name, Wall: time.Since(start),
+		run := ObsRun{Name: rc.Name, Wall: time.Since(start),
 			ExecWall: time.Duration(execWall.Load()), Report: o.Report()}
 		for _, err := range errs {
 			switch {
@@ -142,15 +138,6 @@ func ObservabilityWithOptions(e *Env, opt ObsOptions) (*ObsResult, error) {
 			}
 		}
 		res.Runs = append(res.Runs, run)
-	}
-	for _, rc := range e.Configs() {
-		if !want[rc.Name] {
-			continue
-		}
-		runOne(rc.Name, rc.Cfg, 0)
-		if opt.ExecWorkers > 1 {
-			runOne(fmt.Sprintf("%s/px%d", rc.Name, opt.ExecWorkers), rc.Cfg, opt.ExecWorkers)
-		}
 	}
 	return res, nil
 }
@@ -227,63 +214,4 @@ func (r *ObsResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// BenchConfigSnapshot is one configuration's entry in the perf snapshot.
-type BenchConfigSnapshot struct {
-	Name        string  `json:"name"`
-	Queries     int     `json:"queries"`
-	Timeouts    int     `json:"timeouts"`
-	Degraded    int     `json:"degraded"`
-	Failed      int     `json:"failed"`
-	Reopts      int     `json:"reopts"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// ExecWallSeconds is the summed executor wall time (T_E) — the
-	// component gated by cmd/benchdiff against batch-executor regressions.
-	ExecWallSeconds float64                 `json:"exec_wall_seconds"`
-	QPS             float64                 `json:"qps"`
-	Phases          []obs.PhaseSummary      `json:"phases"`
-	CE              []obs.CEEstimatorReport `json:"ce_evaluation,omitempty"`
-}
-
-// BenchSnapshot is the machine-readable perf snapshot written as
-// BENCH_e2e.json: per-configuration phase-time distributions and q-error
-// summaries of the JOB-like regression suite, comparable across versions.
-type BenchSnapshot struct {
-	Scale    string                `json:"scale"`
-	Seed     int64                 `json:"seed"`
-	Workload string                `json:"workload"`
-	Workers  int                   `json:"workers"`
-	Configs  []BenchConfigSnapshot `json:"configs"`
-	// Training is the data-parallel training benchmark (serial vs. pooled
-	// workers, bitwise weight comparison), attached when the caller runs it.
-	Training *TrainBenchResult `json:"training,omitempty"`
-	// Exec is the scalar-vs-batch executor benchmark, attached when the
-	// caller runs it.
-	Exec *ExecBenchResult `json:"exec_bench,omitempty"`
-	// Server is the multi-tenant serving benchmark (throughput, latency
-	// percentiles, mid-run hot-swap), attached when the caller runs it.
-	Server *ServerBenchResult `json:"server_bench,omitempty"`
-	// Storage is the segment-scan microbenchmark (raw vs zone-map path,
-	// pruning skip rate), attached when the caller runs it.
-	Storage *StorageBenchResult `json:"storage_bench,omitempty"`
-	// Load is the build-side benchmark (parallel hash-join build and
-	// parallel segment sealing vs their serial oracles, with bitwise layout
-	// parity), attached when the caller runs it.
-	Load *LoadBenchResult `json:"load_bench,omitempty"`
-}
-
-// Snapshot reduces the observability result to the perf snapshot.
-func (r *ObsResult) Snapshot(scale string, seed int64) BenchSnapshot {
-	s := BenchSnapshot{Scale: scale, Seed: seed, Workload: r.Label, Workers: r.Workers}
-	for _, run := range r.Runs {
-		rep := run.Report
-		s.Configs = append(s.Configs, BenchConfigSnapshot{
-			Name: run.Name, Queries: rep.Queries, Timeouts: rep.Timeouts,
-			Degraded: run.Degraded, Failed: run.Failed, Reopts: rep.Reopts,
-			WallSeconds: run.Wall.Seconds(), ExecWallSeconds: run.ExecWall.Seconds(),
-			QPS: run.QPS(), Phases: rep.Phases, CE: rep.CE,
-		})
-	}
-	return s
 }

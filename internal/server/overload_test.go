@@ -5,12 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/lpce-db/lpce/internal/core"
+	"github.com/lpce-db/lpce/internal/engine"
+	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/obs"
+	"github.com/lpce-db/lpce/internal/sqlparse"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
 )
@@ -144,6 +151,108 @@ func TestServerRateLimitedQuery(t *testing.T) {
 	if n := m.Counters["tenant.beta.server.served"]; n != 1 {
 		t.Fatalf("beta served = %d, want 1", n)
 	}
+}
+
+// TestServerBackoffClientsAllServedAcrossSwap pins the property of a
+// sustainable rate limit: under a per-tenant bucket of 200 qps and burst 4,
+// clients that back off by the server's Retry-After hints get every query
+// served, with the bare engine's count, while a model hot-swap lands mid-run.
+// Each tenant has one closed-loop client, so a client that waits out its
+// hint finds the token it was promised: the outcome does not depend on how
+// fast queries run, which keeps the case deterministic under -race on one
+// core. Client retries must equal the server's rate-limit sheds exactly.
+func TestServerBackoffClientsAllServedAcrossSwap(t *testing.T) {
+	db, enc, set := fixture(t)
+	const perTenant = 24
+	tenants := []string{"alpha", "beta"}
+
+	eng := engine.New(db)
+	hist := histogram.NewEstimator(db)
+	oracle := make(map[string]int)
+	for i := 0; i < 3; i++ {
+		q, err := sqlparse.Parse(db.Schema, testSQL(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Execute(q, engine.Config{Estimator: hist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle[testSQL(i)] = res.Count
+	}
+
+	cfg := histConfig(db)
+	cfg.Enc, cfg.Mode, cfg.Models = enc, ModeLPCER, set
+	for i := range cfg.Tenants {
+		cfg.Tenants[i].RateQPS, cfg.Tenants[i].RateBurst = 200, 4
+	}
+	s := mustServer(t, cfg)
+
+	backoff := workload.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxAttempts: 8, Seed: 42}
+	var (
+		done     atomic.Int64
+		swapOnce sync.Once
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		versions = map[string]int{}
+	)
+	retries := make([]int64, len(tenants))
+	errs := make([]error, len(tenants))
+	for ti, tenant := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perTenant; i++ {
+				sql := testSQL(i)
+				var res *QueryResult
+				attempts, err := backoff.Retry(context.Background(), uint64(ti*perTenant+i), nil, func() error {
+					var qerr error
+					res, qerr = s.Query(context.Background(), QueryRequest{Tenant: tenant, Session: tenant, SQL: sql})
+					return qerr
+				})
+				retries[ti] += int64(attempts - 1)
+				if err != nil {
+					errs[ti] = fmt.Errorf("%s query %d not served after %d attempts: %w", tenant, i, attempts, err)
+					return
+				}
+				if res.Count != oracle[sql] {
+					errs[ti] = fmt.Errorf("%s query %d: count %d, bare engine %d", tenant, i, res.Count, oracle[sql])
+					return
+				}
+				mu.Lock()
+				versions[res.ModelVersion]++
+				mu.Unlock()
+				if done.Add(1) == perTenant {
+					swapOnce.Do(func() {
+						s.InstallEstimator("swap-v2", &core.TreeEstimator{Label: "lpce-i", Model: set.LPCEI.Model, Enc: enc}, set.Refiner)
+					})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := s.MetricsSnapshot()
+	if n := m.Counters["server.model_swaps"]; n != 1 {
+		t.Fatalf("model swaps = %d, want 1", n)
+	}
+	if versions["boot"] == 0 || versions["swap-v2"] == 0 {
+		t.Fatalf("queries by serving version %v: the swap did not land mid-run", versions)
+	}
+	for ti, tenant := range tenants {
+		if n := m.Counters["tenant."+tenant+".server.served"]; n != perTenant {
+			t.Fatalf("%s served = %d, want %d", tenant, n, perTenant)
+		}
+		if n := m.Counters["tenant."+tenant+".server.shed.rate_limited"]; n != retries[ti] {
+			t.Fatalf("%s: server counted %d rate-limit sheds, client retried %d times", tenant, n, retries[ti])
+		}
+	}
+	t.Logf("retries per tenant %v, queries by version %v", retries, versions)
 }
 
 // TestHTTPRetryAfterHeaders asserts the Retry-After header on every shed

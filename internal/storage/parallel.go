@@ -17,8 +17,7 @@ import (
 // buildWorkers is the requested parallelism for sealing work (FinishLoad,
 // and through it maintain.RefreshStats). The effective count additionally
 // clamps to sealWorkerCap and to the number of jobs. It defaults to serial;
-// engine.Config.BuildWorkers / lpce-bench -build-workers / lpce-sql
-// -build-workers raise it (defaulting to their ExecWorkers).
+// lpce-sql -build-workers raises it.
 var buildWorkers = 1
 
 // SetBuildWorkers sets the sealing parallelism for tables sealed after the
@@ -33,9 +32,6 @@ func SetBuildWorkers(n int) (restore func()) {
 	buildWorkers = n
 	return func() { buildWorkers = old }
 }
-
-// BuildWorkers reports the current requested sealing parallelism.
-func BuildWorkers() int { return buildWorkers }
 
 // sealWorkerCap clamps the effective sealing workers to the host's core
 // count, mirroring the executor's exchange clamp — extra goroutines on a

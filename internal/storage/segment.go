@@ -28,8 +28,7 @@ import (
 const DefaultSegmentRows = 4096
 
 // segmentRows is the build-time segment granularity. Tests shrink it (via
-// SetSegmentRows) to exercise multi-segment pruning on tiny fixtures;
-// cmd/lpce-bench exposes it as -segment-rows.
+// SetSegmentRows) to exercise multi-segment pruning on tiny fixtures.
 var segmentRows = DefaultSegmentRows
 
 // SetSegmentRows overrides the segment granularity for tables sealed after
@@ -43,9 +42,6 @@ func SetSegmentRows(n int) (restore func()) {
 	segmentRows = n
 	return func() { segmentRows = old }
 }
-
-// SegmentRows reports the current build-time segment granularity.
-func SegmentRows() int { return segmentRows }
 
 // SegEncoding identifies how one segment stores its values.
 type SegEncoding uint8
