@@ -267,10 +267,10 @@ func newOptimizer(e *experiments.Env) *optimizer.Optimizer {
 
 // --- Concurrent workload execution: pool + shared estimate cache ---
 
-// BenchmarkParallelWorkload measures aggregate workload throughput at one
+// BenchmarkConcurrentWorkload measures aggregate workload throughput at one
 // worker (the serial baseline on the same code path) and at GOMAXPROCS
 // workers, with the histogram stack. b.N counts executed queries.
-func BenchmarkParallelWorkload(b *testing.B) {
+func BenchmarkConcurrentWorkload(b *testing.B) {
 	e := benchSetup(b)
 	cfg := engine.Config{Estimator: e.Histogram, Budget: 100_000_000}
 	for _, workers := range []int{1, 0} {

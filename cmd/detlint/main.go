@@ -1,9 +1,10 @@
 // Command detlint is a vet-style determinism lint for the repository's hot
 // paths. It fails on `for ... range` statements over map-typed expressions
 // in the named packages: map iteration order is randomized per run, so a
-// map range in the executor, storage, or serving path silently breaks the
-// byte-identity contract (identical results, work charges, and checkpoint
-// sequences for any worker count) that the equivalence suites enforce.
+// map range in the executor, storage, or serving path can silently break
+// the byte-identity the equivalence suites enforce: results, work charges
+// and checkpoint sequences identical to the reference evaluator and to the
+// pinned golden values, run after run.
 //
 // Usage:
 //

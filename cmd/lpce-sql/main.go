@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lpce-sql [-titles N] [-seed N] [-estimator histogram|lpce|lpce-r]
-//	         [-models-in dir] [-build-workers N] [-serve addr]
+//	         [-models-in dir] [-serve addr]
 //	         [-tenants a:1,b:2] [-rate-qps N] [-rate-burst N]
 //
 // Interactive shell commands:
@@ -20,11 +20,6 @@
 // modelio directory (written by cmd/lpce-train against the same -titles and
 // -seed) instead of retraining at startup.
 //
-// -build-workers fans the initial load's segment sealing (and any later
-// stats refresh) across the given worker count; the sealed table is
-// byte-identical to serial sealing for any value. Values below 1 seal
-// serially.
-//
 // With -serve, the process becomes a resident server exposing POST /query,
 // POST /explain, GET /healthz, GET /metrics, and POST /admin/models/swap,
 // with per-tenant namespaces and admission control; SIGINT/SIGTERM drains
@@ -37,6 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -59,40 +55,57 @@ import (
 )
 
 func main() {
-	titles := flag.Int("titles", 1500, "rows in the central title table")
-	seed := flag.Int64("seed", 1, "random seed")
-	estName := flag.String("estimator", "lpce-r", "histogram, lpce, or lpce-r")
-	modelsIn := flag.String("models-in", "", "load trained models from this artifact directory instead of training")
-	buildWorkers := flag.Int("build-workers", 0, "parallel segment-sealing workers for the load and stats refresh (<= 1 = serial)")
-	serve := flag.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of the interactive shell")
-	tenants := flag.String("tenants", "default:1", "comma-separated tenant:weight pairs for -serve")
-	maxConcurrent := flag.Int64("max-concurrent", 8, "admission capacity in weight units for -serve")
-	maxQueue := flag.Int("max-queue", 32, "admission wait-queue bound for -serve")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline for -serve")
-	cacheCap := flag.Int("cache-cap", 65536, "per-tenant estimate-cache capacity for -serve (0 = unbounded)")
-	rateQPS := flag.Float64("rate-qps", 0, "per-tenant sustained request rate for -serve (0 = unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "per-tenant token-bucket burst depth for -serve (0 = default)")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// Resolve sealing parallelism before generating: datagen seals every
-	// table at the end of the load.
-	storage.SetBuildWorkers(*buildWorkers)
+// realMain runs the command and returns its exit status. Flags that can be
+// wrong are checked before the database is generated, so a typo fails at
+// once instead of after set-up.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lpce-sql", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	titles := fs.Int("titles", 1500, "rows in the central title table")
+	seed := fs.Int64("seed", 1, "random seed")
+	estName := fs.String("estimator", "lpce-r", "histogram, lpce, or lpce-r")
+	modelsIn := fs.String("models-in", "", "load trained models from this artifact directory instead of training")
+	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of the interactive shell")
+	tenants := fs.String("tenants", "default:1", "comma-separated tenant:weight pairs for -serve")
+	maxConcurrent := fs.Int64("max-concurrent", 8, "admission capacity in weight units for -serve")
+	maxQueue := fs.Int("max-queue", 32, "admission wait-queue bound for -serve")
+	timeout := fs.Duration("timeout", 30*time.Second, "default per-query deadline for -serve")
+	cacheCap := fs.Int("cache-cap", 65536, "per-tenant estimate-cache capacity for -serve (0 = unbounded)")
+	rateQPS := fs.Float64("rate-qps", 0, "per-tenant sustained request rate for -serve (0 = unlimited)")
+	rateBurst := fs.Int("rate-burst", 0, "per-tenant token-bucket burst depth for -serve (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch *estName {
+	case "histogram", "lpce", "lpce-r":
+	default:
+		fmt.Fprintf(stderr, "unknown -estimator %q (want histogram, lpce, or lpce-r)\n", *estName)
+		return 2
+	}
+	tcs, err := parseTenants(*tenants)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
-	fmt.Printf("generating database (titles=%d)...\n", *titles)
+	fmt.Fprintf(stdout, "generating database (titles=%d)...\n", *titles)
 	db := datagen.Generate(datagen.Config{Titles: *titles, Seed: *seed})
 	enc := encode.NewEncoder(db.Schema)
 
-	est, refiner, set, err := buildEstimator(db, enc, *estName, *modelsIn, *seed)
+	est, refiner, set, err := buildEstimator(stdout, db, enc, *estName, *modelsIn, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	if *serve != "" {
-		if err := runServer(db, enc, set, serveOptions{
+		if err := runServer(stdout, db, enc, set, serveOptions{
 			addr:          *serve,
 			mode:          *estName,
-			tenants:       *tenants,
+			tenants:       tcs,
 			maxConcurrent: *maxConcurrent,
 			maxQueue:      *maxQueue,
 			timeout:       *timeout,
@@ -100,36 +113,36 @@ func main() {
 			rateQPS:       *rateQPS,
 			rateBurst:     *rateBurst,
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
-	runShell(db, est, refiner, *seed)
+	if err := runShell(stdout, db, est, refiner, *seed); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
 
 // buildEstimator resolves -estimator/-models-in into the serving stack: the
 // estimator, the optional refiner, and (for the model modes) the artifact
-// set the server boots from.
-func buildEstimator(db *storage.Database, enc *encode.Encoder, estName, modelsIn string, seed int64) (cardest.Estimator, *core.Refiner, *modelio.Set, error) {
-	var est cardest.Estimator = histogram.NewEstimator(db)
-	if estName != "lpce" && estName != "lpce-r" {
-		if estName != "histogram" {
-			return nil, nil, nil, fmt.Errorf("unknown -estimator %q (want histogram, lpce, or lpce-r)", estName)
-		}
-		return est, nil, nil, nil
+// set the server boots from. estName is one of the values realMain accepts.
+func buildEstimator(w io.Writer, db *storage.Database, enc *encode.Encoder, estName, modelsIn string, seed int64) (cardest.Estimator, *core.Refiner, *modelio.Set, error) {
+	if estName == "histogram" {
+		return histogram.NewEstimator(db), nil, nil, nil
 	}
 
 	var set *modelio.Set
 	if modelsIn != "" {
-		fmt.Printf("loading trained models from %s...\n", modelsIn)
+		fmt.Fprintf(w, "loading trained models from %s...\n", modelsIn)
 		loaded, err := modelio.LoadSet(modelsIn, enc, db)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		set = loaded
 	} else {
-		fmt.Println("training LPCE models (a few seconds)...")
+		fmt.Fprintln(w, "training LPCE models (a few seconds)...")
 		gen := workload.NewGenerator(db, seed+1)
 		samples, _ := core.CollectSamples(db, histogram.NewEstimator(db),
 			gen.QueriesRange(180, 2, 6), 40_000_000)
@@ -149,7 +162,7 @@ func buildEstimator(db *storage.Database, enc *encode.Encoder, estName, modelsIn
 	if set.LPCEI == nil {
 		return nil, nil, nil, fmt.Errorf("artifact set has no LPCE-I model")
 	}
-	est = &core.TreeEstimator{Label: "lpce-i", Model: set.LPCEI.Model, Enc: enc}
+	est := &core.TreeEstimator{Label: "lpce-i", Model: set.LPCEI.Model, Enc: enc}
 	var refiner *core.Refiner
 	if estName == "lpce-r" {
 		if set.Refiner == nil {
@@ -163,7 +176,7 @@ func buildEstimator(db *storage.Database, enc *encode.Encoder, estName, modelsIn
 type serveOptions struct {
 	addr          string
 	mode          string
-	tenants       string
+	tenants       []server.TenantConfig
 	maxConcurrent int64
 	maxQueue      int
 	timeout       time.Duration
@@ -172,15 +185,25 @@ type serveOptions struct {
 	rateBurst     int
 }
 
-// parseTenants parses "alpha:2,beta:1" (weight optional, default 1).
+// parseTenants parses "alpha:2,beta:1" (weight optional, default 1). It
+// rejects empty and duplicate names itself, as server.New would, so the
+// error comes before set-up.
 func parseTenants(spec string) ([]server.TenantConfig, error) {
 	var out []server.TenantConfig
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		name, weightStr, hasWeight := strings.Cut(part, ":")
+		if name == "" {
+			return nil, fmt.Errorf("empty tenant name in %q", part)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("duplicate tenant %q", name)
+		}
+		seen[name] = true
 		tc := server.TenantConfig{Name: name, Weight: 1}
 		if hasWeight {
 			w, err := strconv.ParseInt(weightStr, 10, 64)
@@ -199,11 +222,8 @@ func parseTenants(spec string) ([]server.TenantConfig, error) {
 
 // runServer runs the resident HTTP server until SIGINT/SIGTERM, then drains
 // in-flight queries (30s grace) before exiting.
-func runServer(db *storage.Database, enc *encode.Encoder, set *modelio.Set, opts serveOptions) error {
-	tcs, err := parseTenants(opts.tenants)
-	if err != nil {
-		return err
-	}
+func runServer(w io.Writer, db *storage.Database, enc *encode.Encoder, set *modelio.Set, opts serveOptions) error {
+	tcs := opts.tenants
 	// -rate-qps/-rate-burst apply uniformly to every tenant: the flags set a
 	// per-tenant bucket, not a shared one, matching server.TenantConfig.
 	for i := range tcs {
@@ -232,7 +252,7 @@ func runServer(db *storage.Database, enc *encode.Encoder, set *modelio.Set, opts
 	for i, tc := range tcs {
 		names[i] = fmt.Sprintf("%s(w=%d)", tc.Name, tc.Weight)
 	}
-	fmt.Printf("serving on %s (mode=%s, tenants=%s); Ctrl-C to drain and exit\n",
+	fmt.Fprintf(w, "serving on %s (mode=%s, tenants=%s); Ctrl-C to drain and exit\n",
 		opts.addr, opts.mode, strings.Join(names, ","))
 
 	sig := make(chan os.Signal, 1)
@@ -242,47 +262,47 @@ func runServer(db *storage.Database, enc *encode.Encoder, set *modelio.Set, opts
 		_ = srv.Close(context.Background())
 		return err
 	case s := <-sig:
-		fmt.Printf("\n%v: draining...\n", s)
+		fmt.Fprintf(w, "\n%v: draining...\n", s)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_ = hs.Shutdown(ctx)
 	if err := srv.Close(ctx); err != nil {
-		fmt.Printf("drain cut short: %v\n", err)
+		fmt.Fprintf(w, "drain cut short: %v\n", err)
 	} else {
-		fmt.Println("drained cleanly")
+		fmt.Fprintln(w, "drained cleanly")
 	}
 	return nil
 }
 
-// runShell is the interactive loop.
-func runShell(db *storage.Database, est cardest.Estimator, refiner *core.Refiner, seed int64) {
+// runShell is the interactive loop over stdin. It returns a read error of
+// stdin, if any.
+func runShell(w io.Writer, db *storage.Database, est cardest.Estimator, refiner *core.Refiner, seed int64) error {
 	eng := engine.New(db)
 	gen := workload.NewGenerator(db, seed+1)
-	fmt.Printf("ready (estimator=%s). Try \\tables, \\sample 4, or a SELECT COUNT(*) query.\n", est.Name())
+	fmt.Fprintf(w, "ready (estimator=%s). Try \\tables, \\sample 4, or a SELECT COUNT(*) query.\n", est.Name())
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
-		fmt.Print("lpce> ")
+		fmt.Fprint(w, "lpce> ")
 		if !sc.Scan() {
-			fmt.Println()
+			fmt.Fprintln(w)
 			if err := sc.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "stdin: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("stdin: %w", err)
 			}
-			return
+			return nil
 		}
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "":
 			continue
 		case line == `\quit` || line == `\q`:
-			return
+			return nil
 		case line == `\tables`:
 			for _, t := range db.Tables {
-				fmt.Printf("  %-18s %8d rows  %d columns\n", t.Meta.Name, t.NumRows(), len(t.Meta.Columns))
+				fmt.Fprintf(w, "  %-18s %8d rows  %d columns\n", t.Meta.Name, t.NumRows(), len(t.Meta.Columns))
 			}
 		case strings.HasPrefix(line, `\sample`):
 			joins := 4
@@ -291,34 +311,34 @@ func runShell(db *storage.Database, est cardest.Estimator, refiner *core.Refiner
 					joins = n
 				}
 			}
-			fmt.Println(" ", gen.Query(joins).SQL())
+			fmt.Fprintln(w, " ", gen.Query(joins).SQL())
 		case strings.HasPrefix(strings.ToUpper(line), "EXPLAIN"):
 			sql := strings.TrimSpace(line[len("EXPLAIN"):])
 			q, err := sqlparse.Parse(db.Schema, sql)
 			if err != nil {
-				fmt.Println(" ", err)
+				fmt.Fprintln(w, " ", err)
 				continue
 			}
 			out, err := eng.Explain(q, est)
 			if err != nil {
-				fmt.Println(" ", err)
+				fmt.Fprintln(w, " ", err)
 				continue
 			}
-			fmt.Println(out)
+			fmt.Fprintln(w, out)
 		default:
 			q, err := sqlparse.Parse(db.Schema, line)
 			if err != nil {
-				fmt.Println(" ", err)
+				fmt.Fprintln(w, " ", err)
 				continue
 			}
 			out, _, err := eng.ExplainAnalyze(q, engine.Config{
 				Estimator: est, Refiner: refiner, Budget: 500_000_000,
 			})
 			if err != nil {
-				fmt.Println(" ", err)
+				fmt.Fprintln(w, " ", err)
 				continue
 			}
-			fmt.Println(out)
+			fmt.Fprintln(w, out)
 		}
 	}
 }

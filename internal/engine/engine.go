@@ -61,12 +61,6 @@ type Config struct {
 	// builds. It exists for the fault-injection harness; production configs
 	// leave it nil.
 	ExecWrap exec.WrapFunc
-	// ExecWorkers enables morsel-driven intra-query parallelism in the
-	// executor: eligible scan→hash-join pipelines are split into morsels and
-	// probed by up to ExecWorkers goroutines behind an order-preserving
-	// exchange. Results stay byte-identical to the serial path for any value;
-	// <= 1 keeps execution strictly serial.
-	ExecWorkers int
 }
 
 // Limits are the per-query resource budgets. The zero value disables every
@@ -201,7 +195,7 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 		ectx := &exec.Ctx{
 			DB: e.DB, Q: q, Controller: ctrl, Budget: cfg.Budget, Trace: qt.NewRound(),
 			Context: ctx, MaxMatRows: cfg.Limits.MaxMatRows, Wrap: cfg.ExecWrap,
-			ExecWorkers: cfg.ExecWorkers, Metrics: cfg.Obs.Registry(),
+			Metrics: cfg.Obs.Registry(),
 		}
 		execStart := time.Now()
 		count, err := exec.Run(ectx, p)

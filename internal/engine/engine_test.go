@@ -81,43 +81,6 @@ func TestExecuteWithHistogram(t *testing.T) {
 	}
 }
 
-// TestExecWorkersMatchesSerial threads the Config.ExecWorkers knob end to
-// end: counts, executor work, and reopt behaviour must be identical to the
-// serial engine for every worker count, including with a refiner-driven
-// controller attached.
-func TestExecWorkersMatchesSerial(t *testing.T) {
-	t.Cleanup(exec.SetMorselSize(64)) // tiny fixtures must split into many morsels
-	t.Cleanup(exec.SetExchangeWorkerCap(64))
-	db, _, _ := fixture(t)
-	e := New(db)
-	g := workload.NewGenerator(db, 117)
-	for i := 0; i < 6; i++ {
-		q := g.Query(2 + i%3)
-		base := Config{Estimator: histogram.NewEstimator(db)}
-		sres, err := e.Execute(q, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			cfg := base
-			cfg.ExecWorkers = w
-			pres, err := e.Execute(q, cfg)
-			if err != nil {
-				t.Fatalf("%s w=%d: %v", q.SQL(), w, err)
-			}
-			if pres.Count != sres.Count {
-				t.Fatalf("%s w=%d: count %d, serial %d", q.SQL(), w, pres.Count, sres.Count)
-			}
-			if pres.ExecWork != sres.ExecWork {
-				t.Fatalf("%s w=%d: work %d, serial %d", q.SQL(), w, pres.ExecWork, sres.ExecWork)
-			}
-			if pres.Reopts != sres.Reopts {
-				t.Fatalf("%s w=%d: reopts %d, serial %d", q.SQL(), w, pres.Reopts, sres.Reopts)
-			}
-		}
-	}
-}
-
 func TestExecuteWithLPCEI(t *testing.T) {
 	db, lpcei, _ := fixture(t)
 	e := New(db)

@@ -114,7 +114,6 @@ func Run(ctx *Ctx, root *plan.Node) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	op = maybeExchange(ctx, op)
 	defer op.Close()
 	if err := op.Open(ctx); err != nil {
 		return 0, err
@@ -142,7 +141,6 @@ func Run(ctx *Ctx, root *plan.Node) (int, error) {
 // tuples up to and including the first exceeding row, so the work counter
 // and the *ResourceError payload do not depend on batch boundaries.
 func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) {
-	op = maybeExchange(ctx, op)
 	// Close the child on every exit, not just the clean one: a budget or
 	// cancellation error during build-side materialization must still tear
 	// down the child's subtree. Closes are idempotent, so callers like

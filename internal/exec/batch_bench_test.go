@@ -198,44 +198,24 @@ func TestBatchProbeAllocsPerTuple(t *testing.T) {
 	}
 }
 
-// TestBuildScratchRecycled asserts the build scratch (chain tails, and on
-// the parallel path the row hashes) recycles through the Ctx free-list: a
-// warm context's serial build allocates only the vecTable itself — struct
-// plus its three arrays — while a fresh context pays for the tails scratch
-// on top of that.
+// TestBuildScratchRecycled asserts the chain-tail scratch recycles through
+// the Ctx: a warm context's build allocates only the vecTable itself —
+// struct plus its three arrays — while a fresh context pays for the tails
+// scratch on top of that.
 func TestBuildScratchRecycled(t *testing.T) {
 	rows := hashBuildRows(4096, 256)
 	warmCtx := &Ctx{}
-	buildVecTable(warmCtx, rows, buildConds, 1)
+	buildVecTable(warmCtx, rows, buildConds)
 	warm := testing.AllocsPerRun(10, func() {
-		buildVecTable(warmCtx, rows, buildConds, 1)
+		buildVecTable(warmCtx, rows, buildConds)
 	})
 	fresh := testing.AllocsPerRun(10, func() {
-		buildVecTable(&Ctx{}, rows, buildConds, 1)
+		buildVecTable(&Ctx{}, rows, buildConds)
 	})
 	if warm > 4 {
 		t.Fatalf("warm build allocates %v blocks, want ≤ 4 (scratch not recycled)", warm)
 	}
 	if warm >= fresh {
 		t.Fatalf("warm build allocates %v blocks vs fresh %v, want fewer", warm, fresh)
-	}
-}
-
-// TestBuildScratchParallelReturned asserts a parallel build hands both
-// scratch buffers back to its Ctx, sized for reuse by the next build in the
-// same execution.
-func TestBuildScratchParallelReturned(t *testing.T) {
-	old := morselSize
-	morselSize = 64
-	t.Cleanup(func() { morselSize = old })
-	t.Cleanup(SetExchangeWorkerCap(8))
-	ctx := &Ctx{}
-	rows := hashBuildRows(5000, 256)
-	buildVecTable(ctx, rows, buildConds, 4)
-	if cap(ctx.buildHashes) < len(rows) {
-		t.Fatalf("hash scratch not returned: cap %d, want ≥ %d", cap(ctx.buildHashes), len(rows))
-	}
-	if cap(ctx.buildTails) == 0 {
-		t.Fatal("tails scratch not returned")
 	}
 }

@@ -106,7 +106,7 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 		return err
 	}
 	h.rows = rows
-	h.table = buildVecTable(ctx, rows, h.conds, ctx.ExecWorkers)
+	h.table = buildVecTable(ctx, rows, h.conds)
 	// CHECK: the inner sub-plan is fully materialized; report its exact
 	// cardinality (paper Figure 10a).
 	if err = checkpoint(ctx, h.node.Right, rows); err != nil {

@@ -23,12 +23,12 @@ type batchSeqScan struct {
 	node  *plan.Node
 	table *storage.Table
 	cols  []int         // live column positions, in tuple order
-	zs    *segScanState // shared read-only with morsel replicas; nil = raw
+	zs    *segScanState // nil = raw
 	row   int
-	end   int // one past the last physical row to scan (morsel bound)
+	end   int // the table's row count at Open
 	count int
 	sel   []int32
-	buf   []int64 // replica-private segment decode scratch
+	buf   []int64 // segment decode scratch
 	out   Batch
 }
 
@@ -224,11 +224,10 @@ type batchIndexScan struct {
 	node  *plan.Node
 	table *storage.Table
 	cols  []int         // live column positions, in tuple order
-	zs    *segScanState // shared read-only with morsel replicas; nil = raw
+	zs    *segScanState // nil = raw
 	rids  []int32
 	rest  []query.Predicate
 	pos   int
-	end   int // one past the last rid position to scan (morsel bound)
 	count int
 	sel   []int32
 	out   Batch
@@ -258,18 +257,14 @@ func (s *batchIndexScan) Open(ctx *Ctx) error {
 		return err
 	}
 	s.rids = rids
-	s.end = len(rids)
 	s.zs = newSegScanState(ctx, s.table, s.rest, false)
 	return nil
 }
 
 func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
-	for s.pos < s.end {
+	for s.pos < len(s.rids) {
 		lo := s.pos
-		hi := lo + BatchSize
-		if hi > s.end {
-			hi = s.end
-		}
+		hi := min(lo+BatchSize, len(s.rids))
 		s.pos = hi
 		if err := ctx.charge(int64(hi - lo)); err != nil {
 			return nil, err
@@ -310,7 +305,6 @@ type batchMatScan struct {
 	node  *plan.Node
 	width int
 	pos   int
-	end   int // one past the last materialized row to replay (morsel bound)
 	out   Batch
 }
 
@@ -320,21 +314,17 @@ func newBatchMatScan(ctx *Ctx, n *plan.Node) *batchMatScan {
 
 func (s *batchMatScan) Open(ctx *Ctx) error {
 	s.pos = 0
-	s.end = len(s.node.Mat.Rows)
 	return checkMatLayout(ctx, s.node)
 }
 
 func (s *batchMatScan) NextBatch(ctx *Ctx) (*Batch, error) {
 	rows := s.node.Mat.Rows
-	if s.pos >= s.end {
+	if s.pos >= len(rows) {
 		s.node.TrueCard = float64(len(rows))
 		return nil, nil
 	}
 	lo := s.pos
-	hi := lo + BatchSize
-	if hi > s.end {
-		hi = s.end
-	}
+	hi := min(lo+BatchSize, len(rows))
 	s.pos = hi
 	if err := ctx.charge(int64(hi - lo)); err != nil {
 		return nil, err

@@ -91,7 +91,7 @@ func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, erro
 	if err := ctx.charge(int64(len(build))); err != nil {
 		return nil, err
 	}
-	table := buildVecTable(ctx, build, conds, 1)
+	table := buildVecTable(ctx, build, conds)
 
 	// a match costs 1 per candidate plus the width-weighted charge that
 	// makes the budget bound buffered memory (logical width, see matCost)

@@ -1,8 +1,7 @@
 // Package exec implements the pipelined execution engine: Volcano-style
-// operators that pull batches of up to BatchSize tuples (batch.go), with
-// morsel-driven intra-query parallelism behind an order-preserving exchange
-// (exchange.go). It mirrors the PostgreSQL behaviours the paper depends on
-// (§6):
+// operators that pull batches of up to BatchSize tuples (batch.go) on the
+// caller's goroutine. It mirrors the PostgreSQL behaviours the paper depends
+// on (§6):
 //
 //   - pipelined processing: tuples flow through operators without
 //     materialization except at pipeline breakers;
@@ -91,8 +90,6 @@ func (NopController) OnMaterialized(*plan.Node, [][]int64) error { return nil }
 // operator it creates (outermost, above the tracing shim). The
 // fault-injection harness uses it to wrap chosen operators with injected
 // errors and stalls; a nil WrapFunc costs one pointer check per Build call.
-// A wrapped operator is opaque to the morsel exchange, so the pipeline it
-// sits in runs serially.
 type WrapFunc func(ctx *Ctx, op BatchOperator, n *plan.Node) BatchOperator
 
 // Ctx carries the per-execution state shared by all operators.
@@ -125,28 +122,14 @@ type Ctx struct {
 	// (storage.segments_total, storage.segments_skipped,
 	// storage.bytes_decoded). Scans resolve their counters once in Open, so
 	// a nil registry costs nothing on the per-batch paths.
-	Metrics *obs.Registry
-	// ExecWorkers enables morsel-driven intra-query parallelism: Run and
-	// drainBatch wrap eligible pipelines in an order-preserving exchange
-	// running up to ExecWorkers goroutines. Values <= 1 keep execution
-	// strictly serial. Results are byte-identical for any worker count (see
-	// exchange.go).
-	ExecWorkers int
-	work        int64
-	matRows     int64
-	nextPoll    int64
-	// rec, when non-nil, marks this Ctx as a morsel worker's replica context:
-	// charge records work into the recorder instead of mutating budget state,
-	// and the exchange coordinator replays the recorded amounts on the real
-	// Ctx in deterministic morsel order.
-	rec *morselRecorder
-	// buildHashes and buildTails recycle buildVecTable's scratch across the
+	Metrics  *obs.Registry
+	work     int64
+	matRows  int64
+	nextPoll int64
+	// buildTails recycles buildVecTable's chain-tail scratch across the
 	// hash-join builds of one execution (a multi-join plan builds one table
-	// per hash join), like the exchange's arena free-list. Builds all run on
-	// the goroutine executing pipeline-breaker Opens — replica contexts
-	// (rec != nil) never build — so take/put need no lock.
-	buildHashes []uint64
-	buildTails  []int32
+	// per hash join).
+	buildTails []int32
 	// layouts memoizes plan.NewLayout per table subset: every join node
 	// resolves left/right/output layouts, and without the cache plan
 	// construction recomputes the same layouts once per node per helper
@@ -169,42 +152,9 @@ func (c *Ctx) Layout(mask query.BitSet) *plan.Layout {
 	return l
 }
 
-// takeBuildHashes steals the recycled hash scratch buffer, allocating only
-// when the previous build was smaller. Contents are stale; buildVecTable
-// overwrites every element before reading.
-func (c *Ctx) takeBuildHashes(n int) []uint64 {
-	b := c.buildHashes
-	if cap(b) < n {
-		b = make([]uint64, n)
-	}
-	c.buildHashes = nil
-	return b[:n]
-}
-
-// putBuildHashes returns the hash scratch for the next build to steal.
-func (c *Ctx) putBuildHashes(b []uint64) { c.buildHashes = b }
-
-// takeBuildTails steals the recycled chain-tail scratch (slot-indexed; see
-// vecTable.insert for why stale contents are harmless).
-func (c *Ctx) takeBuildTails(n int) []int32 {
-	b := c.buildTails
-	if cap(b) < n {
-		b = make([]int32, n)
-	}
-	c.buildTails = nil
-	return b[:n]
-}
-
-// putBuildTails returns the chain-tail scratch for the next build to steal.
-func (c *Ctx) putBuildTails(b []int32) { c.buildTails = b }
-
 // charge consumes n work units, failing when the budget is exhausted or the
-// context is cancelled. On a morsel worker's replica context the units are
-// recorded instead, to be replayed serially by the exchange coordinator.
+// context is cancelled.
 func (c *Ctx) charge(n int64) error {
-	if c.rec != nil {
-		return c.rec.charge(n)
-	}
 	c.work += n
 	if c.Budget > 0 && c.work > c.Budget {
 		return ErrBudget

@@ -30,7 +30,7 @@ import (
 //     checkpoint (mask, card) sequences and the typed errors under a work
 //     budget and a materialized-rows limit, per plan variant, plus the
 //     training-sample collector's work, TrueCards and budget outcome. The
-//     executor at 1/2/4/8 workers must reproduce the pinned line.
+//     executor must reproduce the pinned line.
 
 var updatePins = flag.Bool("update-pins", false,
 	"rewrite testdata/projection_pins.golden from this build instead of checking it (only meaningful on a commit whose accounting is the reference)")
@@ -227,21 +227,21 @@ func errPin(err error) string {
 	}
 }
 
-// observe runs one plan variant at one worker count — unlimited, then
-// under half its work budget and under half its materialized rows — and
+// observe runs one plan variant — unlimited, then under half its work
+// budget and under half its materialized rows — and
 // renders every pinned observable as one line. With ref set, the unlimited
 // run's checkpoint rows and final count are checked against the reference.
-func observe(t *testing.T, db *storage.Database, q *query.Query, p *plan.Node, name string, workers int, ref *refEval) string {
+func observe(t *testing.T, db *storage.Database, q *query.Query, p *plan.Node, name string, ref *refEval) string {
 	full := p.Clone()
-	rc := &refController{t: t, name: fmt.Sprintf("%s w=%d", name, workers), ref: ref}
-	ctx := &Ctx{DB: db, Q: q, Controller: rc, ExecWorkers: workers}
+	rc := &refController{t: t, name: name, ref: ref}
+	ctx := &Ctx{DB: db, Q: q, Controller: rc}
 	count, err := Run(ctx, full)
 	if err != nil {
-		t.Fatalf("%s w=%d: %v", name, workers, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if ref != nil {
 		if want := len(ref.projected(q.AllTablesMask())); count != want {
-			t.Fatalf("%s w=%d: count %d, reference %d", name, workers, count, want)
+			t.Fatalf("%s: count %d, reference %d", name, count, want)
 		}
 	}
 	var cards []string
@@ -252,14 +252,14 @@ func observe(t *testing.T, db *storage.Database, q *query.Query, p *plan.Node, n
 	// a budget of half the work: the typed error and how many checkpoints
 	// completed before it (work at the failure point is path-specific)
 	rb := &refController{}
-	bctx := &Ctx{DB: db, Q: q, Controller: rb, Budget: ctx.Work() / 2, ExecWorkers: workers}
+	bctx := &Ctx{DB: db, Q: q, Controller: rb, Budget: ctx.Work() / 2}
 	_, err = Run(bctx, p.Clone())
 	line += fmt.Sprintf(" budget/2=%s@%d", errPin(err), len(rb.ckpts))
 
 	// a limit of half the materialized rows: the typed error carries the
 	// limit and the row that crossed it
 	if half := ctx.MatRows() / 2; half > 0 {
-		mctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: half, ExecWorkers: workers}
+		mctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: half}
 		_, err = Run(mctx, p.Clone())
 		line += fmt.Sprintf(" mat/2=%s", errPin(err))
 	}
@@ -315,9 +315,8 @@ func deepPlanQueries(t *testing.T, db *storage.Database) []*query.Query {
 }
 
 // TestProjectedExecution runs the plan-variant corpus and the deep_plan
-// queries through the executor at every worker count against both oracles.
+// queries through the executor against both oracles.
 func TestProjectedExecution(t *testing.T) {
-	shrinkMorsels(t)
 	db := testutil.SmallDB()
 
 	type variant struct {
@@ -367,20 +366,11 @@ func TestProjectedExecution(t *testing.T) {
 				refs[v.q] = ref
 			}
 		}
-		first := ""
-		collected := observeCollect(t, db, v.q, v.p, v.name, ref)
-		for _, w := range parallelWorkerCounts {
-			line := observe(t, db, v.q, v.p, v.name, w, ref) + collected
-			if first == "" {
-				first = line
-			} else if line != first {
-				t.Fatalf("w=%d differs from w=%d:\n%s\n%s", w, parallelWorkerCounts[0], line, first)
-			}
-		}
+		line := observe(t, db, v.q, v.p, v.name, ref) + observeCollect(t, db, v.q, v.p, v.name, ref)
 		if *updatePins {
-			lines = append(lines, first)
-		} else if first != pins[v.name] {
-			t.Errorf("accounting moved from the pinned full-width values:\n got %s\nwant %s", first, pins[v.name])
+			lines = append(lines, line)
+		} else if line != pins[v.name] {
+			t.Errorf("accounting moved from the pinned full-width values:\n got %s\nwant %s", line, pins[v.name])
 		}
 	}
 	if *updatePins {

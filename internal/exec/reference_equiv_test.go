@@ -28,8 +28,7 @@ import (
 // *ReoptSignal unwinds with the reference cardinality; a cancelled context
 // surfaces context.Canceled. Work totals, per-node TrueCards and checkpoint
 // sequences are additionally pinned per variant in
-// testdata/projection_pins.golden (TestProjectedExecution), and the parallel
-// suites (parallel_equiv_test.go) hold every worker count to the serial run.
+// testdata/projection_pins.golden (TestProjectedExecution).
 
 // ckptEvent is one checkpoint observation: which node materialized, how
 // many rows, and an order-sensitive content hash of the rows.
@@ -168,13 +167,13 @@ func planVariants(q *query.Query, fn func(q *query.Query, p *plan.Node, variant 
 	}
 }
 
-// checkAgainstReference runs p unlimited at the given worker count and
-// holds it to the reference: count, checkpoint rows, TrueCards, and the
-// buffered-rows total. It returns the run's Ctx and checkpoint events.
-func checkAgainstReference(t testing.TB, db *storage.Database, q *query.Query, p *plan.Node, name string, workers int, ref *refEval) (*Ctx, []ckptEvent) {
+// checkAgainstReference runs p unlimited and holds it to the reference:
+// count, checkpoint rows, TrueCards, and the buffered-rows total. It returns
+// the run's Ctx and checkpoint events.
+func checkAgainstReference(t testing.TB, db *storage.Database, q *query.Query, p *plan.Node, name string, ref *refEval) (*Ctx, []ckptEvent) {
 	t.Helper()
 	rc := &ckptRecorder{t: t, name: name, ref: ref}
-	ctx := &Ctx{DB: db, Q: q, Controller: rc, ExecWorkers: workers}
+	ctx := &Ctx{DB: db, Q: q, Controller: rc}
 	count, err := Run(ctx, p)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -192,7 +191,7 @@ func checkAgainstReference(t testing.TB, db *storage.Database, q *query.Query, p
 func TestScalarBatchEquivalence(t *testing.T) {
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 41, 12, func(q *query.Query, p *plan.Node, variant string) {
-		checkAgainstReference(t, db, q, p, q.SQL()+"/"+variant, 1, newRefEval(db, q))
+		checkAgainstReference(t, db, q, p, q.SQL()+"/"+variant, newRefEval(db, q))
 	})
 }
 
@@ -225,10 +224,10 @@ func sameTypedError(a, b error) bool {
 
 // budgetOutcome checks one budgeted run against the unlimited run's total
 // work and checkpoint events, returning the run's events and error.
-func budgetOutcome(t testing.TB, db *storage.Database, q *query.Query, p *plan.Node, name string, workers int, budget, total int64, full []ckptEvent, ref *refEval) ([]ckptEvent, error) {
+func budgetOutcome(t testing.TB, db *storage.Database, q *query.Query, p *plan.Node, name string, budget, total int64, full []ckptEvent, ref *refEval) ([]ckptEvent, error) {
 	t.Helper()
 	rc := &ckptRecorder{t: t, name: name, ref: ref}
-	_, err := Run(&Ctx{DB: db, Q: q, Controller: rc, Budget: budget, ExecWorkers: workers}, p)
+	_, err := Run(&Ctx{DB: db, Q: q, Controller: rc, Budget: budget}, p)
 	if budget >= total {
 		if err != nil {
 			t.Fatalf("%s budget %d of %d: %v", name, budget, total, err)
@@ -247,11 +246,11 @@ func TestScalarBatchEquivalenceUnderBudget(t *testing.T) {
 	equivCorpus(t, db, 42, 6, func(q *query.Query, p *plan.Node, variant string) {
 		name := q.SQL() + "/" + variant
 		ref := newRefEval(db, q)
-		probe, full := checkAgainstReference(t, db, q, p.Clone(), name, 1, ref)
+		probe, full := checkAgainstReference(t, db, q, p.Clone(), name, ref)
 		total := probe.Work()
 		for _, budget := range []int64{1, total / 4, total / 2, total - 1, total, total + 1} {
 			if budget > 0 {
-				budgetOutcome(t, db, q, p.Clone(), name, 1, budget, total, full, ref)
+				budgetOutcome(t, db, q, p.Clone(), name, budget, total, full, ref)
 			}
 		}
 	})
@@ -260,9 +259,9 @@ func TestScalarBatchEquivalenceUnderBudget(t *testing.T) {
 // matLimitOutcome checks one run under a materialized-rows limit against
 // the unlimited run's buffered total: it fails exactly when the limit is
 // below the total, with the payload naming the first row over the limit.
-func matLimitOutcome(t testing.TB, db *storage.Database, q *query.Query, p *plan.Node, name string, workers int, limit, total int64) (*Ctx, error) {
+func matLimitOutcome(t testing.TB, db *storage.Database, q *query.Query, p *plan.Node, name string, limit, total int64) (*Ctx, error) {
 	t.Helper()
-	ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: limit, ExecWorkers: workers}
+	ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: limit}
 	_, err := Run(ctx, p)
 	if limit >= total {
 		if err != nil {
@@ -288,7 +287,7 @@ func TestScalarBatchEquivalenceUnderMatLimit(t *testing.T) {
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 43, 6, func(q *query.Query, p *plan.Node, variant string) {
 		name := q.SQL() + "/" + variant
-		probe, _ := checkAgainstReference(t, db, q, p.Clone(), name, 1, newRefEval(db, q))
+		probe, _ := checkAgainstReference(t, db, q, p.Clone(), name, newRefEval(db, q))
 		total := probe.MatRows()
 		if total == 0 {
 			return // plan materializes nothing; no limit to trip
@@ -297,7 +296,7 @@ func TestScalarBatchEquivalenceUnderMatLimit(t *testing.T) {
 			if limit <= 0 {
 				continue
 			}
-			if ctx, err := matLimitOutcome(t, db, q, p.Clone(), name, 1, limit, total); err == nil && ctx.Work() != probe.Work() {
+			if ctx, err := matLimitOutcome(t, db, q, p.Clone(), name, limit, total); err == nil && ctx.Work() != probe.Work() {
 				t.Fatalf("%s limit %d: work %d, unlimited %d", name, limit, ctx.Work(), probe.Work())
 			}
 		}
@@ -354,8 +353,8 @@ func TestScalarBatchEquivalenceUnderCancellation(t *testing.T) {
 	})
 }
 
-// passThrough is a no-op wrapper: replacing an operator with it hides the
-// operator from the morsel exchange without changing its output.
+// passThrough is a no-op wrapper: replacing an operator with it changes the
+// operator tree without changing its output.
 type passThrough struct{ inner BatchOperator }
 
 func (p passThrough) Open(ctx *Ctx) error                { return p.inner.Open(ctx) }
@@ -401,7 +400,7 @@ func TestScalarBatchEquivalenceWithTraceAndWrap(t *testing.T) {
 	equivCorpus(t, db, 46, 6, func(q *query.Query, p *plan.Node, variant string) {
 		name := q.SQL() + "/" + variant
 		ref := newRefEval(db, q)
-		plain, want := checkAgainstReference(t, db, q, p.Clone(), name, 1, ref)
+		plain, want := checkAgainstReference(t, db, q, p.Clone(), name, ref)
 		tr := &obs.ExecTrace{}
 		rc := &ckptRecorder{t: t, name: name, ref: ref}
 		pw := p.Clone()
@@ -422,23 +421,20 @@ func TestScalarBatchEquivalenceWithTraceAndWrap(t *testing.T) {
 }
 
 // FuzzExecMatchesReference is the executor's differential fuzz target: a
-// query generated on SmallDB from seed (one to three joins), one of its plan
-// variants (see planVariants), run at 1 or 4 workers. The count and every
+// query generated on SmallDB from seed (one to three joins) and one of its
+// plan variants (see planVariants). The count and every
 // checkpoint's buffered rows must equal the scalar reference projected to
 // the live columns, and every executed node's TrueCard the reference
 // cardinality of its subset. The seed corpus runs under plain `go test`;
 // `go test -fuzz FuzzExecMatchesReference ./internal/exec` searches further.
 func FuzzExecMatchesReference(f *testing.F) {
-	shrinkMorsels(f)
 	db := testutil.SmallDB()
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
 		for variant := uint8(0); variant < 5; variant++ {
-			f.Add(seed, variant, uint8(0))
-			f.Add(seed, variant, uint8(1))
+			f.Add(seed, variant)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, variant, workers uint8) {
-		w := []int{1, 4}[workers%2]
+	f.Fuzz(func(t *testing.T, seed int64, variant uint8) {
 		q := workload.NewGenerator(db, seed).Query(1 + int(uint64(seed)%3))
 		var plans []*plan.Node
 		var names []string
@@ -447,7 +443,7 @@ func FuzzExecMatchesReference(f *testing.F) {
 			names = append(names, v)
 		})
 		i := int(variant) % len(plans)
-		name := fmt.Sprintf("seed %d %s w=%d: %s", seed, names[i], w, q.SQL())
-		checkAgainstReference(t, db, q, plans[i], name, w, newRefEval(db, q))
+		name := fmt.Sprintf("seed %d %s: %s", seed, names[i], q.SQL())
+		checkAgainstReference(t, db, q, plans[i], name, newRefEval(db, q))
 	})
 }

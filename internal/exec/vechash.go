@@ -1,5 +1,7 @@
 package exec
 
+import "math"
+
 // vecTable is the batch hash join's open-addressing build table: a
 // power-of-two array of (hash, chain-head) slots probed linearly on the
 // full 64-bit key hash, with per-row chain links into the flat build arena.
@@ -11,50 +13,41 @@ package exec
 // exactly the candidates sharing its hash, in build order — keeping output
 // row order and per-candidate work charges independent of the layout.
 //
-// Probing is partition-bounded: the slot array is split into fixed runs of
-// vecPartSlots slots, and a probe wraps within the home partition of its
-// hash instead of walking the whole array. The partition geometry is a pure
-// function of the table size — never of the worker count — which is what
-// lets buildVecTable hand disjoint partition ranges to parallel workers
-// while keeping slot placement bitwise identical to the serial build (see
-// parbuild.go). A partition holds at most vecPartSlots hashes; in the rare
-// case one fills up (the table is globally at most half full, so this takes
-// a badly skewed hash prefix), the build re-places every row with plain
-// linear probing over the whole array by setting partMask = mask. That
-// fallback decision depends only on the data, so serial and parallel builds
-// take it identically.
+// The table is sized to at most half full, so every probe walk ends at an
+// empty slot.
 type vecTable struct {
-	mask     uint64
-	partMask uint64   // partition size - 1; == mask once fallen back to global probing
-	hashes   []uint64 // slot hash, valid where heads[i] != -1
-	heads    []int32  // first build row per occupied slot, -1 when empty
-	next     []int32  // per build row: next row with the same hash, -1 at end
+	mask   uint64
+	hashes []uint64 // slot hash, valid where heads[i] != -1
+	heads  []int32  // first build row per occupied slot, -1 when empty
+	next   []int32  // per build row: next row with the same hash, -1 at end
 }
 
-// vecPartSlots is the probe-partition granularity: a power of two, small
-// enough that many partitions exist for parallel builds of interesting size,
-// large enough that a partition overflow (the serial-rebuild fallback) is
-// vanishingly rare at ≤50% table load.
-const vecPartSlots = 512
+// maxVecBuildRows is the largest build side a vecTable can index: rows are
+// linked with int32, so one more row than MaxInt32 would wrap the chain
+// links into silent corruption.
+const maxVecBuildRows = math.MaxInt32
 
-// newVecTable sizes the table for nrows build rows at ≤50% load. Tables at
-// or below vecPartSlots slots are a single partition, where partition-bounded
-// probing degenerates to plain linear probing.
+// checkVecBuildSize guards the int32 row links of vecTable: a build side
+// beyond maxVecBuildRows fails with a typed *ResourceError (consistent with
+// the budget errors) instead of corrupting the table.
+func checkVecBuildSize(n int) error {
+	if int64(n) > maxVecBuildRows {
+		return &ResourceError{Resource: "hash-build-rows", Limit: maxVecBuildRows, Used: int64(n)}
+	}
+	return nil
+}
+
+// newVecTable sizes the table for nrows build rows at ≤50% load.
 func newVecTable(nrows int) *vecTable {
 	n := 2
 	for n < 2*nrows {
 		n <<= 1
 	}
-	pm := uint64(n - 1)
-	if n > vecPartSlots {
-		pm = vecPartSlots - 1
-	}
 	v := &vecTable{
-		mask:     uint64(n - 1),
-		partMask: pm,
-		hashes:   make([]uint64, n),
-		heads:    make([]int32, n),
-		next:     make([]int32, nrows),
+		mask:   uint64(n - 1),
+		hashes: make([]uint64, n),
+		heads:  make([]int32, n),
+		next:   make([]int32, nrows),
 	}
 	for i := range v.heads {
 		v.heads[i] = -1
@@ -62,56 +55,54 @@ func newVecTable(nrows int) *vecTable {
 	return v
 }
 
-// partitions reports how many probe partitions the slot array holds.
-func (v *vecTable) partitions() int {
-	return int((v.mask + 1) / (v.partMask + 1))
+// buildVecTable indexes the build rows in row order. The chain-tail scratch
+// is kept on ctx for the next build, since one execution can build several
+// hash tables.
+func buildVecTable(ctx *Ctx, rows [][]int64, conds []condOffsets) *vecTable {
+	t := newVecTable(len(rows))
+	if cap(ctx.buildTails) < len(t.heads) {
+		ctx.buildTails = make([]int32, len(t.heads))
+	}
+	tails := ctx.buildTails[:len(t.heads)]
+	for i, row := range rows {
+		t.insert(int32(i), hashRowConds(row, conds, false), tails)
+	}
+	return t
 }
 
-// insert links build row r under hash h, probing within h's home partition.
-// tails is caller-provided scratch (len == len(heads)) tracking each slot's
-// chain tail so insertion order is preserved without walking the chain; a
-// slot's tail is only read after its head was written in the same build, so
-// tails never needs clearing. It returns false when the home partition is
-// completely full — the caller must then rebuild in global-probing mode.
-func (v *vecTable) insert(r int32, h uint64, tails []int32) bool {
+// insert links build row r under hash h. tails is caller-provided scratch
+// (len == len(heads)) tracking each slot's chain tail so insertion order is
+// preserved without walking the chain; a slot's tail is only read after its
+// head was written in the same build, so tails never needs clearing.
+func (v *vecTable) insert(r int32, h uint64, tails []int32) {
 	i := h & v.mask
-	base := i &^ v.partMask
-	for n := uint64(0); n <= v.partMask; n++ {
+	for {
 		if v.heads[i] == -1 {
 			v.heads[i] = r
 			v.hashes[i] = h
 			tails[i] = r
 			v.next[r] = -1
-			return true
+			return
 		}
 		if v.hashes[i] == h {
 			v.next[tails[i]] = r
 			v.next[r] = -1
 			tails[i] = r
-			return true
+			return
 		}
-		i = base | ((i + 1) & v.partMask)
+		i = (i + 1) & v.mask
 	}
-	return false
 }
 
 // lookup returns the first build row whose hash equals h, or -1; the caller
-// follows next[] for the rest of the chain. The probe mirrors insert: it
-// wraps within the home partition, and because a non-overflowing partition
-// can end exactly full, the walk is bounded by the partition size rather
-// than relying on an empty slot to terminate.
+// follows next[] for the rest of the chain.
 func (v *vecTable) lookup(h uint64) int32 {
 	i := h & v.mask
-	base := i &^ v.partMask
-	for n := uint64(0); n <= v.partMask; n++ {
+	for {
 		r := v.heads[i]
-		if r == -1 {
-			return -1
-		}
-		if v.hashes[i] == h {
+		if r == -1 || v.hashes[i] == h {
 			return r
 		}
-		i = base | ((i + 1) & v.partMask)
+		i = (i + 1) & v.mask
 	}
-	return -1
 }

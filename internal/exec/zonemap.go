@@ -15,9 +15,9 @@ import (
 //
 // The contract with the equivalence suites: pruning changes which values
 // are *read*, never which rows qualify or how much work is *charged* — the
-// per-chunk ctx.charge(hi-lo) counts every physical row in range, so Work(), checkpoints, and budget errors are byte-identical to the raw
-// path for any worker count. Wall time, not work units, is where skipping
-// pays.
+// per-chunk ctx.charge(hi-lo) counts every physical row in range, so
+// Work(), checkpoints, and budget errors are byte-identical to the raw path.
+// Wall time, not work units, is where skipping pays.
 
 // segPrune reports whether predicate p is disproven for every value in
 // [mn, mx] — the zone-map test. It must only ever return a false negative
@@ -49,11 +49,8 @@ func segPrune(p query.Predicate, mn, mx int64) bool {
 	}
 }
 
-// segScanState is the segment view one batch scan operates through. It is
-// built once in the source's (serial) Open and shared read-only by every
-// morsel replica, so the pruning decisions — and therefore the skip
-// metrics — are identical for any worker count. Decode scratch lives on
-// the operators, not here.
+// segScanState is the segment view one batch scan operates through, built
+// once in the scan's Open. Decode scratch lives on the operators, not here.
 type segScanState struct {
 	table   *storage.Table
 	segRows int

@@ -242,52 +242,6 @@ func TestChaosOpFaultsMatchFaultFreeRun(t *testing.T) {
 	}
 }
 
-// TestChaosParallelExecParity re-runs the chaos workload with morsel-driven
-// intra-query parallelism on: for every worker count the engine must fault
-// exactly the same queries with the same typed errors as the serial run and
-// return identical counts and work on the clean ones. Faulted operators are
-// opaque to the exchange, which forces their pipelines back to the serial
-// path — parity covers that fallback too.
-func TestChaosParallelExecParity(t *testing.T) {
-	t.Cleanup(exec.SetMorselSize(64)) // tiny fixtures must split into many morsels
-	t.Cleanup(exec.SetExchangeWorkerCap(64))
-	db := testutil.TinyDB()
-	queries := chaosWorkload(t)[:80]
-	hist := histogram.NewEstimator(db)
-	eng := engine.New(db)
-	ops := &fault.Ops{Err: fault.Injector{Seed: 104, Rate: 0.04}, AtRow: 2}
-	mk := func(workers int) engine.Config {
-		return engine.Config{
-			Estimator:   hist,
-			ExecWrap:    ops.Wrap,
-			Limits:      engine.Limits{MaxMatRows: 2_000_000},
-			ExecWorkers: workers,
-		}
-	}
-
-	for i, q := range queries {
-		sres, serr := eng.Execute(q, mk(0))
-		for _, w := range []int{2, 4} {
-			pres, perr := eng.Execute(q, mk(w))
-			switch {
-			case serr == nil && perr == nil:
-				if sres.Count != pres.Count {
-					t.Errorf("query %d w=%d: serial count %d != parallel count %d", i, w, sres.Count, pres.Count)
-				}
-				if sres.ExecWork != pres.ExecWork {
-					t.Errorf("query %d w=%d: serial work %d != parallel work %d", i, w, sres.ExecWork, pres.ExecWork)
-				}
-			case serr != nil && perr != nil:
-				if !errors.Is(serr, fault.ErrInjected) || !errors.Is(perr, fault.ErrInjected) {
-					t.Errorf("query %d w=%d: untyped chaos errors: serial %v, parallel %v", i, w, serr, perr)
-				}
-			default:
-				t.Errorf("query %d w=%d: fault fired on one path only: serial %v, parallel %v", i, w, serr, perr)
-			}
-		}
-	}
-}
-
 // TestChaosUnguardedPoolStillSurvives drops the guard entirely: raw
 // estimator panics escape into the worker pool, and RunEach must convert
 // them into per-query *workload.PanicError without losing the other

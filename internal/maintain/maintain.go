@@ -130,10 +130,8 @@ func AppendRows(t *storage.Table, rows [][]int64) {
 // up to date after data updates (the engine's ANALYZE): it re-seals every
 // table appended to since its last seal, re-analyzing its columns and
 // rebuilding the segments the appends invalidated, and leaves clean tables
-// untouched. Sealing fans out across the storage.SetBuildWorkers pool (the
-// result is byte-equal to serial sealing for any worker count). The
-// returned Stats gathers the seal-time statistics; estimators built before
-// the refresh keep theirs.
+// untouched. The returned Stats gathers the seal-time statistics; estimators
+// built before the refresh keep theirs.
 // Learned models are NOT retrained here — Monitor decides when that is
 // worth the cost.
 func RefreshStats(db *storage.Database) *histogram.Stats {

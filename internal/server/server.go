@@ -87,7 +87,6 @@ type Config struct {
 
 	// Engine knobs, applied to every query.
 	Budget       int64
-	ExecWorkers  int
 	OverlayReopt bool
 	// ExecWrap intercepts every executor operator (fault-injection harness).
 	ExecWrap exec.WrapFunc
@@ -390,7 +389,6 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 		Obs:           tn.obs,
 		Limits:        tn.limits,
 		ExecWrap:      s.cfg.ExecWrap,
-		ExecWorkers:   s.cfg.ExecWorkers,
 	})
 	elapsed := time.Since(start)
 	tn.queries.Inc()

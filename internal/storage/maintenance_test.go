@@ -12,7 +12,7 @@ import (
 // statistics, which do not depend on it; an append replaces the statistics.
 func TestFinishLoadCleanIsNoop(t *testing.T) {
 	defer SetSegmentRows(64)()
-	tbl := parSealTable(300)
+	tbl := sealFixture(300)
 	tbl.FinishLoad()
 	snap := func() (segs [][]*Segment, stats []*ColStats) {
 		for pos := range tbl.Cols {
@@ -74,9 +74,9 @@ func TestFinishLoadCleanIsNoop(t *testing.T) {
 }
 
 // benchIndexTable returns an unsealed table over cols (aliased, not
-// copied) with parSealTable's schema.
+// copied) with sealFixture's schema.
 func benchIndexTable(cols [][]int64) *Table {
-	tbl := parSealTable(0)
+	tbl := sealFixture(0)
 	copy(tbl.Cols, cols)
 	return tbl
 }
@@ -86,7 +86,7 @@ const benchIndexRows = 32 * DefaultSegmentRows
 // BenchmarkOrderedIndexBuild builds the ordered index over 131,072 wide
 // random values from scratch.
 func BenchmarkOrderedIndexBuild(b *testing.B) {
-	cols := parSealTable(benchIndexRows).Cols
+	cols := sealFixture(benchIndexRows).Cols
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchIndexTable(cols).OrderedIndex(3)
@@ -97,7 +97,7 @@ func BenchmarkOrderedIndexBuild(b *testing.B) {
 // index over 131,072 wide random values is built, and fetches the index
 // again (untimed: copying the columns and the first build).
 func BenchmarkOrderedIndexExtend(b *testing.B) {
-	cols := parSealTable(benchIndexRows).Cols
+	cols := sealFixture(benchIndexRows).Cols
 	rng := rand.New(rand.NewSource(5))
 	rows := make([][]int64, 4096)
 	for i := range rows {

@@ -32,8 +32,9 @@ const DefaultSegmentRows = 4096
 var segmentRows = DefaultSegmentRows
 
 // SetSegmentRows overrides the segment granularity for tables sealed after
-// the call and returns a function restoring the previous value. It must not
-// be called while loads or executions are in flight.
+// the call and returns a function restoring the previous value. It is a test
+// hook — production code seals at DefaultSegmentRows — and must not be
+// called while loads or executions are in flight.
 func SetSegmentRows(n int) (restore func()) {
 	old := segmentRows
 	if n < 1 {

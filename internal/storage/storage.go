@@ -153,29 +153,24 @@ func (t *Table) appendRows(rows [][]int64) {
 // after populating the columns; maintain.RefreshStats calls it again after
 // DML, which re-analyzes the table and rebuilds only the segments the DML
 // invalidated. On a table sealed at the current segment granularity with
-// no append since, it returns at once. Both passes fan out across
-// SetBuildWorkers workers (clamped to the core count), byte-equal to serial
-// sealing for any worker count; see parallel.go.
+// no append since, it returns at once.
 func (t *Table) FinishLoad() {
 	if t.sealed && t.segRows == segmentRows {
 		return
 	}
-	workers := buildWorkers
-	if workers > sealWorkerCap {
-		workers = sealWorkerCap
-	}
 	if !t.sealed {
 		stats := make([]*ColStats, len(t.Cols))
-		runSealJobs(workers, len(t.Cols), func(i int) { stats[i] = t.analyzeColumn(i) })
+		for i := range t.Cols {
+			stats[i] = t.analyzeColumn(i)
+		}
 		t.stats = stats
 	}
-	t.buildSegments(workers)
+	t.buildSegments()
 	t.sealed = true
 }
 
 // analyzeColumn computes column i's statistics and writes its catalog min,
-// max and NDV. Each column is independent and exact, so FinishLoad fans the
-// columns across workers.
+// max and NDV.
 func (t *Table) analyzeColumn(i int) *ColStats {
 	sorted := sortedCopy(t.Cols[i])
 	cs := statsOfSorted(sorted)
@@ -199,18 +194,13 @@ func (t *Table) ColStats(pos int) *ColStats {
 
 // buildSegments (re)encodes the segment layer. Valid segments from a prior
 // seal at the same granularity are reused; appends since then only cost the
-// dirtied tail. The planning pass below is cheap and serial; the encoding
-// work — one job per (column, segment) that cannot be reused — fans out
-// across the worker pool, every job writing only its own t.segs[c][g] slot,
-// so the sealed layout is byte-equal to a serial build.
-func (t *Table) buildSegments(workers int) {
+// dirtied tail.
+func (t *Table) buildSegments() {
 	segRows := segmentRows
 	if t.segs == nil || t.segRows != segRows {
 		t.segs = make([][]*Segment, len(t.Cols)) // drops any stale prefix
 	}
 	t.segRows = segRows
-	type sealJob struct{ col, seg int }
-	var jobs []sealJob
 	for c, col := range t.Cols {
 		nSegs := (len(col) + segRows - 1) / segRows
 		prefix := t.segs[c]
@@ -222,17 +212,10 @@ func (t *Table) buildSegments(workers int) {
 				segs[g] = prefix[g] // still exact from the prior seal
 				continue
 			}
-			jobs = append(jobs, sealJob{c, g})
+			segs[g] = buildSegment(col[lo:hi])
 		}
 		t.segs[c] = segs
 	}
-	runSealJobs(workers, len(jobs), func(j int) {
-		c, g := jobs[j].col, jobs[j].seg
-		col := t.Cols[c]
-		lo := g * segRows
-		hi := min(lo+segRows, len(col))
-		t.segs[c][g] = buildSegment(col[lo:hi])
-	})
 }
 
 // Sealed reports whether FinishLoad has run with no appends since: the
