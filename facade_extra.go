@@ -54,7 +54,7 @@ func NewDriftMonitor(baselineMedianQ, factor float64, windowSize int) *DriftMoni
 
 // RefreshStats brings catalog and histogram statistics up to date after
 // data updates (ANALYZE): tables appended to since their last seal are
-// re-analyzed and re-sealed, rebuilding the column segments the appends
+// re-analyzed and re-sealed, recomputing the segment zone maps the appends
 // invalidated; clean tables are left as they are.
 func RefreshStats(db *Database) { maintain.RefreshStats(db) }
 

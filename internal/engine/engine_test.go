@@ -9,8 +9,10 @@ import (
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/histogram"
+	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/reopt"
+	"github.com/lpce-db/lpce/internal/sqlparse"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
@@ -223,5 +225,37 @@ func TestLPCERReducesBadPlanWork(t *testing.T) {
 	// the guard is against catastrophic regressions.
 	if withWork > withoutWork*3 {
 		t.Fatalf("re-optimization tripled total work: %d vs %d units", withWork, withoutWork)
+	}
+}
+
+// TestIndexScanEdgePredicatesSQL runs predicates the histogram plans as
+// index scans through the whole engine: a strict bound past the int64
+// limits matches no row, and a repeated IN value counts its row once.
+func TestIndexScanEdgePredicatesSQL(t *testing.T) {
+	db := testutil.TinyDB()
+	e := New(db)
+	cases := []struct {
+		sql  string
+		want int
+	}{
+		{"SELECT COUNT(*) FROM title WHERE title.production_year < -9223372036854775808", 0},
+		{"SELECT COUNT(*) FROM title WHERE title.production_year > 9223372036854775807", 0},
+		{"SELECT COUNT(*) FROM title WHERE title.id IN (5, 5, 7)", 2},
+	}
+	for _, tc := range cases {
+		q, err := sqlparse.Parse(db.Schema, tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		res, err := e.Execute(q, Config{Estimator: histogram.NewEstimator(db)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if res.FinalPlan.Op != plan.IndexScan {
+			t.Fatalf("%s: planned %v, want an index scan", tc.sql, res.FinalPlan.Op)
+		}
+		if res.Count != tc.want {
+			t.Errorf("%s: count %d, want %d", tc.sql, res.Count, tc.want)
+		}
 	}
 }

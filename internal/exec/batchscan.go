@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
@@ -12,23 +13,17 @@ import (
 // evaluates the leaf predicates column-at-a-time into a selection vector,
 // and gathers the passing rows into the output arena. Work is charged per
 // chunk (1 per physical row examined) — including chunks the zone maps skip,
-// so work accounting is independent of pruning.
-//
-// When the table is sealed and the scan has predicates, filtering and
-// gathering go through the encoded segment layer (zs): pruned segments are
-// never decoded, surviving ones are filtered on their encoded form and
-// late-materialized by selection vector (see newSegScanState for when the
-// raw columns are read instead).
+// so work accounting is independent of pruning. The rows of segments the
+// zone maps prune (zs, see newSegScanState) are never read.
 type batchSeqScan struct {
 	node  *plan.Node
 	table *storage.Table
 	cols  []int         // live column positions, in tuple order
-	zs    *segScanState // nil = raw
+	zs    *segScanState // nil = nothing pruned
 	row   int
 	end   int // the table's row count at Open
 	count int
 	sel   []int32
-	buf   []int64 // segment decode scratch
 	out   Batch
 }
 
@@ -55,20 +50,12 @@ func (s *batchSeqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 		if err := ctx.charge(int64(hi - lo)); err != nil {
 			return nil, err
 		}
-		if s.zs != nil {
-			s.sel, s.buf = s.zs.selectRange(s.sel[:0], s.buf, lo, hi, s.node.Preds)
-		} else {
-			s.sel = selectRange(s.sel[:0], s.table, lo, hi, s.node.Preds)
-		}
+		s.sel = selectRange(s.sel[:0], s.table, s.zs, lo, hi, s.node.Preds)
 		if len(s.sel) == 0 {
 			continue
 		}
 		s.out.reset(len(s.cols))
-		if s.zs != nil {
-			s.zs.gather(&s.out, s.cols, s.sel)
-		} else {
-			gatherRows(&s.out, s.table, s.cols, s.sel)
-		}
+		gatherRows(&s.out, s.table, s.cols, s.sel)
 		s.count += len(s.sel)
 		return &s.out, nil
 	}
@@ -79,16 +66,24 @@ func (s *batchSeqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 func (s *batchSeqScan) Close() {}
 
 // selectRange appends to sel the row ids in [lo, hi) that satisfy every
-// predicate: the first predicate scans the range directly, the rest refine
-// the selection vector in place.
-func selectRange(sel []int32, t *storage.Table, lo, hi int, preds []query.Predicate) []int32 {
+// predicate, skipping the rows of segments zs prunes: the first predicate
+// scans each surviving run directly, the rest refine the selection vector
+// in place.
+func selectRange(sel []int32, t *storage.Table, zs *segScanState, lo, hi int, preds []query.Predicate) []int32 {
 	if len(preds) == 0 {
 		for r := lo; r < hi; r++ {
 			sel = append(sel, int32(r))
 		}
 		return sel
 	}
-	sel = filterRange(sel, t.Cols[preds[0].Col.Pos], lo, hi, preds[0])
+	col0 := t.Cols[preds[0].Col.Pos]
+	for lo < hi {
+		end, live := zs.run(lo, hi)
+		if live {
+			sel = filterRange(sel, col0, lo, end, preds[0])
+		}
+		lo = end
+	}
 	for _, p := range preds[1:] {
 		sel = filterSel(sel, t.Cols[p.Col.Pos], p)
 	}
@@ -216,15 +211,14 @@ func gatherRows(b *Batch, t *storage.Table, cols []int, sel []int32) {
 
 // batchIndexScan drives the scan from the IndexPred column's index (a
 // 16-unit descent charge, then 1 per rid examined) and applies the remaining
-// predicates per chunk of rids. With the segment layer available, a rid
-// landing in a segment where some residual
-// predicate is zone-map-disproven is dropped before any column is read,
-// and the survivors are filtered and gathered through the encoded form.
+// predicates per chunk of rids. A rid landing in a segment where some
+// residual predicate is zone-map-disproven is dropped before any column is
+// read.
 type batchIndexScan struct {
 	node  *plan.Node
 	table *storage.Table
 	cols  []int         // live column positions, in tuple order
-	zs    *segScanState // nil = raw
+	zs    *segScanState // nil = nothing pruned
 	rids  []int32
 	rest  []query.Predicate
 	pos   int
@@ -269,26 +263,15 @@ func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
 		if err := ctx.charge(int64(hi - lo)); err != nil {
 			return nil, err
 		}
-		s.sel = append(s.sel[:0], s.rids[lo:hi]...)
-		if s.zs != nil {
-			s.sel = s.zs.pruneSel(s.sel)
-			for _, p := range s.rest {
-				s.sel = s.zs.filterSel(s.sel, p)
-			}
-		} else {
-			for _, p := range s.rest {
-				s.sel = filterSel(s.sel, s.table.Cols[p.Col.Pos], p)
-			}
+		s.sel = s.zs.pruneSel(append(s.sel[:0], s.rids[lo:hi]...))
+		for _, p := range s.rest {
+			s.sel = filterSel(s.sel, s.table.Cols[p.Col.Pos], p)
 		}
 		if len(s.sel) == 0 {
 			continue
 		}
 		s.out.reset(len(s.cols))
-		if s.zs != nil {
-			s.zs.gather(&s.out, s.cols, s.sel)
-		} else {
-			gatherRows(&s.out, s.table, s.cols, s.sel)
-		}
+		gatherRows(&s.out, s.table, s.cols, s.sel)
 		s.count += len(s.sel)
 		return &s.out, nil
 	}
@@ -360,8 +343,10 @@ func errNoIndexPred(n *plan.Node) error {
 }
 
 // resolveIndexRids resolves the row ids matching an index predicate. The
-// prev slice is reused for the OpIn gather; the other cases return
-// index-owned slices which callers must treat as read-only.
+// prev slice is reused for the OpIn gather, which looks up each distinct
+// listed value once, in first-occurrence order; the other cases return
+// index-owned slices which callers must treat as read-only. The strict
+// bounds `< MinInt64` and `> MaxInt64` match no value.
 func resolveIndexRids(t *storage.Table, p query.Predicate, prev []int32) ([]int32, error) {
 	switch p.Op {
 	case query.OpEQ:
@@ -369,15 +354,23 @@ func resolveIndexRids(t *storage.Table, p query.Predicate, prev []int32) ([]int3
 	case query.OpIn:
 		ix := t.HashIndex(p.Col.Pos)
 		rids := prev[:0]
-		for _, v := range p.InSet {
-			rids = append(rids, ix.Lookup(v)...)
+		for i, v := range p.InSet {
+			if !slices.Contains(p.InSet[:i], v) {
+				rids = append(rids, ix.Lookup(v)...)
+			}
 		}
 		return rids, nil
 	case query.OpLT:
+		if p.Operand == minInt64 {
+			return nil, nil
+		}
 		return t.OrderedIndex(p.Col.Pos).Range(minInt64, p.Operand-1), nil
 	case query.OpLE:
 		return t.OrderedIndex(p.Col.Pos).Range(minInt64, p.Operand), nil
 	case query.OpGT:
+		if p.Operand == maxInt64 {
+			return nil, nil
+		}
 		return t.OrderedIndex(p.Col.Pos).Range(p.Operand+1, maxInt64), nil
 	case query.OpGE:
 		return t.OrderedIndex(p.Col.Pos).Range(p.Operand, maxInt64), nil

@@ -118,10 +118,10 @@ type Ctx struct {
 	// across the whole execution; exceeding it fails the query with a
 	// *ResourceError. Zero means unlimited.
 	MaxMatRows int64
-	// Metrics, when non-nil, receives the storage-layer scan counters
-	// (storage.segments_total, storage.segments_skipped,
-	// storage.bytes_decoded). Scans resolve their counters once in Open, so
-	// a nil registry costs nothing on the per-batch paths.
+	// Metrics, when non-nil, receives the zone-map scan counters
+	// (storage.segments_total, storage.segments_skipped). Sequential scans
+	// add to them once in Open, so a nil registry costs nothing on the
+	// per-batch paths.
 	Metrics  *obs.Registry
 	work     int64
 	matRows  int64

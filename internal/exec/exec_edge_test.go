@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/catalog"
@@ -205,6 +206,43 @@ func TestOraclePipelinedMatchesCollect(t *testing.T) {
 		}
 		if got := o.EstimateSubset(q, q.AllTablesMask()); int(got) != want {
 			t.Fatalf("pipelined oracle %v != collected %d for %s", got, want, q.SQL())
+		}
+	}
+}
+
+// TestIndexScanBoundaryPredicates holds index scans to the sequential scan
+// and the reference evaluator at the int64 limits, where `< MinInt64` and
+// `> MaxInt64` match nothing, and on IN lists that repeat a value, which
+// must count each matching row once.
+func TestIndexScanBoundaryPredicates(t *testing.T) {
+	db := testutil.TinyDB()
+	title := db.Schema.Table("title")
+	year, id := title.Column("production_year"), title.Column("id")
+	cases := []struct {
+		name string
+		pred query.Predicate
+	}{
+		{"lt-min", query.Predicate{Col: year, Op: query.OpLT, Operand: math.MinInt64}},
+		{"le-max", query.Predicate{Col: year, Op: query.OpLE, Operand: math.MaxInt64}},
+		{"gt-max", query.Predicate{Col: year, Op: query.OpGT, Operand: math.MaxInt64}},
+		{"ge-min", query.Predicate{Col: year, Op: query.OpGE, Operand: math.MinInt64}},
+		{"in-repeated", query.Predicate{Col: id, Op: query.OpIn, InSet: []int64{5, 5, 7}}},
+	}
+	for _, tc := range cases {
+		q := query.New([]*catalog.Table{title}, nil, []query.Predicate{tc.pred})
+		want := len(newRefEval(db, q).projected(q.AllTablesMask()))
+		seq, err := Run(&Ctx{DB: db, Q: q}, plan.NewLeaf(plan.SeqScan, title, 0, q.PredsOn(title)))
+		if err != nil {
+			t.Fatalf("%s: seq scan: %v", tc.name, err)
+		}
+		leaf := plan.NewLeaf(plan.IndexScan, title, 0, q.PredsOn(title))
+		leaf.IndexPred = &leaf.Preds[0]
+		idx, err := Run(&Ctx{DB: db, Q: q}, leaf)
+		if err != nil {
+			t.Fatalf("%s: index scan: %v", tc.name, err)
+		}
+		if idx != seq || seq != want {
+			t.Errorf("%s: index scan %d, seq scan %d, reference %d", tc.name, idx, seq, want)
 		}
 	}
 }

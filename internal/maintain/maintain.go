@@ -117,11 +117,11 @@ func (m *Monitor) Drifted() bool {
 // AppendRows is the DML entry point for tables that are already serving
 // queries: it appends through storage.Table.MaintenanceAppend, which
 // unseals the table, invalidates exactly the column segments the new rows
-// dirty (scans fall back to the raw path until stats are refreshed), and
+// dirty (scans prune nothing until stats are refreshed), and
 // extends the table's built indexes with the new rows. Callers must still
 // externally synchronize against in-flight readers, and should follow a
-// batch of appends with RefreshStats to re-seal the table, rebuild the
-// dirtied segments, and re-ANALYZE it.
+// batch of appends with RefreshStats to re-seal the table, recompute the
+// dirtied zone maps, and re-ANALYZE it.
 func AppendRows(t *storage.Table, rows [][]int64) {
 	t.MaintenanceAppend(rows)
 }
@@ -129,7 +129,7 @@ func AppendRows(t *storage.Table, rows [][]int64) {
 // RefreshStats brings catalog column statistics and histogram statistics
 // up to date after data updates (the engine's ANALYZE): it re-seals every
 // table appended to since its last seal, re-analyzing its columns and
-// rebuilding the segments the appends invalidated, and leaves clean tables
+// recomputing the zone maps the appends invalidated, and leaves clean tables
 // untouched. The returned Stats gathers the seal-time statistics; estimators
 // built before the refresh keep theirs.
 // Learned models are NOT retrained here — Monitor decides when that is

@@ -9,15 +9,13 @@ import (
 )
 
 // These tests compare whole sealed tables field by field — catalog and
-// column statistics, segment geometry, per-segment encoding choice,
-// dictionary, packed words and zone maps, including the unexported
-// packed/dict arrays — to check that a reseal after MaintenanceAppend is
-// indistinguishable from sealing the same rows once.
+// column statistics, segment geometry and zone maps — to check that a
+// reseal after MaintenanceAppend is indistinguishable from sealing the same
+// rows once.
 
-// sealFixture builds (without sealing) a fixture whose columns steer
-// buildSegment into each encoding: a dense sequence (frame-of-reference
-// pack), a low-NDV categorical (dict), a constant (dict, width 0), and wide
-// random values (raw).
+// sealFixture builds (without sealing) a fixture of four column shapes: a
+// dense sequence, a low-NDV categorical spread wide, a constant, and wide
+// random values.
 func sealFixture(nRows int) *Table {
 	meta := &catalog.Table{Name: "seal_t", Columns: []*catalog.Column{
 		{Name: "seq", Pos: 0}, {Name: "cat", Pos: 1},
@@ -30,45 +28,16 @@ func sealFixture(nRows int) *Table {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < nRows; i++ {
 		tbl.Cols[0][i] = int64(i)
-		tbl.Cols[1][i] = rng.Int63n(7) << 40 // wide spread, 7 distinct: dict wins
+		tbl.Cols[1][i] = rng.Int63n(7) << 40
 		tbl.Cols[2][i] = 42
 		tbl.Cols[3][i] = rng.Int63() - rng.Int63()
 	}
 	return tbl
 }
 
-// segBitwiseEqual compares every field of two segments, including the
-// unexported encoding internals. Raw segments alias different column slices
-// across tables, so raw is compared by value.
-func segBitwiseEqual(x, y *Segment) bool {
-	if x.rows != y.rows || x.enc != y.enc || x.width != y.width ||
-		x.Min != y.Min || x.Max != y.Max {
-		return false
-	}
-	if len(x.dict) != len(y.dict) || len(x.packed) != len(y.packed) || len(x.raw) != len(y.raw) {
-		return false
-	}
-	for i := range x.dict {
-		if x.dict[i] != y.dict[i] {
-			return false
-		}
-	}
-	for i := range x.packed {
-		if x.packed[i] != y.packed[i] {
-			return false
-		}
-	}
-	for i := range x.raw {
-		if x.raw[i] != y.raw[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // requireSealedIdentical fails unless two independently sealed tables have
-// identical catalog and column statistics and bitwise-identical segments;
-// a is the expected table.
+// identical catalog and column statistics and identical segments (row
+// count, Min and Max); a is the expected table.
 func requireSealedIdentical(t *testing.T, label string, a, b *Table) {
 	t.Helper()
 	if !a.Sealed() || !b.Sealed() || a.SegRows() != b.SegRows() {
@@ -88,9 +57,8 @@ func requireSealedIdentical(t *testing.T, label string, a, b *Table) {
 			t.Fatalf("%s col %d: %d segments, want %d", label, c, len(bs), len(as))
 		}
 		for g := range as {
-			if !segBitwiseEqual(as[g], bs[g]) {
-				t.Fatalf("%s col %d seg %d: layout differs (%v vs %v)",
-					label, c, g, bs[g].Encoding(), as[g].Encoding())
+			if *as[g] != *bs[g] {
+				t.Fatalf("%s col %d seg %d: segment %+v, want %+v", label, c, g, *bs[g], *as[g])
 			}
 		}
 	}
@@ -98,7 +66,7 @@ func requireSealedIdentical(t *testing.T, label string, a, b *Table) {
 
 // TestResealAfterAppend covers the unseal/reseal transition:
 // MaintenanceAppend unseals and drops the dirty segment tail, and the next
-// FinishLoad must both equal a fresh seal of the same rows bitwise and reuse
+// FinishLoad must both equal a fresh seal of the same rows and reuse
 // the untouched prefix segment objects (identity, not just equality).
 func TestResealAfterAppend(t *testing.T) {
 	defer SetSegmentRows(64)()

@@ -1,15 +1,17 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/catalog"
 )
 
-// segTestData generates value distributions that steer buildSegment into
-// each encoding: constants (dict, width 0), low-NDV categoricals (dict),
-// dense ranges (frame-of-reference pack), and wide random values (raw).
+// segTestData generates value distributions with different zone-map
+// shapes: constants, low-NDV categoricals spread wide, dense ranges that
+// may sit below zero, random values over most of the int64 range, and
+// columns that mix in the int64 limits themselves.
 func segTestData(rng *rand.Rand, kind string, n int) []int64 {
 	vals := make([]int64, n)
 	switch kind {
@@ -19,9 +21,7 @@ func segTestData(rng *rand.Rand, kind string, n int) []int64 {
 			vals[i] = c
 		}
 	case "low-ndv":
-		ndv := 2 + rng.Intn(dictMaxNDV-2)
-		// Distinct values spread wide so pack would need many bits and the
-		// dictionary wins.
+		ndv := 2 + rng.Intn(254)
 		dict := make([]int64, ndv)
 		for i := range dict {
 			dict[i] = rng.Int63n(1 << 40)
@@ -39,19 +39,40 @@ func segTestData(rng *rand.Rand, kind string, n int) []int64 {
 		for i := range vals {
 			vals[i] = rng.Int63() - rng.Int63()
 		}
+	case "limits":
+		for i := range vals {
+			switch rng.Intn(3) {
+			case 0:
+				vals[i] = math.MinInt64
+			case 1:
+				vals[i] = math.MaxInt64
+			default:
+				vals[i] = rng.Int63() - rng.Int63()
+			}
+		}
 	}
 	return vals
 }
 
-var segKinds = []string{"constant", "low-ndv", "dense-range", "wide"}
+var segKinds = []string{"constant", "low-ndv", "dense-range", "wide", "limits"}
 
-// TestSegmentRoundTrip is the encode/decode property suite: for every
-// encoding-steering distribution and a spread of segment lengths, the
-// segment must reproduce the source column exactly — value by value via
-// Get, in bulk via DecodeRange over random sub-ranges, and strided via
-// Gather over random selection vectors — and its zone map must be the true
-// min/max.
+// minMax returns the true minimum and maximum of a non-empty slice.
+func minMax(vals []int64) (mn, mx int64) {
+	mn, mx = vals[0], vals[0]
+	for _, v := range vals {
+		mn, mx = min(mn, v), max(mx, v)
+	}
+	return mn, mx
+}
+
+// TestSegmentRoundTrip is the zone-map property suite: for every generated
+// distribution and a spread of lengths, a segment's row count and zone map
+// must be the true count, min and max of its values — both for one
+// segment built directly and for every segment of a sealed table, ragged
+// last segment included when the length is not a multiple of the segment
+// size.
 func TestSegmentRoundTrip(t *testing.T) {
+	defer SetSegmentRows(64)()
 	rng := rand.New(rand.NewSource(7))
 	lengths := []int{1, 2, 63, 64, 65, 1000, 4096, 5000}
 	for _, kind := range segKinds {
@@ -59,107 +80,31 @@ func TestSegmentRoundTrip(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				vals := segTestData(rng, kind, n)
 				seg := buildSegment(vals)
-				if seg.Rows() != n {
-					t.Fatalf("%s/%d: rows = %d", kind, n, seg.Rows())
+				mn, mx := minMax(vals)
+				if seg.Rows() != n || seg.Min != mn || seg.Max != mx {
+					t.Fatalf("%s/%d: segment rows %d zone map [%d,%d], want %d [%d,%d]",
+						kind, n, seg.Rows(), seg.Min, seg.Max, n, mn, mx)
 				}
-				mn, mx := vals[0], vals[0]
-				for _, v := range vals {
-					if v < mn {
-						mn = v
-					}
-					if v > mx {
-						mx = v
-					}
+
+				meta := &catalog.Table{Name: "zm_t", Columns: []*catalog.Column{{Name: "v", Pos: 0}}}
+				meta.Columns[0].Table = meta
+				tbl := NewTable(meta, 0)
+				tbl.Cols[0] = vals
+				tbl.FinishLoad()
+				segs := tbl.Segments(0)
+				if len(segs) != (n+63)/64 {
+					t.Fatalf("%s/%d: %d segments, want %d", kind, n, len(segs), (n+63)/64)
 				}
-				if seg.Min != mn || seg.Max != mx {
-					t.Fatalf("%s/%d (%v): zone map [%d,%d], want [%d,%d]",
-						kind, n, seg.Encoding(), seg.Min, seg.Max, mn, mx)
-				}
-				for i, want := range vals {
-					if got := seg.Get(i); got != want {
-						t.Fatalf("%s/%d (%v): Get(%d) = %d, want %d",
-							kind, n, seg.Encoding(), i, got, want)
-					}
-				}
-				var buf []int64
-				for r := 0; r < 5; r++ {
-					lo := rng.Intn(n)
-					hi := lo + 1 + rng.Intn(n-lo)
-					buf = seg.DecodeRange(buf[:0], lo, hi)
-					for k, got := range buf {
-						if got != vals[lo+k] {
-							t.Fatalf("%s/%d (%v): DecodeRange(%d,%d)[%d] = %d, want %d",
-								kind, n, seg.Encoding(), lo, hi, k, got, vals[lo+k])
-						}
-					}
-					// buf may alias the raw column; reset to a private slice so
-					// the next DecodeRange cannot scribble on it.
-					if seg.Encoding() == EncRaw {
-						buf = nil
-					}
-				}
-				base := 100 * 4096
-				sel := make([]int32, 0, 64)
-				for len(sel) < 64 {
-					sel = append(sel, int32(base+rng.Intn(n)))
-				}
-				stride := 3
-				dst := make([]int64, len(sel)*stride)
-				seg.Gather(dst, stride, sel, base)
-				for k, r := range sel {
-					if dst[k*stride] != vals[int(r)-base] {
-						t.Fatalf("%s/%d (%v): Gather[%d] = %d, want %d",
-							kind, n, seg.Encoding(), k, dst[k*stride], vals[int(r)-base])
+				for g, sg := range segs {
+					part := vals[g*64 : min((g+1)*64, n)]
+					mn, mx := minMax(part)
+					if sg.Rows() != len(part) || sg.Min != mn || sg.Max != mx {
+						t.Fatalf("%s/%d seg %d: rows %d zone map [%d,%d], want %d [%d,%d]",
+							kind, n, g, sg.Rows(), sg.Min, sg.Max, len(part), mn, mx)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestSegmentEncodingSelection pins the encoding chooser to the documented
-// rules, including that the chosen encodings actually compress.
-func TestSegmentEncodingSelection(t *testing.T) {
-	constant := buildSegment([]int64{42, 42, 42, 42})
-	if constant.Encoding() != EncDict || constant.EncodedBits() != 0 {
-		t.Fatalf("constant: %v/%d bits", constant.Encoding(), constant.EncodedBits())
-	}
-
-	// 4 distinct values spread over 2^40: dict codes need 2 bits, pack 40.
-	lowNDV := make([]int64, 1000)
-	for i := range lowNDV {
-		lowNDV[i] = int64(i%4) << 38
-	}
-	dict := buildSegment(lowNDV)
-	if dict.Encoding() != EncDict {
-		t.Fatalf("low-NDV: %v", dict.Encoding())
-	}
-	if dict.EncodedBits() != 2 {
-		t.Fatalf("low-NDV: %d bits, want 2", dict.EncodedBits())
-	}
-
-	// Dense range with high NDV: every value distinct, spread fits 10 bits.
-	dense := make([]int64, 1000)
-	for i := range dense {
-		dense[i] = 1_000_000 + int64(i)
-	}
-	pack := buildSegment(dense)
-	if pack.Encoding() != EncPack {
-		t.Fatalf("dense: %v", pack.Encoding())
-	}
-	if pack.EncodedBits() != 10 {
-		t.Fatalf("dense: %d bits, want 10", pack.EncodedBits())
-	}
-
-	// Wide random values: > packMaxBits spread and > dictMaxNDV distinct.
-	rng := rand.New(rand.NewSource(1))
-	wide := make([]int64, 1000)
-	for i := range wide {
-		wide[i] = rng.Int63()
-	}
-	raw := buildSegment(wide)
-	if raw.Encoding() != EncRaw {
-		t.Fatalf("wide: %v", raw.Encoding())
 	}
 }
 
@@ -235,10 +180,11 @@ func TestTableSealLifecycle(t *testing.T) {
 			t.Fatalf("full segment %d was rebuilt instead of reused", g)
 		}
 	}
-	for i := 0; i < 303; i++ {
-		g, off := i/64, i%64
-		if got := segs2[g].Get(off); got != int64(i) {
-			t.Fatalf("row %d after reseal = %d", i, got)
+	// Column 0 holds the row number, so segment g covers [64g, 64g+rows).
+	for g, s := range segs2 {
+		rows := min(64, 303-64*g)
+		if s.Rows() != rows || s.Min != int64(64*g) || s.Max != int64(64*g+rows-1) {
+			t.Fatalf("segment %d after reseal: rows %d zone map [%d,%d]", g, s.Rows(), s.Min, s.Max)
 		}
 	}
 

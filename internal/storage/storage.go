@@ -4,8 +4,8 @@
 // categorical columns), with hash and ordered indexes built per column on
 // demand for index scans, index nested-loop joins, and the sampling-based
 // estimators. Sealing a table (FinishLoad) computes its column statistics
-// and encoded segments; appends extend the indexes already built, and the
-// next seal re-analyzes only the tables they dirtied.
+// and the per-segment zone maps; appends extend the indexes already built,
+// and the next seal re-analyzes only the tables they dirtied.
 package storage
 
 import (
@@ -20,9 +20,10 @@ import (
 
 // ErrSealed is returned (wrapped with the table name) by AppendRows once
 // FinishLoad has sealed a table: direct appends would race lazy index
-// construction and the encoded segment layer. DML against a sealed table
-// must go through maintain.AppendRows, which uses MaintenanceAppend to
-// invalidate exactly the dirtied segments and statistics.
+// construction and leave the zone maps and statistics stale. DML against a
+// sealed table must go through maintain.AppendRows, which uses
+// MaintenanceAppend to invalidate exactly the dirtied segments and
+// statistics.
 var ErrSealed = errors.New("table is sealed; route appends through internal/maintain")
 
 // Table holds one relation's data column-major. Reads (including lazy
@@ -94,9 +95,9 @@ func (t *Table) AppendRows(rows [][]int64) error {
 }
 
 // MaintenanceAppend adds rows to a table that may already be sealed. It
-// unseals the table (scans fall back to the raw path until the next
-// FinishLoad) and drops only the segment tail the new rows dirty, so
-// resealing re-encodes the affected segments instead of the whole table.
+// unseals the table (scans prune nothing until the next FinishLoad) and
+// drops only the segment tail the new rows dirty, so resealing recomputes
+// the zone maps of the affected segments instead of the whole table.
 // Built indexes are extended with the new rows. Callers outside
 // internal/maintain should use maintain.AppendRows.
 func (t *Table) MaintenanceAppend(rows [][]int64) {
@@ -149,7 +150,7 @@ func (t *Table) appendRows(rows [][]int64) {
 
 // FinishLoad seals the table: it computes each column's statistics — the
 // catalog's min, max and NDV and the histogram's ColStats — from one sort of
-// a copy of the column, then builds the encoded column segments. Call once
+// a copy of the column, then computes the segment zone maps. Call once
 // after populating the columns; maintain.RefreshStats calls it again after
 // DML, which re-analyzes the table and rebuilds only the segments the DML
 // invalidated. On a table sealed at the current segment granularity with
@@ -192,9 +193,9 @@ func (t *Table) ColStats(pos int) *ColStats {
 	return statsOfSorted(sortedCopy(t.Cols[pos]))
 }
 
-// buildSegments (re)encodes the segment layer. Valid segments from a prior
-// seal at the same granularity are reused; appends since then only cost the
-// dirtied tail.
+// buildSegments (re)computes the segment zone maps. Valid segments from a
+// prior seal at the same granularity are reused; appends since then only
+// cost the dirtied tail.
 func (t *Table) buildSegments() {
 	segRows := segmentRows
 	if t.segs == nil || t.segRows != segRows {
@@ -226,8 +227,8 @@ func (t *Table) Sealed() bool { return t.sealed }
 // if it has never been sealed.
 func (t *Table) SegRows() int { return t.segRows }
 
-// Segments returns the encoded segments for column pos, or nil if the
-// table is not sealed (scans must then fall back to the raw columns).
+// Segments returns the segment zone maps for column pos, or nil if the
+// table is not sealed (scans then prune nothing).
 func (t *Table) Segments(pos int) []*Segment {
 	if !t.sealed {
 		return nil
