@@ -173,7 +173,7 @@ func executedSub(q *query.Query, mask query.BitSet, seed int64, mat bool) Execut
 		for first.Left.Left != nil {
 			first = first.Left
 		}
-		first.Left = plan.NewMatLeaf(&plan.Materialized{Tables: first.Left.Tables, Rows: make([][]int64, 37)})
+		first.Left = plan.NewMatLeaf(&plan.Materialized{Tables: first.Left.Tables, Rows: plan.Rows{N: 37}})
 	}
 	rng := rand.New(rand.NewSource(seed))
 	root.Walk(func(n *plan.Node) {

@@ -10,7 +10,10 @@ import (
 // rows — a handful of int64 columns — sit well within L2 while amortizing the
 // per-call overhead (interface dispatch, work charging, cancellation polls)
 // over a thousand tuples. It deliberately equals cancelPollInterval, so a
-// batch boundary falls about once per cancellation poll.
+// batch boundary falls about once per cancellation poll. The hash join
+// looks up a whole probe batch — at most BatchSize rows — before visiting
+// any candidate, and visits at most one output batch's worth of candidates
+// per step, so the work it accrues between charge flushes stays bounded too.
 const BatchSize = 1024
 
 // Batch is a reusable column-width × BatchSize tuple buffer backed by a
@@ -134,29 +137,27 @@ func Run(ctx *Ctx, root *plan.Node) (int, error) {
 }
 
 // drainBatch pulls every batch from a child operator into one flat arena,
-// stamps the child's true cardinality, and returns stable row views into the
-// arena — the shared materialization routine of the pipeline breakers. Each
+// stamps the child's true cardinality, and returns the arena as a row set —
+// the shared materialization routine of the pipeline breakers. Each
 // tuple costs matCost work plus one materialized row, lumped per batch; when
 // the MaxMatRows limit falls inside a batch, work is charged only for the
 // tuples up to and including the first exceeding row, so the work counter
 // and the *ResourceError payload do not depend on batch boundaries.
-func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) {
+func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) (plan.Rows, error) {
 	// Close the child on every exit, not just the clean one: a budget or
 	// cancellation error during build-side materialization must still tear
 	// down the child's subtree. Closes are idempotent, so callers like
 	// batchHashJoin.Close closing the same child again is harmless.
 	defer op.Close()
 	if err := op.Open(ctx); err != nil {
-		return nil, err
+		return plan.Rows{}, err
 	}
-	w := ctx.Layout(node.Tables).Width()
+	rows := plan.Rows{Width: ctx.Layout(node.Tables).Width()}
 	cost := matCost(ctx, node)
-	var arena []int64
-	total := 0
 	for {
 		b, err := op.NextBatch(ctx)
 		if err != nil {
-			return nil, err
+			return plan.Rows{}, err
 		}
 		if b == nil {
 			break
@@ -168,19 +169,19 @@ func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) ([][]int64, error) 
 			// on the materialized-rows budget
 			k := ctx.MaxMatRows - ctx.matRows + 1
 			if err := ctx.charge(k * cost); err != nil {
-				return nil, err
+				return plan.Rows{}, err
 			}
-			return nil, ctx.chargeMatN(n)
+			return plan.Rows{}, ctx.chargeMatN(n)
 		}
 		if err := ctx.charge(n * cost); err != nil {
-			return nil, err
+			return plan.Rows{}, err
 		}
 		if err := ctx.chargeMatN(n); err != nil {
-			return nil, err
+			return plan.Rows{}, err
 		}
-		arena = append(arena, b.data[:b.n*b.width]...)
-		total += b.n
+		rows.Data = append(rows.Data, b.data[:b.n*b.width]...)
+		rows.N += b.n
 	}
-	node.TrueCard = float64(total)
-	return rowViews(arena, w, total), nil
+	node.TrueCard = float64(rows.N)
+	return rows, nil
 }

@@ -198,22 +198,23 @@ func TestBatchProbeAllocsPerTuple(t *testing.T) {
 	}
 }
 
-// TestBuildScratchRecycled asserts the chain-tail scratch recycles through
-// the Ctx: a warm context's build allocates only the vecTable itself —
-// struct plus its three arrays — while a fresh context pays for the tails
-// scratch on top of that.
+// TestBuildScratchRecycled asserts the per-row slot scratch recycles
+// through the Ctx: a warm context's build allocates only the table itself —
+// its slot array and its order list, nothing per row and no row headers —
+// while a fresh context pays for the scratch on top of that.
 func TestBuildScratchRecycled(t *testing.T) {
 	rows := hashBuildRows(4096, 256)
+	var tbl hashTable
 	warmCtx := &Ctx{}
-	buildVecTable(warmCtx, rows, buildConds)
+	tbl.build(warmCtx, rows, buildConds)
 	warm := testing.AllocsPerRun(10, func() {
-		buildVecTable(warmCtx, rows, buildConds)
+		tbl.build(warmCtx, rows, buildConds)
 	})
 	fresh := testing.AllocsPerRun(10, func() {
-		buildVecTable(&Ctx{}, rows, buildConds)
+		tbl.build(&Ctx{}, rows, buildConds)
 	})
-	if warm > 4 {
-		t.Fatalf("warm build allocates %v blocks, want ≤ 4 (scratch not recycled)", warm)
+	if warm > 2 {
+		t.Fatalf("warm build allocates %v blocks, want ≤ 2 (scratch not recycled)", warm)
 	}
 	if warm >= fresh {
 		t.Fatalf("warm build allocates %v blocks vs fresh %v, want fewer", warm, fresh)

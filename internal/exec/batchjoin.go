@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/lpce-db/lpce/internal/plan"
@@ -37,10 +38,11 @@ func (p *pendingCharger) flushIfFull(ctx *Ctx) error {
 }
 
 // batchHashJoin is the vectorized hash join: the build side is drained into
-// a flat arena and indexed by a vecTable during Open (one pipeline breaker
-// with a checkpoint), then probe batches
-// stream from the left child and matches are emitted straight into the
-// output arena.
+// a flat arena and indexed by a hashTable during Open (one pipeline breaker
+// with a checkpoint), then probe batches stream from the left child. Each
+// probe batch is hashed and looked up whole before any candidate is
+// visited; a probe row's candidates are then one contiguous range of the
+// table, and matches are emitted straight into the output arena.
 type batchHashJoin struct {
 	node  *plan.Node
 	left  BatchOperator
@@ -48,15 +50,19 @@ type batchHashJoin struct {
 
 	conds []condOffsets
 	merge joinMerge
+	// exact is set for at most one condition: equal hashes then mean equal
+	// keys (see hashRowConds), so candidates need no condsEqual check
+	exact bool
 
-	rows  [][]int64 // build rows, views into one flat arena
-	table *vecTable
+	rows  plan.Rows // build rows, in drain order
+	table hashTable
 
-	// probe state, persisted across NextBatch calls so a long match chain
-	// can span output batches
+	// probe state, persisted across NextBatch calls so one probe batch's
+	// matches can span output batches
 	probe *Batch
-	pi    int   // rows of probe consumed
-	chain int32 // current candidate chain cursor, -1 when none
+	spans []span // candidate range of each probe row, grown to the largest probe batch
+	pi    int    // probe rows whose range was taken
+	cand  span   // unvisited candidates of probe row pi-1
 
 	charges pendingCharger
 	out     Batch
@@ -80,6 +86,7 @@ func newBatchHashJoin(ctx *Ctx, n *plan.Node) (*batchHashJoin, error) {
 		node: n, left: l, right: r,
 		conds: conds,
 		merge: newJoinMerge(ctx, n.Left.Tables, n.Right.Tables),
+		exact: len(conds) <= 1,
 	}, nil
 }
 
@@ -89,24 +96,24 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 	// half-initialized hash table.
 	defer func() {
 		if err != nil {
-			h.rows, h.table = nil, nil
+			h.release()
 		}
 	}()
 	rows, err := drainBatch(ctx, h.node.Right, h.right)
 	if err != nil {
 		return err
 	}
-	// vecTable chains rows with int32 links; a build side at or beyond 2^31
-	// rows would silently wrap into corruption, so refuse it with a typed
+	// hashTable lists rows by int32 id; a build side at or beyond 2^31 rows
+	// would silently wrap into corruption, so refuse it with a typed
 	// resource error before building.
-	if err = checkVecBuildSize(len(rows)); err != nil {
+	if err = checkVecBuildSize(rows.N); err != nil {
 		return err
 	}
-	if err = ctx.charge(int64(len(rows))); err != nil {
+	if err = ctx.charge(int64(rows.N)); err != nil {
 		return err
 	}
 	h.rows = rows
-	h.table = buildVecTable(ctx, rows, h.conds)
+	h.table.build(ctx, rows, h.conds)
 	// CHECK: the inner sub-plan is fully materialized; report its exact
 	// cardinality (paper Figure 10a).
 	if err = checkpoint(ctx, h.node.Right, rows); err != nil {
@@ -115,7 +122,7 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 	if err = h.left.Open(ctx); err != nil {
 		return err
 	}
-	h.probe, h.pi, h.chain = nil, 0, -1
+	h.probe, h.pi, h.cand = nil, 0, span{}
 	h.charges = pendingCharger{}
 	h.count = 0
 	return nil
@@ -124,37 +131,20 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 	h.out.reset(h.merge.width())
 	for {
-		// walk the current probe row's candidate chain
-		if h.chain != -1 {
-			probeRow := h.probe.Row(h.pi - 1)
-			for h.chain != -1 {
-				r := h.chain
-				h.chain = h.table.next[r]
-				h.charges.add(1)
-				if err := h.charges.flushIfFull(ctx); err != nil {
+		if h.probe != nil {
+			h.emit()
+			if h.out.full() {
+				if err := h.charges.flush(ctx); err != nil {
 					return nil, err
 				}
-				row := h.rows[r]
-				if !condsEqual(h.conds, probeRow, row) {
-					continue // hash collision
-				}
-				h.merge.mergeFlat(h.out.pushRow(), probeRow, row)
-				h.count++
-				if h.out.full() {
-					if err := h.charges.flush(ctx); err != nil {
-						return nil, err
-					}
-					return &h.out, nil
-				}
+				return &h.out, nil
 			}
-		}
-		// advance within the current probe batch
-		if h.probe != nil && h.pi < h.probe.n {
-			row := h.probe.Row(h.pi)
-			h.pi++
-			h.charges.add(1)
-			h.chain = h.table.lookup(hashRowConds(row, h.conds, true))
-			continue
+			if err := h.charges.flushIfFull(ctx); err != nil {
+				return nil, err
+			}
+			if h.cand.lo < h.cand.hi || h.pi < h.probe.n {
+				continue
+			}
 		}
 		// pull the next probe batch; settle our charges first so work
 		// stays monotone against the child's own lumps
@@ -172,14 +162,64 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 			}
 			return nil, nil
 		}
-		h.probe, h.pi = b, 0
+		h.probe, h.pi, h.cand = b, 0, span{}
+		h.spans = slices.Grow(h.spans[:0], b.n)[:b.n]
+		h.table.lookupBatch(b, h.conds, h.spans)
+		h.charges.add(int64(b.n)) // 1 per probe row
 	}
+}
+
+// emit visits the probe batch's candidates, charging 1 per candidate, until
+// the output batch is full, the pending charges are due, or the probe batch
+// is used up. A range is taken at most an output batch's worth at a time.
+// The loop works on local copies of the cursors, which the compiler keeps in
+// registers; they are stored back once at the end.
+func (h *batchHashJoin) emit() {
+	out := &h.out
+	pi, cand := h.pi, h.cand
+	spans, order, rows, exact := h.spans, h.table.order, h.rows, h.exact
+	n0, visited, limit := out.n, 0, flushAt-int(h.charges.pending)
+	for out.n < BatchSize && visited < limit {
+		if cand.lo == cand.hi {
+			if pi == len(spans) {
+				break
+			}
+			cand = spans[pi]
+			pi++
+			continue
+		}
+		n := min(int(cand.hi-cand.lo), BatchSize-out.n)
+		ids := order[cand.lo : int(cand.lo)+n]
+		cand.lo += int32(n)
+		visited += n
+		if exact && out.width == 0 {
+			// COUNT(*) root: the whole range matches and nothing is read
+			out.n += n
+			continue
+		}
+		probeRow := h.probe.Row(pi - 1)
+		for _, r := range ids {
+			row := rows.Row(int(r))
+			if !exact && !condsEqual(h.conds, probeRow, row) {
+				continue // 64-bit hash collision
+			}
+			// a zero-width pushRow only counts: nothing is written
+			h.merge.mergeFlat(out.pushRow(), probeRow, row)
+		}
+	}
+	h.pi, h.cand = pi, cand
+	h.charges.add(int64(visited))
+	h.count += out.n - n0
 }
 
 func (h *batchHashJoin) Close() {
 	h.left.Close()
 	h.right.Close()
-	h.rows, h.table = nil, nil
+	h.release()
+}
+
+func (h *batchHashJoin) release() {
+	h.rows, h.table, h.probe = plan.Rows{}, hashTable{}, nil
 }
 
 // batchMergeJoin sorts both drained inputs during Open (two pipeline
@@ -193,10 +233,12 @@ type batchMergeJoin struct {
 	conds []condOffsets
 	merge joinMerge
 
-	lrows, rrows [][]int64
+	lrows, rrows plan.Rows // sorted on the join keys
 	li, ri       int
 
-	groupL, groupR [][]int64
+	// the current key group's cross product: left rows [gl, gl+gn) against
+	// right rows [gr, gr+gm), at cursor (gi, gj)
+	gl, gn, gr, gm int
 	gi, gj         int
 
 	charges pendingCharger
@@ -229,37 +271,37 @@ func (m *batchMergeJoin) Open(ctx *Ctx) (err error) {
 	// batchHashJoin: Close after a failed Open must not retain arenas.
 	defer func() {
 		if err != nil {
-			m.lrows, m.rrows = nil, nil
+			m.lrows, m.rrows = plan.Rows{}, plan.Rows{}
 		}
 	}()
-	m.lrows, err = drainBatch(ctx, m.node.Left, m.left)
+	rows, err := drainBatch(ctx, m.node.Left, m.left)
 	if err != nil {
 		return err
 	}
-	if err := ctx.charge(sortCost(len(m.lrows))); err != nil {
+	if err := ctx.charge(sortCost(rows.N)); err != nil {
 		return err
 	}
-	sort.Slice(m.lrows, func(i, j int) bool { return condsLess(m.conds, m.lrows[i], m.lrows[j], true) })
+	m.lrows = sortRows(rows, m.conds, true)
 	// CHECK after the outer sort completes (paper Figure 10b).
 	if err := checkpoint(ctx, m.node.Left, m.lrows); err != nil {
 		return err
 	}
 
-	m.rrows, err = drainBatch(ctx, m.node.Right, m.right)
+	rows, err = drainBatch(ctx, m.node.Right, m.right)
 	if err != nil {
 		return err
 	}
-	if err := ctx.charge(sortCost(len(m.rrows))); err != nil {
+	if err := ctx.charge(sortCost(rows.N)); err != nil {
 		return err
 	}
-	sort.Slice(m.rrows, func(i, j int) bool { return condsLess(m.conds, m.rrows[i], m.rrows[j], false) })
+	m.rrows = sortRows(rows, m.conds, false)
 	// CHECK after the inner sort completes.
 	if err := checkpoint(ctx, m.node.Right, m.rrows); err != nil {
 		return err
 	}
 
 	m.li, m.ri = 0, 0
-	m.groupL, m.groupR = nil, nil
+	m.gn, m.gm = 0, 0
 	m.gi, m.gj = 0, 0
 	m.charges = pendingCharger{}
 	m.count = 0
@@ -270,11 +312,11 @@ func (m *batchMergeJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 	m.out.reset(m.merge.width())
 	for {
 		// emit the cross product of the current key group
-		if m.gi < len(m.groupL) {
-			l := m.groupL[m.gi]
-			r := m.groupR[m.gj]
+		if m.gi < m.gn {
+			l := m.lrows.Row(m.gl + m.gi)
+			r := m.rrows.Row(m.gr + m.gj)
 			m.gj++
-			if m.gj >= len(m.groupR) {
+			if m.gj >= m.gm {
 				m.gj = 0
 				m.gi++
 			}
@@ -290,7 +332,7 @@ func (m *batchMergeJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 			continue
 		}
 		// advance to the next matching key group
-		if m.li >= len(m.lrows) || m.ri >= len(m.rrows) {
+		if m.li >= m.lrows.N || m.ri >= m.rrows.N {
 			if err := m.charges.flush(ctx); err != nil {
 				return nil, err
 			}
@@ -304,21 +346,21 @@ func (m *batchMergeJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 		if err := m.charges.flushIfFull(ctx); err != nil {
 			return nil, err
 		}
-		switch condsCompare(m.conds, m.lrows[m.li], m.rrows[m.ri]) {
+		switch condsCompare(m.conds, m.lrows.Row(m.li), m.rrows.Row(m.ri)) {
 		case -1:
 			m.li++
 		case 1:
 			m.ri++
 		default:
 			l0, r0 := m.li, m.ri
-			for m.li < len(m.lrows) && condsSameKey(m.conds, m.lrows[l0], m.lrows[m.li], true) {
+			for m.li < m.lrows.N && condsSameKey(m.conds, m.lrows.Row(l0), m.lrows.Row(m.li), true) {
 				m.li++
 			}
-			for m.ri < len(m.rrows) && condsSameKey(m.conds, m.rrows[r0], m.rrows[m.ri], false) {
+			for m.ri < m.rrows.N && condsSameKey(m.conds, m.rrows.Row(r0), m.rrows.Row(m.ri), false) {
 				m.ri++
 			}
-			m.groupL = m.lrows[l0:m.li]
-			m.groupR = m.rrows[r0:m.ri]
+			m.gl, m.gn = l0, m.li-l0
+			m.gr, m.gm = r0, m.ri-r0
 			m.gi, m.gj = 0, 0
 		}
 	}
@@ -327,7 +369,27 @@ func (m *batchMergeJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 func (m *batchMergeJoin) Close() {
 	m.left.Close()
 	m.right.Close()
-	m.lrows, m.rrows = nil, nil
+	m.lrows, m.rrows = plan.Rows{}, plan.Rows{}
+}
+
+// sortRows returns one side's drained rows ordered on its join keys. It
+// sorts a permutation of row ids with the comparator a sort of the rows
+// themselves would use — pdqsort's result depends only on the outcomes of
+// less, so the order is the same — then gathers the rows into a new arena
+// in that order.
+func sortRows(rows plan.Rows, conds []condOffsets, left bool) plan.Rows {
+	perm := make([]int, rows.N)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(i, j int) bool {
+		return condsLess(conds, rows.Row(perm[i]), rows.Row(perm[j]), left)
+	})
+	sorted := plan.Rows{Width: rows.Width, N: rows.N, Data: make([]int64, len(rows.Data))}
+	for i, r := range perm {
+		copy(sorted.Row(i), rows.Row(r))
+	}
+	return sorted
 }
 
 // batchNLJoin is the vectorized nested loop join. Following the paper's
@@ -348,7 +410,7 @@ type batchNLJoin struct {
 	conds []condOffsets
 	merge joinMerge
 
-	outer [][]int64
+	outer plan.Rows
 	oi    int
 
 	// index path
@@ -361,7 +423,7 @@ type batchNLJoin struct {
 	innerBuf   Tuple
 
 	// rescan path
-	inner [][]int64
+	inner plan.Rows
 	ii    int
 
 	charges pendingCharger
@@ -408,7 +470,7 @@ func (j *batchNLJoin) Open(ctx *Ctx) (err error) {
 	// batchHashJoin.
 	defer func() {
 		if err != nil {
-			j.outer, j.inner = nil, nil
+			j.outer, j.inner = plan.Rows{}, plan.Rows{}
 		}
 	}()
 	// Materialize the outer side and CHECK it (paper Figure 10c).
@@ -457,7 +519,7 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 				continue
 			}
 			fetchRow(j.innerBuf, j.idxTable, j.innerCols, r)
-			cur := j.outer[j.oi-1]
+			cur := j.outer.Row(j.oi - 1)
 			// the index probe only guarantees the first condition; the
 			// inner tuple is the row in the leaf's own layout, so
 			// condsEqual applies directly
@@ -473,7 +535,7 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 				return &j.out, nil
 			}
 		}
-		if j.oi >= len(j.outer) {
+		if j.oi >= j.outer.N {
 			if err := j.charges.flush(ctx); err != nil {
 				return nil, err
 			}
@@ -483,9 +545,14 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 			}
 			return nil, nil
 		}
-		cur := j.outer[j.oi]
+		cur := j.outer.Row(j.oi)
 		j.oi++
 		j.charges.add(2) // index probe
+		// a run of outer rows without an index match must still reach the
+		// budget and cancellation checks
+		if err := j.charges.flushIfFull(ctx); err != nil {
+			return nil, err
+		}
 		j.idxMatches = j.idxTable.HashIndex(j.idxCol).Lookup(cur[j.idxCondOff])
 		j.mi = 0
 	}
@@ -493,7 +560,7 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 
 func (j *batchNLJoin) nextRescanBatch(ctx *Ctx) (*Batch, error) {
 	for {
-		if j.oi >= len(j.outer) {
+		if j.oi >= j.outer.N {
 			if err := j.charges.flush(ctx); err != nil {
 				return nil, err
 			}
@@ -503,9 +570,9 @@ func (j *batchNLJoin) nextRescanBatch(ctx *Ctx) (*Batch, error) {
 			}
 			return nil, nil
 		}
-		cur := j.outer[j.oi]
-		for j.ii < len(j.inner) {
-			row := j.inner[j.ii]
+		cur := j.outer.Row(j.oi)
+		for j.ii < j.inner.N {
+			row := j.inner.Row(j.ii)
 			j.ii++
 			j.charges.add(1)
 			if err := j.charges.flushIfFull(ctx); err != nil {
@@ -533,7 +600,7 @@ func (j *batchNLJoin) Close() {
 	if j.right != nil {
 		j.right.Close()
 	}
-	j.outer, j.inner = nil, nil
+	j.outer, j.inner = plan.Rows{}, plan.Rows{}
 }
 
 // sortCost is the work charged for sorting n buffered rows: n·⌊log2 n⌋,

@@ -282,8 +282,9 @@ func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
 func (s *batchIndexScan) Close() {}
 
 // batchMatScan replays a materialized intermediate result in chunks,
-// charging 1 per emitted row. Rows are copied into the arena because
-// Mat.Rows may be retained by the controller.
+// charging 1 per emitted row. Each chunk is one copy into the batch arena:
+// the batch is the operator's to reuse, while Mat.Rows may be retained by
+// the controller.
 type batchMatScan struct {
 	node  *plan.Node
 	width int
@@ -302,20 +303,19 @@ func (s *batchMatScan) Open(ctx *Ctx) error {
 
 func (s *batchMatScan) NextBatch(ctx *Ctx) (*Batch, error) {
 	rows := s.node.Mat.Rows
-	if s.pos >= len(rows) {
-		s.node.TrueCard = float64(len(rows))
+	if s.pos >= rows.N {
+		s.node.TrueCard = float64(rows.N)
 		return nil, nil
 	}
 	lo := s.pos
-	hi := min(lo+BatchSize, len(rows))
+	hi := min(lo+BatchSize, rows.N)
 	s.pos = hi
 	if err := ctx.charge(int64(hi - lo)); err != nil {
 		return nil, err
 	}
 	s.out.reset(s.width)
-	for _, row := range rows[lo:hi] {
-		copy(s.out.pushRow(), row)
-	}
+	copy(s.out.data, rows.Data[lo*s.width:hi*s.width])
+	s.out.n = hi - lo
 	return &s.out, nil
 }
 
@@ -387,12 +387,11 @@ const (
 // checkMatLayout rejects a materialized intermediate whose rows are not in
 // the projected layout of its subset — rows buffered for another query, or
 // by code that predates the projection, would otherwise be read at the wrong
-// offsets. Rows of one intermediate share a producer, so the first suffices.
+// offsets. A row set has one width, so comparing it is exact.
 func checkMatLayout(ctx *Ctx, n *plan.Node) error {
-	w := ctx.Layout(n.Tables).Width()
-	if rows := n.Mat.Rows; len(rows) > 0 && len(rows[0]) != w {
+	if w, got := ctx.Layout(n.Tables).Width(), n.Mat.Rows.Width; got != w {
 		return fmt.Errorf("exec: materialized rows of subset %b have width %d, layout width %d",
-			uint32(n.Tables), len(rows[0]), w)
+			uint32(n.Tables), got, w)
 	}
 	return nil
 }

@@ -19,10 +19,10 @@ func RunCollect(ctx *Ctx, root *plan.Node) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(rows), nil
+	return rows.N, nil
 }
 
-func collect(ctx *Ctx, n *plan.Node) ([][]int64, error) {
+func collect(ctx *Ctx, n *plan.Node) (plan.Rows, error) {
 	switch {
 	case n.Op == plan.MatScan:
 		n.TrueCard = float64(n.Mat.Card())
@@ -32,95 +32,89 @@ func collect(ctx *Ctx, n *plan.Node) ([][]int64, error) {
 	default:
 		l, err := collect(ctx, n.Left)
 		if err != nil {
-			return nil, err
+			return plan.Rows{}, err
 		}
 		r, err := collect(ctx, n.Right)
 		if err != nil {
-			return nil, err
+			return plan.Rows{}, err
 		}
 		return collectJoin(ctx, n, l, r)
 	}
 }
 
-func collectScan(ctx *Ctx, n *plan.Node) ([][]int64, error) {
+func collectScan(ctx *Ctx, n *plan.Node) (plan.Rows, error) {
 	t := ctx.DB.Table(n.Table)
 	cols := leafCols(ctx, n)
-	var arena []int64
-	count := 0
+	rows := plan.Rows{Width: len(cols)}
 	nrows := t.NumRows()
 	for r := 0; r < nrows; r++ {
 		if err := ctx.charge(1); err != nil {
-			return nil, err
+			return plan.Rows{}, err
 		}
 		if !rowMatches(t, r, n.Preds) {
 			continue
 		}
 		for _, c := range cols {
-			arena = append(arena, t.Cols[c][r])
+			rows.Data = append(rows.Data, t.Cols[c][r])
 		}
-		count++
+		rows.N++
 	}
-	n.TrueCard = float64(count)
-	return rowViews(arena, len(cols), count), nil
+	n.TrueCard = float64(rows.N)
+	return rows, nil
 }
 
-// rowViews slices a flat row-major arena of n tuples into stable row views.
-func rowViews(arena []int64, width, n int) [][]int64 {
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = arena[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
-}
-
-func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, error) {
+func collectJoin(ctx *Ctx, n *plan.Node, left, right plan.Rows) (plan.Rows, error) {
 	// build on the smaller side for speed; the output layout depends only on
 	// the union of the two subsets, so the sides swap freely
 	probeN, buildN, probe, build := n.Left, n.Right, left, right
-	if len(left) < len(right) {
+	if left.N < right.N {
 		probeN, buildN, probe, build = n.Right, n.Left, right, left
 	}
 	conds, err := resolveConds(ctx, n.JoinConds, probeN.Tables, buildN.Tables)
 	if err != nil {
-		return nil, err
+		return plan.Rows{}, err
 	}
 	merge := newJoinMerge(ctx, probeN.Tables, buildN.Tables)
-	if err := checkVecBuildSize(len(build)); err != nil {
-		return nil, err
+	if err := checkVecBuildSize(build.N); err != nil {
+		return plan.Rows{}, err
 	}
-	if err := ctx.charge(int64(len(build))); err != nil {
-		return nil, err
+	if err := ctx.charge(int64(build.N)); err != nil {
+		return plan.Rows{}, err
 	}
-	table := buildVecTable(ctx, build, conds)
+	var table hashTable
+	table.build(ctx, build, conds)
+	exact := len(conds) <= 1 // equal hashes mean equal keys, see hashRowConds
 
 	// a match costs 1 per candidate plus the width-weighted charge that
 	// makes the budget bound buffered memory (logical width, see matCost)
 	w := merge.width()
 	widthCost := int64(ctx.Layout(n.Tables).FullWidth()) / 4
 	var charges pendingCharger
-	var arena []int64
-	count := 0
-	for _, row := range probe {
+	out := plan.Rows{Width: w}
+	for i := 0; i < probe.N; i++ {
+		row := probe.Row(i)
 		charges.add(1)
-		for r := table.lookup(hashRowConds(row, conds, true)); r != -1; r = table.next[r] {
+		s := table.lookup(hashRowConds(row, conds, true))
+		for _, r := range table.order[s.lo:s.hi] {
 			charges.add(1)
 			if err := charges.flushIfFull(ctx); err != nil {
-				return nil, err
+				return plan.Rows{}, err
 			}
-			if !condsEqual(conds, row, build[r]) {
-				continue // hash collision
+			b := build.Row(int(r))
+			if !exact && !condsEqual(conds, row, b) {
+				continue // 64-bit hash collision
 			}
 			charges.add(widthCost)
-			arena = append(arena, make([]int64, w)...)
-			merge.mergeFlat(arena[len(arena)-w:], row, build[r])
-			count++
+			out.Data = append(out.Data, make([]int64, w)...)
+			merge.mergeFlat(out.Data[len(out.Data)-w:], row, b)
+			out.N++
 		}
 	}
 	if err := charges.flush(ctx); err != nil {
-		return nil, err
+		return plan.Rows{}, err
 	}
-	n.TrueCard = float64(count)
-	return rowViews(arena, w, count), nil
+	n.TrueCard = float64(out.N)
+	return out, nil
 }
 
 // TrueCardOracle computes exact cardinalities for arbitrary table subsets

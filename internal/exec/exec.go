@@ -73,18 +73,20 @@ func (r *ReoptSignal) Error() string {
 		r.Node.Op, r.Node.EstCard, r.Actual)
 }
 
-// Controller observes materialization checkpoints. OnMaterialized may
-// retain rows (they are not reused by the executor) and may return a
-// *ReoptSignal to pause execution.
+// Controller observes materialization checkpoints. rows is the sub-plan's
+// complete output as one flat arena in the projected layout of node.Tables,
+// in drain order (sorted on the join keys for a merge join's inputs).
+// OnMaterialized may retain rows — the executor never writes the arena
+// again — and may return a *ReoptSignal to pause execution.
 type Controller interface {
-	OnMaterialized(node *plan.Node, rows [][]int64) error
+	OnMaterialized(node *plan.Node, rows plan.Rows) error
 }
 
 // NopController ignores all checkpoints (plain PostgreSQL behaviour).
 type NopController struct{}
 
 // OnMaterialized implements Controller.
-func (NopController) OnMaterialized(*plan.Node, [][]int64) error { return nil }
+func (NopController) OnMaterialized(*plan.Node, plan.Rows) error { return nil }
 
 // WrapFunc intercepts operator construction: Build applies it to every
 // operator it creates (outermost, above the tracing shim). The
@@ -126,10 +128,10 @@ type Ctx struct {
 	work     int64
 	matRows  int64
 	nextPoll int64
-	// buildTails recycles buildVecTable's chain-tail scratch across the
-	// hash-join builds of one execution (a multi-join plan builds one table
-	// per hash join).
-	buildTails []int32
+	// rowSlots recycles hashTable.build's per-row slot scratch across the
+	// hash builds of one execution (a multi-join plan builds one table per
+	// hash join).
+	rowSlots []uint32
 	// layouts memoizes plan.NewLayout per table subset: every join node
 	// resolves left/right/output layouts, and without the cache plan
 	// construction recomputes the same layouts once per node per helper
@@ -189,7 +191,7 @@ func (c *Ctx) MatRows() int64 { return c.matRows }
 func (c *Ctx) Work() int64 { return c.work }
 
 // checkpoint reports a completed materialization to the controller.
-func checkpoint(ctx *Ctx, node *plan.Node, rows [][]int64) error {
+func checkpoint(ctx *Ctx, node *plan.Node, rows plan.Rows) error {
 	if ctx.Controller == nil {
 		return nil
 	}
@@ -285,24 +287,38 @@ func resolveConds(ctx *Ctx, conds []query.Join, left, right query.BitSet) ([]con
 	return out, nil
 }
 
-// hashRowConds hashes a tuple's join-key columns in place (FNV-1a over the
-// key values in condition order); matches are verified value-by-value, so
-// collisions only cost time.
+// hashRowConds hashes a tuple's join-key columns in place: FNV-1a over the
+// key values in condition order, one 64-bit word per value. For one
+// condition the hash is (basis ^ v) * prime mod 2^64, a bijection on int64
+// because the prime is odd (TestHashSingleKeyInjective inverts it), so
+// equal hashes mean equal keys. With several conditions distinct keys can
+// collide, and matches are verified value by value.
 func hashRowConds(row []int64, conds []condOffsets, left bool) uint64 {
-	var h uint64 = 14695981039346656037
+	h := fnvOffsetBasis
 	for _, c := range conds {
 		off := c.rightOff
 		if left {
 			off = c.leftOff
 		}
-		h ^= uint64(row[off])
-		h *= 1099511628211
+		h = fnvStep(h, row[off])
 	}
 	return h
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffsetBasis uint64 = 14695981039346656037
+	fnvPrime       uint64 = 1099511628211
+)
+
+// fnvStep folds one key value into an FNV-1a hash.
+func fnvStep(h uint64, v int64) uint64 {
+	return (h ^ uint64(v)) * fnvPrime
+}
+
 // condsEqual reports whether a left and a right tuple agree on every join
-// condition.
+// condition. Rows that share a single-condition hash always do (see
+// hashRowConds), so the hash join calls it only on multi-condition keys.
 func condsEqual(conds []condOffsets, l, r []int64) bool {
 	for _, c := range conds {
 		if l[c.leftOff] != r[c.rightOff] {

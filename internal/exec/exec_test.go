@@ -153,13 +153,13 @@ type recordingController struct {
 	failAt query.BitSet
 }
 
-func (r *recordingController) OnMaterialized(n *plan.Node, rows [][]int64) error {
+func (r *recordingController) OnMaterialized(n *plan.Node, rows plan.Rows) error {
 	r.events = append(r.events, struct {
 		mask query.BitSet
 		card int
-	}{n.Tables, len(rows)})
+	}{n.Tables, rows.N})
 	if r.failAt != 0 && n.Tables == r.failAt {
-		return &ReoptSignal{Node: n, Actual: len(rows)}
+		return &ReoptSignal{Node: n, Actual: rows.N}
 	}
 	return nil
 }

@@ -205,8 +205,8 @@ func TestBatchHashJoinReleasesOnOpenFailure(t *testing.T) {
 		if !errors.As(err, &sig) {
 			t.Fatalf("%s/%s: expected ReoptSignal from checkpoint, got %v", q.SQL(), variant, err)
 		}
-		if h.rows != nil || h.table != nil {
-			t.Fatalf("%s/%s: failed Open retained rows=%v table=%v", q.SQL(), variant, h.rows != nil, h.table != nil)
+		if h.rows.Data != nil || h.table.slots != nil || h.table.order != nil {
+			t.Fatalf("%s/%s: failed Open retained rows=%v table=%v", q.SQL(), variant, h.rows.Data != nil, h.table.slots != nil)
 		}
 		h.Close()
 		h.Close() // double Close after failed Open must not panic
@@ -219,7 +219,7 @@ func TestBatchHashJoinReleasesOnOpenFailure(t *testing.T) {
 
 // TestVecBuildSizeGuard pins the int32 overflow guard: builds up to
 // MaxInt32 rows pass, anything larger fails with a typed *ResourceError
-// before the table would corrupt its chain links.
+// before the table would wrap its int32 row ids.
 func TestVecBuildSizeGuard(t *testing.T) {
 	if err := checkVecBuildSize(0); err != nil {
 		t.Fatalf("0 rows: %v", err)

@@ -178,9 +178,9 @@ func (r *refEval) projected(mask query.BitSet) [][]int64 {
 
 // checkRows fails t unless rows, as a multiset, equal the reference rows of
 // mask projected to the live columns.
-func (r *refEval) checkRows(t testing.TB, name string, mask query.BitSet, rows [][]int64) {
+func (r *refEval) checkRows(t testing.TB, name string, mask query.BitSet, rows plan.Rows) {
 	t.Helper()
-	got := slices.Clone(rows)
+	got := rowList(rows)
 	slices.SortFunc(got, slices.Compare[[]int64])
 	want := r.projected(mask)
 	if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
@@ -198,12 +198,21 @@ type refController struct {
 	ckpts []string
 }
 
-func (c *refController) OnMaterialized(n *plan.Node, rows [][]int64) error {
-	c.ckpts = append(c.ckpts, fmt.Sprintf("%b:%d", uint32(n.Tables), len(rows)))
+func (c *refController) OnMaterialized(n *plan.Node, rows plan.Rows) error {
+	c.ckpts = append(c.ckpts, fmt.Sprintf("%b:%d", uint32(n.Tables), rows.N))
 	if c.ref != nil {
 		c.ref.checkRows(c.t, c.name, n.Tables, rows)
 	}
 	return nil
+}
+
+// rowList lists a row set's tuples as separate views, the reference's form.
+func rowList(rows plan.Rows) [][]int64 {
+	out := make([][]int64, rows.N)
+	for i := range out {
+		out[i] = rows.Row(i)
+	}
+	return out
 }
 
 func rowWidth(rows [][]int64) int {
@@ -425,7 +434,7 @@ func TestProjectedMatScanReuseAcrossJoinColumn(t *testing.T) {
 	}
 	// title.id and movie_keyword.keyword_id survive; movie_keyword.movie_id
 	// was consumed by the join inside the subset
-	if w := rowWidth(rec.rows); w != 2 {
+	if w := rec.rows.Width; w != 2 {
 		t.Fatalf("buffered pair rows have width %d, want 2", w)
 	}
 	// plan B: (MatScan{title, movie_keyword} ⋈ cast_info on title.id) ⋈ keyword
@@ -444,15 +453,15 @@ func TestProjectedMatScanReuseAcrossJoinColumn(t *testing.T) {
 // rowKeeper retains the rows of the checkpoint at failAt and pauses there.
 type rowKeeper struct {
 	failAt query.BitSet
-	rows   [][]int64
+	rows   plan.Rows
 }
 
-func (k *rowKeeper) OnMaterialized(n *plan.Node, rows [][]int64) error {
+func (k *rowKeeper) OnMaterialized(n *plan.Node, rows plan.Rows) error {
 	if n.Tables != k.failAt {
 		return nil
 	}
 	k.rows = rows
-	return &ReoptSignal{Node: n, Actual: len(rows)}
+	return &ReoptSignal{Node: n, Actual: rows.N}
 }
 
 // TestMatScanRejectsForeignLayout: rows that are not in the subset's
@@ -464,7 +473,8 @@ func TestMatScanRejectsForeignLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	mask := query.NewBitSet().Set(q.TableIndex(db.Schema.Table("title")))
-	wide := [][]int64{make([]int64, len(db.Schema.Table("title").Columns))}
+	w := len(db.Schema.Table("title").Columns)
+	wide := plan.Rows{Width: w, N: 1, Data: make([]int64, w)}
 	leaf := plan.NewMatLeaf(&plan.Materialized{Tables: mask, Rows: wide})
 	if _, err := Run(&Ctx{DB: db, Q: q}, leaf); err == nil || !strings.Contains(err.Error(), "width") {
 		t.Fatalf("full-width rows accepted by a projected MatScan: %v", err)

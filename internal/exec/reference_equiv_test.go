@@ -49,13 +49,13 @@ type ckptRecorder struct {
 	ref    *refEval
 }
 
-func (r *ckptRecorder) OnMaterialized(n *plan.Node, rows [][]int64) error {
-	r.events = append(r.events, ckptEvent{n.Tables, len(rows), hashRows(rows)})
+func (r *ckptRecorder) OnMaterialized(n *plan.Node, rows plan.Rows) error {
+	r.events = append(r.events, ckptEvent{n.Tables, rows.N, hashRows(rows)})
 	if r.ref != nil {
 		r.ref.checkRows(r.t, r.name, n.Tables, rows)
 	}
 	if r.failAt != 0 && n.Tables == r.failAt {
-		return &ReoptSignal{Node: n, Actual: len(rows)}
+		return &ReoptSignal{Node: n, Actual: rows.N}
 	}
 	return nil
 }
@@ -70,13 +70,11 @@ func (r *ckptRecorder) matTotal() int64 {
 	return n
 }
 
-func hashRows(rows [][]int64) uint64 {
+func hashRows(rows plan.Rows) uint64 {
 	var h uint64 = 14695981039346656037
-	for _, row := range rows {
-		for _, v := range row {
-			h ^= uint64(v)
-			h *= 1099511628211
-		}
+	for _, v := range rows.Data[:rows.N*rows.Width] {
+		h ^= uint64(v)
+		h *= 1099511628211
 	}
 	return h
 }

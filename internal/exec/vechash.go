@@ -1,33 +1,48 @@
 package exec
 
-import "math"
+import (
+	"math"
 
-// vecTable is the batch hash join's open-addressing build table: a
-// power-of-two array of (hash, chain-head) slots probed linearly on the
-// full 64-bit key hash, with per-row chain links into the flat build arena.
-// Compared with a map[uint64][][]int64 it has no per-bucket slice headers
-// and no map overhead, and probes touch at most two contiguous arrays.
+	"github.com/lpce-db/lpce/internal/plan"
+)
+
+// hashTable is the hash join's build table, grouped by key hash: an
+// open-addressing array of slots, probed linearly on the full 64-bit key
+// hash, and order, the build row ids listed group by group. A group is the
+// set of build rows sharing one full hash (equal keys, or rare 64-bit
+// collisions); its rows are order[lo:hi] of its slot, in build insertion
+// order. A probe therefore reads one slot and then one contiguous range of
+// candidates — independent loads, not a pointer chase — and visits exactly
+// the candidates sharing its hash, in build order, which keeps output row
+// order and per-candidate work charges independent of the layout.
 //
-// Rows with equal full hashes (equal keys or rare 64-bit collisions) share
-// one slot and are chained in build insertion order, so a probe visits
-// exactly the candidates sharing its hash, in build order — keeping output
-// row order and per-candidate work charges independent of the layout.
-//
-// The table is sized to at most half full, so every probe walk ends at an
-// empty slot.
-type vecTable struct {
-	mask   uint64
-	hashes []uint64 // slot hash, valid where heads[i] != -1
-	heads  []int32  // first build row per occupied slot, -1 when empty
-	next   []int32  // per build row: next row with the same hash, -1 at end
+// Only order is permuted: the build rows themselves stay in drain order, so
+// the intermediate handed to the checkpoint is unchanged. The slot array is
+// sized to at most half full, so every probe walk ends at an empty slot.
+type hashTable struct {
+	mask  uint64
+	slots []hashSlot
+	order []int32
 }
 
-// maxVecBuildRows is the largest build side a vecTable can index: rows are
-// linked with int32, so one more row than MaxInt32 would wrap the chain
-// links into silent corruption.
+// hashSlot maps one full key hash to its group's range of order. Every
+// group holds at least one row, so hi == 0 marks an empty slot. Hash and
+// range share one 16-byte struct so a lookup reads one cache line.
+type hashSlot struct {
+	hash uint64
+	span
+}
+
+// span is a group's candidate range, order[lo:hi]; an absent hash yields
+// the empty span.
+type span struct{ lo, hi int32 }
+
+// maxVecBuildRows is the largest build side a hashTable can index: row ids
+// and group offsets are int32, so one more row than MaxInt32 would wrap them
+// into silent corruption.
 const maxVecBuildRows = math.MaxInt32
 
-// checkVecBuildSize guards the int32 row links of vecTable: a build side
+// checkVecBuildSize guards the int32 row ids of hashTable: a build side
 // beyond maxVecBuildRows fails with a typed *ResourceError (consistent with
 // the budget errors) instead of corrupting the table.
 func checkVecBuildSize(n int) error {
@@ -37,72 +52,79 @@ func checkVecBuildSize(n int) error {
 	return nil
 }
 
-// newVecTable sizes the table for nrows build rows at ≤50% load.
-func newVecTable(nrows int) *vecTable {
-	n := 2
-	for n < 2*nrows {
-		n <<= 1
+// build indexes rows on the right-side join keys of conds. It allocates
+// the slot array and order; the per-row slot scratch is kept on ctx for the
+// next build, since one execution can build several hash tables.
+//
+// Three passes: place each row's hash in a slot, counting rows per slot;
+// lay the groups out back to back in slot order; then a stable counting
+// sort writes each row id at its group's cursor, in build order.
+func (t *hashTable) build(ctx *Ctx, rows plan.Rows, conds []condOffsets) {
+	n := rows.N
+	size := 2
+	for size < 2*n {
+		size <<= 1
 	}
-	v := &vecTable{
-		mask:   uint64(n - 1),
-		hashes: make([]uint64, n),
-		heads:  make([]int32, n),
-		next:   make([]int32, nrows),
+	mask := uint64(size - 1)
+	slots := make([]hashSlot, size)
+	order := make([]int32, n)
+	if cap(ctx.rowSlots) < n {
+		ctx.rowSlots = make([]uint32, n)
 	}
-	for i := range v.heads {
-		v.heads[i] = -1
+	rowSlot := ctx.rowSlots[:n]
+	for r := range rowSlot {
+		h := hashRowConds(rows.Row(r), conds, false)
+		i := h & mask
+		for slots[i].hi != 0 && slots[i].hash != h {
+			i = (i + 1) & mask
+		}
+		slots[i].hash = h
+		slots[i].hi++ // row count until the layout pass
+		rowSlot[r] = uint32(i)
 	}
-	return v
+	var off int32
+	for i := range slots {
+		s := &slots[i]
+		if c := s.hi; c != 0 {
+			s.lo, s.hi = off, off // hi is the group's fill cursor
+			off += c
+		}
+	}
+	for r, i := range rowSlot {
+		s := &slots[i]
+		order[s.hi] = int32(r)
+		s.hi++
+	}
+	*t = hashTable{mask: mask, slots: slots, order: order}
 }
 
-// buildVecTable indexes the build rows in row order. The chain-tail scratch
-// is kept on ctx for the next build, since one execution can build several
-// hash tables.
-func buildVecTable(ctx *Ctx, rows [][]int64, conds []condOffsets) *vecTable {
-	t := newVecTable(len(rows))
-	if cap(ctx.buildTails) < len(t.heads) {
-		ctx.buildTails = make([]int32, len(t.heads))
-	}
-	tails := ctx.buildTails[:len(t.heads)]
-	for i, row := range rows {
-		t.insert(int32(i), hashRowConds(row, conds, false), tails)
-	}
-	return t
-}
-
-// insert links build row r under hash h. tails is caller-provided scratch
-// (len == len(heads)) tracking each slot's chain tail so insertion order is
-// preserved without walking the chain; a slot's tail is only read after its
-// head was written in the same build, so tails never needs clearing.
-func (v *vecTable) insert(r int32, h uint64, tails []int32) {
-	i := h & v.mask
-	for {
-		if v.heads[i] == -1 {
-			v.heads[i] = r
-			v.hashes[i] = h
-			tails[i] = r
-			v.next[r] = -1
-			return
+// lookup returns the candidate range of the build rows whose hash equals h.
+func (t *hashTable) lookup(h uint64) span {
+	slots, mask := t.slots, t.mask
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &slots[i]
+		if s.hi == 0 {
+			return span{}
 		}
-		if v.hashes[i] == h {
-			v.next[tails[i]] = r
-			v.next[r] = -1
-			tails[i] = r
-			return
+		if s.hash == h {
+			return s.span
 		}
-		i = (i + 1) & v.mask
 	}
 }
 
-// lookup returns the first build row whose hash equals h, or -1; the caller
-// follows next[] for the rest of the chain.
-func (v *vecTable) lookup(h uint64) int32 {
-	i := h & v.mask
-	for {
-		r := v.heads[i]
-		if r == -1 || v.hashes[i] == h {
-			return r
+// lookupBatch hashes every row of a probe batch on the left-side join keys
+// of conds and looks it up, before any candidate is visited: the lookups
+// are independent, so their cache misses overlap. One key column, the
+// common case, is read straight from the batch arena.
+func (t *hashTable) lookupBatch(b *Batch, conds []condOffsets, spans []span) {
+	if len(conds) != 1 {
+		for i := range spans[:b.n] {
+			spans[i] = t.lookup(hashRowConds(b.Row(i), conds, true))
 		}
-		i = (i + 1) & v.mask
+		return
+	}
+	off, w := conds[0].leftOff, b.width
+	for i := range spans[:b.n] {
+		spans[i] = t.lookup(fnvStep(fnvOffsetBasis, b.data[i*w+off]))
 	}
 }

@@ -189,10 +189,10 @@ func materializedCases(q *query.Query) []map[query.BitSet]*plan.Materialized {
 		if mask.Count() != 2 || !q.Connected(mask) {
 			continue
 		}
-		full := map[query.BitSet]*plan.Materialized{mask: {Tables: mask, Rows: make([][]int64, 11)}}
+		full := map[query.BitSet]*plan.Materialized{mask: {Tables: mask, Rows: plan.Rows{N: 11}}}
 		if single := q.AllTablesMask() &^ mask; single != 0 {
 			single &= -single
-			full[single] = &plan.Materialized{Tables: single, Rows: make([][]int64, 3)}
+			full[single] = &plan.Materialized{Tables: single, Rows: plan.Rows{N: 3}}
 		}
 		empty := map[query.BitSet]*plan.Materialized{mask: {Tables: mask}}
 		return append(cases, full, empty)

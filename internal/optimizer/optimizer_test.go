@@ -159,8 +159,8 @@ func TestMaterializedLeafUsed(t *testing.T) {
 	if !q.Connected(sub) {
 		t.Skip("pair not connected in generated query")
 	}
-	rows := [][]int64{} // empty: zero cost, exact card 0
-	mats := map[query.BitSet]*plan.Materialized{sub: {Tables: sub, Rows: rows}}
+	// empty: zero cost, exact card 0
+	mats := map[query.BitSet]*plan.Materialized{sub: {Tables: sub}}
 	p, _, err := o.PlanWithMaterialized(q, mats)
 	if err != nil {
 		t.Fatal(err)

@@ -52,18 +52,34 @@ func (op PhysOp) String() string {
 // IsJoin reports whether the operator is one of the three join methods.
 func (op PhysOp) IsJoin() bool { return op >= HashJoin }
 
+// Rows is a flat row-major set of N tuples, each Width values wide: tuple i
+// is Data[i*Width : (i+1)*Width]. One arena and no per-row slice header, so
+// a buffered intermediate costs its values and nothing more. A zero-width set
+// (a COUNT(*) root's tuples hold no column) carries only N.
+type Rows struct {
+	Width, N int
+	Data     []int64
+}
+
+// Row returns a view of tuple i. The full-slice expression pins the
+// capacity so an append through the view cannot clobber the next tuple.
+func (r Rows) Row(i int) []int64 {
+	off := i * r.Width
+	return r.Data[off : off+r.Width : off+r.Width]
+}
+
 // Materialized holds the buffered output of an executed sub-plan, keyed by
 // the table subset it covers. Re-optimized plans scan these instead of
 // recomputing the executed work (paper §6.2). Rows are in the projected
 // layout of Tables (see Layout), which is the same for every plan of the
-// query.
+// query, in the order the executor drained them.
 type Materialized struct {
 	Tables query.BitSet
-	Rows   [][]int64
+	Rows   Rows
 }
 
 // Card returns the exact cardinality of the materialized result.
-func (m *Materialized) Card() int { return len(m.Rows) }
+func (m *Materialized) Card() int { return m.Rows.N }
 
 // Node is one operator of a physical plan.
 type Node struct {

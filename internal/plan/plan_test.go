@@ -116,13 +116,16 @@ func TestStringRendering(t *testing.T) {
 }
 
 func TestMatLeaf(t *testing.T) {
-	m := &Materialized{Tables: query.NewBitSet().Set(0).Set(1), Rows: [][]int64{{1, 2}, {3, 4}}}
+	m := &Materialized{Tables: query.NewBitSet().Set(0).Set(1), Rows: Rows{Width: 2, N: 2, Data: []int64{1, 2, 3, 4}}}
 	n := NewMatLeaf(m)
 	if n.Op != MatScan || n.EstCard != 2 || n.TrueCard != 2 {
 		t.Fatalf("mat leaf = %+v", n)
 	}
 	if m.Card() != 2 {
 		t.Fatalf("card = %d", m.Card())
+	}
+	if r := m.Rows.Row(1); len(r) != 2 || cap(r) != 2 || r[0] != 3 || r[1] != 4 {
+		t.Fatalf("row 1 = %v (cap %d), want [3 4] with pinned capacity", r, cap(r))
 	}
 }
 

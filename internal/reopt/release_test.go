@@ -60,7 +60,7 @@ func TestReleaseFreesMaterializedIntermediates(t *testing.T) {
 	}
 	// The buffered rows themselves are dropped, not just the map entry, so
 	// anything still pointing at the Materialized cannot pin 1000 rows.
-	if held.Rows != nil {
+	if held.Rows.Data != nil || held.Card() != 0 {
 		t.Fatal("released intermediate still holds its rows")
 	}
 	// The controller stays usable after Release.

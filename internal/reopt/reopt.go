@@ -84,21 +84,23 @@ func NewController(p Policy) *Controller {
 }
 
 // OnMaterialized implements exec.Controller.
-func (c *Controller) OnMaterialized(node *plan.Node, rows [][]int64) error {
+// The row set is kept as it is, without a copy: it becomes the
+// intermediate a re-optimized plan scans.
+func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 	if node.Op == plan.MatScan {
 		return nil // replaying an already-checked intermediate
 	}
 	c.mats[node.Tables] = &plan.Materialized{Tables: node.Tables, Rows: rows}
-	c.execs = append(c.execs, Executed{Node: node, Mask: node.Tables, Card: float64(len(rows))})
+	c.execs = append(c.execs, Executed{Node: node, Mask: node.Tables, Card: float64(rows.N)})
 
 	ev := obs.ReoptEvent{
 		Op:         node.Op.String(),
 		Mask:       node.Tables,
 		EstRows:    node.EstCard,
-		ActualRows: float64(len(rows)),
+		ActualRows: float64(rows.N),
 	}
 	if node.EstCard > 0 {
-		ev.QError = nn.QError(float64(len(rows)), node.EstCard)
+		ev.QError = nn.QError(float64(rows.N), node.EstCard)
 	}
 	suppress := func(reason string) error {
 		ev.Suppressed = reason
@@ -130,7 +132,7 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows [][]int64) error {
 	c.Reopts++
 	ev.Triggered = true
 	c.Trace.AddEvent(ev)
-	sig := &exec.ReoptSignal{Node: node, Actual: len(rows)}
+	sig := &exec.ReoptSignal{Node: node, Actual: rows.N}
 	c.Triggered = sig
 	return sig
 }
@@ -153,7 +155,7 @@ func (c *Controller) ClearTrigger() { c.Triggered = nil }
 // afterwards, though the engine never does.
 func (c *Controller) Release() {
 	for _, m := range c.mats {
-		m.Rows = nil
+		m.Rows = plan.Rows{}
 	}
 	c.mats = make(map[query.BitSet]*plan.Materialized)
 	c.execs = nil

@@ -23,10 +23,10 @@ func twoTableNode(est float64) *plan.Node {
 	return j
 }
 
-func rows(n int) [][]int64 {
-	out := make([][]int64, n)
-	for i := range out {
-		out[i] = []int64{int64(i), int64(i)}
+func rows(n int) plan.Rows {
+	out := plan.Rows{Width: 2, N: n, Data: make([]int64, 2*n)}
+	for i := 0; i < n; i++ {
+		out.Data[2*i], out.Data[2*i+1] = int64(i), int64(i)
 	}
 	return out
 }
