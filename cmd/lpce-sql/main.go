@@ -73,7 +73,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	maxConcurrent := fs.Int64("max-concurrent", 8, "admission capacity in weight units for -serve")
 	maxQueue := fs.Int("max-queue", 32, "admission wait-queue bound for -serve")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-query deadline for -serve")
-	cacheCap := fs.Int("cache-cap", 65536, "per-tenant estimate-cache capacity for -serve (0 = unbounded)")
+	cacheCap := fs.Int("cache-cap", 65536, "per-tenant estimate-cache capacity for -serve (0 = 65536, negative = unbounded)")
 	rateQPS := fs.Float64("rate-qps", 0, "per-tenant sustained request rate for -serve (0 = unlimited)")
 	rateBurst := fs.Int("rate-burst", 0, "per-tenant token-bucket burst depth for -serve (0 = default)")
 	if err := fs.Parse(args); err != nil {

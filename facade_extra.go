@@ -28,8 +28,9 @@ func ParseSQL(schema *Schema, sql string) (*Query, error) {
 // SaveModel writes a tree model to w.
 func SaveModel(w io.Writer, m *TreeModel) error { return core.SaveTreeModel(w, m) }
 
-// LoadModel reads a tree model written by SaveModel.
-func LoadModel(r io.Reader) (*TreeModel, error) { return core.LoadTreeModel(r) }
+// LoadModel reads a tree model written by SaveModel; enc must be the
+// encoder the model was trained with.
+func LoadModel(r io.Reader, enc *Encoder) (*TreeModel, error) { return core.LoadTreeModel(r, enc) }
 
 // SaveRefiner writes a trained LPCE-R to w.
 func SaveRefiner(w io.Writer, r *Refiner) error { return core.SaveRefiner(w, r) }
@@ -73,13 +74,6 @@ type EstimateCache = cardest.Cache
 
 // NewEstimateCache wraps an estimator in an empty cache.
 func NewEstimateCache(inner Estimator) *EstimateCache { return cardest.NewCache(inner) }
-
-// LockedEstimator serializes an unaudited estimator behind a mutex so it can
-// participate in concurrent workloads.
-type LockedEstimator = cardest.Locked
-
-// NewLockedEstimator wraps inner.
-func NewLockedEstimator(inner Estimator) *LockedEstimator { return cardest.NewLocked(inner) }
 
 // ParallelRun is the outcome of a concurrent workload execution: per-query
 // results aligned with the input, wall time, and cache counters.

@@ -172,27 +172,3 @@ func (c *Cache) Reset() {
 }
 
 var _ Estimator = (*Cache)(nil)
-
-// Locked serializes every EstimateSubset call of an estimator behind one
-// mutex. It is the blunt instrument for third-party estimators whose
-// concurrency behaviour has not been audited; the in-repo estimators are
-// all safe for concurrent reads and do not need it.
-type Locked struct {
-	mu    sync.Mutex
-	inner Estimator
-}
-
-// NewLocked wraps inner.
-func NewLocked(inner Estimator) *Locked { return &Locked{inner: inner} }
-
-// Name implements Estimator.
-func (l *Locked) Name() string { return l.inner.Name() }
-
-// EstimateSubset implements Estimator under the mutex.
-func (l *Locked) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.EstimateSubset(q, mask)
-}
-
-var _ Estimator = (*Locked)(nil)

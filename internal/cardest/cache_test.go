@@ -207,30 +207,3 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 		t.Fatalf("bounded cache overflowed: %d entries", c.Len())
 	}
 }
-
-func TestLockedSerializes(t *testing.T) {
-	// a deliberately racy inner estimator: Locked must make it safe
-	counter := 0
-	inner := FuncEstimator{Label: "racy", Fn: func(*query.Query, query.BitSet) float64 {
-		counter++
-		return float64(counter)
-	}}
-	l := NewLocked(inner)
-	if l.Name() != "racy" {
-		t.Fatalf("name = %s", l.Name())
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				l.EstimateSubset(nil, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 8*200 {
-		t.Fatalf("lost updates through Locked: %d", counter)
-	}
-}

@@ -22,8 +22,8 @@ import (
 // Implementations must be safe for concurrent EstimateSubset calls and must
 // return the same value for the same (query, subset) pair regardless of
 // call order — the concurrent workload runner shares one estimator across
-// all workers and asserts parallel runs reproduce serial ones exactly.
-// Wrap an unaudited estimator in Locked if it mutates internal state.
+// all workers and asserts parallel runs reproduce serial ones exactly. An
+// estimator that mutates internal state must do its own locking.
 type Estimator interface {
 	Name() string
 	EstimateSubset(q *query.Query, mask query.BitSet) float64

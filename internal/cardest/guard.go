@@ -307,29 +307,6 @@ func (g *Guard) emit(kind, detail string) {
 	}
 }
 
-// NewFallbackChain builds a load-shedding estimator ladder out of guards:
-// each rung is wrapped in a Guard whose fallback is the next (cheaper) rung,
-// itself guarded, down to cfg.Fallback (or the default Fixed heuristic) at
-// the bottom. NewFallbackChain(cfg, learned, histogram) therefore serves the
-// learned model while it behaves, degrades to the histogram when the learned
-// rung's breaker trips, and degrades again to the heuristic constant if the
-// histogram itself misbehaves — queries keep completing with progressively
-// cheaper plans instead of failing. Every rung shares cfg's breaker tuning
-// and registry (the cardest.guard.* counters aggregate across rungs).
-func NewFallbackChain(cfg GuardConfig, rungs ...Estimator) Estimator {
-	bottom := cfg.Fallback
-	if bottom == nil {
-		bottom = Fixed{Value: 1000, Label: "chain-heuristic"}
-	}
-	var out Estimator = bottom
-	for i := len(rungs) - 1; i >= 0; i-- {
-		c := cfg
-		c.Fallback = out
-		out = NewGuard(rungs[i], c)
-	}
-	return out
-}
-
 // CrossProductBound returns a Bound function for GuardConfig that caps each
 // subset's estimate at the cross product of its base-table sizes — the
 // tightest data-independent upper bound any equi-join result can reach.

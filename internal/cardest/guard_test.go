@@ -284,33 +284,3 @@ func TestGuardHalfOpenFailedProbeRearmsInterval(t *testing.T) {
 		t.Fatalf("inner calls = %d, want 2", c)
 	}
 }
-
-// TestFallbackChainDegradesRungByRung: the ladder serves the top rung while
-// healthy, the next rung when the top breaker trips, and the heuristic when
-// every rung misbehaves.
-func TestFallbackChainDegradesRungByRung(t *testing.T) {
-	top := &flaky{script: []func() float64{func() float64 { return boom() }}}
-	mid := &flaky{script: []func() float64{est(7)}}
-	chain := NewFallbackChain(GuardConfig{TripAfter: 2, Cooldown: 1 << 30}, top, mid)
-	if chain.Name() != "flaky" {
-		t.Fatalf("chain name = %q", chain.Name())
-	}
-	// Every call recovers the top rung's panic into the mid rung's value;
-	// after TripAfter faults the top breaker is open and the top rung is no
-	// longer called at all.
-	for i := 0; i < 6; i++ {
-		if v := chain.EstimateSubset(nil, 0); v != 7 {
-			t.Fatalf("call %d: want mid rung 7, got %v", i, v)
-		}
-	}
-	if top.calls != 2 {
-		t.Fatalf("top rung called %d times, want 2 (tripped after)", top.calls)
-	}
-
-	// A chain of nothing but a panicking rung bottoms out at the heuristic.
-	bad := &flaky{script: []func() float64{func() float64 { return boom() }}}
-	all := NewFallbackChain(GuardConfig{TripAfter: 1, Cooldown: 1 << 30}, bad)
-	if v := all.EstimateSubset(nil, 0); v != 1000 {
-		t.Fatalf("want default heuristic 1000, got %v", v)
-	}
-}

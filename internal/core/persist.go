@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"github.com/lpce-db/lpce/internal/encode"
@@ -33,15 +34,39 @@ func encodeTreeModel(enc *gob.Encoder, m *treenn.TreeModel) error {
 }
 
 // LoadTreeModel reconstructs a tree model previously written by
-// SaveTreeModel.
-func LoadTreeModel(r io.Reader) (*treenn.TreeModel, error) {
-	return decodeTreeModel(gob.NewDecoder(r))
+// SaveTreeModel for the encoder it will run with. A spec that does not fit
+// the encoder, or weights that do not cover the model, are an error.
+func LoadTreeModel(r io.Reader, enc *encode.Encoder) (*treenn.TreeModel, error) {
+	return decodeTreeModel(gob.NewDecoder(r), enc.Dim())
 }
 
-func decodeTreeModel(dec *gob.Decoder) (*treenn.TreeModel, error) {
+// maxWidth bounds every decoded layer width, so a corrupt spec cannot ask
+// for an outsized allocation before its weights are read.
+const maxWidth = 1 << 10
+
+// validate checks a decoded spec before any of its layers is allocated.
+func (s treeModelSpec) validate(inputDim int) error {
+	c := s.Cfg
+	switch {
+	case c.InputDim != inputDim:
+		return fmt.Errorf("core: model input dimension %d, want %d", c.InputDim, inputDim)
+	case c.Hidden <= 0 || c.Hidden > maxWidth || c.OutWidth <= 0 || c.OutWidth > maxWidth:
+		return fmt.Errorf("core: model widths hidden=%d out=%d outside [1, %d]", c.Hidden, c.OutWidth, maxWidth)
+	case c.Cell != treenn.CellSRU && c.Cell != treenn.CellLSTM:
+		return fmt.Errorf("core: unknown cell kind %d", c.Cell)
+	case math.IsNaN(s.LogMax) || math.IsInf(s.LogMax, 0):
+		return fmt.Errorf("core: non-finite LogMax %v", s.LogMax)
+	}
+	return nil
+}
+
+func decodeTreeModel(dec *gob.Decoder, inputDim int) (*treenn.TreeModel, error) {
 	var spec treeModelSpec
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("core: decode model spec: %w", err)
+	}
+	if err := spec.validate(inputDim); err != nil {
+		return nil, err
 	}
 	m := treenn.NewTreeModel(spec.Cfg)
 	m.LogMax = spec.LogMax
@@ -64,14 +89,14 @@ func SaveTreeModelFile(path string, m *treenn.TreeModel) error {
 	return f.Close()
 }
 
-// LoadTreeModelFile loads a model from path.
-func LoadTreeModelFile(path string) (*treenn.TreeModel, error) {
+// LoadTreeModelFile loads a model for enc from path.
+func LoadTreeModelFile(path string, enc *encode.Encoder) (*treenn.TreeModel, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadTreeModel(f)
+	return LoadTreeModel(f, enc)
 }
 
 type refinerSpec struct {
@@ -120,31 +145,69 @@ func SaveRefiner(w io.Writer, r *Refiner) error {
 	return nil
 }
 
+// validate checks a decoded refiner spec: a known kind whose module flags
+// match what SaveRefiner writes for it, and a finite LogMax.
+func (s refinerSpec) validate() error {
+	var want [3]bool // content, refine, connect
+	switch s.Kind {
+	case RefinerFull:
+		want = [3]bool{true, true, true}
+	case RefinerSingle:
+	case RefinerTwo:
+		want = [3]bool{false, true, false}
+	default:
+		return fmt.Errorf("core: unknown refiner kind %d", s.Kind)
+	}
+	if [3]bool{s.HasContent, s.HasRefine, s.HasConnect} != want {
+		return fmt.Errorf("core: %s refiner with modules content=%v refine=%v connect=%v",
+			s.Kind, s.HasContent, s.HasRefine, s.HasConnect)
+	}
+	if math.IsNaN(s.LogMax) || math.IsInf(s.LogMax, 0) {
+		return fmt.Errorf("core: non-finite refiner LogMax %v", s.LogMax)
+	}
+	return nil
+}
+
 // LoadRefiner reconstructs a refiner written by SaveRefiner. The encoder
 // and database are runtime dependencies that do not travel with the
-// weights; they must match the ones used at training time.
+// weights; they must match the ones used at training time. Every module
+// must fit the encoder and share the cardinality module's width.
 func LoadRefiner(rd io.Reader, enc *encode.Encoder, db *storage.Database) (*Refiner, error) {
 	dec := gob.NewDecoder(rd)
 	var spec refinerSpec
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("core: decode refiner spec: %w", err)
 	}
-	r := &Refiner{Kind: spec.Kind, LogMax: spec.LogMax, Enc: enc, DB: db}
-	var err error
-	if r.CardM, err = decodeTreeModel(dec); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	r := &Refiner{Kind: spec.Kind, LogMax: spec.LogMax, Enc: enc, DB: db}
+	var err error
+	if r.CardM, err = decodeTreeModel(dec, enc.DimWithCards()); err != nil {
+		return nil, err
+	}
+	hidden := r.CardM.Cfg.Hidden
+	module := func() (*treenn.TreeModel, error) {
+		m, err := decodeTreeModel(dec, enc.Dim())
+		if err == nil && m.Cfg.Hidden != hidden {
+			err = fmt.Errorf("core: refiner module width %d, cardinality module %d", m.Cfg.Hidden, hidden)
+		}
+		return m, err
+	}
 	if spec.HasContent {
-		if r.Content, err = decodeTreeModel(dec); err != nil {
+		if r.Content, err = module(); err != nil {
 			return nil, err
 		}
 	}
 	if spec.HasRefine {
-		if r.Refine, err = decodeTreeModel(dec); err != nil {
+		if r.Refine, err = module(); err != nil {
 			return nil, err
 		}
 	}
 	if spec.HasConnect {
+		if spec.ConnectDim != hidden {
+			return nil, fmt.Errorf("core: connect layer width %d, cardinality module %d", spec.ConnectDim, hidden)
+		}
 		r.Connect = NewConnectLayer(spec.ConnectDim, 0)
 		if err := r.Connect.Params.DecodeGob(dec); err != nil {
 			return nil, err

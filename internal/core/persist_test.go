@@ -19,7 +19,7 @@ func TestTreeModelSaveLoadRoundtrip(t *testing.T) {
 	if err := SaveTreeModel(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadTreeModel(&buf)
+	m2, err := LoadTreeModel(&buf, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTreeModelFileRoundtrip(t *testing.T) {
 	if err := SaveTreeModelFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadTreeModelFile(path)
+	m2, err := LoadTreeModelFile(path, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,8 @@ func TestTreeModelFileRoundtrip(t *testing.T) {
 }
 
 func TestLoadTreeModelGarbage(t *testing.T) {
-	if _, err := LoadTreeModel(bytes.NewReader([]byte("not a model"))); err == nil {
+	_, enc, _, _ := fixture(t)
+	if _, err := LoadTreeModel(bytes.NewReader([]byte("not a model")), enc); err == nil {
 		t.Fatal("expected decode error")
 	}
 }

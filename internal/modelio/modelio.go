@@ -189,7 +189,7 @@ func LoadTreeModel(r io.Reader, enc *encode.Encoder) (*treenn.TreeModel, error) 
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.LoadTreeModel(bytes.NewReader(p))
+	m, err := core.LoadTreeModel(bytes.NewReader(p), enc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -224,7 +224,7 @@ func LoadLPCEI(r io.Reader, enc *encode.Encoder) (*core.LPCEI, error) {
 		if err != nil {
 			return nil, err
 		}
-		if models[i], err = core.LoadTreeModel(bytes.NewReader(p)); err != nil {
+		if models[i], err = core.LoadTreeModel(bytes.NewReader(p), enc); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}

@@ -27,7 +27,7 @@ var (
 	fixSet     *Set
 )
 
-func fixture(t *testing.T) (*storage.Database, *encode.Encoder, *Set) {
+func fixture(t testing.TB) (*storage.Database, *encode.Encoder, *Set) {
 	t.Helper()
 	fixOnce.Do(func() {
 		fixDB = testutil.TinyDB()

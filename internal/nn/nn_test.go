@@ -211,6 +211,38 @@ func TestLoadShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsIncompleteSnapshot: a snapshot that leaves a parameter at
+// its initial value, or whose weights do not fill the declared shape, is
+// rejected and overwrites nothing.
+func TestLoadRejectsIncompleteSnapshot(t *testing.T) {
+	var partial bytes.Buffer
+	ps1 := NewParams()
+	ps1.NewVecParam("a", 2).Val[0] = 5
+	if err := ps1.Save(&partial); err != nil {
+		t.Fatal(err)
+	}
+	ps2 := NewParams()
+	a := ps2.NewVecParam("a", 2)
+	ps2.NewVecParam("b", 2)
+	if err := ps2.Load(&partial); err == nil {
+		t.Fatal("snapshot missing parameter b loaded")
+	}
+	if a.Val[0] != 0 {
+		t.Fatalf("rejected snapshot overwrote a: %v", a.Val)
+	}
+
+	var short bytes.Buffer
+	ps1.All()[0].Val = ps1.All()[0].Val[:1] // declared 2x1, one weight
+	if err := ps1.Save(&short); err != nil {
+		t.Fatal(err)
+	}
+	ps3 := NewParams()
+	ps3.NewVecParam("a", 2)
+	if err := ps3.Load(&short); err == nil {
+		t.Fatal("snapshot with too few weights loaded")
+	}
+}
+
 func TestNormalizeDenormalizeRoundtrip(t *testing.T) {
 	logMax := math.Log(1e6)
 	for _, card := range []float64{1, 10, 1234, 99999, 1e6} {

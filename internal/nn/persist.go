@@ -39,22 +39,39 @@ func (ps *Params) Load(r io.Reader) error {
 	return ps.DecodeGob(gob.NewDecoder(r))
 }
 
-// DecodeGob reads one parameter snapshot from an existing gob stream.
+// DecodeGob reads one parameter snapshot from an existing gob stream. The
+// snapshot must cover every parameter of the registry exactly once, with
+// matching shapes, so a loaded model never keeps a random initial value; a
+// snapshot that does not is rejected before any value is overwritten.
 func (ps *Params) DecodeGob(dec *gob.Decoder) error {
 	var s snapshot
 	if err := dec.Decode(&s); err != nil {
 		return fmt.Errorf("nn: decode snapshot: %w", err)
 	}
+	if len(s.Shapes) != len(s.Names) || len(s.Weights) != len(s.Names) {
+		return fmt.Errorf("nn: snapshot has %d names, %d shapes, %d weight vectors",
+			len(s.Names), len(s.Shapes), len(s.Weights))
+	}
+	if len(s.Names) != len(ps.list) {
+		return fmt.Errorf("nn: snapshot has %d parameters, model has %d", len(s.Names), len(ps.list))
+	}
+	seen := make(map[string]bool, len(s.Names))
 	for i, name := range s.Names {
 		p := ps.Get(name)
 		if p == nil {
 			return fmt.Errorf("nn: snapshot parameter %q not in model", name)
 		}
-		if p.Rows != s.Shapes[i][0] || p.Cols != s.Shapes[i][1] {
-			return fmt.Errorf("nn: parameter %q shape mismatch: model %dx%d, snapshot %dx%d",
-				name, p.Rows, p.Cols, s.Shapes[i][0], s.Shapes[i][1])
+		if seen[name] {
+			return fmt.Errorf("nn: snapshot repeats parameter %q", name)
 		}
-		copy(p.Val, s.Weights[i])
+		seen[name] = true
+		if p.Rows != s.Shapes[i][0] || p.Cols != s.Shapes[i][1] || len(s.Weights[i]) != len(p.Val) {
+			return fmt.Errorf("nn: parameter %q shape mismatch: model %dx%d, snapshot %dx%d with %d weights",
+				name, p.Rows, p.Cols, s.Shapes[i][0], s.Shapes[i][1], len(s.Weights[i]))
+		}
+	}
+	for i, name := range s.Names {
+		copy(ps.Get(name).Val, s.Weights[i])
 	}
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 // HealthState is the server's coarse load condition, driving the graceful
 // degradation ladder: healthy serves everything, degraded sheds optional
 // work (LPCE-R re-optimization checkpoints are suppressed), overloaded
-// additionally routes estimation through the cheap fallback chain so
-// admitted queries still finish, just with worse plans.
+// additionally plans with the histogram baseline instead of the primary
+// stack so admitted queries still finish, just with worse plans.
 type HealthState int32
 
 const (
@@ -20,7 +20,7 @@ const (
 	// StateDegraded: re-optimization suppressed ("server-degraded"); queries
 	// still use the primary estimator stack.
 	StateDegraded
-	// StateOverloaded: estimation routed to the shed fallback chain and
+	// StateOverloaded: estimation routed to the histogram baseline and
 	// re-optimization suppressed; admission keeps shedding at the edges.
 	StateOverloaded
 )

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/core"
@@ -13,32 +12,28 @@ import (
 )
 
 // servingSet is the atomically-swapped model bundle: the estimator stack,
-// the optional LPCE-R refiner, and one bounded read-through estimate cache
-// per tenant, all built together so a single pointer load yields a mutually
-// consistent triple. Hot-swapping installs a fully-constructed servingSet
-// with one atomic store: queries admitted before the swap finish on the old
-// set, queries admitted after see the new one, and no query can ever
-// observe the new estimator with the old refiner or a cache warmed by a
-// different model (a "torn" set).
+// the optional LPCE-R refiner, one bounded read-through estimate cache per
+// tenant, and the overload rung, all built together so a single pointer load
+// yields a mutually consistent set. Hot-swapping installs a
+// fully-constructed servingSet with one atomic store: queries admitted
+// before the swap finish on the old set, queries admitted after see the new
+// one, and no query can ever observe the new estimator with the old refiner
+// or a cache warmed by a different model (a "torn" set).
 type servingSet struct {
 	version string
 	estName string
 	refiner *core.Refiner
-	overlay bool
 	// caches maps tenant name to that tenant's bounded estimate cache. The
 	// caches wrap the same underlying estimator but are per-tenant, so hit
 	// rates are attributable and one tenant's churn cannot evict another's
 	// working set.
 	caches map[string]*cardest.Cache
-
-	// shedEstName and shedCaches are the overload fallback rung: when the
-	// health machine reports StateOverloaded, Query routes estimation here —
-	// a guarded chain that degrades learned model → histogram → heuristic —
-	// so admitted queries still plan cheaply instead of paying model
-	// inference under pressure. Built and swapped together with the primary
-	// stack so ladder routing is torn-set-free too.
-	shedEstName string
-	shedCaches  map[string]*cardest.Cache
+	// shed is the overload rung: when the health machine reports
+	// StateOverloaded, Query plans with the histogram baseline directly,
+	// bypassing the primary stack and its inference cost. Its estimates are
+	// always finite, at least 1 and at most the cross product, so it needs
+	// no guard.
+	shed *histogram.Estimator
 }
 
 // Estimator modes for Config.Mode.
@@ -50,45 +45,21 @@ const (
 
 // buildServingSet wires an estimator and optional refiner into a servingSet
 // for the server's tenants: one bounded cache per tenant, registered on
-// that tenant's metrics registry. A nil shed estimator gets the default
-// overload ladder: the primary estimator guarded by a latency budget,
-// falling back to the histogram baseline, bottoming at the chain heuristic.
-func (s *Server) buildServingSet(version string, est cardest.Estimator, refiner *core.Refiner, overlay bool, shed cardest.Estimator) *servingSet {
-	if shed == nil {
-		shed = s.defaultShedChain(est)
-	}
+// that tenant's metrics registry, and the histogram overload rung.
+func (s *Server) buildServingSet(version string, est cardest.Estimator, refiner *core.Refiner) *servingSet {
 	set := &servingSet{
-		version:     version,
-		estName:     est.Name(),
-		refiner:     refiner,
-		overlay:     overlay && refiner == nil,
-		caches:      make(map[string]*cardest.Cache, len(s.tenants)),
-		shedEstName: shed.Name(),
-		shedCaches:  make(map[string]*cardest.Cache, len(s.tenants)),
+		version: version,
+		estName: est.Name(),
+		refiner: refiner,
+		caches:  make(map[string]*cardest.Cache, len(s.tenants)),
+		shed:    histogram.NewEstimator(s.cfg.DB),
 	}
 	// Populates per-tenant cache maps keyed by the ranged key; no
 	// order-dependent state is touched.
 	for name, tn := range s.tenants { //detlint:ignore — order-independent build
 		set.caches[name] = cardest.NewCacheBounded(est, tn.obs.Registry(), s.cfg.CacheCapacity)
-		set.shedCaches[name] = cardest.NewCacheBounded(shed, tn.obs.Registry(), s.cfg.CacheCapacity)
 	}
 	return set
-}
-
-// defaultShedChain builds the standard load-shedding estimator ladder over
-// a primary estimator: the primary runs under a circuit breaker with a
-// half-open recovery probe; when it trips (or exceeds its latency budget),
-// estimation degrades to the histogram baseline, and — should the histogram
-// itself fault — to the fixed chain heuristic. Every rung is bounded by the
-// cross-product sanity clamp.
-func (s *Server) defaultShedChain(primary cardest.Estimator) cardest.Estimator {
-	return cardest.NewFallbackChain(cardest.GuardConfig{
-		Bound:         cardest.CrossProductBound(s.cfg.DB),
-		Registry:      s.global.Registry(),
-		TripAfter:     3,
-		Cooldown:      64,
-		ProbeInterval: 5 * time.Second,
-	}, primary, histogram.NewEstimator(s.cfg.DB))
 }
 
 // setFromArtifacts builds the serving estimator stack for the configured
@@ -103,7 +74,7 @@ func (s *Server) setFromArtifacts(version string, set *modelio.Set) (*servingSet
 	}
 	switch mode {
 	case ModeHistogram:
-		return s.buildServingSet(version, histogram.NewEstimator(s.cfg.DB), nil, s.cfg.OverlayReopt, nil), nil
+		return s.buildServingSet(version, histogram.NewEstimator(s.cfg.DB), nil), nil
 	case ModeLPCE, ModeLPCER:
 		if set == nil || set.LPCEI == nil {
 			return nil, fmt.Errorf("server: mode %q needs a model set", mode)
@@ -116,7 +87,7 @@ func (s *Server) setFromArtifacts(version string, set *modelio.Set) (*servingSet
 			}
 			refiner = set.Refiner
 		}
-		return s.buildServingSet(version, est, refiner, s.cfg.OverlayReopt, nil), nil
+		return s.buildServingSet(version, est, refiner), nil
 	default:
 		return nil, fmt.Errorf("server: unknown estimator mode %q", mode)
 	}
@@ -147,18 +118,11 @@ func (s *Server) SwapModels(dir, version string) (old, cur string, err error) {
 
 // InstallEstimator hot-swaps an arbitrary estimator stack (with optional
 // refiner) under the given version label, bypassing artifact loading. The
-// soak harness uses it to swap fault-injected stacks mid-load; embedders
-// can use it to serve estimators that have no modelio artifact form.
+// soak harnesses use it to swap fault-injected stacks mid-load; embedders
+// can use it to serve estimators that have no modelio artifact form. The
+// overload rung is always the histogram baseline.
 func (s *Server) InstallEstimator(version string, est cardest.Estimator, refiner *core.Refiner) (old string) {
-	return s.install(s.buildServingSet(version, est, refiner, s.cfg.OverlayReopt, nil))
-}
-
-// InstallLadder hot-swaps an estimator stack together with an explicit shed
-// (overload fallback) estimator, replacing the default guarded chain. The
-// soak harness uses it to install a deterministic shed rung; embedders can
-// use it to control exactly what serves during overload.
-func (s *Server) InstallLadder(version string, est cardest.Estimator, refiner *core.Refiner, shed cardest.Estimator) (old string) {
-	return s.install(s.buildServingSet(version, est, refiner, s.cfg.OverlayReopt, shed))
+	return s.install(s.buildServingSet(version, est, refiner))
 }
 
 // install atomically publishes the new serving set and returns the previous

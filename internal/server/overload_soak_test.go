@@ -119,7 +119,7 @@ func TestServerOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.InstallLadder("overload-v1", chaosStack(db), nil, histogram.NewEstimator(db))
+	s.InstallEstimator("overload-v1", chaosStack(db), nil)
 	var maxDepth atomic.Int64
 	innerHook := s.adm.onQueue
 	s.adm.onQueue = func(d int) {

@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/core"
 	"github.com/lpce-db/lpce/internal/engine"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/obs"
+	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/sqlparse"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
@@ -547,10 +549,21 @@ func TestServerDrainDuringRateLimitedBurst(t *testing.T) {
 
 // TestLadderRoutingUnderForcedOverload pins the health state and asserts
 // the estimator rung, the result annotations, and the re-optimization
-// suppression hook at each level.
+// suppression hook at each level. A counting primary proves the overload
+// rung bypasses the primary stack: healthy and degraded queries reach it,
+// overloaded ones never call it.
 func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	db := testutil.TinyDB()
 	s := mustServer(t, histConfig(db))
+	hist := histogram.NewEstimator(db)
+	var primaryCalls atomic.Int64
+	s.InstallEstimator("counting", cardest.FuncEstimator{
+		Label: "counting-primary",
+		Fn: func(q *query.Query, mask query.BitSet) float64 {
+			primaryCalls.Add(1)
+			return hist.EstimateSubset(q, mask)
+		},
+	}, nil)
 
 	// Healthy: primary stack, no suppression.
 	res, err := s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(0)})
@@ -560,14 +573,19 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	if res.FallbackEstimator || res.HealthState != "healthy" {
 		t.Fatalf("healthy result = %+v", res)
 	}
+	if primaryCalls.Load() == 0 {
+		t.Fatal("healthy query never reached the primary estimator")
+	}
 	if r := s.reoptSuppress(); r != "" {
 		t.Fatalf("healthy suppression = %q, want none", r)
 	}
 	base := res.Count
 
-	// Degraded: primary stack still serves, but re-optimization is shed.
+	// Degraded: primary stack still serves, but re-optimization is shed. A
+	// statement alpha has not run misses its cache and reaches the primary.
 	s.health.force(StateDegraded)
-	res, err = s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(0)})
+	before := primaryCalls.Load()
+	res, err = s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(1)})
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -577,22 +595,29 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	if res.HealthState != "degraded" {
 		t.Fatalf("HealthState = %q, want degraded", res.HealthState)
 	}
+	if primaryCalls.Load() == before {
+		t.Fatal("degraded query never reached the primary estimator")
+	}
 	if r := s.reoptSuppress(); r != "server-degraded" {
 		t.Fatalf("degraded suppression = %q, want server-degraded", r)
 	}
 
-	// Overloaded: shed fallback chain serves, results stay correct.
+	// Overloaded: the histogram plans, results stay correct, and the primary
+	// is not called — even from beta, whose primary cache is still cold.
 	s.health.force(StateOverloaded)
-	res, err = s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(0)})
+	before = primaryCalls.Load()
+	res, err = s.Query(context.Background(), QueryRequest{Tenant: "beta", SQL: testSQL(0)})
 	if err != nil {
 		t.Fatalf("overloaded query: %v", err)
 	}
 	if !res.FallbackEstimator {
 		t.Fatal("overloaded must route to the shed estimator")
 	}
-	ms := s.models.Load()
-	if res.Estimator != ms.shedEstName {
-		t.Fatalf("estimator = %q, want shed rung %q", res.Estimator, ms.shedEstName)
+	if n := primaryCalls.Load() - before; n != 0 {
+		t.Fatalf("overloaded query made %d primary estimator calls, want 0", n)
+	}
+	if res.Estimator != hist.Name() {
+		t.Fatalf("estimator = %q, want the histogram %q", res.Estimator, hist.Name())
 	}
 	if res.Count != base {
 		t.Fatalf("shed-rung count = %d, want %d (plans may differ, results may not)", res.Count, base)

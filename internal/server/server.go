@@ -75,7 +75,7 @@ type Config struct {
 	// SessionTTL expires idle sessions (default 15m).
 	SessionTTL time.Duration
 	// CacheCapacity bounds each tenant's estimate cache (entries across all
-	// shards); 0 leaves the caches unbounded.
+	// shards; default 65536, negative leaves the caches unbounded).
 	CacheCapacity int
 	// TraceCap bounds each tenant observer's retained query traces and CE
 	// evaluation tables (default 4096; negative disables the cap).
@@ -85,9 +85,8 @@ type Config struct {
 	// derives queue thresholds from MaxQueue and disables latency triggers.
 	Overload OverloadPolicy
 
-	// Engine knobs, applied to every query.
-	Budget       int64
-	OverlayReopt bool
+	// Budget is the engine's per-query work budget, applied to every query.
+	Budget int64
 	// ExecWrap intercepts every executor operator (fault-injection harness).
 	ExecWrap exec.WrapFunc
 }
@@ -167,6 +166,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
+	}
+	if cfg.CacheCapacity == 0 {
+		cfg.CacheCapacity = 65536
 	}
 	if cfg.TraceCap == 0 {
 		cfg.TraceCap = 4096
@@ -284,8 +286,8 @@ type QueryResult struct {
 	Elapsed      time.Duration `json:"elapsed_ns"`
 	// HealthState is the server state the query was admitted under.
 	HealthState string `json:"health_state,omitempty"`
-	// FallbackEstimator marks a query served from the shed (overload) rung
-	// of the estimator ladder rather than the primary stack.
+	// FallbackEstimator marks a query planned by the overload rung (the
+	// histogram baseline) rather than the primary stack.
 	FallbackEstimator bool `json:"fallback_estimator,omitempty"`
 }
 
@@ -321,8 +323,8 @@ func (s *Server) reoptSuppress() string {
 // applying the overload-control ladder in order: the tenant's token bucket
 // (cheapest rejection, charged to the flooding tenant alone), deadline-aware
 // admission on the shared semaphore, then — for admitted queries — estimator
-// routing by health state: overloaded servers plan with the shed fallback
-// chain and suppress re-optimization instead of paying model inference.
+// routing by health state: overloaded servers plan with the histogram
+// baseline and suppress re-optimization instead of paying model inference.
 // Admission failures surface as ErrRateLimited / ErrQueueFull / ErrClosed /
 // ErrDeadlineUnmeetable; unknown tenants as ErrUnknownTenant; parse errors
 // and engine errors pass through typed.
@@ -360,17 +362,14 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 	// query's whole plan comes from one rung of the ladder.
 	ms := s.models.Load()
 	state := s.health.current()
-	est := ms.caches[tn.name]
+	var est cardest.Estimator = ms.caches[tn.name]
 	estName := ms.estName
 	refiner := ms.refiner
-	overlay := ms.overlay
-	fallback := false
-	if state >= StateOverloaded {
-		est = ms.shedCaches[tn.name]
-		estName = ms.shedEstName
+	fallback := state >= StateOverloaded
+	if fallback {
+		est = ms.shed
+		estName = ms.shed.Name()
 		refiner = nil
-		overlay = false
-		fallback = true
 	}
 
 	sess := s.sess.get(req.Tenant, req.Session)
@@ -383,7 +382,6 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 	res, err := s.eng.ExecuteContext(qctx, q, engine.Config{
 		Estimator:     est,
 		Refiner:       refiner,
-		OverlayReopt:  overlay,
 		ReoptSuppress: s.reoptSuppress,
 		Budget:        s.cfg.Budget,
 		Obs:           tn.obs,

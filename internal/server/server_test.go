@@ -665,3 +665,17 @@ func waitCond(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	}
 	t.Fatal(msg)
 }
+
+// TestCacheCapacityDefaultsBounded: a zero CacheCapacity bounds every tenant
+// cache at 65536 entries instead of leaving a resident process's caches
+// unbounded; a negative one still opts out.
+func TestCacheCapacityDefaultsBounded(t *testing.T) {
+	db := testutil.TinyDB()
+	for _, tc := range []struct{ in, want int }{{0, 65536}, {-1, -1}, {128, 128}} {
+		cfg := histConfig(db)
+		cfg.CacheCapacity = tc.in
+		if got := mustServer(t, cfg).cfg.CacheCapacity; got != tc.want {
+			t.Fatalf("CacheCapacity %d normalized to %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
