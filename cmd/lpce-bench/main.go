@@ -8,7 +8,7 @@
 //	           [-parallel N] [-o file]
 //	           [-trace] [-metrics-out file]
 //	           [-timeout D] [-max-mat-rows N]
-//	           [-models-in dir] [-train-workers N]
+//	           [-models-in dir]
 //	           [-cpuprofile file] [-memprofile file]
 //
 // The default runs every experiment at small scale and streams the rendered
@@ -26,16 +26,18 @@
 // -trace).
 //
 // -timeout sets a per-query deadline and -max-mat-rows caps materialized
-// intermediate rows per query (both for the observe experiment; zero
-// disables each). A query over budget fails alone with a typed error while
-// the rest of the workload keeps running; the summary table reports the
-// degraded and failed counts.
+// intermediate rows per query (zero disables each). A query over budget
+// fails alone with a typed error while the rest of the workload keeps
+// running; the summary table reports the degraded and failed counts.
+// -trace, -metrics-out, -timeout and -max-mat-rows belong to the observe
+// experiment: set with any other -experiment, they are rejected before the
+// set-up starts.
 //
 // -models-in loads the SGD-trained models from a versioned artifact
 // directory written by `lpce-train -out=<dir>` instead of training them.
 // The artifacts must match the (scale, seed) schema; a fingerprint mismatch
-// is a hard error. -train-workers fans training across goroutines when
-// models are trained in-process (weights are byte-identical for any value).
+// is a hard error. Models trained in-process fan each minibatch across
+// GOMAXPROCS goroutines; the weights are the same on any machine size.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiment (setup excluded), for digging into executor hot spots with
@@ -77,7 +79,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "per-query deadline for the observe experiment (0 = none)")
 	maxMatRows := fs.Int64("max-mat-rows", 0, "per-query cap on materialized intermediate rows (0 = unlimited)")
 	modelsIn := fs.String("models-in", "", "load trained models from this artifact directory instead of training")
-	trainWorkers := fs.Int("train-workers", 0, "training worker goroutines (0 = serial; weights are identical for any value)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	if err := fs.Parse(args); err != nil {
@@ -93,6 +94,19 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		fmt.Fprintf(stderr, "unknown experiment %q (want one of %s)\n", *exp, strings.Join(experimentNames(), ", "))
 		return 2
+	}
+	if *exp != "observe" {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "trace", "metrics-out", "timeout", "max-mat-rows":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			fmt.Fprintf(stderr, "%s: only valid with -experiment observe (got %q)\n", strings.Join(stray, ", "), *exp)
+			return 2
+		}
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, err)
@@ -114,10 +128,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *modelsIn != "" {
 		fmt.Fprintf(w, "loading trained models from %s\n", *modelsIn)
 	}
-	env, err := experiments.SetupWith(experiments.ParseScale(*scale), *seed, experiments.SetupOptions{
-		TrainWorkers: *trainWorkers,
-		ModelsDir:    *modelsIn,
-	})
+	env, err := experiments.SetupWith(experiments.ParseScale(*scale), *seed, experiments.SetupOptions{ModelsDir: *modelsIn})
 	if err != nil {
 		return fail(err)
 	}

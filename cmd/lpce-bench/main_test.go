@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +28,34 @@ func TestUnknownExperimentRejectedBeforeSetup(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("rejection took %s", d)
+	}
+}
+
+// TestObserveFlagsRejectedBeforeSetup checks that the observe experiment's
+// flags fail with exit status 2 before the set-up when another experiment
+// is selected, instead of being silently ignored.
+func TestObserveFlagsRejectedBeforeSetup(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "r.json")
+	for _, args := range [][]string{
+		{"-experiment=table1", "-metrics-out=" + out},
+		{"-experiment=figure18", "-trace"},
+		{"-timeout=1s"},
+		{"-experiment=joblike", "-max-mat-rows=10"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if strings.Contains(stdout.String(), "setting up environment") {
+			t.Fatalf("%v: set-up started:\n%s", args, stdout.String())
+		}
+		flagName := strings.SplitN(strings.TrimPrefix(args[len(args)-1], "-"), "=", 2)[0]
+		if msg := stderr.String(); !strings.Contains(msg, "-"+flagName) || !strings.Contains(msg, "observe") {
+			t.Fatalf("%v: error does not name the flag and the observe experiment: %q", args, msg)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("rejected run wrote %s (stat err %v)", out, err)
 	}
 }
 

@@ -4,21 +4,21 @@
 // and saves every model as a versioned artifact directory that
 // `lpce-bench -models-in=<dir>` loads instead of retraining.
 //
-// Training is deterministic per (scale, seed) and byte-identical for every
-// -workers value, so artifacts are cacheable by (scale, seed, code
-// version): train once, keep the directory, and every later run skips
-// straight to evaluation.
+// Every training loop fans its minibatches across GOMAXPROCS goroutines and
+// reduces the per-sample gradients in a fixed order, so training is
+// deterministic per (scale, seed) on any machine size and artifacts are
+// cacheable by (scale, seed, code version): train once, keep the directory,
+// and every later run skips straight to evaluation.
 //
 // Usage:
 //
-//	lpce-train [-scale tiny|small|full] [-seed N] [-workers N] [-out dir]
+//	lpce-train [-scale tiny|small|full] [-seed N] [-out dir]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/lpce-db/lpce/internal/experiments"
@@ -27,16 +27,12 @@ import (
 func main() {
 	scale := flag.String("scale", "small", "training scale: tiny, small, or full")
 	seed := flag.Int64("seed", 1, "random seed for data, workload and model init")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "training worker goroutines (weights are identical for any value)")
 	out := flag.String("out", "models", "output directory for model artifacts")
 	flag.Parse()
 
 	start := time.Now()
-	fmt.Printf("training environment (scale=%s, seed=%d, workers=%d)...\n", *scale, *seed, *workers)
-	env, err := experiments.SetupWith(experiments.ParseScale(*scale), *seed, experiments.SetupOptions{
-		TrainWorkers: *workers,
-		TrainOnly:    true,
-	})
+	fmt.Printf("training environment (scale=%s, seed=%d)...\n", *scale, *seed)
+	env, err := experiments.SetupWith(experiments.ParseScale(*scale), *seed, experiments.SetupOptions{TrainOnly: true})
 	if err != nil {
 		fatal(err)
 	}

@@ -80,10 +80,11 @@ func NewEstimateCache(inner Estimator) *EstimateCache { return cardest.NewCache(
 type ParallelRun = experiments.ParallelRun
 
 // ExecuteParallel plans and executes the queries across workers goroutines
-// (GOMAXPROCS when workers <= 0, serial when 1) sharing cfg's estimator
-// behind an estimate cache. Results are identical to a serial run: every
-// estimator shipped with the repository is deterministic per (query,
-// subset) regardless of call order.
+// (GOMAXPROCS when workers <= 0) sharing cfg's estimator behind an estimate
+// cache. Results are identical to a serial run: every estimator shipped
+// with the repository is deterministic per (query, subset) regardless of
+// call order. On failure the pool stops and the lowest-index query's error
+// is returned, as a serial run would.
 func ExecuteParallel(db *Database, queries []*Query, cfg EngineConfig, workers int) (ParallelRun, error) {
 	return experiments.RunParallelWorkload(db, queries, cfg, workers)
 }
@@ -167,8 +168,7 @@ func LoadModelSet(dir string, enc *Encoder, db *Database) (*ModelSet, error) {
 	return modelio.LoadSet(dir, enc, db)
 }
 
-// ExperimentOptions tune SetupExperimentsWith beyond scale and seed: the
-// training worker count (weights are byte-identical for any value), an
+// ExperimentOptions tune SetupExperimentsWith beyond scale and seed: an
 // artifact directory to load models from instead of training, and a
 // train-only mode that skips test-workload construction.
 type ExperimentOptions = experiments.SetupOptions

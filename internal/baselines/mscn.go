@@ -23,13 +23,10 @@ type MSCNConfig struct {
 	Batch  int
 	LR     float64
 	Seed   int64
-	// Workers fans per-example gradient passes across goroutines, with the
-	// same order-fixed reduction as core.TrainConfig.Workers.
-	Workers int
 }
 
-// Shuffle streams for the baselines' EpochOrder calls; values are arbitrary
-// but distinct per training phase.
+// Shuffle streams of the baselines' core.Minibatch runs; values are
+// arbitrary but distinct per training phase.
 const (
 	streamMSCN = iota + 101
 	streamFlowLoss
@@ -164,9 +161,6 @@ func TrainMSCN(cfg MSCNConfig, schema *catalog.Schema, samples []core.Sample, lo
 	cfg = cfg.Defaults()
 	m := NewMSCN(cfg, schema)
 	m.LogMax = logMax
-	if len(samples) == 0 {
-		return m
-	}
 	type example struct {
 		q    *query.Query
 		mask query.BitSet
@@ -180,8 +174,8 @@ func TrainMSCN(cfg MSCNConfig, schema *catalog.Schema, samples []core.Sample, lo
 			}
 		})
 	}
-	opt := nn.NewAdam(cfg.LR)
-	pool := core.NewGradPool(cfg.Workers, cfg.Batch, []*nn.Params{m.Params},
+	train := core.TrainConfig{Epochs: cfg.Epochs, Batch: cfg.Batch, LR: cfg.LR, ClipNorm: 5, Seed: cfg.Seed + 1}
+	core.Minibatch(train, streamMSCN, len(exs), []*nn.Params{m.Params},
 		func() (func(int, float64), []*nn.Params) {
 			rep := m.replica()
 			run := func(ei int, weight float64) {
@@ -193,19 +187,7 @@ func TrainMSCN(cfg MSCNConfig, schema *catalog.Schema, samples []core.Sample, lo
 				t.BackwardFrom()
 			}
 			return run, []*nn.Params{rep.Params}
-		})
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		order := core.EpochOrder(cfg.Seed+1, streamMSCN, epoch, len(exs))
-		for b := 0; b < len(order); b += cfg.Batch {
-			end := b + cfg.Batch
-			if end > len(order) {
-				end = len(order)
-			}
-			pool.RunBatch(order[b:end], 1/float64(end-b))
-			m.Params.ClipGrad(5)
-			opt.Step(m.Params)
-		}
-	}
+		}, nil)
 	return m
 }
 

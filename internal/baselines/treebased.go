@@ -31,56 +31,37 @@ func TrainTLSTM(cfg core.TrainConfig, enc *encode.Encoder, samples []core.Sample
 // optimizer pick catastrophic plans — dominate training.
 func TrainFlowLoss(cfg core.TrainConfig, enc *encode.Encoder, samples []core.Sample, logMax float64) *core.TreeEstimator {
 	cfg = cfg.Defaults()
-	m := treenn.NewTreeModel(treenn.Config{
-		InputDim: enc.Dim(),
-		Hidden:   cfg.Hidden,
-		OutWidth: cfg.OutWidth,
-		Cell:     cfg.Cell,
-		Seed:     cfg.Seed,
-	})
-	m.LogMax = logMax
+	// Built with no samples, the model is untrained: Flow-Loss trains it on
+	// its own loss, with no learning-rate decay and its own shuffle seed.
+	m := core.TrainTreeModel(cfg, enc, nil, logMax, nil)
 	feat := func(n *plan.Node) tensor.Vec { return enc.EncodeNode(n) }
-
-	if len(samples) > 0 {
-		opt := nn.NewAdam(cfg.LR)
-		pool := core.NewGradPool(cfg.Workers, cfg.Batch, []*nn.Params{m.Params},
-			func() (func(int, float64), []*nn.Params) {
-				rep := m.Replica()
-				run := func(si int, weight float64) {
-					s := samples[si]
-					t := autodiff.NewTape()
-					outs := rep.Forward(t, s.Plan, feat, nil)
-					weights := costWeights(s.Plan)
-					// Walk nodes in post-order rather than map order: tape
-					// ops record in loop order and backward reduces in tape
-					// order, so a randomized map walk would break the
-					// byte-identical-weights guarantee.
-					for _, n := range s.Plan.Nodes() {
-						w, hasW := weights[n]
-						out, ok := outs[n]
-						if !hasW || !ok || n.TrueCard < 0 {
-							continue
-						}
-						loss := nn.QErrorLoss(t, out.Pred, n.TrueCard, rep.LogMax)
-						loss.Grad[0] = w * weight
+	shuffle := cfg
+	shuffle.Seed++
+	core.Minibatch(shuffle, streamFlowLoss, len(samples), []*nn.Params{m.Params},
+		func() (func(int, float64), []*nn.Params) {
+			rep := m.Replica()
+			run := func(si int, weight float64) {
+				s := samples[si]
+				t := autodiff.NewTape()
+				outs := rep.Forward(t, s.Plan, feat, nil)
+				weights := costWeights(s.Plan)
+				// Walk nodes in post-order rather than map order: tape ops
+				// record in loop order and backward reduces in tape order,
+				// so a randomized map walk would break the
+				// byte-identical-weights guarantee.
+				for _, n := range s.Plan.Nodes() {
+					w, hasW := weights[n]
+					out, ok := outs[n]
+					if !hasW || !ok || n.TrueCard < 0 {
+						continue
 					}
-					t.BackwardFrom()
+					loss := nn.QErrorLoss(t, out.Pred, n.TrueCard, rep.LogMax)
+					loss.Grad[0] = w * weight
 				}
-				return run, []*nn.Params{rep.Params}
-			})
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			order := core.EpochOrder(cfg.Seed+1, streamFlowLoss, epoch, len(samples))
-			for b := 0; b < len(order); b += cfg.Batch {
-				end := b + cfg.Batch
-				if end > len(order) {
-					end = len(order)
-				}
-				pool.RunBatch(order[b:end], 1/float64(end-b))
-				m.Params.ClipGrad(cfg.ClipNorm)
-				opt.Step(m.Params)
+				t.BackwardFrom()
 			}
-		}
-	}
+			return run, []*nn.Params{rep.Params}
+		}, nil)
 	return &core.TreeEstimator{Label: "flow-loss", Model: m, Enc: enc}
 }
 

@@ -83,10 +83,6 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 		Seed:     cfg.Student.Seed + 17,
 	})
 	student.LogMax = teacher.LogMax
-	if len(samples) == 0 {
-		return student
-	}
-
 	feat := func(n *plan.Node) tensor.Vec { return enc.EncodeNode(n) }
 
 	// Adapters p_e, p_s mapping student widths to teacher widths (Eq. 4).
@@ -113,9 +109,9 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 	}
 
 	// Phase 1: hint loss.
-	optStudent := nn.NewAdam(cfg.Student.LR)
-	optAdapter := nn.NewAdam(cfg.Student.LR)
-	hintPool := NewGradPool(cfg.Student.Workers, cfg.Student.Batch, []*nn.Params{student.Params, aps},
+	hint := cfg.Student
+	hint.Epochs = cfg.HintEpochs
+	Minibatch(hint, streamDistillHint, len(samples), []*nn.Params{student.Params, aps},
 		func() (func(int, float64), []*nn.Params) {
 			rep := student.Replica()
 			apsRep := aps.ShareWeights()
@@ -144,25 +140,12 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 				t.BackwardFrom()
 			}
 			return run, []*nn.Params{rep.Params, apsRep}
-		})
-	for epoch := 0; epoch < cfg.HintEpochs; epoch++ {
-		order := EpochOrder(cfg.Student.Seed, streamDistillHint, epoch, len(samples))
-		for b := 0; b < len(order); b += cfg.Student.Batch {
-			end := b + cfg.Student.Batch
-			if end > len(order) {
-				end = len(order)
-			}
-			hintPool.RunBatch(order[b:end], 1/float64(end-b))
-			student.Params.ClipGrad(cfg.Student.ClipNorm)
-			aps.ClipGrad(cfg.Student.ClipNorm)
-			optStudent.Step(student.Params)
-			optAdapter.Step(aps)
-		}
-	}
+		}, nil)
 
 	// Phase 2: prediction loss αq + (1−α)|logit_t − logit_s| (Eq. 5).
-	optCal := nn.NewAdam(cfg.Student.LR)
-	calPool := NewGradPool(cfg.Student.Workers, cfg.Student.Batch, []*nn.Params{student.Params},
+	predict := cfg.Student
+	predict.Epochs = cfg.PredictEpochs
+	Minibatch(predict, streamDistillPredict, len(samples), []*nn.Params{student.Params},
 		func() (func(int, float64), []*nn.Params) {
 			rep := student.Replica()
 			run := func(si int, weight float64) {
@@ -186,18 +169,6 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 				t.BackwardFrom()
 			}
 			return run, []*nn.Params{rep.Params}
-		})
-	for epoch := 0; epoch < cfg.PredictEpochs; epoch++ {
-		order := EpochOrder(cfg.Student.Seed, streamDistillPredict, epoch, len(samples))
-		for b := 0; b < len(order); b += cfg.Student.Batch {
-			end := b + cfg.Student.Batch
-			if end > len(order) {
-				end = len(order)
-			}
-			calPool.RunBatch(order[b:end], 1/float64(end-b))
-			student.Params.ClipGrad(cfg.Student.ClipNorm)
-			optCal.Step(student.Params)
-		}
-	}
+		}, nil)
 	return student
 }

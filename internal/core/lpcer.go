@@ -130,8 +130,7 @@ func TrainRefiner(cfg RefinerConfig, enc *encode.Encoder, db *storage.Database, 
 	cfg = cfg.Defaults()
 	r := &Refiner{Kind: cfg.Kind, Enc: enc, DB: db, LogMax: logMax}
 
-	cardFeat := CardFeature(enc, logMax, db)
-	r.CardM = TrainTreeModelWithDim(cfg.Base, enc.DimWithCards(), samples, logMax, cardFeat)
+	r.CardM = TrainTreeModel(cfg.Base, enc, samples, logMax, db)
 
 	if cfg.Kind == RefinerSingle {
 		return r
@@ -167,43 +166,32 @@ func cloneModel(m *treenn.TreeModel) *treenn.TreeModel {
 // embeddings enter the tape as constants) and the refine module — plus the
 // connect layer for the full design — is fine-tuned to predict the
 // cardinalities of the remaining operators for random executed prefixes.
-// The prefix cut points are drawn in the main goroutine in epoch order
-// before each epoch's batches run, so they are identical for every
-// Workers setting.
+// Each epoch's prefix cut points are drawn before its batches run, in epoch
+// order, and kept by sample index.
 func (r *Refiner) adjust(cfg RefinerConfig, samples []Sample) {
-	if len(samples) == 0 {
-		return
-	}
-	optRefine := nn.NewAdam(cfg.Base.LR)
-	var optConnect *nn.Adam
-	if r.Connect != nil {
-		optConnect = nn.NewAdam(cfg.Base.LR)
-	}
 	plainFeat := func(n *plan.Node) tensor.Vec { return r.Enc.EncodeNode(n) }
-
 	master := []*nn.Params{r.Refine.Params}
 	if r.Connect != nil {
 		master = append(master, r.Connect.Params)
 	}
-	// order and ks are refreshed per epoch by the main goroutine between
-	// batches; RunBatch's WaitGroup ordering makes the writes visible to the
-	// workers, which index both by epoch-order position.
-	var order []int
-	var ks [][]int
-	pool := NewGradPool(cfg.Base.Workers, cfg.Base.Batch, master,
+	// ks[si] holds sample si's cut points for the current epoch. The epoch
+	// hook rewrites it between batches; the pool's goroutines, started per
+	// batch, only read it.
+	ks := make([][]int, len(samples))
+	base := cfg.Base
+	base.Epochs = cfg.AdjustEpochs
+	Minibatch(base, streamAdjust, len(samples), master,
 		func() (func(int, float64), []*nn.Params) {
 			refRep := r.Refine.Replica()
-			var conRep *ConnectLayer
 			grads := []*nn.Params{refRep.Params}
 			connect := r.Connect
 			if r.Connect != nil {
-				conRep = r.Connect.Replica()
-				connect = conRep
-				grads = append(grads, conRep.Params)
+				connect = r.Connect.Replica()
+				grads = append(grads, connect.Params)
 			}
-			run := func(oi int, weight float64) {
-				s := samples[order[oi]]
-				for _, k := range ks[oi] {
+			run := func(si int, weight float64) {
+				s := samples[si]
+				for _, k := range ks[si] {
 					execRoots, remaining := PrefixSubtrees(s.Plan, k)
 					if len(execRoots) == 0 || len(remaining) == 0 {
 						continue
@@ -224,43 +212,21 @@ func (r *Refiner) adjust(cfg RefinerConfig, samples []Sample) {
 				}
 			}
 			return run, grads
+		},
+		func(epoch int, order []int, _ []*nn.Adam) {
+			prng := epochRand(cfg.Base.Seed, streamAdjustPrefix, epoch)
+			for _, si := range order {
+				m := samples[si].Plan.NumNodes()
+				if m < 2 {
+					continue
+				}
+				ki := make([]int, cfg.PrefixesPerSample)
+				for p := range ki {
+					ki[p] = 1 + prng.Intn(m-1)
+				}
+				ks[si] = ki
+			}
 		})
-
-	// Batches index epoch-order positions, not sample indices, so the
-	// pre-drawn ks line up with their samples.
-	pos := make([]int, len(samples))
-	for i := range pos {
-		pos[i] = i
-	}
-	for epoch := 0; epoch < cfg.AdjustEpochs; epoch++ {
-		order = EpochOrder(cfg.Base.Seed, streamAdjust, epoch, len(samples))
-		prng := epochRand(cfg.Base.Seed, streamAdjustPrefix, epoch)
-		ks = make([][]int, len(order))
-		for i, si := range order {
-			m := samples[si].Plan.NumNodes()
-			if m < 2 {
-				continue
-			}
-			ki := make([]int, cfg.PrefixesPerSample)
-			for p := range ki {
-				ki[p] = 1 + prng.Intn(m-1)
-			}
-			ks[i] = ki
-		}
-		for b := 0; b < len(pos); b += cfg.Base.Batch {
-			end := b + cfg.Base.Batch
-			if end > len(pos) {
-				end = len(pos)
-			}
-			pool.RunBatch(pos[b:end], 1/float64(end-b))
-			r.Refine.Params.ClipGrad(cfg.Base.ClipNorm)
-			optRefine.Step(r.Refine.Params)
-			if r.Connect != nil {
-				r.Connect.Params.ClipGrad(cfg.Base.ClipNorm)
-				optConnect.Step(r.Connect.Params)
-			}
-		}
-	}
 }
 
 // executedOverrides computes, for each executed subtree root, the embedding

@@ -23,11 +23,6 @@ type TrainConfig struct {
 	NodeWise bool
 	ClipNorm float64
 	Seed     int64
-	// Workers fans each minibatch's per-sample forward/backward passes
-	// across this many goroutines (<= 0 runs serially). Gradients are
-	// reduced in fixed sample-index order, so the trained weights are
-	// byte-identical for every Workers value; only wall-clock time changes.
-	Workers int
 }
 
 // Defaults fills zero fields with sensible values.
@@ -83,32 +78,21 @@ func childCards(db *storage.Database, n *plan.Node) (l, r float64) {
 }
 
 // TrainTreeModel trains a tree model (any cell, either loss) on the
-// samples, minimizing mean q-error with Adam. It is the shared trainer for
-// LPCE-I's teacher, the TLSTM baseline, LPCE-R's content module, and the
-// LPCE-S/LPCE-C/LPCE-Q ablations.
-func TrainTreeModel(cfg TrainConfig, enc *encode.Encoder, samples []Sample, logMax float64, feat func(m *treenn.TreeModel) treenn.FeatureFn) *treenn.TreeModel {
+// samples, minimizing mean q-error with Adam and a step-decay learning
+// rate. It is the shared trainer for LPCE-I's teacher, the TLSTM baseline,
+// LPCE-R's content and cardinality modules, and the LPCE-S/LPCE-C/LPCE-Q
+// ablations. A nil cards trains on the plain node encoding; a database
+// trains on the cardinality-augmented encoding over it (CardFeature), the
+// input of LPCE-R's cardinality module. With no samples the model is
+// returned untrained.
+func TrainTreeModel(cfg TrainConfig, enc *encode.Encoder, samples []Sample, logMax float64, cards *storage.Database) *treenn.TreeModel {
 	cfg = cfg.Defaults()
-	m := treenn.NewTreeModel(treenn.Config{
-		InputDim: enc.Dim(),
-		Hidden:   cfg.Hidden,
-		OutWidth: cfg.OutWidth,
-		Cell:     cfg.Cell,
-		Seed:     cfg.Seed,
-	})
-	m.LogMax = logMax
-	if feat == nil {
-		feat = func(m *treenn.TreeModel) treenn.FeatureFn {
-			return func(n *plan.Node) tensor.Vec { return enc.EncodeNode(n) }
-		}
+	inputDim := enc.Dim()
+	feat := func(n *plan.Node) tensor.Vec { return enc.EncodeNode(n) }
+	if cards != nil {
+		inputDim = enc.DimWithCards()
+		feat = CardFeature(enc, logMax, cards)
 	}
-	trainLoop(cfg, m, samples, feat(m))
-	return m
-}
-
-// TrainTreeModelWithDim trains a tree model whose input dimension differs
-// from the plain encoding (the cardinality-augmented module).
-func TrainTreeModelWithDim(cfg TrainConfig, inputDim int, samples []Sample, logMax float64, feat treenn.FeatureFn) *treenn.TreeModel {
-	cfg = cfg.Defaults()
 	m := treenn.NewTreeModel(treenn.Config{
 		InputDim: inputDim,
 		Hidden:   cfg.Hidden,
@@ -117,50 +101,29 @@ func TrainTreeModelWithDim(cfg TrainConfig, inputDim int, samples []Sample, logM
 		Seed:     cfg.Seed,
 	})
 	m.LogMax = logMax
-	trainLoop(cfg, m, samples, feat)
-	return m
-}
-
-// trainLoop runs minibatch Adam over the samples, fanning each batch's
-// per-sample passes across cfg.Workers goroutines. The per-sample gradient
-// snapshots are reduced in sample-index order (see GradPool), so the
-// resulting weights do not depend on the worker count.
-func trainLoop(cfg TrainConfig, m *treenn.TreeModel, samples []Sample, feat treenn.FeatureFn) {
-	if len(samples) == 0 {
-		return
-	}
-	opt := nn.NewAdam(cfg.LR)
-	pool := NewGradPool(cfg.Workers, cfg.Batch, []*nn.Params{m.Params}, func() (func(int, float64), []*nn.Params) {
-		rep := m.Replica()
-		run := func(si int, weight float64) {
-			s := samples[si]
-			t := autodiff.NewTape()
-			outs := rep.Forward(t, s.Plan, feat, nil)
-			seedQErrorGrads(t, rep, s.Plan, outs, cfg.NodeWise, weight)
-			t.BackwardFrom()
-		}
-		return run, []*nn.Params{rep.Params}
-	})
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	Minibatch(cfg, streamTrainLoop, len(samples), []*nn.Params{m.Params},
+		func() (func(int, float64), []*nn.Params) {
+			rep := m.Replica()
+			run := func(si int, weight float64) {
+				s := samples[si]
+				t := autodiff.NewTape()
+				outs := rep.Forward(t, s.Plan, feat, nil)
+				seedQErrorGrads(t, rep, s.Plan, outs, cfg.NodeWise, weight)
+				t.BackwardFrom()
+			}
+			return run, []*nn.Params{rep.Params}
+		},
 		// step-decay schedule: halve the rate twice in the final stretch so
 		// the q-error loss settles instead of oscillating around minima
-		switch {
-		case epoch == cfg.Epochs*8/10:
-			opt.LR = cfg.LR / 2
-		case epoch == cfg.Epochs*19/20:
-			opt.LR = cfg.LR / 4
-		}
-		order := EpochOrder(cfg.Seed, streamTrainLoop, epoch, len(samples))
-		for b := 0; b < len(order); b += cfg.Batch {
-			end := b + cfg.Batch
-			if end > len(order) {
-				end = len(order)
+		func(epoch int, _ []int, opts []*nn.Adam) {
+			switch {
+			case epoch == cfg.Epochs*8/10:
+				opts[0].LR = cfg.LR / 2
+			case epoch == cfg.Epochs*19/20:
+				opts[0].LR = cfg.LR / 4
 			}
-			pool.RunBatch(order[b:end], 1/float64(end-b))
-			m.Params.ClipGrad(cfg.ClipNorm)
-			opt.Step(m.Params)
-		}
-	}
+		})
+	return m
 }
 
 // seedQErrorGrads attaches q-error losses to the requested nodes and seeds

@@ -206,11 +206,6 @@ type NamedEstimator struct {
 
 // SetupOptions customizes SetupWith beyond (scale, seed).
 type SetupOptions struct {
-	// TrainWorkers fans every SGD training loop across this many
-	// goroutines. Weights are byte-identical for every setting (see
-	// core.TrainConfig.Workers); only training wall time changes. <= 1
-	// trains serially.
-	TrainWorkers int
 	// ModelsDir, when non-empty, loads the SGD-trained models from a
 	// modelio artifact directory (written by cmd/lpce-train) instead of
 	// training them. The artifacts must have been trained against the same
@@ -234,15 +229,10 @@ func Setup(scale Scale, seed int64) *Env {
 	return env
 }
 
-// SetupWith is Setup with explicit options: parallel training, loading
-// pre-trained artifacts, or a training-only environment.
+// SetupWith is Setup with explicit options: loading pre-trained artifacts
+// or a training-only environment.
 func SetupWith(scale Scale, seed int64, opts SetupOptions) (*Env, error) {
 	p := paramsFor(scale, seed)
-	if opts.TrainWorkers > 1 {
-		p.teacher.Workers = opts.TrainWorkers
-		p.student.Workers = opts.TrainWorkers
-		p.mscn.Workers = opts.TrainWorkers
-	}
 	db := datagen.Generate(datagen.Config{Titles: p.titles, Seed: seed})
 	enc := encode.NewEncoder(db.Schema)
 	env := &Env{Scale: scale, Seed: seed, P: p, DB: db, Enc: enc, Oracle: exec.NewTrueCardOracle(db)}

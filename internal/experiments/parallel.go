@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -76,12 +77,14 @@ func (r ParallelRun) PhaseTable() *Table {
 }
 
 // RunParallelWorkload plans and executes every query with one configuration
-// across a pool of workers goroutines (GOMAXPROCS when workers <= 0, serial
-// when workers == 1). The configuration's estimator is shared by all workers
-// behind a read-through estimate cache; everything else — Timed wrapper,
-// re-optimization controller, executor context — is allocated per query by
-// the engine, so results are identical to a serial run regardless of worker
-// count or scheduling.
+// across a pool of workers goroutines (GOMAXPROCS when workers <= 0). The
+// configuration's estimator is shared by all workers behind a read-through
+// estimate cache; everything else — Timed wrapper, re-optimization
+// controller, executor context — is allocated per query by the engine, so
+// results are identical to a serial run regardless of worker count or
+// scheduling. So is the error: the first failure stops the pool, and the
+// lowest-index failure is returned, which is the query a serial run
+// would have failed on.
 func RunParallelWorkload(db *storage.Database, queries []*query.Query, cfg engine.Config, workers int) (ParallelRun, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -90,17 +93,27 @@ func RunParallelWorkload(db *storage.Database, queries []*query.Query, cfg engin
 	cfg.Estimator = cache
 	eng := engine.New(db)
 	results := make([]engine.Result, len(queries))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	start := time.Now()
-	err := workload.RunParallel(len(queries), workers, func(i int) error {
+	errs := workload.RunEach(ctx, len(queries), workers, func(i int) error {
+		ok := false
+		defer func() {
+			if !ok { // an error or a panic
+				cancel()
+			}
+		}()
 		r, err := eng.Execute(queries[i], cfg)
 		if err != nil {
 			return fmt.Errorf("query %d: %w", i, err)
 		}
-		results[i] = r
+		results[i], ok = r, true
 		return nil
 	})
-	if err != nil {
-		return ParallelRun{}, err
+	for _, err := range errs {
+		if err != nil {
+			return ParallelRun{}, err
+		}
 	}
 	hits, misses := cache.Stats()
 	return ParallelRun{

@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/engine"
+	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/testutil"
+	"github.com/lpce-db/lpce/internal/workload"
 )
 
 // TestParallelMatchesSerial is the tentpole correctness proof: running the
@@ -153,5 +158,38 @@ func TestParallelBenchRenders(t *testing.T) {
 		if p.CacheHits == 0 {
 			t.Fatalf("%s: repeated workload produced no cache hits", p.Name)
 		}
+	}
+}
+
+// TestParallelWorkloadReturnsSerialError makes a higher-index query fail
+// first: query 2's estimator panics at once, query 0's only after that. A
+// serial run fails on query 0, so the parallel run must report query 0's
+// failure, not whichever finished first.
+func TestParallelWorkloadReturnsSerialError(t *testing.T) {
+	db := testutil.TinyDB()
+	qs := workload.NewGenerator(db, 5).Queries(4, 2)
+	hist := histogram.NewEstimator(db)
+	hiFailed := make(chan struct{})
+	var once sync.Once
+	est := cardest.FuncEstimator{Label: "ordered-failures", Fn: func(q *query.Query, mask query.BitSet) float64 {
+		switch {
+		case q == nil:
+		case q.Fingerprint() == qs[2].Fingerprint():
+			once.Do(func() { close(hiFailed) })
+			panic("query 2")
+		case q.Fingerprint() == qs[0].Fingerprint():
+			select {
+			case <-hiFailed:
+				time.Sleep(20 * time.Millisecond) // let query 2's failure land first
+			case <-time.After(5 * time.Second):
+			}
+			panic("query 0")
+		}
+		return hist.EstimateSubset(q, mask)
+	}}
+	_, err := RunParallelWorkload(db, qs, engine.Config{Estimator: est}, 4)
+	var pe *workload.PanicError
+	if !errors.As(err, &pe) || pe.Index != 0 || pe.Value != "query 0" {
+		t.Fatalf("err = %v, want query 0's panic", err)
 	}
 }

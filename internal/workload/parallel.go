@@ -32,127 +32,46 @@ func safeCall(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
-// RunParallel executes fn(i) for every i in [0, n) across a pool of worker
-// goroutines pulling indices from a shared atomic counter (work stealing, so
-// uneven per-item costs balance automatically). workers <= 0 defaults to
-// GOMAXPROCS; workers == 1 runs serially on the calling goroutine, making
-// serial baselines share this exact code path.
+// RunEach executes fn(i) for every i in [0, n) across a pool of worker
+// goroutines (GOMAXPROCS when workers <= 0) pulling indices from a shared
+// atomic counter, so uneven per-task costs balance automatically. It never
+// stops on task failure: each task's error (with panics recovered into
+// *PanicError) lands in the returned slice at its index, nil marking
+// success. One bad query cannot take down the pool or starve the queries
+// behind it. fn must be safe to call concurrently for distinct indices.
 //
-// The first error stops the pool: remaining workers drain without picking up
-// new indices, and that error is returned. A panicking task is recovered
-// into a *PanicError and treated the same way. fn must be safe to call
-// concurrently from multiple goroutines for distinct indices.
-func RunParallel(n, workers int, fn func(i int) error) error {
-	return RunParallelCtx(context.Background(), n, workers, fn)
-}
-
-// RunParallelCtx is RunParallel under a context: when ctx is cancelled the
-// pool stops picking up new indices and the context's error is returned
-// (unless a task error arrived first). In-flight tasks are not interrupted —
-// cancel-aware tasks should thread ctx themselves.
-func RunParallelCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := safeCall(i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next    atomic.Int64
-		stopped atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stopped.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					stopped.Store(true)
-					return
-				}
-				if err := safeCall(i, fn); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					stopped.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
-}
-
-// RunEach executes fn(i) for every i in [0, n) across a worker pool like
-// RunParallelCtx, but never stops on task failure: each task's error (with
-// panics recovered into *PanicError) lands in the returned slice at its
-// index, nil marking success. This is the chaos-tolerant runner — one bad
-// query cannot take down the pool or starve the queries behind it.
-//
-// A cancelled ctx stops new work; tasks never started report ctx.Err().
+// A cancelled ctx stops new work, and tasks never started report
+// ctx.Err(). In-flight tasks are not interrupted; cancel-aware tasks thread
+// ctx themselves. Indices are handed out in ascending order and a worker
+// checks ctx before taking one, so every index handed out runs, and so
+// does every index below it. A caller that cancels ctx on the first
+// failure therefore still runs every task a serial loop would have run
+// before stopping, and the lowest-index error is the serial loop's error.
 func RunEach(ctx context.Context, n, workers int, fn func(i int) error) []error {
 	errs := make([]error, n)
-	if n == 0 {
-		return errs
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	run := func(i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		errs[i] = safeCall(i, fn)
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return errs
 	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				run(i)
+				errs[i] = safeCall(i, fn)
 			}
 		}()
 	}
 	wg.Wait()
+	for i := int(next.Load()); i < n; i++ {
+		errs[i] = ctx.Err()
+	}
 	return errs
 }

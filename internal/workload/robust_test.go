@@ -43,15 +43,15 @@ func TestQueryPanicsOnOversizedRequest(t *testing.T) {
 
 func TestRunParallelRecoversTaskPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := RunParallel(50, workers, func(i int) error {
+		errs := RunEach(context.Background(), 50, workers, func(i int) error {
 			if i == 7 {
 				panic("chaos")
 			}
 			return nil
 		})
 		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+		if !errors.As(errs[7], &pe) {
+			t.Fatalf("workers=%d: errs[7] = %v, want *PanicError", workers, errs[7])
 		}
 		if pe.Index != 7 || pe.Value != "chaos" || len(pe.Stack) == 0 {
 			t.Fatalf("workers=%d: recovered %+v", workers, pe)
@@ -61,15 +61,16 @@ func TestRunParallelRecoversTaskPanics(t *testing.T) {
 
 func TestRunParallelCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var calls atomic.Int32
-	err := RunParallelCtx(ctx, 100_000, 4, func(i int) error {
+	errs := RunEach(ctx, 100_000, 4, func(i int) error {
 		if calls.Add(1) == 10 {
 			cancel()
 		}
 		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if !errors.Is(errs[len(errs)-1], context.Canceled) {
+		t.Fatalf("last task: err = %v, want context.Canceled", errs[len(errs)-1])
 	}
 	if c := calls.Load(); c == 100_000 {
 		t.Fatal("pool ignored cancellation")
