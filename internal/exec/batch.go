@@ -22,11 +22,14 @@ const BatchSize = 1024
 // has no arena and carries only its row count. A batch returned by NextBatch —
 // and every row view derived from it — is valid only until the next
 // NextBatch or Close call on the producing operator; consumers that need
-// the data longer must copy it (drainBatch does).
+// the data longer must copy it (drainBatch does). The arena is pooled (see
+// pool.go): the producer returns it on Close, after which it may hold
+// another query's rows.
 type Batch struct {
 	width int
 	n     int
 	data  []int64
+	box   *[]int64 // the pooled arena data is taken from; nil = none
 }
 
 // Len reports the number of tuples in the batch.
@@ -43,15 +46,25 @@ func (b *Batch) Row(i int) []int64 {
 	return b.data[off : off+b.width : off+b.width]
 }
 
-// reset prepares the batch for refilling at the given tuple width, growing
-// the arena once and then reusing it for the operator's lifetime.
+// reset prepares the batch for refilling at the given tuple width, taking
+// an arena from the pool once and then reusing it until release.
 func (b *Batch) reset(width int) {
 	b.width = width
 	b.n = 0
-	if cap(b.data) < width*BatchSize {
-		b.data = make([]int64, width*BatchSize)
+	if n := width * BatchSize; len(b.data) != n {
+		b.release()
+		if n > 0 {
+			b.box = int64Pool.get(n)
+			b.data = *b.box
+		}
 	}
-	b.data = b.data[:width*BatchSize]
+}
+
+// release returns the arena to the pool. The batch stays usable: the next
+// reset takes a fresh arena.
+func (b *Batch) release() {
+	int64Pool.put(b.box)
+	b.box, b.data, b.n = nil, nil, 0
 }
 
 // pushRow appends an uninitialized tuple and returns its view for the

@@ -198,25 +198,21 @@ func TestBatchProbeAllocsPerTuple(t *testing.T) {
 	}
 }
 
-// TestBuildScratchRecycled asserts the per-row slot scratch recycles
-// through the Ctx: a warm context's build allocates only the table itself —
-// its slot array and its order list, nothing per row and no row headers —
-// while a fresh context pays for the scratch on top of that.
+// TestBuildScratchRecycled asserts the table's arrays and the per-row slot
+// scratch recycle through the pools: once a table has been built and
+// released, the next build of the same size allocates nothing — no scratch,
+// no row headers, no pool boxes. (Under the race detector sync.Pool drops
+// some puts on purpose, so only the count is skipped there.)
 func TestBuildScratchRecycled(t *testing.T) {
 	rows := hashBuildRows(4096, 256)
 	var tbl hashTable
-	warmCtx := &Ctx{}
-	tbl.build(warmCtx, rows, buildConds)
+	tbl.build(rows, buildConds)
+	tbl.release()
 	warm := testing.AllocsPerRun(10, func() {
-		tbl.build(warmCtx, rows, buildConds)
+		tbl.build(rows, buildConds)
+		tbl.release()
 	})
-	fresh := testing.AllocsPerRun(10, func() {
-		tbl.build(&Ctx{}, rows, buildConds)
-	})
-	if warm > 2 {
-		t.Fatalf("warm build allocates %v blocks, want ≤ 2 (scratch not recycled)", warm)
-	}
-	if warm >= fresh {
-		t.Fatalf("warm build allocates %v blocks vs fresh %v, want fewer", warm, fresh)
+	if warm != 0 && !raceEnabled {
+		t.Fatalf("a build after release allocates %v blocks, want 0 (buffers not recycled)", warm)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"slices"
 	"sort"
 
 	"github.com/lpce-db/lpce/internal/plan"
@@ -53,16 +52,21 @@ type batchHashJoin struct {
 	// exact is set for at most one condition: equal hashes then mean equal
 	// keys (see hashRowConds), so candidates need no condsEqual check
 	exact bool
+	// probeOnly is set when exact and every output column is read from the
+	// probe row: each candidate then emits the same row, and the build rows
+	// are never read
+	probeOnly bool
 
 	rows  plan.Rows // build rows, in drain order
 	table hashTable
 
 	// probe state, persisted across NextBatch calls so one probe batch's
 	// matches can span output batches
-	probe *Batch
-	spans []span // candidate range of each probe row, grown to the largest probe batch
-	pi    int    // probe rows whose range was taken
-	cand  span   // unvisited candidates of probe row pi-1
+	probe    *Batch
+	spans    []span  // candidate range of each probe row of the current batch
+	spansBox *[]span // pooled backing of spans, BatchSize long
+	pi       int     // probe rows whose range was taken
+	cand     span    // unvisited candidates of probe row pi-1
 
 	charges pendingCharger
 	out     Batch
@@ -82,11 +86,21 @@ func newBatchHashJoin(ctx *Ctx, n *plan.Node) (*batchHashJoin, error) {
 	if err != nil {
 		return nil, err
 	}
+	merge := newJoinMerge(ctx, n.Left.Tables, n.Right.Tables)
+	probeOnly := len(conds) <= 1
+	for i, c := range merge.cols {
+		// a single-condition join makes the build key equal to the probe
+		// key, so an output column that is the build key is read from the
+		// probe row instead
+		if !c.fromLeft && len(conds) == 1 && c.off == conds[0].rightOff {
+			merge.cols[i] = mergeCol{true, conds[0].leftOff}
+		}
+		probeOnly = probeOnly && merge.cols[i].fromLeft
+	}
 	return &batchHashJoin{
 		node: n, left: l, right: r,
-		conds: conds,
-		merge: newJoinMerge(ctx, n.Left.Tables, n.Right.Tables),
-		exact: len(conds) <= 1,
+		conds: conds, merge: merge,
+		exact: len(conds) <= 1, probeOnly: probeOnly,
 	}, nil
 }
 
@@ -113,7 +127,7 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 		return err
 	}
 	h.rows = rows
-	h.table.build(ctx, rows, h.conds)
+	h.table.build(rows, h.conds)
 	// CHECK: the inner sub-plan is fully materialized; report its exact
 	// cardinality (paper Figure 10a).
 	if err = checkpoint(ctx, h.node.Right, rows); err != nil {
@@ -162,8 +176,11 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 			}
 			return nil, nil
 		}
+		if h.spansBox == nil {
+			h.spansBox = spanPool.get(BatchSize)
+		}
 		h.probe, h.pi, h.cand = b, 0, span{}
-		h.spans = slices.Grow(h.spans[:0], b.n)[:b.n]
+		h.spans = (*h.spansBox)[:b.n]
 		h.table.lookupBatch(b, h.conds, h.spans)
 		h.charges.add(int64(b.n)) // 1 per probe row
 	}
@@ -189,16 +206,18 @@ func (h *batchHashJoin) emit() {
 			continue
 		}
 		n := min(int(cand.hi-cand.lo), BatchSize-out.n)
-		ids := order[cand.lo : int(cand.lo)+n]
+		lo := cand.lo
 		cand.lo += int32(n)
 		visited += n
-		if exact && out.width == 0 {
-			// COUNT(*) root: the whole range matches and nothing is read
+		probeRow := h.probe.Row(pi - 1)
+		if h.probeOnly {
+			// every candidate matches and emits the same row: project it
+			// once and replicate it (a COUNT(*) root only counts)
+			h.merge.fillFlat(out.data[out.n*out.width:(out.n+n)*out.width], probeRow)
 			out.n += n
 			continue
 		}
-		probeRow := h.probe.Row(pi - 1)
-		for _, r := range ids {
+		for _, r := range order[lo : int(lo)+n] {
 			row := rows.Row(int(r))
 			if !exact && !condsEqual(h.conds, probeRow, row) {
 				continue // 64-bit hash collision
@@ -216,10 +235,14 @@ func (h *batchHashJoin) Close() {
 	h.left.Close()
 	h.right.Close()
 	h.release()
+	h.out.release()
+	spanPool.put(h.spansBox)
+	h.spans, h.spansBox = nil, nil
 }
 
 func (h *batchHashJoin) release() {
-	h.rows, h.table, h.probe = plan.Rows{}, hashTable{}, nil
+	h.table.release()
+	h.rows, h.probe = plan.Rows{}, nil
 }
 
 // batchMergeJoin sorts both drained inputs during Open (two pipeline
@@ -370,6 +393,7 @@ func (m *batchMergeJoin) Close() {
 	m.left.Close()
 	m.right.Close()
 	m.lrows, m.rrows = plan.Rows{}, plan.Rows{}
+	m.out.release()
 }
 
 // sortRows returns one side's drained rows ordered on its join keys. It
@@ -601,6 +625,7 @@ func (j *batchNLJoin) Close() {
 		j.right.Close()
 	}
 	j.outer, j.inner = plan.Rows{}, plan.Rows{}
+	j.out.release()
 }
 
 // sortCost is the work charged for sorting n buffered rows: n·⌊log2 n⌋,

@@ -16,15 +16,16 @@ import (
 // so work accounting is independent of pruning. The rows of segments the
 // zone maps prune (zs, see newSegScanState) are never read.
 type batchSeqScan struct {
-	node  *plan.Node
-	table *storage.Table
-	cols  []int         // live column positions, in tuple order
-	zs    *segScanState // nil = nothing pruned
-	row   int
-	end   int // the table's row count at Open
-	count int
-	sel   []int32
-	out   Batch
+	node   *plan.Node
+	table  *storage.Table
+	cols   []int         // live column positions, in tuple order
+	zs     *segScanState // nil = nothing pruned
+	row    int
+	end    int // the table's row count at Open
+	count  int
+	sel    []int32
+	selBox *[]int32 // pooled backing of sel, BatchSize long
+	out    Batch
 }
 
 func newBatchSeqScan(ctx *Ctx, n *plan.Node) *batchSeqScan {
@@ -36,6 +37,10 @@ func (s *batchSeqScan) Open(ctx *Ctx) error {
 	s.end = s.table.NumRows()
 	s.count = 0
 	s.zs = newSegScanState(ctx, s.table, s.node.Preds, true)
+	if s.selBox == nil {
+		s.selBox = int32Pool.get(BatchSize)
+		s.sel = *s.selBox
+	}
 	return nil
 }
 
@@ -63,7 +68,11 @@ func (s *batchSeqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 	return nil, nil
 }
 
-func (s *batchSeqScan) Close() {}
+func (s *batchSeqScan) Close() {
+	int32Pool.put(s.selBox)
+	s.sel, s.selBox = nil, nil
+	s.out.release()
+}
 
 // selectRange appends to sel the row ids in [lo, hi) that satisfy every
 // predicate, skipping the rows of segments zs prunes: the first predicate
@@ -215,16 +224,17 @@ func gatherRows(b *Batch, t *storage.Table, cols []int, sel []int32) {
 // residual predicate is zone-map-disproven is dropped before any column is
 // read.
 type batchIndexScan struct {
-	node  *plan.Node
-	table *storage.Table
-	cols  []int         // live column positions, in tuple order
-	zs    *segScanState // nil = nothing pruned
-	rids  []int32
-	rest  []query.Predicate
-	pos   int
-	count int
-	sel   []int32
-	out   Batch
+	node   *plan.Node
+	table  *storage.Table
+	cols   []int         // live column positions, in tuple order
+	zs     *segScanState // nil = nothing pruned
+	rids   []int32
+	rest   []query.Predicate
+	pos    int
+	count  int
+	sel    []int32
+	selBox *[]int32 // pooled backing of sel, BatchSize long
+	out    Batch
 }
 
 func newBatchIndexScan(ctx *Ctx, n *plan.Node) (*batchIndexScan, error) {
@@ -252,6 +262,10 @@ func (s *batchIndexScan) Open(ctx *Ctx) error {
 	}
 	s.rids = rids
 	s.zs = newSegScanState(ctx, s.table, s.rest, false)
+	if s.selBox == nil {
+		s.selBox = int32Pool.get(BatchSize)
+		s.sel = *s.selBox
+	}
 	return nil
 }
 
@@ -279,7 +293,11 @@ func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
 	return nil, nil
 }
 
-func (s *batchIndexScan) Close() {}
+func (s *batchIndexScan) Close() {
+	int32Pool.put(s.selBox)
+	s.sel, s.selBox = nil, nil
+	s.out.release()
+}
 
 // batchMatScan replays a materialized intermediate result in chunks,
 // charging 1 per emitted row. Each chunk is one copy into the batch arena:
@@ -319,7 +337,7 @@ func (s *batchMatScan) NextBatch(ctx *Ctx) (*Batch, error) {
 	return &s.out, nil
 }
 
-func (s *batchMatScan) Close() {}
+func (s *batchMatScan) Close() { s.out.release() }
 
 // fetchRow copies the given column positions of physical row r into dst.
 func fetchRow(dst Tuple, t *storage.Table, cols []int, r int) {

@@ -82,7 +82,8 @@ func collectJoin(ctx *Ctx, n *plan.Node, left, right plan.Rows) (plan.Rows, erro
 		return plan.Rows{}, err
 	}
 	var table hashTable
-	table.build(ctx, build, conds)
+	table.build(build, conds)
+	defer table.release()
 	exact := len(conds) <= 1 // equal hashes mean equal keys, see hashRowConds
 
 	// a match costs 1 per candidate plus the width-weighted charge that

@@ -128,10 +128,6 @@ type Ctx struct {
 	work     int64
 	matRows  int64
 	nextPoll int64
-	// rowSlots recycles hashTable.build's per-row slot scratch across the
-	// hash builds of one execution (a multi-join plan builds one table per
-	// hash join).
-	rowSlots []uint32
 	// layouts memoizes plan.NewLayout per table subset: every join node
 	// resolves left/right/output layouts, and without the cache plan
 	// construction recomputes the same layouts once per node per helper
@@ -259,6 +255,31 @@ func (m joinMerge) mergeFlat(dst, l, r []int64) {
 		} else {
 			dst[i] = r[c.off]
 		}
+	}
+}
+
+// fillFlat writes the projection of l into the first row of dst and
+// replicates it over the rest; dst holds a whole number of output rows, and
+// every output column must be read from the left side. At width 1 it is a
+// plain fill, and at width 0 there is nothing to write.
+func (m joinMerge) fillFlat(dst, l []int64) {
+	w := len(m.cols)
+	if len(dst) == 0 {
+		return
+	}
+	if w == 1 {
+		v := l[m.cols[0].off]
+		for i := range dst {
+			dst[i] = v
+		}
+		return
+	}
+	for i, c := range m.cols {
+		dst[i] = l[c.off]
+	}
+	// doubling copies: dst[:k] holds k/w copies of the row
+	for k := w; k < len(dst); k *= 2 {
+		copy(dst[k:], dst[:k])
 	}
 }
 

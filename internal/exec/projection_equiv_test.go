@@ -323,20 +323,20 @@ func deepPlanQueries(t *testing.T, db *storage.Database) []*query.Query {
 	return out
 }
 
-// TestProjectedExecution runs the plan-variant corpus and the deep_plan
-// queries through the executor against both oracles.
-func TestProjectedExecution(t *testing.T) {
-	db := testutil.SmallDB()
+// projVariant is one plan variant of the pinned projection corpus.
+type projVariant struct {
+	name string
+	q    *query.Query
+	p    *plan.Node
+}
 
-	type variant struct {
-		name string
-		q    *query.Query
-		p    *plan.Node
-	}
-	var variants []variant
+// projectionVariants lists the pinned corpus: the plan variants of twelve
+// generated queries and of the deep_plan queries, on SmallDB.
+func projectionVariants(t *testing.T, db *storage.Database) []projVariant {
+	var variants []projVariant
 	add := func(prefix string, q *query.Query) {
 		planVariants(q, func(q *query.Query, p *plan.Node, v string) {
-			variants = append(variants, variant{prefix + "/" + v, q, p})
+			variants = append(variants, projVariant{prefix + "/" + v, q, p})
 		})
 	}
 	g := workload.NewGenerator(db, 41)
@@ -346,18 +346,33 @@ func TestProjectedExecution(t *testing.T) {
 	for i, q := range deepPlanQueries(t, db) {
 		add(fmt.Sprintf("d%02d", i+1), q)
 	}
+	return variants
+}
 
+// loadProjectionPins reads the pinned line of every corpus variant, keyed by
+// variant name.
+func loadProjectionPins(t *testing.T) map[string]string {
+	raw, err := os.ReadFile(projectionPinsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pins := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			pins[name] = line
+		}
+	}
+	return pins
+}
+
+// TestProjectedExecution runs the plan-variant corpus and the deep_plan
+// queries through the executor against both oracles.
+func TestProjectedExecution(t *testing.T) {
+	db := testutil.SmallDB()
+	variants := projectionVariants(t, db)
+	var pins map[string]string
 	if !*updatePins {
-		raw, err := os.ReadFile(projectionPinsFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(raw), "\n") {
-			if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
-				pins[name] = line
-			}
-		}
+		pins = loadProjectionPins(t)
 		if len(pins) != len(variants) {
 			t.Fatalf("%d pinned variants, corpus has %d", len(pins), len(variants))
 		}

@@ -19,10 +19,15 @@ import (
 // Only order is permuted: the build rows themselves stay in drain order, so
 // the intermediate handed to the checkpoint is unchanged. The slot array is
 // sized to at most half full, so every probe walk ends at an empty slot.
+//
+// Both arrays are pooled (see pool.go); release returns them.
 type hashTable struct {
 	mask  uint64
 	slots []hashSlot
 	order []int32
+
+	slotsBox *[]hashSlot
+	orderBox *[]int32
 }
 
 // hashSlot maps one full key hash to its group's range of order. Every
@@ -52,26 +57,28 @@ func checkVecBuildSize(n int) error {
 	return nil
 }
 
-// build indexes rows on the right-side join keys of conds. It allocates
-// the slot array and order; the per-row slot scratch is kept on ctx for the
-// next build, since one execution can build several hash tables.
+// build indexes rows on the right-side join keys of conds, taking the slot
+// array, order and the per-row slot scratch from the pools; the scratch goes
+// back before build returns. A table must be released before it is rebuilt.
 //
 // Three passes: place each row's hash in a slot, counting rows per slot;
 // lay the groups out back to back in slot order; then a stable counting
 // sort writes each row id at its group's cursor, in build order.
-func (t *hashTable) build(ctx *Ctx, rows plan.Rows, conds []condOffsets) {
+func (t *hashTable) build(rows plan.Rows, conds []condOffsets) {
 	n := rows.N
 	size := 2
 	for size < 2*n {
 		size <<= 1
 	}
 	mask := uint64(size - 1)
-	slots := make([]hashSlot, size)
-	order := make([]int32, n)
-	if cap(ctx.rowSlots) < n {
-		ctx.rowSlots = make([]uint32, n)
-	}
-	rowSlot := ctx.rowSlots[:n]
+	t.slotsBox = slotPool.get(size)
+	slots := *t.slotsBox
+	clear(slots)
+	t.orderBox = int32Pool.get(n)
+	order := *t.orderBox
+	scratch := uint32Pool.get(n)
+	defer uint32Pool.put(scratch)
+	rowSlot := *scratch
 	for r := range rowSlot {
 		h := hashRowConds(rows.Row(r), conds, false)
 		i := h & mask
@@ -95,7 +102,14 @@ func (t *hashTable) build(ctx *Ctx, rows plan.Rows, conds []condOffsets) {
 		order[s.hi] = int32(r)
 		s.hi++
 	}
-	*t = hashTable{mask: mask, slots: slots, order: order}
+	t.mask, t.slots, t.order = mask, slots, order
+}
+
+// release returns the table's arrays to the pools and empties it.
+func (t *hashTable) release() {
+	slotPool.put(t.slotsBox)
+	int32Pool.put(t.orderBox)
+	*t = hashTable{}
 }
 
 // lookup returns the candidate range of the build rows whose hash equals h.
@@ -115,7 +129,9 @@ func (t *hashTable) lookup(h uint64) span {
 // lookupBatch hashes every row of a probe batch on the left-side join keys
 // of conds and looks it up, before any candidate is visited: the lookups
 // are independent, so their cache misses overlap. One key column, the
-// common case, is read straight from the batch arena.
+// common case, is read straight from the batch arena, and a key equal to
+// the previous row's reuses its span: a probe fed by a fan-out join
+// arrives in runs of equal keys.
 func (t *hashTable) lookupBatch(b *Batch, conds []condOffsets, spans []span) {
 	if len(conds) != 1 {
 		for i := range spans[:b.n] {
@@ -124,7 +140,12 @@ func (t *hashTable) lookupBatch(b *Batch, conds []condOffsets, spans []span) {
 		return
 	}
 	off, w := conds[0].leftOff, b.width
+	var prev int64
+	var sp span
 	for i := range spans[:b.n] {
-		spans[i] = t.lookup(fnvStep(fnvOffsetBasis, b.data[i*w+off]))
+		if k := b.data[i*w+off]; i == 0 || k != prev {
+			sp, prev = t.lookup(fnvStep(fnvOffsetBasis, k)), k
+		}
+		spans[i] = sp
 	}
 }

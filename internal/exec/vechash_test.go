@@ -48,7 +48,7 @@ func TestBuildEquivalenceChainOrder(t *testing.T) {
 		want[h] = append(want[h], int32(i))
 	}
 	var tbl hashTable
-	tbl.build(&Ctx{}, rows, buildConds)
+	tbl.build(rows, buildConds)
 	listed := 0
 	for h, exp := range want {
 		if got := groupOf(&tbl, h); !slices.Equal(got, exp) {
@@ -77,7 +77,7 @@ func TestBuildEquivalenceChainOrder(t *testing.T) {
 func skewedRows(t *testing.T, n int, span uint64) plan.Rows {
 	t.Helper()
 	var sized hashTable
-	sized.build(&Ctx{}, plan.Rows{Width: 1, N: n, Data: make([]int64, n)}, buildConds)
+	sized.build(plan.Rows{Width: 1, N: n, Data: make([]int64, n)}, buildConds)
 	if sized.mask+1 <= span {
 		t.Fatalf("skew fixture needs a table wider than %d slots, got %d", span, sized.mask+1)
 	}
@@ -102,7 +102,7 @@ func TestBuildEquivalenceOverflowFallback(t *testing.T) {
 	const span = 512
 	rows := skewedRows(t, span+88, span)
 	var tbl hashTable
-	tbl.build(&Ctx{}, rows, buildConds)
+	tbl.build(rows, buildConds)
 	for i := 0; i < rows.N; i++ {
 		h := hashRowConds(rows.Row(i), buildConds, false)
 		if got := groupOf(&tbl, h); len(got) != 1 || got[0] != int32(i) {
@@ -202,7 +202,7 @@ func TestHashJoinTwoConditionCollision(t *testing.T) {
 	conds := []condOffsets{{0, 0}, {1, 1}}
 	build := rowsOf(r)
 	var tbl hashTable
-	tbl.build(&Ctx{}, build, conds)
+	tbl.build(build, conds)
 	if g := groupOf(&tbl, hashRowConds(build.Row(0), conds, false)); len(g) != 2 {
 		t.Fatalf("fixture keys do not collide: group %v", g)
 	}
@@ -345,10 +345,10 @@ func TestIndexNLJoinFlushesUnmatchedOuterRows(t *testing.T) {
 
 func BenchmarkHashTableBuild(b *testing.B) {
 	rows := hashBuildRows(1<<16, 1<<12)
-	ctx := &Ctx{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var tbl hashTable
-		tbl.build(ctx, rows, buildConds)
+		tbl.build(rows, buildConds)
+		tbl.release()
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -190,6 +191,50 @@ func TestQueryTraceRoundsAndEvents(t *testing.T) {
 	}
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("report not serializable: %v", err)
+	}
+}
+
+// TestObserverTraceWindow holds the bounded trace window to its contract:
+// the most recent traces, oldest first, through wrap-around and through
+// shrinking, growing and lifting the cap; an exact drop count; and a
+// publish into a full window that allocates nothing.
+func TestObserverTraceWindow(t *testing.T) {
+	o := NewObserver()
+	publish := func(from, to int) {
+		for i := from; i <= to; i++ {
+			o.Observe(&QueryTrace{Fingerprint: uint64(i)})
+		}
+	}
+	check := func(step string, dropped int64, want ...uint64) {
+		t.Helper()
+		var got []uint64
+		for _, qt := range o.Traces() {
+			got = append(got, qt.Fingerprint)
+		}
+		if !slices.Equal(got, want) || o.DroppedTraces() != dropped {
+			t.Fatalf("%s: traces %v dropped %d, want %v dropped %d", step, got, o.DroppedTraces(), want, dropped)
+		}
+	}
+
+	o.SetTraceCap(3)
+	publish(1, 10)
+	check("cap 3, 10 published", 7, 8, 9, 10)
+	o.SetTraceCap(2)
+	check("shrunk to 2", 8, 9, 10)
+	publish(11, 11)
+	check("one more at cap 2", 9, 10, 11)
+	o.SetTraceCap(4)
+	publish(12, 14)
+	check("grown to 4", 10, 11, 12, 13, 14)
+	o.SetTraceCap(0)
+	publish(15, 16)
+	check("unbounded again", 10, 11, 12, 13, 14, 15, 16)
+
+	o.SetTraceCap(8)
+	publish(17, 40)
+	qt := &QueryTrace{}
+	if allocs := testing.AllocsPerRun(100, func() { o.Observe(qt) }); allocs != 0 {
+		t.Fatalf("publishing into a full window allocates %v blocks, want 0", allocs)
 	}
 }
 

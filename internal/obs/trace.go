@@ -188,8 +188,12 @@ type Observer struct {
 	metrics *Registry
 	ce      *CEEval
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// traces holds the published traces oldest first — until traceCap is
+	// reached; from then on it is a ring of traceCap entries whose oldest is
+	// at head, and publishing overwrites that oldest in O(1).
 	traces []*QueryTrace
+	head   int
 	// traceCap, when > 0, bounds the retained traces: once full, publishing
 	// a new trace drops the oldest. Long-running processes set it so an
 	// observer over millions of queries keeps a window, not a leak.
@@ -236,11 +240,13 @@ func (o *Observer) SetTraceCap(n int) {
 		return
 	}
 	o.mu.Lock()
-	o.traceCap = n
+	o.traces, o.head = o.ordered(), 0
 	if n > 0 && len(o.traces) > n {
 		o.dropped += int64(len(o.traces) - n)
+		// a fresh array, so the dropped traces are not pinned by the old one
 		o.traces = append([]*QueryTrace(nil), o.traces[len(o.traces)-n:]...)
 	}
+	o.traceCap = n
 	o.mu.Unlock()
 }
 
@@ -254,31 +260,38 @@ func (o *Observer) DroppedTraces() int64 {
 	return o.dropped
 }
 
-// Observe publishes a finished query trace for aggregation.
+// Observe publishes a finished query trace for aggregation. Once the
+// window is full it overwrites the oldest trace in place: the cost of a
+// publish does not depend on the window size.
 func (o *Observer) Observe(t *QueryTrace) {
 	if o == nil || t == nil {
 		return
 	}
 	o.mu.Lock()
-	o.traces = append(o.traces, t)
-	if o.traceCap > 0 && len(o.traces) > o.traceCap {
-		over := len(o.traces) - o.traceCap
-		o.dropped += int64(over)
-		// Shift in place; traces are pointers, so the copy is cheap, and
-		// re-slicing from the front would pin dropped traces in the backing
-		// array forever.
-		copy(o.traces, o.traces[over:])
-		o.traces = o.traces[:o.traceCap]
+	if o.traceCap > 0 && len(o.traces) == o.traceCap {
+		o.traces[o.head] = t
+		o.head = (o.head + 1) % o.traceCap
+		o.dropped++
+	} else {
+		o.traces = append(o.traces, t)
 	}
 	o.mu.Unlock()
 }
 
-// Traces returns a snapshot of the published query traces.
+// Traces returns a snapshot of the published query traces, oldest first.
 func (o *Observer) Traces() []*QueryTrace {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return append([]*QueryTrace(nil), o.traces...)
+	return o.ordered()
+}
+
+// ordered returns a copy of the retained traces, oldest first. o.mu must be
+// held.
+func (o *Observer) ordered() []*QueryTrace {
+	out := make([]*QueryTrace, 0, len(o.traces))
+	out = append(out, o.traces[o.head:]...)
+	return append(out, o.traces[:o.head]...)
 }
