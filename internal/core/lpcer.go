@@ -158,6 +158,7 @@ func cloneModel(m *treenn.TreeModel) *treenn.TreeModel {
 	dst := cp.Params.All()
 	for i := range src {
 		copy(dst[i].Val, src[i].Val)
+		dst[i].Fin.Reset()
 	}
 	return cp
 }

@@ -33,6 +33,7 @@ func (a *Adam) Step(ps *Params) {
 			vHat := p.v[i] / c2
 			p.Val[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
 		}
+		p.Fin.Reset()
 	}
 }
 

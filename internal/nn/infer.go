@@ -13,9 +13,10 @@ import (
 // tape path remains the training path and the oracle the equivalence tests
 // compare against.
 
-// Infer computes out = Wx + b, exactly as Apply does.
+// Infer computes out = Wx + b, exactly as Apply does, with the weight's
+// finiteness memo in place of Apply's scan of W on every sparse product.
 func (l *Linear) Infer(x, out tensor.Vec) {
-	w := tensor.Mat{Rows: l.W.Rows, Cols: l.W.Cols, Data: l.W.Val}
+	w := tensor.Mat{Rows: l.W.Rows, Cols: l.W.Cols, Data: l.W.Val, Fin: l.W.Fin}
 	w.MatVec(x, out)
 	out.Add(l.B.Val)
 }

@@ -20,6 +20,13 @@ type Param struct {
 	Val        tensor.Vec
 	Grad       tensor.Vec
 	m, v       tensor.Vec // Adam first/second moment estimates
+
+	// Fin memoizes whether Val is all finite for Linear.Infer's sparse
+	// products. A writer of Val resets Fin after writing: Adam.Step, a
+	// snapshot load and a copy of another model's weights do. A parameter
+	// aliasing another's Val, which its owner's writers do not reset, has a
+	// nil Fin and is checked on every call.
+	Fin *tensor.Finite
 }
 
 // Mat views the parameter as a matrix aliasing its storage.
@@ -67,6 +74,7 @@ func (ps *Params) register(name string, rows, cols int) *Param {
 		Name: name, Rows: rows, Cols: cols,
 		Val: tensor.NewVec(n), Grad: tensor.NewVec(n),
 		m: tensor.NewVec(n), v: tensor.NewVec(n),
+		Fin: new(tensor.Finite),
 	}
 	ps.list = append(ps.list, p)
 	ps.names[name] = p
@@ -81,7 +89,8 @@ func (ps *Params) All() []*Param { return ps.list }
 // workers run forward/backward on such replicas: weight reads see the
 // master's current values while gradient writes stay private to the
 // worker. Replicas carry no optimizer state and must not be passed to
-// Adam.Step; only the master registry is stepped.
+// Adam.Step; only the master registry is stepped. Nor do they share the
+// master's finiteness memo: theirs is nil.
 func (ps *Params) ShareWeights() *Params {
 	out := NewParams()
 	for _, p := range ps.list {

@@ -71,7 +71,9 @@ func (ps *Params) DecodeGob(dec *gob.Decoder) error {
 		}
 	}
 	for i, name := range s.Names {
-		copy(ps.Get(name).Val, s.Weights[i])
+		p := ps.Get(name)
+		copy(p.Val, s.Weights[i])
+		p.Fin.Reset()
 	}
 	return nil
 }

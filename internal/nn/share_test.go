@@ -34,6 +34,11 @@ func TestShareWeightsAliasesValNotGrad(t *testing.T) {
 		if p.Grad[0] == 7 {
 			t.Fatalf("%s: replica shares gradient buffer", p.Name)
 		}
+		// The master's writers reset only the master's finiteness memo, so
+		// a replica keeps none.
+		if r.Fin != nil {
+			t.Fatalf("%s: replica has a finiteness memo", p.Name)
+		}
 	}
 }
 

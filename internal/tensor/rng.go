@@ -16,14 +16,14 @@ func NewRNG(seed int64) *RNG { return &RNG{rand.New(rand.NewSource(seed))} }
 // FillUniform fills v with samples from U(lo, hi).
 func (r *RNG) FillUniform(v Vec, lo, hi float64) {
 	for i := range v {
-		v[i] = lo + (hi-lo)*r.Float64()
+		v[i] = lo + float64((hi-lo)*r.Float64())
 	}
 }
 
 // FillNormal fills v with samples from N(mean, std²).
 func (r *RNG) FillNormal(v Vec, mean, std float64) {
 	for i := range v {
-		v[i] = mean + std*r.NormFloat64()
+		v[i] = mean + float64(std*r.NormFloat64())
 	}
 }
 

@@ -8,6 +8,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Vec is a dense column vector.
@@ -45,7 +46,7 @@ func (v Vec) Dot(w Vec) float64 {
 	}
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s
 }
@@ -56,7 +57,7 @@ func (v Vec) Axpy(alpha float64, w Vec) {
 		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(v), len(w)))
 	}
 	for i := range w {
-		v[i] += alpha * w[i]
+		v[i] += float64(alpha * w[i])
 	}
 }
 
@@ -88,6 +89,11 @@ func (v Vec) MaxAbs() float64 {
 type Mat struct {
 	Rows, Cols int
 	Data       Vec // len == Rows*Cols, row-major
+
+	// Fin, when set, memoizes whether Data is all finite for MatVec's sparse
+	// path; every writer of Data must then call Fin.Reset. Nil means MatVec
+	// checks the weights on every sparse call.
+	Fin *Finite
 }
 
 // NewMat returns a zeroed Rows x Cols matrix.
@@ -107,7 +113,7 @@ func (m *Mat) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
+// Clone returns a deep copy of m, without its finiteness memo.
 func (m *Mat) Clone() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
 }
@@ -119,37 +125,85 @@ func (m *Mat) Zero() { m.Data.Zero() }
 // m.Cols; out is overwritten.
 //
 // Each out[i] is the sum of row[j]*x[j] over ascending j, starting from +0.
-// When at most a quarter of x is nonzero — a plan node's feature vector has
-// a handful of nonzeros in some 145 columns — only the nonzero columns are
-// summed, in the same ascending order, and the result is bitwise the dense
-// one: a finite weight times ±0 is ±0, and adding ±0 leaves any accumulator
-// but −0 unchanged; the accumulator is never −0, since it starts at +0 and a
-// round-to-nearest sum is −0 only when both operands are. A NaN or ±Inf
-// weight would turn its skipped product into NaN, so the sparse path runs
-// only over a matrix whose weights are all finite.
+// Rows are taken four at a time, each with its own accumulator, so the four
+// add chains overlap instead of waiting on one another; every out[i] still
+// sees exactly the adds of a one-row loop, in the same order, so blocking
+// changes no bit. When at most a quarter of x is nonzero — a plan node's
+// feature vector has a handful of nonzeros in some 145 columns — only the
+// nonzero columns are summed, in the same ascending order, and the result is
+// bitwise the dense one: a finite weight times ±0 is ±0, and adding ±0
+// leaves any accumulator but −0 unchanged; the accumulator is never −0,
+// since it starts at +0 and a round-to-nearest sum is −0 only when both
+// operands are. A NaN or ±Inf weight would turn its skipped product into
+// NaN, so the sparse path runs only over a matrix whose weights are all
+// finite, as m.Fin remembers or a scan of m.Data finds.
+//
+// Every product is converted to float64 before it is added: without the
+// conversion the Go compiler may fuse the multiply and the add into one
+// rounding (arm64 does), and results would depend on the CPU.
 func (m *Mat) MatVec(x, out Vec) {
 	if len(x) != m.Cols || len(out) != m.Rows {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch: %dx%d * %d -> %d",
 			m.Rows, m.Cols, len(x), len(out)))
 	}
 	var buf [sparseMax]int32
-	if nz, ok := nonzeroCols(x, buf[:0]); ok && allFinite(m.Data) {
-		for i := range out {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			var s float64
-			for _, j := range nz {
-				s += row[j] * x[j]
-			}
-			out[i] = s
-		}
+	if nz, ok := nonzeroCols(x, buf[:0]); ok && m.Fin.allFinite(m.Data) {
+		m.sparseMatVec(x, nz, out)
 		return
 	}
-	for i := range out {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		row = row[:len(x)] // lets the compiler drop the per-element bounds check
+	// Rows resliced to [:n] have len(x) elements, which lets the compiler
+	// drop the per-element bounds checks.
+	n := len(x)
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r0 := m.Data[i*n:][:n]
+		r1 := m.Data[(i+1)*n:][:n]
+		r2 := m.Data[(i+2)*n:][:n]
+		r3 := m.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += float64(r0[j] * xj)
+			s1 += float64(r1[j] * xj)
+			s2 += float64(r2[j] * xj)
+			s3 += float64(r3[j] * xj)
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		row := m.Data[i*n:][:n]
 		var s float64
 		for j, xj := range x {
-			s += row[j] * xj
+			s += float64(row[j] * xj)
+		}
+		out[i] = s
+	}
+}
+
+// sparseMatVec is MatVec over the nonzero columns nz of x only, four rows
+// per pass as the dense loop.
+func (m *Mat) sparseMatVec(x Vec, nz []int32, out Vec) {
+	n := len(x)
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r0 := m.Data[i*n:][:n]
+		r1 := m.Data[(i+1)*n:][:n]
+		r2 := m.Data[(i+2)*n:][:n]
+		r3 := m.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for _, j := range nz {
+			xj := x[j]
+			s0 += float64(r0[j] * xj)
+			s1 += float64(r1[j] * xj)
+			s2 += float64(r2[j] * xj)
+			s3 += float64(r3[j] * xj)
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		row := m.Data[i*n:][:n]
+		var s float64
+		for _, j := range nz {
+			s += float64(row[j] * x[j])
 		}
 		out[i] = s
 	}
@@ -173,6 +227,49 @@ func nonzeroCols(x Vec, nz []int32) ([]int32, bool) {
 		}
 	}
 	return nz, true
+}
+
+// Finite memoizes whether a matrix's weights are all finite, so MatVec's
+// sparse path scans them once per change of the weights instead of once per
+// call. It is a tri-state — unknown, finite, not finite — computed on first
+// use; concurrent first uses each scan and store the same answer. A writer
+// of the weights calls Reset after writing, and never runs concurrently
+// with a MatVec over them (that would be a data race on the weights
+// themselves). The zero value reads unknown.
+type Finite struct{ state atomic.Uint32 }
+
+const (
+	finUnknown uint32 = iota
+	finYes
+	finNo
+)
+
+// Reset forgets the memoized answer. Resetting a nil *Finite does nothing.
+func (f *Finite) Reset() {
+	if f != nil {
+		f.state.Store(finUnknown)
+	}
+}
+
+// allFinite reports whether data holds no NaN or ±Inf, from the memo when
+// it knows; a nil *Finite scans data every time.
+func (f *Finite) allFinite(data Vec) bool {
+	if f == nil {
+		return allFinite(data)
+	}
+	switch f.state.Load() {
+	case finYes:
+		return true
+	case finNo:
+		return false
+	}
+	ok := allFinite(data)
+	if ok {
+		f.state.Store(finYes)
+	} else {
+		f.state.Store(finNo)
+	}
+	return ok
 }
 
 // allFinite reports whether v holds no NaN or ±Inf. It sums v in six
@@ -215,7 +312,7 @@ func (m *Mat) MatVecT(x, out Vec) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j := range row {
-			out[j] += xi * row[j]
+			out[j] += float64(xi * row[j])
 		}
 	}
 }
@@ -234,7 +331,7 @@ func (m *Mat) AddOuter(alpha float64, x, y Vec) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j := range y {
-			row[j] += xi * y[j]
+			row[j] += float64(xi * y[j])
 		}
 	}
 }

@@ -195,14 +195,14 @@ func TestXavierBound(t *testing.T) {
 	}
 }
 
-// denseMatVec is the plain dense product, every column summed in ascending
-// order. It is the oracle TestMatVecMatchesDense holds MatVec to, bit for
-// bit.
+// denseMatVec is the plain dense product, one row at a time, every column
+// summed in ascending order with each product rounded before its add. It is
+// the oracle TestMatVecMatchesDense holds MatVec to, bit for bit.
 func denseMatVec(m *Mat, x, out Vec) {
 	for i := 0; i < m.Rows; i++ {
 		var s float64
 		for j := 0; j < m.Cols; j++ {
-			s += m.Data[i*m.Cols+j] * x[j]
+			s += float64(m.Data[i*m.Cols+j] * x[j])
 		}
 		out[i] = s
 	}
@@ -228,7 +228,8 @@ func special(r *RNG, wild bool) float64 {
 }
 
 // TestMatVecMatchesDense compares MatVec with the dense reference loop by
-// Float64bits over widths 1-300 and input densities 0-1. Zero inputs are a
+// Float64bits over widths 1-300, input densities 0-1 and 1-9 rows: two full
+// four-row blocks and every remainder from 0 to 3 rows. Zero inputs are a
 // mix of +0 and -0; nonzero inputs and weights include subnormals; some
 // inputs carry NaN or ±Inf; and some matrices put NaN or ±Inf weights in the
 // columns where x is zero, which the sparse path skips and must still
@@ -240,7 +241,7 @@ func TestMatVecMatchesDense(t *testing.T) {
 		for _, density := range densities {
 			for variant := 0; variant < 4; variant++ {
 				wildX, wildW := variant&1 != 0, variant&2 != 0
-				rows := 1 + r.Intn(5)
+				rows := 1 + r.Intn(9)
 				m := NewMat(rows, cols)
 				for i := range m.Data {
 					m.Data[i] = special(r, false)
@@ -278,22 +279,33 @@ func TestMatVecMatchesDense(t *testing.T) {
 	}
 }
 
-// BenchmarkMatVec measures the two shapes inference multiplies most: a
-// 32-wide embedding layer over a 145-wide plan-node feature vector with four
-// nonzeros, and a dense 32x32 hidden layer.
+// BenchmarkMatVec measures the shapes inference multiplies: the dense
+// hidden layers of the LPCE-I student (8x8) and of the refine model
+// (32x32), the output layer's 64x32, and the 32-wide embedding layer over a
+// 145-wide plan-node feature vector with four nonzeros, once scanning the
+// weights for finiteness on every call and once through the memo the
+// inference path keeps.
 func BenchmarkMatVec(b *testing.B) {
 	r := NewRNG(5)
+	sparse := []int{1, 40, 41, 90}
 	cases := []struct {
 		name       string
 		rows, cols int
 		nonzero    []int
+		memo       bool
 	}{
-		{"feature-sparse-32x145", 32, 145, []int{1, 40, 41, 90}},
-		{"dense-32x32", 32, 32, nil},
+		{"dense-8x8", 8, 8, nil, false},
+		{"dense-32x32", 32, 32, nil, false},
+		{"dense-64x32", 64, 32, nil, false},
+		{"feature-sparse-32x145", 32, 145, sparse, false},
+		{"feature-sparse-32x145-memo", 32, 145, sparse, true},
 	}
 	for _, c := range cases {
 		m := NewMat(c.rows, c.cols)
 		r.FillNormal(m.Data, 0, 1)
+		if c.memo {
+			m.Fin = new(Finite)
+		}
 		x := NewVec(c.cols)
 		if c.nonzero == nil {
 			r.FillNormal(x, 0, 1)

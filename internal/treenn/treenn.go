@@ -185,6 +185,7 @@ func (m *TreeModel) Replica() *TreeModel {
 	src, dst := m.Params.All(), r.Params.All()
 	for i := range dst {
 		dst[i].Val = src[i].Val
+		dst[i].Fin = nil // the master's writers do not reset this memo
 	}
 	return r
 }
