@@ -297,7 +297,7 @@ func BenchmarkConcurrentWorkload(b *testing.B) {
 func BenchmarkEstimateCacheHit(b *testing.B) {
 	e := benchSetup(b)
 	q, mask := benchQuery(e)
-	c := cardest.NewCache(e.Histogram)
+	c := cardest.NewCache(e.Histogram, nil, 0)
 	c.EstimateSubset(q, mask) // warm the single key
 	b.ReportAllocs()
 	b.ResetTimer()

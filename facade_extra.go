@@ -73,7 +73,7 @@ func AppendRows(t *StorageTable, rows [][]int64) { maintain.AppendRows(t, rows) 
 type EstimateCache = cardest.Cache
 
 // NewEstimateCache wraps an estimator in an empty cache.
-func NewEstimateCache(inner Estimator) *EstimateCache { return cardest.NewCache(inner) }
+func NewEstimateCache(inner Estimator) *EstimateCache { return cardest.NewCache(inner, nil, 0) }
 
 // ParallelRun is the outcome of a concurrent workload execution: per-query
 // results aligned with the input, wall time, and cache counters.
@@ -117,7 +117,7 @@ type MetricsRegistry = obs.Registry
 // hit/miss counters are interned in the registry, so they appear in the
 // observer's report alongside the engine metrics.
 func NewEstimateCacheWithMetrics(inner Estimator, reg *MetricsRegistry) *EstimateCache {
-	return cardest.NewCacheWithMetrics(inner, reg)
+	return cardest.NewCache(inner, reg, 0)
 }
 
 // Robustness & graceful degradation.
@@ -130,26 +130,10 @@ type ResourceError = exec.ResourceError
 // The zero value disables every limit.
 type ResourceLimits = engine.Limits
 
-// EstimatorGuard wraps any estimator with production guardrails: it
-// recovers panics, clamps non-finite / non-positive / impossibly large
-// estimates, flags latency-budget violations, and trips a circuit breaker
-// to a fallback estimator after repeated faults.
-type EstimatorGuard = cardest.Guard
-
-// EstimatorGuardConfig configures an EstimatorGuard.
-type EstimatorGuardConfig = cardest.GuardConfig
-
-// NewEstimatorGuard wraps inner with the guardrails of cfg.
-func NewEstimatorGuard(inner Estimator, cfg EstimatorGuardConfig) *EstimatorGuard {
-	return cardest.NewGuard(inner, cfg)
-}
-
-// CrossProductBound returns the natural upper bound for cardinality
-// estimates over db — the product of the base-table sizes of the estimated
-// subset — for use as EstimatorGuardConfig.Bound.
-func CrossProductBound(db *Database) func(*Query, BitSet) float64 {
-	return cardest.CrossProductBound(db)
-}
+// PanicError is the typed failure of a query during which the estimator,
+// the refiner or the executor panicked; match with errors.As. The engine
+// recovers the panic, so only that query fails.
+type PanicError = engine.PanicError
 
 // Versioned model artifacts (cmd/lpce-train <-> cmd/lpce-bench).
 

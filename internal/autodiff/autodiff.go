@@ -9,6 +9,10 @@
 // estimators need — vector activations, matrix-vector products, elementwise
 // arithmetic, the sigmoid/tanh/ReLU activations, concatenation, and scalar
 // reductions — which keeps it easy to audit and fast at LPCE's model sizes.
+//
+// Every product that feeds a sum is converted to float64 first, so the
+// compiler cannot fuse the two into one rounding (arm64 would) and gradients
+// do not depend on the CPU.
 package autodiff
 
 import (
@@ -129,8 +133,8 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	}
 	t.record(func() {
 		for i := range out.Grad {
-			a.Grad[i] += out.Grad[i] * b.Data[i]
-			b.Grad[i] += out.Grad[i] * a.Data[i]
+			a.Grad[i] += float64(out.Grad[i] * b.Data[i])
+			b.Grad[i] += float64(out.Grad[i] * a.Data[i])
 		}
 	})
 	return out
@@ -175,7 +179,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 	}
 	t.record(func() {
 		for i := range out.Grad {
-			a.Grad[i] += out.Grad[i] * out.Data[i] * (1 - out.Data[i])
+			a.Grad[i] += float64(out.Grad[i] * out.Data[i] * (1 - out.Data[i]))
 		}
 	})
 	return out
@@ -189,7 +193,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 	}
 	t.record(func() {
 		for i := range out.Grad {
-			a.Grad[i] += out.Grad[i] * (1 - out.Data[i]*out.Data[i])
+			a.Grad[i] += float64(out.Grad[i] * (1 - float64(out.Data[i]*out.Data[i])))
 		}
 	})
 	return out

@@ -37,13 +37,17 @@ type cacheShard struct {
 // on the same cold key may both compute it, which is harmless because
 // every estimator in the repository is deterministic per (query, subset).
 //
-// A bounded cache (NewCacheBounded) evicts deterministically — per shard,
-// oldest insertion first — once a shard reaches its capacity. Eviction
-// never changes results: an evicted estimate is simply recomputed by the
-// deterministic inner estimator on its next use, so bounded and unbounded
-// runs stay byte-identical. Long-running processes (the serving subsystem)
-// must bound their caches or leak memory across millions of distinct query
+// A bounded cache evicts deterministically — per shard, oldest insertion
+// first — once a shard reaches its capacity. Eviction never changes
+// results: an evicted estimate is simply recomputed by the deterministic
+// inner estimator on its next use, so bounded and unbounded runs stay
+// byte-identical. Long-running processes (the serving subsystem) must bound
+// their caches or leak memory across millions of distinct query
 // fingerprints.
+//
+// Cache is a SessionEstimator: a plan search through it answers hits from
+// the shards and sends its misses to one inner session, opened on the
+// first miss.
 type Cache struct {
 	Inner  Estimator
 	shards [cacheShards]cacheShard
@@ -57,26 +61,15 @@ type Cache struct {
 	evictions *obs.Counter
 }
 
-// NewCache wraps inner in an empty cache with standalone hit/miss counters.
-func NewCache(inner Estimator) *Cache {
-	return NewCacheWithMetrics(inner, nil)
-}
-
-// NewCacheWithMetrics wraps inner in an empty unbounded cache whose hit/miss
-// counters are interned in reg as "cardest.cache.hits" /
-// "cardest.cache.misses", so they appear in the registry's snapshot
-// alongside every other metric. A nil registry falls back to standalone
-// counters.
-func NewCacheWithMetrics(inner Estimator, reg *obs.Registry) *Cache {
-	return NewCacheBounded(inner, reg, 0)
-}
-
-// NewCacheBounded is NewCacheWithMetrics with a total entry capacity: the
-// capacity is split evenly across the shards (rounded up, minimum one entry
-// per shard), and a full shard evicts its oldest insertion before admitting
-// a new key. Evictions are counted in reg as "cardest.cache.evictions".
-// capacity <= 0 means unbounded.
-func NewCacheBounded(inner Estimator, reg *obs.Registry, capacity int) *Cache {
+// NewCache wraps inner in an empty cache. A non-nil reg interns the
+// counters as "cardest.cache.hits", "cardest.cache.misses" and
+// "cardest.cache.evictions", so they appear in the registry's snapshot
+// alongside every other metric; a nil reg keeps standalone counters.
+// capacity bounds the total entry count: it is split evenly across the
+// shards (rounded up, minimum one entry per shard), and a full shard evicts
+// its oldest insertion before admitting a new key. capacity <= 0 means
+// unbounded.
+func NewCache(inner Estimator, reg *obs.Registry, capacity int) *Cache {
 	c := &Cache{Inner: inner}
 	if capacity > 0 {
 		c.shardCap = (capacity + cacheShards - 1) / cacheShards
@@ -104,36 +97,63 @@ func (c *Cache) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
 	if q == nil {
 		return c.Inner.EstimateSubset(q, mask)
 	}
-	k := cacheKey{fp: q.Fingerprint(), mask: mask}
-	s := &c.shards[(k.fp^uint64(mask)*0x9e3779b97f4a7c15)%cacheShards]
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
+	s := cacheSession{c: c, q: q, fp: q.Fingerprint(), inner: c.Inner}
+	return s.EstimateSubset(q, mask)
+}
+
+// BeginQuery implements SessionEstimator. The inner session is opened on
+// the session's first miss, so a search that only hits opens none.
+func (c *Cache) BeginQuery(q *query.Query) Estimator {
+	return &cacheSession{c: c, q: q, fp: q.Fingerprint()}
+}
+
+// cacheSession is a Cache bound to one plan search over q.
+type cacheSession struct {
+	c  *Cache
+	q  *query.Query
+	fp uint64
+	// inner answers misses: Inner itself on the stateless path, else Inner's
+	// session, opened on the first miss.
+	inner Estimator
+}
+
+func (s *cacheSession) Name() string { return s.c.Name() }
+
+func (s *cacheSession) EstimateSubset(_ *query.Query, mask query.BitSet) float64 {
+	c := s.c
+	k := cacheKey{fp: s.fp, mask: mask}
+	sh := &c.shards[(k.fp^uint64(mask)*0x9e3779b97f4a7c15)%cacheShards]
+	sh.mu.RLock()
+	v, ok := sh.m[k]
+	sh.mu.RUnlock()
 	if ok {
 		c.hits.Inc()
 		return v
 	}
-	v = c.Inner.EstimateSubset(q, mask)
+	if s.inner == nil {
+		s.inner = BeginQuery(c.Inner, s.q)
+	}
+	v = s.inner.EstimateSubset(s.q, mask)
 	c.misses.Inc()
-	s.mu.Lock()
-	if _, exists := s.m[k]; !exists {
+	sh.mu.Lock()
+	if _, exists := sh.m[k]; !exists {
 		if c.shardCap > 0 {
-			for len(s.m) >= c.shardCap {
-				oldest := s.order[0]
-				s.order = s.order[1:]
-				delete(s.m, oldest)
+			for len(sh.m) >= c.shardCap {
+				oldest := sh.order[0]
+				sh.order = sh.order[1:]
+				delete(sh.m, oldest)
 				c.evictions.Inc()
 			}
 			// Re-slicing leaves evicted keys pinned in the backing array;
 			// compact once the dead prefix dominates.
-			if cap(s.order) > 2*c.shardCap && len(s.order) <= c.shardCap {
-				s.order = append(make([]cacheKey, 0, c.shardCap), s.order...)
+			if cap(sh.order) > 2*c.shardCap && len(sh.order) <= c.shardCap {
+				sh.order = append(make([]cacheKey, 0, c.shardCap), sh.order...)
 			}
-			s.order = append(s.order, k)
+			sh.order = append(sh.order, k)
 		}
-		s.m[k] = v
+		sh.m[k] = v
 	}
-	s.mu.Unlock()
+	sh.mu.Unlock()
 	return v
 }
 
@@ -171,4 +191,4 @@ func (c *Cache) Reset() {
 	c.evictions.Reset()
 }
 
-var _ Estimator = (*Cache)(nil)
+var _ SessionEstimator = (*Cache)(nil)

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func TestCacheReadThrough(t *testing.T) {
 		calls.Add(1)
 		return float64(q.Fingerprint()%1000) + float64(m)
 	}}
-	c := NewCache(inner)
+	c := NewCache(inner, nil, 0)
 	if c.Name() != "counting+cache" {
 		t.Fatalf("name = %s", c.Name())
 	}
@@ -63,7 +64,7 @@ func TestCacheNilQueryPassthrough(t *testing.T) {
 		calls.Add(1)
 		return 7
 	}}
-	c := NewCache(inner)
+	c := NewCache(inner, nil, 0)
 	c.EstimateSubset(nil, 3)
 	c.EstimateSubset(nil, 3)
 	if calls.Load() != 2 {
@@ -78,7 +79,7 @@ func TestCacheConcurrent(t *testing.T) {
 	inner := FuncEstimator{Label: "f", Fn: func(q *query.Query, m query.BitSet) float64 {
 		return float64(m) * 2
 	}}
-	c := NewCache(inner)
+	c := NewCache(inner, nil, 0)
 	qs := cacheFixtureQueries()
 	var wg sync.WaitGroup
 	bad := atomic.Bool{}
@@ -86,10 +87,16 @@ func TestCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Even goroutines take the stateless path, odd ones one session
+			// per query.
+			ests := []Estimator{c, c}
+			if g%2 == 1 {
+				ests = []Estimator{c.BeginQuery(qs[0]), c.BeginQuery(qs[1])}
+			}
 			for i := 0; i < 500; i++ {
 				q := qs[i%len(qs)]
 				m := query.BitSet(1 + i%3)
-				if c.EstimateSubset(q, m) != float64(m)*2 {
+				if ests[i%len(qs)].EstimateSubset(q, m) != float64(m)*2 {
 					bad.Store(true)
 					return
 				}
@@ -113,7 +120,7 @@ func TestCacheBoundedEvicts(t *testing.T) {
 		return float64(q.Fingerprint()%997) + float64(m)
 	}}
 	const capacity = 64 // one entry per shard
-	c := NewCacheBounded(inner, nil, capacity)
+	c := NewCache(inner, nil, capacity)
 	qs := cacheFixtureQueries()
 
 	// Insert far more distinct (query, mask) keys than the capacity admits.
@@ -134,7 +141,7 @@ func TestCacheBoundedEvicts(t *testing.T) {
 
 	// Evicted keys are recomputed to the same deterministic value: the
 	// bounded cache must agree with an unbounded one on every estimate.
-	u := NewCache(inner)
+	u := NewCache(inner, nil, 0)
 	for i := 0; i < keys; i++ {
 		q, m := qs[i%len(qs)], query.BitSet(1+i/len(qs))
 		if bv, uv := c.EstimateSubset(q, m), u.EstimateSubset(q, m); bv != uv {
@@ -157,7 +164,7 @@ func TestCacheBoundedDeterministicEviction(t *testing.T) {
 	}}
 	qs := cacheFixtureQueries()
 	run := func() (*Cache, int64) {
-		c := NewCacheBounded(inner, nil, 128)
+		c := NewCache(inner, nil, 128)
 		for i := 0; i < 600; i++ {
 			c.EstimateSubset(qs[i%len(qs)], query.BitSet(1+i/len(qs)))
 		}
@@ -181,7 +188,7 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 	inner := FuncEstimator{Label: "c", Fn: func(q *query.Query, m query.BitSet) float64 {
 		return float64(m) * 5
 	}}
-	c := NewCacheBounded(inner, nil, 32)
+	c := NewCache(inner, nil, 32)
 	qs := cacheFixtureQueries()
 	var wg sync.WaitGroup
 	bad := atomic.Bool{}
@@ -205,5 +212,100 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 	}
 	if c.Len() > 64 { // 32 requested -> 1 per shard, 64 shards ceiling
 		t.Fatalf("bounded cache overflowed: %d entries", c.Len())
+	}
+}
+
+// countingSessions is a SessionEstimator that counts the sessions it opens
+// and the calls on each path. Both paths answer sessionValue, so a cache
+// that mixes them must still agree with either one bit for bit.
+type countingSessions struct {
+	begun, stateless, sessionCalls atomic.Int64
+}
+
+func sessionValue(q *query.Query, m query.BitSet) float64 {
+	return float64(q.Fingerprint()%997) + float64(m)/7
+}
+
+func (c *countingSessions) Name() string { return "counting" }
+
+func (c *countingSessions) EstimateSubset(q *query.Query, m query.BitSet) float64 {
+	c.stateless.Add(1)
+	return sessionValue(q, m)
+}
+
+func (c *countingSessions) BeginQuery(q *query.Query) Estimator {
+	c.begun.Add(1)
+	return FuncEstimator{Label: "counting", Fn: func(sq *query.Query, m query.BitSet) float64 {
+		if sq != q {
+			panic("session used for another query")
+		}
+		c.sessionCalls.Add(1)
+		return sessionValue(q, m)
+	}}
+}
+
+// TestCacheSessionMatchesStateless: estimates through cache sessions equal
+// the stateless path bit for bit in any call order, mixed with stateless
+// calls on the same cache, and under eviction.
+func TestCacheSessionMatchesStateless(t *testing.T) {
+	qs := cacheFixtureQueries()
+	const keys = 300
+	orders := [][]query.BitSet{make([]query.BitSet, keys), make([]query.BitSet, keys), make([]query.BitSet, keys)}
+	for i := 0; i < keys; i++ {
+		orders[0][i] = query.BitSet(1 + i)
+		orders[1][i] = query.BitSet(keys - i)
+		orders[2][i] = query.BitSet(1 + (i*181)%keys) // 181 is coprime to 300
+	}
+	for _, capacity := range []int{0, 64} {
+		inner := &countingSessions{}
+		c := NewCache(inner, nil, capacity)
+		for round, order := range orders {
+			for _, q := range qs {
+				s := c.BeginQuery(q)
+				for i, m := range order {
+					var got float64
+					if i%3 == round { // interleave the stateless path
+						got = c.EstimateSubset(q, m)
+					} else {
+						got = s.EstimateSubset(q, m)
+					}
+					if want := sessionValue(q, m); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("capacity %d, round %d, mask %d: %v, want %v", capacity, round, m, got, want)
+					}
+				}
+			}
+		}
+		if capacity > 0 && (c.Evictions() == 0 || c.Len() > capacity) {
+			t.Fatalf("capacity %d: %d evictions, %d live entries", capacity, c.Evictions(), c.Len())
+		}
+		hits, misses := c.Stats()
+		if total := int64(len(orders) * len(qs) * keys); hits+misses != total {
+			t.Fatalf("capacity %d: %d hits + %d misses, want %d lookups", capacity, hits, misses, total)
+		}
+	}
+}
+
+// TestCacheSessionOpensInnerLazily: a cold search opens exactly one inner
+// session and sends every miss to it; a search that only hits opens none.
+func TestCacheSessionOpensInnerLazily(t *testing.T) {
+	q := cacheFixtureQueries()[0]
+	inner := &countingSessions{}
+	c := NewCache(inner, nil, 0)
+	search := func() {
+		s := c.BeginQuery(q)
+		for m := query.BitSet(1); m <= 40; m++ {
+			s.EstimateSubset(q, m)
+		}
+	}
+	search()
+	if b, st, sc := inner.begun.Load(), inner.stateless.Load(), inner.sessionCalls.Load(); b != 1 || st != 0 || sc != 40 {
+		t.Fatalf("cold search: %d sessions, %d stateless calls, %d session calls; want 1, 0, 40", b, st, sc)
+	}
+	search()
+	if b, sc := inner.begun.Load(), inner.sessionCalls.Load(); b != 1 || sc != 40 {
+		t.Fatalf("warm search opened %d more sessions and made %d more calls, want 0 and 0", b-1, sc-40)
+	}
+	if hits, misses := c.Stats(); hits != 40 || misses != 40 {
+		t.Fatalf("stats = %d/%d, want 40 hits, 40 misses", hits, misses)
 	}
 }

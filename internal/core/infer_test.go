@@ -383,6 +383,37 @@ func TestInferencePathImportsNoTape(t *testing.T) {
 	}
 }
 
+// TestCachedSessionMatchesStateless: a plan search through an estimate
+// cache over LPCE-I equals the stateless estimates bit for bit, cold and
+// warm, in ascending and descending order, bounded or not.
+func TestCachedSessionMatchesStateless(t *testing.T) {
+	db := testutil.TinyDB()
+	enc := encode.NewEncoder(db.Schema)
+	q := eightTableQuery(db)
+	est := &TreeEstimator{Label: "lpce-i", Model: randomModel(enc.Dim(), 8, treenn.CellSRU, 703), Enc: enc}
+	masks := connectedSubsets(q)
+	want := make(map[query.BitSet]uint64, len(masks))
+	for _, m := range masks {
+		want[m] = math.Float64bits(est.EstimateSubset(q, m))
+	}
+	for _, capacity := range []int{0, 64} {
+		c := cardest.NewCache(est, nil, capacity)
+		for pass := 0; pass < 2; pass++ {
+			s := c.BeginQuery(q)
+			for i := range masks {
+				m := masks[i]
+				if pass == 1 {
+					m = masks[len(masks)-1-i]
+				}
+				if got := math.Float64bits(s.EstimateSubset(q, m)); got != want[m] {
+					t.Fatalf("capacity %d, pass %d, mask %#x: cached %v, stateless %v",
+						capacity, pass, uint64(m), math.Float64frombits(got), math.Float64frombits(want[m]))
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkEstimateSubset(b *testing.B) {
 	db := testutil.TinyDB()
 	enc := encode.NewEncoder(db.Schema)
@@ -408,6 +439,23 @@ func BenchmarkEstimateSubset(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink += est.EstimateSubset(q, masks[i%len(masks)])
+		}
+	})
+	// Every estimate misses an empty cache, as a served plan search on a new
+	// query does; building the cache is left out of the timing.
+	b.Run("cache-cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; {
+			b.StopTimer()
+			c := cardest.NewCache(est, nil, 0)
+			b.StartTimer()
+			s := c.BeginQuery(q)
+			for _, m := range masks {
+				if i++; i > b.N {
+					break
+				}
+				sink += s.EstimateSubset(q, m)
+			}
 		}
 	})
 	b.Run("tape", func(b *testing.B) {

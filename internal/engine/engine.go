@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"github.com/lpce-db/lpce/internal/cardest"
@@ -121,7 +122,8 @@ func (e *Engine) Execute(q *query.Query, cfg Config) (Result, error) {
 // ExecuteContext runs the query end to end under ctx: a deadline or caller
 // cancellation unwinds the executor cooperatively (checked in every scan
 // and join inner loop), aborts re-planning, releases any materialized
-// intermediates, and returns the context's error for this query only.
+// intermediates, and returns the context's error for this query only. A
+// panic fails the query the same way, with a *PanicError.
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -137,6 +139,18 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, cfg Config)
 	return res, err
 }
 
+// PanicError is the typed failure of a query during which the estimator,
+// the refiner or the executor panicked. The engine recovers the panic at its
+// entry points, so one bad model input fails one query, never the process.
+type PanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // the panicking goroutine's stack, captured at recovery
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("engine: query panicked: %v", e.Value)
+}
+
 // testHookController, when non-nil, observes the re-optimization controller
 // the engine creates for a query; tests use it to assert that failure paths
 // release materialized intermediates.
@@ -145,8 +159,23 @@ var testHookController func(*reopt.Controller)
 // execute is ExecuteContext's body, with the optional query trace threaded
 // through the optimizer, the executor contexts, and the re-optimization
 // controller.
-func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *obs.QueryTrace) (Result, error) {
-	var res Result
+func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *obs.QueryTrace) (res Result, err error) {
+	var rctrl *reopt.Controller
+	// fail releases any materialized intermediates before failing the query,
+	// so buffered rows never outlive the query that materialized them.
+	fail := func(err error) (Result, error) {
+		if rctrl != nil {
+			rctrl.Release()
+		}
+		return res, err
+	}
+	// A panic fails this query alone, through the same release path as any
+	// other error.
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = fail(&PanicError{Value: r, Stack: debug.Stack()})
+		}
+	}()
 	if cfg.Policy.QErrThreshold == 0 {
 		cfg.Policy = reopt.DefaultPolicy()
 	}
@@ -169,7 +198,6 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 	}
 
 	var ctrl exec.Controller = exec.NopController{}
-	var rctrl *reopt.Controller
 	if cfg.Refiner != nil || cfg.OverlayReopt {
 		rctrl = reopt.NewController(cfg.Policy)
 		rctrl.Trace = qt
@@ -179,15 +207,6 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 			testHookController(rctrl)
 		}
 	}
-	// fail releases any materialized intermediates before failing the query,
-	// so buffered rows never outlive the query that materialized them.
-	fail := func(err error) (Result, error) {
-		if rctrl != nil {
-			rctrl.Release()
-		}
-		return res, err
-	}
-
 	for {
 		if rctrl != nil {
 			rctrl.SetPlan(p)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -14,8 +15,14 @@ import (
 
 // Explain returns the plan the optimizer would choose for the query under
 // the given estimator, without executing it — the engine's EXPLAIN. The
-// rendering shows each operator with its estimated cardinality.
-func (e *Engine) Explain(q *query.Query, est cardest.Estimator) (string, error) {
+// rendering shows each operator with its estimated cardinality. A panic
+// during the plan search is returned as a *PanicError.
+func (e *Engine) Explain(q *query.Query, est cardest.Estimator) (_ string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
 	opt := optimizer.New(e.DB, est)
 	p, stats, err := opt.Plan(q)
 	if err != nil {

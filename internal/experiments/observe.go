@@ -108,7 +108,7 @@ func ObservabilityWithOptions(e *Env, opt ObsOptions) (*ObsResult, error) {
 		o := obs.NewObserver()
 		cfg := rc.Cfg
 		cfg.Obs = o
-		cfg.Estimator = cardest.NewCacheWithMetrics(cfg.Estimator, o.Registry())
+		cfg.Estimator = cardest.NewCache(cfg.Estimator, o.Registry(), 0)
 		cfg.Limits.MaxMatRows = opt.MaxMatRows
 		var execWall atomic.Int64 // summed T_E nanos across workers
 		start := time.Now()

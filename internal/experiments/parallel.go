@@ -89,7 +89,7 @@ func RunParallelWorkload(db *storage.Database, queries []*query.Query, cfg engin
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cache := cardest.NewCache(cfg.Estimator)
+	cache := cardest.NewCache(cfg.Estimator, nil, 0)
 	cfg.Estimator = cache
 	eng := engine.New(db)
 	results := make([]engine.Result, len(queries))

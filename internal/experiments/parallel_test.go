@@ -96,7 +96,7 @@ func TestSharedEstimatorHammer(t *testing.T) {
 		qs = qs[:3]
 	}
 	for _, est := range ests {
-		cache := cardest.NewCache(est)
+		cache := cardest.NewCache(est, nil, 0)
 		want := make(map[*query.Query]map[query.BitSet]float64)
 		for _, q := range qs {
 			want[q] = make(map[query.BitSet]float64)
@@ -188,8 +188,9 @@ func TestParallelWorkloadReturnsSerialError(t *testing.T) {
 		return hist.EstimateSubset(q, mask)
 	}}
 	_, err := RunParallelWorkload(db, qs, engine.Config{Estimator: est}, 4)
-	var pe *workload.PanicError
-	if !errors.As(err, &pe) || pe.Index != 0 || pe.Value != "query 0" {
+	// The engine recovers each panic into its query's *engine.PanicError.
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) || pe.Value != "query 0" {
 		t.Fatalf("err = %v, want query 0's panic", err)
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/engine"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/fault"
 	"github.com/lpce-db/lpce/internal/histogram"
-	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/testutil"
@@ -60,9 +58,11 @@ func chaosWorkload(tb testing.TB) []*query.Query {
 // TestChaosPoolSurvivesEstimatorAndOperatorFaults is the acceptance
 // scenario: with estimator panic/garbage/latency faults injected at ~10% of
 // calls and operator errors on a slice of the queries, a 200-query parallel
-// workload completes end to end — degraded queries return typed errors, the
-// guard's breaker falls back to the histogram baseline, and every
-// un-faulted query returns a result byte-identical to the fault-free run.
+// workload completes end to end — a query whose estimator panicked fails
+// alone with *engine.PanicError, other degraded queries return their typed
+// errors, and every query that completes returns the fault-free count:
+// garbage estimates are clamped by the optimizer and may change the plan,
+// never the answer.
 func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 	db := testutil.TinyDB()
 	queries := chaosWorkload(t)
@@ -91,18 +91,9 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 		Latency:      fault.Injector{Seed: 103, Rate: 0.02},
 		LatencyDelay: 100 * time.Microsecond,
 	}
-	reg := obs.NewRegistry()
-	guard := cardest.NewGuard(fest, cardest.GuardConfig{
-		Fallback:      hist,
-		Bound:         cardest.CrossProductBound(db),
-		LatencyBudget: 50 * time.Millisecond,
-		TripAfter:     2,
-		Cooldown:      16,
-		Registry:      reg,
-	})
 	ops := &fault.Ops{Err: fault.Injector{Seed: 104, Rate: 0.04}, AtRow: 2}
 	cfg := engine.Config{
-		Estimator:    guard,
+		Estimator:    fest,
 		OverlayReopt: true,
 		ExecWrap:     ops.Wrap,
 		Limits:       engine.Limits{MaxMatRows: 2_000_000},
@@ -115,18 +106,21 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 		return err
 	})
 
-	degraded := 0
+	ok, panicked, failed := 0, 0, 0
 	for i, err := range errs {
-		if err == nil {
-			// Estimator faults may change the plan but never the answer.
+		var pe *engine.PanicError
+		var re *exec.ResourceError
+		switch {
+		case err == nil:
+			ok++
 			if counts[i] != baseline[i] {
 				t.Errorf("query %d: chaos count %d != baseline %d", i, counts[i], baseline[i])
 			}
-			continue
-		}
-		degraded++
-		var re *exec.ResourceError
-		if !errors.Is(err, fault.ErrInjected) && !errors.As(err, &re) {
+		case errors.As(err, &pe):
+			panicked++
+		case errors.Is(err, fault.ErrInjected) || errors.As(err, &re):
+			failed++
+		default:
 			t.Errorf("query %d: untyped chaos error %v", i, err)
 		}
 	}
@@ -136,23 +130,17 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 		t.Fatalf("injection never fired: %d panics, %d garbage, %d latency",
 			fest.Panics.Load(), fest.Garbages.Load(), fest.Latencies.Load())
 	}
-	if ops.Errs.Load() == 0 || degraded == 0 {
-		t.Fatalf("no operator faults surfaced (injected %d, degraded %d)", ops.Errs.Load(), degraded)
+	// A panic ends its query, so each panicked query saw exactly one.
+	if int64(panicked) != fest.Panics.Load() {
+		t.Fatalf("%d queries failed with *engine.PanicError, %d panics injected", panicked, fest.Panics.Load())
 	}
-	if degraded == len(queries) {
+	if ops.Errs.Load() == 0 || failed == 0 {
+		t.Fatalf("no operator faults surfaced (injected %d, failed %d)", ops.Errs.Load(), failed)
+	}
+	if ok == 0 {
 		t.Fatal("every query degraded; chaos rate far above configuration")
 	}
-	gs := guard.Stats()
-	if gs.Panics == 0 {
-		t.Fatal("guard recovered no panics")
-	}
-	if gs.Trips == 0 || gs.FallbackCalls == 0 {
-		t.Fatalf("breaker never tripped onto the histogram fallback: %+v", gs)
-	}
-	if reg.Counter("cardest.guard.breaker_trips").Value() != gs.Trips {
-		t.Fatal("obs counter disagrees with guard stats")
-	}
-	t.Logf("chaos: %d/%d degraded; guard %+v", degraded, len(queries), gs)
+	t.Logf("chaos: %d ok, %d panicked, %d failed of %d", ok, panicked, failed, len(queries))
 }
 
 // opRows wraps every operator in a row counter and records, per operator,
@@ -242,10 +230,10 @@ func TestChaosOpFaultsMatchFaultFreeRun(t *testing.T) {
 	}
 }
 
-// TestChaosUnguardedPoolStillSurvives drops the guard entirely: raw
-// estimator panics escape into the worker pool, and RunEach must convert
-// them into per-query *workload.PanicError without losing the other
-// queries.
+// TestChaosUnguardedPoolStillSurvives runs raw estimator panics through
+// the worker pool with nothing wrapped around the estimator: the engine
+// recovers each one before RunEach would, so every panicked query reports
+// the engine's typed *engine.PanicError and the other queries complete.
 func TestChaosUnguardedPoolStillSurvives(t *testing.T) {
 	db := testutil.TinyDB()
 	queries := chaosWorkload(t)
@@ -263,9 +251,9 @@ func TestChaosUnguardedPoolStillSurvives(t *testing.T) {
 		case err == nil:
 			completed++
 		default:
-			var pe *workload.PanicError
+			var pe *engine.PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("query %d: %v, want *workload.PanicError", i, err)
+				t.Fatalf("query %d: %v, want *engine.PanicError", i, err)
 			}
 			panicked++
 		}

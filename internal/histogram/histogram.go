@@ -61,7 +61,7 @@ func ltSel(cs *storage.ColStats, v int64) float64 {
 			sel += cs.MCVFreqs[i]
 		}
 	}
-	sel += (1 - cs.MCVFrac) * histFracBelow(cs.Bounds, v)
+	sel += float64((1 - cs.MCVFrac) * histFracBelow(cs.Bounds, v)) // no fused multiply-add: same bits on every CPU
 	return clamp01(sel)
 }
 

@@ -52,12 +52,14 @@ func QErrorLoss(t *autodiff.Tape, pred *autodiff.Node, trueCard, logMax float64)
 	if trueCard < 1 {
 		trueCard = 1
 	}
-	diff := pred.Data[0]*logMax - math.Log(trueCard)
+	// float64(...) keeps each product rounded on its own: a fused
+	// multiply-add (arm64) would change the loss's bits.
+	diff := float64(pred.Data[0]*logMax) - math.Log(trueCard)
 	q := math.Exp(math.Abs(diff))
 	out := t.NewNode(1)
 	out.Data[0] = q
 	t.Record(func() {
-		g := out.Grad[0] * q * logMax
+		g := float64(out.Grad[0] * q * logMax)
 		if diff >= 0 {
 			pred.Grad[0] += g
 		} else {

@@ -30,9 +30,9 @@ type servingSet struct {
 	caches map[string]*cardest.Cache
 	// shed is the overload rung: when the health machine reports
 	// StateOverloaded, Query plans with the histogram baseline directly,
-	// bypassing the primary stack and its inference cost. Its estimates are
-	// always finite, at least 1 and at most the cross product, so it needs
-	// no guard.
+	// bypassing the primary stack and its inference cost. A panic on either
+	// rung fails only its query: the engine returns it as an
+	// *engine.PanicError.
 	shed *histogram.Estimator
 }
 
@@ -57,7 +57,7 @@ func (s *Server) buildServingSet(version string, est cardest.Estimator, refiner 
 	// Populates per-tenant cache maps keyed by the ranged key; no
 	// order-dependent state is touched.
 	for name, tn := range s.tenants { //detlint:ignore — order-independent build
-		set.caches[name] = cardest.NewCacheBounded(est, tn.obs.Registry(), s.cfg.CacheCapacity)
+		set.caches[name] = cardest.NewCache(est, tn.obs.Registry(), s.cfg.CacheCapacity)
 	}
 	return set
 }

@@ -25,26 +25,19 @@ import (
 var soakFlag = flag.Bool("soak", false, "run the extended server soak")
 
 // chaosStack builds the soak's estimator stack: the histogram baseline
-// wrapped in deterministic fault injection (panics, garbage, latency)
-// wrapped in the guard. TripAfter is effectively infinite so the breaker
-// never trips: with breaker state out of the picture, the guarded estimate
-// is a pure function of (query, subset), which is what lets a serial oracle
-// predict the concurrent server's behavior exactly.
+// wrapped in deterministic fault injection (panics, garbage, latency) and
+// nothing else. Every fault is a pure function of (query, subset): a panic
+// fails its query with *engine.PanicError and garbage is clamped by the
+// optimizer, which is what lets a serial oracle predict the concurrent
+// server's behavior exactly.
 func chaosStack(db *storage.Database) cardest.Estimator {
-	hist := histogram.NewEstimator(db)
-	flaky := &fault.Estimator{
-		Inner:        hist,
+	return &fault.Estimator{
+		Inner:        histogram.NewEstimator(db),
 		Panic:        fault.Injector{Seed: 101, Rate: 0.03},
 		Garbage:      fault.Injector{Seed: 102, Rate: 0.05},
 		Latency:      fault.Injector{Seed: 103, Rate: 0.02},
 		LatencyDelay: 50 * time.Microsecond,
 	}
-	return cardest.NewGuard(flaky, cardest.GuardConfig{
-		Fallback:  hist,
-		Bound:     cardest.CrossProductBound(db),
-		TripAfter: 1 << 30,
-		Cooldown:  16,
-	})
 }
 
 func chaosOps() *fault.Ops {
@@ -64,8 +57,10 @@ const soakBudget = 3_000_000
 // soakOutcome classifies one query's result the same way on the serial and
 // served paths: exact count on success (budget-truncated counts are
 // labelled, and still deterministic), "degraded" for typed resource or
-// deadline errors, "failed" for injected operator faults.
+// deadline errors, "failed" for injected operator faults, "panicked" for
+// estimator panics.
 func soakOutcome(count int, timedOut bool, err error) string {
+	var pe *engine.PanicError
 	switch {
 	case err == nil && timedOut:
 		return fmt.Sprintf("budget:%d", count)
@@ -73,6 +68,8 @@ func soakOutcome(count int, timedOut bool, err error) string {
 		return fmt.Sprintf("ok:%d", count)
 	case errors.Is(err, fault.ErrInjected):
 		return "failed"
+	case errors.As(err, &pe):
+		return "panicked"
 	case isResourceErr(err) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return "degraded"
 	default:
@@ -187,7 +184,7 @@ func TestServerSoakUnderChaosMatchesSerialOracle(t *testing.T) {
 			t.Fatalf("query %d (%s): served %q, oracle %q", i, queries[i].SQL(), served[i], oracle[i])
 		}
 		switch {
-		case served[i] == "failed" || served[i] == "degraded":
+		case served[i] == "failed" || served[i] == "degraded" || served[i] == "panicked":
 			tally[served[i]]++
 		default:
 			tally["ok"]++
@@ -199,6 +196,9 @@ func TestServerSoakUnderChaosMatchesSerialOracle(t *testing.T) {
 	}
 	if tally["failed"]+tally["degraded"] == 0 {
 		t.Fatal("no query was faulted; the chaos injectors never fired")
+	}
+	if tally["panicked"] == 0 {
+		t.Fatal("no estimator panic reached a query")
 	}
 	if swaps := s.MetricsSnapshot().Counters["server.model_swaps"]; swaps < 2 {
 		t.Fatalf("only %d hot-swaps landed during the soak", swaps)
@@ -216,8 +216,8 @@ func TestServerSoakUnderChaosMatchesSerialOracle(t *testing.T) {
 
 // TestSoakOracleIsDeterministic guards the soak's foundation: two serial
 // runs of the chaos stack over the same workload produce identical
-// outcomes. If someone adds breaker state or scheduling dependence to the
-// stack, this fails before the soak starts flaking.
+// outcomes. If someone adds state or scheduling dependence to the stack,
+// this fails before the soak starts flaking.
 func TestSoakOracleIsDeterministic(t *testing.T) {
 	db := testutil.TinyDB()
 	queries := workload.NewGenerator(db, 17).QueriesRange(40, 2, 4)

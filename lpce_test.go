@@ -91,31 +91,22 @@ func TestExperimentFacade(t *testing.T) {
 }
 
 // TestRobustnessFacade drives the fault-tolerance surface through the
-// public API: a guarded estimator over a panicky inner model, per-query
-// deadlines, and resource budgets.
+// public API: a panicking estimator fails its query with a typed error,
+// per-query deadlines, and resource budgets.
 func TestRobustnessFacade(t *testing.T) {
 	db := GenerateDatabase(DataConfig{Titles: 300, Seed: 5})
 	gen := NewWorkloadGenerator(db, 6)
 	eng := NewEngine(db)
 	q := gen.Query(3)
 
-	guard := NewEstimatorGuard(panicky{}, EstimatorGuardConfig{
-		Fallback: NewHistogramEstimator(db),
-		Bound:    CrossProductBound(db),
-	})
-	res, err := eng.Execute(q, EngineConfig{Estimator: guard})
-	if err != nil {
-		t.Fatalf("guarded execution failed: %v", err)
+	_, err := eng.Execute(q, EngineConfig{Estimator: panicky{}})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "model exploded" {
+		t.Fatalf("err = %v, want *PanicError carrying the estimator's panic", err)
 	}
-	base, err := eng.Execute(q, EngineConfig{Estimator: NewHistogramEstimator(db)})
-	if err != nil {
+	// The engine keeps serving: the next query on it succeeds.
+	if _, err := eng.Execute(q, EngineConfig{Estimator: NewHistogramEstimator(db)}); err != nil {
 		t.Fatal(err)
-	}
-	if res.Count != base.Count {
-		t.Fatalf("guard changed the result: %d vs %d", res.Count, base.Count)
-	}
-	if guard.Stats().Panics == 0 {
-		t.Fatal("guard saw no panics from the panicky estimator")
 	}
 
 	// A 10-row materialization budget fails some query with the typed error.
@@ -145,7 +136,7 @@ func TestRobustnessFacade(t *testing.T) {
 }
 
 // panicky is an estimator that always panics, standing in for a broken
-// learned model behind the guard.
+// learned model.
 type panicky struct{}
 
 func (panicky) Name() string                          { return "panicky" }
