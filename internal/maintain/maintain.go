@@ -118,7 +118,8 @@ func (m *Monitor) Drifted() bool {
 // queries: it appends through storage.Table.MaintenanceAppend, which
 // unseals the table, invalidates exactly the column segments the new rows
 // dirty (scans prune nothing until stats are refreshed), and
-// extends the table's built indexes with the new rows. Callers must still
+// extends the table's built indexes with the new rows. An empty batch
+// changes nothing. Callers must still
 // externally synchronize against in-flight readers, and should follow a
 // batch of appends with RefreshStats to re-seal the table, recompute the
 // dirtied zone maps, and re-ANALYZE it.
@@ -128,9 +129,11 @@ func AppendRows(t *storage.Table, rows [][]int64) {
 
 // RefreshStats brings catalog column statistics and histogram statistics
 // up to date after data updates (the engine's ANALYZE): it re-seals every
-// table appended to since its last seal, re-analyzing its columns and
-// recomputing the zone maps the appends invalidated, and leaves clean tables
-// untouched. The returned Stats gathers the seal-time statistics; estimators
+// table appended to since its last seal, re-analyzing only the rows
+// appended since (their sorted value counts are merged into the ones the
+// table keeps, so the cost follows the batch, not the table) and
+// recomputing the zone maps the appends invalidated, and leaves clean
+// tables untouched. The returned Stats gathers the seal-time statistics; estimators
 // built before the refresh keep theirs.
 // Learned models are NOT retrained here — Monitor decides when that is
 // worth the cost.

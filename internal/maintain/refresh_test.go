@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -349,4 +350,193 @@ func BenchmarkRefreshStats(b *testing.B) {
 		b.StartTimer()
 		RefreshStats(db)
 	}
+}
+
+// TestRefreshCostsTheBatch: once a table keeps its value runs (from its
+// first refresh after an append), a 16-row append plus RefreshStats on a
+// 131,072-row table of low-NDV columns allocates a small fraction of one
+// sorted copy of one column (8 bytes per row): the refresh sorts the batch,
+// not the table.
+func TestRefreshCostsTheBatch(t *testing.T) {
+	const rows = 1 << 17
+	s := catalog.NewSchema()
+	meta := s.AddTable("big", catalog.Attr("a"), catalog.Attr("b"), catalog.Attr("c"))
+	db := storage.NewDatabase(s)
+	tbl := storage.NewTable(meta, rows)
+	db.Tables[meta.ID] = tbl
+	rng := rand.New(rand.NewSource(1))
+	for c := range tbl.Cols {
+		for r := range tbl.Cols[c] {
+			tbl.Cols[c][r] = rng.Int63n(50)
+		}
+		// Spare capacity, so no append below regrows a column: that cost
+		// belongs to the append, and is amortized over many.
+		tbl.Cols[c] = slices.Grow(tbl.Cols[c], 1024)
+	}
+	tbl.FinishLoad()
+	batch := func() [][]int64 {
+		b := make([][]int64, 16)
+		for i := range b {
+			b[i] = []int64{rng.Int63n(50), rng.Int63n(50), rng.Int63n(50)}
+		}
+		return b
+	}
+	AppendRows(tbl, batch())
+	RefreshStats(db) // sorts the whole table once, and keeps the runs
+
+	const oneSortedCopy = 8 * rows
+	var most uint64
+	for round := 0; round < 4; round++ {
+		b := batch()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		AppendRows(tbl, b)
+		RefreshStats(db)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > oneSortedCopy/16 {
+			t.Fatalf("round %d: append + refresh of 16 rows allocated %d bytes; one sorted column copy is %d",
+				round, got, oneSortedCopy)
+		}
+		most = max(most, got)
+	}
+	t.Logf("append + refresh of 16 rows allocated at most %d bytes; one sorted column copy is %d", most, oneSortedCopy)
+	for pos, c := range meta.Columns {
+		if d := colStatsDiff(tbl.ColStats(pos), refAnalyzeColumn(tbl.Col(pos))); d != "" {
+			t.Fatalf("col %s: %s", c.Name, d)
+		}
+	}
+}
+
+// fuzzBytes hands out a fuzz input one byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// seq returns the bytes lo, lo+step, ... below hi.
+func seq(lo, hi, step int) []byte {
+	var b []byte
+	for v := lo; v < hi; v += step {
+		b = append(b, byte(v))
+	}
+	return b
+}
+
+// FuzzRefreshMatchesFromScratch drives arbitrary append sequences into a
+// sealed two-column table — a unique id above every earlier one, and a
+// value column of the input's choosing — at a segment size the input
+// picks. Each step appends one batch: empty, arbitrary small values, new
+// values below the minimum or above the maximum, or copies of one value
+// (an existing row's, which can promote it into the MCV list and push
+// another out, or a new one). After every refresh each column's statistics
+// must equal the map-based reference ANALYZE bit for bit and the catalog's
+// min, max and NDV must be exact; the unsealed statistics read between the
+// append and the refresh must equal the reference too.
+func FuzzRefreshMatchesFromScratch(f *testing.F) {
+	// The input is: initial row count, that many values, then steps of
+	// (op, batch size - 1, operand bytes); op 0x80 also checks the
+	// unsealed statistics.
+	// 20 distinct values; a 40-copy batch of one of them takes the top of
+	// the MCV list, then 40 copies of a new value, each pushing out a tie.
+	f.Add(uint8(4), append(append([]byte{20}, seq(0, 20, 1)...), 2, 39, 100, 0x85, 39, 7))
+	// Values below the minimum and above the maximum, into an empty table.
+	f.Add(uint8(0), []byte{0, 0x83, 4, 1, 2, 3, 4, 5, 0x84, 3, 9, 8, 7, 6, 3, 0, 9, 4, 0, 9})
+	// All-duplicate and empty batches on a constant column.
+	f.Add(uint8(7), []byte{16, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 2, 63, 0, 0, 0, 0x82, 9, 50, 0x80, 0})
+	// Mixed small values: some new, some already held, around the middle.
+	f.Add(uint8(1), append(append([]byte{64}, seq(0, 128, 2)...), 0x81, 31, 0x81, 3, 5, 7, 9, 11))
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		data := make([]byte, 64+rng.Intn(512))
+		rng.Read(data)
+		data[0] %= 64
+		f.Add(uint8(rng.Intn(64)), data)
+	}
+	f.Fuzz(func(t *testing.T, segRows uint8, data []byte) {
+		defer storage.SetSegmentRows(1 + int(segRows%64))()
+		in := fuzzBytes(data)
+		s := catalog.NewSchema()
+		meta := s.AddTable("f", catalog.PK("id"), catalog.Attr("v"))
+		db := storage.NewDatabase(s)
+		tbl := storage.NewTable(meta, 0)
+		db.Tables[meta.ID] = tbl
+		row := func(v int64) []int64 { return []int64{int64(tbl.NumRows()), v} }
+		load := make([][]int64, int(in.next()))
+		for i := range load {
+			load[i] = []int64{int64(i), int64(int8(in.next()))}
+		}
+		if err := tbl.AppendRows(load); err != nil {
+			t.Fatal(err)
+		}
+		tbl.FinishLoad()
+
+		for step := 0; len(in) > 0 && step < 64 && tbl.NumRows() < 1<<13; step++ {
+			op, n := in.next(), 1+int(in.next()%64)
+			v := meta.Columns[1]
+			var vals []int64
+			switch op % 6 {
+			case 0: // empty batch
+			case 1: // arbitrary small values
+				for range n {
+					vals = append(vals, int64(int8(in.next())))
+				}
+			case 2: // copies of an existing row's value
+				var x int64
+				if tbl.NumRows() > 0 {
+					x = tbl.Col(1)[int(in.next())*tbl.NumRows()/256]
+				}
+				for range n {
+					vals = append(vals, x)
+				}
+			case 3: // below the minimum
+				for range n {
+					vals = append(vals, v.Min-1-int64(in.next()))
+				}
+			case 4: // above the maximum
+				for range n {
+					vals = append(vals, v.Max+1+int64(in.next()))
+				}
+			default: // copies of a new value
+				x := v.Max + 1 + int64(in.next())
+				for range n {
+					vals = append(vals, x)
+				}
+			}
+			batch := make([][]int64, 0, len(vals))
+			for _, x := range vals {
+				batch = append(batch, row(x))
+			}
+			AppendRows(tbl, batch)
+			if op&0x80 != 0 {
+				for pos := range tbl.Cols {
+					if d := colStatsDiff(tbl.ColStats(pos), refAnalyzeColumn(tbl.Col(pos))); d != "" {
+						t.Fatalf("step %d: unsealed col %d: %s", step, pos, d)
+					}
+				}
+			}
+			stats := RefreshStats(db)
+			for pos, c := range meta.Columns {
+				col := tbl.Col(pos)
+				cs := stats.Col(c)
+				if d := colStatsDiff(cs, refAnalyzeColumn(col)); d != "" {
+					t.Fatalf("step %d: col %d: %s", step, pos, d)
+				}
+				var mn, mx int64
+				if len(col) > 0 {
+					mn, mx = slices.Min(col), slices.Max(col)
+				}
+				if c.Min != mn || c.Max != mx || c.NDV != cs.NDV {
+					t.Fatalf("step %d: col %d: catalog (%d,%d,%d), want (%d,%d,%d)",
+						step, pos, c.Min, c.Max, c.NDV, mn, mx, cs.NDV)
+				}
+			}
+		}
+	})
 }

@@ -44,7 +44,7 @@ func (c CostModel) SeqScanCost(n float64) float64 { return c.SeqTuple * n }
 
 // IndexScanCost is the cost of fetching matches rows through an index.
 func (c CostModel) IndexScanCost(matches float64) float64 {
-	return c.IdxDescend + c.IdxTuple*matches
+	return c.IdxDescend + float64(c.IdxTuple*matches)
 }
 
 // MatScanCost is the cost of replaying a materialized intermediate.
@@ -52,25 +52,25 @@ func (c CostModel) MatScanCost(n float64) float64 { return c.MatTuple * n }
 
 // HashJoinCost costs a hash join with build side cardR, probe side cardL.
 func (c CostModel) HashJoinCost(cardL, cardR, out float64) float64 {
-	return c.HashBuild*cardR + c.HashProbe*cardL + c.OutputTuple*out
+	return float64(c.HashBuild*cardR) + float64(c.HashProbe*cardL) + float64(c.OutputTuple*out)
 }
 
 // MergeJoinCost costs a sort-merge join over two unsorted inputs.
 func (c CostModel) MergeJoinCost(cardL, cardR, out float64) float64 {
-	return c.SortFactor*(nLogN(cardL)+nLogN(cardR)) +
-		c.SeqTuple*(cardL+cardR) + c.OutputTuple*out
+	return float64(c.SortFactor*(nLogN(cardL)+nLogN(cardR))) +
+		float64(c.SeqTuple*(cardL+cardR)) + float64(c.OutputTuple*out)
 }
 
 // IndexNLJoinCost costs a nested loop whose inner side is probed through a
 // base-table index: the inner table is never scanned in full.
 func (c CostModel) IndexNLJoinCost(cardOuter, out float64) float64 {
-	return c.NLProbe*cardOuter + c.OutputTuple*out*1.5
+	return float64(c.NLProbe*cardOuter) + float64(c.OutputTuple*out*1.5)
 }
 
 // RescanNLJoinCost costs the quadratic nested loop over materialized
 // buffers.
 func (c CostModel) RescanNLJoinCost(cardL, cardR, out float64) float64 {
-	return c.NLPair*cardL*cardR + c.OutputTuple*out
+	return float64(c.NLPair*cardL*cardR) + float64(c.OutputTuple*out)
 }
 
 func nLogN(n float64) float64 {

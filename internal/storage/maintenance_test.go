@@ -117,3 +117,37 @@ func BenchmarkOrderedIndexExtend(b *testing.B) {
 		tbl.OrderedIndex(3)
 	}
 }
+
+// TestEmptyAppendKeepsSeal: an empty MaintenanceAppend changes nothing. The
+// table stays sealed with its ragged tail segment, its statistics and
+// segments are kept by pointer through the next FinishLoad, and it starts
+// keeping no value runs.
+func TestEmptyAppendKeepsSeal(t *testing.T) {
+	defer SetSegmentRows(64)()
+	tbl := sealFixture(300) // 4 full segments and a ragged one
+	tbl.FinishLoad()
+	var segs [][]*Segment
+	var stats []*ColStats
+	for pos := range tbl.Cols {
+		segs = append(segs, slices.Clone(tbl.Segments(pos)))
+		stats = append(stats, tbl.ColStats(pos))
+	}
+	for _, batch := range [][][]int64{nil, {}} {
+		tbl.MaintenanceAppend(batch)
+		if !tbl.Sealed() {
+			t.Fatal("empty append unsealed the table")
+		}
+		tbl.FinishLoad()
+		for pos := range tbl.Cols {
+			if tbl.ColStats(pos) != stats[pos] {
+				t.Fatalf("col %d: empty append replaced the statistics", pos)
+			}
+			if !slices.Equal(tbl.Segments(pos), segs[pos]) {
+				t.Fatalf("col %d: empty append rebuilt segments", pos)
+			}
+		}
+	}
+	if tbl.runs != nil {
+		t.Fatal("empty append made the table keep value runs")
+	}
+}

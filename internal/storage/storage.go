@@ -5,7 +5,10 @@
 // demand for index scans, index nested-loop joins, and the sampling-based
 // estimators. Sealing a table (FinishLoad) computes its column statistics
 // and the per-segment zone maps; appends extend the indexes already built,
-// and the next seal re-analyzes only the tables they dirtied.
+// and the next seal re-analyzes only the rows they appended: a table that
+// takes DML keeps each column's sorted value counts and merges the new
+// rows' counts in, and rebuilds only the zone maps of the segments the
+// rows dirtied.
 package storage
 
 import (
@@ -45,6 +48,13 @@ type Table struct {
 	segRows int          // segment granularity this table was sealed with
 	segs    [][]*Segment // per column position, nil until first seal
 	stats   []*ColStats  // per column position, computed at seal
+
+	// runs holds each column's value runs over its first covered rows, kept
+	// once the table takes a MaintenanceAppend (nil before: tables that
+	// never take DML hold no runs), so a reseal analyzes only the rows
+	// past covered.
+	runs    []colRuns
+	covered int
 }
 
 // NewTable allocates a table for the given catalog entry with numRows rows.
@@ -97,10 +107,18 @@ func (t *Table) AppendRows(rows [][]int64) error {
 // MaintenanceAppend adds rows to a table that may already be sealed. It
 // unseals the table (scans prune nothing until the next FinishLoad) and
 // drops only the segment tail the new rows dirty, so resealing recomputes
-// the zone maps of the affected segments instead of the whole table.
-// Built indexes are extended with the new rows. Callers outside
-// internal/maintain should use maintain.AppendRows.
+// the zone maps of the affected segments instead of the whole table, and
+// from then on the table keeps its value runs, so resealing analyzes only
+// the appended rows. Built indexes are extended with the new rows. An
+// empty batch changes nothing. Callers outside internal/maintain should
+// use maintain.AppendRows.
 func (t *Table) MaintenanceAppend(rows [][]int64) {
+	if len(rows) == 0 {
+		return
+	}
+	if t.runs == nil {
+		t.runs = make([]colRuns, len(t.Cols))
+	}
 	oldRows := t.NumRows()
 	t.appendRows(rows)
 	if t.sealed && t.segRows > 0 {
@@ -149,12 +167,13 @@ func (t *Table) appendRows(rows [][]int64) {
 }
 
 // FinishLoad seals the table: it computes each column's statistics — the
-// catalog's min, max and NDV and the histogram's ColStats — from one sort of
-// a copy of the column, then computes the segment zone maps. Call once
-// after populating the columns; maintain.RefreshStats calls it again after
-// DML, which re-analyzes the table and rebuilds only the segments the DML
-// invalidated. On a table sealed at the current segment granularity with
-// no append since, it returns at once.
+// catalog's min, max and NDV and the histogram's ColStats — from the
+// column's value runs, then computes the segment zone maps. Call once after
+// populating the columns; the runs then come from one sort of a copy of
+// each column. maintain.RefreshStats calls it again after DML, which sorts
+// only the appended rows, merges their runs into the kept ones, and
+// rebuilds only the segments the DML invalidated. On a table sealed at the
+// current segment granularity with no append since, it returns at once.
 func (t *Table) FinishLoad() {
 	if t.sealed && t.segRows == segmentRows {
 		return
@@ -162,7 +181,16 @@ func (t *Table) FinishLoad() {
 	if !t.sealed {
 		stats := make([]*ColStats, len(t.Cols))
 		for i := range t.Cols {
-			stats[i] = t.analyzeColumn(i)
+			r := t.columnRuns(i, true)
+			stats[i] = statsOfRuns(r)
+			meta := t.Meta.Columns[i]
+			meta.Min, meta.Max, meta.NDV = 0, 0, len(r.vals)
+			if len(r.vals) > 0 {
+				meta.Min, meta.Max = r.vals[0], r.vals[len(r.vals)-1]
+			}
+		}
+		if t.runs != nil {
+			t.covered = t.NumRows()
 		}
 		t.stats = stats
 	}
@@ -170,27 +198,31 @@ func (t *Table) FinishLoad() {
 	t.sealed = true
 }
 
-// analyzeColumn computes column i's statistics and writes its catalog min,
-// max and NDV.
-func (t *Table) analyzeColumn(i int) *ColStats {
-	sorted := sortedCopy(t.Cols[i])
-	cs := statsOfSorted(sorted)
-	meta := t.Meta.Columns[i]
-	meta.Min, meta.Max, meta.NDV = 0, 0, cs.NDV
-	if n := len(sorted); n > 0 {
-		meta.Min, meta.Max = sorted[0], sorted[n-1]
+// columnRuns returns column i's value runs: the kept runs with the rows
+// past covered merged in, or the whole column's runs if the table keeps
+// none. keep updates the kept runs; otherwise they are left untouched.
+func (t *Table) columnRuns(i int, keep bool) colRuns {
+	tail := runsOf(t.Cols[i][t.covered:])
+	if t.runs == nil {
+		return tail
 	}
-	return cs
+	if !keep {
+		r := t.runs[i].clone()
+		r.merge(tail)
+		return r
+	}
+	t.runs[i].merge(tail)
+	return t.runs[i]
 }
 
 // ColStats returns column pos's statistics: the ones computed at seal time
 // while the table is sealed, otherwise a fresh computation over the raw
-// column by the same function.
+// column by the same function, which leaves the kept runs as they are.
 func (t *Table) ColStats(pos int) *ColStats {
 	if t.sealed {
 		return t.stats[pos]
 	}
-	return statsOfSorted(sortedCopy(t.Cols[pos]))
+	return statsOfRuns(t.columnRuns(pos, false))
 }
 
 // buildSegments (re)computes the segment zone maps. Valid segments from a
