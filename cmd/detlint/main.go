@@ -1,17 +1,18 @@
 // Command detlint is a vet-style determinism lint for the repository's hot
 // paths. It fails on `for ... range` statements over map-typed expressions
 // in the named packages: map iteration order is randomized per run, so a
-// map range in the executor, storage, or serving path can silently break
-// the byte-identity the equivalence suites enforce: results, work charges
-// and checkpoint sequences identical to the reference evaluator and to the
-// pinned golden values, run after run.
+// map range in the executor, storage, serving or re-planning path can
+// silently break the byte-identity the equivalence suites enforce: results,
+// work charges, checkpoint sequences and re-planned plans identical to the
+// reference evaluator and to the pinned golden values, run after run.
 //
 // Usage:
 //
 //	detlint [-root dir] [packages...]
 //
 // Packages are module-relative directories; the default set is the hot
-// paths: internal/exec, internal/storage, internal/server. Test files are
+// paths: internal/exec, internal/storage, internal/server, and the
+// re-planning path internal/reopt and internal/engine. Test files are
 // skipped (tests may iterate maps to build fixtures). A finding is
 // suppressed by a `//detlint:ignore <why>` comment on the range statement's
 // line or the line directly above — the escape hatch for ranges whose body
@@ -41,8 +42,9 @@ import (
 )
 
 // defaultTargets are the hot-path packages where map-range nondeterminism
-// can leak into query results or observable execution order.
-var defaultTargets = []string{"internal/exec", "internal/storage", "internal/server"}
+// can leak into query results, observable execution order, or the plans
+// re-optimization chooses.
+var defaultTargets = []string{"internal/exec", "internal/storage", "internal/server", "internal/reopt", "internal/engine"}
 
 func main() {
 	root := flag.String("root", "", "module root directory (default: walk up from cwd to go.mod)")

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -81,5 +82,17 @@ func TestHotPathsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%v", f)
+	}
+}
+
+// TestDefaultsCoverReplanning: the re-planning path is linted by default,
+// so TestHotPathsClean and the CI step hold it to the same rule as the
+// executor. The overlay's ratio pick and the controller's Release range over
+// maps under justified ignores.
+func TestDefaultsCoverReplanning(t *testing.T) {
+	for _, pkg := range []string{"internal/reopt", "internal/engine"} {
+		if !slices.Contains(defaultTargets, pkg) {
+			t.Errorf("default targets %v lack %s", defaultTargets, pkg)
+		}
 	}
 }

@@ -118,7 +118,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := runShell(stdout, db, est, refiner, *seed); err != nil {
+	if err := runShell(stdout, os.Stdin, db, est, refiner, *seed); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
@@ -128,7 +128,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 // buildEstimator resolves -estimator/-models-in into the serving stack: the
 // estimator, the optional refiner, and (for the model modes) the artifact
 // set the server boots from. estName is one of the values realMain accepts.
-func buildEstimator(w io.Writer, db *storage.Database, enc *encode.Encoder, estName, modelsIn string, seed int64) (cardest.Estimator, *core.Refiner, *modelio.Set, error) {
+func buildEstimator(w io.Writer, db *storage.Database, enc *encode.Encoder, estName, modelsIn string, seed int64) (cardest.Estimator, engine.Refiner, *modelio.Set, error) {
 	if estName == "histogram" {
 		return histogram.NewEstimator(db), nil, nil, nil
 	}
@@ -163,7 +163,9 @@ func buildEstimator(w io.Writer, db *storage.Database, enc *encode.Encoder, estN
 		return nil, nil, nil, fmt.Errorf("artifact set has no LPCE-I model")
 	}
 	est := &core.TreeEstimator{Label: "lpce-i", Model: set.LPCEI.Model, Enc: enc}
-	var refiner *core.Refiner
+	// an untyped nil when there is no refiner: a nil *core.Refiner in the
+	// interface would turn re-optimization on
+	var refiner engine.Refiner
 	if estName == "lpce-r" {
 		if set.Refiner == nil {
 			return nil, nil, nil, fmt.Errorf("estimator lpce-r needs a refiner artifact")
@@ -276,14 +278,14 @@ func runServer(w io.Writer, db *storage.Database, enc *encode.Encoder, set *mode
 	return nil
 }
 
-// runShell is the interactive loop over stdin. It returns a read error of
-// stdin, if any.
-func runShell(w io.Writer, db *storage.Database, est cardest.Estimator, refiner *core.Refiner, seed int64) error {
+// runShell is the interactive loop over in (stdin). It returns a read error
+// of in, if any.
+func runShell(w io.Writer, in io.Reader, db *storage.Database, est cardest.Estimator, refiner engine.Refiner, seed int64) error {
 	eng := engine.New(db)
 	gen := workload.NewGenerator(db, seed+1)
 	fmt.Fprintf(w, "ready (estimator=%s). Try \\tables, \\sample 4, or a SELECT COUNT(*) query.\n", est.Name())
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
 		fmt.Fprint(w, "lpce> ")

@@ -2,9 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/lpce-db/lpce/internal/datagen"
+	"github.com/lpce-db/lpce/internal/encode"
+	"github.com/lpce-db/lpce/internal/engine"
+	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/reopt"
+	"github.com/lpce-db/lpce/internal/workload"
 )
 
 // TestBadFlagsRejectedBeforeSetup checks that a bad -estimator or -tenants
@@ -48,5 +57,47 @@ func TestParseTenants(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].Name != "alpha" || got[0].Weight != 2 || got[1].Name != "beta" || got[1].Weight != 1 {
 		t.Fatalf("parseTenants = %+v", got)
+	}
+}
+
+// TestShellHistogramModeNeverReoptimizes runs a query whose checkpoint
+// q-error under the histogram passes the trigger threshold through the
+// histogram-mode shell, which has no refiner: the query must count
+// correctly without re-optimizing. A nil refiner that reached the engine as
+// a non-nil interface would re-plan through it and panic.
+func TestShellHistogramModeNeverReoptimizes(t *testing.T) {
+	db := datagen.Generate(datagen.Config{Titles: 300, Seed: 1})
+	est, refiner, _, err := buildEstimator(io.Discard, db, encode.NewEncoder(db.Schema), "histogram", "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(db)
+	gen := workload.NewGenerator(db, 7)
+	var q *query.Query
+	for i := 0; i < 50 && q == nil; i++ {
+		cand := gen.Query(4)
+		res, err := eng.Execute(cand, engine.Config{Estimator: est, Refiner: reopt.OverlayRefiner{Base: est}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reopts > 0 {
+			q = cand
+		}
+	}
+	if q == nil {
+		t.Fatal("no generated query re-optimizes under the histogram; the test exercises nothing")
+	}
+	want, err := eng.Execute(q, engine.Config{Estimator: est})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := runShell(&out, strings.NewReader(q.SQL()+"\n"), db, est, refiner, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.Contains(got, fmt.Sprintf("COUNT(*) = %d\n", want.Count)) || !strings.Contains(got, "(0 rounds)") {
+		t.Fatalf("shell output lacks COUNT(*) = %d with 0 re-optimization rounds:\n%s", want.Count, got)
 	}
 }

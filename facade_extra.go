@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"github.com/lpce-db/lpce/internal/cardest"
-	"github.com/lpce-db/lpce/internal/core"
 	"github.com/lpce-db/lpce/internal/engine"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/experiments"
@@ -23,22 +22,27 @@ func ParseSQL(schema *Schema, sql string) (*Query, error) {
 	return sqlparse.Parse(schema, sql)
 }
 
-// Model persistence (self-describing files: architecture + weights).
+// Model persistence: the versioned artifact format of cmd/lpce-train. An
+// artifact records the encoder's schema fingerprint, which covers the
+// column statistics, so a model trained on one database fails to load
+// against another instead of estimating from shifted features.
 
-// SaveModel writes a tree model to w.
-func SaveModel(w io.Writer, m *TreeModel) error { return core.SaveTreeModel(w, m) }
+// SaveModel writes a tree model trained with enc to w.
+func SaveModel(w io.Writer, m *TreeModel, enc *Encoder) error {
+	return modelio.SaveTreeModel(w, m, enc)
+}
 
-// LoadModel reads a tree model written by SaveModel; enc must be the
-// encoder the model was trained with.
-func LoadModel(r io.Reader, enc *Encoder) (*TreeModel, error) { return core.LoadTreeModel(r, enc) }
+// LoadModel reads a tree model written by SaveModel; enc must encode the
+// same schema and statistics as the training-time encoder.
+func LoadModel(r io.Reader, enc *Encoder) (*TreeModel, error) { return modelio.LoadTreeModel(r, enc) }
 
-// SaveRefiner writes a trained LPCE-R to w.
-func SaveRefiner(w io.Writer, r *Refiner) error { return core.SaveRefiner(w, r) }
+// SaveRefiner writes a trained LPCE-R to w, stamped with its own encoder.
+func SaveRefiner(w io.Writer, r *Refiner) error { return modelio.SaveRefiner(w, r, r.Enc) }
 
 // LoadRefiner reads a refiner written by SaveRefiner; the encoder and
 // database must match the training-time ones.
 func LoadRefiner(r io.Reader, enc *Encoder, db *Database) (*Refiner, error) {
-	return core.LoadRefiner(r, enc, db)
+	return modelio.LoadRefiner(r, enc, db)
 }
 
 // Deployment maintenance (the paper's §3.2/§7.3 operational loop).
@@ -122,12 +126,14 @@ func NewEstimateCacheWithMetrics(inner Estimator, reg *MetricsRegistry) *Estimat
 
 // Robustness & graceful degradation.
 
-// ResourceError is the typed failure of a query that exceeded one of its
-// ResourceLimits ("materialized-rows" or "replans"); match with errors.As.
+// ResourceError is the typed failure of a query that exceeded a resource
+// budget: its ResourceLimits ("materialized-rows") or the rows one hash
+// build can index ("hash-build-rows"); match with errors.As.
 type ResourceError = exec.ResourceError
 
 // ResourceLimits are per-query resource budgets; set EngineConfig.Limits.
-// The zero value disables every limit.
+// The zero value disables every limit. Re-optimizations per query are
+// bounded by ReoptPolicy.MaxReopts instead.
 type ResourceLimits = engine.Limits
 
 // PanicError is the typed failure of a query during which the estimator,

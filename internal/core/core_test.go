@@ -9,6 +9,7 @@ import (
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/treenn"
@@ -248,9 +249,9 @@ func TestRefinedEstimatorExactForExecuted(t *testing.T) {
 	r := TrainRefiner(cfg, enc, db, samples, logMax)
 	s := samples[3]
 	execRoots, _ := PrefixSubtrees(s.Plan, s.Plan.NumNodes()/2)
-	var execs []ExecutedSub
+	var execs []reopt.Executed
 	for _, n := range execRoots {
-		execs = append(execs, ExecutedSub{Node: n, Card: n.TrueCard})
+		execs = append(execs, reopt.Executed{Node: n, Card: n.TrueCard})
 	}
 	est := r.Estimator(s.Query, execs)
 	for _, e := range execs {
@@ -289,10 +290,10 @@ func TestBuildUnitPlanCoversMask(t *testing.T) {
 	s := samples[5]
 	q := s.Query
 	execRoots, _ := PrefixSubtrees(s.Plan, s.Plan.NumNodes()/2)
-	var units []ExecutedSub
+	var units []reopt.Executed
 	var covered query.BitSet
 	for _, n := range execRoots {
-		units = append(units, ExecutedSub{Node: n, Card: n.TrueCard})
+		units = append(units, reopt.Executed{Node: n, Card: n.TrueCard})
 		covered = covered.Union(n.Tables)
 	}
 	full := q.AllTablesMask()

@@ -9,6 +9,7 @@ import (
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/tensor"
 	"github.com/lpce-db/lpce/internal/treenn"
 )
@@ -217,26 +218,17 @@ func (t *treeSession) EstimateSubset(_ *query.Query, mask query.BitSet) float64 
 
 var _ cardest.SessionEstimator = (*TreeEstimator)(nil)
 
-// ExecutedSub describes one executed sub-plan handed to the refinement
-// estimator at re-optimization time: the subtree (with true cardinalities
-// stamped by the executor) and its exact output cardinality.
-type ExecutedSub struct {
-	Node *plan.Node
-	Card float64
-}
-
-// Mask returns the table subset the executed sub-plan covers.
-func (e ExecutedSub) Mask() query.BitSet { return e.Node.Tables }
-
 // Estimator returns a cardest.Estimator that refines subset estimates using
 // the executed sub-plans: subsets exactly matching an executed sub-plan get
 // its exact cardinality; other subsets are estimated by the refine module
 // over a unit tree in which executed sub-plans appear as pre-embedded
 // leaves. The embeddings are computed here, once per re-optimization; the
-// returned estimator is immutable and safe for concurrent use.
-func (r *Refiner) Estimator(q *query.Query, execs []ExecutedSub) cardest.Estimator {
+// returned estimator is immutable and safe for concurrent use. execs is
+// read, never reordered.
+func (r *Refiner) Estimator(q *query.Query, execs []reopt.Executed) cardest.Estimator {
 	// keep maximal, disjoint executed subtrees, largest first; among equal
 	// sizes the earlier-executed one wins
+	execs = append([]reopt.Executed(nil), execs...)
 	sort.SliceStable(execs, func(i, j int) bool { return execs[i].Mask().Count() > execs[j].Mask().Count() })
 	e := &refinedEstimator{r: r}
 	var covered query.BitSet
@@ -307,9 +299,9 @@ func (c *ConnectLayer) Infer(a *tensor.Arena, cA, cB, out tensor.Vec) {
 
 type refinedEstimator struct {
 	r      *Refiner
-	execs  []ExecutedSub  // kept: maximal and disjoint
-	masks  []query.BitSet // execs[i].Mask()
-	embeds []tensor.Vec   // execs[i]'s embedding; nil for RefinerSingle
+	execs  []reopt.Executed // kept: maximal and disjoint
+	masks  []query.BitSet   // execs[i].Mask()
+	embeds []tensor.Vec     // execs[i]'s embedding; nil for RefinerSingle
 }
 
 func (e *refinedEstimator) Name() string { return e.r.Kind.String() }

@@ -17,6 +17,7 @@ import (
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/tensor"
 	"github.com/lpce-db/lpce/internal/testutil"
@@ -94,8 +95,8 @@ func tapeTreeEstimate(m *treenn.TreeModel, enc *encode.Encoder, q *query.Query, 
 // tapeRefinedEstimate is the pre-session refined estimator: the unit tree of
 // the subset on a fresh tape, the executed units inside it re-embedded by the
 // frozen modules — also on tapes — and merged by the connect layer.
-func tapeRefinedEstimate(r *Refiner, q *query.Query, kept []ExecutedSub, mask query.BitSet) float64 {
-	var units []ExecutedSub
+func tapeRefinedEstimate(r *Refiner, q *query.Query, kept []reopt.Executed, mask query.BitSet) float64 {
+	var units []reopt.Executed
 	var covered query.BitSet
 	for _, ex := range kept {
 		if ex.Mask() == mask {
@@ -166,7 +167,7 @@ func TestSessionTreeEstimatorMatchesTape(t *testing.T) {
 // executedSub builds an executed sub-plan over mask with true cardinalities
 // stamped on every node. With mat set, its first table is replaced by a
 // MatScan leaf, as in a plan that resumed from an earlier re-optimization.
-func executedSub(q *query.Query, mask query.BitSet, seed int64, mat bool) ExecutedSub {
+func executedSub(q *query.Query, mask query.BitSet, seed int64, mat bool) reopt.Executed {
 	root := exec.CanonicalPlan(q, mask)
 	if mat {
 		first := root
@@ -181,7 +182,7 @@ func executedSub(q *query.Query, mask query.BitSet, seed int64, mat bool) Execut
 			n.TrueCard = float64(1 + rng.Intn(5000))
 		}
 	})
-	return ExecutedSub{Node: root, Card: root.TrueCard}
+	return reopt.Executed{Node: root, Card: root.TrueCard}
 }
 
 // disjointPair picks two disjoint connected subsets of two or three tables.
@@ -210,11 +211,11 @@ func TestSessionRefinedEstimatorMatchesTape(t *testing.T) {
 		pairs := 0
 		for _, q := range sessionQueries(db, 202) {
 			a, b, ok := disjointPair(q)
-			cases := map[string][]ExecutedSub{"0 subs": nil}
+			cases := map[string][]reopt.Executed{"0 subs": nil}
 			if ok {
 				pairs++
-				cases["1 sub"] = []ExecutedSub{executedSub(q, a, 1, false)}
-				cases["2 subs"] = []ExecutedSub{executedSub(q, b, 2, false), executedSub(q, a, 3, true)}
+				cases["1 sub"] = []reopt.Executed{executedSub(q, a, 1, false)}
+				cases["2 subs"] = []reopt.Executed{executedSub(q, b, 2, false), executedSub(q, a, 3, true)}
 			}
 			for name, execs := range cases {
 				est := r.Estimator(q, execs)
@@ -261,7 +262,7 @@ func TestRefinedEstimatorKeepsEarlierOfEqualSubs(t *testing.T) {
 	for _, order := range [][]query.BitSet{pairs, reversed} {
 		// execution order: the single tables, then the pairs; the pairs must
 		// be considered first, in that order, then the tables still uncovered
-		var execs []ExecutedSub
+		var execs []reopt.Executed
 		for i, m := range append(append([]query.BitSet(nil), singles...), order...) {
 			execs = append(execs, executedSub(q, m, int64(i), false))
 		}
@@ -299,7 +300,7 @@ func TestSessionsShareModelConcurrently(t *testing.T) {
 	r := randomRefiner(RefinerFull, db, enc, 500)
 	ests := []cardest.Estimator{
 		&TreeEstimator{Label: "lpce-i", Model: randomModel(enc.Dim(), 8, treenn.CellSRU, 501), Enc: enc},
-		r.Estimator(q, []ExecutedSub{executedSub(q, a, 7, false), executedSub(q, b, 8, true)}),
+		r.Estimator(q, []reopt.Executed{executedSub(q, a, 7, false), executedSub(q, b, 8, true)}),
 	}
 	masks := connectedSubsets(q)
 	for _, est := range ests {
@@ -343,7 +344,7 @@ func TestWarmSessionDoesNotAllocate(t *testing.T) {
 	ests := []cardest.Estimator{
 		&TreeEstimator{Label: "lpce-i", Model: randomModel(enc.Dim(), 8, treenn.CellSRU, 601), Enc: enc},
 		&TreeEstimator{Label: "tlstm", Model: randomModel(enc.Dim(), 8, treenn.CellLSTM, 602), Enc: enc},
-		r.Estimator(q, []ExecutedSub{executedSub(q, a, 9, false), executedSub(q, b, 10, false)}),
+		r.Estimator(q, []reopt.Executed{executedSub(q, a, 9, false), executedSub(q, b, 10, false)}),
 	}
 	masks := connectedSubsets(q)
 	for _, est := range ests {
@@ -478,13 +479,13 @@ func BenchmarkReplanEstimator(b *testing.B) {
 		b.Fatal("query has no two disjoint executed subs")
 	}
 	r := randomRefiner(RefinerFull, db, enc, 702)
-	execs := []ExecutedSub{executedSub(q, x, 11, false), executedSub(q, y, 12, false)}
+	execs := []reopt.Executed{executedSub(q, x, 11, false), executedSub(q, y, 12, false)}
 	masks := connectedSubsets(q)
 	var sink float64
 	b.Run("session", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := cardest.BeginQuery(r.Estimator(q, append([]ExecutedSub(nil), execs...)), q)
+			s := cardest.BeginQuery(r.Estimator(q, execs), q)
 			for _, m := range masks {
 				sink += s.EstimateSubset(q, m)
 			}
@@ -493,7 +494,7 @@ func BenchmarkReplanEstimator(b *testing.B) {
 	})
 	b.Run("tape", func(b *testing.B) {
 		b.ReportAllocs()
-		kept := r.Estimator(q, append([]ExecutedSub(nil), execs...)).(*refinedEstimator).execs
+		kept := r.Estimator(q, execs).(*refinedEstimator).execs
 		for i := 0; i < b.N; i++ {
 			for _, m := range masks {
 				sink += tapeRefinedEstimate(r, q, kept, m)

@@ -8,6 +8,7 @@ import (
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/tensor"
 	"github.com/lpce-db/lpce/internal/treenn"
@@ -380,7 +381,7 @@ func childCard(n *plan.Node, executed map[*plan.Node]bool, cards map[*plan.Node]
 // singleEstimate is the LPCE-R-Single estimate of a subset: the unit tree
 // is built whole and run through the cardinality module on a tape.
 func (e *refinedEstimator) singleEstimate(q *query.Query, mask query.BitSet) float64 {
-	var units []ExecutedSub
+	var units []reopt.Executed
 	var covered query.BitSet
 	for _, ex := range e.execs {
 		if ex.Mask()&mask == ex.Mask() {
@@ -392,7 +393,7 @@ func (e *refinedEstimator) singleEstimate(q *query.Query, mask query.BitSet) flo
 	return e.r.singleCards(root, markExecuted(execNodes(units)))[root]
 }
 
-func execNodes(units []ExecutedSub) []*plan.Node {
+func execNodes(units []reopt.Executed) []*plan.Node {
 	out := make([]*plan.Node, len(units))
 	for i, u := range units {
 		out[i] = u.Node
@@ -403,7 +404,7 @@ func execNodes(units []ExecutedSub) []*plan.Node {
 // buildUnitPlan constructs a canonical left-deep tree over heterogeneous
 // units: executed sub-plans (kept as their original subtrees) and
 // single-table scans for the uncovered part of the mask.
-func buildUnitPlan(q *query.Query, mask, covered query.BitSet, units []ExecutedSub) *plan.Node {
+func buildUnitPlan(q *query.Query, mask, covered query.BitSet, units []reopt.Executed) *plan.Node {
 	type unit struct {
 		mask query.BitSet
 		node *plan.Node

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/storage"
@@ -74,29 +73,6 @@ func decodeTreeModel(dec *gob.Decoder, inputDim int) (*treenn.TreeModel, error) 
 		return nil, err
 	}
 	return m, nil
-}
-
-// SaveTreeModelFile writes the model to path.
-func SaveTreeModelFile(path string, m *treenn.TreeModel) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveTreeModel(f, m); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadTreeModelFile loads a model for enc from path.
-func LoadTreeModelFile(path string, enc *encode.Encoder) (*treenn.TreeModel, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadTreeModel(f, enc)
 }
 
 type refinerSpec struct {

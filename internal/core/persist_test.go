@@ -42,22 +42,6 @@ func TestTreeModelSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-func TestTreeModelFileRoundtrip(t *testing.T) {
-	_, enc, samples, logMax := fixture(t)
-	m := TrainTreeModel(tinyCfg(52), enc, samples[:10], logMax, nil)
-	path := t.TempDir() + "/model.gob"
-	if err := SaveTreeModelFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadTreeModelFile(path, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.NumWeights() != m.NumWeights() {
-		t.Fatal("weight count changed")
-	}
-}
-
 func TestLoadTreeModelGarbage(t *testing.T) {
 	_, enc, _, _ := fixture(t)
 	if _, err := LoadTreeModel(bytes.NewReader([]byte("not a model")), enc); err == nil {

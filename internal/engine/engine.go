@@ -2,8 +2,8 @@
 // decomposition (Eq. 7/8): T_end = T_P (plan search) + T_I (model
 // inference) + T_R (re-optimization) + T_E (execution). It wires together
 // the optimizer, the pipelined executor with checkpoints, the
-// re-optimization controller, and — when a refiner is supplied — LPCE-R's
-// progressive estimate refinement.
+// re-optimization controller, and — when a refiner is supplied — the
+// progressive estimate refinement that feeds each re-planning pass.
 package engine
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/lpce-db/lpce/internal/cardest"
-	"github.com/lpce-db/lpce/internal/core"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/optimizer"
@@ -29,15 +28,11 @@ type Config struct {
 	// Estimator provides initial cardinalities (histogram, LPCE-I, or any
 	// baseline).
 	Estimator cardest.Estimator
-	// Refiner enables LPCE-R re-optimization when non-nil.
-	Refiner *core.Refiner
-	// OverlayReopt enables re-optimization WITHOUT a learned refiner: on a
-	// checkpoint trigger the remaining estimates come from the base
-	// estimator overlaid with the exact cardinalities (and error ratios) of
-	// the executed sub-plans — the paper's §8 suggestion of applying
-	// progressive estimation to other estimator families. Ignored when
-	// Refiner is set.
-	OverlayReopt bool
+	// Refiner enables re-optimization when non-nil: LPCE-R
+	// (*core.Refiner), or reopt.OverlayRefiner over the initial estimator
+	// for estimators without a learned refinement model. A nil
+	// *core.Refiner must be passed as an untyped nil, never stored here.
+	Refiner Refiner
 	// Policy is the re-optimization trigger rule (DefaultPolicy when zero).
 	Policy reopt.Policy
 	// ReoptSuppress, when non-nil, is consulted live at every checkpoint: a
@@ -64,18 +59,21 @@ type Config struct {
 	ExecWrap exec.WrapFunc
 }
 
+// Refiner turns the sub-plans a query has executed so far into the
+// estimator that re-plans the rest of it (paper §6.2). The engine calls it
+// once per re-optimization trigger.
+type Refiner interface {
+	Estimator(q *query.Query, execs []reopt.Executed) cardest.Estimator
+}
+
 // Limits are the per-query resource budgets. The zero value disables every
-// limit (the pre-hardening behaviour).
+// limit (the pre-hardening behaviour). Re-optimizations per query are
+// bounded by Policy.MaxReopts.
 type Limits struct {
 	// MaxMatRows caps the tuples buffered by pipeline breakers (hash-join
 	// builds, merge-join sorts, nested-loop materializations) within one
 	// execution attempt — a memory guardrail against runaway intermediates.
 	MaxMatRows int64
-	// MaxReplans hard-caps re-optimizations per query. Unlike
-	// Policy.MaxReopts, which gracefully suppresses further triggers, a
-	// query exceeding MaxReplans fails with a *exec.ResourceError — a
-	// backstop for policies configured without a suppression bound.
-	MaxReplans int
 }
 
 // Result is the outcome and time decomposition of one query execution.
@@ -198,7 +196,7 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 	}
 
 	var ctrl exec.Controller = exec.NopController{}
-	if cfg.Refiner != nil || cfg.OverlayReopt {
+	if cfg.Refiner != nil {
 		rctrl = reopt.NewController(cfg.Policy)
 		rctrl.Trace = qt
 		rctrl.Suppress = cfg.ReoptSuppress
@@ -234,18 +232,10 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 			if !errors.As(err, &sig) || rctrl == nil {
 				return fail(err)
 			}
-			// The controller already counted this trigger, so Reopts is the
-			// replan about to run; beyond the hard cap the query fails.
-			if lim := cfg.Limits.MaxReplans; lim > 0 && rctrl.Reopts > lim {
-				return fail(&exec.ResourceError{
-					Resource: "replans", Limit: int64(lim), Used: int64(rctrl.Reopts),
-				})
-			}
-			// Re-optimization: refine estimates with LPCE-R using the
-			// executed sub-plans, then re-plan from the materialized
-			// intermediates. Both the refinement inference and the plan
-			// search count toward T_R (paper Eq. 8).
-			rctrl.ClearTrigger()
+			// Re-optimization: refine estimates from the executed
+			// sub-plans, then re-plan from the materialized intermediates.
+			// Both the refinement inference and the plan search count
+			// toward T_R (paper Eq. 8).
 			reoptStart := time.Now()
 			prev := p
 			p, err = e.replan(q, cfg, rctrl)
@@ -329,27 +319,11 @@ func finishTrace(q *query.Query, o *obs.Observer, qt *obs.QueryTrace, res *Resul
 	res.Trace = qt
 }
 
-// replan refines the remaining estimates and searches a new plan that may
-// resume from materialized intermediates or restart from scratch. With a
-// refiner, LPCE-R provides the refined estimates; otherwise the exact
-// cardinalities of the executed sub-plans are overlaid on the base
-// estimator.
+// replan refines the remaining estimates from the executed sub-plans and
+// searches a new plan that may resume from materialized intermediates or
+// restart from scratch.
 func (e *Engine) replan(q *query.Query, cfg Config, rctrl *reopt.Controller) (*plan.Node, error) {
-	var refined cardest.Estimator
-	if cfg.Refiner != nil {
-		var execs []core.ExecutedSub
-		for _, ex := range rctrl.ExecutedSubs() {
-			execs = append(execs, core.ExecutedSub{Node: ex.Node, Card: ex.Card})
-		}
-		refined = cfg.Refiner.Estimator(q, execs)
-	} else {
-		execs := rctrl.ExecutedSubs()
-		estimates := make(map[query.BitSet]float64, len(execs))
-		for _, ex := range execs {
-			estimates[ex.Mask] = cfg.Estimator.EstimateSubset(q, ex.Mask)
-		}
-		refined = reopt.NewOverlay(cfg.Estimator, execs, estimates)
-	}
+	refined := cfg.Refiner.Estimator(q, rctrl.ExecutedSubs())
 	opt := optimizer.New(e.DB, refined)
 	// Replan estimates are recorded under the refined estimator's own name,
 	// so the CE report separates initial estimates from overlay/refinement

@@ -25,6 +25,12 @@ var (
 	fixLPCEI   *core.LPCEI
 )
 
+// LPCE-R and the exact-cardinality overlay re-plan through one Config field.
+var (
+	_ Refiner = (*core.Refiner)(nil)
+	_ Refiner = reopt.OverlayRefiner{}
+)
+
 func fixture(t *testing.T) (*storage.Database, *core.LPCEI, *core.Refiner) {
 	t.Helper()
 	fixOnce.Do(func() {

@@ -71,9 +71,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	// threshold, so the golden pins a TRIGGERED event (with its plan diff)
 	// as well as suppressed ones.
 	q := workload.NewGenerator(db, 263).Query(3)
+	hist := histogram.NewEstimator(db)
 	cfg := Config{
-		Estimator:    histogram.NewEstimator(db),
-		OverlayReopt: true,
+		Estimator: hist,
+		Refiner:   reopt.OverlayRefiner{Base: hist},
 		// A low trigger threshold makes the tiny fixture exercise the
 		// re-optimization path, so the golden pins event rendering too.
 		Policy: reopt.Policy{QErrThreshold: 2, MaxReopts: 2},

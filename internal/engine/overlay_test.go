@@ -9,10 +9,10 @@ import (
 	"github.com/lpce-db/lpce/internal/workload"
 )
 
-// TestOverlayReoptCorrectness exercises the §8 extension: re-optimization
+// TestOverlayRefinerCorrectness exercises the §8 extension: re-optimization
 // without a learned refiner, using exact-cardinality overlays on the base
 // estimator. Results must match the uninterrupted execution exactly.
-func TestOverlayReoptCorrectness(t *testing.T) {
+func TestOverlayRefinerCorrectness(t *testing.T) {
 	db, _, _ := fixture(t)
 	e := New(db)
 	g := workload.NewGenerator(db, 141)
@@ -21,9 +21,9 @@ func TestOverlayReoptCorrectness(t *testing.T) {
 		q := g.Query(3 + i%2)
 		bad := cardest.Fixed{Value: 2, Label: "bad"}
 		res, err := e.Execute(q, Config{
-			Estimator:    bad,
-			OverlayReopt: true,
-			Policy:       reopt.Policy{QErrThreshold: 10, MaxReopts: 3},
+			Estimator: bad,
+			Refiner:   reopt.OverlayRefiner{Base: bad},
+			Policy:    reopt.Policy{QErrThreshold: 10, MaxReopts: 3},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -40,19 +40,20 @@ func TestOverlayReoptCorrectness(t *testing.T) {
 	}
 }
 
-// TestOverlayReoptWithHistogram runs the extension on the engine's own
+// TestOverlayRefinerWithHistogram runs the extension on the engine's own
 // histogram estimator — "progressive estimation for traditional
 // estimators".
-func TestOverlayReoptWithHistogram(t *testing.T) {
+func TestOverlayRefinerWithHistogram(t *testing.T) {
 	db, _, _ := fixture(t)
 	e := New(db)
 	g := workload.NewGenerator(db, 142)
 	for i := 0; i < 5; i++ {
 		q := g.Query(4)
+		hist := histogram.NewEstimator(db)
 		res, err := e.Execute(q, Config{
-			Estimator:    histogram.NewEstimator(db),
-			OverlayReopt: true,
-			Policy:       reopt.Policy{QErrThreshold: 20, MaxReopts: 3},
+			Estimator: hist,
+			Refiner:   reopt.OverlayRefiner{Base: hist},
+			Policy:    reopt.Policy{QErrThreshold: 20, MaxReopts: 3},
 		})
 		if err != nil {
 			t.Fatal(err)

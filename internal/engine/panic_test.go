@@ -60,9 +60,9 @@ func TestPanicFailsOneQueryTyped(t *testing.T) {
 		want string
 		ctrl bool // the panic comes after the controller was created
 	}{
-		{"estimator", Config{Estimator: panicEstimator, OverlayReopt: true}, "estimator exploded", false},
+		{"estimator", Config{Estimator: panicEstimator, Refiner: reopt.OverlayRefiner{Base: panicEstimator}}, "estimator exploded", false},
 		{"executor", Config{
-			Estimator: hist, OverlayReopt: true,
+			Estimator: hist, Refiner: reopt.OverlayRefiner{Base: hist},
 			ExecWrap: func(_ *exec.Ctx, op exec.BatchOperator, _ *plan.Node) exec.BatchOperator { return panicOp{op} },
 		}, "operator exploded", true},
 		// A Fixed(1) estimator underestimates every join, so the first
@@ -85,9 +85,9 @@ func TestPanicFailsOneQueryTyped(t *testing.T) {
 				}
 			case captured == nil:
 				t.Fatal("controller hook never fired")
-			case tc.cfg.Refiner != nil && captured.Reopts == 0:
+			case tc.name == "refiner" && captured.Reopts == 0:
 				t.Fatal("no checkpoint triggered; the refiner was never called")
-			case len(captured.Materialized()) != 0 || captured.ExecutedSubs() != nil || captured.Triggered != nil:
+			case len(captured.Materialized()) != 0 || captured.ExecutedSubs() != nil:
 				t.Fatal("the panicked query's controller was not released")
 			}
 			res, err := e.Execute(q, Config{Estimator: hist, Refiner: refiner})

@@ -40,11 +40,11 @@ type Tuple = []int64
 var ErrBudget = errors.New("exec: work budget exceeded")
 
 // ResourceError reports that one query exceeded a per-query resource budget
-// (materialized intermediate rows, re-optimization replans). It fails only
-// the offending query — never the process or the worker pool — so callers
-// match it with errors.As and degrade gracefully.
+// (materialized intermediate rows, the rows one hash build can index). It
+// fails only the offending query — never the process or the worker pool —
+// so callers match it with errors.As and degrade gracefully.
 type ResourceError struct {
-	Resource string // "materialized-rows" or "replans"
+	Resource string // "materialized-rows" or "hash-build-rows"
 	Limit    int64
 	Used     int64
 }

@@ -9,9 +9,8 @@ import (
 // RunConfig names one end-to-end configuration: an estimator, optionally
 // with LPCE-R re-optimization enabled.
 type RunConfig struct {
-	Name    string
-	Cfg     engine.Config
-	IsLPCER bool
+	Name string
+	Cfg  engine.Config
 }
 
 // Configs returns the end-to-end configurations of Table 2/Figure 12:
@@ -33,7 +32,6 @@ func (e *Env) Configs() []RunConfig {
 			Refiner:   e.Refiner,
 			Budget:    budget,
 		},
-		IsLPCER: true,
 	}
 	return []RunConfig{
 		mk("PostgreSQL", e.Histogram),

@@ -10,8 +10,9 @@ import (
 
 // The paper's §8 lists two open directions: applying progressive
 // estimation to other estimator families, and smarter re-optimization
-// trigger policies. Both are implemented in this repository (reopt.Overlay
-// and Policy.MinRemainingCostFrac); the experiments below quantify them.
+// trigger policies. Both are implemented in this repository
+// (reopt.OverlayRefiner and Policy.MinRemainingCostFrac); the experiments
+// below quantify them.
 // They have no counterpart table/figure in the paper and are labelled as
 // extensions.
 
@@ -44,7 +45,7 @@ func ExtReopt(e *Env, label string, queries []*query.Query) (ExtReoptResult, err
 		cfg  engine.Config
 	}{
 		{"no reopt (LPCE-I)", engine.Config{Estimator: base, Budget: e.P.budget}},
-		{"overlay reopt", engine.Config{Estimator: base, OverlayReopt: true, Policy: pol, Budget: e.P.budget}},
+		{"overlay reopt", engine.Config{Estimator: base, Refiner: reopt.OverlayRefiner{Base: base}, Policy: pol, Budget: e.P.budget}},
 		{"LPCE-R", engine.Config{Estimator: base, Refiner: e.Refiner, Policy: pol, Budget: e.P.budget}},
 		{"LPCE-R cost-aware", engine.Config{Estimator: base, Refiner: e.Refiner, Policy: costAware, Budget: e.P.budget}},
 	}

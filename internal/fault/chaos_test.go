@@ -13,6 +13,7 @@ import (
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
 )
@@ -72,7 +73,7 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 	// Fault-free baseline, executed in parallel.
 	baseline := make([]int, len(queries))
 	errs := workload.RunEach(context.Background(), len(queries), 8, func(i int) error {
-		res, err := eng.Execute(queries[i], engine.Config{Estimator: hist, OverlayReopt: true})
+		res, err := eng.Execute(queries[i], engine.Config{Estimator: hist, Refiner: reopt.OverlayRefiner{Base: hist}})
 		baseline[i] = res.Count
 		return err
 	})
@@ -93,10 +94,10 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 	}
 	ops := &fault.Ops{Err: fault.Injector{Seed: 104, Rate: 0.04}, AtRow: 2}
 	cfg := engine.Config{
-		Estimator:    fest,
-		OverlayReopt: true,
-		ExecWrap:     ops.Wrap,
-		Limits:       engine.Limits{MaxMatRows: 2_000_000},
+		Estimator: fest,
+		Refiner:   reopt.OverlayRefiner{Base: fest},
+		ExecWrap:  ops.Wrap,
+		Limits:    engine.Limits{MaxMatRows: 2_000_000},
 	}
 
 	counts := make([]int, len(queries))

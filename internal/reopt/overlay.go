@@ -28,32 +28,6 @@ type Overlay struct {
 	ratios map[query.BitSet]float64
 }
 
-// NewOverlay builds the overlay from the controller's executed sub-plans.
-// estimates supplies the base estimator's original estimate per executed
-// subset (exact-cardinality correction needs both sides of the ratio); pass
-// nil to disable ratio scaling.
-func NewOverlay(base cardest.Estimator, execs []Executed, estimates map[query.BitSet]float64) *Overlay {
-	o := &Overlay{
-		Base:   base,
-		exact:  make(map[query.BitSet]float64, len(execs)),
-		ratios: make(map[query.BitSet]float64),
-	}
-	for _, e := range execs {
-		o.exact[e.Mask] = e.Card
-		if estimates == nil {
-			continue
-		}
-		if est, ok := estimates[e.Mask]; ok && est >= 1 && e.Card >= 1 {
-			o.ratios[e.Mask] = e.Card / est
-		} else {
-			// a stale ratio from an earlier execution of this subset must not
-			// survive the fresher observation
-			delete(o.ratios, e.Mask)
-		}
-	}
-	return o
-}
-
 // Name implements cardest.Estimator.
 func (o *Overlay) Name() string { return o.Base.Name() + "+overlay" }
 
@@ -73,7 +47,7 @@ func (o *Overlay) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
 	best := 0
 	bestMask := query.BitSet(0)
 	ratio := 1.0
-	for m, r := range o.ratios {
+	for m, r := range o.ratios { //detlint:ignore — the smaller-mask tie-break makes the pick order-independent
 		if m&mask != m {
 			continue
 		}
@@ -90,3 +64,33 @@ func (o *Overlay) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
 }
 
 var _ cardest.Estimator = (*Overlay)(nil)
+
+// OverlayRefiner re-plans with the exact cardinalities of the executed
+// sub-plans overlaid on Base: the refiner for estimators that have no
+// learned refinement model. Base should be the query's initial estimator.
+type OverlayRefiner struct {
+	Base cardest.Estimator
+}
+
+// Estimator returns the overlay for one re-planning pass. Each executed
+// subset's original estimate comes from Base, giving the error ratio that
+// rescales the subsets containing it.
+func (r OverlayRefiner) Estimator(q *query.Query, execs []Executed) cardest.Estimator {
+	o := &Overlay{
+		Base:   r.Base,
+		exact:  make(map[query.BitSet]float64, len(execs)),
+		ratios: make(map[query.BitSet]float64),
+	}
+	for _, e := range execs {
+		mask := e.Mask()
+		o.exact[mask] = e.Card
+		if est := r.Base.EstimateSubset(q, mask); est >= 1 && e.Card >= 1 {
+			o.ratios[mask] = e.Card / est
+		} else {
+			// a stale ratio from an earlier execution of this subset must not
+			// survive the fresher observation
+			delete(o.ratios, mask)
+		}
+	}
+	return o
+}

@@ -5,14 +5,15 @@ import (
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/catalog"
+	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 )
 
 func TestOverlayExactForExecuted(t *testing.T) {
 	base := cardest.Fixed{Value: 100, Label: "base"}
 	mask := query.NewBitSet().Set(0).Set(1)
-	execs := []Executed{{Mask: mask, Card: 5000}}
-	o := NewOverlay(base, execs, map[query.BitSet]float64{mask: 100})
+	execs := []Executed{executed(mask, 5000)}
+	o := OverlayRefiner{Base: base}.Estimator(nil, execs)
 	if got := o.EstimateSubset(nil, mask); got != 5000 {
 		t.Fatalf("executed subset = %v, want exact 5000", got)
 	}
@@ -28,8 +29,8 @@ func TestOverlayRatioScaling(t *testing.T) {
 	sub := query.NewBitSet().Set(0).Set(1)
 	// base estimated 100 for the executed subset, reality was 5000: 50x
 	// underestimate, so containing subsets scale up 50x
-	execs := []Executed{{Mask: sub, Card: 5000}}
-	o := NewOverlay(base, execs, map[query.BitSet]float64{sub: 100})
+	execs := []Executed{executed(sub, 5000)}
+	o := OverlayRefiner{Base: base}.Estimator(q, execs)
 	full := q.AllTablesMask()
 	if got := o.EstimateSubset(q, full); got != 100*50 {
 		t.Fatalf("containing subset = %v, want 5000", got)
@@ -42,10 +43,16 @@ func TestOverlayRatioScaling(t *testing.T) {
 }
 
 func TestOverlayWithoutEstimates(t *testing.T) {
-	base := cardest.Fixed{Value: 100, Label: "base"}
 	sub := query.NewBitSet().Set(0)
-	o := NewOverlay(base, []Executed{{Mask: sub, Card: 7}}, nil)
+	// the base has no usable estimate (below 1) for the executed subset
+	base := cardest.FuncEstimator{Label: "base", Fn: func(_ *query.Query, m query.BitSet) float64 {
+		if m == sub {
+			return 0.5
+		}
+		return 100
+	}}
 	s := testQuerySchema()
+	o := OverlayRefiner{Base: base}.Estimator(s.q, []Executed{executed(sub, 7)})
 	// exact for executed, plain base elsewhere (no ratio learned)
 	if got := o.EstimateSubset(s.q, sub); got != 7 {
 		t.Fatalf("executed = %v", got)
@@ -62,13 +69,11 @@ func TestOverlayLargestContainedWins(t *testing.T) {
 	small := query.NewBitSet().Set(0)
 	big := query.NewBitSet().Set(0).Set(1)
 	execs := []Executed{
-		{Mask: small, Card: 1000},
-		{Mask: big, Card: 300},
+		executed(small, 1000),
+		executed(big, 300),
 	}
-	o := NewOverlay(base, execs, map[query.BitSet]float64{
-		small: 100, // ratio 10
-		big:   100, // ratio 3
-	})
+	// base estimates 100 for both: ratio 10 for small, 3 for big
+	o := OverlayRefiner{Base: base}.Estimator(q, execs)
 	// the bigger executed subset's ratio (3x) must be chosen over the
 	// smaller one's (10x)
 	if got := o.EstimateSubset(q, q.AllTablesMask()); got != 300 {
@@ -83,16 +88,15 @@ func TestOverlayEqualSizeTieBreakDeterministic(t *testing.T) {
 	ab := query.NewBitSet().Set(0).Set(1) // mask 0b011
 	bc := query.NewBitSet().Set(1).Set(2) // mask 0b110
 	execs := []Executed{
-		{Mask: bc, Card: 300},  // ratio 3
-		{Mask: ab, Card: 1000}, // ratio 10
+		executed(bc, 300),  // ratio 3
+		executed(ab, 1000), // ratio 10
 	}
-	estimates := map[query.BitSet]float64{ab: 100, bc: 100}
 	full := q.AllTablesMask()
 	// both executed subsets are the same size and both are contained in the
 	// full mask; the smaller mask value (ab) must win every time, never the
 	// map iteration order of the moment
 	for trial := 0; trial < 50; trial++ {
-		o := NewOverlay(base, execs, estimates)
+		o := OverlayRefiner{Base: base}.Estimator(q, execs)
 		if got := o.EstimateSubset(q, full); got != 1000 {
 			t.Fatalf("trial %d: estimate = %v, want 1000 (ratio of smaller-mask subset)", trial, got)
 		}
@@ -107,16 +111,21 @@ func TestOverlayDedupLastWriteWins(t *testing.T) {
 	// the same subset executed twice: the later observation is fresher and
 	// must win for both the exact lookup and the ratio
 	execs := []Executed{
-		{Mask: sub, Card: 200},
-		{Mask: sub, Card: 5000},
+		executed(sub, 200),
+		executed(sub, 5000),
 	}
-	o := NewOverlay(base, execs, map[query.BitSet]float64{sub: 100})
+	o := OverlayRefiner{Base: base}.Estimator(q, execs)
 	if got := o.EstimateSubset(q, sub); got != 5000 {
 		t.Fatalf("exact = %v, want last-written 5000", got)
 	}
 	if got := o.EstimateSubset(q, q.AllTablesMask()); got != 5000 {
 		t.Fatalf("containing = %v, want 100*50 from the last-written ratio", got)
 	}
+}
+
+// executed returns an executed sub-plan over mask with the given count.
+func executed(mask query.BitSet, card float64) Executed {
+	return Executed{Node: &plan.Node{Tables: mask}, Card: card}
 }
 
 // chainFixture holds a 3-table chain query (a–b–c).

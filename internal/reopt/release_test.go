@@ -3,7 +3,6 @@ package reopt
 import (
 	"testing"
 
-	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/obs"
 )
 
@@ -16,7 +15,6 @@ func TestMaxReoptsSuppressionEventRecorded(t *testing.T) {
 		if err := c.OnMaterialized(twoTableNode(1), rows(1000)); err == nil {
 			t.Fatalf("trigger %d should fire", i)
 		}
-		c.ClearTrigger()
 	}
 	// Budget exhausted: the checkpoint still exceeds the q-error threshold,
 	// but must be suppressed — and the suppression must be auditable.
@@ -50,13 +48,11 @@ func TestReleaseFreesMaterializedIntermediates(t *testing.T) {
 	if held == nil || held.Card() != 1000 {
 		t.Fatalf("mat not recorded: %+v", held)
 	}
-	c.Triggered = &exec.ReoptSignal{}
-
 	c.Release()
 
-	if len(c.Materialized()) != 0 || c.ExecutedSubs() != nil || c.Triggered != nil {
-		t.Fatalf("controller not cleared: mats=%d execs=%v trig=%v",
-			len(c.Materialized()), c.ExecutedSubs(), c.Triggered)
+	if len(c.Materialized()) != 0 || c.ExecutedSubs() != nil {
+		t.Fatalf("controller not cleared: mats=%d execs=%v",
+			len(c.Materialized()), c.ExecutedSubs())
 	}
 	// The buffered rows themselves are dropped, not just the map entry, so
 	// anything still pointing at the Materialized cannot pin 1000 rows.

@@ -35,12 +35,16 @@ type Policy struct {
 // DefaultPolicy returns the paper's settings.
 func DefaultPolicy() Policy { return Policy{QErrThreshold: 50, MaxReopts: 3} }
 
-// Executed records one materialized sub-plan.
+// Executed records one executed sub-plan: the subtree, with true
+// cardinalities stamped by the executor, and its exact output cardinality.
+// It is what a re-planning refiner receives.
 type Executed struct {
 	Node *plan.Node
-	Mask query.BitSet
 	Card float64
 }
+
+// Mask returns the table subset the executed sub-plan covers.
+func (e Executed) Mask() query.BitSet { return e.Node.Tables }
 
 // Controller implements exec.Controller across the (possibly several)
 // executions of one query. It persists between re-optimizations: the
@@ -51,9 +55,6 @@ type Controller struct {
 	Reopts int
 	mats   map[query.BitSet]*plan.Materialized
 	execs  []Executed
-	// Triggered holds the signal that paused the current execution, for
-	// inspection by the engine and the experiment harness.
-	Triggered *exec.ReoptSignal
 	// planCost is the current plan's total estimated cost, set by the
 	// engine before each execution for the cost-aware trigger.
 	planCost float64
@@ -91,7 +92,7 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 		return nil // replaying an already-checked intermediate
 	}
 	c.mats[node.Tables] = &plan.Materialized{Tables: node.Tables, Rows: rows}
-	c.execs = append(c.execs, Executed{Node: node, Mask: node.Tables, Card: float64(rows.N)})
+	c.execs = append(c.execs, Executed{Node: node, Card: float64(rows.N)})
 
 	ev := obs.ReoptEvent{
 		Op:         node.Op.String(),
@@ -132,9 +133,7 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 	c.Reopts++
 	ev.Triggered = true
 	c.Trace.AddEvent(ev)
-	sig := &exec.ReoptSignal{Node: node, Actual: rows.N}
-	c.Triggered = sig
-	return sig
+	return &exec.ReoptSignal{Node: node, Actual: rows.N}
 }
 
 // Materialized returns the accumulated intermediates for plan resumption.
@@ -145,19 +144,15 @@ func (c *Controller) Materialized() map[query.BitSet]*plan.Materialized { return
 // cardinalities stamped by the executor.
 func (c *Controller) ExecutedSubs() []Executed { return c.execs }
 
-// ClearTrigger resets the triggered signal before resuming execution.
-func (c *Controller) ClearTrigger() { c.Triggered = nil }
-
 // Release frees every accumulated materialized intermediate and executed
 // sub-plan record. The engine calls it when a query fails or is cancelled —
 // including a cancellation that lands mid-replan — so buffered rows never
 // outlive the query that materialized them. The controller is reusable
 // afterwards, though the engine never does.
 func (c *Controller) Release() {
-	for _, m := range c.mats {
+	for _, m := range c.mats { //detlint:ignore — clears every entry; order-independent
 		m.Rows = plan.Rows{}
 	}
 	c.mats = make(map[query.BitSet]*plan.Materialized)
 	c.execs = nil
-	c.Triggered = nil
 }

@@ -42,12 +42,8 @@ func TestTriggerOnLargeQError(t *testing.T) {
 	if sig.Actual != 510 {
 		t.Fatalf("actual = %d", sig.Actual)
 	}
-	if c.Reopts != 1 || c.Triggered != sig {
+	if c.Reopts != 1 || sig.Node != n {
 		t.Fatal("controller state not updated")
-	}
-	c.ClearTrigger()
-	if c.Triggered != nil {
-		t.Fatal("trigger not cleared")
 	}
 }
 
@@ -93,7 +89,7 @@ func TestMaterializedAccumulate(t *testing.T) {
 		t.Fatalf("mat card = %d", m[n.Tables].Card())
 	}
 	execs := c.ExecutedSubs()
-	if len(execs) != 1 || execs[0].Card != 5 || execs[0].Mask != n.Tables {
+	if len(execs) != 1 || execs[0].Card != 5 || execs[0].Mask() != n.Tables {
 		t.Fatalf("execs = %+v", execs)
 	}
 }

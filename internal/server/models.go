@@ -7,6 +7,7 @@ import (
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/core"
+	"github.com/lpce-db/lpce/internal/engine"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/modelio"
 )
@@ -22,7 +23,9 @@ import (
 type servingSet struct {
 	version string
 	estName string
-	refiner *core.Refiner
+	// refiner is nil, never a nil *core.Refiner: the engine re-optimizes
+	// whenever Config.Refiner is non-nil.
+	refiner engine.Refiner
 	// caches maps tenant name to that tenant's bounded estimate cache. The
 	// caches wrap the same underlying estimator but are per-tenant, so hit
 	// rates are attributable and one tenant's churn cannot evict another's
@@ -50,9 +53,11 @@ func (s *Server) buildServingSet(version string, est cardest.Estimator, refiner 
 	set := &servingSet{
 		version: version,
 		estName: est.Name(),
-		refiner: refiner,
 		caches:  make(map[string]*cardest.Cache, len(s.tenants)),
 		shed:    histogram.NewEstimator(s.cfg.DB),
+	}
+	if refiner != nil {
+		set.refiner = refiner
 	}
 	// Populates per-tenant cache maps keyed by the ranged key; no
 	// order-dependent state is touched.

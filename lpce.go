@@ -149,6 +149,10 @@ type (
 	// ReoptPolicy is the re-optimization trigger rule (threshold 50, max 3
 	// in the paper).
 	ReoptPolicy = reopt.Policy
+	// OverlayRefiner re-optimizes without a learned refiner: set
+	// EngineConfig.Refiner to OverlayRefiner{Base: est} to re-plan with
+	// est overlaid by the executed sub-plans' exact cardinalities (§8).
+	OverlayRefiner = reopt.OverlayRefiner
 )
 
 // NewEngine returns an engine over db.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/lpce-db/lpce/internal/modelio"
 )
 
 // TestPublicAPIEndToEnd drives the entire documented quick-start flow
@@ -141,3 +143,42 @@ type panicky struct{}
 
 func (panicky) Name() string                          { return "panicky" }
 func (panicky) EstimateSubset(*Query, BitSet) float64 { panic("model exploded") }
+
+// TestModelArtifactsRejectOtherStatistics: a model saved against one
+// database loads back against it, and fails to load against a database with
+// the same schema but different column statistics, whose encoder would
+// shift every operand feature the model was trained on.
+func TestModelArtifactsRejectOtherStatistics(t *testing.T) {
+	db := GenerateDatabase(DataConfig{Titles: 300, Seed: 1})
+	other := GenerateDatabase(DataConfig{Titles: 300, Seed: 2})
+	enc, otherEnc := NewEncoder(db.Schema), NewEncoder(other.Schema)
+	if enc.Dim() != otherEnc.Dim() {
+		t.Fatalf("schemas differ (%d vs %d features); the test needs equal ones", enc.Dim(), otherEnc.Dim())
+	}
+	gen := NewWorkloadGenerator(db, 2)
+	samples, _ := CollectSamples(db, NewHistogramEstimator(db), gen.QueriesRange(12, 2, 3), 50_000_000)
+	logMax := MaxLogCard(samples)
+	cfg := TrainConfig{Hidden: 4, OutWidth: 4, Epochs: 1, NodeWise: true, Seed: 1}
+	model := TrainLPCEI(LPCEIConfig{Teacher: cfg, Student: cfg}, enc, samples, logMax)
+	refiner := TrainRefiner(RefinerConfig{Base: cfg, AdjustEpochs: 1, PrefixesPerSample: 1}, enc, db, samples, logMax)
+
+	var mbuf, rbuf bytes.Buffer
+	if err := SaveModel(&mbuf, model.Model, enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveRefiner(&rbuf, refiner); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(bytes.NewReader(mbuf.Bytes()), enc); err != nil {
+		t.Fatalf("model against its own database: %v", err)
+	}
+	if _, err := LoadRefiner(bytes.NewReader(rbuf.Bytes()), enc, db); err != nil {
+		t.Fatalf("refiner against its own database: %v", err)
+	}
+	if _, err := LoadModel(bytes.NewReader(mbuf.Bytes()), otherEnc); !errors.Is(err, modelio.ErrFingerprint) {
+		t.Fatalf("model against other statistics: err = %v, want a fingerprint mismatch", err)
+	}
+	if _, err := LoadRefiner(bytes.NewReader(rbuf.Bytes()), otherEnc, other); !errors.Is(err, modelio.ErrFingerprint) {
+		t.Fatalf("refiner against other statistics: err = %v, want a fingerprint mismatch", err)
+	}
+}
