@@ -216,3 +216,22 @@ func TestBuildScratchRecycled(t *testing.T) {
 		t.Fatalf("a build after release allocates %v blocks, want 0 (buffers not recycled)", warm)
 	}
 }
+
+// BenchmarkIndexNLJoinPrunedInner is an index nested loop shaped like the
+// person ⋈ cast-credit join of the JOB-like workloads: 11,418 outer rows
+// probe the pid index of a 262,144-row inner whose only predicate is a 1%
+// range of its clustered mid column, so nearly every key match lies in a
+// segment the zone maps rule out.
+func BenchmarkIndexNLJoinPrunedInner(b *testing.B) {
+	db, tabs := creditDB(11418, 1<<18, 10000)
+	mid := tabs[1].Column("mid")
+	q := creditQuery(tabs, []query.Predicate{
+		{Col: mid, Op: query.OpGE, Operand: 5000}, {Col: mid, Op: query.OpLT, Operand: 5100},
+	}, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(&Ctx{DB: db, Q: q}, creditPlan(q)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -423,7 +423,9 @@ func sortRows(rows plan.Rows, conds []condOffsets, left bool) plan.Rows {
 // strategies:
 //   - index path: when the inner child is a base-table scan and a join
 //     condition touches one of its columns, each outer row probes the
-//     table's hash index (PostgreSQL's index nested loop);
+//     table's hash index (PostgreSQL's index nested loop). A key match in a
+//     segment whose zone map disproves one of the leaf's predicates is
+//     rejected without reading a column; it is charged like any other;
 //   - rescan path: otherwise the inner is materialized once and scanned per
 //     outer row (PostgreSQL's Materialize node under a nest loop).
 type batchNLJoin struct {
@@ -441,6 +443,8 @@ type batchNLJoin struct {
 	idxTable   *storage.Table
 	idxCol     int
 	idxCondOff int
+	idx        *storage.HashIndex // taken on the first probe of an Open
+	zs         *segScanState      // the leaf's zone-map view; nil = nothing pruned
 	idxMatches []int32
 	mi         int
 	innerCols  []int // live column positions of the inner table
@@ -506,7 +510,10 @@ func (j *batchNLJoin) Open(ctx *Ctx) (err error) {
 	if err = checkpoint(ctx, j.node.Left, rows); err != nil {
 		return err
 	}
-	if j.idxTable == nil {
+	if j.idxTable != nil {
+		j.idx = nil
+		j.zs = newSegScanState(ctx, j.idxTable, j.node.Right.Preds, false)
+	} else {
 		j.inner, err = drainBatch(ctx, j.node.Right, j.right)
 		if err != nil {
 			return err
@@ -539,7 +546,7 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 			if err := j.charges.flushIfFull(ctx); err != nil {
 				return nil, err
 			}
-			if !rowMatches(j.idxTable, r, j.node.Right.Preds) {
+			if j.zs.pruned(r) || !rowMatches(j.idxTable, r, j.node.Right.Preds) {
 				continue
 			}
 			fetchRow(j.innerBuf, j.idxTable, j.innerCols, r)
@@ -577,7 +584,10 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 		if err := j.charges.flushIfFull(ctx); err != nil {
 			return nil, err
 		}
-		j.idxMatches = j.idxTable.HashIndex(j.idxCol).Lookup(cur[j.idxCondOff])
+		if j.idx == nil {
+			j.idx = j.idxTable.HashIndex(j.idxCol)
+		}
+		j.idxMatches = j.idx.Lookup(cur[j.idxCondOff])
 		j.mi = 0
 	}
 }

@@ -186,11 +186,28 @@ func checkAgainstReference(t testing.TB, db *storage.Database, q *query.Query, p
 	return ctx, rc.events
 }
 
+// TestScalarBatchEquivalence runs the corpus over TinyDB, whose tables each
+// fit one production-size segment, and over a copy sealed at a small
+// segment size, where zone maps prune the scans and the inner tables of
+// index nested loops; the second run must reach at least one pruned inner.
 func TestScalarBatchEquivalence(t *testing.T) {
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 41, 12, func(q *query.Query, p *plan.Node, variant string) {
 		checkAgainstReference(t, db, q, p, q.SQL()+"/"+variant, newRefEval(db, q))
 	})
+	seg := segTinyDB(t)
+	prunedInners := 0
+	equivCorpus(t, seg, 41, 12, func(q *query.Query, p *plan.Node, variant string) {
+		checkAgainstReference(t, seg, q, p, "segmented/"+q.SQL()+"/"+variant, newRefEval(seg, q))
+		for leaf := range indexProbed(p) {
+			if newSegScanState(&Ctx{DB: seg, Q: q}, seg.Table(leaf.Table), leaf.Preds, false) != nil {
+				prunedInners++
+			}
+		}
+	})
+	if prunedInners == 0 {
+		t.Fatal("no index nested loop over the segmented copy pruned its inner table")
+	}
 }
 
 // sameTypedError reports whether two execution errors are the same typed

@@ -6,16 +6,20 @@ import (
 )
 
 // Zone-map scanning: when a table is sealed, its columns carry per-segment
-// min/max zone maps (storage/segment.go). A predicated batch scan
-// precomputes, per segment, whether any predicate is disproven by the zone
-// map; the rows of pruned segments are never read, and the survivors are
-// filtered and gathered from the table's columns like any other rows.
+// min/max zone maps (storage/segment.go). A reader with predicates on the
+// table precomputes, per segment, whether any predicate is disproven by the
+// zone map; the rows of pruned segments are never read, and the survivors
+// are filtered and gathered from the table's columns like any other rows.
+// Three readers prune: sequential scans skip whole segment runs, index
+// scans drop the rids that land in pruned segments, and index nested loops
+// reject the inner table's key matches that do.
 //
 // The contract with the equivalence suites: pruning changes which values
-// are *read*, never which rows qualify or how much work is *charged* — the
-// per-chunk ctx.charge(hi-lo) counts every physical row in range, so
+// are *read*, never which rows qualify or how much work is *charged* — a
+// scan's per-chunk ctx.charge(hi-lo) counts every physical row in range,
+// and an index nested loop charges each key match before testing it, so
 // Work(), checkpoints, and budget errors are byte-identical to an unsealed
-// scan. Wall time, not work units, is where skipping pays.
+// table. Wall time, not work units, is where skipping pays.
 
 // segPrune reports whether predicate p is disproven for every value in
 // [mn, mx] — the zone-map test. It must only ever return a false negative
@@ -47,8 +51,8 @@ func segPrune(p query.Predicate, mn, mx int64) bool {
 	}
 }
 
-// segScanState is the zone-map view one batch scan prunes through, built
-// once in the scan's Open. A nil state prunes nothing.
+// segScanState is the zone-map view one reader prunes through, built once
+// in the reader's Open. A nil state prunes nothing.
 type segScanState struct {
 	segRows int
 	prune   []bool // per segment: some predicate disproven
@@ -62,8 +66,8 @@ type segScanState struct {
 //
 // recordSkips controls the storage.segments_total / segments_skipped
 // counters: sequential scans record them (a pruned segment is genuinely
-// never visited); index scans do not, since they only touch indexed rids
-// and use the zone maps per-rid.
+// never visited); index scans and index nested loops do not, since they
+// only touch indexed rids and use the zone maps per rid.
 func newSegScanState(ctx *Ctx, t *storage.Table, preds []query.Predicate, recordSkips bool) *segScanState {
 	if len(preds) == 0 || !t.Sealed() || t.SegRows() <= 0 || len(t.Cols) == 0 {
 		return nil
@@ -97,6 +101,12 @@ func (zs *segScanState) run(lo, hi int) (end int, live bool) {
 	}
 	g := lo / zs.segRows
 	return min(hi, (g+1)*zs.segRows), !zs.prune[g]
+}
+
+// pruned reports whether row r lies in a pruned segment. A nil state
+// prunes nothing.
+func (zs *segScanState) pruned(r int) bool {
+	return zs != nil && zs.prune[r/zs.segRows]
 }
 
 // pruneSel drops the row ids that fall in pruned segments — the index

@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
 	"maps"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -250,4 +254,150 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 	if v := reg3.Counter("storage.segments_total").Value(); v != 17 {
 		t.Fatalf("post-reseal segments_total = %d, want 17", v)
 	}
+}
+
+// creditDB builds an index-nested-loop fixture shaped like a person ⋈
+// cast-credit join. person (id, pad) has people rows. credit (pid, mid,
+// role) has credits rows: pid draws uniformly from twice the person ids, so
+// about half the probes find no key; mid is clustered (ascending, movies
+// distinct values), so a predicate on a few mids disproves the zone maps of
+// most segments; role is uniform over 8 values and prunes no segment.
+// award (pid) holds one row per person id, to put a checkpoint above the
+// join. The tables are sealed at the current segment granularity.
+func creditDB(people, credits, movies int) (*storage.Database, []*catalog.Table) {
+	s := catalog.NewSchema()
+	person := s.AddTable("person", catalog.PK("id"), catalog.Attr("pad"))
+	credit := s.AddTable("credit", catalog.FK("pid", person.Column("id")), catalog.Attr("mid"), catalog.Attr("role"))
+	award := s.AddTable("award", catalog.FK("pid", person.Column("id")))
+	db := storage.NewDatabase(s)
+	rng := rand.New(rand.NewSource(7))
+	pt := storage.NewTable(person, people)
+	at := storage.NewTable(award, people)
+	for i := 0; i < people; i++ {
+		pt.ColByName("id")[i] = int64(i)
+		pt.ColByName("pad")[i] = int64(3 * i)
+		at.ColByName("pid")[i] = int64(i)
+	}
+	ct := storage.NewTable(credit, credits)
+	for i := 0; i < credits; i++ {
+		ct.ColByName("pid")[i] = rng.Int63n(int64(2 * people))
+		ct.ColByName("mid")[i] = int64(i * movies / credits)
+		ct.ColByName("role")[i] = rng.Int63n(8)
+	}
+	for _, t := range []*storage.Table{pt, ct, at} {
+		db.Tables[t.Meta.ID] = t
+		t.FinishLoad()
+	}
+	return db, []*catalog.Table{person, credit, award}
+}
+
+// creditQuery is person ⋈ credit, with award joined on person.id when
+// withAward is set; preds apply to credit.
+func creditQuery(tabs []*catalog.Table, preds []query.Predicate, withAward bool) *query.Query {
+	person, credit, award := tabs[0], tabs[1], tabs[2]
+	joins := []query.Join{{Left: credit.Column("pid"), Right: person.Column("id")}}
+	if !withAward {
+		return query.New([]*catalog.Table{person, credit}, joins, preds)
+	}
+	joins = append(joins, query.Join{Left: award.Column("pid"), Right: person.Column("id")})
+	return query.New([]*catalog.Table{person, credit, award}, joins, preds)
+}
+
+// creditPlan is person probing credit's pid index through an index nested
+// loop; with award in q, that join is the materialized outer of a second
+// index nested loop probing award.
+func creditPlan(q *query.Query) *plan.Node {
+	leaf := func(i int) *plan.Node { return plan.NewLeaf(plan.SeqScan, q.Tables[i], i, q.PredsOn(q.Tables[i])) }
+	p := plan.NewJoin(plan.NestLoopJoin, leaf(0), leaf(1), q.JoinsBetween(query.NewBitSet().Set(0), query.NewBitSet().Set(1)))
+	if len(q.Tables) == 3 {
+		p = plan.NewJoin(plan.NestLoopJoin, p, leaf(2), q.JoinsBetween(p.Tables, query.NewBitSet().Set(2)))
+	}
+	return p
+}
+
+// TestZoneMapIndexNLJoinEquivalence: an index nested loop whose inner table
+// is sealed rejects the key matches in zone-map-pruned segments without
+// reading them, and is otherwise indistinguishable from the same plan over
+// an unsealed copy — count, TrueCards, checkpoint rows, Work(), and the
+// point and checkpoints at which a work budget below the full run trips —
+// and from the scalar reference. Each case states whether its predicates
+// prune, and the operator's zone-map view must agree, so a pruning case
+// cannot pass by pruning nothing.
+func TestZoneMapIndexNLJoinEquivalence(t *testing.T) {
+	restore := storage.SetSegmentRows(64)
+	db, tabs := creditDB(300, 6000, 100)
+	restore()
+	raw := unsealedCopy(db)
+	credit := tabs[1]
+	mid, role := credit.Column("mid"), credit.Column("role")
+	cases := []struct {
+		name  string
+		preds []query.Predicate
+		prune bool
+	}{
+		{"range", []query.Predicate{{Col: mid, Op: query.OpGE, Operand: 40}, {Col: mid, Op: query.OpLT, Operand: 43}}, true},
+		{"eq", []query.Predicate{{Col: mid, Op: query.OpEQ, Operand: 17}}, true},
+		{"in-repeated", []query.Predicate{{Col: mid, Op: query.OpIn, InSet: []int64{5, 5, 80, 5}}}, true},
+		{"range-and-role", []query.Predicate{{Col: mid, Op: query.OpLE, Operand: 9}, {Col: role, Op: query.OpEQ, Operand: 3}}, true},
+		{"lt-min", []query.Predicate{{Col: mid, Op: query.OpLT, Operand: math.MinInt64}}, true},
+		{"gt-max", []query.Predicate{{Col: mid, Op: query.OpGT, Operand: math.MaxInt64}}, true},
+		{"ge-min", []query.Predicate{{Col: mid, Op: query.OpGE, Operand: math.MinInt64}}, false},
+		{"le-max", []query.Predicate{{Col: mid, Op: query.OpLE, Operand: math.MaxInt64}}, false},
+		{"role", []query.Predicate{{Col: role, Op: query.OpEQ, Operand: 3}}, false},
+		{"none", nil, false},
+	}
+	for _, tc := range cases {
+		for _, withAward := range []bool{false, true} {
+			q := creditQuery(tabs, tc.preds, withAward)
+			name := fmt.Sprintf("%s/%d tables", tc.name, len(q.Tables))
+			ref := newRefEval(db, q)
+
+			// the zone-map view the inner join's Open built
+			ctx := &Ctx{DB: db, Q: q}
+			op, err := Build(ctx, creditPlan(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			j := op.(*batchNLJoin)
+			if withAward {
+				j = j.left.(*batchNLJoin)
+			}
+			if j.idxTable == nil || (j.zs != nil) != tc.prune {
+				t.Fatalf("%s: index path %v, pruning engaged %v, want %v", name, j.idxTable != nil, j.zs != nil, tc.prune)
+			}
+			op.Close()
+
+			// count, checkpoint rows and TrueCards against the reference
+			zCtx, zEvents := checkAgainstReference(t, db, q, creditPlan(q), name, ref)
+			rCtx, rEvents := checkAgainstReference(t, raw, q, creditPlan(q), "unsealed "+name, ref)
+			if zCtx.Work() != rCtx.Work() || !slices.Equal(zEvents, rEvents) {
+				t.Fatalf("%s: sealed work %d checkpoints %v, unsealed work %d checkpoints %v",
+					name, zCtx.Work(), zEvents, rCtx.Work(), rEvents)
+			}
+
+			total := zCtx.Work()
+			for _, budget := range []int64{total / 3, total - 1} {
+				wz, ez, errZ := budgeted(db, q, budget)
+				wr, er, errR := budgeted(raw, q, budget)
+				if !errors.Is(errZ, ErrBudget) || !errors.Is(errR, ErrBudget) {
+					t.Fatalf("%s budget %d of %d: sealed %v, unsealed %v; want ErrBudget", name, budget, total, errZ, errR)
+				}
+				if wz != wr || !slices.Equal(ez, er) || !isPrefix(ez, zEvents) {
+					t.Fatalf("%s budget %d: sealed tripped at %d after %v, unsealed at %d after %v", name, budget, wz, ez, wr, er)
+				}
+			}
+		}
+	}
+}
+
+// budgeted runs creditPlan(q) on db under a work budget and returns the
+// work at which it stopped, its checkpoints, and its error.
+func budgeted(db *storage.Database, q *query.Query, budget int64) (int64, []ckptEvent, error) {
+	rc := &ckptRecorder{}
+	ctx := &Ctx{DB: db, Q: q, Controller: rc, Budget: budget}
+	_, err := Run(ctx, creditPlan(q))
+	return ctx.Work(), rc.events, err
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -149,5 +150,76 @@ func TestEmptyAppendKeepsSeal(t *testing.T) {
 	}
 	if tbl.runs != nil {
 		t.Fatal("empty append made the table keep value runs")
+	}
+}
+
+// clusteredRows returns n rows of sealFixture's schema whose seq values
+// continue from first, so an append of them sorts after every indexed seq.
+func clusteredRows(first, n int) [][]int64 {
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(first + i), 0, 42, int64(i)}
+	}
+	return rows
+}
+
+// TestClusteredAppendKeepsRangeResults: a clustered append extends the
+// ordered index in place, so what a reader took before it must not move. A
+// Range result and the previous index keep their pairs, and a slice a
+// caller grew from a Range result is not written by the next append.
+func TestClusteredAppendKeepsRangeResults(t *testing.T) {
+	tbl := sealFixture(1000)
+	prev := tbl.OrderedIndex(0)
+	mid := prev.Range(100, 400)
+	midWant := slices.Clone(mid)
+	if err := tbl.AppendRows(clusteredRows(1000, 300)); err != nil {
+		t.Fatal(err)
+	}
+	ix := tbl.OrderedIndex(0)
+	if ix == prev || cap(ix.Rids) == len(ix.Rids) {
+		t.Fatalf("fixture: the append must replace the index and leave spare capacity (len %d, cap %d)", len(ix.Rids), cap(ix.Rids))
+	}
+	tail := ix.Range(1200, 1299)
+	grown := append(tail, -7)
+	if err := tbl.AppendRows(clusteredRows(1300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(mid, midWant) || len(prev.Vals) != 1000 || !slices.Equal(prev.Range(100, 400), midWant) {
+		t.Fatalf("a clustered append moved the pairs of an earlier Range result or index")
+	}
+	if grown[len(grown)-1] != -7 {
+		t.Fatalf("a clustered append wrote into a slice grown from a Range result")
+	}
+	want := sealFixture(0)
+	want.Cols[0] = slices.Clone(tbl.Cols[0])
+	got, ref := tbl.OrderedIndex(0), want.OrderedIndex(0)
+	if !slices.Equal(got.Vals, ref.Vals) || !slices.Equal(got.Rids, ref.Rids) {
+		t.Fatal("ordered index after clustered appends differs from a rebuild")
+	}
+}
+
+// TestClusteredAppendAllocatesLittle: once the first clustered append has
+// grown the ordered index, further small clustered appends write into its
+// spare capacity and allocate far less than one copy of the index.
+func TestClusteredAppendAllocatesLittle(t *testing.T) {
+	const n = benchIndexRows
+	tbl := benchIndexTable(sealFixture(n).Cols)
+	tbl.OrderedIndex(0)
+	if err := tbl.AppendRows(clusteredRows(n, 64)); err != nil {
+		t.Fatal(err)
+	}
+	const appends = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= appends; i++ {
+		if err := tbl.AppendRows(clusteredRows(n+64*i, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perAppend := (after.TotalAlloc - before.TotalAlloc) / appends
+	indexCopy := uint64(n * (8 + 4))
+	if perAppend*16 > indexCopy {
+		t.Fatalf("a clustered append allocates %d bytes, want far below one index copy (%d)", perAppend, indexCopy)
 	}
 }

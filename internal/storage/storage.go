@@ -322,14 +322,16 @@ func (t *Table) OrderedIndex(pos int) *OrderedIndex {
 }
 
 // Range returns the row IDs whose value v satisfies lo <= v <= hi, using
-// binary search over the ordered index.
+// binary search over the ordered index. The result is capped at its
+// length: an append to it copies instead of writing into the index's
+// spare capacity, which a later merge may fill.
 func (ix *OrderedIndex) Range(lo, hi int64) []int32 {
 	start := sort.Search(len(ix.Vals), func(i int) bool { return ix.Vals[i] >= lo })
 	end := sort.Search(len(ix.Vals), func(i int) bool { return ix.Vals[i] > hi })
 	if start >= end {
 		return nil
 	}
-	return ix.Rids[start:end]
+	return ix.Rids[start:end:end]
 }
 
 // ordPair is one (value, row) entry of an ordered index.
@@ -357,8 +359,19 @@ func sortedPairs(vals []int64, base int) []ordPair {
 }
 
 // merge returns a new index holding ix's pairs and the sorted pairs add,
-// whose rows all follow ix's: on equal values ix's pairs come first.
+// whose rows all follow ix's: on equal values ix's pairs come first. A
+// clustered append, whose values all sort at or after ix's last, extends
+// ix's arrays in place of copying them: append writes only past ix's
+// length, so ix still reads the pairs it held.
 func (ix *OrderedIndex) merge(add []ordPair) *OrderedIndex {
+	if len(add) > 0 && (len(ix.Vals) == 0 || add[0].v >= ix.Vals[len(ix.Vals)-1]) {
+		out := &OrderedIndex{Vals: ix.Vals, Rids: ix.Rids}
+		for _, p := range add {
+			out.Vals = append(out.Vals, p.v)
+			out.Rids = append(out.Rids, p.r)
+		}
+		return out
+	}
 	n := len(ix.Vals) + len(add)
 	out := &OrderedIndex{Vals: make([]int64, 0, n), Rids: make([]int32, 0, n)}
 	i := 0
