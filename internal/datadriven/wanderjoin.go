@@ -159,12 +159,12 @@ func (s *sampler) filteredRows(q *query.Query, i int) []int32 {
 // returns the unbiased cardinality estimate (Li et al.'s wander join with
 // per-step conditioning): each walk starts from a uniformly random filtered
 // row of the first table and extends one relation at a time through
-// hash-index probes. At every step the probe's candidate rows are filtered
-// by the new table's predicates and the remaining join conditions *before*
-// the walk weight is multiplied by the candidate count — the estimator
-// stays unbiased but walks only die on genuine dead ends, which keeps
-// variance manageable on deep joins where naive rejection sampling loses
-// nearly every walk.
+// ordered-index point lookups. At every step the probe's candidate rows are
+// filtered by the new table's predicates and the remaining join conditions
+// *before* the walk weight is multiplied by the candidate count — the
+// estimator stays unbiased but walks only die on genuine dead ends, which
+// keeps variance manageable on deep joins where naive rejection sampling
+// loses nearly every walk.
 //
 // startAt optionally overrides the start-row choice (used by the stratified
 // variant); pass nil for uniform starts. The rng handed to startAt is the
@@ -258,8 +258,8 @@ func (s *sampler) wanderWithFallback(q *query.Query, mask query.BitSet, numWalks
 	return s.fallbackEstimate(q, mask)
 }
 
-// stepMatches probes the new table's hash index using the first join
-// condition.
+// stepMatches looks the first join condition's value up in the new table's
+// ordered index.
 func (s *sampler) stepMatches(q *query.Query, st walkStep, assignment map[int]int32) ([]int32, bool) {
 	c := st.conds[0]
 	newCol, prevCol := c.Left, c.Right
@@ -272,8 +272,7 @@ func (s *sampler) stepMatches(q *query.Query, st walkStep, assignment map[int]in
 		return nil, false
 	}
 	val := s.db.Table(prevCol.Table).Col(prevCol.Pos)[prevRow]
-	ix := s.db.Table(newCol.Table).HashIndex(newCol.Pos)
-	return ix.Lookup(val), true
+	return s.db.Table(newCol.Table).OrderedIndex(newCol.Pos).Range(val, val), true
 }
 
 // rowPasses checks the query predicates on the sampled row.

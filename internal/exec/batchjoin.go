@@ -422,10 +422,11 @@ func sortRows(rows plan.Rows, conds []condOffsets, left bool) plan.Rows {
 // acceptable because NL join is only chosen for small outer sides. Two inner
 // strategies:
 //   - index path: when the inner child is a base-table scan and a join
-//     condition touches one of its columns, each outer row probes the
-//     table's hash index (PostgreSQL's index nested loop). A key match in a
-//     segment whose zone map disproves one of the leaf's predicates is
-//     rejected without reading a column; it is charged like any other;
+//     condition touches one of its columns, each outer row looks its key up
+//     in the table's ordered index on that column (PostgreSQL's index
+//     nested loop). A key match in a segment whose zone map disproves one
+//     of the leaf's predicates is rejected without reading a column; it is
+//     charged like any other;
 //   - rescan path: otherwise the inner is materialized once and scanned per
 //     outer row (PostgreSQL's Materialize node under a nest loop).
 type batchNLJoin struct {
@@ -443,8 +444,8 @@ type batchNLJoin struct {
 	idxTable   *storage.Table
 	idxCol     int
 	idxCondOff int
-	idx        *storage.HashIndex // taken on the first probe of an Open
-	zs         *segScanState      // the leaf's zone-map view; nil = nothing pruned
+	idx        *storage.OrderedIndex // taken on the first probe of an Open
+	zs         *segScanState         // the leaf's zone-map view; nil = nothing pruned
 	idxMatches []int32
 	mi         int
 	innerCols  []int // live column positions of the inner table
@@ -585,9 +586,10 @@ func (j *batchNLJoin) nextIndexBatch(ctx *Ctx) (*Batch, error) {
 			return nil, err
 		}
 		if j.idx == nil {
-			j.idx = j.idxTable.HashIndex(j.idxCol)
+			j.idx = j.idxTable.OrderedIndex(j.idxCol)
 		}
-		j.idxMatches = j.idx.Lookup(cur[j.idxCondOff])
+		k := cur[j.idxCondOff]
+		j.idxMatches = j.idx.Range(k, k)
 		j.mi = 0
 	}
 }

@@ -368,13 +368,13 @@ func errNoIndexPred(n *plan.Node) error {
 func resolveIndexRids(t *storage.Table, p query.Predicate, prev []int32) ([]int32, error) {
 	switch p.Op {
 	case query.OpEQ:
-		return t.HashIndex(p.Col.Pos).Lookup(p.Operand), nil
+		return t.OrderedIndex(p.Col.Pos).Range(p.Operand, p.Operand), nil
 	case query.OpIn:
-		ix := t.HashIndex(p.Col.Pos)
+		ix := t.OrderedIndex(p.Col.Pos)
 		rids := prev[:0]
 		for i, v := range p.InSet {
 			if !slices.Contains(p.InSet[:i], v) {
-				rids = append(rids, ix.Lookup(v)...)
+				rids = append(rids, ix.Range(v, v)...)
 			}
 		}
 		return rids, nil

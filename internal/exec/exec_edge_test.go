@@ -91,7 +91,7 @@ func TestIndexScanWithInPredicate(t *testing.T) {
 	}
 }
 
-func TestIndexScanEqualityUsesHashIndex(t *testing.T) {
+func TestIndexScanEqualityUsesOrderedIndex(t *testing.T) {
 	db, _ := dupDB()
 	l := db.Schema.Table("l")
 	q := query.New([]*catalog.Table{l}, nil,
@@ -210,39 +210,65 @@ func TestOraclePipelinedMatchesCollect(t *testing.T) {
 	}
 }
 
+// extremesDB holds one table, x, whose column v holds the int64 extremes
+// (each twice, apart) beside ordinary values.
+func extremesDB() *storage.Database {
+	s := catalog.NewSchema()
+	x := s.AddTable("x", catalog.PK("id"), catalog.Attr("v"))
+	db := storage.NewDatabase(s)
+	xt := storage.NewTable(x, 7)
+	copy(xt.ColByName("id"), []int64{0, 1, 2, 3, 4, 5, 6})
+	copy(xt.ColByName("v"), []int64{math.MaxInt64, 0, math.MinInt64, 5, math.MaxInt64, -5, math.MinInt64})
+	db.Tables[x.ID] = xt
+	xt.FinishLoad()
+	return db
+}
+
 // TestIndexScanBoundaryPredicates holds index scans to the sequential scan
 // and the reference evaluator at the int64 limits, where `< MinInt64` and
-// `> MaxInt64` match nothing, and on IN lists that repeat a value, which
+// `> MaxInt64` match nothing and point lookups of MinInt64 and MaxInt64
+// find the rows holding them, and on IN lists that repeat a value, which
 // must count each matching row once.
 func TestIndexScanBoundaryPredicates(t *testing.T) {
-	db := testutil.TinyDB()
-	title := db.Schema.Table("title")
+	tiny, ext := testutil.TinyDB(), extremesDB()
+	title := tiny.Schema.Table("title")
 	year, id := title.Column("production_year"), title.Column("id")
+	v := ext.Schema.Table("x").Column("v")
 	cases := []struct {
 		name string
+		db   *storage.Database
 		pred query.Predicate
+		rows int // the count the fixture must yield; -1 = whatever the reference counts
 	}{
-		{"lt-min", query.Predicate{Col: year, Op: query.OpLT, Operand: math.MinInt64}},
-		{"le-max", query.Predicate{Col: year, Op: query.OpLE, Operand: math.MaxInt64}},
-		{"gt-max", query.Predicate{Col: year, Op: query.OpGT, Operand: math.MaxInt64}},
-		{"ge-min", query.Predicate{Col: year, Op: query.OpGE, Operand: math.MinInt64}},
-		{"in-repeated", query.Predicate{Col: id, Op: query.OpIn, InSet: []int64{5, 5, 7}}},
+		{"lt-min", tiny, query.Predicate{Col: year, Op: query.OpLT, Operand: math.MinInt64}, -1},
+		{"le-max", tiny, query.Predicate{Col: year, Op: query.OpLE, Operand: math.MaxInt64}, -1},
+		{"gt-max", tiny, query.Predicate{Col: year, Op: query.OpGT, Operand: math.MaxInt64}, -1},
+		{"ge-min", tiny, query.Predicate{Col: year, Op: query.OpGE, Operand: math.MinInt64}, -1},
+		{"in-repeated", tiny, query.Predicate{Col: id, Op: query.OpIn, InSet: []int64{5, 5, 7}}, -1},
+		{"eq-min", ext, query.Predicate{Col: v, Op: query.OpEQ, Operand: math.MinInt64}, 2},
+		{"eq-max", ext, query.Predicate{Col: v, Op: query.OpEQ, Operand: math.MaxInt64}, 2},
+		{"in-extremes", ext, query.Predicate{Col: v, Op: query.OpIn, InSet: []int64{math.MaxInt64, 3, math.MinInt64, math.MaxInt64}}, 4},
+		{"lt-max", ext, query.Predicate{Col: v, Op: query.OpLT, Operand: math.MaxInt64}, 5},
+		{"gt-min", ext, query.Predicate{Col: v, Op: query.OpGT, Operand: math.MinInt64}, 5},
+		{"le-max-held", ext, query.Predicate{Col: v, Op: query.OpLE, Operand: math.MaxInt64}, 7},
+		{"ge-max-held", ext, query.Predicate{Col: v, Op: query.OpGE, Operand: math.MaxInt64}, 2},
 	}
 	for _, tc := range cases {
-		q := query.New([]*catalog.Table{title}, nil, []query.Predicate{tc.pred})
-		want := len(newRefEval(db, q).projected(q.AllTablesMask()))
-		seq, err := Run(&Ctx{DB: db, Q: q}, plan.NewLeaf(plan.SeqScan, title, 0, q.PredsOn(title)))
+		tab := tc.pred.Col.Table
+		q := query.New([]*catalog.Table{tab}, nil, []query.Predicate{tc.pred})
+		want := len(newRefEval(tc.db, q).projected(q.AllTablesMask()))
+		seq, err := Run(&Ctx{DB: tc.db, Q: q}, plan.NewLeaf(plan.SeqScan, tab, 0, q.PredsOn(tab)))
 		if err != nil {
 			t.Fatalf("%s: seq scan: %v", tc.name, err)
 		}
-		leaf := plan.NewLeaf(plan.IndexScan, title, 0, q.PredsOn(title))
+		leaf := plan.NewLeaf(plan.IndexScan, tab, 0, q.PredsOn(tab))
 		leaf.IndexPred = &leaf.Preds[0]
-		idx, err := Run(&Ctx{DB: db, Q: q}, leaf)
+		idx, err := Run(&Ctx{DB: tc.db, Q: q}, leaf)
 		if err != nil {
 			t.Fatalf("%s: index scan: %v", tc.name, err)
 		}
-		if idx != seq || seq != want {
-			t.Errorf("%s: index scan %d, seq scan %d, reference %d", tc.name, idx, seq, want)
+		if idx != seq || seq != want || (tc.rows >= 0 && want != tc.rows) {
+			t.Errorf("%s: index scan %d, seq scan %d, reference %d, fixture %d", tc.name, idx, seq, want, tc.rows)
 		}
 	}
 }

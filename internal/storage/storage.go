@@ -1,19 +1,20 @@
 // Package storage implements the in-memory column store that backs the
 // execution engine: tables hold int64 columns (string attributes are
 // dictionary-encoded to integers before load, as the paper does for
-// categorical columns), with hash and ordered indexes built per column on
-// demand for index scans, index nested-loop joins, and the sampling-based
-// estimators. Sealing a table (FinishLoad) computes its column statistics
-// and the per-segment zone maps; appends extend the indexes already built,
-// and the next seal re-analyzes only the rows they appended: a table that
-// takes DML keeps each column's sorted value counts and merges the new
-// rows' counts in, and rebuilds only the zone maps of the segments the
-// rows dirtied.
+// categorical columns), with one ordered index per column, built on demand
+// for index scans (range and point), index nested-loop joins, and the
+// sampling-based estimators. Sealing a table (FinishLoad) computes its
+// column statistics and the per-segment zone maps; appends extend the
+// indexes already built, and the next seal re-analyzes only the rows they
+// appended: a table that takes DML keeps each column's sorted value counts
+// and merges the new rows' counts in, and rebuilds only the zone maps of
+// the segments the rows dirtied.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,9 +38,8 @@ type Table struct {
 	Meta *catalog.Table
 	Cols [][]int64
 
-	mu      sync.Mutex      // guards lazy index construction
-	hashIdx []*HashIndex    // per column position, nil until first use
-	ordIdx  []*OrderedIndex // per column position, nil until first use
+	mu     sync.Mutex      // guards lazy index construction
+	ordIdx []*OrderedIndex // per column position, nil until first use
 
 	// Seal state (see segment.go and colstats.go). sealed flips on
 	// FinishLoad and off on MaintenanceAppend; scans only trust segments,
@@ -60,10 +60,9 @@ type Table struct {
 // NewTable allocates a table for the given catalog entry with numRows rows.
 func NewTable(meta *catalog.Table, numRows int) *Table {
 	t := &Table{
-		Meta:    meta,
-		Cols:    make([][]int64, len(meta.Columns)),
-		hashIdx: make([]*HashIndex, len(meta.Columns)),
-		ordIdx:  make([]*OrderedIndex, len(meta.Columns)),
+		Meta:   meta,
+		Cols:   make([][]int64, len(meta.Columns)),
+		ordIdx: make([]*OrderedIndex, len(meta.Columns)),
 	}
 	for i := range t.Cols {
 		t.Cols[i] = make([]int64, numRows)
@@ -135,9 +134,8 @@ func (t *Table) MaintenanceAppend(rows [][]int64) {
 }
 
 // appendRows appends the rows and extends every built index with them, to
-// exactly what a rebuild over the grown column would produce: hash index
-// row lists gain the new row ids in row order, and an ordered index is
-// replaced by its merge with the new (value, row) pairs.
+// exactly what a rebuild over the grown column would produce: each ordered
+// index is replaced by its merge with the new (value, row) pairs.
 func (t *Table) appendRows(rows [][]int64) {
 	base := t.NumRows()
 	for _, row := range rows {
@@ -151,14 +149,6 @@ func (t *Table) appendRows(rows [][]int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for pos, ix := range t.hashIdx {
-		if ix == nil {
-			continue
-		}
-		for r, v := range t.Cols[pos][base:] {
-			ix.Rows[v] = append(ix.Rows[v], int32(base+r))
-		}
-	}
 	for pos, ix := range t.ordIdx {
 		if ix != nil {
 			t.ordIdx[pos] = ix.merge(sortedPairs(t.Cols[pos][base:], base))
@@ -268,37 +258,8 @@ func (t *Table) Segments(pos int) []*Segment {
 	return t.segs[pos]
 }
 
-// HashIndex maps a column value to the row IDs holding it, in row order.
-type HashIndex struct {
-	Rows map[int64][]int32
-}
-
-// Lookup returns the row IDs with the given value.
-func (ix *HashIndex) Lookup(v int64) []int32 { return ix.Rows[v] }
-
-// HashIndex returns (building if necessary) the hash index on column pos.
-// The map is sized from the column's NDV once the table is sealed, from
-// the row count before.
-func (t *Table) HashIndex(pos int) *HashIndex {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ix := t.hashIdx[pos]; ix != nil {
-		return ix
-	}
-	size := t.NumRows()
-	if t.sealed {
-		size = t.Meta.Columns[pos].NDV
-	}
-	ix := &HashIndex{Rows: make(map[int64][]int32, size)}
-	for r, v := range t.Cols[pos] {
-		ix.Rows[v] = append(ix.Rows[v], int32(r))
-	}
-	t.hashIdx[pos] = ix
-	return ix
-}
-
-// OrderedIndex holds (value, row) pairs sorted by value, then row, for
-// range scans.
+// OrderedIndex holds (value, row) pairs sorted by value, then row: the one
+// index kind, serving range scans and point lookups (Range(v, v)) alike.
 type OrderedIndex struct {
 	Vals []int64
 	Rids []int32
@@ -321,13 +282,20 @@ func (t *Table) OrderedIndex(pos int) *OrderedIndex {
 	return ix
 }
 
-// Range returns the row IDs whose value v satisfies lo <= v <= hi, using
-// binary search over the ordered index. The result is capped at its
-// length: an append to it copies instead of writing into the index's
-// spare capacity, which a later merge may fill.
+// Range returns the row IDs whose value v satisfies lo <= v <= hi, in row
+// order within each value, using binary search over the ordered index;
+// Range(v, v) is a point lookup. The end is searched past start only, where
+// a short range's search turns the same way at every step and so runs at
+// the branch predictor's pace. The result is capped at its length: an
+// append to it copies instead of writing into the index's spare capacity,
+// which a later merge may fill.
 func (ix *OrderedIndex) Range(lo, hi int64) []int32 {
-	start := sort.Search(len(ix.Vals), func(i int) bool { return ix.Vals[i] >= lo })
-	end := sort.Search(len(ix.Vals), func(i int) bool { return ix.Vals[i] > hi })
+	start, _ := slices.BinarySearch(ix.Vals, lo)
+	end := len(ix.Vals) // every value is <= MaxInt64; hi+1 would wrap
+	if hi < math.MaxInt64 {
+		end, _ = slices.BinarySearch(ix.Vals[start:], hi+1)
+		end += start
+	}
 	if start >= end {
 		return nil
 	}
