@@ -285,7 +285,7 @@ func BenchmarkConcurrentWorkload(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if _, err := experiments.RunParallelWorkload(e.DB, qs, cfg, workers); err != nil {
+			if _, err := engine.New(e.DB).ExecuteAll(qs, cfg, workers); err != nil {
 				b.Fatal(err)
 			}
 		})

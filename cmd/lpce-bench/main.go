@@ -4,33 +4,23 @@
 //
 //	lpce-bench [-scale tiny|small|full] [-seed N] [-experiment all|table1|
 //	           figure1|endtoend|refinement|ablations|figure17|figure18|
-//	           joblike|parallel|observe]
-//	           [-parallel N] [-o file]
-//	           [-trace] [-metrics-out file]
-//	           [-timeout D] [-max-mat-rows N]
+//	           joblike]
+//	           [-o file] [-metrics-out file]
 //	           [-models-in dir]
 //	           [-cpuprofile file] [-memprofile file]
 //
 // The default runs every experiment at small scale and streams the rendered
 // tables to stdout. "endtoend" covers Table 2 and Figures 11–15;
 // "refinement" covers Figure 16 and Table 3; "ablations" covers Figures
-// 19–21. "parallel" executes the test workload concurrently across -parallel
-// workers (GOMAXPROCS when 0) and reports aggregate throughput with
-// per-phase latency percentiles against the serial baseline. An unknown
-// -experiment is rejected before the set-up starts.
+// 19–21. An unknown -experiment or -scale is rejected before the set-up
+// starts.
 //
-// -trace (equivalently -experiment observe) runs the JOB-like named suite
-// with the full observability layer on and renders per-operator runtime
-// stats, re-optimization events, and the CE-evaluation q-error tables.
-// -metrics-out writes the complete observability report as JSON (implies
-// -trace).
-//
-// -timeout sets a per-query deadline and -max-mat-rows caps materialized
-// intermediate rows per query (zero disables each). A query over budget
-// fails alone with a typed error while the rest of the workload keeps
-// running; the summary table reports the degraded and failed counts.
-// -trace, -metrics-out, -timeout and -max-mat-rows belong to the observe
-// experiment: set with any other -experiment, they are rejected before the
+// "joblike" runs the JOB-like named suite serially under the PostgreSQL,
+// LPCE-I and LPCE-R stacks, each with its own observer, and renders the
+// per-query end-to-end times followed by each stack's phase latencies,
+// per-operator runtime stats and CE-evaluation q-error tables. It fails if
+// the stacks' COUNT(*) differ on any query. -metrics-out writes the whole
+// result as JSON; set with any other -experiment, it is rejected before the
 // set-up starts.
 //
 // -models-in loads the SGD-trained models from a versioned artifact
@@ -72,41 +62,27 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	scale := fs.String("scale", "small", "experiment scale: tiny, small, or full")
 	seed := fs.Int64("seed", 1, "random seed for data, workload and model init")
 	exp := fs.String("experiment", "all", "experiment to run: "+strings.Join(experimentNames(), ", "))
-	workers := fs.Int("parallel", 0, "worker count for the parallel experiment (0 = GOMAXPROCS)")
 	out := fs.String("o", "", "write output to this file instead of stdout")
-	trace := fs.Bool("trace", false, "run the observability pass over the JOB-like suite")
-	metricsOut := fs.String("metrics-out", "", "write the full observability report as JSON to this file (implies -trace)")
-	timeout := fs.Duration("timeout", 0, "per-query deadline for the observe experiment (0 = none)")
-	maxMatRows := fs.Int64("max-mat-rows", 0, "per-query cap on materialized intermediate rows (0 = unlimited)")
+	metricsOut := fs.String("metrics-out", "", "write the joblike experiment's result as JSON to this file")
 	modelsIn := fs.String("models-in", "", "load trained models from this artifact directory instead of training")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *metricsOut != "" {
-		*trace = true
-	}
-	if *trace && *exp == "all" {
-		*exp = "observe"
-	}
 	runExp, ok := experimentsByName[*exp]
 	if !ok {
 		fmt.Fprintf(stderr, "unknown experiment %q (want one of %s)\n", *exp, strings.Join(experimentNames(), ", "))
 		return 2
 	}
-	if *exp != "observe" {
-		var stray []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "trace", "metrics-out", "timeout", "max-mat-rows":
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			fmt.Fprintf(stderr, "%s: only valid with -experiment observe (got %q)\n", strings.Join(stray, ", "), *exp)
-			return 2
-		}
+	if *metricsOut != "" && *exp != "joblike" {
+		fmt.Fprintf(stderr, "-metrics-out: only valid with -experiment joblike (got %q)\n", *exp)
+		return 2
+	}
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, err)
@@ -128,7 +104,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *modelsIn != "" {
 		fmt.Fprintf(w, "loading trained models from %s\n", *modelsIn)
 	}
-	env, err := experiments.SetupWith(experiments.ParseScale(*scale), *seed, experiments.SetupOptions{ModelsDir: *modelsIn})
+	env, err := experiments.SetupWith(sc, *seed, experiments.SetupOptions{ModelsDir: *modelsIn})
 	if err != nil {
 		return fail(err)
 	}
@@ -147,8 +123,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	opts := options{workers: *workers, metricsOut: *metricsOut, timeout: *timeout, maxMatRows: *maxMatRows}
-	if err := runExp(env, w, opts); err != nil {
+	if err := runExp(env, w, *metricsOut); err != nil {
 		return fail(err)
 	}
 	if *memProfile != "" {
@@ -166,22 +141,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// options carries the experiment knobs beyond the environment: the parallel
-// worker count, the observability output, and the per-query resource
-// budgets.
-type options struct {
-	workers    int
-	metricsOut string
-	timeout    time.Duration
-	maxMatRows int64
-}
-
-// experiment runs one -experiment value against a set-up environment.
-type experiment func(env *experiments.Env, w io.Writer, opts options) error
+// experiment runs one -experiment value against a set-up environment;
+// metricsOut is the -metrics-out path, empty when unset.
+type experiment func(env *experiments.Env, w io.Writer, metricsOut string) error
 
 // render adapts an experiment returning a printable result.
 func render[R interface{ Render() string }](f func(*experiments.Env) R) experiment {
-	return func(env *experiments.Env, w io.Writer, _ options) error {
+	return func(env *experiments.Env, w io.Writer, _ string) error {
 		fmt.Fprintln(w, f(env).Render())
 		return nil
 	}
@@ -190,14 +156,14 @@ func render[R interface{ Render() string }](f func(*experiments.Env) R) experime
 // experimentsByName is the one table of -experiment values: realMain checks
 // a name against it before the set-up and dispatches through it after.
 var experimentsByName = map[string]experiment{
-	"all": func(env *experiments.Env, w io.Writer, _ options) error {
+	"all": func(env *experiments.Env, w io.Writer, _ string) error {
 		return experiments.RunAll(env, w)
 	},
 	"table1":   render(experiments.Table1),
 	"figure1":  render(experiments.Figure1),
 	"figure17": render(experiments.Figure17),
 	"figure18": render(experiments.Figure18),
-	"endtoend": func(env *experiments.Env, w io.Writer, _ options) error {
+	"endtoend": func(env *experiments.Env, w io.Writer, _ string) error {
 		sets := []struct {
 			label   string
 			queries []*query.Query
@@ -219,48 +185,30 @@ var experimentsByName = map[string]experiment{
 		}
 		return nil
 	},
-	"refinement": func(env *experiments.Env, w io.Writer, _ options) error {
+	"refinement": func(env *experiments.Env, w io.Writer, _ string) error {
 		samples := env.CollectTestSamples(env.JoinHigh)
 		fmt.Fprintln(w, experiments.Figure16(env, env.JoinHighLabel, samples).Render())
 		fmt.Fprintln(w, experiments.Table3(env, samples).Render())
 		return nil
 	},
-	"ablations": func(env *experiments.Env, w io.Writer, _ options) error {
+	"ablations": func(env *experiments.Env, w io.Writer, _ string) error {
 		fmt.Fprintln(w, experiments.Figure19And20(env).Render())
 		fmt.Fprintln(w, experiments.Figure21(env).Render())
 		return nil
 	},
-	"joblike": func(env *experiments.Env, w io.Writer, _ options) error {
-		r, err := experiments.JobSuite(env)
+	"joblike": func(env *experiments.Env, w io.Writer, metricsOut string) error {
+		r, err := experiments.JobLike(env)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, r.Render())
-		return nil
-	},
-	"parallel": func(env *experiments.Env, w io.Writer, opts options) error {
-		r, err := experiments.ParallelBench(env, opts.workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Render())
-		return nil
-	},
-	"observe": func(env *experiments.Env, w io.Writer, opts options) error {
-		r, err := experiments.ObservabilityWithOptions(env, experiments.ObsOptions{
-			Workers: opts.workers, Timeout: opts.timeout, MaxMatRows: opts.maxMatRows,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Render())
-		if opts.metricsOut == "" {
+		if metricsOut == "" {
 			return nil
 		}
-		if err := writeJSON(opts.metricsOut, r); err != nil {
+		if err := writeJSON(metricsOut, r); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "observability report written to %s\n", opts.metricsOut)
+		fmt.Fprintf(w, "joblike result written to %s\n", metricsOut)
 		return nil
 	},
 }

@@ -29,10 +29,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for data, workload and model init")
 	out := flag.String("out", "models", "output directory for model artifacts")
 	flag.Parse()
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	start := time.Now()
 	fmt.Printf("training environment (scale=%s, seed=%d)...\n", *scale, *seed)
-	env, err := experiments.SetupWith(experiments.ParseScale(*scale), *seed, experiments.SetupOptions{TrainOnly: true})
+	env, err := experiments.SetupWith(sc, *seed, experiments.SetupOptions{TrainOnly: true})
 	if err != nil {
 		fatal(err)
 	}

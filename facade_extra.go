@@ -81,7 +81,7 @@ func NewEstimateCache(inner Estimator) *EstimateCache { return cardest.NewCache(
 
 // ParallelRun is the outcome of a concurrent workload execution: per-query
 // results aligned with the input, wall time, and cache counters.
-type ParallelRun = experiments.ParallelRun
+type ParallelRun = engine.ParallelRun
 
 // ExecuteParallel plans and executes the queries across workers goroutines
 // (GOMAXPROCS when workers <= 0) sharing cfg's estimator behind an estimate
@@ -90,7 +90,7 @@ type ParallelRun = experiments.ParallelRun
 // call order. On failure the pool stops and the lowest-index query's error
 // is returned, as a serial run would.
 func ExecuteParallel(db *Database, queries []*Query, cfg EngineConfig, workers int) (ParallelRun, error) {
-	return experiments.RunParallelWorkload(db, queries, cfg, workers)
+	return engine.New(db).ExecuteAll(queries, cfg, workers)
 }
 
 // Observability.

@@ -67,7 +67,7 @@ func RunAll(e *Env, w io.Writer) error {
 	}
 	logf("%s", sweep.Render())
 
-	job, err := JobSuite(e)
+	job, err := JobLike(e)
 	if err != nil {
 		return err
 	}

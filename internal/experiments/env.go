@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/lpce-db/lpce/internal/baselines"
@@ -48,16 +49,18 @@ func (s Scale) String() string {
 	}
 }
 
-// ParseScale maps a flag string to a Scale.
-func ParseScale(s string) Scale {
+// ParseScale maps a flag string to a Scale; any string other than tiny,
+// small or full is an error naming the valid scales.
+func ParseScale(s string) (Scale, error) {
 	switch s {
+	case "tiny":
+		return ScaleTiny, nil
 	case "small":
-		return ScaleSmall
+		return ScaleSmall, nil
 	case "full":
-		return ScaleFull
-	default:
-		return ScaleTiny
+		return ScaleFull, nil
 	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", s)
 }
 
 // params bundles every scale-dependent knob.

@@ -89,8 +89,16 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestParseScale(t *testing.T) {
-	if ParseScale("small") != ScaleSmall || ParseScale("full") != ScaleFull || ParseScale("x") != ScaleTiny {
-		t.Fatal("ParseScale")
+	for s, want := range map[string]Scale{"tiny": ScaleTiny, "small": ScaleSmall, "full": ScaleFull} {
+		if got, err := ParseScale(s); err != nil || got != want {
+			t.Fatalf("ParseScale(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, s := range []string{"", "x", "smal", "Small", "FULL"} {
+		_, err := ParseScale(s)
+		if err == nil || !strings.Contains(err.Error(), "tiny, small or full") {
+			t.Fatalf("ParseScale(%q) err = %v, want one naming the valid scales", s, err)
+		}
 	}
 	if ScaleSmall.String() != "small" || ScaleFull.String() != "full" || ScaleTiny.String() != "tiny" {
 		t.Fatal("Scale.String")

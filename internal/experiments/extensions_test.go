@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/lpce-db/lpce/internal/joblike"
+	"github.com/lpce-db/lpce/internal/obs"
 )
 
 func TestExtReopt(t *testing.T) {
@@ -51,21 +56,123 @@ func TestExtTriggerSweep(t *testing.T) {
 	_ = r.Render()
 }
 
-func TestJobSuite(t *testing.T) {
+var (
+	jobLikeOnce sync.Once
+	jobLikeRes  *JobLikeResult
+	jobLikeErr  error
+)
+
+// jobLike runs the JOB-like driver once on the tiny environment and shares
+// the result between the tests below, which read it without changing it.
+func jobLike(t *testing.T) *JobLikeResult {
+	t.Helper()
 	e := env(t)
-	r, err := JobSuite(e)
-	if err != nil {
-		t.Fatal(err)
+	jobLikeOnce.Do(func() { jobLikeRes, jobLikeErr = JobLike(e) })
+	if jobLikeErr != nil {
+		t.Fatal(jobLikeErr)
 	}
-	if len(r.Rows) == 0 {
-		t.Fatal("no suite rows")
+	return jobLikeRes
+}
+
+// TestJobSuite checks the per-query half of the JOB-like driver: every
+// named query has a timed run under each of the three stacks, and the
+// render carries the stacks' columns and the TOTAL row.
+func TestJobSuite(t *testing.T) {
+	r := jobLike(t)
+	if len(r.Rows) != len(joblike.Names()) || len(r.Rows) != 22 {
+		t.Fatalf("rows = %d, want 22", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if row.Postgres <= 0 || row.LPCEI <= 0 || row.LPCER <= 0 {
-			t.Fatalf("%s: missing timings", row.Name)
+		if len(row.Runs) != 3 {
+			t.Fatalf("%s: %d runs, want 3", row.Name, len(row.Runs))
+		}
+		for i, run := range row.Runs {
+			if run.Seconds <= 0 {
+				t.Fatalf("%s (%s): missing timing", row.Name, r.Stacks[i].Name)
+			}
 		}
 	}
-	if !strings.Contains(r.Render(), "TOTAL") {
-		t.Fatal("render missing total row")
+	out := r.Render()
+	for _, frag := range []string{"TOTAL", "PostgreSQL", "LPCE-I", "LPCE-R"} {
+		if !strings.Contains(out, frag) {
+			t.Fatalf("render missing %q:\n%s", frag, out)
+		}
+	}
+}
+
+// TestObservability checks the observed half of the JOB-like driver: one
+// report per stack with its phase, per-operator and CE-evaluation tables,
+// and valid JSON for the -metrics-out report.
+func TestObservability(t *testing.T) {
+	r := jobLike(t)
+	if len(r.Stacks) != 3 {
+		t.Fatalf("stacks = %d, want 3", len(r.Stacks))
+	}
+	for _, s := range r.Stacks {
+		rep := s.Report
+		if rep == nil || rep.Queries != 22 {
+			t.Fatalf("%s: report %+v, want 22 queries observed", s.Name, rep)
+		}
+		if len(rep.Phases) != 5 {
+			t.Fatalf("%s: want 5 phases, got %d", s.Name, len(rep.Phases))
+		}
+		if len(rep.Operators) == 0 {
+			t.Fatalf("%s: no operator stats", s.Name)
+		}
+		if len(rep.CE) == 0 {
+			t.Fatalf("%s: no CE evaluation", s.Name)
+		}
+		for _, ce := range rep.CE {
+			if ce.Matched == 0 {
+				t.Fatalf("%s/%s: no estimates matched a true cardinality", s.Name, ce.Estimator)
+			}
+		}
+	}
+
+	out := r.Render()
+	for _, frag := range []string{"phase latency", "per-operator runtime stats", "CE evaluation"} {
+		if !strings.Contains(out, frag) {
+			t.Fatalf("render missing %q:\n%s", frag, out)
+		}
+	}
+
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("result not JSON-serializable: %v", err)
+	}
+	var back JobLikeResult
+	if err := json.Unmarshal(raw, &back); err != nil || len(back.Rows) != 22 || len(back.Stacks) != 3 {
+		t.Fatalf("JSON does not round-trip: %v", err)
+	}
+}
+
+// TestJobLikeCountsAgree checks the cross-stack COUNT(*) check on
+// hand-made results: a stack counting a query differently is an error
+// naming the query and the stack, and a run over the work budget has no
+// count to compare.
+func TestJobLikeCountsAgree(t *testing.T) {
+	var stacks []JobLikeStack
+	for _, name := range []string{"PostgreSQL", "LPCE-I", "LPCE-R"} {
+		stacks = append(stacks, JobLikeStack{Name: name, Report: &obs.Report{}})
+	}
+	row := func(name string, runs ...JobLikeRun) JobLikeRow { return JobLikeRow{Name: name, Runs: runs} }
+	ok := &JobLikeResult{Stacks: stacks, Rows: []JobLikeRow{
+		row("q1", JobLikeRun{Count: 7}, JobLikeRun{Count: 7}, JobLikeRun{Count: 7}),
+		row("q2", JobLikeRun{TimedOut: true}, JobLikeRun{Count: 3}, JobLikeRun{Count: 3}),
+		row("q3", JobLikeRun{TimedOut: true}, JobLikeRun{TimedOut: true}, JobLikeRun{TimedOut: true}),
+	}}
+	if err := ok.checkCounts(); err != nil {
+		t.Fatalf("agreeing counts rejected: %v", err)
+	}
+	if !strings.Contains(ok.Render(), "timeout") {
+		t.Fatal("a query no stack finished does not render as a timeout")
+	}
+	bad := &JobLikeResult{Stacks: stacks, Rows: []JobLikeRow{
+		row("q1", JobLikeRun{Count: 7}, JobLikeRun{Count: 7}, JobLikeRun{Count: 7}),
+		row("q2", JobLikeRun{TimedOut: true}, JobLikeRun{Count: 3}, JobLikeRun{Count: 4}),
+	}}
+	err := bad.checkCounts()
+	if err == nil || !strings.Contains(err.Error(), "q2") || !strings.Contains(err.Error(), "LPCE-R") {
+		t.Fatalf("err = %v, want one naming q2 and LPCE-R", err)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,11 +37,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{"LPCE-R", engine.Config{Estimator: e.LPCEIEstimator(), Refiner: e.Refiner, Budget: e.P.budget}},
 	}
 	for _, tc := range cfgs {
-		serial, err := RunParallelWorkload(e.DB, queries, tc.cfg, 1)
+		serial, err := engine.New(e.DB).ExecuteAll(queries, tc.cfg, 1)
 		if err != nil {
 			t.Fatalf("%s serial: %v", tc.name, err)
 		}
-		par, err := RunParallelWorkload(e.DB, queries, tc.cfg, 8)
+		par, err := engine.New(e.DB).ExecuteAll(queries, tc.cfg, 8)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", tc.name, err)
 		}
@@ -73,7 +72,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelCacheSharing(t *testing.T) {
 	e := env(t)
 	qs := append(append([]*query.Query(nil), e.JoinLow[:2]...), e.JoinLow[:2]...)
-	run, err := RunParallelWorkload(e.DB, qs, engine.Config{Estimator: e.Histogram, Budget: e.P.budget}, 4)
+	run, err := engine.New(e.DB).ExecuteAll(qs, engine.Config{Estimator: e.Histogram, Budget: e.P.budget}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,29 +137,6 @@ func TestSharedEstimatorHammer(t *testing.T) {
 	}
 }
 
-func TestParallelBenchRenders(t *testing.T) {
-	e := env(t)
-	r, err := ParallelBench(e, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Render()
-	for _, frag := range []string{"Concurrent workload execution", "PostgreSQL", "LPCE-I", "LPCE-R", "q/s", "p99", "total"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("render missing %q:\n%s", frag, out)
-		}
-	}
-	for _, p := range r.Par {
-		if p.Workers != 4 || len(p.Results) < len(e.JoinLow) || len(p.Results)%len(e.JoinLow) != 0 {
-			t.Fatalf("parallel run shape wrong: workers=%d results=%d", p.Workers, len(p.Results))
-		}
-		// cycling the query set must make the shared cache pay off
-		if p.CacheHits == 0 {
-			t.Fatalf("%s: repeated workload produced no cache hits", p.Name)
-		}
-	}
-}
-
 // TestParallelWorkloadReturnsSerialError makes a higher-index query fail
 // first: query 2's estimator panics at once, query 0's only after that. A
 // serial run fails on query 0, so the parallel run must report query 0's
@@ -187,7 +163,7 @@ func TestParallelWorkloadReturnsSerialError(t *testing.T) {
 		}
 		return hist.EstimateSubset(q, mask)
 	}}
-	_, err := RunParallelWorkload(db, qs, engine.Config{Estimator: est}, 4)
+	_, err := engine.New(db).ExecuteAll(qs, engine.Config{Estimator: est}, 4)
 	// The engine recovers each panic into its query's *engine.PanicError.
 	var pe *engine.PanicError
 	if !errors.As(err, &pe) || pe.Value != "query 0" {

@@ -7,8 +7,9 @@ import (
 	"strings"
 )
 
-// Percentile returns the p-th percentile (0–100) of the values using
-// nearest-rank interpolation; NaN for empty input.
+// Percentile returns the p-th percentile (0–100) of the values,
+// interpolating linearly between the two nearest ranks; NaN for empty
+// input.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()

@@ -48,7 +48,7 @@ func TestRunParallelEmptyAndSerial(t *testing.T) {
 }
 
 // TestRunParallelStopsOnError cancels the pool from the first failing task,
-// as experiments.RunParallelWorkload does: the pool stops early, every
+// as engine.(*Engine).ExecuteAll does: the pool stops early, every
 // index below the failure still ran, and the lowest-index error is the
 // failure itself.
 func TestRunParallelStopsOnError(t *testing.T) {
