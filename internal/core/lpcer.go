@@ -6,6 +6,7 @@ import (
 	"github.com/lpce-db/lpce/internal/autodiff"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/reopt"
@@ -302,7 +303,7 @@ func (r *Refiner) EvalPrefix(s Sample, k int) []float64 {
 		cards := r.singleCards(s.Plan, executed)
 		for _, n := range remaining {
 			if n.TrueCard >= 0 {
-				qs = append(qs, nn.QError(n.TrueCard, cards[n]))
+				qs = append(qs, obs.QError(n.TrueCard, cards[n]))
 			}
 		}
 	default:
@@ -314,7 +315,7 @@ func (r *Refiner) EvalPrefix(s Sample, k int) []float64 {
 			if !ok || n.TrueCard < 0 {
 				continue
 			}
-			qs = append(qs, nn.QError(n.TrueCard, out.Card(r.LogMax)))
+			qs = append(qs, obs.QError(n.TrueCard, out.Card(r.LogMax)))
 		}
 	}
 	return qs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -87,10 +88,10 @@ func TestConnectLayerDeterministicApply(t *testing.T) {
 	c1 := NewConnectLayer(8, 1)
 	c2 := NewConnectLayer(8, 99)
 	var buf bytes.Buffer
-	if err := c1.Params.Save(&buf); err != nil {
+	if err := c1.Params.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Params.Load(&buf); err != nil {
+	if err := c2.Params.DecodeGob(gob.NewDecoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	a := tensor.NewVec(8)

@@ -4,6 +4,7 @@ import (
 	"github.com/lpce-db/lpce/internal/autodiff"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/tensor"
@@ -151,7 +152,7 @@ func EvalQError(m *treenn.TreeModel, enc *encode.Encoder, samples []Sample) (mea
 	feat := func(n *plan.Node) tensor.Vec { return enc.EncodeNode(n) }
 	for _, s := range samples {
 		est := m.Predict(s.Plan, feat)
-		q := nn.QError(s.Plan.TrueCard, est)
+		q := obs.QError(s.Plan.TrueCard, est)
 		all = append(all, q)
 		mean += q
 	}

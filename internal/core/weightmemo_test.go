@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"sync"
 	"testing"
@@ -76,14 +77,14 @@ func TestWeightMemoNeverStale(t *testing.T) {
 		src := memoModel()
 		poison(src.Params.Get(poisoned).Val)
 		var buf bytes.Buffer
-		if err := src.Params.Save(&buf); err != nil {
+		if err := src.Params.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 			t.Fatal(err)
 		}
 		m := memoModel()
 		if checkInferMatchesTape(t, "before", m, feat) {
 			t.Fatal("fresh model infers NaN")
 		}
-		if err := m.Params.Load(&buf); err != nil {
+		if err := m.Params.DecodeGob(gob.NewDecoder(&buf)); err != nil {
 			t.Fatal(err)
 		}
 		if !checkInferMatchesTape(t, "after Load", m, feat) {

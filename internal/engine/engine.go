@@ -71,8 +71,8 @@ type Refiner interface {
 // bounded by Policy.MaxReopts.
 type Limits struct {
 	// MaxMatRows caps the tuples buffered by pipeline breakers (hash-join
-	// builds, merge-join sorts, nested-loop materializations) within one
-	// execution attempt — a memory guardrail against runaway intermediates.
+	// builds, nested-loop materializations) within one execution attempt —
+	// a memory guardrail against runaway intermediates.
 	MaxMatRows int64
 }
 

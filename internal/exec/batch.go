@@ -104,8 +104,6 @@ func Build(ctx *Ctx, n *plan.Node) (BatchOperator, error) {
 		op = newBatchMatScan(ctx, n)
 	case plan.HashJoin:
 		op, err = newBatchHashJoin(ctx, n)
-	case plan.MergeJoin:
-		op, err = newBatchMergeJoin(ctx, n)
 	case plan.NestLoopJoin:
 		op, err = newBatchNLJoin(ctx, n)
 	default:

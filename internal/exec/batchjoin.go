@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/storage"
 )
@@ -245,177 +243,6 @@ func (h *batchHashJoin) release() {
 	h.rows, h.probe = plan.Rows{}, nil
 }
 
-// batchMergeJoin sorts both drained inputs during Open (two pipeline
-// breakers, each with a checkpoint) and emits the cross product of matching
-// key groups batch-at-a-time.
-type batchMergeJoin struct {
-	node  *plan.Node
-	left  BatchOperator
-	right BatchOperator
-
-	conds []condOffsets
-	merge joinMerge
-
-	lrows, rrows plan.Rows // sorted on the join keys
-	li, ri       int
-
-	// the current key group's cross product: left rows [gl, gl+gn) against
-	// right rows [gr, gr+gm), at cursor (gi, gj)
-	gl, gn, gr, gm int
-	gi, gj         int
-
-	charges pendingCharger
-	out     Batch
-	count   int
-}
-
-func newBatchMergeJoin(ctx *Ctx, n *plan.Node) (*batchMergeJoin, error) {
-	l, err := Build(ctx, n.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Build(ctx, n.Right)
-	if err != nil {
-		return nil, err
-	}
-	conds, err := resolveConds(ctx, n.JoinConds, n.Left.Tables, n.Right.Tables)
-	if err != nil {
-		return nil, err
-	}
-	return &batchMergeJoin{
-		node: n, left: l, right: r,
-		conds: conds,
-		merge: newJoinMerge(ctx, n.Left.Tables, n.Right.Tables),
-	}, nil
-}
-
-func (m *batchMergeJoin) Open(ctx *Ctx) (err error) {
-	// Release both sorted buffers if any Open step fails, mirroring
-	// batchHashJoin: Close after a failed Open must not retain arenas.
-	defer func() {
-		if err != nil {
-			m.lrows, m.rrows = plan.Rows{}, plan.Rows{}
-		}
-	}()
-	rows, err := drainBatch(ctx, m.node.Left, m.left)
-	if err != nil {
-		return err
-	}
-	if err := ctx.charge(sortCost(rows.N)); err != nil {
-		return err
-	}
-	m.lrows = sortRows(rows, m.conds, true)
-	// CHECK after the outer sort completes (paper Figure 10b).
-	if err := checkpoint(ctx, m.node.Left, m.lrows); err != nil {
-		return err
-	}
-
-	rows, err = drainBatch(ctx, m.node.Right, m.right)
-	if err != nil {
-		return err
-	}
-	if err := ctx.charge(sortCost(rows.N)); err != nil {
-		return err
-	}
-	m.rrows = sortRows(rows, m.conds, false)
-	// CHECK after the inner sort completes.
-	if err := checkpoint(ctx, m.node.Right, m.rrows); err != nil {
-		return err
-	}
-
-	m.li, m.ri = 0, 0
-	m.gn, m.gm = 0, 0
-	m.gi, m.gj = 0, 0
-	m.charges = pendingCharger{}
-	m.count = 0
-	return nil
-}
-
-func (m *batchMergeJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	m.out.reset(m.merge.width())
-	for {
-		// emit the cross product of the current key group
-		if m.gi < m.gn {
-			l := m.lrows.Row(m.gl + m.gi)
-			r := m.rrows.Row(m.gr + m.gj)
-			m.gj++
-			if m.gj >= m.gm {
-				m.gj = 0
-				m.gi++
-			}
-			m.charges.add(1)
-			m.merge.mergeFlat(m.out.pushRow(), l, r)
-			m.count++
-			if m.out.full() {
-				if err := m.charges.flush(ctx); err != nil {
-					return nil, err
-				}
-				return &m.out, nil
-			}
-			continue
-		}
-		// advance to the next matching key group
-		if m.li >= m.lrows.N || m.ri >= m.rrows.N {
-			if err := m.charges.flush(ctx); err != nil {
-				return nil, err
-			}
-			m.node.TrueCard = float64(m.count)
-			if m.out.n > 0 {
-				return &m.out, nil
-			}
-			return nil, nil
-		}
-		m.charges.add(1)
-		if err := m.charges.flushIfFull(ctx); err != nil {
-			return nil, err
-		}
-		switch condsCompare(m.conds, m.lrows.Row(m.li), m.rrows.Row(m.ri)) {
-		case -1:
-			m.li++
-		case 1:
-			m.ri++
-		default:
-			l0, r0 := m.li, m.ri
-			for m.li < m.lrows.N && condsSameKey(m.conds, m.lrows.Row(l0), m.lrows.Row(m.li), true) {
-				m.li++
-			}
-			for m.ri < m.rrows.N && condsSameKey(m.conds, m.rrows.Row(r0), m.rrows.Row(m.ri), false) {
-				m.ri++
-			}
-			m.gl, m.gn = l0, m.li-l0
-			m.gr, m.gm = r0, m.ri-r0
-			m.gi, m.gj = 0, 0
-		}
-	}
-}
-
-func (m *batchMergeJoin) Close() {
-	m.left.Close()
-	m.right.Close()
-	m.lrows, m.rrows = plan.Rows{}, plan.Rows{}
-	m.out.release()
-}
-
-// sortRows returns one side's drained rows ordered on its join keys. It
-// sorts a permutation of row ids with the comparator a sort of the rows
-// themselves would use — pdqsort's result depends only on the outcomes of
-// less, so the order is the same — then gathers the rows into a new arena
-// in that order.
-func sortRows(rows plan.Rows, conds []condOffsets, left bool) plan.Rows {
-	perm := make([]int, rows.N)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		return condsLess(conds, rows.Row(perm[i]), rows.Row(perm[j]), left)
-	})
-	sorted := plan.Rows{Width: rows.Width, N: rows.N, Data: make([]int64, len(rows.Data))}
-	for i, r := range perm {
-		copy(sorted.Row(i), rows.Row(r))
-	}
-	return sorted
-}
-
 // batchNLJoin is the vectorized nested loop join. Following the paper's
 // Figure 10(c), the outer (left) side is always materialized with a
 // checkpoint — the one materialization the paper *adds* to PostgreSQL,
@@ -638,18 +465,4 @@ func (j *batchNLJoin) Close() {
 	}
 	j.outer, j.inner = plan.Rows{}, plan.Rows{}
 	j.out.release()
-}
-
-// sortCost is the work charged for sorting n buffered rows: n·⌊log2 n⌋,
-// at least 1.
-func sortCost(n int) int64 {
-	if n <= 1 {
-		return 1
-	}
-	c := int64(n)
-	bits := int64(0)
-	for x := n; x > 1; x >>= 1 {
-		bits++
-	}
-	return c * bits
 }

@@ -5,9 +5,11 @@
 //
 //   - pipelined processing: tuples flow through operators without
 //     materialization except at pipeline breakers;
-//   - pipeline breakers that buffer tuples: the build side of a hash join,
-//     both sorted inputs of a merge join, and (added by the paper, Figure
-//     10c) the outer side of a nested loop join;
+//   - pipeline breakers that buffer tuples: the build side of a hash join
+//     and (added by the paper, Figure 10c) the outer side of a nested loop
+//     join. PostgreSQL's third join, the merge join (Figure 10b), has no
+//     operator here: nothing emits rows ordered on a join key, so it would
+//     sort both inputs, which costs more than a hash build on every input;
 //   - checkpoints at those breakers: when a sub-plan's output has been
 //     fully buffered its exact cardinality is known, and a controller is
 //     notified so it can compare the actual cardinality against the
@@ -75,7 +77,7 @@ func (r *ReoptSignal) Error() string {
 
 // Controller observes materialization checkpoints. rows is the sub-plan's
 // complete output as one flat arena in the projected layout of node.Tables,
-// in drain order (sorted on the join keys for a merge join's inputs).
+// in drain order.
 // OnMaterialized may retain rows — the executor never writes the arena
 // again — and may return a *ReoptSignal to pause execution.
 type Controller interface {
@@ -116,9 +118,9 @@ type Ctx struct {
 	// zero means unlimited.
 	Budget int64
 	// MaxMatRows bounds the total tuples buffered by pipeline breakers
-	// (hash-join builds, merge-join sorts, nested-loop materializations)
-	// across the whole execution; exceeding it fails the query with a
-	// *ResourceError. Zero means unlimited.
+	// (hash-join builds, nested-loop materializations) across the whole
+	// execution; exceeding it fails the query with a *ResourceError. Zero
+	// means unlimited.
 	MaxMatRows int64
 	// Metrics, when non-nil, receives the zone-map scan counters
 	// (storage.segments_total, storage.segments_skipped). Sequential scans
@@ -343,48 +345,6 @@ func fnvStep(h uint64, v int64) uint64 {
 func condsEqual(conds []condOffsets, l, r []int64) bool {
 	for _, c := range conds {
 		if l[c.leftOff] != r[c.rightOff] {
-			return false
-		}
-	}
-	return true
-}
-
-// condsLess orders tuples of one side by their join-key columns.
-func condsLess(conds []condOffsets, a, b Tuple, left bool) bool {
-	for _, c := range conds {
-		off := c.rightOff
-		if left {
-			off = c.leftOff
-		}
-		if a[off] != b[off] {
-			return a[off] < b[off]
-		}
-	}
-	return false
-}
-
-// condsCompare compares a left tuple's key with a right tuple's key.
-func condsCompare(conds []condOffsets, l, r Tuple) int {
-	for _, c := range conds {
-		lv, rv := l[c.leftOff], r[c.rightOff]
-		if lv < rv {
-			return -1
-		}
-		if lv > rv {
-			return 1
-		}
-	}
-	return 0
-}
-
-// condsSameKey reports whether two tuples of the same side share a join key.
-func condsSameKey(conds []condOffsets, a, b Tuple, left bool) bool {
-	for _, c := range conds {
-		off := c.rightOff
-		if left {
-			off = c.leftOff
-		}
-		if a[off] != b[off] {
 			return false
 		}
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // dupDB builds a tiny hand-crafted database with heavy duplicate join keys
-// so merge-join group handling is exercised deterministically.
+// so duplicate-key group handling is exercised deterministically.
 func dupDB() (*storage.Database, *query.Query) {
 	s := catalog.NewSchema()
 	l := s.AddTable("l", catalog.PK("id"), catalog.Attr("k"))
@@ -40,7 +40,7 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 	db, q := dupDB()
 	// key 7: 3 left x 2 right = 6; key 9: 2 x 2 = 4; total 10
 	const want = 10
-	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+	for _, op := range []plan.PhysOp{plan.HashJoin, plan.NestLoopJoin} {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		setJoinOps(p, op)
 		got, err := Run(&Ctx{DB: db, Q: q}, p)
@@ -62,7 +62,7 @@ func TestEmptyResultAllOperators(t *testing.T) {
 		[]query.Join{{Left: r.Column("lk"), Right: l.Column("k")}},
 		[]query.Predicate{{Col: l.Column("k"), Op: query.OpLT, Operand: -100}})
 	_ = q0
-	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+	for _, op := range []plan.PhysOp{plan.HashJoin, plan.NestLoopJoin} {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		setJoinOps(p, op)
 		got, err := Run(&Ctx{DB: db, Q: q}, p)
@@ -160,7 +160,7 @@ func TestMultiConditionJoin(t *testing.T) {
 			{Left: b.Column("ax"), Right: a.Column("x")},
 		}, nil)
 	const want = 2 // only rows 0 and 2 satisfy both conditions
-	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+	for _, op := range []plan.PhysOp{plan.HashJoin, plan.NestLoopJoin} {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		setJoinOps(p, op)
 		got, err := Run(&Ctx{DB: db, Q: q}, p)

@@ -50,7 +50,7 @@ func TestAllJoinOperatorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+		for _, op := range []plan.PhysOp{plan.HashJoin, plan.NestLoopJoin} {
 			p := CanonicalPlan(q, q.AllTablesMask())
 			setJoinOps(p, op)
 			got, err := Run(newCtx(db, q), p)
@@ -182,17 +182,6 @@ func TestCheckpointsFireAtPipelineBreakers(t *testing.T) {
 		if e.card < 0 {
 			t.Fatal("negative cardinality")
 		}
-	}
-
-	// merge joins checkpoint both sides: 2 joins -> 4 events
-	p2 := CanonicalPlan(q, q.AllTablesMask())
-	setJoinOps(p2, plan.MergeJoin)
-	rc2 := &recordingController{}
-	if _, err := Run(&Ctx{DB: db, Q: q, Controller: rc2}, p2); err != nil {
-		t.Fatal(err)
-	}
-	if len(rc2.events) != 4 {
-		t.Fatalf("merge join checkpoint events = %d, want 4", len(rc2.events))
 	}
 }
 

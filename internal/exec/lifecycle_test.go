@@ -58,7 +58,7 @@ func (c *countingBatchOp) Close() {
 }
 
 // lifecyclePlans yields a handful of plan shapes covering every batch
-// operator: hash, merge, and nested-loop joins plus the mixed assignment.
+// operator: hash and nested-loop joins plus the mixed assignment.
 func lifecyclePlans(t *testing.T, fn func(q *query.Query, p *plan.Node, variant string)) {
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 48, 2, fn)

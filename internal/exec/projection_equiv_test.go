@@ -399,7 +399,9 @@ func TestProjectedExecution(t *testing.T) {
 	}
 	if *updatePins {
 		head := "# Pinned by `go test ./internal/exec -run TestProjectedExecution -update-pins` at commit df1aa30,\n" +
-			"# the last one whose tuples carried every column of every covered table.\n"
+			"# the last one whose tuples carried every column of every covered table.\n" +
+			"# The mixed lines (hash and nested-loop joins alternating) were re-pinned the same way at\n" +
+			"# commit c0ad014, the last one with a merge join, whose mixed variant alternated all three.\n"
 		if err := os.WriteFile(projectionPinsFile, []byte(head+strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -223,7 +223,7 @@ func TestHashJoinTwoConditionCollision(t *testing.T) {
 	if want := testutil.BruteCount(db, q); want != 2 {
 		t.Fatalf("brute force = %d, want 2", want)
 	}
-	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+	for _, op := range []plan.PhysOp{plan.HashJoin, plan.NestLoopJoin} {
 		if n, _ := work(db, op); n != 2 {
 			t.Fatalf("%v: count %d, want 2", op, n)
 		}
@@ -243,7 +243,7 @@ func TestHashJoinTwoConditionCollision(t *testing.T) {
 	lIdx, rIdx, tIdx := q3.TableIndex(l), q3.TableIndex(r), q3.TableIndex(tt)
 	leaf := func(tab *catalog.Table, i int) *plan.Node { return plan.NewLeaf(plan.SeqScan, tab, i, nil) }
 	pair := query.NewBitSet().Set(lIdx).Set(rIdx)
-	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+	for _, op := range []plan.PhysOp{plan.HashJoin, plan.NestLoopJoin} {
 		inner := plan.NewJoin(op, leaf(l, lIdx), leaf(r, rIdx), lr)
 		root := plan.NewJoin(plan.HashJoin, leaf(tt, tIdx), inner, q3.JoinsBetween(query.NewBitSet().Set(tIdx), pair))
 		rec := &pairRows{mask: pair}

@@ -6,7 +6,7 @@ import (
 
 	"github.com/lpce-db/lpce/internal/core"
 	"github.com/lpce-db/lpce/internal/engine"
-	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/treenn"
 )
@@ -62,7 +62,7 @@ func Figure19And20(e *Env) Figure1920Result {
 			got := est.EstimateSubset(q, full)
 			infer += time.Since(start)
 			calls++
-			qs = append(qs, nn.QError(truth, got))
+			qs = append(qs, obs.QError(truth, got))
 		}
 		res.Rows = append(res.Rows, VariantRow{
 			Name:         v.name,
@@ -137,7 +137,7 @@ func Figure21(e *Env) Figure21Result {
 			est := &core.TreeEstimator{Label: m.name, Model: m.model, Enc: e.Enc}
 			var qs []float64
 			for i, q := range set.queries {
-				qs = append(qs, nn.QError(truths[i], est.EstimateSubset(q, q.AllTablesMask())))
+				qs = append(qs, obs.QError(truths[i], est.EstimateSubset(q, q.AllTablesMask())))
 			}
 			res.Rows = append(res.Rows, Figure21Row{
 				Loss: m.name, Set: set.name,
@@ -204,7 +204,7 @@ func Figure18(e *Env) Figure18Result {
 		var qs []float64
 		for _, q := range e.JoinHigh {
 			truth := e.Oracle.EstimateSubset(q, q.AllTablesMask())
-			qs = append(qs, nn.QError(truth, est.EstimateSubset(q, q.AllTablesMask())))
+			qs = append(qs, obs.QError(truth, est.EstimateSubset(q, q.AllTablesMask())))
 		}
 		e2eLow := e.aggregateE2E(est, e.JoinLow)
 		e2eHigh := e.aggregateE2E(est, e.JoinHigh)

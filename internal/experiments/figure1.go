@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/workload"
 )
 
@@ -49,7 +49,7 @@ func Figure1(e *Env) Figure1Result {
 			var qs []float64
 			for i, q := range queries {
 				est := ne.Est.EstimateSubset(q, q.AllTablesMask())
-				qs = append(qs, nn.QError(truths[i], est))
+				qs = append(qs, obs.QError(truths[i], est))
 			}
 			res.Series = append(res.Series, Figure1Series{
 				Estimator: ne.Name,

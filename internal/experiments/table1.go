@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/query"
 )
 
@@ -54,7 +54,7 @@ func Table1(e *Env) Table1Result {
 			est := en.est.EstimateSubset(q, full)
 			inferTime += time.Since(start)
 			calls++
-			qs = append(qs, nn.QError(truth, est))
+			qs = append(qs, obs.QError(truth, est))
 		}
 		res.Rows = append(res.Rows, Table1Row{
 			Name:         en.name,

@@ -15,7 +15,7 @@ import (
 	"sync"
 
 	"github.com/lpce-db/lpce/internal/histogram"
-	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
@@ -58,7 +58,7 @@ func NewMonitor(baselineMedianQ, factor float64, windowSize int) *Monitor {
 // Observe records one completed query's true and estimated root
 // cardinality.
 func (m *Monitor) Observe(trueCard, estCard float64) {
-	q := nn.QError(trueCard, estCard)
+	q := obs.QError(trueCard, estCard)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.window[m.next] = q

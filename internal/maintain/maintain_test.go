@@ -11,7 +11,7 @@ import (
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/histogram"
-	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/workload"
 )
@@ -153,7 +153,7 @@ func TestDataUpdateDriftAndRetrain(t *testing.T) {
 		truth := oracle.EstimateSubset(q, q.AllTablesMask())
 		got := est.EstimateSubset(q, q.AllTablesMask())
 		monitor2.Observe(truth, got)
-		if qe := nn.QError(truth, got); qe > worst {
+		if qe := obs.QError(truth, got); qe > worst {
 			worst = qe
 		}
 	}

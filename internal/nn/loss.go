@@ -68,19 +68,3 @@ func QErrorLoss(t *autodiff.Tape, pred *autodiff.Node, trueCard, logMax float64)
 	})
 	return out
 }
-
-// QError computes the plain (non-differentiable) q-error between a true and
-// an estimated cardinality. Both are clamped to at least 1, matching the
-// paper's convention that q ≥ 1.
-func QError(trueCard, estCard float64) float64 {
-	if trueCard < 1 {
-		trueCard = 1
-	}
-	if estCard < 1 {
-		estCard = 1
-	}
-	if trueCard > estCard {
-		return trueCard / estCard
-	}
-	return estCard / trueCard
-}

@@ -3,8 +3,6 @@ package nn
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 )
 
 // snapshot is the gob wire format for a parameter registry.
@@ -12,11 +10,6 @@ type snapshot struct {
 	Names   []string
 	Shapes  [][2]int
 	Weights [][]float64
-}
-
-// Save serializes the parameter values (not optimizer state) to w.
-func (ps *Params) Save(w io.Writer) error {
-	return ps.EncodeGob(gob.NewEncoder(w))
 }
 
 // EncodeGob writes the parameters as one message of an existing gob stream,
@@ -30,13 +23,6 @@ func (ps *Params) EncodeGob(enc *gob.Encoder) error {
 		s.Weights = append(s.Weights, p.Val)
 	}
 	return enc.Encode(s)
-}
-
-// Load restores parameter values previously written by Save. The registry
-// must contain parameters with matching names and shapes (i.e. the model
-// must be constructed with the same architecture before loading).
-func (ps *Params) Load(r io.Reader) error {
-	return ps.DecodeGob(gob.NewDecoder(r))
 }
 
 // DecodeGob reads one parameter snapshot from an existing gob stream. The
@@ -76,27 +62,4 @@ func (ps *Params) DecodeGob(dec *gob.Decoder) error {
 		p.Fin.Reset()
 	}
 	return nil
-}
-
-// SaveFile writes the parameters to path, creating or truncating it.
-func (ps *Params) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ps.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile restores parameters from path.
-func (ps *Params) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ps.Load(f)
 }

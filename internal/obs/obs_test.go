@@ -282,4 +282,7 @@ func TestQErrorClamps(t *testing.T) {
 	if q := QError(10, 100); q != 10 {
 		t.Fatalf("QError(10,100) = %v", q)
 	}
+	if q := QError(5, 5); q != 1 {
+		t.Fatalf("QError(5,5) = %v", q)
+	}
 }

@@ -28,8 +28,8 @@ type refEntry struct {
 // referencePlan is the oracle join enumeration the equality tests compare
 // PlanWithMaterialized against. It shares nothing with the search's
 // bookkeeping: its state lives in maps keyed by mask, and every split builds
-// all three physical candidates, cloning both subtrees for each, and offers
-// them to the incumbent in hash, merge, nested-loop order. It calls o.Est
+// both physical candidates, cloning both subtrees for each, and offers them
+// to the incumbent in hash, nested-loop order. It calls o.Est
 // directly, once per subset, in the order a level-by-level search asks.
 func referencePlan(o *Optimizer, q *query.Query, mats map[query.BitSet]*plan.Materialized) (*plan.Node, error) {
 	n := len(q.Tables)
@@ -56,7 +56,7 @@ func referencePlan(o *Optimizer, q *query.Query, mats map[query.BitSet]*plan.Mat
 		best[mask] = &refEntry{node: leaf, cost: leaf.EstCost}
 	}
 	for mask, m := range mats {
-		cost := o.Cost.MatScanCost(float64(m.Card()))
+		cost := matScanCost(float64(m.Card()))
 		node := plan.NewMatLeaf(m)
 		node.EstCost = cost
 		if cur, ok := best[mask]; !ok || cost < cur.cost {
@@ -72,9 +72,6 @@ func referencePlan(o *Optimizer, q *query.Query, mats map[query.BitSet]*plan.Mat
 			bestEntry := best[mask]
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 				rest := mask &^ sub
-				if o.Shape == ShapeLeftDeep && rest.Count() != 1 {
-					continue
-				}
 				le, lok := best[sub]
 				re, rok := best[rest]
 				conds := q.JoinsBetween(sub, rest)
@@ -87,12 +84,11 @@ func referencePlan(o *Optimizer, q *query.Query, mats map[query.BitSet]*plan.Mat
 				add := func(op plan.PhysOp, cost float64) {
 					cands = append(cands, refEntry{node: plan.NewJoin(op, l.Clone(), r.Clone(), conds), cost: cost})
 				}
-				add(plan.HashJoin, o.Cost.HashJoinCost(cardL, cardR, outCard))
-				add(plan.MergeJoin, o.Cost.MergeJoinCost(cardL, cardR, outCard))
+				add(plan.HashJoin, hashJoinCost(cardL, cardR, outCard))
 				if r.IsLeaf() && r.Op != plan.MatScan {
-					add(plan.NestLoopJoin, o.Cost.IndexNLJoinCost(cardL, outCard))
+					add(plan.NestLoopJoin, indexNLJoinCost(cardL, outCard))
 				} else {
-					add(plan.NestLoopJoin, o.Cost.RescanNLJoinCost(cardL, cardR, outCard))
+					add(plan.NestLoopJoin, rescanNLJoinCost(cardL, cardR, outCard))
 				}
 				childCost := le.cost + re.cost
 				for _, cand := range cands {
@@ -203,9 +199,9 @@ func materializedCases(q *query.Query) []map[query.BitSet]*plan.Materialized {
 // TestJoinEnumerationMatchesReference asserts that the mask-indexed search
 // with deferred tree construction chose exactly the plans the map-based,
 // build-all-candidates enumeration chose, over the joblike and deep_plan
-// query sets, bushy and left-deep, with and without materialized
-// intermediates (one of them empty), under the histogram and two tie-heavy
-// estimators: the same plan strings, the same estimator calls in the same
+// query sets, with and without materialized intermediates (one of them
+// empty), under the histogram and two tie-heavy estimators: the same plan
+// strings, the same estimator calls in the same
 // order, the same CE records, bitwise-equal EstCard and EstCost at every
 // node, and no node reachable twice from the root.
 func TestJoinEnumerationMatchesReference(t *testing.T) {
@@ -220,37 +216,33 @@ func TestJoinEnumerationMatchesReference(t *testing.T) {
 	ests := []cardest.Estimator{histogram.NewEstimator(db), scrambled(1), scrambled(2)}
 	for name, q := range queries {
 		for _, est := range ests {
-			for _, shape := range []JoinShape{ShapeBushy, ShapeLeftDeep} {
-				for mi, m := range materializedCases(q) {
-					label := fmt.Sprintf("%s/%s shape %d mats %d", name, est.Name(), shape, mi)
-					var wantCalls, gotCalls []estimateCall
-					ref := New(db, logged(est, &wantCalls))
-					ref.Shape = shape
-					want, werr := referencePlan(ref, q, m)
+			for mi, m := range materializedCases(q) {
+				label := fmt.Sprintf("%s/%s mats %d", name, est.Name(), mi)
+				var wantCalls, gotCalls []estimateCall
+				ref := New(db, logged(est, &wantCalls))
+				want, werr := referencePlan(ref, q, m)
 
-					eval := obs.NewCEEval()
-					o := New(db, logged(est, &gotCalls))
-					o.Shape = shape
-					o.CE = eval.Recorder("logged")
-					got, stats, gerr := o.PlanWithMaterialized(q, m)
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("%s: errors differ: %v vs %v", label, gerr, werr)
-					}
-					if !slices.Equal(gotCalls, wantCalls) {
-						t.Fatalf("%s: estimator calls differ\n got: %v\nwant: %v", label, gotCalls, wantCalls)
-					}
-					if stats.EstimateCalls != len(wantCalls) {
-						t.Fatalf("%s: Stats.EstimateCalls = %d, estimator saw %d", label, stats.EstimateCalls, len(wantCalls))
-					}
-					assertCERecords(t, label, eval, q, wantCalls)
-					if werr != nil {
-						continue
-					}
-					if got.String() != want.String() {
-						t.Fatalf("%s: plan differs\n got:\n%s\nwant:\n%s", label, got, want)
-					}
-					assertSameAnnotations(t, label, got, want)
+				eval := obs.NewCEEval()
+				o := New(db, logged(est, &gotCalls))
+				o.CE = eval.Recorder("logged")
+				got, stats, gerr := o.PlanWithMaterialized(q, m)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("%s: errors differ: %v vs %v", label, gerr, werr)
 				}
+				if !slices.Equal(gotCalls, wantCalls) {
+					t.Fatalf("%s: estimator calls differ\n got: %v\nwant: %v", label, gotCalls, wantCalls)
+				}
+				if stats.EstimateCalls != len(wantCalls) {
+					t.Fatalf("%s: Stats.EstimateCalls = %d, estimator saw %d", label, stats.EstimateCalls, len(wantCalls))
+				}
+				assertCERecords(t, label, eval, q, wantCalls)
+				if werr != nil {
+					continue
+				}
+				if got.String() != want.String() {
+					t.Fatalf("%s: plan differs\n got:\n%s\nwant:\n%s", label, got, want)
+				}
+				assertSameAnnotations(t, label, got, want)
 			}
 		}
 	}

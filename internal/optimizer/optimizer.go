@@ -12,28 +12,12 @@ import (
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
-// JoinShape restricts the plan-shape search space.
-type JoinShape int
-
-// Plan shapes.
-const (
-	// ShapeBushy searches the full space of binary join trees
-	// (PostgreSQL's behaviour, and the default).
-	ShapeBushy JoinShape = iota
-	// ShapeLeftDeep restricts to left-deep trees (right child of every
-	// join is a base relation), the classic System R space; the Figure 17
-	// ablation shows re-optimization exploiting bushy plans left-deep
-	// search cannot reach.
-	ShapeLeftDeep
-)
-
 // Optimizer finds the minimum-cost physical plan for a query via dynamic
-// programming over connected relation subsets.
+// programming over connected relation subsets, searching the full space of
+// binary join trees (PostgreSQL's behaviour).
 type Optimizer struct {
-	DB    *storage.Database
-	Est   cardest.Estimator
-	Cost  CostModel
-	Shape JoinShape
+	DB  *storage.Database
+	Est cardest.Estimator
 	// CE, when non-nil, records every EstimateSubset result (query
 	// fingerprint, relation mask, estimate) for CE evaluation: after
 	// execution the recorded estimates are joined against observed true
@@ -43,7 +27,7 @@ type Optimizer struct {
 
 // New returns an optimizer over db using est for cardinalities.
 func New(db *storage.Database, est cardest.Estimator) *Optimizer {
-	return &Optimizer{DB: db, Est: est, Cost: DefaultCost()}
+	return &Optimizer{DB: db, Est: est}
 }
 
 // Stats reports plan-search effort for the experiment harness.
@@ -125,7 +109,7 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 	}
 	// Materialized leaves compete with whatever covers the same subset.
 	for mask, m := range mats {
-		cost := o.Cost.MatScanCost(float64(m.Card()))
+		cost := matScanCost(float64(m.Card()))
 		if e := &dp[mask]; !e.planned() || cost < e.cost {
 			e.leaf = plan.NewMatLeaf(m)
 			e.leaf.EstCost = cost
@@ -145,14 +129,11 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 			cur := dp[mask] // a materialized leaf may already cover it
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 				rest := mask &^ sub
-				if o.Shape == ShapeLeftDeep && rest&(rest-1) != 0 {
-					continue // right child must be a single relation
-				}
 				le, re := &dp[sub], &dp[rest]
 				if !le.planned() || !re.planned() || q.Neighbors(sub)&rest == 0 {
 					continue // no plan for a side, or a cross product
 				}
-				op, total := o.cheapestJoin(re.scanLeaf(), le.cost+re.cost, le.card, re.card, outCard)
+				op, total := cheapestJoin(re.scanLeaf(), le.cost+re.cost, le.card, re.card, outCard)
 				if !cur.planned() || total < cur.cost {
 					cur.leaf, cur.op, cur.left, cur.cost = nil, op, sub, total
 				}
@@ -195,18 +176,15 @@ func buildPlan(q *query.Query, dp []dpEntry, mask query.BitSet) *plan.Node {
 // cheapestJoin costs the physical join operators for one (left, right)
 // split on top of the children's cost and returns the cheapest total. Totals
 // are compared, not operator costs, and only a strictly cheaper one wins, so
-// on a tie — including one the addition rounds into — hash beats merge beats
-// nested loop. scanRight says the right input is a base-table scan, which an
-// index nested loop probes instead of rescanning.
-func (o *Optimizer) cheapestJoin(scanRight bool, childCost, cardL, cardR, out float64) (plan.PhysOp, float64) {
-	nl := o.Cost.RescanNLJoinCost(cardL, cardR, out)
+// on a tie — including one the addition rounds into — the hash join beats
+// the nested loop. scanRight says the right input is a base-table scan,
+// which an index nested loop probes instead of rescanning.
+func cheapestJoin(scanRight bool, childCost, cardL, cardR, out float64) (plan.PhysOp, float64) {
+	nl := rescanNLJoinCost(cardL, cardR, out)
 	if scanRight {
-		nl = o.Cost.IndexNLJoinCost(cardL, out)
+		nl = indexNLJoinCost(cardL, out)
 	}
-	op, best := plan.HashJoin, childCost+o.Cost.HashJoinCost(cardL, cardR, out)
-	if total := childCost + o.Cost.MergeJoinCost(cardL, cardR, out); total < best {
-		op, best = plan.MergeJoin, total
-	}
+	op, best := plan.HashJoin, childCost+hashJoinCost(cardL, cardR, out)
 	if total := childCost + nl; total < best {
 		op, best = plan.NestLoopJoin, total
 	}
@@ -222,7 +200,7 @@ func (o *Optimizer) bestScan(q *query.Query, idx int, estCard float64) *plan.Nod
 
 	seq := plan.NewLeaf(plan.SeqScan, t, idx, preds)
 	seq.EstCard = estCard
-	seqCost := o.Cost.SeqScanCost(rows)
+	seqCost := seqScanCost(rows)
 	seq.EstCost = seqCost
 	best := seq
 
@@ -235,7 +213,7 @@ func (o *Optimizer) bestScan(q *query.Query, idx int, estCard float64) *plan.Nod
 			continue
 		}
 		matches := indexMatches(preds[pi], estCard, rows, len(preds))
-		cost := o.Cost.IndexScanCost(matches)
+		cost := indexScanCost(matches)
 		if cost < best.EstCost {
 			node := plan.NewLeaf(plan.IndexScan, t, idx, preds)
 			node.IndexPred = &node.Preds[pi]

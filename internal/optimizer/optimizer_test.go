@@ -260,17 +260,16 @@ func TestIndexPredPicksMostSelective(t *testing.T) {
 }
 
 func TestCostModelOrdering(t *testing.T) {
-	c := DefaultCost()
 	// hash join should beat rescan NLJ for large inputs
-	if c.HashJoinCost(1e4, 1e4, 1e4) >= c.RescanNLJoinCost(1e4, 1e4, 1e4) {
+	if hashJoinCost(1e4, 1e4, 1e4) >= rescanNLJoinCost(1e4, 1e4, 1e4) {
 		t.Fatal("hash join should be cheaper than quadratic NLJ at scale")
 	}
 	// index NLJ should win for tiny outer sides
-	if c.IndexNLJoinCost(3, 10) >= c.HashJoinCost(3, 1e5, 10) {
+	if indexNLJoinCost(3, 10) >= hashJoinCost(3, 1e5, 10) {
 		t.Fatal("index NLJ should win with a tiny outer and huge inner")
 	}
 	// seq scan of everything vs index fetch of a few rows
-	if c.IndexScanCost(10) >= c.SeqScanCost(1e5) {
+	if indexScanCost(10) >= seqScanCost(1e5) {
 		t.Fatal("index scan should win for selective predicates")
 	}
 }

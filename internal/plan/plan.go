@@ -1,7 +1,7 @@
 // Package plan defines physical execution plans: binary join trees whose
 // leaves scan base tables (or, after a re-optimization, materialized
-// intermediate results) and whose internal nodes are hash, merge, or nested
-// loop joins. Plans carry the optimizer's cardinality and cost annotations
+// intermediate results) and whose internal nodes are hash or nested loop
+// joins. Plans carry the optimizer's cardinality and cost annotations
 // and, after instrumented execution, the true cardinalities used to train
 // the learned estimators.
 package plan
@@ -19,14 +19,14 @@ import (
 // PhysOp identifies the physical operator of a plan node.
 type PhysOp int
 
-// Physical operators. The engine mirrors PostgreSQL's operator set for
-// SPJA queries: two scan methods and three join methods.
+// Physical operators: two scan methods, the materialized-intermediate scan
+// and two join methods. PostgreSQL's merge join has none (see package exec
+// for why).
 const (
 	SeqScan PhysOp = iota
 	IndexScan
 	MatScan // scan of a materialized intermediate (re-optimization resume)
 	HashJoin
-	MergeJoin
 	NestLoopJoin
 )
 
@@ -40,8 +40,6 @@ func (op PhysOp) String() string {
 		return "MatScan"
 	case HashJoin:
 		return "HashJoin"
-	case MergeJoin:
-		return "MergeJoin"
 	case NestLoopJoin:
 		return "NestLoopJoin"
 	default:
@@ -49,7 +47,7 @@ func (op PhysOp) String() string {
 	}
 }
 
-// IsJoin reports whether the operator is one of the three join methods.
+// IsJoin reports whether the operator is one of the two join methods.
 func (op PhysOp) IsJoin() bool { return op >= HashJoin }
 
 // Rows is a flat row-major set of N tuples, each Width values wide: tuple i

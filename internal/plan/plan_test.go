@@ -32,7 +32,7 @@ func buildTree(q *query.Query) *Node {
 	lb := NewLeaf(IndexScan, q.Tables[1], 1, nil)
 	lc := NewLeaf(SeqScan, q.Tables[2], 2, nil)
 	ab := NewJoin(HashJoin, la, lb, q.Joins[:1])
-	return NewJoin(MergeJoin, ab, lc, q.Joins[1:])
+	return NewJoin(NestLoopJoin, ab, lc, q.Joins[1:])
 }
 
 func TestTreeShape(t *testing.T) {
@@ -57,7 +57,7 @@ func TestWalkPostOrder(t *testing.T) {
 	root := buildTree(q)
 	var ops []PhysOp
 	root.Walk(func(n *Node) { ops = append(ops, n.Op) })
-	want := []PhysOp{SeqScan, IndexScan, HashJoin, SeqScan, MergeJoin}
+	want := []PhysOp{SeqScan, IndexScan, HashJoin, SeqScan, NestLoopJoin}
 	if len(ops) != len(want) {
 		t.Fatalf("ops = %v", ops)
 	}
@@ -108,7 +108,7 @@ func TestStringRendering(t *testing.T) {
 	root := buildTree(q)
 	root.EstCard = 100
 	s := root.String()
-	for _, frag := range []string{"MergeJoin", "HashJoin", "SeqScan(a", "IndexScan(b", "est=100"} {
+	for _, frag := range []string{"NestLoopJoin", "HashJoin", "SeqScan(a", "IndexScan(b", "est=100"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("rendering missing %q:\n%s", frag, s)
 		}

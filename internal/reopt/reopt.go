@@ -8,7 +8,6 @@ package reopt
 
 import (
 	"github.com/lpce-db/lpce/internal/exec"
-	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
@@ -101,7 +100,7 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 		ActualRows: float64(rows.N),
 	}
 	if node.EstCard > 0 {
-		ev.QError = nn.QError(float64(rows.N), node.EstCard)
+		ev.QError = obs.QError(float64(rows.N), node.EstCard)
 	}
 	suppress := func(reason string) error {
 		ev.Suppressed = reason

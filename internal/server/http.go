@@ -88,7 +88,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &body) {
 		return
 	}
-	plan, err := s.Explain(r.Context(), body.request())
+	req := body.request()
+	applyDeadlineHeader(&req, r)
+	plan, err := s.Explain(r.Context(), req)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -327,6 +327,75 @@ func TestHTTPRetryAfterHeaders(t *testing.T) {
 	}
 }
 
+// TestExplainAdmittedLikeQuery asserts that /explain passes the same
+// admission as /query: the tenant's token bucket sheds a second EXPLAIN
+// with 429 + Retry-After and counts it under the tenant, and an
+// X-Deadline-Ms header bounds an EXPLAIN queued behind a held slot.
+func TestExplainAdmittedLikeQuery(t *testing.T) {
+	db := testutil.TinyDB()
+	g := newGate()
+	cfg := histConfig(db)
+	cfg.Tenants[0].RateQPS = 0.001
+	cfg.Tenants[0].RateBurst = 1
+	cfg.MaxConcurrent = 1
+	cfg.ExecWrap = g.wrap
+	s := mustServer(t, cfg)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	// Far below the 30 s default timeout: an EXPLAIN that ignores its
+	// header deadline fails here instead of hanging the test.
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	explain := func(tenant, deadlineMS string) *http.Response {
+		body, _ := json.Marshal(map[string]string{"tenant": tenant, "sql": testSQL(0)})
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/explain", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		if deadlineMS != "" {
+			req.Header.Set("X-Deadline-Ms", deadlineMS)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("POST /explain: %v", err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	if resp := explain("alpha", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first explain status = %d", resp.StatusCode)
+	}
+	resp := explain("alpha", "")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("rate-limited explain status = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 must carry Retry-After")
+	}
+	if got := s.MetricsSnapshot().Counters["tenant.alpha.server.shed.rate_limited"]; got != 1 {
+		t.Fatalf("tenant.alpha.server.shed.rate_limited = %d, want 1", got)
+	}
+
+	// A query holds the only slot at the gate; the EXPLAIN behind it queues
+	// until its 100 ms header deadline expires.
+	held := make(chan error, 1)
+	go func() {
+		_, err := s.Query(context.Background(), QueryRequest{Tenant: "beta", SQL: testSQL(1)})
+		held <- err
+	}()
+	select {
+	case <-g.announce:
+	case <-time.After(10 * time.Second):
+		t.Fatal("held query never reached the executor")
+	}
+	if resp := explain("beta", "100"); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("explain behind a held slot: status = %d, want 504", resp.StatusCode)
+	}
+	close(g.release)
+	if err := <-held; err != nil {
+		t.Fatalf("held query: %v", err)
+	}
+}
+
 func TestHealthMachineStepwiseTransitionsAndHoldDown(t *testing.T) {
 	clk := &manualClock{t: time.Unix(2000, 0)}
 	var seen []string

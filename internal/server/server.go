@@ -102,7 +102,6 @@ type tenant struct {
 	// another's numbers.
 	obs *obs.Observer
 
-	queries  *obs.Counter
 	errs     *obs.Counter
 	degraded *obs.Counter
 	latency  *obs.Histogram
@@ -212,7 +211,6 @@ func New(cfg Config) (*Server, error) {
 			weight:       tc.Weight,
 			limits:       tc.Limits,
 			obs:          to,
-			queries:      treg.Counter("server.queries"),
 			errs:         treg.Counter("server.query_errors"),
 			degraded:     treg.Counter("server.queries_degraded"),
 			latency:      treg.Histogram("server.query_ms"),
@@ -291,6 +289,45 @@ type QueryResult struct {
 	FallbackEstimator bool `json:"fallback_estimator,omitempty"`
 }
 
+// admit is the admission prologue of Query and Explain: the tenant lookup,
+// the tenant's token bucket (cheapest rejection, charged to the flooding
+// tenant alone), the request's deadline bound to the server lifecycle, then
+// a slot on the shared semaphore. Every shed is counted by countShed.
+// On success the request runs under qctx and the caller must call done,
+// which releases the slot and the deadline.
+func (s *Server) admit(ctx context.Context, req QueryRequest) (tn *tenant, qctx context.Context, done func(), err error) {
+	tn, ok := s.tenants[req.Tenant]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("%w: %q", ErrUnknownTenant, req.Tenant)
+	}
+	if tn.bucket != nil {
+		if ok, after := tn.bucket.take(); !ok {
+			err := &RateLimitError{Tenant: tn.name, After: after}
+			countShed(tn, err)
+			return nil, nil, nil, err
+		}
+	}
+	timeout := req.Timeout
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	qctx, cancel := context.WithTimeout(ctx, timeout)
+	// Bind the request to the server lifecycle: a forced shutdown cancels
+	// baseCtx, which cancels every in-flight request cooperatively.
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	if err := s.adm.acquire(qctx, tn.weight); err != nil {
+		stop()
+		cancel()
+		countShed(tn, err)
+		return nil, nil, nil, err
+	}
+	return tn, qctx, func() {
+		s.adm.release(tn.weight)
+		stop()
+		cancel()
+	}, nil
+}
+
 // countShed attributes an admission rejection to the tenant's per-class
 // shed counters. Context expiry while queued is the client's own deadline,
 // not a server shed, and is left uncounted.
@@ -329,32 +366,11 @@ func (s *Server) reoptSuppress() string {
 // ErrDeadlineUnmeetable; unknown tenants as ErrUnknownTenant; parse errors
 // and engine errors pass through typed.
 func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	tn, ok := s.tenants[req.Tenant]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, req.Tenant)
-	}
-	if tn.bucket != nil {
-		if ok, after := tn.bucket.take(); !ok {
-			tn.shedRate.Inc()
-			return nil, &RateLimitError{Tenant: tn.name, After: after}
-		}
-	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	qctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	// Bind the query to the server lifecycle: a forced shutdown cancels
-	// baseCtx, which cancels every in-flight query cooperatively.
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	if err := s.adm.acquire(qctx, tn.weight); err != nil {
-		countShed(tn, err)
+	tn, qctx, done, err := s.admit(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	defer s.adm.release(tn.weight)
+	defer done()
 
 	// One atomic load fixes the serving set for this query: estimator,
 	// refiner, and cache are mutually consistent even if a swap lands
@@ -389,7 +405,6 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 		ExecWrap:      s.cfg.ExecWrap,
 	})
 	elapsed := time.Since(start)
-	tn.queries.Inc()
 	tn.served.Inc()
 	tn.latency.Observe(float64(elapsed) / float64(time.Millisecond))
 	s.health.observeLatency(float64(elapsed) / float64(time.Millisecond))
@@ -415,25 +430,13 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 
 // Explain admits and plans (but does not execute) one SQL statement,
 // returning the optimizer's chosen plan under the tenant's current
-// estimator stack.
+// estimator stack. It is admitted exactly as Query is.
 func (s *Server) Explain(ctx context.Context, req QueryRequest) (string, error) {
-	tn, ok := s.tenants[req.Tenant]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownTenant, req.Tenant)
-	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	qctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	if err := s.adm.acquire(qctx, tn.weight); err != nil {
+	tn, _, done, err := s.admit(ctx, req)
+	if err != nil {
 		return "", err
 	}
-	defer s.adm.release(tn.weight)
+	defer done()
 
 	ms := s.models.Load()
 	sess := s.sess.get(req.Tenant, req.Session)

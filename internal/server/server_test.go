@@ -163,7 +163,7 @@ func TestServerConcurrentTenantsIsolated(t *testing.T) {
 
 	snap := s.MetricsSnapshot()
 	for _, tenant := range []string{"alpha", "beta"} {
-		key := "tenant." + tenant + ".server.queries"
+		key := "tenant." + tenant + ".server.served"
 		if got := snap.Counters[key]; got != perTenant {
 			t.Fatalf("%s = %d, want %d", key, got, perTenant)
 		}
@@ -637,7 +637,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if snap.Counters["server.admission.admitted"] == 0 {
 		t.Fatalf("metrics missing admission counters: %v", snap.Counters)
 	}
-	if snap.Counters["tenant.alpha.server.queries"] == 0 {
+	if snap.Counters["tenant.alpha.server.served"] == 0 {
 		t.Fatalf("metrics missing tenant series: %v", snap.Counters)
 	}
 
