@@ -63,11 +63,10 @@ func NewDriftMonitor(baselineMedianQ, factor float64, windowSize int) *DriftMoni
 // invalidated; clean tables are left as they are.
 func RefreshStats(db *Database) { maintain.RefreshStats(db) }
 
-// AppendRows applies post-load DML to a table: sealed tables reject direct
-// Table.AppendRows calls, so updates go through the maintenance path, which
-// invalidates the affected segments and statistics and extends the table's
-// built indexes. Follow a batch of appends with RefreshStats.
-func AppendRows(t *StorageTable, rows [][]int64) { maintain.AppendRows(t, rows) }
+// AppendRows applies post-load DML to a table: it unseals the table,
+// invalidates the affected segments and statistics, and extends the
+// table's built indexes. Follow a batch of appends with RefreshStats.
+func AppendRows(t *StorageTable, rows [][]int64) { t.AppendRows(rows) }
 
 // Concurrent workload execution.
 

@@ -225,7 +225,7 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int64{int64(tbl.NumRows() + i), 16, 0}
 	}
-	tbl.MaintenanceAppend(rows)
+	tbl.AppendRows(rows)
 	reg2 := obs.NewRegistry()
 	ctx2 := &Ctx{DB: db, Q: q, Metrics: reg2, Controller: NopController{}}
 	c1, err := Run(ctx2, plan.NewLeaf(plan.SeqScan, meta, 0, preds))

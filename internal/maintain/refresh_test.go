@@ -113,16 +113,12 @@ func refreshFixture(rng *rand.Rand, hotRows, coldRows int) (*storage.Database, *
 	db := storage.NewDatabase(s)
 	db.Tables[hot.ID] = storage.NewTable(hot, 0)
 	db.Tables[cold.ID] = storage.NewTable(cold, 0)
-	if err := db.Tables[hot.ID].AppendRows(hotRowsFrom(rng, 0, hotRows)); err != nil {
-		panic(err)
-	}
+	db.Tables[hot.ID].AppendRows(hotRowsFrom(rng, 0, hotRows))
 	coldData := make([][]int64, coldRows)
 	for i := range coldData {
 		coldData[i] = []int64{int64(i), rng.Int63n(9) - 4}
 	}
-	if err := db.Tables[cold.ID].AppendRows(coldData); err != nil {
-		panic(err)
-	}
+	db.Tables[cold.ID].AppendRows(coldData)
 	for _, t := range db.Tables {
 		t.FinishLoad()
 	}
@@ -241,7 +237,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 				coldStats = append(coldStats, cold.ColStats(pos))
 			}
 
-			AppendRows(hot, hotRowsFrom(rng, n, batch))
+			hot.AppendRows(hotRowsFrom(rng, n, batch))
 			unsealed := histogram.Analyze(db)
 			for pos, c := range hot.Meta.Columns {
 				if d := colStatsDiff(unsealed.Col(c), refAnalyzeColumn(hot.Col(pos))); d != "" {
@@ -323,7 +319,7 @@ func BenchmarkRefreshStats(b *testing.B) {
 				rows[j][c] = ci.Cols[c][src]
 			}
 		}
-		AppendRows(ci, rows)
+		ci.AppendRows(rows)
 		b.StartTimer()
 		RefreshStats(db)
 	}
@@ -358,7 +354,7 @@ func TestRefreshCostsTheBatch(t *testing.T) {
 		}
 		return b
 	}
-	AppendRows(tbl, batch())
+	tbl.AppendRows(batch())
 	RefreshStats(db) // sorts the whole table once, and keeps the runs
 
 	const oneSortedCopy = 8 * rows
@@ -367,7 +363,7 @@ func TestRefreshCostsTheBatch(t *testing.T) {
 		b := batch()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		AppendRows(tbl, b)
+		tbl.AppendRows(b)
 		RefreshStats(db)
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
@@ -449,9 +445,7 @@ func FuzzRefreshMatchesFromScratch(f *testing.F) {
 		for i := range load {
 			load[i] = []int64{int64(i), int64(int8(in.next()))}
 		}
-		if err := tbl.AppendRows(load); err != nil {
-			t.Fatal(err)
-		}
+		tbl.AppendRows(load)
 		tbl.FinishLoad()
 
 		for step := 0; len(in) > 0 && step < 64 && tbl.NumRows() < 1<<13; step++ {
@@ -490,7 +484,7 @@ func FuzzRefreshMatchesFromScratch(f *testing.F) {
 			for _, x := range vals {
 				batch = append(batch, row(x))
 			}
-			AppendRows(tbl, batch)
+			tbl.AppendRows(batch)
 			if op&0x80 != 0 {
 				for pos := range tbl.Cols {
 					if d := colStatsDiff(tbl.ColStats(pos), refAnalyzeColumn(tbl.Col(pos))); d != "" {

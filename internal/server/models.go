@@ -32,9 +32,9 @@ type servingSet struct {
 	// working set.
 	caches map[string]*cardest.Cache
 	// shed is the overload rung: when the health machine reports
-	// StateOverloaded, Query plans with the histogram baseline directly,
-	// bypassing the primary stack and its inference cost. A panic on either
-	// rung fails only its query: the engine returns it as an
+	// StateOverloaded, Query and Explain plan with the histogram baseline
+	// directly, bypassing the primary stack and its inference cost. A panic
+	// on either rung fails only its query: the engine returns it as an
 	// *engine.PanicError.
 	shed *histogram.Estimator
 }
@@ -121,12 +121,12 @@ func (s *Server) SwapModels(dir, version string) (old, cur string, err error) {
 	return s.install(next), version, nil
 }
 
-// InstallEstimator hot-swaps an arbitrary estimator stack (with optional
-// refiner) under the given version label, bypassing artifact loading. The
-// soak harnesses use it to swap fault-injected stacks mid-load; embedders
-// can use it to serve estimators that have no modelio artifact form. The
-// overload rung is always the histogram baseline.
-func (s *Server) InstallEstimator(version string, est cardest.Estimator, refiner *core.Refiner) (old string) {
+// installEstimator hot-swaps an arbitrary estimator stack (with optional
+// refiner) under the given version label, bypassing artifact loading and
+// its encoder fingerprint check: the package's soak tests swap
+// fault-injected stacks in mid-load with it. The overload rung is always
+// the histogram baseline.
+func (s *Server) installEstimator(version string, est cardest.Estimator, refiner *core.Refiner) (old string) {
 	return s.install(s.buildServingSet(version, est, refiner))
 }
 

@@ -82,8 +82,7 @@ func TestServerOverloadSoak(t *testing.T) {
 	oracleShed := oracleRun(true)
 
 	// The served run: 2 weight units of capacity, 24 workers, spiky
-	// arrivals, per-tenant rate limits, queue-depth-driven health states
-	// (latency thresholds stay off — wall-clock must not steer outcomes).
+	// arrivals, per-tenant rate limits, queue-depth-driven health states.
 	before := runtime.NumGoroutine()
 	var transMu sync.Mutex
 	var transitions []string
@@ -103,23 +102,22 @@ func TestServerOverloadSoak(t *testing.T) {
 		DefaultTimeout: 10 * time.Minute, // degradation is the Budget's job
 		CacheCapacity:  256,
 		Budget:         soakBudget,
-		ExecWrap:       slowWrap,
-		Overload: OverloadPolicy{
-			DegradedQueue:   2,
-			OverloadedQueue: 5,
-			HoldDown:        50 * time.Millisecond,
-			OnTransition: func(from, to HealthState) {
-				transMu.Lock()
-				transitions = append(transitions, from.String()+">"+to.String())
-				transMu.Unlock()
-			},
-		},
 	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.InstallEstimator("overload-v1", chaosStack(db), nil)
+	s.execWrap = slowWrap
+	// A ladder far shallower than the one MaxQueue derives (n and 1.8n
+	// queued), so the spikes walk it while the queue itself never
+	// overflows; a short dwell lets recovery finish within the test.
+	s.health.degradedAt, s.health.overloadedAt, s.health.holdDown = 2, 5, 50*time.Millisecond
+	s.health.onTransition = func(from, to HealthState) {
+		transMu.Lock()
+		transitions = append(transitions, from.String()+">"+to.String())
+		transMu.Unlock()
+	}
+	s.installEstimator("overload-v1", chaosStack(db), nil)
 	var maxDepth atomic.Int64
 	innerHook := s.adm.onQueue
 	s.adm.onQueue = func(d int) {

@@ -226,7 +226,7 @@ func TestServerBackoffClientsAllServedAcrossSwap(t *testing.T) {
 				mu.Unlock()
 				if done.Add(1) == perTenant {
 					swapOnce.Do(func() {
-						s.InstallEstimator("swap-v2", &core.TreeEstimator{Label: "lpce-i", Model: set.LPCEI.Model, Enc: enc}, set.Refiner)
+						s.installEstimator("swap-v2", &core.TreeEstimator{Label: "lpce-i", Model: set.LPCEI.Model, Enc: enc}, set.Refiner)
 					})
 				}
 			}
@@ -338,8 +338,8 @@ func TestExplainAdmittedLikeQuery(t *testing.T) {
 	cfg.Tenants[0].RateQPS = 0.001
 	cfg.Tenants[0].RateBurst = 1
 	cfg.MaxConcurrent = 1
-	cfg.ExecWrap = g.wrap
 	s := mustServer(t, cfg)
+	s.execWrap = g.wrap
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	// Far below the 30 s default timeout: an EXPLAIN that ignores its
@@ -399,25 +399,20 @@ func TestExplainAdmittedLikeQuery(t *testing.T) {
 func TestHealthMachineStepwiseTransitionsAndHoldDown(t *testing.T) {
 	clk := &manualClock{t: time.Unix(2000, 0)}
 	var seen []string
-	p := OverloadPolicy{
-		DegradedQueue:   4,
-		OverloadedQueue: 8,
-		HoldDown:        2 * time.Second,
-		OnTransition: func(from, to HealthState) {
-			seen = append(seen, from.String()+">"+to.String())
-		},
-	}
-	h := newHealthMachine(p, 16, obs.NewObserver().Registry())
+	h := newHealthMachine(16, obs.NewObserver().Registry()) // degraded at 8, overloaded at 14
 	h.now = clk.now
 	h.lastStep = clk.t
+	h.onTransition = func(from, to HealthState) {
+		seen = append(seen, from.String()+">"+to.String())
+	}
 
 	// A sudden jump straight past both thresholds still steps one level per
 	// evaluation: healthy→degraded, then degraded→overloaded.
-	h.observeQueue(12)
+	h.observeQueue(15)
 	if h.current() != StateDegraded {
 		t.Fatalf("after first eval state = %v, want degraded", h.current())
 	}
-	h.observeQueue(12)
+	h.observeQueue(15)
 	if h.current() != StateOverloaded {
 		t.Fatalf("after second eval state = %v, want overloaded", h.current())
 	}
@@ -450,42 +445,50 @@ func TestHealthMachineStepwiseTransitionsAndHoldDown(t *testing.T) {
 	}
 }
 
-func TestHealthMachineLatencyEWMAAsymmetric(t *testing.T) {
-	clk := &manualClock{t: time.Unix(3000, 0)}
-	p := OverloadPolicy{
-		DegradedQueue:       100, // queue never triggers here
-		OverloadedQueue:     200,
-		DegradedLatencyMs:   50,
-		OverloadedLatencyMs: 500,
-		Alpha:               0.5,
-		HoldDown:            time.Second,
-	}
-	h := newHealthMachine(p, 16, obs.NewObserver().Registry())
-	h.now = clk.now
-	h.lastStep = clk.t
+// TestHealthLadderDerivedFromMaxQueue pins the ladder New builds from the
+// admission queue bound: degraded at max(1, MaxQueue/2) queued requests,
+// overloaded at max(degraded+1, MaxQueue·9/10), one level per evaluation,
+// and a 2 s dwell before each downward step.
+func TestHealthLadderDerivedFromMaxQueue(t *testing.T) {
+	for _, tc := range []struct{ maxQueue, degraded, overloaded int }{
+		{0, 1, 2}, {1, 1, 2}, {2, 1, 2}, {16, 8, 14}, {32, 16, 28},
+	} {
+		cfg := histConfig(testutil.TinyDB())
+		cfg.MaxQueue = tc.maxQueue
+		if tc.maxQueue == 0 {
+			cfg.MaxQueue = -1 // no queueing: the zero value means the default 16
+		}
+		h := mustServer(t, cfg).health
+		clk := &manualClock{t: time.Unix(4000, 0)}
+		h.now = clk.now
+		h.lastStep = clk.t
+		step := func(depth int, want HealthState) {
+			t.Helper()
+			h.observeQueue(depth)
+			if got := h.current(); got != want {
+				t.Fatalf("MaxQueue %d, queue %d: state %v, want %v", tc.maxQueue, depth, got, want)
+			}
+		}
 
-	// Latency spikes attack the EWMA fast...
-	h.observeLatency(200)
-	h.observeLatency(200)
-	if h.current() != StateDegraded {
-		t.Fatalf("state = %v, want degraded after latency spikes (EWMA %.1f)", h.current(), h.latEWMA)
-	}
-	up := h.latEWMA
-	// ...but fast samples decay it 4x slower than it rose.
-	h.mu.Lock()
-	h.latEWMA = up
-	h.mu.Unlock()
-	h.observeLatency(0)
-	if h.latEWMA < up/2 {
-		t.Fatalf("decay too fast: %.1f -> %.1f", up, h.latEWMA)
-	}
-	// Enough fast samples plus the dwell recovers.
-	clk.advance(2 * time.Second)
-	for i := 0; i < 64; i++ {
-		h.observeLatency(1)
-	}
-	if h.current() != StateHealthy {
-		t.Fatalf("state = %v, want healthy after recovery (EWMA %.1f)", h.current(), h.latEWMA)
+		// Just below each threshold holds, at it steps up one level only.
+		step(tc.degraded-1, StateHealthy)
+		step(tc.degraded, StateDegraded)
+		step(tc.overloaded-1, StateDegraded)
+		step(tc.overloaded+5, StateOverloaded)
+		step(tc.overloaded, StateOverloaded)
+
+		// Recovery waits out the 2 s dwell at every level.
+		clk.advance(2*time.Second - time.Nanosecond)
+		step(0, StateOverloaded)
+		clk.advance(time.Nanosecond)
+		step(0, StateDegraded)
+		step(0, StateDegraded)
+		clk.advance(2 * time.Second)
+		step(0, StateHealthy)
+
+		// A jump past both thresholds takes two evaluations.
+		step(tc.overloaded, StateDegraded)
+		step(tc.overloaded, StateOverloaded)
 	}
 }
 
@@ -626,7 +629,7 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	s := mustServer(t, histConfig(db))
 	hist := histogram.NewEstimator(db)
 	var primaryCalls atomic.Int64
-	s.InstallEstimator("counting", cardest.FuncEstimator{
+	s.installEstimator("counting", cardest.FuncEstimator{
 		Label: "counting-primary",
 		Fn: func(q *query.Query, mask query.BitSet) float64 {
 			primaryCalls.Add(1)
@@ -709,6 +712,59 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	s.health.force(StateHealthy)
 }
 
+// TestExplainUnderOverloadPlansOnShedRung: an EXPLAIN takes the rung a
+// /query would, so under overload it pays no primary inference and shows
+// the histogram's plan.
+func TestExplainUnderOverloadPlansOnShedRung(t *testing.T) {
+	db := testutil.TinyDB()
+	s := mustServer(t, histConfig(db))
+	hist := histogram.NewEstimator(db)
+	var primaryCalls atomic.Int64
+	s.installEstimator("counting", cardest.FuncEstimator{
+		Label: "counting-primary",
+		Fn: func(q *query.Query, mask query.BitSet) float64 {
+			primaryCalls.Add(1)
+			return hist.EstimateSubset(q, mask)
+		},
+	}, nil)
+
+	s.health.force(StateOverloaded)
+	got, err := s.Explain(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(0)})
+	if err != nil {
+		t.Fatalf("overloaded explain: %v", err)
+	}
+	if n := primaryCalls.Load(); n != 0 {
+		t.Fatalf("overloaded explain made %d primary estimator calls, want 0", n)
+	}
+	q, err := sqlparse.Parse(db.Schema, testSQL(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.New(db).Explain(q, hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("overloaded explain plan:\n%s\nwant the histogram's:\n%s", got, want)
+	}
+}
+
+// TestExplainCountedServed: an admitted EXPLAIN is counted in its tenant's
+// server.served, so the tenants' served sum to the admitted requests.
+func TestExplainCountedServed(t *testing.T) {
+	s := mustServer(t, histConfig(testutil.TinyDB()))
+	if _, err := s.Explain(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(0)}); err != nil {
+		t.Fatalf("explain: %v", err)
+	}
+	m := s.MetricsSnapshot()
+	if got := m.Counters["server.admission.admitted"]; got != 1 {
+		t.Fatalf("server.admission.admitted = %d, want 1", got)
+	}
+	if got := m.Counters["tenant.alpha.server.served"]; got != 1 {
+		t.Fatalf("tenant.alpha.server.served = %d, want 1", got)
+	}
+}
+
 // TestQueryDeadlineUnmeetableAtServerLevel drives the server-level path:
 // capacity occupied, seeded wait prediction, short request timeout → typed
 // 504 with the tenant's shed.deadline counter incremented and no semaphore
@@ -718,8 +774,8 @@ func TestQueryDeadlineUnmeetableAtServerLevel(t *testing.T) {
 	g := newGate()
 	cfg := histConfig(db)
 	cfg.MaxConcurrent = 1
-	cfg.ExecWrap = g.wrap
 	s := mustServer(t, cfg)
+	s.execWrap = g.wrap
 
 	first := make(chan error, 1)
 	go func() {

@@ -49,7 +49,7 @@ func TestHTTPPanickingPrimaryFailsOneRequest(t *testing.T) {
 	}
 	queryErrors := func() int64 { return s.MetricsSnapshot().Counters["tenant.alpha.server.query_errors"] }
 
-	s.InstallEstimator("panics", cardest.FuncEstimator{Label: "panics", Fn: func(*query.Query, query.BitSet) float64 {
+	s.installEstimator("panics", cardest.FuncEstimator{Label: "panics", Fn: func(*query.Query, query.BitSet) float64 {
 		panic("primary exploded")
 	}}, nil)
 	before := queryErrors()
@@ -61,7 +61,7 @@ func TestHTTPPanickingPrimaryFailsOneRequest(t *testing.T) {
 		t.Fatalf("server.query_errors rose by %d, want 1", got-before)
 	}
 
-	s.InstallEstimator("healthy", histogram.NewEstimator(db), nil)
+	s.installEstimator("healthy", histogram.NewEstimator(db), nil)
 	code, body, reused := post(testSQL(0))
 	if code != http.StatusOK || body["count"] == nil {
 		t.Fatalf("next request: status %d body %v", code, body)

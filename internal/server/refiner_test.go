@@ -56,7 +56,7 @@ func TestQueriesWithoutRefinerNeverReoptimize(t *testing.T) {
 		cfg := histConfig(db)
 		cfg.Enc, cfg.Mode, cfg.Models = enc, ModeLPCE, set
 		s := mustServer(t, cfg)
-		s.InstallEstimator("three", bad, nil)
+		s.installEstimator("three", bad, nil)
 		check(t, s)
 	})
 

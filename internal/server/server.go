@@ -57,39 +57,39 @@ type Config struct {
 	// ModeLPCER. Empty defaults to ModeHistogram without Models and ModeLPCER
 	// with them.
 	Mode string
-	// Models is the initial model artifact set for the model modes; nil is
-	// valid only for ModeHistogram. Later sets arrive via SwapModels.
-	Models        *modelio.Set
-	ModelsVersion string // label for the initial set ("boot" when empty)
+	// Models is the initial model artifact set (served as version "boot")
+	// for the model modes; nil is valid only for ModeHistogram. Later sets
+	// arrive via SwapModels.
+	Models *modelio.Set
 
 	Tenants []TenantConfig
 
 	// MaxConcurrent is the admission capacity in weight units (default 4).
 	MaxConcurrent int64
 	// MaxQueue bounds the admission wait queue; an overflowing queue rejects
-	// with ErrQueueFull (default 16; negative means no queueing at all).
+	// with ErrQueueFull (default 16; negative means no queueing at all). The
+	// health ladder's thresholds derive from it: degraded at half the
+	// bound, overloaded at nine tenths.
 	MaxQueue int
 	// DefaultTimeout bounds each query's wall time when the request carries
 	// no tighter deadline (default 30s).
 	DefaultTimeout time.Duration
-	// SessionTTL expires idle sessions (default 15m).
-	SessionTTL time.Duration
 	// CacheCapacity bounds each tenant's estimate cache (entries across all
 	// shards; default 65536, negative leaves the caches unbounded).
 	CacheCapacity int
-	// TraceCap bounds each tenant observer's retained query traces and CE
-	// evaluation tables (default 4096; negative disables the cap).
-	TraceCap int
-
-	// Overload sets the health state machine's thresholds; the zero value
-	// derives queue thresholds from MaxQueue and disables latency triggers.
-	Overload OverloadPolicy
 
 	// Budget is the engine's per-query work budget, applied to every query.
 	Budget int64
-	// ExecWrap intercepts every executor operator (fault-injection harness).
-	ExecWrap exec.WrapFunc
 }
+
+// Serving constants: sessions idle past sessionTTL expire, the janitor
+// sweeps them every janitorInterval, and each tenant observer retains at
+// most traceCap query traces and CE evaluation rows.
+const (
+	sessionTTL      = 15 * time.Minute
+	janitorInterval = 30 * time.Second
+	traceCap        = 4096
+)
 
 // tenant is one configured namespace at runtime.
 type tenant struct {
@@ -109,9 +109,10 @@ type tenant struct {
 	// bucket is the tenant's token-bucket rate limiter; nil when the tenant
 	// has no configured rate.
 	bucket *tokenBucket
-	// served counts queries that completed (success or query-level error)
-	// after admission; the shed counters tally each rejection class so a
-	// scrape shows shed-vs-served per tenant exactly.
+	// served counts admitted requests (queries and EXPLAINs, whatever their
+	// outcome) as they release their slot, so the tenants' served sum to
+	// server.admission.admitted; the shed counters tally each rejection
+	// class so a scrape shows shed-vs-served per tenant exactly.
 	served       *obs.Counter
 	shedRate     *obs.Counter // ErrRateLimited
 	shedQueue    *obs.Counter // ErrQueueFull
@@ -143,6 +144,10 @@ type Server struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 	closed      atomic.Bool
+
+	// execWrap, when set, intercepts every executor operator: the package's
+	// fault-injection tests set it before the first query.
+	execWrap exec.WrapFunc
 }
 
 // New validates the configuration, builds the per-tenant namespaces,
@@ -169,12 +174,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 65536
 	}
-	if cfg.TraceCap == 0 {
-		cfg.TraceCap = 4096
-	}
-	if cfg.TraceCap < 0 {
-		cfg.TraceCap = 0
-	}
 
 	s := &Server{
 		cfg:         cfg,
@@ -188,8 +187,8 @@ func New(cfg Config) (*Server, error) {
 	reg := s.global.Registry()
 	s.swaps = reg.Counter("server.model_swaps")
 	s.adm = newAdmitter(cfg.MaxConcurrent, cfg.MaxQueue, reg)
-	s.sess = newSessionTable(cfg.SessionTTL, reg)
-	s.health = newHealthMachine(cfg.Overload, cfg.MaxQueue, reg)
+	s.sess = newSessionTable(reg)
+	s.health = newHealthMachine(cfg.MaxQueue, reg)
 	s.adm.onQueue = s.health.observeQueue
 
 	for _, tc := range cfg.Tenants {
@@ -203,8 +202,8 @@ func New(cfg Config) (*Server, error) {
 			tc.Weight = 1
 		}
 		to := obs.NewObserver()
-		to.SetTraceCap(cfg.TraceCap)
-		to.CE().SetCap(cfg.TraceCap)
+		to.SetTraceCap(traceCap)
+		to.CE().SetCap(traceCap)
 		treg := to.Registry()
 		tn := &tenant{
 			name:         tc.Name,
@@ -226,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		s.tenants[tc.Name] = tn
 	}
 
-	initial, err := s.setFromArtifacts(initialVersion(cfg.ModelsVersion), cfg.Models)
+	initial, err := s.setFromArtifacts("boot", cfg.Models)
 	if err != nil {
 		return nil, err
 	}
@@ -236,24 +235,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func initialVersion(v string) string {
-	if v == "" {
-		return "boot"
-	}
-	return v
-}
-
 // janitor periodically expires idle sessions until Close stops it.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
-	interval := s.sess.ttl / 4
-	if interval < time.Second {
-		interval = time.Second
-	}
-	if interval > 30*time.Second {
-		interval = 30 * time.Second
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(janitorInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -294,7 +279,7 @@ type QueryResult struct {
 // tenant alone), the request's deadline bound to the server lifecycle, then
 // a slot on the shared semaphore. Every shed is counted by countShed.
 // On success the request runs under qctx and the caller must call done,
-// which releases the slot and the deadline.
+// which counts the request served and releases the slot and the deadline.
 func (s *Server) admit(ctx context.Context, req QueryRequest) (tn *tenant, qctx context.Context, done func(), err error) {
 	tn, ok := s.tenants[req.Tenant]
 	if !ok {
@@ -322,6 +307,7 @@ func (s *Server) admit(ctx context.Context, req QueryRequest) (tn *tenant, qctx 
 		return nil, nil, nil, err
 	}
 	return tn, qctx, func() {
+		tn.served.Inc()
 		s.adm.release(tn.weight)
 		stop()
 		cancel()
@@ -356,6 +342,33 @@ func (s *Server) reoptSuppress() string {
 	return ""
 }
 
+// rung is the estimator stack one admitted request plans with: the
+// serving set's primary stack, or — when the health machine reports
+// overloaded — the histogram overload rung, which sheds model inference
+// (T_I) and re-optimization (T_R).
+type rung struct {
+	version  string
+	state    HealthState
+	est      cardest.Estimator
+	estName  string
+	refiner  engine.Refiner
+	fallback bool
+}
+
+// rungFor fixes the request's rung. One atomic load fixes the serving set,
+// so estimator, refiner, and cache are mutually consistent even if a swap
+// lands mid-flight; the health state is sampled once, so the request's
+// whole plan comes from one rung of the ladder. Query and Explain share it,
+// so an EXPLAIN shows the plan the same /query would run.
+func (s *Server) rungFor(tn *tenant) rung {
+	ms := s.models.Load()
+	r := rung{version: ms.version, state: s.health.current(), est: ms.caches[tn.name], estName: ms.estName, refiner: ms.refiner}
+	if r.state >= StateOverloaded {
+		r.est, r.estName, r.refiner, r.fallback = ms.shed, ms.shed.Name(), nil, true
+	}
+	return r
+}
+
 // Query admits, prepares, and executes one SQL statement for a tenant,
 // applying the overload-control ladder in order: the tenant's token bucket
 // (cheapest rejection, charged to the flooding tenant alone), deadline-aware
@@ -372,22 +385,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 	}
 	defer done()
 
-	// One atomic load fixes the serving set for this query: estimator,
-	// refiner, and cache are mutually consistent even if a swap lands
-	// mid-flight. The health state is sampled once at admission so the
-	// query's whole plan comes from one rung of the ladder.
-	ms := s.models.Load()
-	state := s.health.current()
-	var est cardest.Estimator = ms.caches[tn.name]
-	estName := ms.estName
-	refiner := ms.refiner
-	fallback := state >= StateOverloaded
-	if fallback {
-		est = ms.shed
-		estName = ms.shed.Name()
-		refiner = nil
-	}
-
+	r := s.rungFor(tn)
 	sess := s.sess.get(req.Tenant, req.Session)
 	q, hit, err := sess.prepare(s.cfg.DB.Schema, req.SQL)
 	if err != nil {
@@ -396,18 +394,16 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 
 	start := time.Now()
 	res, err := s.eng.ExecuteContext(qctx, q, engine.Config{
-		Estimator:     est,
-		Refiner:       refiner,
+		Estimator:     r.est,
+		Refiner:       r.refiner,
 		ReoptSuppress: s.reoptSuppress,
 		Budget:        s.cfg.Budget,
 		Obs:           tn.obs,
 		Limits:        tn.limits,
-		ExecWrap:      s.cfg.ExecWrap,
+		ExecWrap:      s.execWrap,
 	})
 	elapsed := time.Since(start)
-	tn.served.Inc()
 	tn.latency.Observe(float64(elapsed) / float64(time.Millisecond))
-	s.health.observeLatency(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
 		tn.errs.Inc()
 		if isResourceErr(err) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -420,17 +416,17 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 		Reopts:            res.Reopts,
 		TimedOut:          res.TimedOut,
 		Prepared:          hit,
-		ModelVersion:      ms.version,
-		Estimator:         estName,
+		ModelVersion:      r.version,
+		Estimator:         r.estName,
 		Elapsed:           elapsed,
-		HealthState:       state.String(),
-		FallbackEstimator: fallback,
+		HealthState:       r.state.String(),
+		FallbackEstimator: r.fallback,
 	}, nil
 }
 
 // Explain admits and plans (but does not execute) one SQL statement,
-// returning the optimizer's chosen plan under the tenant's current
-// estimator stack. It is admitted exactly as Query is.
+// returning the plan Query would run: it is admitted exactly as Query is
+// and plans on the same rung of the ladder.
 func (s *Server) Explain(ctx context.Context, req QueryRequest) (string, error) {
 	tn, _, done, err := s.admit(ctx, req)
 	if err != nil {
@@ -438,13 +434,13 @@ func (s *Server) Explain(ctx context.Context, req QueryRequest) (string, error) 
 	}
 	defer done()
 
-	ms := s.models.Load()
+	r := s.rungFor(tn)
 	sess := s.sess.get(req.Tenant, req.Session)
 	q, _, err := sess.prepare(s.cfg.DB.Schema, req.SQL)
 	if err != nil {
 		return "", err
 	}
-	return s.eng.Explain(q, ms.caches[tn.name])
+	return s.eng.Explain(q, r.est)
 }
 
 // Close drains and shuts the server down: new admissions are refused

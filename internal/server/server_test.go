@@ -240,8 +240,8 @@ func TestServerQueueOverflowRejects(t *testing.T) {
 	cfg := histConfig(db)
 	cfg.MaxConcurrent = 1
 	cfg.MaxQueue = 1
-	cfg.ExecWrap = g.wrap
 	s := mustServer(t, cfg)
+	s.execWrap = g.wrap
 
 	// Query 1 occupies the only slot, blocked at the gate.
 	first := make(chan error, 1)
@@ -295,8 +295,8 @@ func TestServerCloseDrainsInflight(t *testing.T) {
 	db := testutil.TinyDB()
 	g := newGate()
 	cfg := histConfig(db)
-	cfg.ExecWrap = g.wrap
 	s := mustServer(t, cfg)
+	s.execWrap = g.wrap
 
 	inflight := make(chan error, 1)
 	var res *QueryResult
@@ -349,8 +349,8 @@ func TestServerForcedCloseCancelsInflight(t *testing.T) {
 	db := testutil.TinyDB()
 	g := newGate() // never released: the query blocks until cancelled
 	cfg := histConfig(db)
-	cfg.ExecWrap = g.wrap
 	s := mustServer(t, cfg)
+	s.execWrap = g.wrap
 
 	inflight := make(chan error, 1)
 	go func() {
@@ -385,7 +385,7 @@ func TestServerHotSwapNeverTorn(t *testing.T) {
 	hist := histogram.NewEstimator(db)
 
 	// Paired stacks: version vN serves an estimator named est-vN.
-	s.InstallEstimator("v1", cardest.FuncEstimator{
+	s.installEstimator("v1", cardest.FuncEstimator{
 		Label: "est-v1",
 		Fn:    hist.EstimateSubset,
 	}, nil)
@@ -404,7 +404,7 @@ func TestServerHotSwapNeverTorn(t *testing.T) {
 			}
 			n++
 			v := fmt.Sprintf("v%d", n)
-			s.InstallEstimator(v, cardest.FuncEstimator{Label: "est-" + v, Fn: hist.EstimateSubset}, nil)
+			s.installEstimator(v, cardest.FuncEstimator{Label: "est-" + v, Fn: hist.EstimateSubset}, nil)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -518,9 +518,7 @@ func TestServerCloseGoroutineLeakFree(t *testing.T) {
 // session, isolation across sessions, and TTL expiry.
 func TestServerSessionsPrepareOnce(t *testing.T) {
 	db := testutil.TinyDB()
-	cfg := histConfig(db)
-	cfg.SessionTTL = 10 * time.Millisecond
-	s := mustServer(t, cfg)
+	s := mustServer(t, histConfig(db))
 
 	r1, err := s.Query(context.Background(), QueryRequest{Tenant: "alpha", Session: "s1", SQL: testSQL(0)})
 	if err != nil {
@@ -546,7 +544,7 @@ func TestServerSessionsPrepareOnce(t *testing.T) {
 	if n := s.sess.count(); n != 2 {
 		t.Fatalf("session count = %d, want 2", n)
 	}
-	if n := s.sess.sweep(time.Now().Add(time.Second)); n != 2 {
+	if n := s.sess.sweep(time.Now().Add(sessionTTL + time.Second)); n != 2 {
 		t.Fatalf("sweep expired %d sessions, want 2", n)
 	}
 	if n := s.sess.count(); n != 0 {

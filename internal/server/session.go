@@ -54,22 +54,17 @@ func (s *session) prepare(schema *catalog.Schema, sql string) (*query.Query, boo
 // lastUsed is guarded by the table's mutex — the table owns expiry, the
 // session only owns its prepared statements.
 type sessionTable struct {
-	mu  sync.Mutex
-	m   map[string]*session
-	ttl time.Duration
+	mu sync.Mutex
+	m  map[string]*session
 
 	active  *obs.Gauge
 	expired *obs.Counter
 	created *obs.Counter
 }
 
-func newSessionTable(ttl time.Duration, reg *obs.Registry) *sessionTable {
-	if ttl <= 0 {
-		ttl = 15 * time.Minute
-	}
+func newSessionTable(reg *obs.Registry) *sessionTable {
 	return &sessionTable{
 		m:       make(map[string]*session),
-		ttl:     ttl,
 		active:  reg.Gauge("server.sessions.active"),
 		expired: reg.Counter("server.sessions.expired"),
 		created: reg.Counter("server.sessions.created"),
@@ -98,7 +93,7 @@ func (t *sessionTable) get(tenant, id string) *session {
 	return s
 }
 
-// sweep expires sessions idle beyond the TTL and returns how many were
+// sweep expires sessions idle beyond sessionTTL and returns how many were
 // dropped.
 func (t *sessionTable) sweep(now time.Time) int {
 	t.mu.Lock()
@@ -107,7 +102,7 @@ func (t *sessionTable) sweep(now time.Time) int {
 	// Expiry sweep: each entry is tested and deleted independently, so
 	// iteration order cannot change which sessions survive.
 	for key, s := range t.m { //detlint:ignore — order-independent sweep
-		if now.Sub(s.lastUsed) > t.ttl {
+		if now.Sub(s.lastUsed) > sessionTTL {
 			delete(t.m, key)
 			n++
 		}

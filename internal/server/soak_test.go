@@ -129,13 +129,13 @@ func TestServerSoakUnderChaosMatchesSerialOracle(t *testing.T) {
 		DefaultTimeout: 10 * time.Minute, // must never fire: degradation is the Budget's job
 		CacheCapacity:  256,              // small on purpose: eviction + recompute must stay byte-identical
 		Budget:         soakBudget,
-		ExecWrap:       ops.Wrap,
 	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.InstallEstimator("chaos-v1", servedEst, nil)
+	s.execWrap = ops.Wrap
+	s.installEstimator("chaos-v1", servedEst, nil)
 
 	stopSwaps := make(chan struct{})
 	var swapper sync.WaitGroup
@@ -150,7 +150,7 @@ func TestServerSoakUnderChaosMatchesSerialOracle(t *testing.T) {
 			case <-time.After(500 * time.Microsecond):
 			}
 			v++
-			s.InstallEstimator(fmt.Sprintf("chaos-v%d", v), servedEst, nil)
+			s.installEstimator(fmt.Sprintf("chaos-v%d", v), servedEst, nil)
 		}
 	}()
 

@@ -5,7 +5,7 @@ import "slices"
 // Column statistics for the histogram estimator (the paper's ANALYZE
 // step). FinishLoad computes them per dirty column from the column's value
 // runs — its sorted distinct values with their row counts — and catalog
-// min, max and NDV with them. A table that has taken a MaintenanceAppend
+// min, max and NDV with them. A table that has taken an AppendRows
 // keeps its runs between seals, so a refresh sorts only the appended rows
 // and merges their runs in; internal/histogram reads the statistics
 // through Table.ColStats and keeps only the selectivity math.

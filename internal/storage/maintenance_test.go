@@ -62,7 +62,7 @@ func TestFinishLoadCleanIsNoop(t *testing.T) {
 		}
 	}
 
-	tbl.MaintenanceAppend([][]int64{{300, 1 << 40, 42, 5}})
+	tbl.AppendRows([][]int64{{300, 1 << 40, 42, 5}})
 	tbl.FinishLoad()
 	for pos := range tbl.Cols {
 		if tbl.ColStats(pos) == stats[pos] || tbl.ColStats(pos).RowCount != 301 {
@@ -143,12 +143,12 @@ func BenchmarkOrderedIndexExtend(b *testing.B) {
 		tbl := benchIndexTable(own)
 		tbl.OrderedIndex(3)
 		b.StartTimer()
-		tbl.MaintenanceAppend(rows)
+		tbl.AppendRows(rows)
 		tbl.OrderedIndex(3)
 	}
 }
 
-// TestEmptyAppendKeepsSeal: an empty MaintenanceAppend changes nothing. The
+// TestEmptyAppendKeepsSeal: an empty AppendRows changes nothing. The
 // table stays sealed with its ragged tail segment, its statistics and
 // segments are kept by pointer through the next FinishLoad, and it starts
 // keeping no value runs.
@@ -163,7 +163,7 @@ func TestEmptyAppendKeepsSeal(t *testing.T) {
 		stats = append(stats, tbl.ColStats(pos))
 	}
 	for _, batch := range [][][]int64{nil, {}} {
-		tbl.MaintenanceAppend(batch)
+		tbl.AppendRows(batch)
 		if !tbl.Sealed() {
 			t.Fatal("empty append unsealed the table")
 		}
@@ -216,9 +216,7 @@ func TestClusteredAppendKeepsRangeResults(t *testing.T) {
 	mid := prev.Range(100, 400)
 	midWant := slices.Clone(mid)
 	takePoint(500)
-	if err := tbl.AppendRows(clusteredRows(1000, 300)); err != nil {
-		t.Fatal(err)
-	}
+	tbl.AppendRows(clusteredRows(1000, 300))
 	ix := tbl.OrderedIndex(0)
 	if ix == prev || cap(ix.Rids) == len(ix.Rids) {
 		t.Fatalf("fixture: the append must replace the index and leave spare capacity (len %d, cap %d)", len(ix.Rids), cap(ix.Rids))
@@ -226,9 +224,7 @@ func TestClusteredAppendKeepsRangeResults(t *testing.T) {
 	tail := ix.Range(1200, 1299)
 	grown := append(tail, -7)
 	takePoint(1299)
-	if err := tbl.AppendRows(clusteredRows(1300, 5)); err != nil {
-		t.Fatal(err)
-	}
+	tbl.AppendRows(clusteredRows(1300, 5))
 	if !slices.Equal(mid, midWant) || len(prev.Vals) != 1000 || !slices.Equal(prev.Range(100, 400), midWant) {
 		t.Fatalf("a clustered append moved the pairs of an earlier Range result or index")
 	}
@@ -237,9 +233,7 @@ func TestClusteredAppendKeepsRangeResults(t *testing.T) {
 	}
 	takePoint(500)
 	takePoint(1299)
-	if err := tbl.AppendRows([][]int64{{500, 0, 42, 0}, {1299, 0, 42, 0}}); err != nil { // not clustered
-		t.Fatal(err)
-	}
+	tbl.AppendRows([][]int64{{500, 0, 42, 0}, {1299, 0, 42, 0}}) // not clustered
 	for v, want := range map[int64][]int32{500: {500, 1305}, 1299: {1299, 1306}} {
 		if got := tbl.OrderedIndex(0).Range(v, v); !slices.Equal(got, want) {
 			t.Fatalf("Range(%d, %d) after the appends = %v, want %v", v, v, got, want)
@@ -265,16 +259,12 @@ func TestClusteredAppendAllocatesLittle(t *testing.T) {
 	const n = benchIndexRows
 	tbl := benchIndexTable(sealFixture(n).Cols)
 	tbl.OrderedIndex(0)
-	if err := tbl.AppendRows(clusteredRows(n, 64)); err != nil {
-		t.Fatal(err)
-	}
+	tbl.AppendRows(clusteredRows(n, 64))
 	const appends = 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 1; i <= appends; i++ {
-		if err := tbl.AppendRows(clusteredRows(n+64*i, 64)); err != nil {
-			t.Fatal(err)
-		}
+		tbl.AppendRows(clusteredRows(n+64*i, 64))
 	}
 	runtime.ReadMemStats(&after)
 	perAppend := (after.TotalAlloc - before.TotalAlloc) / appends

@@ -10,7 +10,7 @@ import (
 
 // These tests compare whole sealed tables field by field — catalog and
 // column statistics, segment geometry and zone maps — to check that a
-// reseal after MaintenanceAppend is indistinguishable from sealing the same
+// reseal after AppendRows is indistinguishable from sealing the same
 // rows once.
 
 // sealFixture builds (without sealing) a fixture of four column shapes: a
@@ -65,7 +65,7 @@ func requireSealedIdentical(t *testing.T, label string, a, b *Table) {
 }
 
 // TestResealAfterAppend covers the unseal/reseal transition:
-// MaintenanceAppend unseals and drops the dirty segment tail, and the next
+// AppendRows unseals and drops the dirty segment tail, and the next
 // FinishLoad must both equal a fresh seal of the same rows and reuse
 // the untouched prefix segment objects (identity, not just equality).
 func TestResealAfterAppend(t *testing.T) {
@@ -73,14 +73,14 @@ func TestResealAfterAppend(t *testing.T) {
 	appendRow := []int64{9999, 3 << 40, 42, -17}
 
 	fresh := sealFixture(300)
-	fresh.MaintenanceAppend([][]int64{appendRow, appendRow})
+	fresh.AppendRows([][]int64{appendRow, appendRow})
 	fresh.FinishLoad()
 
 	tbl := sealFixture(300)
 	tbl.FinishLoad()
 	// 300 rows at 64/segment: 4 full segments survive the append.
 	keep := append([]*Segment(nil), tbl.Segments(0)[:4]...)
-	tbl.MaintenanceAppend([][]int64{appendRow, appendRow})
+	tbl.AppendRows([][]int64{appendRow, appendRow})
 	if tbl.Sealed() {
 		t.Fatal("maintenance append should unseal")
 	}

@@ -125,10 +125,9 @@ func segTestTable(t *testing.T, nRows int) *Table {
 }
 
 // TestTableSealLifecycle covers the seal state machine: FinishLoad seals
-// and builds segments covering every row; direct AppendRows is rejected
-// while sealed; MaintenanceAppend unseals, keeps only the clean segment
-// prefix, and the next FinishLoad rebuilds just the dirtied tail (reusing
-// untouched segment objects).
+// and builds segments covering every row; AppendRows unseals, keeps only
+// the clean segment prefix, and the next FinishLoad rebuilds just the
+// dirtied tail (reusing untouched segment objects).
 func TestTableSealLifecycle(t *testing.T) {
 	defer SetSegmentRows(64)()
 	tbl := segTestTable(t, 300)
@@ -139,9 +138,7 @@ func TestTableSealLifecycle(t *testing.T) {
 	if tbl.Segments(0) != nil {
 		t.Fatal("unsealed table should expose no segments")
 	}
-	if err := tbl.AppendRows([][]int64{{300, 300 % 7}}); err != nil {
-		t.Fatalf("pre-seal append: %v", err)
-	}
+	tbl.AppendRows([][]int64{{300, 300 % 7}})
 
 	tbl.FinishLoad()
 	if !tbl.Sealed() || tbl.SegRows() != 64 {
@@ -159,14 +156,11 @@ func TestTableSealLifecycle(t *testing.T) {
 	if total != 301 {
 		t.Fatalf("segment rows sum to %d, want 301", total)
 	}
-	if err := tbl.AppendRows([][]int64{{1, 1}}); err == nil {
-		t.Fatal("sealed append should fail")
-	}
 
 	// Dirty the tail: 301 rows at 64/segment = 4 full + 1 ragged segment;
 	// appending must keep the 4 full ones and drop the ragged one.
 	keep := append([]*Segment(nil), segs[:4]...)
-	tbl.MaintenanceAppend([][]int64{{301, 301 % 7}, {302, 302 % 7}})
+	tbl.AppendRows([][]int64{{301, 301 % 7}, {302, 302 % 7}})
 	if tbl.Sealed() {
 		t.Fatal("maintenance append should unseal")
 	}

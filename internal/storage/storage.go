@@ -12,7 +12,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -22,18 +21,9 @@ import (
 	"github.com/lpce-db/lpce/internal/catalog"
 )
 
-// ErrSealed is returned (wrapped with the table name) by AppendRows once
-// FinishLoad has sealed a table: direct appends would race lazy index
-// construction and leave the zone maps and statistics stale. DML against a
-// sealed table must go through maintain.AppendRows, which uses
-// MaintenanceAppend to invalidate exactly the dirtied segments and
-// statistics.
-var ErrSealed = errors.New("table is sealed; route appends through internal/maintain")
-
 // Table holds one relation's data column-major. Reads (including lazy
-// index construction) are safe for concurrent use; AppendRows,
-// MaintenanceAppend, and FinishLoad are not and must be externally
-// synchronized against readers.
+// index construction) are safe for concurrent use; AppendRows and
+// FinishLoad are not and must be externally synchronized against readers.
 type Table struct {
 	Meta *catalog.Table
 	Cols [][]int64
@@ -42,7 +32,7 @@ type Table struct {
 	ordIdx []*OrderedIndex // per column position, nil until first use
 
 	// Seal state (see segment.go and colstats.go). sealed flips on
-	// FinishLoad and off on MaintenanceAppend; scans only trust segments,
+	// FinishLoad and off on AppendRows; scans only trust segments,
 	// and Analyze only the seal-time statistics, while sealed.
 	sealed  bool
 	segRows int          // segment granularity this table was sealed with
@@ -50,7 +40,7 @@ type Table struct {
 	stats   []*ColStats  // per column position, computed at seal
 
 	// runs holds each column's value runs over its first covered rows, kept
-	// once the table takes a MaintenanceAppend (nil before: tables that
+	// once the table takes an AppendRows (nil before: tables that
 	// never take DML hold no runs), so a reseal analyzes only the rows
 	// past covered.
 	runs    []colRuns
@@ -90,28 +80,15 @@ func (t *Table) ColByName(name string) []int64 {
 	return t.Cols[c.Pos]
 }
 
-// AppendRows adds rows to the table during the initial load (each row must
-// have one value per column), extending any indexes built so far. Once
-// FinishLoad has sealed the table it returns an error wrapping ErrSealed;
-// post-load DML must go through internal/maintain instead, which pairs the
-// append with segment invalidation and a stats refresh.
-func (t *Table) AppendRows(rows [][]int64) error {
-	if t.sealed {
-		return fmt.Errorf("storage: table %s: %w", t.Meta.Name, ErrSealed)
-	}
-	t.appendRows(rows)
-	return nil
-}
-
-// MaintenanceAppend adds rows to a table that may already be sealed. It
-// unseals the table (scans prune nothing until the next FinishLoad) and
-// drops only the segment tail the new rows dirty, so resealing recomputes
-// the zone maps of the affected segments instead of the whole table, and
-// from then on the table keeps its value runs, so resealing analyzes only
-// the appended rows. Built indexes are extended with the new rows. An
-// empty batch changes nothing. Callers outside internal/maintain should
-// use maintain.AppendRows.
-func (t *Table) MaintenanceAppend(rows [][]int64) {
+// AppendRows adds rows to the table, sealed or not (each row must have one
+// value per column). It unseals the table (scans prune nothing until the
+// next FinishLoad) and drops only the segment tail the new rows dirty, so
+// resealing recomputes the zone maps of the affected segments instead of
+// the whole table, and from then on the table keeps its value runs, so
+// resealing analyzes only the appended rows. Built indexes are extended
+// with the new rows. An empty batch changes nothing. Follow a batch of
+// appends with maintain.RefreshStats to reseal and re-analyze.
+func (t *Table) AppendRows(rows [][]int64) {
 	if len(rows) == 0 {
 		return
 	}

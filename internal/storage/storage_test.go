@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/catalog"
@@ -86,6 +88,63 @@ func TestOrderedIndexRange(t *testing.T) {
 	}
 	if tab.OrderedIndex(0) != ix {
 		t.Fatal("ordered index should be cached")
+	}
+}
+
+// TestOrderedIndexConcurrentLazyBuild: reads, lazy index construction
+// included, are safe for concurrent use. Eight readers race to build each
+// column's ordered index on a fresh sealed table; all get the one index,
+// and its ranges hold the rows a scan of the column finds.
+func TestOrderedIndexConcurrentLazyBuild(t *testing.T) {
+	const readers = 8
+	tbl := sealFixture(4096)
+	tbl.FinishLoad()
+	ranges := [][2]int64{{100, 900}, {3 << 40, 3 << 40}, {42, 42}, {math.MinInt64, 0}, {-5, -6}}
+	got := make([][]*OrderedIndex, readers)
+	gotRids := make([][][]int32, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for pos := range tbl.Cols {
+				ix := tbl.OrderedIndex(pos)
+				got[g] = append(got[g], ix)
+				for _, r := range ranges {
+					gotRids[g] = append(gotRids[g], ix.Range(r[0], r[1]))
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	var want [][]int32
+	for pos, col := range tbl.Cols {
+		for _, r := range ranges {
+			var rids []int32
+			for i, x := range col {
+				if x >= r[0] && x <= r[1] {
+					rids = append(rids, int32(i))
+				}
+			}
+			slices.SortStableFunc(rids, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+			want = append(want, rids)
+		}
+		for g := range got {
+			if got[g][pos] != got[0][pos] {
+				t.Fatalf("column %d: reader %d got a different index than reader 0", pos, g)
+			}
+		}
+	}
+	for g := range gotRids {
+		for i := range want {
+			if !slices.Equal(gotRids[g][i], want[i]) {
+				t.Fatalf("reader %d, range %d: rows %v, want %v", g, i, gotRids[g][i], want[i])
+			}
+		}
 	}
 }
 
