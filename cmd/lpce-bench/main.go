@@ -3,17 +3,18 @@
 // Usage:
 //
 //	lpce-bench [-scale tiny|small|full] [-seed N] [-experiment all|table1|
-//	           figure1|endtoend|refinement|ablations|figure17|figure18|
-//	           joblike]
+//	           figure1|endtoend|refinement|figure17|figure18|ablations|
+//	           extensions|joblike]
 //	           [-o file] [-metrics-out file]
 //	           [-models-in dir]
 //	           [-cpuprofile file] [-memprofile file]
 //
 // The default runs every experiment at small scale and streams the rendered
-// tables to stdout. "endtoend" covers Table 2 and Figures 11–15;
+// tables to stdout; the names are experiments.Groups, and "all" runs them in
+// that order. "endtoend" covers Table 2 and Figures 11–15;
 // "refinement" covers Figure 16 and Table 3; "ablations" covers Figures
-// 19–21. An unknown -experiment or -scale is rejected before the set-up
-// starts.
+// 19–21; "extensions" the re-optimization and trigger-sweep extensions. An
+// unknown -experiment or -scale is rejected before the set-up starts.
 //
 // "joblike" runs the JOB-like named suite serially under the PostgreSQL,
 // LPCE-I and LPCE-R stacks, each with its own observer, and renders the
@@ -23,10 +24,10 @@
 // result as JSON; set with any other -experiment, it is rejected before the
 // set-up starts.
 //
-// -models-in loads the SGD-trained models from a versioned artifact
-// directory written by `lpce-train -out=<dir>` instead of training them.
-// The artifacts must match the (scale, seed) schema; a fingerprint mismatch
-// is a hard error. Models trained in-process fan each minibatch across
+// -models-in loads the SGD-trained models from the model set file that
+// `lpce-train -out=<dir>` writes in dir instead of training them. The set
+// must match the (scale, seed) schema; a fingerprint mismatch is a hard
+// error. Models trained in-process fan each minibatch across
 // GOMAXPROCS goroutines; the weights are the same on any machine size.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
@@ -47,7 +48,6 @@ import (
 	"time"
 
 	"github.com/lpce-db/lpce/internal/experiments"
-	"github.com/lpce-db/lpce/internal/query"
 )
 
 func main() {
@@ -64,13 +64,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("experiment", "all", "experiment to run: "+strings.Join(experimentNames(), ", "))
 	out := fs.String("o", "", "write output to this file instead of stdout")
 	metricsOut := fs.String("metrics-out", "", "write the joblike experiment's result as JSON to this file")
-	modelsIn := fs.String("models-in", "", "load trained models from this artifact directory instead of training")
+	modelsIn := fs.String("models-in", "", "load trained models from the model set in this directory instead of training")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	runExp, ok := experimentsByName[*exp]
+	g, ok := group(*exp)
 	if !ok {
 		fmt.Fprintf(stderr, "unknown experiment %q (want one of %s)\n", *exp, strings.Join(experimentNames(), ", "))
 		return 2
@@ -123,7 +123,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := runExp(env, w, *metricsOut); err != nil {
+	if err := runExperiment(env, w, g, *metricsOut); err != nil {
 		return fail(err)
 	}
 	if *memProfile != "" {
@@ -141,86 +141,52 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// experiment runs one -experiment value against a set-up environment;
-// metricsOut is the -metrics-out path, empty when unset.
-type experiment func(env *experiments.Env, w io.Writer, metricsOut string) error
-
-// render adapts an experiment returning a printable result.
-func render[R interface{ Render() string }](f func(*experiments.Env) R) experiment {
-	return func(env *experiments.Env, w io.Writer, _ string) error {
-		fmt.Fprintln(w, f(env).Render())
-		return nil
+// group returns the experiments.Groups entry named name, nil for "all",
+// and false for an unknown name.
+func group(name string) (*experiments.Group, bool) {
+	if name == "all" {
+		return nil, true
 	}
-}
-
-// experimentsByName is the one table of -experiment values: realMain checks
-// a name against it before the set-up and dispatches through it after.
-var experimentsByName = map[string]experiment{
-	"all": func(env *experiments.Env, w io.Writer, _ string) error {
-		return experiments.RunAll(env, w)
-	},
-	"table1":   render(experiments.Table1),
-	"figure1":  render(experiments.Figure1),
-	"figure17": render(experiments.Figure17),
-	"figure18": render(experiments.Figure18),
-	"endtoend": func(env *experiments.Env, w io.Writer, _ string) error {
-		sets := []struct {
-			label   string
-			queries []*query.Query
-		}{
-			{env.JoinLowLabel, env.JoinLow},
-			{env.JoinHighLabel, env.JoinHigh},
-			{env.JoinTinyLabel, env.JoinTiny},
+	for i := range experiments.Groups {
+		if experiments.Groups[i].Name == name {
+			return &experiments.Groups[i], true
 		}
-		for _, set := range sets {
-			suite, err := env.RunSuite(set.label, set.queries)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, experiments.Figure11(suite).Render())
-			fmt.Fprintln(w, experiments.Table2(suite).Render())
-			fmt.Fprintln(w, experiments.Figure12(suite).Render())
-			fmt.Fprintln(w, experiments.Figure13(suite).Render())
-			fmt.Fprintln(w, experiments.Figure14(suite).Render())
-		}
-		return nil
-	},
-	"refinement": func(env *experiments.Env, w io.Writer, _ string) error {
-		samples := env.CollectTestSamples(env.JoinHigh)
-		fmt.Fprintln(w, experiments.Figure16(env, env.JoinHighLabel, samples).Render())
-		fmt.Fprintln(w, experiments.Table3(env, samples).Render())
-		return nil
-	},
-	"ablations": func(env *experiments.Env, w io.Writer, _ string) error {
-		fmt.Fprintln(w, experiments.Figure19And20(env).Render())
-		fmt.Fprintln(w, experiments.Figure21(env).Render())
-		return nil
-	},
-	"joblike": func(env *experiments.Env, w io.Writer, metricsOut string) error {
-		r, err := experiments.JobLike(env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Render())
-		if metricsOut == "" {
-			return nil
-		}
-		if err := writeJSON(metricsOut, r); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "joblike result written to %s\n", metricsOut)
-		return nil
-	},
+	}
+	return nil, false
 }
 
 // experimentNames lists the -experiment values in sorted order.
 func experimentNames() []string {
-	names := make([]string, 0, len(experimentsByName))
-	for name := range experimentsByName {
-		names = append(names, name)
+	names := []string{"all"}
+	for _, g := range experiments.Groups {
+		names = append(names, g.Name)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// runExperiment renders one -experiment value: every group (g nil) or one.
+// metricsOut, checked to come with joblike alone, receives that group's
+// one result as JSON.
+func runExperiment(env *experiments.Env, w io.Writer, g *experiments.Group, metricsOut string) error {
+	if g == nil {
+		return experiments.RunAll(env, w)
+	}
+	rs, err := g.Run(env)
+	if err != nil {
+		return err
+	}
+	for _, r := range rs {
+		fmt.Fprintln(w, r.Render())
+	}
+	if metricsOut == "" {
+		return nil
+	}
+	if err := writeJSON(metricsOut, rs[0]); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "joblike result written to %s\n", metricsOut)
+	return nil
 }
 
 // writeJSON writes v to path as indented JSON.

@@ -16,9 +16,9 @@
 //	\sample [joins]                 print a random generated query
 //	\quit                           exit
 //
-// With -models-in, the lpce/lpce-r estimators load trained artifacts from a
-// modelio directory (written by cmd/lpce-train against the same -titles and
-// -seed) instead of retraining at startup.
+// With -models-in, the lpce/lpce-r estimators load the trained model set
+// file from a directory (written by cmd/lpce-train against the same
+// -titles and -seed) instead of retraining at startup.
 //
 // With -serve, the process becomes a resident server exposing POST /query,
 // POST /explain, GET /healthz, GET /metrics, and POST /admin/models/swap,
@@ -67,7 +67,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	titles := fs.Int("titles", 1500, "rows in the central title table")
 	seed := fs.Int64("seed", 1, "random seed")
 	estName := fs.String("estimator", "lpce-r", "histogram, lpce, or lpce-r")
-	modelsIn := fs.String("models-in", "", "load trained models from this artifact directory instead of training")
+	modelsIn := fs.String("models-in", "", "load trained models from the model set in this directory instead of training")
 	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of the interactive shell")
 	tenants := fs.String("tenants", "default:1", "comma-separated tenant:weight pairs for -serve")
 	maxConcurrent := fs.Int64("max-concurrent", 8, "admission capacity in weight units for -serve")

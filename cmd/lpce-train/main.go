@@ -1,12 +1,14 @@
 // Command lpce-train runs the training half of the experiment pipeline —
 // synthetic database, sample collection via the instrumented engine, LPCE-I
 // distillation, LPCE-R two-stage training, and the query-driven baselines —
-// and saves every model as a versioned artifact directory that
-// `lpce-bench -models-in=<dir>` loads instead of retraining.
+// and saves every model into one versioned, checksummed model set file in
+// the -out directory, which `lpce-bench -models-in=<dir>` and
+// `lpce-sql -models-in=<dir>` load instead of retraining. A directory
+// written by an older format version is rejected on load; retrain it.
 //
 // Every training loop fans its minibatches across GOMAXPROCS goroutines and
 // reduces the per-sample gradients in a fixed order, so training is
-// deterministic per (scale, seed) on any machine size and artifacts are
+// deterministic per (scale, seed) on any machine size and model sets are
 // cacheable by (scale, seed, code version): train once, keep the directory,
 // and every later run skips straight to evaluation.
 //
@@ -27,7 +29,7 @@ import (
 func main() {
 	scale := flag.String("scale", "small", "training scale: tiny, small, or full")
 	seed := flag.Int64("seed", 1, "random seed for data, workload and model init")
-	out := flag.String("out", "models", "output directory for model artifacts")
+	out := flag.String("out", "models", "output directory for the model set file")
 	flag.Parse()
 	sc, err := experiments.ParseScale(*scale)
 	if err != nil {
@@ -50,7 +52,7 @@ func main() {
 	if err := env.ModelSet().Save(*out, env.Enc); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("artifacts written to %s (schema fingerprint %016x) in %s total\n",
+	fmt.Printf("model set written to %s (schema fingerprint %016x) in %s total\n",
 		*out, env.Enc.Fingerprint(), time.Since(start).Round(time.Millisecond))
 }
 

@@ -1,8 +1,6 @@
 package lpce
 
 import (
-	"io"
-
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/engine"
 	"github.com/lpce-db/lpce/internal/exec"
@@ -20,29 +18,6 @@ import (
 // the grammar).
 func ParseSQL(schema *Schema, sql string) (*Query, error) {
 	return sqlparse.Parse(schema, sql)
-}
-
-// Model persistence: the versioned artifact format of cmd/lpce-train. An
-// artifact records the encoder's schema fingerprint, which covers the
-// column statistics, so a model trained on one database fails to load
-// against another instead of estimating from shifted features.
-
-// SaveModel writes a tree model trained with enc to w.
-func SaveModel(w io.Writer, m *TreeModel, enc *Encoder) error {
-	return modelio.SaveTreeModel(w, m, enc)
-}
-
-// LoadModel reads a tree model written by SaveModel; enc must encode the
-// same schema and statistics as the training-time encoder.
-func LoadModel(r io.Reader, enc *Encoder) (*TreeModel, error) { return modelio.LoadTreeModel(r, enc) }
-
-// SaveRefiner writes a trained LPCE-R to w, stamped with its own encoder.
-func SaveRefiner(w io.Writer, r *Refiner) error { return modelio.SaveRefiner(w, r, r.Enc) }
-
-// LoadRefiner reads a refiner written by SaveRefiner; the encoder and
-// database must match the training-time ones.
-func LoadRefiner(r io.Reader, enc *Encoder, db *Database) (*Refiner, error) {
-	return modelio.LoadRefiner(r, enc, db)
 }
 
 // Deployment maintenance (the paper's §3.2/§7.3 operational loop).
@@ -140,19 +115,19 @@ type ResourceLimits = engine.Limits
 // recovers the panic, so only that query fails.
 type PanicError = engine.PanicError
 
-// Versioned model artifacts (cmd/lpce-train <-> cmd/lpce-bench).
+// Versioned model sets (cmd/lpce-train <-> -models-in).
 
 // ModelSet bundles every SGD-trained model of one experiment environment
-// into a versioned on-disk artifact directory. Loading validates the format
-// version and the encoder's dimension and schema fingerprint, so artifacts
-// cannot silently be applied to a database they were not trained on.
+// into one versioned, checksummed file in a model directory. Loading
+// validates the format version and the encoder's dimension and schema
+// fingerprint, which covers the column statistics, so a set cannot
+// silently be applied to a database it was not trained on.
 type ModelSet = modelio.Set
 
-// SaveModelSet writes the set into dir (created if needed), one
-// checksummed artifact file per model.
+// SaveModelSet writes the set into dir (created if needed) as one file.
 func SaveModelSet(s *ModelSet, dir string, enc *Encoder) error { return s.Save(dir, enc) }
 
-// LoadModelSet reads a complete artifact directory written by SaveModelSet.
+// LoadModelSet reads the model set SaveModelSet wrote in dir.
 func LoadModelSet(dir string, enc *Encoder, db *Database) (*ModelSet, error) {
 	return modelio.LoadSet(dir, enc, db)
 }

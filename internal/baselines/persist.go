@@ -32,7 +32,7 @@ func SaveMSCN(w io.Writer, m *MSCN) error {
 // LoadMSCN reconstructs an MSCN written by SaveMSCN. The schema is a runtime
 // dependency that does not travel with the weights; it must match the one
 // used at training time (modelio's encoder fingerprint enforces this for
-// artifact files). A width outside [1, maxHidden] or weights that do not
+// model set files). A width outside [1, maxHidden] or weights that do not
 // cover the model are an error.
 func LoadMSCN(r io.Reader, schema *catalog.Schema) (*MSCN, error) {
 	dec := gob.NewDecoder(r)

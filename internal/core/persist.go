@@ -13,7 +13,9 @@ import (
 
 // Model persistence: saved models are self-describing (architecture
 // metadata travels with the weights) so deployments load them without
-// reconstructing training configuration.
+// reconstructing training configuration. Each writer here produces one gob
+// payload; modelio frames the payloads of a whole model set into one
+// checksummed file.
 
 type treeModelSpec struct {
 	Cfg    treenn.Config

@@ -35,13 +35,6 @@ type Config struct {
 	Refiner Refiner
 	// Policy is the re-optimization trigger rule (DefaultPolicy when zero).
 	Policy reopt.Policy
-	// ReoptSuppress, when non-nil, is consulted live at every checkpoint: a
-	// non-empty reason suppresses the re-optimization trigger (recorded in
-	// the trace under that reason). The serving layer uses it to shed
-	// re-optimization work while its health state machine reports the
-	// process degraded — estimation refinement is the first work worth
-	// dropping under overload, well before queries themselves.
-	ReoptSuppress func() string
 	// Budget bounds executor work units per query; exceeded queries are
 	// reported as timeouts. Zero means unlimited.
 	Budget int64
@@ -199,7 +192,6 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, cfg Config, qt *ob
 	if cfg.Refiner != nil {
 		rctrl = reopt.NewController(cfg.Policy)
 		rctrl.Trace = qt
-		rctrl.Suppress = cfg.ReoptSuppress
 		ctrl = rctrl
 		if testHookController != nil {
 			testHookController(rctrl)

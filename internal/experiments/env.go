@@ -209,10 +209,10 @@ type NamedEstimator struct {
 
 // SetupOptions customizes SetupWith beyond (scale, seed).
 type SetupOptions struct {
-	// ModelsDir, when non-empty, loads the SGD-trained models from a
-	// modelio artifact directory (written by cmd/lpce-train) instead of
-	// training them. The artifacts must have been trained against the same
-	// (scale, seed) database; the format's encoder fingerprint rejects
+	// ModelsDir, when non-empty, loads the SGD-trained models from the
+	// modelio model set file in that directory (written by cmd/lpce-train)
+	// instead of training them. The set must have been trained against the
+	// same (scale, seed) database; the format's encoder fingerprint rejects
 	// anything else.
 	ModelsDir string
 	// TrainOnly skips the data-driven estimators and the curated test
@@ -232,7 +232,7 @@ func Setup(scale Scale, seed int64) *Env {
 	return env
 }
 
-// SetupWith is Setup with explicit options: loading pre-trained artifacts
+// SetupWith is Setup with explicit options: loading a pre-trained model set
 // or a training-only environment.
 func SetupWith(scale Scale, seed int64, opts SetupOptions) (*Env, error) {
 	p := paramsFor(scale, seed)
@@ -244,7 +244,7 @@ func SetupWith(scale Scale, seed int64, opts SetupOptions) (*Env, error) {
 	env.Histogram = histogram.NewEstimator(db)
 
 	// Training workload and sample collection (paper §7.1). Samples are
-	// collected even when models are loaded from artifacts: LogMax, UAE
+	// collected even when models are loaded from a model set: LogMax, UAE
 	// calibration, and the CE-evaluation experiments all consume them.
 	gTrain := workload.NewGenerator(db, seed+1)
 	trainQs := gTrain.QueriesRange(p.trainQueries, p.trainMinJoins, p.trainMaxJoins)

@@ -2,109 +2,91 @@ package modelio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 
-	"github.com/lpce-db/lpce/internal/baselines"
 	"github.com/lpce-db/lpce/internal/core"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/treenn"
 	"github.com/lpce-db/lpce/internal/workload"
 )
 
-// artifact frames payloads behind a valid header with valid checksums, so
-// a mutated payload gets past the CRC and reaches the gob decoder.
-func artifact(t testing.TB, kind string, enc *encode.Encoder, payloads ...[]byte) []byte {
-	t.Helper()
+// setBytes frames payloads behind a valid header with valid checksums, so
+// a mutated payload gets past the CRC and reaches its gob decoder.
+func setBytes(enc *encode.Encoder, payloads [][]byte) []byte {
 	var b bytes.Buffer
-	if err := writeHeader(&b, kind, enc); err != nil {
-		t.Fatal(err)
-	}
+	writeHeader(&b, enc)
 	for _, p := range payloads {
-		if err := writeFrame(&b, p); err != nil {
-			t.Fatal(err)
-		}
+		writeFrame(&b, p)
 	}
 	return b.Bytes()
 }
 
-// gobBytes runs a core/baselines save function into a frame payload.
-func gobBytes(t testing.TB, save func(io.Writer) error) []byte {
-	t.Helper()
-	p, err := frame(save)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// FuzzLoadArtifact mutates the gob payloads of every artifact kind and
-// re-frames them behind a valid header with valid checksums: each loader
-// must return nil or ErrCorrupt, never panic, and a model it does return
-// must estimate without panicking. Seeds are the fixture's saved artifacts
-// and a tree spec with a negative hidden width, which used to panic in
-// makeslice.
-func FuzzLoadArtifact(f *testing.F) {
+// FuzzLoadSet loads fuzzed set files: LoadSet must return nil or an error
+// wrapping one of the package's sentinels, never panic, and a set it does
+// return must estimate without panicking. A mode below 6 replaces that
+// frame's payload (LPCE-I student, teacher, LPCE-R, TLSTM, Flow-Loss, MSCN)
+// with the fuzz bytes and recomputes its checksum, so every payload decoder
+// and validator is reached; mode 6 takes the fuzz bytes as the whole file,
+// header and frame headers included. Seeds are the fixture set's six
+// payloads, its whole file, the file with an implausible first frame
+// length, and a TLSTM spec with a negative hidden width, which used to
+// panic in makeslice.
+func FuzzLoadSet(f *testing.F) {
 	db, enc, set := fixture(f)
 	q := workload.NewGenerator(db, 63).Query(3)
 	sample := fixSamples[1]
 	useTree := func(m *treenn.TreeModel) {
 		(&core.TreeEstimator{Label: "fuzz", Model: m, Enc: enc}).EstimateSubset(q, q.AllTablesMask())
 	}
-	loaders := []struct {
-		kind   string
-		frames int
-		load   func(r io.Reader) error
-	}{
-		{KindTree, 1, func(r io.Reader) error {
-			m, err := LoadTreeModel(r, enc)
-			if err == nil {
-				useTree(m)
-			}
-			return err
-		}},
-		{KindLPCEI, 2, func(r io.Reader) error {
-			l, err := LoadLPCEI(r, enc)
-			if err == nil {
-				useTree(l.Model)
-				useTree(l.Teacher)
-			}
-			return err
-		}},
-		{KindRefiner, 1, func(r io.Reader) error {
-			ref, err := LoadRefiner(r, enc, db)
-			if err == nil {
-				ref.EvalPrefix(sample, 1)
-			}
-			return err
-		}},
-		{KindMSCN, 1, func(r io.Reader) error {
-			m, err := LoadMSCN(r, enc)
-			if err == nil {
-				m.EstimateSubset(q, q.AllTablesMask())
-			}
-			return err
-		}},
-	}
 
-	tree := func(m *treenn.TreeModel) []byte {
-		return gobBytes(f, func(w io.Writer) error { return core.SaveTreeModel(w, m) })
+	payload := func(save func(io.Writer) error) []byte {
+		var b bytes.Buffer
+		if err := save(&b); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	f.Add(uint8(0), tree(set.TLSTM), []byte(nil))
-	f.Add(uint8(1), tree(set.LPCEI.Model), tree(set.LPCEI.Teacher))
-	f.Add(uint8(2), gobBytes(f, func(w io.Writer) error { return core.SaveRefiner(w, set.Refiner) }), []byte(nil))
-	f.Add(uint8(3), gobBytes(f, func(w io.Writer) error { return baselines.SaveMSCN(w, set.MSCN) }), []byte(nil))
+	var valid [][]byte
+	for _, save := range set.payloads() {
+		valid = append(valid, payload(save))
+	}
+	for i, p := range valid {
+		f.Add(uint8(i), p)
+	}
+	raw := setBytes(enc, valid)
+	f.Add(uint8(6), raw)
+	huge := bytes.Clone(raw)
+	binary.LittleEndian.PutUint32(huge[headerLen:], maxFrame+1)
+	f.Add(uint8(6), huge)
 	bad := *set.TLSTM
 	bad.Cfg.Hidden = -3
-	f.Add(uint8(0), tree(&bad), []byte(nil))
+	f.Add(uint8(3), payload(func(w io.Writer) error { return core.SaveTreeModel(w, &bad) }))
 
-	f.Fuzz(func(t *testing.T, kind uint8, first, second []byte) {
-		l := loaders[int(kind)%len(loaders)]
-		payloads := [][]byte{first, second}[:l.frames]
-		err := l.load(bytes.NewReader(artifact(t, l.kind, enc, payloads...)))
-		if err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want nil or ErrCorrupt", l.kind, err)
+	sentinels := []error{ErrBadMagic, ErrVersion, ErrInputDim, ErrFingerprint, ErrCorrupt}
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
+		file := data
+		if i := int(mode) % 7; i < 6 {
+			payloads := append([][]byte(nil), valid...)
+			payloads[i] = data
+			file = setBytes(enc, payloads)
 		}
+		s, err := loadBytes(t, file, enc, db)
+		if err != nil {
+			for _, s := range sentinels {
+				if errors.Is(err, s) {
+					return
+				}
+			}
+			t.Fatalf("mode %d: err = %v, want nil or a modelio sentinel", mode, err)
+		}
+		useTree(s.LPCEI.Model)
+		useTree(s.LPCEI.Teacher)
+		s.Refiner.EvalPrefix(sample, 1)
+		useTree(s.TLSTM)
+		useTree(s.FlowLoss)
+		s.MSCN.EstimateSubset(q, q.AllTablesMask())
 	})
 }

@@ -2,13 +2,18 @@ package modelio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/baselines"
 	"github.com/lpce-db/lpce/internal/core"
+	"github.com/lpce-db/lpce/internal/datagen"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/query"
@@ -128,80 +133,154 @@ func TestSetRoundtripIdenticalEstimates(t *testing.T) {
 	}
 }
 
-func saveLPCEIBytes(t *testing.T) ([]byte, *encode.Encoder) {
+// savedSet saves the fixture set and returns its directory and file bytes.
+// Save writes exactly one file.
+func savedSet(t testing.TB) (string, []byte) {
 	t.Helper()
 	_, enc, set := fixture(t)
-	var b bytes.Buffer
-	if err := SaveLPCEI(&b, set.LPCEI, enc); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes(), enc
-}
-
-func TestLoadRejectsBadMagic(t *testing.T) {
-	raw, enc := saveLPCEIBytes(t)
-	bad := append([]byte("NOTMODEL"), raw[8:]...)
-	if _, err := LoadLPCEI(bytes.NewReader(bad), enc); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
-	}
-	if _, err := LoadLPCEI(bytes.NewReader(nil), enc); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("empty file: err = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestLoadRejectsWrongVersion(t *testing.T) {
-	raw, enc := saveLPCEIBytes(t)
-	bad := bytes.Clone(raw)
-	bad[8] = 99 // little-endian version field follows the 8-byte magic
-	if _, err := LoadLPCEI(bytes.NewReader(bad), enc); !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
-	}
-}
-
-func TestLoadRejectsWrongKind(t *testing.T) {
-	raw, enc := saveLPCEIBytes(t)
-	if _, err := LoadTreeModel(bytes.NewReader(raw), enc); !errors.Is(err, ErrKind) {
-		t.Fatalf("err = %v, want ErrKind", err)
-	}
-}
-
-func TestLoadRejectsFingerprintMismatch(t *testing.T) {
-	raw, _ := saveLPCEIBytes(t)
-	// A different-seed database has different column statistics, hence a
-	// different fingerprint (and possibly dimension; either rejection is a
-	// compatibility failure).
-	other := encode.NewEncoder(testutil.SmallDB().Schema)
-	_, err := LoadLPCEI(bytes.NewReader(raw), other)
-	if !errors.Is(err, ErrFingerprint) && !errors.Is(err, ErrInputDim) {
-		t.Fatalf("err = %v, want ErrFingerprint or ErrInputDim", err)
-	}
-}
-
-func TestLoadRejectsTruncation(t *testing.T) {
-	raw, enc := saveLPCEIBytes(t)
-	for _, n := range []int{len(raw) - 1, len(raw) / 2, len(raw) / 4} {
-		if _, err := LoadLPCEI(bytes.NewReader(raw[:n]), enc); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncated to %d bytes: err = %v, want ErrCorrupt", n, err)
-		}
-	}
-}
-
-func TestLoadRejectsBitRot(t *testing.T) {
-	raw, enc := saveLPCEIBytes(t)
-	bad := bytes.Clone(raw)
-	bad[len(bad)/2] ^= 0x40
-	if _, err := LoadLPCEI(bytes.NewReader(bad), enc); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestLoadSetMissingFile(t *testing.T) {
-	db, enc, set := fixture(t)
 	dir := t.TempDir()
 	if err := set.Save(dir, enc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSet(t.TempDir(), enc, db); err == nil {
-		t.Fatal("loading an empty directory should fail")
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != setFile {
+		t.Fatalf("Save wrote %v (err %v), want the one file %s", ents, err, setFile)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, setFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, raw
+}
+
+// loadBytes writes raw as the set file of a fresh directory and loads it.
+func loadBytes(t testing.TB, raw []byte, enc *encode.Encoder, db *storage.Database) (*Set, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, setFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadSet(dir, enc, db)
+}
+
+// headerLen is the v2 header: magic, version, dimension, fingerprint.
+const headerLen = len(magic) + 4 + 4 + 8
+
+// frameEnds returns the offset just past each frame of a set file.
+func frameEnds(raw []byte) []int {
+	var ends []int
+	for off := headerLen; off+8 <= len(raw); {
+		off += 8 + int(binary.LittleEndian.Uint32(raw[off:]))
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+func TestLoadRejectsBadMagic(t *testing.T) {
+	db, enc, _ := fixture(t)
+	_, raw := savedSet(t)
+	bad := append([]byte("NOTMODEL"), raw[8:]...)
+	if _, err := loadBytes(t, bad, enc, db); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("err = %v, want ErrBadMagic", err)
+	}
+	if _, err := loadBytes(t, nil, enc, db); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("empty file: err = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestLoadRejectsWrongVersion: an unknown version is refused, and so is
+// the per-kind format v1 (version 1, then a length-prefixed kind name),
+// both in place of the set file and as the lpcei.model of a v1 directory.
+func TestLoadRejectsWrongVersion(t *testing.T) {
+	db, enc, _ := fixture(t)
+	_, raw := savedSet(t)
+	bad := bytes.Clone(raw)
+	bad[8] = 99 // little-endian version field follows the 8-byte magic
+	if _, err := loadBytes(t, bad, enc, db); !errors.Is(err, ErrVersion) {
+		t.Fatalf("err = %v, want ErrVersion", err)
+	}
+
+	var v1 bytes.Buffer
+	v1.WriteString(magic)
+	binary.Write(&v1, binary.LittleEndian, uint32(1))
+	binary.Write(&v1, binary.LittleEndian, uint32(len("lpcei")))
+	v1.WriteString("lpcei")
+	v1.Write(raw[len(magic)+4:])
+	if _, err := loadBytes(t, v1.Bytes(), enc, db); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 header: err = %v, want ErrVersion", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "lpcei.model"), v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSet(dir, enc, db); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 directory: err = %v, want ErrVersion", err)
+	}
+}
+
+// TestLoadRejectsFingerprintMismatch: a set saved against one database
+// fails to load against a database with the same schema and feature width
+// but different column statistics, whose encoder would shift every operand
+// feature the models were trained on; a larger database of another seed
+// may differ in width too, and either rejection is a compatibility failure.
+func TestLoadRejectsFingerprintMismatch(t *testing.T) {
+	_, enc, _ := fixture(t)
+	dir, _ := savedSet(t)
+	other := datagen.Generate(datagen.Config{Titles: 300, Seed: 43})
+	otherEnc := encode.NewEncoder(other.Schema)
+	if enc.Dim() != otherEnc.Dim() {
+		t.Fatalf("schemas differ (%d vs %d features); the test needs equal ones", enc.Dim(), otherEnc.Dim())
+	}
+	if _, err := LoadSet(dir, otherEnc, other); !errors.Is(err, ErrFingerprint) {
+		t.Fatalf("set against other statistics: err = %v, want a fingerprint mismatch", err)
+	}
+	small := testutil.SmallDB()
+	_, err := LoadSet(dir, encode.NewEncoder(small.Schema), small)
+	if !errors.Is(err, ErrFingerprint) && !errors.Is(err, ErrInputDim) {
+		t.Fatalf("set against SmallDB: err = %v, want ErrFingerprint or ErrInputDim", err)
+	}
+}
+
+// TestLoadRejectsTruncation cuts the file inside the header, inside a
+// frame, and cleanly after the header or any of the first five frames (a
+// file missing models); a byte past the sixth frame is not part of the
+// format either.
+func TestLoadRejectsTruncation(t *testing.T) {
+	db, enc, _ := fixture(t)
+	_, raw := savedSet(t)
+	ends := frameEnds(raw)
+	if len(ends) != 6 || ends[5] != len(raw) {
+		t.Fatalf("frame ends %v in a %d-byte file, want six frames filling it", ends, len(raw))
+	}
+	cuts := append([]int{len(raw) - 1, len(raw) / 2, len(raw) / 4, headerLen - 1, headerLen}, ends[:5]...)
+	for _, n := range cuts {
+		if _, err := loadBytes(t, raw[:n], enc, db); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncated to %d bytes: err = %v, want ErrCorrupt", n, err)
+		}
+	}
+	if _, err := loadBytes(t, append(bytes.Clone(raw), 0), enc, db); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("trailing byte: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLoadRejectsBitRot flips one bit in the middle of each frame's
+// payload: the frame's checksum catches it.
+func TestLoadRejectsBitRot(t *testing.T) {
+	db, enc, _ := fixture(t)
+	_, raw := savedSet(t)
+	start := headerLen
+	for i, end := range frameEnds(raw) {
+		bad := bytes.Clone(raw)
+		bad[(start+8+end)/2] ^= 0x40
+		if _, err := loadBytes(t, bad, enc, db); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("frame %d: err = %v, want ErrCorrupt", i, err)
+		}
+		start = end
+	}
+}
+
+func TestLoadSetMissingFile(t *testing.T) {
+	db, enc, _ := fixture(t)
+	if _, err := LoadSet(t.TempDir(), enc, db); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty directory: err = %v, want fs.ErrNotExist", err)
 	}
 }

@@ -61,13 +61,6 @@ type Controller struct {
 	// triggered or suppressed — so a workload's re-optimization behaviour
 	// can be audited after the fact.
 	Trace *obs.QueryTrace
-	// Suppress, when non-nil, is consulted at every checkpoint before the
-	// policy rules: a non-empty return suppresses the trigger under that
-	// reason. It is the hook for suppression decided outside the controller
-	// — the serving layer returns "server-degraded" while its health state
-	// machine reports overload, shedding re-optimization work before
-	// shedding queries.
-	Suppress func() string
 }
 
 // SetPlan informs the controller of the plan about to execute (used by the
@@ -106,11 +99,6 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 		ev.Suppressed = reason
 		c.Trace.AddEvent(ev)
 		return nil
-	}
-	if c.Suppress != nil {
-		if reason := c.Suppress(); reason != "" {
-			return suppress(reason)
-		}
 	}
 	if c.Reopts >= c.Policy.MaxReopts {
 		return suppress("max-reopts")

@@ -121,27 +121,3 @@ func TestDefaultPolicy(t *testing.T) {
 		t.Fatalf("default policy = %+v, paper uses threshold 50 and 3 reopts", p)
 	}
 }
-
-// TestExternalSuppression: a non-empty Suppress answer beats every policy
-// rule — the serving layer uses it to shed re-optimization work under load —
-// and the suppression lifts as soon as the hook reports healthy again.
-func TestExternalSuppression(t *testing.T) {
-	c := NewController(Policy{QErrThreshold: 10, MaxReopts: 3})
-	reason := "server-degraded"
-	c.Suppress = func() string { return reason }
-
-	if err := c.OnMaterialized(twoTableNode(1), rows(1000)); err != nil {
-		t.Fatalf("suppressed checkpoint must not trigger: %v", err)
-	}
-	if c.Reopts != 0 {
-		t.Fatalf("reopts = %d, want 0", c.Reopts)
-	}
-
-	reason = "" // the overload cleared; the same controller triggers again
-	if err := c.OnMaterialized(twoTableNode(1), rows(1000)); err == nil {
-		t.Fatal("unsuppressed checkpoint should trigger")
-	}
-	if c.Reopts != 1 {
-		t.Fatalf("reopts = %d, want 1", c.Reopts)
-	}
-}

@@ -9,8 +9,8 @@ import (
 
 // HealthState is the server's coarse load condition, read from the
 // admission queue's depth alone. It drives the graceful degradation
-// ladder: healthy serves everything, degraded sheds optional work (LPCE-R
-// re-optimization checkpoints are suppressed), overloaded additionally
+// ladder: healthy serves everything, degraded sheds optional work (queries
+// run without LPCE-R, so they never re-optimize), overloaded additionally
 // plans with the histogram baseline instead of the primary stack so
 // admitted queries still finish, just with worse plans.
 type HealthState int32
@@ -18,11 +18,12 @@ type HealthState int32
 const (
 	// StateHealthy: full service — learned estimation and re-optimization.
 	StateHealthy HealthState = iota
-	// StateDegraded: re-optimization suppressed ("server-degraded"); queries
-	// still use the primary estimator stack.
+	// StateDegraded: queries admitted in this state run the primary
+	// estimator without its refiner, so they never re-optimize. A query
+	// admitted healthy keeps its refiner when the state changes under it.
 	StateDegraded
-	// StateOverloaded: estimation routed to the histogram baseline and
-	// re-optimization suppressed; admission keeps shedding at the edges.
+	// StateOverloaded: estimation routed to the histogram baseline, no
+	// refiner; admission keeps shedding at the edges.
 	StateOverloaded
 )
 

@@ -16,7 +16,7 @@ import (
 //	POST /explain           plan without executing (same body)
 //	GET  /healthz           liveness + serving gauges
 //	GET  /metrics           merged global + per-tenant metrics snapshot
-//	POST /admin/models/swap hot-swap model artifacts {dir, version?}
+//	POST /admin/models/swap hot-swap the model set in dir {dir, version?}
 //
 // Error mapping: parse failures 400, unknown tenant 404, rate limiting and
 // admission-queue overflow 429, shutdown 503, deadline (exceeded or

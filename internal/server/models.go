@@ -98,11 +98,11 @@ func (s *Server) setFromArtifacts(version string, set *modelio.Set) (*servingSet
 	}
 }
 
-// SwapModels loads a versioned modelio artifact directory and installs it
-// with zero downtime: in-flight queries finish on the set they were
-// admitted under, new admissions see the new set. The artifact's encoder
-// fingerprint must match the serving schema — a mismatched directory is
-// rejected before anything is swapped, leaving the old set serving.
+// SwapModels loads the versioned modelio model set file in dir and
+// installs it with zero downtime: in-flight queries finish on the set they
+// were admitted under, new admissions see the new set. The file's encoder
+// fingerprint must match the serving schema — a mismatched set is rejected
+// before anything is swapped, leaving the old set serving.
 func (s *Server) SwapModels(dir, version string) (old, cur string, err error) {
 	if s.cfg.Enc == nil {
 		return "", "", fmt.Errorf("server: model swap needs an encoder (Config.Enc)")

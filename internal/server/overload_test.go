@@ -620,12 +620,12 @@ func TestServerDrainDuringRateLimitedBurst(t *testing.T) {
 }
 
 // TestLadderRoutingUnderForcedOverload pins the health state and asserts
-// the estimator rung, the result annotations, and the re-optimization
-// suppression hook at each level. A counting primary proves the overload
-// rung bypasses the primary stack: healthy and degraded queries reach it,
+// the estimator rung, the result annotations, and whether the rung carries
+// the refiner at each level. A counting primary proves the overload rung
+// bypasses the primary stack: healthy and degraded queries reach it,
 // overloaded ones never call it.
 func TestLadderRoutingUnderForcedOverload(t *testing.T) {
-	db := testutil.TinyDB()
+	db, _, set := fixture(t)
 	s := mustServer(t, histConfig(db))
 	hist := histogram.NewEstimator(db)
 	var primaryCalls atomic.Int64
@@ -635,9 +635,10 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 			primaryCalls.Add(1)
 			return hist.EstimateSubset(q, mask)
 		},
-	}, nil)
+	}, set.Refiner)
+	alpha := s.tenants["alpha"]
 
-	// Healthy: primary stack, no suppression.
+	// Healthy: primary stack with its refiner.
 	res, err := s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(0)})
 	if err != nil {
 		t.Fatalf("healthy query: %v", err)
@@ -648,12 +649,12 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	if primaryCalls.Load() == 0 {
 		t.Fatal("healthy query never reached the primary estimator")
 	}
-	if r := s.reoptSuppress(); r != "" {
-		t.Fatalf("healthy suppression = %q, want none", r)
+	if s.rungFor(alpha).refiner == nil {
+		t.Fatal("healthy rung dropped the refiner")
 	}
 	base := res.Count
 
-	// Degraded: primary stack still serves, but re-optimization is shed. A
+	// Degraded: primary stack still serves, without its refiner. A
 	// statement alpha has not run misses its cache and reaches the primary.
 	s.health.force(StateDegraded)
 	before := primaryCalls.Load()
@@ -670,8 +671,8 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	if primaryCalls.Load() == before {
 		t.Fatal("degraded query never reached the primary estimator")
 	}
-	if r := s.reoptSuppress(); r != "server-degraded" {
-		t.Fatalf("degraded suppression = %q, want server-degraded", r)
+	if s.rungFor(alpha).refiner != nil {
+		t.Fatal("degraded rung kept the refiner")
 	}
 
 	// Overloaded: the histogram plans, results stay correct, and the primary
@@ -694,8 +695,8 @@ func TestLadderRoutingUnderForcedOverload(t *testing.T) {
 	if res.Count != base {
 		t.Fatalf("shed-rung count = %d, want %d (plans may differ, results may not)", res.Count, base)
 	}
-	if r := s.reoptSuppress(); r != "server-degraded" {
-		t.Fatalf("overloaded suppression = %q, want server-degraded", r)
+	if s.rungFor(alpha).refiner != nil {
+		t.Fatal("overloaded rung kept the refiner")
 	}
 
 	// healthz reports the state without flipping to 503.

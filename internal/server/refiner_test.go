@@ -7,7 +7,9 @@ import (
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/engine"
+	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/histogram"
+	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/sqlparse"
 )
@@ -78,4 +80,41 @@ func TestQueriesWithoutRefinerNeverReoptimize(t *testing.T) {
 			t.Fatalf("shed-rung query evaluated %d re-optimization checkpoints, want none", len(evs))
 		}
 	})
+}
+
+// TestReoptDecidedAtAdmission: whether a query may re-optimize is fixed
+// with its rung when it is admitted. A query admitted while healthy keeps
+// its refiner even if the server degrades before its first checkpoint, and
+// one admitted while degraded runs without it. The constant estimate of 3
+// misses the query's checkpoints far past the trigger threshold.
+func TestReoptDecidedAtAdmission(t *testing.T) {
+	db, enc, set := fixture(t)
+	cfg := histConfig(db)
+	cfg.Enc, cfg.Mode, cfg.Models = enc, ModeLPCER, set
+	s := mustServer(t, cfg)
+	s.installEstimator("three", cardest.Fixed{Value: 3, Label: "three"}, set.Refiner)
+	run := func() *QueryResult {
+		t.Helper()
+		res, err := s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// Operators are built after admission and before any checkpoint.
+	s.execWrap = func(_ *exec.Ctx, op exec.BatchOperator, _ *plan.Node) exec.BatchOperator {
+		s.health.force(StateDegraded)
+		return op
+	}
+	if res := run(); res.HealthState != "healthy" || res.Reopts < 1 {
+		t.Fatalf("admitted healthy, degraded mid-query: state=%s reopts=%d, want healthy with a re-optimization",
+			res.HealthState, res.Reopts)
+	}
+
+	s.execWrap = nil
+	if res := run(); res.HealthState != "degraded" || res.Reopts != 0 {
+		t.Fatalf("admitted degraded: state=%s reopts=%d, want degraded with no re-optimization", res.HealthState, res.Reopts)
+	}
+	s.health.force(StateHealthy)
 }

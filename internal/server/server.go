@@ -57,7 +57,7 @@ type Config struct {
 	// ModeLPCER. Empty defaults to ModeHistogram without Models and ModeLPCER
 	// with them.
 	Mode string
-	// Models is the initial model artifact set (served as version "boot")
+	// Models is the initial model set (served as version "boot")
 	// for the model modes; nil is valid only for ModeHistogram. Later sets
 	// arrive via SwapModels.
 	Models *modelio.Set
@@ -330,22 +330,11 @@ func countShed(tn *tenant, err error) {
 	}
 }
 
-// reoptSuppress is the serving layer's hook into the re-optimization
-// controller: while the health machine reports degraded or worse, every
-// checkpoint is suppressed under "server-degraded" — re-optimization is the
-// first work shed because it is optional (the query still finishes on its
-// current plan) yet costs an extra planning pass plus refinement inference.
-func (s *Server) reoptSuppress() string {
-	if s.health.current() >= StateDegraded {
-		return "server-degraded"
-	}
-	return ""
-}
-
 // rung is the estimator stack one admitted request plans with: the
-// serving set's primary stack, or — when the health machine reports
-// overloaded — the histogram overload rung, which sheds model inference
-// (T_I) and re-optimization (T_R).
+// serving set's primary stack; without its refiner when the health machine
+// reports degraded, which sheds re-optimization (T_R); or, when it reports
+// overloaded, the histogram overload rung, which sheds model inference
+// (T_I) as well.
 type rung struct {
 	version  string
 	state    HealthState
@@ -363,8 +352,11 @@ type rung struct {
 func (s *Server) rungFor(tn *tenant) rung {
 	ms := s.models.Load()
 	r := rung{version: ms.version, state: s.health.current(), est: ms.caches[tn.name], estName: ms.estName, refiner: ms.refiner}
+	if r.state >= StateDegraded {
+		r.refiner = nil
+	}
 	if r.state >= StateOverloaded {
-		r.est, r.estName, r.refiner, r.fallback = ms.shed, ms.shed.Name(), nil, true
+		r.est, r.estName, r.fallback = ms.shed, ms.shed.Name(), true
 	}
 	return r
 }
@@ -394,13 +386,12 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 
 	start := time.Now()
 	res, err := s.eng.ExecuteContext(qctx, q, engine.Config{
-		Estimator:     r.est,
-		Refiner:       r.refiner,
-		ReoptSuppress: s.reoptSuppress,
-		Budget:        s.cfg.Budget,
-		Obs:           tn.obs,
-		Limits:        tn.limits,
-		ExecWrap:      s.execWrap,
+		Estimator: r.est,
+		Refiner:   r.refiner,
+		Budget:    s.cfg.Budget,
+		Obs:       tn.obs,
+		Limits:    tn.limits,
+		ExecWrap:  s.execWrap,
 	})
 	elapsed := time.Since(start)
 	tn.latency.Observe(float64(elapsed) / float64(time.Millisecond))
