@@ -265,32 +265,7 @@ func newOptimizer(e *experiments.Env) *optimizer.Optimizer {
 	return optimizer.New(e.DB, e.LPCEIEstimator())
 }
 
-// --- Concurrent workload execution: pool + shared estimate cache ---
-
-// BenchmarkConcurrentWorkload measures aggregate workload throughput at one
-// worker (the serial baseline on the same code path) and at GOMAXPROCS
-// workers, with the histogram stack. b.N counts executed queries.
-func BenchmarkConcurrentWorkload(b *testing.B) {
-	e := benchSetup(b)
-	cfg := engine.Config{Estimator: e.Histogram, Budget: 100_000_000}
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers != 1 {
-			name = "gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			qs := make([]*query.Query, b.N)
-			for i := range qs {
-				qs[i] = e.JoinLow[i%len(e.JoinLow)]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := engine.New(e.DB).ExecuteAll(qs, cfg, workers); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
+// --- Shared estimate cache (the server's per-tenant caches) ---
 
 // BenchmarkEstimateCacheHit isolates the cache's hot path: a fingerprint,
 // one sharded map lookup, and an atomic counter bump.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -11,6 +12,8 @@ import (
 	"github.com/lpce-db/lpce/internal/datagen"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/engine"
+	"github.com/lpce-db/lpce/internal/experiments"
+	"github.com/lpce-db/lpce/internal/modelio"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/workload"
@@ -99,5 +102,39 @@ func TestShellHistogramModeNeverReoptimizes(t *testing.T) {
 	got := out.String()
 	if !strings.Contains(got, fmt.Sprintf("COUNT(*) = %d\n", want.Count)) || !strings.Contains(got, "(0 rounds)") {
 		t.Fatalf("shell output lacks COUNT(*) = %d with 0 re-optimization rounds:\n%s", want.Count, got)
+	}
+}
+
+// TestModelsInNeedsTheTrainingScale saves a model set the way
+// `lpce-train -scale=tiny` does and loads it through -models-in: with
+// -titles 400, tiny's title count, the lpce-r stack loads and estimates;
+// with -titles 1500, the flag's default, the database differs and the set's
+// encoder fingerprint rejects it.
+func TestModelsInNeedsTheTrainingScale(t *testing.T) {
+	env, err := experiments.SetupWith(experiments.ScaleTiny, 1, experiments.SetupOptions{TrainOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := env.ModelSet().Save(dir, env.Enc); err != nil {
+		t.Fatal(err)
+	}
+
+	db := datagen.Generate(datagen.Config{Titles: 400, Seed: 1})
+	est, refiner, set, err := buildEstimator(io.Discard, db, encode.NewEncoder(db.Schema), "lpce-r", dir, 1)
+	if err != nil {
+		t.Fatalf("-titles 400 -models-in: %v", err)
+	}
+	if refiner == nil || set == nil || set.Refiner == nil {
+		t.Fatalf("lpce-r stack incomplete: refiner=%v set=%v", refiner, set)
+	}
+	q := workload.NewGenerator(db, 7).Query(3)
+	if _, err := engine.New(db).Execute(q, engine.Config{Estimator: est, Refiner: refiner}); err != nil {
+		t.Fatalf("loaded stack: %v", err)
+	}
+
+	db = datagen.Generate(datagen.Config{Titles: 1500, Seed: 1})
+	if _, _, _, err := buildEstimator(io.Discard, db, encode.NewEncoder(db.Schema), "lpce-r", dir, 1); !errors.Is(err, modelio.ErrFingerprint) {
+		t.Fatalf("-titles 1500 -models-in: err = %v, want modelio.ErrFingerprint", err)
 	}
 }

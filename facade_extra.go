@@ -1,10 +1,8 @@
 package lpce
 
 import (
-	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/engine"
 	"github.com/lpce-db/lpce/internal/exec"
-	"github.com/lpce-db/lpce/internal/experiments"
 	"github.com/lpce-db/lpce/internal/maintain"
 	"github.com/lpce-db/lpce/internal/modelio"
 	"github.com/lpce-db/lpce/internal/obs"
@@ -43,30 +41,6 @@ func RefreshStats(db *Database) { maintain.RefreshStats(db) }
 // table's built indexes. Follow a batch of appends with RefreshStats.
 func AppendRows(t *StorageTable, rows [][]int64) { t.AppendRows(rows) }
 
-// Concurrent workload execution.
-
-// EstimateCache is a thread-safe sharded read-through cardinality-estimate
-// cache keyed by query fingerprint + relation subset. Share one across
-// workers to amortize model inference over a concurrent workload.
-type EstimateCache = cardest.Cache
-
-// NewEstimateCache wraps an estimator in an empty cache.
-func NewEstimateCache(inner Estimator) *EstimateCache { return cardest.NewCache(inner, nil, 0) }
-
-// ParallelRun is the outcome of a concurrent workload execution: per-query
-// results aligned with the input, wall time, and cache counters.
-type ParallelRun = engine.ParallelRun
-
-// ExecuteParallel plans and executes the queries across workers goroutines
-// (GOMAXPROCS when workers <= 0) sharing cfg's estimator behind an estimate
-// cache. Results are identical to a serial run: every estimator shipped
-// with the repository is deterministic per (query, subset) regardless of
-// call order. On failure the pool stops and the lowest-index query's error
-// is returned, as a serial run would.
-func ExecuteParallel(db *Database, queries []*Query, cfg EngineConfig, workers int) (ParallelRun, error) {
-	return engine.New(db).ExecuteAll(queries, cfg, workers)
-}
-
 // Observability.
 
 // Observer is the sink of the observability layer: per-operator runtime
@@ -82,21 +56,6 @@ func NewObserver() *Observer { return obs.NewObserver() }
 // per execution attempt, re-optimization events, phase times); available as
 // Result.Trace when the engine ran with an observer.
 type QueryTrace = obs.QueryTrace
-
-// ObsReport is the aggregated, JSON-serializable view of everything an
-// observer collected; built with Observer.Report().
-type ObsReport = obs.Report
-
-// MetricsRegistry interns named counters, gauges, and histograms. All
-// operations are goroutine-safe and nil-safe.
-type MetricsRegistry = obs.Registry
-
-// NewEstimateCacheWithMetrics wraps an estimator in an empty cache whose
-// hit/miss counters are interned in the registry, so they appear in the
-// observer's report alongside the engine metrics.
-func NewEstimateCacheWithMetrics(inner Estimator, reg *MetricsRegistry) *EstimateCache {
-	return cardest.NewCache(inner, reg, 0)
-}
 
 // Robustness & graceful degradation.
 
@@ -130,14 +89,4 @@ func SaveModelSet(s *ModelSet, dir string, enc *Encoder) error { return s.Save(d
 // LoadModelSet reads the model set SaveModelSet wrote in dir.
 func LoadModelSet(dir string, enc *Encoder, db *Database) (*ModelSet, error) {
 	return modelio.LoadSet(dir, enc, db)
-}
-
-// ExperimentOptions tune SetupExperimentsWith beyond scale and seed: an
-// artifact directory to load models from instead of training, and a
-// train-only mode that skips test-workload construction.
-type ExperimentOptions = experiments.SetupOptions
-
-// SetupExperimentsWith is SetupExperiments with explicit options.
-func SetupExperimentsWith(scale ExperimentScale, seed int64, opts ExperimentOptions) (*ExperimentEnv, error) {
-	return experiments.SetupWith(scale, seed, opts)
 }

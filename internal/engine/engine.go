@@ -48,7 +48,11 @@ type Config struct {
 	Limits Limits
 	// ExecWrap, when non-nil, intercepts every executor operator the engine
 	// builds. It exists for the fault-injection harness; production configs
-	// leave it nil.
+	// leave it nil. It is a field rather than a test-only hook because the
+	// suites that inject operator faults live outside this package: the
+	// fault chaos suite (package fault_test) and the server's soak and
+	// overload tests reach the engine through its exported Config, which an
+	// export_test.go seam here cannot serve.
 	ExecWrap exec.WrapFunc
 }
 

@@ -1,24 +1,22 @@
 package experiments
 
 import (
-	"errors"
+	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/engine"
-	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/testutil"
-	"github.com/lpce-db/lpce/internal/workload"
 )
 
-// TestParallelMatchesSerial is the tentpole correctness proof: running the
-// workload across many workers must reproduce the serial run exactly —
-// same cardinality estimates, same chosen plans, same row counts — for a
-// sampling data-driven estimator, the histogram, and the full LPCE-R
-// re-optimization stack.
+// TestParallelMatchesSerial is the estimator-concurrency contract the
+// server's shared per-tenant caches rely on: executing the workload from
+// many goroutines through one shared estimate cache must reproduce a serial
+// run over the bare estimator exactly — same cardinality estimates, same
+// chosen plans, same row counts — for a sampling data-driven estimator, the
+// histogram, and the full LPCE-R re-optimization stack.
 func TestParallelMatchesSerial(t *testing.T) {
 	e := env(t)
 	queries := e.JoinLow
@@ -36,17 +34,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// re-optimization path: replans and overlays must also be stable
 		{"LPCE-R", engine.Config{Estimator: e.LPCEIEstimator(), Refiner: e.Refiner, Budget: e.P.budget}},
 	}
+	eng := engine.New(e.DB)
 	for _, tc := range cfgs {
-		serial, err := engine.New(e.DB).ExecuteAll(queries, tc.cfg, 1)
-		if err != nil {
-			t.Fatalf("%s serial: %v", tc.name, err)
+		serial := make([]engine.Result, len(queries))
+		for i, q := range queries {
+			r, err := eng.Execute(q, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s serial query %d: %v", tc.name, i, err)
+			}
+			serial[i] = r
 		}
-		par, err := engine.New(e.DB).ExecuteAll(queries, tc.cfg, 8)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", tc.name, err)
+		shared := tc.cfg
+		shared.Estimator = cardest.NewCache(tc.cfg.Estimator, nil, 0)
+		par := make([]engine.Result, len(queries))
+		for i, err := range testutil.RunEach(context.Background(), len(queries), 8, func(i int) (err error) {
+			par[i], err = eng.Execute(queries[i], shared)
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("%s parallel query %d: %v", tc.name, i, err)
+			}
 		}
 		for i := range queries {
-			s, p := serial.Results[i], par.Results[i]
+			s, p := serial[i], par[i]
 			if s.Count != p.Count || s.TimedOut != p.TimedOut {
 				t.Fatalf("%s query %d: serial count=%d timeout=%v, parallel count=%d timeout=%v",
 					tc.name, i, s.Count, s.TimedOut, p.Count, p.TimedOut)
@@ -63,24 +73,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s query %d: plans diverge\nserial:\n%s\nparallel:\n%s", tc.name, i, sp, pp)
 			}
 		}
-	}
-}
-
-// TestParallelCacheSharing checks the shared cache actually absorbs repeated
-// estimates: running the same query list twice in one workload makes the
-// second pass hit for every subset.
-func TestParallelCacheSharing(t *testing.T) {
-	e := env(t)
-	qs := append(append([]*query.Query(nil), e.JoinLow[:2]...), e.JoinLow[:2]...)
-	run, err := engine.New(e.DB).ExecuteAll(qs, engine.Config{Estimator: e.Histogram, Budget: e.P.budget}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.CacheHits == 0 {
-		t.Fatal("duplicated queries produced zero cache hits")
-	}
-	if run.HitRate() <= 0 || run.HitRate() >= 1 {
-		t.Fatalf("hit rate = %v, want in (0,1)", run.HitRate())
 	}
 }
 
@@ -134,39 +126,5 @@ func TestSharedEstimatorHammer(t *testing.T) {
 		if hits, misses := cache.Stats(); hits == 0 || misses == 0 {
 			t.Fatalf("%s: cache counters hits=%d misses=%d", est.Name(), hits, misses)
 		}
-	}
-}
-
-// TestParallelWorkloadReturnsSerialError makes a higher-index query fail
-// first: query 2's estimator panics at once, query 0's only after that. A
-// serial run fails on query 0, so the parallel run must report query 0's
-// failure, not whichever finished first.
-func TestParallelWorkloadReturnsSerialError(t *testing.T) {
-	db := testutil.TinyDB()
-	qs := workload.NewGenerator(db, 5).Queries(4, 2)
-	hist := histogram.NewEstimator(db)
-	hiFailed := make(chan struct{})
-	var once sync.Once
-	est := cardest.FuncEstimator{Label: "ordered-failures", Fn: func(q *query.Query, mask query.BitSet) float64 {
-		switch {
-		case q == nil:
-		case q.Fingerprint() == qs[2].Fingerprint():
-			once.Do(func() { close(hiFailed) })
-			panic("query 2")
-		case q.Fingerprint() == qs[0].Fingerprint():
-			select {
-			case <-hiFailed:
-				time.Sleep(20 * time.Millisecond) // let query 2's failure land first
-			case <-time.After(5 * time.Second):
-			}
-			panic("query 0")
-		}
-		return hist.EstimateSubset(q, mask)
-	}}
-	_, err := engine.New(db).ExecuteAll(qs, engine.Config{Estimator: est}, 4)
-	// The engine recovers each panic into its query's *engine.PanicError.
-	var pe *engine.PanicError
-	if !errors.As(err, &pe) || pe.Value != "query 0" {
-		t.Fatalf("err = %v, want query 0's panic", err)
 	}
 }

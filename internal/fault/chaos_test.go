@@ -72,7 +72,7 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 
 	// Fault-free baseline, executed in parallel.
 	baseline := make([]int, len(queries))
-	errs := workload.RunEach(context.Background(), len(queries), 8, func(i int) error {
+	errs := testutil.RunEach(context.Background(), len(queries), 8, func(i int) error {
 		res, err := eng.Execute(queries[i], engine.Config{Estimator: hist, Refiner: reopt.OverlayRefiner{Base: hist}})
 		baseline[i] = res.Count
 		return err
@@ -101,7 +101,7 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 	}
 
 	counts := make([]int, len(queries))
-	errs = workload.RunEach(context.Background(), len(queries), 8, func(i int) error {
+	errs = testutil.RunEach(context.Background(), len(queries), 8, func(i int) error {
 		res, err := eng.Execute(queries[i], cfg)
 		counts[i] = res.Count
 		return err
@@ -242,7 +242,7 @@ func TestChaosUnguardedPoolStillSurvives(t *testing.T) {
 	fest := &fault.Estimator{Inner: hist, Panic: fault.Injector{Seed: 55, Rate: 0.02}}
 	eng := engine.New(db)
 
-	errs := workload.RunEach(context.Background(), len(queries), 8, func(i int) error {
+	errs := testutil.RunEach(context.Background(), len(queries), 8, func(i int) error {
 		_, err := eng.Execute(queries[i], engine.Config{Estimator: fest})
 		return err
 	})
@@ -318,7 +318,7 @@ func TestDeadlineSmokeParallel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	errs := workload.RunEach(ctx, len(queries), 4, func(i int) error {
+	errs := testutil.RunEach(ctx, len(queries), 4, func(i int) error {
 		_, err := eng.ExecuteContext(ctx, queries[i], engine.Config{Estimator: hist, ExecWrap: ops.Wrap})
 		return err
 	})

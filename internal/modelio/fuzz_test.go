@@ -34,6 +34,14 @@ func setBytes(enc *encode.Encoder, payloads [][]byte) []byte {
 // payloads, its whole file, the file with an implausible first frame
 // length, and a TLSTM spec with a negative hidden width, which used to
 // panic in makeslice.
+//
+// Run it locally with a minimization cap, as the nightly workflow does:
+//
+//	go test -run '^$' -fuzz '^FuzzLoadSet$' -fuzztime 30s -fuzzminimizetime 100x ./internal/modelio
+//
+// Without -fuzzminimizetime the default 60 s minimization of each
+// new-coverage input, on whole-file seeds of ~266 KB, stalls the run after a
+// few execs.
 func FuzzLoadSet(f *testing.F) {
 	db, enc, set := fixture(f)
 	q := workload.NewGenerator(db, 63).Query(3)

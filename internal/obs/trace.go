@@ -26,8 +26,8 @@ type OpStats struct {
 	// Rows counts the tuples the operator emitted before stopping; equals
 	// ActualRows for completed operators.
 	Rows int64 `json:"rows"`
-	// Batches counts the tuple batches the operator emitted; zero for
-	// operators executed on the scalar (tuple-at-a-time) path.
+	// Batches counts the tuple batches the operator emitted; zero for an
+	// operator torn down before it emitted one.
 	Batches int64 `json:"batches,omitempty"`
 	// Wall is the inclusive wall-clock time from Open to exhaustion (or to
 	// teardown for operators that never exhausted).

@@ -148,10 +148,10 @@ func TestServerOverloadSoak(t *testing.T) {
 	}
 
 	spike := fault.Spike{Period: 32, Burst: 24, Gap: 300 * time.Microsecond}
-	backoff := workload.Backoff{
+	backoff := Backoff{
 		Base: time.Millisecond, Max: 20 * time.Millisecond,
 		MaxAttempts: 8, Seed: 7,
-		Budget: workload.NewRetryBudget(int64(n) * 16),
+		Budget: NewRetryBudget(int64(n) * 16),
 	}
 
 	type outcome struct {
@@ -161,7 +161,7 @@ func TestServerOverloadSoak(t *testing.T) {
 		fallback bool // served from the shed rung
 	}
 	served := make([]outcome, n)
-	runErrs := workload.RunEach(context.Background(), n, 32, func(i int) error {
+	runErrs := testutil.RunEach(context.Background(), n, 32, func(i int) error {
 		time.Sleep(spike.Delay(i))
 		tenant := []string{"alpha", "beta"}[i%2]
 		req := QueryRequest{
@@ -189,7 +189,7 @@ func TestServerOverloadSoak(t *testing.T) {
 			}
 			return qerr
 		})
-		var hint workload.RetryAfterHint
+		var hint RetryAfterHint
 		if err != nil && errors.As(err, &hint) {
 			// Finally shed after exhausting retries: accounted, not compared.
 			served[i] = outcome{s: "shed"}

@@ -21,13 +21,12 @@ import (
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/sqlparse"
 	"github.com/lpce-db/lpce/internal/testutil"
-	"github.com/lpce-db/lpce/internal/workload"
 )
 
 // Compile-time: the typed sheds satisfy the client backoff hint interface.
 var (
-	_ workload.RetryAfterHint = (*RateLimitError)(nil)
-	_ workload.RetryAfterHint = (*ShedError)(nil)
+	_ RetryAfterHint = (*RateLimitError)(nil)
+	_ RetryAfterHint = (*ShedError)(nil)
 )
 
 // manualClock is a settable time source for bucket and health tests.
@@ -87,7 +86,7 @@ func TestRateLimitErrorTyping(t *testing.T) {
 	if statusFor(err) != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", statusFor(err))
 	}
-	var hint workload.RetryAfterHint
+	var hint RetryAfterHint
 	if !errors.As(err, &hint) || hint.RetryAfter() != 250*time.Millisecond {
 		t.Fatal("RetryAfter hint not exposed")
 	}
@@ -130,7 +129,7 @@ func TestServerRateLimitedQuery(t *testing.T) {
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
-	var hint workload.RetryAfterHint
+	var hint RetryAfterHint
 	if !errors.As(err, &hint) || hint.RetryAfter() <= 0 {
 		t.Fatal("rate-limit rejection must carry a positive Retry-After hint")
 	}
@@ -190,7 +189,7 @@ func TestServerBackoffClientsAllServedAcrossSwap(t *testing.T) {
 	}
 	s := mustServer(t, cfg)
 
-	backoff := workload.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxAttempts: 8, Seed: 42}
+	backoff := Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxAttempts: 8, Seed: 42}
 	var (
 		done     atomic.Int64
 		swapOnce sync.Once
@@ -513,7 +512,7 @@ func TestAdmissionDeadlineUnmeetableRejectsBeforeQueueing(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineUnmeetable) {
 		t.Fatalf("err = %v, want ErrDeadlineUnmeetable", err)
 	}
-	var hint workload.RetryAfterHint
+	var hint RetryAfterHint
 	if !errors.As(err, &hint) || hint.RetryAfter() <= 0 {
 		t.Fatal("unmeetable rejection must hint a retry delay")
 	}

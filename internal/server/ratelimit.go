@@ -17,8 +17,8 @@ var ErrRateLimited = errors.New("server: tenant rate limited")
 
 // RateLimitError is the typed rate-limit rejection: which tenant, and how
 // long until a token will be available. It satisfies errors.Is against
-// ErrRateLimited and exposes RetryAfter for the transport layer and for
-// backoff clients (workload.RetryAfterHint).
+// ErrRateLimited and exposes RetryAfter for the transport layer's
+// Retry-After header and for clients that back off by it.
 type RateLimitError struct {
 	Tenant string
 	After  time.Duration

@@ -1,4 +1,4 @@
-package workload
+package server
 
 import (
 	"context"
@@ -7,9 +7,13 @@ import (
 	"time"
 )
 
+// This file is the backoff-retrying client that the overload and soak
+// tests drive the server with: the behaviour a compliant client shows
+// against sheds that carry Retry-After hints.
+
 // RetryAfterHint is implemented by errors that carry a server-provided
-// earliest-retry delay (the HTTP Retry-After header, or the typed shed
-// errors from internal/server). Backoff honors the hint as a floor on its
+// earliest-retry delay (the HTTP Retry-After header, or this package's
+// *RateLimitError and *ShedError). Backoff honors the hint as a floor on its
 // own computed delay, so a compliant client never hammers a server that
 // just told it when to come back.
 type RetryAfterHint interface {

@@ -472,16 +472,6 @@ func (s *Server) Tenants() []string {
 	return names
 }
 
-// TenantObserver returns the named tenant's observer (nil for unknown
-// tenants) — test and embedding hook for per-tenant traces and CE reports.
-func (s *Server) TenantObserver(name string) *obs.Observer {
-	tn, ok := s.tenants[name]
-	if !ok {
-		return nil
-	}
-	return tn.obs
-}
-
 // TenantCache returns the named tenant's current estimate cache (nil for
 // unknown tenants). The cache belongs to the current serving set and is
 // replaced wholesale on hot-swap.

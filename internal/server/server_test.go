@@ -129,7 +129,7 @@ func TestServerConcurrentTenantsIsolated(t *testing.T) {
 
 	const perTenant = 30
 	run := func(tenant string) []error {
-		return workload.RunEach(context.Background(), perTenant, 4, func(i int) error {
+		return testutil.RunEach(context.Background(), perTenant, 4, func(i int) error {
 			sql := testSQL(i)
 			res, err := s.Query(context.Background(), QueryRequest{
 				Tenant: tenant, Session: fmt.Sprintf("%s-%d", tenant, i%2), SQL: sql,
@@ -409,7 +409,7 @@ func TestServerHotSwapNeverTorn(t *testing.T) {
 		}
 	}()
 
-	errs := workload.RunEach(context.Background(), 200, 8, func(i int) error {
+	errs := testutil.RunEach(context.Background(), 200, 8, func(i int) error {
 		res, err := s.Query(context.Background(), QueryRequest{
 			Tenant: []string{"alpha", "beta"}[i%2], SQL: testSQL(i),
 		})
@@ -494,7 +494,7 @@ func TestServerCloseGoroutineLeakFree(t *testing.T) {
 
 	for cycle := 0; cycle < 3; cycle++ {
 		s := mustServer(t, histConfig(db))
-		errs := workload.RunEach(context.Background(), 8, 4, func(i int) error {
+		errs := testutil.RunEach(context.Background(), 8, 4, func(i int) error {
 			_, err := s.Query(context.Background(), QueryRequest{Tenant: "alpha", SQL: testSQL(i)})
 			return err
 		})

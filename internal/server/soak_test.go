@@ -155,7 +155,7 @@ func TestServerSoakUnderChaosMatchesSerialOracle(t *testing.T) {
 	}()
 
 	served := make([]string, n)
-	runErrs := workload.RunEach(context.Background(), n, 8, func(i int) error {
+	runErrs := testutil.RunEach(context.Background(), n, 8, func(i int) error {
 		tenant := []string{"alpha", "beta"}[i%2]
 		res, err := s.Query(context.Background(), QueryRequest{
 			Tenant:  tenant,

@@ -1,4 +1,4 @@
-package workload
+package testutil
 
 import (
 	"context"
@@ -19,7 +19,7 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("workload: task %d panicked: %v", e.Index, e.Value)
+	return fmt.Sprintf("testutil: task %d panicked: %v", e.Index, e.Value)
 }
 
 // safeCall runs fn(i), converting a panic into a *PanicError.

@@ -1,7 +1,8 @@
 // Package testutil provides the shared fixtures used by the test suites:
-// small deterministic databases and a brute-force query evaluator that is
+// small deterministic databases, a brute-force query evaluator that is
 // independent of the execution engine, so engine results can be checked
-// against a second implementation.
+// against a second implementation, and a worker pool (RunEach) for the
+// concurrency and soak tests.
 package testutil
 
 import (
