@@ -20,7 +20,8 @@
 // file from a directory written by cmd/lpce-train instead of retraining at
 // startup. -titles and -seed must match the scale and seed lpce-train used
 // (tiny 400, small 2500, full 8000 titles); a set trained on any other
-// database fails to load with modelio.ErrFingerprint.
+// database fails to load with modelio.ErrFingerprint. The defaults, 2500
+// titles and seed 1, match lpce-train's defaults (-scale=small -seed 1).
 //
 // With -serve, the process becomes a resident server exposing POST /query,
 // POST /explain, GET /healthz, GET /metrics, and POST /admin/models/swap,
@@ -57,16 +58,16 @@ import (
 )
 
 func main() {
-	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(realMain(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // realMain runs the command and returns its exit status. Flags that can be
 // wrong are checked before the database is generated, so a typo fails at
 // once instead of after set-up.
-func realMain(args []string, stdout, stderr io.Writer) int {
+func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lpce-sql", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	titles := fs.Int("titles", 1500, "rows in the central title table")
+	titles := fs.Int("titles", 2500, "rows in the central title table (2500 matches lpce-train's default -scale=small)")
 	seed := fs.Int64("seed", 1, "random seed")
 	estName := fs.String("estimator", "lpce-r", "histogram, lpce, or lpce-r")
 	modelsIn := fs.String("models-in", "", "load trained models from the model set in this directory instead of training; -titles and -seed must match lpce-train's -scale (tiny 400, small 2500, full 8000) and -seed")
@@ -120,7 +121,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := runShell(stdout, os.Stdin, db, est, refiner, *seed); err != nil {
+	if err := runShell(stdout, stdin, db, est, refiner, *seed); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

@@ -36,7 +36,7 @@ func TestBadFlagsRejectedBeforeSetup(t *testing.T) {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			start := time.Now()
-			if code := realMain(tc.args, &stdout, &stderr); code == 0 {
+			if code := realMain(tc.args, strings.NewReader(""), &stdout, &stderr); code == 0 {
 				t.Fatal("exited 0")
 			}
 			if stdout.Len() != 0 {
@@ -108,8 +108,10 @@ func TestShellHistogramModeNeverReoptimizes(t *testing.T) {
 // TestModelsInNeedsTheTrainingScale saves a model set the way
 // `lpce-train -scale=tiny` does and loads it through -models-in: with
 // -titles 400, tiny's title count, the lpce-r stack loads and estimates;
-// with -titles 1500, the flag's default, the database differs and the set's
-// encoder fingerprint rejects it.
+// with -titles 1500, a scale lpce-train does not have, the database differs
+// and the set's encoder fingerprint rejects it. The same set, fingerprinted
+// against the database of lpce-train's defaults (-scale=small: 2500 titles,
+// seed 1), loads through lpce-sql's defaults: only -models-in is given.
 func TestModelsInNeedsTheTrainingScale(t *testing.T) {
 	env, err := experiments.SetupWith(experiments.ScaleTiny, 1, experiments.SetupOptions{TrainOnly: true})
 	if err != nil {
@@ -136,5 +138,18 @@ func TestModelsInNeedsTheTrainingScale(t *testing.T) {
 	db = datagen.Generate(datagen.Config{Titles: 1500, Seed: 1})
 	if _, _, _, err := buildEstimator(io.Discard, db, encode.NewEncoder(db.Schema), "lpce-r", dir, 1); !errors.Is(err, modelio.ErrFingerprint) {
 		t.Fatalf("-titles 1500 -models-in: err = %v, want modelio.ErrFingerprint", err)
+	}
+
+	small := datagen.Generate(datagen.Config{Titles: 2500, Seed: 1})
+	smallDir := t.TempDir()
+	if err := env.ModelSet().Save(smallDir, encode.NewEncoder(small.Schema)); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-models-in", smallDir}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("defaults -models-in: exit %d, stderr %q", code, stderr.String())
+	}
+	if got := stdout.String(); !strings.Contains(got, "titles=2500") || !strings.Contains(got, "loading trained models") {
+		t.Fatalf("defaults did not generate 2500 titles and load the set:\n%s", got)
 	}
 }

@@ -11,9 +11,11 @@ import (
 // per-call overhead (interface dispatch, work charging, cancellation polls)
 // over a thousand tuples. It deliberately equals cancelPollInterval, so a
 // batch boundary falls about once per cancellation poll. The hash join
-// looks up a whole probe batch — at most BatchSize rows — before visiting
-// any candidate, and visits at most one output batch's worth of candidates
-// per step, so the work it accrues between charge flushes stays bounded too.
+// charges a probe batch's lookups (at most BatchSize) and then its
+// candidates, flushing once the lump reaches flushAt, or after every probe
+// batch on a unique build. A candidate range, or a unique build's matches,
+// adds at most BatchSize more, so at most 2 × BatchSize work units accrue
+// between its flushes.
 const BatchSize = 1024
 
 // Batch is a reusable column-width × BatchSize tuple buffer backed by a

@@ -102,15 +102,29 @@ func chainPlan(q *query.Query) *plan.Node {
 	return cur
 }
 
+// fanOutPlan swaps joinPlan's sides: the primary-key table probes a build
+// on the foreign key, so every probe row has several candidates and the
+// join takes the general lookup-then-emit path.
+func fanOutPlan(q *query.Query) *plan.Node {
+	probe := plan.NewLeaf(plan.SeqScan, q.Tables[0], 0, nil)
+	build := plan.NewLeaf(plan.SeqScan, q.Tables[1], 1, nil)
+	return plan.NewJoin(plan.HashJoin, probe, build, q.Joins)
+}
+
+// BenchmarkHashJoinProbe prices a probe's output rows: a primary-key build
+// probed by a foreign key (one candidate per probe row), a five-table
+// chain of such joins, and a foreign-key build probed by the primary key,
+// 4 candidates per probe row.
 func BenchmarkHashJoinProbe(b *testing.B) {
 	db, q := benchDB(4096, 1<<16)
 	chDB, chQ := chainDB(256)
+	foDB, foQ := benchDB(1<<14, 1<<16)
 	for _, bc := range []struct {
 		name string
 		db   *storage.Database
 		q    *query.Query
 		plan func(*query.Query) *plan.Node
-	}{{"", db, q, joinPlan}, {"chain5/", chDB, chQ, chainPlan}} {
+	}{{"", db, q, joinPlan}, {"chain5/", chDB, chQ, chainPlan}, {"fanout4/", foDB, foQ, fanOutPlan}} {
 		b.Run(bc.name+"batch", func(b *testing.B) {
 			b.ReportAllocs()
 			rows := 0

@@ -8,7 +8,10 @@ import (
 // pendingCharger accumulates per-tuple work charges and flushes them as one
 // lump, amortizing the charge call (and its budget/cancellation checks)
 // over a batch. flushAt bounds how much work can accrue between flushes so
-// cancellation latency stays close to one poll interval.
+// cancellation latency stays close to one poll interval. The hash join may
+// overshoot it by up to BatchSize (its last candidate range, or a unique
+// build's matches), so at most 2 × BatchSize units accrue between its
+// flushes (see BatchSize).
 type pendingCharger struct {
 	pending int64
 }
@@ -39,7 +42,10 @@ func (p *pendingCharger) flushIfFull(ctx *Ctx) error {
 // with a checkpoint), then probe batches stream from the left child. Each
 // probe batch is hashed and looked up whole before any candidate is
 // visited; a probe row's candidates are then one contiguous range of the
-// table, and matches are emitted straight into the output arena.
+// table, and matches are emitted straight into the output arena. A
+// single-condition join on a unique build (a dimension table's primary
+// key) has at most one candidate per probe row, so it looks up and emits
+// each probe batch in one loop instead (probeUnique).
 type batchHashJoin struct {
 	node  *plan.Node
 	left  BatchOperator
@@ -142,6 +148,9 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 
 func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 	h.out.reset(h.merge.width())
+	if h.oneCandidate() {
+		return h.nextUnique(ctx)
+	}
 	for {
 		if h.probe != nil {
 			h.emit()
@@ -182,6 +191,70 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 		h.table.lookupBatch(b, h.conds, h.spans)
 		h.charges.add(int64(b.n)) // 1 per probe row
 	}
+}
+
+// oneCandidate reports whether the join takes the unique-build probe: with
+// one condition equal hashes mean equal keys (see hashRowConds), so a
+// unique build gives every probe row at most one candidate, a true match.
+func (h *batchHashJoin) oneCandidate() bool {
+	return len(h.conds) == 1 && h.table.unique
+}
+
+// nextUnique is NextBatch on a unique build: each probe batch is looked up
+// and emitted whole by probeUnique and its charges flushed, before the
+// output is returned or the next probe batch is pulled. A probe batch
+// makes at most BatchSize output rows, so no cursor outlives the call.
+func (h *batchHashJoin) nextUnique(ctx *Ctx) (*Batch, error) {
+	for {
+		b, err := h.left.NextBatch(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			h.node.TrueCard = float64(h.count)
+			return nil, nil
+		}
+		h.probeUnique(b)
+		if err := h.charges.flush(ctx); err != nil {
+			return nil, err
+		}
+		if h.out.n > 0 {
+			return &h.out, nil
+		}
+	}
+}
+
+// probeUnique looks up every row of probe batch b and writes its match, if
+// any, to the empty output batch: the projected probe row for a probe-only
+// join, else its merge with the one build row; a zero-width output only
+// counts. A key equal to the previous row's reuses its span, as in
+// lookupBatch. Like emit it charges 1 per probe row and 1 per candidate.
+func (h *batchHashJoin) probeUnique(b *Batch) {
+	t, out := &h.table, &h.out
+	off, w, ow := h.conds[0].leftOff, b.width, out.width
+	var prev int64
+	var sp span
+	n := 0
+	for i := range b.n {
+		if k := b.data[i*w+off]; i == 0 || k != prev {
+			sp, prev = t.lookup(fnvStep(fnvOffsetBasis, k)), k
+		}
+		if sp.lo == sp.hi {
+			continue
+		}
+		if ow != 0 {
+			dst := out.data[n*ow : (n+1)*ow]
+			if h.probeOnly {
+				h.merge.mergeFlat(dst, b.Row(i), nil)
+			} else {
+				h.merge.mergeFlat(dst, b.Row(i), h.rows.Row(int(t.order[sp.lo])))
+			}
+		}
+		n++
+	}
+	out.n = n
+	h.count += n
+	h.charges.add(int64(b.n + n))
 }
 
 // emit visits the probe batch's candidates, charging 1 per candidate, until

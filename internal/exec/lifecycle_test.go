@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"github.com/lpce-db/lpce/internal/catalog"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/testutil"
 )
 
@@ -149,12 +151,14 @@ func TestBatchOpenFailureLifecycle(t *testing.T) {
 
 // TestBatchBudgetFailureLifecycle sweeps small work budgets so errors land
 // mid-drain and mid-probe rather than at Open boundaries, asserting the same
-// opened-implies-closed invariant.
+// opened-implies-closed invariant. The corpus plans never probe a unique
+// build, so a star over uniqueBuildDB, whose joins all probe primary keys,
+// is swept too, at budgets spread over its whole run: their errors land
+// inside the unique-build probe's per-batch flushes.
 func TestBatchBudgetFailureLifecycle(t *testing.T) {
-	db := testutil.TinyDB()
 	probe := &lifecycleProbe{}
-	lifecyclePlans(t, func(q *query.Query, p *plan.Node, variant string) {
-		for _, budget := range []int64{1, 7, 63, 500, 2000} {
+	sweep := func(db *storage.Database, q *query.Query, p *plan.Node, variant string, budgets []int64) {
+		for _, budget := range budgets {
 			probe.ops, probe.openSeq, probe.failOpen = nil, 0, 0
 			ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, Budget: budget, Wrap: probe.wrap}
 			op, err := Build(ctx, p.Clone())
@@ -177,7 +181,28 @@ func TestBatchBudgetFailureLifecycle(t *testing.T) {
 				}
 			}
 		}
+	}
+	tiny := testutil.TinyDB()
+	lifecyclePlans(t, func(q *query.Query, p *plan.Node, variant string) {
+		sweep(tiny, q, p, variant, []int64{1, 7, 63, 500, 2000})
 	})
+
+	db, tab := uniqueBuildDB(false)
+	f := tab["f"]
+	q := query.New([]*catalog.Table{f, tab["d"], tab["u"], tab["v"]}, []query.Join{
+		{Left: f.Column("fk"), Right: tab["d"].Column("id")},
+		{Left: f.Column("g"), Right: tab["u"].Column("id")},
+		{Left: f.Column("h"), Right: tab["v"].Column("id")}}, nil)
+	root := hashOnto(q, plan.NewLeaf(plan.SeqScan, f, q.TableIndex(f), nil), tab["d"], tab["u"], tab["v"])
+	ctx := &Ctx{DB: db, Q: q}
+	if _, err := Run(ctx, root.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	var budgets []int64
+	for k := int64(1); k < 64; k++ {
+		budgets = append(budgets, ctx.Work()*k/64)
+	}
+	sweep(db, q, root, "unique-build", budgets)
 }
 
 // TestBatchHashJoinReleasesOnOpenFailure checks that a hash join whose Open

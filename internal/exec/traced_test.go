@@ -2,6 +2,7 @@ package exec
 
 import (
 	"testing"
+	"time"
 
 	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
@@ -46,6 +47,91 @@ func TestTraceRecordsEveryOperator(t *testing.T) {
 	root := tr.ByMask(q.AllTablesMask())
 	if int(root.ActualRows) != count {
 		t.Fatalf("root actual %v != count %d", root.ActualRows, count)
+	}
+	// a parent's calls contain its children's, so its work does too, and
+	// the root's is the whole run's
+	if root.Work != ctx.Work() {
+		t.Fatalf("root work %d != run work %d", root.Work, ctx.Work())
+	}
+	p.Walk(func(n *plan.Node) {
+		if n.IsLeaf() {
+			return
+		}
+		s := tr.ByMask(n.Tables)
+		var kids int64
+		for _, c := range []*plan.Node{n.Left, n.Right} {
+			if cs := tr.ByMask(c.Tables); cs != nil {
+				kids += cs.Work
+			}
+		}
+		if s.Work < kids {
+			t.Fatalf("%v: work %d below its children's %d", n.Op, s.Work, kids)
+		}
+	})
+}
+
+// pacedOp emits n zero-width batches, charging work units and sleeping
+// pause inside each NextBatch call.
+type pacedOp struct {
+	n, work int
+	pause   time.Duration
+}
+
+func (p *pacedOp) Open(*Ctx) error { return nil }
+func (p *pacedOp) Close()          {}
+func (p *pacedOp) NextBatch(ctx *Ctx) (*Batch, error) {
+	if p.n == 0 {
+		return nil, nil
+	}
+	p.n--
+	time.Sleep(p.pause)
+	if err := ctx.charge(int64(p.work)); err != nil {
+		return nil, err
+	}
+	return &Batch{n: 1}, nil
+}
+
+// TestTraceCountsOwnCallsOnly: an operator's Wall and Work accrue inside its
+// own Open and NextBatch calls. A parent that charges work and sleeps
+// between pulls must show in neither: the child reports its own 3 × 7
+// units and about its own 3 × 1 ms, far below one of the parent's 100 ms
+// gaps.
+func TestTraceCountsOwnCallsOnly(t *testing.T) {
+	db := testutil.TinyDB()
+	q := workload.NewGenerator(db, 41).Query(1)
+	tr := &obs.ExecTrace{}
+	ctx := newCtx(db, q)
+	const gap = 100 * time.Millisecond
+	child := &tracedOp{inner: &pacedOp{n: 3, work: 7, pause: time.Millisecond}, node: CanonicalPlan(q, q.AllTablesMask()), tr: tr}
+	if err := child.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		b, err := child.NextBatch(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if err := ctx.charge(1000); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(gap)
+	}
+	child.Close()
+	if len(tr.Ops) != 1 {
+		t.Fatalf("trace has %d ops, want 1", len(tr.Ops))
+	}
+	s := tr.Ops[0]
+	if s.Work != 21 || ctx.Work() != 3021 {
+		t.Fatalf("child work %d (run %d), want 21 of 3021", s.Work, ctx.Work())
+	}
+	if s.Wall < 3*time.Millisecond || s.Wall >= gap {
+		t.Fatalf("child wall %v, want its own ~3ms, below the parent's %v gap", s.Wall, gap)
+	}
+	if s.ActualRows != 3 || s.Batches != 3 {
+		t.Fatalf("child rows %v in %d batches, want 3 in 3", s.ActualRows, s.Batches)
 	}
 }
 

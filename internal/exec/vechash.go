@@ -20,11 +20,17 @@ import (
 // the intermediate handed to the checkpoint is unchanged. The slot array is
 // sized to at most half full, so every probe walk ends at an empty slot.
 //
+// unique is set when every group holds one row — no two build rows share a
+// hash, so none share a key, as on a primary key. A probe row then has at
+// most one candidate, and the single-condition hash join emits straight
+// from the lookup (batchHashJoin.probeUnique).
+//
 // Both arrays are pooled (see pool.go); release returns them.
 type hashTable struct {
-	mask  uint64
-	slots []hashSlot
-	order []int32
+	mask   uint64
+	slots  []hashSlot
+	order  []int32
+	unique bool
 
 	slotsBox *[]hashSlot
 	orderBox *[]int32
@@ -62,8 +68,9 @@ func checkVecBuildSize(n int) error {
 // back before build returns. A table must be released before it is rebuilt.
 //
 // Three passes: place each row's hash in a slot, counting rows per slot;
-// lay the groups out back to back in slot order; then a stable counting
-// sort writes each row id at its group's cursor, in build order.
+// lay the groups out back to back in slot order, counting them; then a
+// stable counting sort writes each row id at its group's cursor, in build
+// order. As many groups as rows makes the table unique.
 func (t *hashTable) build(rows plan.Rows, conds []condOffsets) {
 	n := rows.N
 	size := 2
@@ -89,12 +96,13 @@ func (t *hashTable) build(rows plan.Rows, conds []condOffsets) {
 		slots[i].hi++ // row count until the layout pass
 		rowSlot[r] = uint32(i)
 	}
-	var off int32
+	var off, groups int32
 	for i := range slots {
 		s := &slots[i]
 		if c := s.hi; c != 0 {
 			s.lo, s.hi = off, off // hi is the group's fill cursor
 			off += c
+			groups++
 		}
 	}
 	for r, i := range rowSlot {
@@ -102,7 +110,7 @@ func (t *hashTable) build(rows plan.Rows, conds []condOffsets) {
 		order[s.hi] = int32(r)
 		s.hi++
 	}
-	t.mask, t.slots, t.order = mask, slots, order
+	t.mask, t.slots, t.order, t.unique = mask, slots, order, int(groups) == n
 }
 
 // release returns the table's arrays to the pools and empties it.

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -351,4 +353,183 @@ func BenchmarkHashTableBuild(b *testing.B) {
 		tbl.build(rows, buildConds)
 		tbl.release()
 	}
+}
+
+// uniqueBuildDB builds a star around the fact table f(fk, g, h): fk
+// references d(id, e), g references u(id), h references v(id), and d.e
+// references w(id). d's ids are unique and include 0 and the int64
+// extremes; with dup set, one id repeats. f holds 3000 rows (three probe
+// batches, runs crossing their boundaries) whose fk comes in runs of three
+// equal keys, among them keys missing from d; g, h and d.e also miss some
+// of u, v and w.
+func uniqueBuildDB(dup bool) (*storage.Database, map[string]*catalog.Table) {
+	s := catalog.NewSchema()
+	d := s.AddTable("d", catalog.PK("id"), catalog.Attr("e"))
+	u := s.AddTable("u", catalog.PK("id"))
+	v := s.AddTable("v", catalog.PK("id"))
+	w := s.AddTable("w", catalog.PK("id"))
+	f := s.AddTable("f", catalog.FK("fk", d.Column("id")), catalog.FK("g", u.Column("id")), catalog.FK("h", v.Column("id")))
+	db := storage.NewDatabase(s)
+	fill := func(meta *catalog.Table, cols ...[]int64) {
+		st := storage.NewTable(meta, len(cols[0]))
+		for i, c := range cols {
+			copy(st.Cols[i], c)
+		}
+		st.FinishLoad()
+		db.Tables[meta.ID] = st
+	}
+	ids := []int64{math.MinInt64, -7, 0, 1, 2, 3, 5, 8, 13, math.MaxInt64}
+	if dup {
+		ids[4] = 1
+	}
+	fill(d, ids, []int64{0, 1, 2, 3, 0, 1, 2, 3, 0, 1})
+	fill(u, []int64{0, 1, 2, 3, 4})
+	fill(v, []int64{0, 1, 2, 3, 4, 5})
+	fill(w, []int64{0, 1, 2})
+	keys := []int64{0, math.MinInt64, 4, 1, math.MaxInt64, 6, -7, 13, 13, 99, 2, 3, 5, 8, math.MinInt64, math.MaxInt64}
+	const n = 3000
+	fk, g, h := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range fk {
+		fk[i], g[i], h[i] = keys[i/3%len(keys)], int64(i%7), int64(i%5)
+	}
+	fill(f, fk, g, h)
+	return db, map[string]*catalog.Table{"d": d, "u": u, "v": v, "w": w, "f": f}
+}
+
+// hashOnto joins each table onto root, left-deep, as a hash join's build
+// side.
+func hashOnto(q *query.Query, root *plan.Node, tabs ...*catalog.Table) *plan.Node {
+	for _, tb := range tabs {
+		x := plan.NewLeaf(plan.SeqScan, tb, q.TableIndex(tb), nil)
+		root = plan.NewJoin(plan.HashJoin, root, x, q.JoinsBetween(root.Tables, x.Tables))
+	}
+	return root
+}
+
+// generalPath keeps a hash join on the lookupBatch + emit path by clearing
+// its table's unique flag once Open has built it.
+type generalPath struct{ BatchOperator }
+
+func (g generalPath) Open(ctx *Ctx) error {
+	err := g.BatchOperator.Open(ctx)
+	if h, ok := g.BatchOperator.(*batchHashJoin); ok {
+		h.table.unique = false
+	}
+	return err
+}
+
+// TestHashJoinUniqueBuild holds the unique-build probe to the reference and
+// to the general path. The join of f probing d is built on d's primary key,
+// at output widths 0, 1 and 2, probe-only and with build columns, both on
+// the probe spine and drained as another join's build side (so its rows
+// are checkpointed): counts, every checkpoint's rows and TrueCard must
+// equal the reference, and count, checkpoints, TrueCards and Work must
+// equal the same plan forced onto the general path. The path is taken on
+// the primary-key build, and not once one build key repeats or the join
+// has two conditions.
+func TestHashJoinUniqueBuild(t *testing.T) {
+	for _, dup := range []bool{false, true} {
+		db, tab := uniqueBuildDB(dup)
+		d, f := tab["d"], tab["f"]
+		joins := map[string]query.Join{
+			"d": {Left: f.Column("fk"), Right: d.Column("id")},
+			"u": {Left: f.Column("g"), Right: tab["u"].Column("id")},
+			"v": {Left: f.Column("h"), Right: tab["v"].Column("id")},
+			"w": {Left: d.Column("e"), Right: tab["w"].Column("id")},
+		}
+		for _, c := range []struct {
+			name      string
+			above     []string // tables joined above f ⋈ d, in join order
+			width     int      // f ⋈ d's output width
+			probeOnly bool
+		}{
+			{"width0", nil, 0, true},
+			{"probe1", []string{"u"}, 1, true},
+			{"probe2", []string{"u", "v"}, 2, true},
+			{"build1", []string{"w"}, 1, false},
+			{"mixed2", []string{"u", "w"}, 2, false},
+		} {
+			tables := []*catalog.Table{f, d}
+			qj := []query.Join{joins["d"]}
+			var above []*catalog.Table
+			for _, name := range c.above {
+				above = append(above, tab[name])
+				qj = append(qj, joins[name])
+			}
+			q := query.New(append(tables, above...), qj, nil)
+			fd := func() *plan.Node { return hashOnto(q, plan.NewLeaf(plan.SeqScan, f, q.TableIndex(f), nil), d) }
+			fdMask := query.NewBitSet().Set(q.TableIndex(f)).Set(q.TableIndex(d))
+			// spine: f ⋈ d streams into the joins above it
+			shapes := map[string]*plan.Node{"spine": hashOnto(q, fd(), above...)}
+			if len(above) > 0 {
+				// built: the first table above probes f ⋈ d's drained rows
+				x := plan.NewLeaf(plan.SeqScan, above[0], q.TableIndex(above[0]), nil)
+				root := plan.NewJoin(plan.HashJoin, x, fd(), q.JoinsBetween(x.Tables, fdMask))
+				shapes["built"] = hashOnto(q, root, above[1:]...)
+			}
+			for shape, p := range shapes {
+				name := fmt.Sprintf("dup=%v/%s/%s", dup, c.name, shape)
+				var join *plan.Node
+				p.Walk(func(n *plan.Node) {
+					if n.Tables == fdMask {
+						join = n
+					}
+				})
+				ctx := &Ctx{DB: db, Q: q}
+				op, err := newBatchHashJoin(ctx, join)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := op.Open(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if op.oneCandidate() == dup || op.probeOnly != c.probeOnly || op.merge.width() != c.width {
+					t.Fatalf("%s: unique path %v, probeOnly %v at width %d; want %v, %v at width %d",
+						name, op.oneCandidate(), op.probeOnly, op.merge.width(), !dup, c.probeOnly, c.width)
+				}
+				op.Close()
+
+				fused, events := checkAgainstReference(t, db, q, p.Clone(), name, newRefEval(db, q))
+				rc := &ckptRecorder{}
+				general := &Ctx{DB: db, Q: q, Controller: rc,
+					Wrap: func(_ *Ctx, op BatchOperator, _ *plan.Node) BatchOperator { return generalPath{op} }}
+				gp := p.Clone()
+				count, err := Run(general, gp)
+				if err != nil {
+					t.Fatalf("%s: general path: %v", name, err)
+				}
+				fp := p.Clone()
+				if _, err := Run(&Ctx{DB: db, Q: q}, fp); err != nil {
+					t.Fatal(err)
+				}
+				if count != int(fp.TrueCard) || general.Work() != fused.Work() || !slices.Equal(rc.events, events) ||
+					!maps.Equal(trueCards(gp), trueCards(fp)) {
+					t.Fatalf("%s: general path count %d work %d, unique path count %v work %d (checkpoints or TrueCards differ: %v)",
+						name, count, general.Work(), fp.TrueCard, fused.Work(), !slices.Equal(rc.events, events))
+				}
+			}
+		}
+	}
+
+	// two conditions on a unique build: the general path, verified per key
+	db, tab := uniqueBuildDB(false)
+	d, f := tab["d"], tab["f"]
+	q := query.New([]*catalog.Table{f, d}, []query.Join{
+		{Left: f.Column("fk"), Right: d.Column("id")}, {Left: f.Column("g"), Right: d.Column("e")}}, nil)
+	l, r := plan.NewLeaf(plan.SeqScan, f, q.TableIndex(f), nil), plan.NewLeaf(plan.SeqScan, d, q.TableIndex(d), nil)
+	p := plan.NewJoin(plan.HashJoin, l, r, q.JoinsBetween(l.Tables, r.Tables))
+	ctx := &Ctx{DB: db, Q: q}
+	op, err := newBatchHashJoin(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !op.table.unique || op.oneCandidate() {
+		t.Fatalf("two conditions: table unique %v, unique path %v; want a unique table on the general path",
+			op.table.unique, op.oneCandidate())
+	}
+	op.Close()
+	checkAgainstReference(t, db, q, p, "two conditions", newRefEval(db, q))
 }

@@ -9,7 +9,9 @@ import (
 
 // OpStats is one operator's runtime record from one execution attempt: what
 // the optimizer predicted, what actually happened, and how long it took.
-// Wall time is inclusive of children (the EXPLAIN ANALYZE convention).
+// Wall and Work count only what happened inside the operator's own calls,
+// its children's calls included and its parent's work between pulls not
+// (the EXPLAIN ANALYZE convention).
 type OpStats struct {
 	// Op is the physical operator name (SeqScan, HashJoin, ...), which for
 	// join nodes identifies the join algorithm chosen.
@@ -29,9 +31,12 @@ type OpStats struct {
 	// Batches counts the tuple batches the operator emitted; zero for an
 	// operator torn down before it emitted one.
 	Batches int64 `json:"batches,omitempty"`
-	// Wall is the inclusive wall-clock time from Open to exhaustion (or to
-	// teardown for operators that never exhausted).
+	// Wall is the wall-clock time spent inside the operator's Open and
+	// NextBatch calls, up to exhaustion or to the error that unwound it.
 	Wall time.Duration `json:"wall_ns"`
+	// Work is the executor work (Ctx.Work units) charged inside those same
+	// calls; the root operator's equals the attempt's total.
+	Work int64 `json:"work"`
 }
 
 // QError returns the q-error between the operator's estimate and its actual
