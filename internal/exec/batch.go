@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/lpce-db/lpce/internal/plan"
 )
@@ -15,43 +16,85 @@ import (
 // candidates, flushing once the lump reaches flushAt, or after every probe
 // batch on a unique build. A candidate range, or a unique build's matches,
 // adds at most BatchSize more, so at most 2 × BatchSize work units accrue
-// between its flushes.
+// between its flushes. A zero-width batch carries only a count, so the
+// general hash join lets one hold up to zeroWidthRows tuples; its charges
+// keep the same bound.
 const BatchSize = 1024
 
-// Batch is a reusable column-width × BatchSize tuple buffer backed by a
-// single flat arena, in row-major order. The width is the projected tuple
-// width and may be 0 (no column is read above the producer): such a batch
-// has no arena and carries only its row count. A batch returned by NextBatch —
-// and every row view derived from it — is valid only until the next
-// NextBatch or Close call on the producing operator; consumers that need
-// the data longer must copy it (drainBatch does). The arena is pooled (see
-// pool.go): the producer returns it on Close, after which it may hold
-// another query's rows.
+// zeroWidthRows is the most tuples a zero-width batch of the general hash
+// join carries: a count-only fan-out root then returns one batch per 65,536
+// rows instead of one per 1,024, and a tracer reads the clock per batch.
+const zeroWidthRows = 64 * BatchSize
+
+// Batch is a reusable buffer of up to BatchSize tuples backed by a single
+// flat arena, in row-major order. The width is the projected (logical)
+// tuple width and may be 0 (no column is read above the producer): such a
+// batch has no arena and carries only its row count (up to zeroWidthRows
+// from the general hash join).
+//
+// A physical row of the arena is stride values long. A dense batch — what
+// every operator but the hash join returns — has stride == width and a nil
+// column map, so logical column c of row i sits at data[i*stride+c]. A
+// view (see batchHashJoin.probeUnique) re-labels another batch's arena
+// instead of copying it: it shares that batch's data and stride, and cols
+// maps each logical column to its offset in a physical row. A consumer
+// resolves its column offsets through cols once per batch (a no-op when
+// cols is nil) and then reads physical rows; drainBatch gathers a view
+// back into the dense logical layout.
+//
+// A batch returned by NextBatch — and every row derived from it — is valid
+// only until the next NextBatch or Close call on the producing operator;
+// consumers that need the data longer must copy it (drainBatch does). A
+// view lives exactly as long: its producer pulls and closes the batch it
+// re-labels only from its own NextBatch and Close. The arena belongs to
+// the batch that took it from the pool (box): the producer returns it on
+// Close, after which it may hold another query's rows. A view never owns
+// an arena (box is nil), so releasing it pools nothing.
 type Batch struct {
-	width int
-	n     int
-	data  []int64
-	box   *[]int64 // the pooled arena data is taken from; nil = none
+	width  int
+	stride int
+	cols   []int // logical column → offset in a physical row; nil = dense
+	n      int
+	data   []int64
+	box    *[]int64 // the pooled arena data is taken from; nil = none
 }
 
 // Len reports the number of tuples in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// Width reports the tuple width.
+// Width reports the logical tuple width.
 func (b *Batch) Width() int { return b.width }
 
-// Row returns a view of tuple i. The full-slice expression pins the
-// capacity so an append by a misbehaving consumer cannot clobber the
-// neighbouring tuple.
-func (b *Batch) Row(i int) []int64 {
-	off := i * b.width
-	return b.data[off : off+b.width : off+b.width]
+// row returns physical row i: stride values, read at resolved offsets. The
+// full-slice expression pins the capacity so an append by a misbehaving
+// consumer cannot clobber the neighbouring row.
+func (b *Batch) row(i int) []int64 {
+	off := i * b.stride
+	return b.data[off : off+b.stride : off+b.stride]
+}
+
+// appendRows appends the batch's rows to dst in the dense logical layout,
+// gathering a view's columns.
+func (b *Batch) appendRows(dst []int64) []int64 {
+	if b.cols == nil {
+		return append(dst, b.data[:b.n*b.width]...)
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, b.n*b.width)[:k+b.n*b.width]
+	for i := range b.n {
+		r := b.row(i)
+		for _, c := range b.cols {
+			dst[k] = r[c]
+			k++
+		}
+	}
+	return dst
 }
 
 // reset prepares the batch for refilling at the given tuple width, taking
 // an arena from the pool once and then reusing it until release.
 func (b *Batch) reset(width int) {
-	b.width = width
+	b.width, b.stride, b.cols = width, width, nil
 	b.n = 0
 	if n := width * BatchSize; len(b.data) != n {
 		b.release()
@@ -69,8 +112,8 @@ func (b *Batch) release() {
 	b.box, b.data, b.n = nil, nil, 0
 }
 
-// pushRow appends an uninitialized tuple and returns its view for the
-// caller to fill (typically via joinMerge.mergeFlat or copy).
+// pushRow appends an uninitialized tuple to a dense batch and returns it
+// for the caller to fill (typically via joinMerge.mergeFlat or copy).
 func (b *Batch) pushRow() []int64 {
 	off := b.n * b.width
 	b.n++
@@ -192,7 +235,7 @@ func drainBatch(ctx *Ctx, node *plan.Node, op BatchOperator) (plan.Rows, error) 
 		if err := ctx.chargeMatN(n); err != nil {
 			return plan.Rows{}, err
 		}
-		rows.Data = append(rows.Data, b.data[:b.n*b.width]...)
+		rows.Data = b.appendRows(rows.Data)
 		rows.N += b.n
 	}
 	node.TrueCard = float64(rows.N)

@@ -111,20 +111,75 @@ func fanOutPlan(q *query.Query) *plan.Node {
 	return plan.NewJoin(plan.HashJoin, probe, build, q.Joins)
 }
 
+// dimChainDB is a dimension chain behind a fan-out: m (probeRows rows)
+// joins g on a key g repeats 4 times, and the fan-out's rows carry foreign
+// keys into dimensions of 40, 833, 1250 and 105 rows — two from m, two
+// from g. The first three always match; k4 spans twice d4's ids, so the
+// last join keeps half the rows.
+func dimChainDB(probeRows int) (*storage.Database, *query.Query) {
+	s := catalog.NewSchema()
+	sizes := []int{40, 833, 1250, 105}
+	dims := make([]*catalog.Table, len(sizes))
+	for i := range dims {
+		dims[i] = s.AddTable(fmt.Sprintf("d%d", i+1), catalog.PK("id"))
+	}
+	m := s.AddTable("m", catalog.Attr("fk"), catalog.FK("k1", dims[0].Column("id")), catalog.FK("k2", dims[1].Column("id")))
+	g := s.AddTable("g", catalog.Attr("gk"), catalog.FK("k3", dims[2].Column("id")), catalog.FK("k4", dims[3].Column("id")))
+	db := storage.NewDatabase(s)
+	fill := func(meta *catalog.Table, n int, col func(c, r int) int64) {
+		st := storage.NewTable(meta, n)
+		for c := range st.Cols {
+			for r := range n {
+				st.Cols[c][r] = col(c, r)
+			}
+		}
+		st.FinishLoad()
+		db.Tables[meta.ID] = st
+	}
+	for i, d := range dims {
+		fill(d, sizes[i], func(_, r int) int64 { return int64(r) })
+	}
+	const keys = 16
+	fill(m, probeRows, func(c, r int) int64 { return int64([]int{r % keys, r % sizes[0], r % sizes[1]}[c]) })
+	fill(g, 4*keys, func(c, r int) int64 { return int64([]int{r % keys, r * 7 % sizes[2], r * 3 % (2 * sizes[3])}[c]) })
+	joins := []query.Join{{Left: m.Column("fk"), Right: g.Column("gk")}}
+	for i, k := range []*catalog.Column{m.Column("k1"), m.Column("k2"), g.Column("k3"), g.Column("k4")} {
+		joins = append(joins, query.Join{Left: k, Right: dims[i].Column("id")})
+	}
+	return db, query.New(append([]*catalog.Table{m, g}, dims...), joins, nil)
+}
+
+// dimChainPlan streams m through the fan-out onto g, then through d1-d4,
+// each a primary-key build, up to a count-only root: one join per
+// condition, in dimChainDB's order.
+func dimChainPlan(q *query.Query) *plan.Node {
+	leaf := func(t *catalog.Table) *plan.Node { return plan.NewLeaf(plan.SeqScan, t, q.TableIndex(t), nil) }
+	cur := leaf(q.Joins[0].Left.Table)
+	for _, j := range q.Joins {
+		x := leaf(j.Right.Table)
+		cur = plan.NewJoin(plan.HashJoin, cur, x, q.JoinsBetween(cur.Tables, x.Tables))
+	}
+	return cur
+}
+
 // BenchmarkHashJoinProbe prices a probe's output rows: a primary-key build
 // probed by a foreign key (one candidate per probe row), a five-table
-// chain of such joins, and a foreign-key build probed by the primary key,
-// 4 candidates per probe row.
+// chain of such joins, a foreign-key build probed by the primary key (4
+// candidates per probe row), and dimchain, a fan-out whose rows pass
+// through three primary-key joins that match every row and one that
+// filters.
 func BenchmarkHashJoinProbe(b *testing.B) {
 	db, q := benchDB(4096, 1<<16)
 	chDB, chQ := chainDB(256)
 	foDB, foQ := benchDB(1<<14, 1<<16)
+	dcDB, dcQ := dimChainDB(1 << 14)
 	for _, bc := range []struct {
 		name string
 		db   *storage.Database
 		q    *query.Query
 		plan func(*query.Query) *plan.Node
-	}{{"", db, q, joinPlan}, {"chain5/", chDB, chQ, chainPlan}, {"fanout4/", foDB, foQ, fanOutPlan}} {
+	}{{"", db, q, joinPlan}, {"chain5/", chDB, chQ, chainPlan}, {"fanout4/", foDB, foQ, fanOutPlan},
+		{"dimchain/", dcDB, dcQ, dimChainPlan}} {
 		b.Run(bc.name+"batch", func(b *testing.B) {
 			b.ReportAllocs()
 			rows := 0

@@ -8,10 +8,11 @@ import (
 // pendingCharger accumulates per-tuple work charges and flushes them as one
 // lump, amortizing the charge call (and its budget/cancellation checks)
 // over a batch. flushAt bounds how much work can accrue between flushes so
-// cancellation latency stays close to one poll interval. The hash join may
-// overshoot it by up to BatchSize (its last candidate range, or a unique
-// build's matches), so at most 2 × BatchSize units accrue between its
-// flushes (see BatchSize).
+// cancellation latency stays close to one poll interval. The general hash
+// join caps each candidate step at what is left below flushAt; the unique
+// build's probe flushes after every probe batch, which adds at most
+// BatchSize lookups and BatchSize matches, so at most 2 × BatchSize units
+// accrue between a hash join's flushes (see BatchSize).
 type pendingCharger struct {
 	pending int64
 }
@@ -45,7 +46,12 @@ func (p *pendingCharger) flushIfFull(ctx *Ctx) error {
 // table, and matches are emitted straight into the output arena. A
 // single-condition join on a unique build (a dimension table's primary
 // key) has at most one candidate per probe row, so it looks up and emits
-// each probe batch in one loop instead (probeUnique).
+// each probe batch in one loop instead (probeUnique), and a probe-only one
+// whose every probe row matches returns the probe batch re-labelled.
+//
+// The join's left offsets (conds, merge) are in the probe side's logical
+// layout; resolve maps them through each probe batch's column map into
+// lconds and lmerge, which the probe loops read.
 type batchHashJoin struct {
 	node  *plan.Node
 	left  BatchOperator
@@ -61,6 +67,13 @@ type batchHashJoin struct {
 	// are never read
 	probeOnly bool
 
+	// conds and merge resolved against the current probe batch: the same
+	// slices on a dense batch, else copies in lcondsBuf and lmergeBuf
+	lconds    []condOffsets
+	lmerge    joinMerge
+	lcondsBuf []condOffsets
+	lmergeBuf joinMerge
+
 	rows  plan.Rows // build rows, in drain order
 	table hashTable
 
@@ -74,6 +87,7 @@ type batchHashJoin struct {
 
 	charges pendingCharger
 	out     Batch
+	view    Batch // a probe batch re-labelled (probeUnique's pass-through)
 	count   int
 }
 
@@ -146,6 +160,38 @@ func (h *batchHashJoin) Open(ctx *Ctx) (err error) {
 	return nil
 }
 
+// resolve maps the join's left condition and merge offsets through probe
+// batch b's column map; on a dense batch they are used as they are.
+func (h *batchHashJoin) resolve(b *Batch) {
+	if b.cols == nil {
+		h.lconds, h.lmerge = h.conds, h.merge
+		return
+	}
+	if h.lmergeBuf.cols == nil {
+		h.lcondsBuf = make([]condOffsets, len(h.conds))
+		h.lmergeBuf.cols = make([]mergeCol, len(h.merge.cols))
+	}
+	for i, c := range h.conds {
+		h.lcondsBuf[i] = condOffsets{b.cols[c.leftOff], c.rightOff}
+	}
+	for i, c := range h.merge.cols {
+		if c.fromLeft {
+			c.off = b.cols[c.off]
+		}
+		h.lmergeBuf.cols[i] = c
+	}
+	h.lconds, h.lmerge = h.lcondsBuf, h.lmergeBuf
+}
+
+// rowCap is the most rows an output batch takes: BatchSize, or
+// zeroWidthRows when it only counts.
+func (h *batchHashJoin) rowCap() int {
+	if h.out.width == 0 {
+		return zeroWidthRows
+	}
+	return BatchSize
+}
+
 func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 	h.out.reset(h.merge.width())
 	if h.oneCandidate() {
@@ -154,7 +200,7 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 	for {
 		if h.probe != nil {
 			h.emit()
-			if h.out.full() {
+			if h.out.n >= h.rowCap() {
 				if err := h.charges.flush(ctx); err != nil {
 					return nil, err
 				}
@@ -188,7 +234,8 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		h.probe, h.pi, h.cand = b, 0, span{}
 		h.spans = (*h.spansBox)[:b.n]
-		h.table.lookupBatch(b, h.conds, h.spans)
+		h.resolve(b)
+		h.table.lookupBatch(b, h.lconds, h.spans)
 		h.charges.add(int64(b.n)) // 1 per probe row
 	}
 }
@@ -214,60 +261,135 @@ func (h *batchHashJoin) nextUnique(ctx *Ctx) (*Batch, error) {
 			h.node.TrueCard = float64(h.count)
 			return nil, nil
 		}
-		h.probeUnique(b)
+		h.resolve(b)
+		out := h.probeUnique(b)
 		if err := h.charges.flush(ctx); err != nil {
 			return nil, err
 		}
-		if h.out.n > 0 {
-			return &h.out, nil
+		if out.n > 0 {
+			return out, nil
 		}
 	}
 }
 
-// probeUnique looks up every row of probe batch b and writes its match, if
-// any, to the empty output batch: the projected probe row for a probe-only
-// join, else its merge with the one build row; a zero-width output only
-// counts. A key equal to the previous row's reuses its span, as in
-// lookupBatch. Like emit it charges 1 per probe row and 1 per candidate.
-func (h *batchHashJoin) probeUnique(b *Batch) {
+// probeUnique looks up every row of probe batch b and returns its matches:
+// the projected probe rows for a probe-only join, else their merges with
+// the one build row each; a zero-width output only counts. A key equal to
+// the previous row's reuses its span, as in lookupBatch. Like emit it
+// charges 1 per probe row and 1 per match.
+//
+// A probe-only join with output columns first looks rows up until one
+// misses. If none does, the output is the probe batch itself, re-labelled:
+// the view shares b's arena and stride, and its column map is the resolved
+// merge's offsets, so no row is copied. A view is valid exactly as long as
+// b, until this join's next NextBatch or Close. On the first miss, the
+// rows matched so far are copied and the copy loop carries on. The three
+// loops (count-only, pass-through, copy) are kept apart on purpose: one
+// loop with a mode flag measured slower on every probe shape.
+func (h *batchHashJoin) probeUnique(b *Batch) *Batch {
 	t, out := &h.table, &h.out
-	off, w, ow := h.conds[0].leftOff, b.width, out.width
+	off, stride := h.lconds[0].leftOff, b.stride
+	if out.width == 0 {
+		var prev int64
+		var sp span
+		n := 0
+		for i := range b.n {
+			if k := b.data[i*stride+off]; i == 0 || k != prev {
+				sp, prev = t.lookup(fnvStep(fnvOffsetBasis, k)), k
+			}
+			if sp.lo != sp.hi {
+				n++
+			}
+		}
+		return h.matched(b, out, n)
+	}
+	from, n := 0, 0
+	if h.probeOnly {
+		var prev int64
+		var sp span
+		i := 0
+		for ; i < b.n; i++ {
+			if k := b.data[i*stride+off]; i == 0 || k != prev {
+				sp, prev = t.lookup(fnvStep(fnvOffsetBasis, k)), k
+			}
+			if sp.lo == sp.hi {
+				break
+			}
+		}
+		if i == b.n {
+			return h.matched(b, h.passThrough(b), b.n)
+		}
+		ow := out.width
+		for r := range i {
+			h.lmerge.mergeFlat(out.data[r*ow:(r+1)*ow], b.row(r), nil)
+		}
+		from, n = i+1, i // row i missed
+	}
+	return h.matched(b, out, h.copyUnique(b, from, n))
+}
+
+// passThrough re-labels probe batch b as the join's output, a view of b's
+// arena through the resolved merge's offsets.
+func (h *batchHashJoin) passThrough(b *Batch) *Batch {
+	v := &h.view
+	if v.cols == nil {
+		v.cols = make([]int, len(h.merge.cols))
+	}
+	for i, c := range h.lmerge.cols {
+		v.cols[i] = c.off
+	}
+	v.width, v.stride, v.data = len(v.cols), b.stride, b.data
+	return v
+}
+
+// copyUnique writes the matches of probe rows from..b.n-1 to the output
+// batch from row n on, and returns the output's row count.
+func (h *batchHashJoin) copyUnique(b *Batch, from, n int) int {
+	t, out := &h.table, &h.out
+	off, stride, ow := h.lconds[0].leftOff, b.stride, out.width
 	var prev int64
 	var sp span
-	n := 0
-	for i := range b.n {
-		if k := b.data[i*w+off]; i == 0 || k != prev {
+	for i := from; i < b.n; i++ {
+		if k := b.data[i*stride+off]; i == from || k != prev {
 			sp, prev = t.lookup(fnvStep(fnvOffsetBasis, k)), k
 		}
 		if sp.lo == sp.hi {
 			continue
 		}
-		if ow != 0 {
-			dst := out.data[n*ow : (n+1)*ow]
-			if h.probeOnly {
-				h.merge.mergeFlat(dst, b.Row(i), nil)
-			} else {
-				h.merge.mergeFlat(dst, b.Row(i), h.rows.Row(int(t.order[sp.lo])))
-			}
+		dst := out.data[n*ow : (n+1)*ow]
+		if h.probeOnly {
+			h.lmerge.mergeFlat(dst, b.row(i), nil)
+		} else {
+			h.lmerge.mergeFlat(dst, b.row(i), h.rows.Row(int(t.order[sp.lo])))
 		}
 		n++
 	}
+	return n
+}
+
+// matched sets the output batch's row count to the n matches of probe
+// batch b and charges 1 per probe row and 1 per match.
+func (h *batchHashJoin) matched(b, out *Batch, n int) *Batch {
 	out.n = n
 	h.count += n
 	h.charges.add(int64(b.n + n))
+	return out
 }
 
 // emit visits the probe batch's candidates, charging 1 per candidate, until
 // the output batch is full, the pending charges are due, or the probe batch
-// is used up. A range is taken at most an output batch's worth at a time.
-// The loop works on local copies of the cursors, which the compiler keeps in
-// registers; they are stored back once at the end.
+// is used up. A range is taken at most an output batch's worth, and at
+// most what is left below flushAt, at a time. A zero-width output holds up
+// to zeroWidthRows rows, so a count-only fan-out root returns few batches.
+// The loop works on local copies of the cursors, which the compiler keeps
+// in registers; they are stored back once at the end.
 func (h *batchHashJoin) emit() {
 	out := &h.out
 	pi, cand := h.pi, h.cand
 	spans, order, rows, exact := h.spans, h.table.order, h.rows, h.exact
+	rowCap := h.rowCap()
 	n0, visited, limit := out.n, 0, flushAt-int(h.charges.pending)
-	for out.n < BatchSize && visited < limit {
+	for out.n < rowCap && visited < limit {
 		if cand.lo == cand.hi {
 			if pi == len(spans) {
 				break
@@ -276,25 +398,25 @@ func (h *batchHashJoin) emit() {
 			pi++
 			continue
 		}
-		n := min(int(cand.hi-cand.lo), BatchSize-out.n)
+		n := min(int(cand.hi-cand.lo), rowCap-out.n, limit-visited)
 		lo := cand.lo
 		cand.lo += int32(n)
 		visited += n
-		probeRow := h.probe.Row(pi - 1)
+		probeRow := h.probe.row(pi - 1)
 		if h.probeOnly {
 			// every candidate matches and emits the same row: project it
 			// once and replicate it (a COUNT(*) root only counts)
-			h.merge.fillFlat(out.data[out.n*out.width:(out.n+n)*out.width], probeRow)
+			h.lmerge.fillFlat(out.data[out.n*out.width:(out.n+n)*out.width], probeRow)
 			out.n += n
 			continue
 		}
 		for _, r := range order[lo : int(lo)+n] {
 			row := rows.Row(int(r))
-			if !exact && !condsEqual(h.conds, probeRow, row) {
+			if !exact && !condsEqual(h.lconds, probeRow, row) {
 				continue // 64-bit hash collision
 			}
 			// a zero-width pushRow only counts: nothing is written
-			h.merge.mergeFlat(out.pushRow(), probeRow, row)
+			h.lmerge.mergeFlat(out.pushRow(), probeRow, row)
 		}
 	}
 	h.pi, h.cand = pi, cand
@@ -307,6 +429,7 @@ func (h *batchHashJoin) Close() {
 	h.right.Close()
 	h.release()
 	h.out.release()
+	h.view.release()
 	spanPool.put(h.spansBox)
 	h.spans, h.spansBox = nil, nil
 }

@@ -154,7 +154,8 @@ func TestBatchOpenFailureLifecycle(t *testing.T) {
 // opened-implies-closed invariant. The corpus plans never probe a unique
 // build, so a star over uniqueBuildDB, whose joins all probe primary keys,
 // is swept too, at budgets spread over its whole run: their errors land
-// inside the unique-build probe's per-batch flushes.
+// inside the unique-build probe's per-batch flushes. So is a pass-through
+// chain over passDB, whose joins return views and partial copies.
 func TestBatchBudgetFailureLifecycle(t *testing.T) {
 	probe := &lifecycleProbe{}
 	sweep := func(db *storage.Database, q *query.Query, p *plan.Node, variant string, budgets []int64) {
@@ -203,6 +204,20 @@ func TestBatchBudgetFailureLifecycle(t *testing.T) {
 		budgets = append(budgets, ctx.Work()*k/64)
 	}
 	sweep(db, q, root, "unique-build", budgets)
+
+	// a pass-through chain: views, partial copies and a count-only root
+	pdb, ptab := passDB()
+	pq := passQuery(ptab, "a", "c", "b", "h")
+	proot := fanOut(pq, ptab, "a", "c", "b", "h")
+	pctx := &Ctx{DB: pdb, Q: pq}
+	if _, err := Run(pctx, proot.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	budgets = budgets[:0]
+	for k := int64(1); k < 64; k++ {
+		budgets = append(budgets, pctx.Work()*k/64)
+	}
+	sweep(pdb, pq, proot, "pass-through", budgets)
 }
 
 // TestBatchHashJoinReleasesOnOpenFailure checks that a hash join whose Open

@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lpce-db/lpce/internal/catalog"
 	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
+	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
 )
@@ -42,6 +44,9 @@ func TestTraceRecordsEveryOperator(t *testing.T) {
 		}
 		if s.Rows != int64(n.TrueCard) {
 			t.Fatalf("%v: rows %d != true card %v", n.Op, s.Rows, n.TrueCard)
+		}
+		if s.Work <= 0 {
+			t.Fatalf("%v: ran with work %d, want > 0", n.Op, s.Work)
 		}
 	})
 	root := tr.ByMask(q.AllTablesMask())
@@ -132,6 +137,43 @@ func TestTraceCountsOwnCallsOnly(t *testing.T) {
 	}
 	if s.ActualRows != 3 || s.Batches != 3 {
 		t.Fatalf("child rows %v in %d batches, want 3 in 3", s.ActualRows, s.Batches)
+	}
+}
+
+// TestTraceCountOnlyFanOutBatches: a count-only fan-out root carries up to
+// zeroWidthRows rows per batch, so a tracer, which reads the clock twice
+// per batch, sees about rows / zeroWidthRows batches, not rows / BatchSize.
+// s ⋈ t on 16 shared keys makes 4096 × 256 rows from four probe batches.
+func TestTraceCountOnlyFanOutBatches(t *testing.T) {
+	sch := catalog.NewSchema()
+	st, tt := sch.AddTable("s", catalog.Attr("k")), sch.AddTable("t", catalog.Attr("k"))
+	db := storage.NewDatabase(sch)
+	const n, keys = 4096, 16
+	for _, meta := range []*catalog.Table{st, tt} {
+		tab := storage.NewTable(meta, n)
+		for r := range n {
+			tab.Cols[0][r] = int64(r % keys)
+		}
+		tab.FinishLoad()
+		db.Tables[meta.ID] = tab
+	}
+	q := query.New([]*catalog.Table{st, tt}, []query.Join{{Left: st.Column("k"), Right: tt.Column("k")}}, nil)
+	probe := plan.NewLeaf(plan.SeqScan, st, 0, nil)
+	p := plan.NewJoin(plan.HashJoin, probe, plan.NewLeaf(plan.SeqScan, tt, 1, nil), q.Joins)
+	tr := &obs.ExecTrace{}
+	ctx := newCtx(db, q)
+	ctx.Trace = tr
+	count, err := Run(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, scan := tr.ByMask(p.Tables), tr.ByMask(probe.Tables)
+	if count != n*n/keys || root.Rows != int64(count) {
+		t.Fatalf("count %d, root rows %d; want %d", count, root.Rows, n*n/keys)
+	}
+	if limit := (root.Rows+zeroWidthRows-1)/zeroWidthRows + scan.Batches; root.Batches > limit {
+		t.Fatalf("count-only fan-out root returned %d batches for %d rows from %d probe batches, want at most %d",
+			root.Batches, root.Rows, scan.Batches, limit)
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 // unique is set when every group holds one row — no two build rows share a
 // hash, so none share a key, as on a primary key. A probe row then has at
 // most one candidate, and the single-condition hash join emits straight
-// from the lookup (batchHashJoin.probeUnique).
+// from the lookup (batchHashJoin.probeUnique), or, probe-only and with
+// every probe row matched, passes the probe batch through re-labelled.
 //
 // Both arrays are pooled (see pool.go); release returns them.
 type hashTable struct {
@@ -136,22 +137,23 @@ func (t *hashTable) lookup(h uint64) span {
 
 // lookupBatch hashes every row of a probe batch on the left-side join keys
 // of conds and looks it up, before any candidate is visited: the lookups
-// are independent, so their cache misses overlap. One key column, the
-// common case, is read straight from the batch arena, and a key equal to
-// the previous row's reuses its span: a probe fed by a fan-out join
+// are independent, so their cache misses overlap. conds must be resolved
+// through the batch's column map (batchHashJoin.resolve). One key column,
+// the common case, is read straight from the batch arena, and a key equal
+// to the previous row's reuses its span: a probe fed by a fan-out join
 // arrives in runs of equal keys.
 func (t *hashTable) lookupBatch(b *Batch, conds []condOffsets, spans []span) {
 	if len(conds) != 1 {
 		for i := range spans[:b.n] {
-			spans[i] = t.lookup(hashRowConds(b.Row(i), conds, true))
+			spans[i] = t.lookup(hashRowConds(b.row(i), conds, true))
 		}
 		return
 	}
-	off, w := conds[0].leftOff, b.width
+	off, stride := conds[0].leftOff, b.stride
 	var prev int64
 	var sp span
 	for i := range spans[:b.n] {
-		if k := b.data[i*w+off]; i == 0 || k != prev {
+		if k := b.data[i*stride+off]; i == 0 || k != prev {
 			sp, prev = t.lookup(fnvStep(fnvOffsetBasis, k)), k
 		}
 		spans[i] = sp

@@ -119,6 +119,12 @@ func TestObservability(t *testing.T) {
 		if len(rep.Operators) == 0 {
 			t.Fatalf("%s: no operator stats", s.Name)
 		}
+		// every operator that ran charged work, so its ns/work is defined
+		for _, op := range rep.Operators {
+			if op.Work <= 0 {
+				t.Fatalf("%s: %s ran %d times with work %d, want > 0", s.Name, op.Op, op.Count, op.Work)
+			}
+		}
 		if len(rep.CE) == 0 {
 			t.Fatalf("%s: no CE evaluation", s.Name)
 		}
@@ -130,7 +136,7 @@ func TestObservability(t *testing.T) {
 	}
 
 	out := r.Render()
-	for _, frag := range []string{"phase latency", "per-operator runtime stats", "CE evaluation"} {
+	for _, frag := range []string{"phase latency", "per-operator runtime stats", "ns/work", "CE evaluation"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("render missing %q:\n%s", frag, out)
 		}

@@ -156,12 +156,16 @@ func (r *JobLikeResult) Render() string {
 
 		b.WriteString("\n")
 		ot := &Table{
-			Title:  fmt.Sprintf("%s: per-operator runtime stats", s.Name),
-			Header: []string{"operator", "instances", "rows", "wall", "q-err p50", "q-err p99"},
+			Title:  fmt.Sprintf("%s: per-operator runtime stats (wall and work include children)", s.Name),
+			Header: []string{"operator", "instances", "rows", "wall", "work", "ns/work", "q-err p50", "q-err p99"},
 		}
 		for _, op := range rep.Operators {
+			nsPerWork := "-"
+			if op.Work > 0 {
+				nsPerWork = FmtF(op.WallSeconds * 1e9 / float64(op.Work))
+			}
 			ot.AddRow(op.Op, fmt.Sprint(op.Count), fmt.Sprint(op.Rows), FmtDur(op.WallSeconds),
-				FmtF(op.QError.P50), FmtF(op.QError.P99))
+				fmt.Sprint(op.Work), nsPerWork, FmtF(op.QError.P50), FmtF(op.QError.P99))
 		}
 		b.WriteString(ot.String())
 

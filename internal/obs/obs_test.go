@@ -161,10 +161,11 @@ func TestQueryTraceRoundsAndEvents(t *testing.T) {
 	o := NewObserver()
 	qt := o.NewQueryTrace(42, "histogram")
 	r0 := qt.NewRound()
-	r0.AddOp(OpStats{Op: "SeqScan", Mask: query.NewBitSet().Set(0), EstRows: 10, ActualRows: 12, Rows: 12})
+	r0.AddOp(OpStats{Op: "SeqScan", Mask: query.NewBitSet().Set(0), EstRows: 10, ActualRows: 12, Rows: 12, Work: 30})
 	qt.AddEvent(ReoptEvent{Op: "HashJoin", QError: 80, Triggered: true})
 	r1 := qt.NewRound()
-	r1.AddOp(OpStats{Op: "MatScan", Mask: query.NewBitSet().Set(0).Set(1), EstRows: 12, ActualRows: 12})
+	r1.AddOp(OpStats{Op: "MatScan", Mask: query.NewBitSet().Set(0).Set(1), EstRows: 12, ActualRows: 12, Work: 5})
+	r1.AddOp(OpStats{Op: "SeqScan", Mask: query.NewBitSet().Set(2), EstRows: 3, ActualRows: 3, Rows: 3, Work: 7})
 	qt.AttachPlanDiff("2/5 operators changed")
 	qt.ExecTime = time.Millisecond
 	o.Observe(qt)
@@ -186,7 +187,9 @@ func TestQueryTraceRoundsAndEvents(t *testing.T) {
 	if rep.Queries != 1 || rep.Reopts != 1 {
 		t.Fatalf("report queries=%d reopts=%d", rep.Queries, rep.Reopts)
 	}
-	if len(rep.Operators) != 2 {
+	// operators aggregate per type: the two scans' rows and work add up
+	if len(rep.Operators) != 2 || rep.Operators[1].Op != "SeqScan" || rep.Operators[1].Count != 2 ||
+		rep.Operators[1].Rows != 15 || rep.Operators[1].Work != 37 || rep.Operators[0].Work != 5 {
 		t.Fatalf("operator aggregates = %+v", rep.Operators)
 	}
 	if _, err := json.Marshal(rep); err != nil {

@@ -7,13 +7,15 @@ import (
 
 // OpAggregate summarises every execution of one physical operator type
 // across a workload: how many instances ran, the rows they produced, the
-// wall time they absorbed, and how the optimizer's estimates distributed
-// against reality.
+// wall time they absorbed and the executor work charged in it (both, like
+// OpStats, including their children's calls), and how the optimizer's
+// estimates distributed against reality.
 type OpAggregate struct {
 	Op          string      `json:"op"`
 	Count       int         `json:"count"`
 	Rows        int64       `json:"rows"`
 	WallSeconds float64     `json:"wall_seconds"`
+	Work        int64       `json:"work"`
 	QError      HistSummary `json:"q_error"`
 }
 
@@ -71,6 +73,7 @@ func (o *Observer) Report() *Report {
 		count int
 		rows  int64
 		wall  time.Duration
+		work  int64
 		qerr  *Histogram
 	}
 	ops := make(map[string]*opAgg)
@@ -98,6 +101,7 @@ func (o *Observer) Report() *Report {
 				a.count++
 				a.rows += s.Rows
 				a.wall += s.Wall
+				a.work += s.Work
 				if q := s.QError(); q > 0 {
 					a.qerr.Observe(q)
 				}
@@ -117,7 +121,7 @@ func (o *Observer) Report() *Report {
 		a := ops[name]
 		rep.Operators = append(rep.Operators, OpAggregate{
 			Op: name, Count: a.count, Rows: a.rows,
-			WallSeconds: a.wall.Seconds(), QError: a.qerr.Summary(),
+			WallSeconds: a.wall.Seconds(), Work: a.work, QError: a.qerr.Summary(),
 		})
 	}
 	rep.CE = o.CE().Report()
