@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/lpce-db/lpce/internal/encode"
+	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
@@ -284,22 +285,28 @@ func TestSingleCardsUsesRealForExecuted(t *testing.T) {
 	}
 }
 
+// TestBuildUnitPlanCoversMask checks the unit tree LPCE-R-Single estimates
+// over after half a plan has run: it covers the whole query and keeps every
+// executed sub-plan as one of its nodes.
 func TestBuildUnitPlanCoversMask(t *testing.T) {
-	db, _, samples, _ := fixture(t)
-	_ = db
+	_, _, samples, _ := fixture(t)
 	s := samples[5]
 	q := s.Query
 	execRoots, _ := PrefixSubtrees(s.Plan, s.Plan.NumNodes()/2)
-	var units []reopt.Executed
-	var covered query.BitSet
-	for _, n := range execRoots {
-		units = append(units, reopt.Executed{Node: n, Card: n.TrueCard})
-		covered = covered.Union(n.Tables)
+	if len(execRoots) == 0 {
+		t.Fatal("prefix has no executed sub-plans")
 	}
 	full := q.AllTablesMask()
-	root := buildUnitPlan(q, full, covered, units)
+	root := exec.CanonicalPlan(q, full, execRoots...)
 	if root.Tables != full {
 		t.Fatalf("unit plan covers %b, want %b", uint32(root.Tables), uint32(full))
+	}
+	kept := make(map[*plan.Node]bool)
+	root.Walk(func(n *plan.Node) { kept[n] = true })
+	for _, n := range execRoots {
+		if !kept[n] {
+			t.Fatalf("executed sub-plan over %b is not in the unit plan", uint32(n.Tables))
+		}
 	}
 }
 

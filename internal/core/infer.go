@@ -6,6 +6,7 @@ import (
 
 	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/encode"
+	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
@@ -23,16 +24,15 @@ import (
 //
 // A subset is featurized as a canonical left-deep tree over its units — the
 // executed sub-plans lying inside it (pre-embedded leaves, LPCE-R only) and
-// one scan leaf per remaining table — ordered as exec.CanonicalPlan and
-// buildUnitPlan order them: start from the unit with the smallest mask, then
-// repeatedly take the smallest-mask unit joined to what is covered so far
-// (the smallest remaining one when none is). Because each choice depends
-// only on the covered set, the first j units of a subset's order are exactly
-// the order of the subset they cover: every prefix of a canonical tree is
-// the canonical tree of its own mask. So the encoding stored for a mask is
-// the left child of every subset that extends it by one unit, and during a
-// DP search — which asks for subsets by increasing size — each estimate
-// costs one embed, one cell and one output MLP.
+// one scan leaf per remaining table — joined in query.CanonicalOrder, the one
+// rule exec.CanonicalPlan also builds its trees by. Because each choice of
+// that order depends only on the covered set, the first j units of a
+// subset's order are exactly the order of the subset they cover: every
+// prefix of a canonical tree is the canonical tree of its own mask. So the
+// encoding stored for a mask is the left child of every subset that extends
+// it by one unit, and during a DP search — which asks for subsets by
+// increasing size — each estimate costs one embed, one cell and one output
+// MLP.
 //
 // A session belongs to one goroutine. The model and the executed-unit
 // encodings are shared read-only; scratch and memo are private.
@@ -127,26 +127,7 @@ func (s *session) order(mask query.BitSet) []query.BitSet {
 	for ; rest != 0; rest &= rest - 1 {
 		units = append(units, rest&-rest)
 	}
-	for i := 1; i < len(units); i++ { // insertion sort, ascending by mask
-		for k := i; k > 0 && units[k] < units[k-1]; k-- {
-			units[k], units[k-1] = units[k-1], units[k]
-		}
-	}
-	reach := s.q.Neighbors(units[0])
-	for j := 1; j < len(units); j++ {
-		pick := j
-		for k := j; k < len(units); k++ {
-			if units[k]&reach != 0 {
-				pick = k
-				break
-			}
-		}
-		u := units[pick]
-		copy(units[j+1:pick+1], units[j:pick]) // keep the skipped units sorted
-		units[j] = u
-		reach |= s.q.Neighbors(u)
-	}
-	return units
+	return s.q.CanonicalOrder(units)
 }
 
 // unit returns the encoding of one unit: memoized, or a scan leaf's.
@@ -240,12 +221,17 @@ func (r *Refiner) Estimator(q *query.Query, execs []reopt.Executed) cardest.Esti
 		e.masks = append(e.masks, ex.Mask())
 		covered = covered.Union(ex.Mask())
 	}
-	if r.Kind != RefinerSingle {
-		a := tensor.NewArena(0)
-		plain, card := r.arenaFeatures(a)
+	if r.Kind == RefinerSingle {
 		for _, ex := range e.execs {
-			e.embeds = append(e.embeds, r.executedEmbedding(a, ex.Node, plain, card))
+			e.nodes = append(e.nodes, ex.Node)
 		}
+		e.executed = markExecuted(e.nodes)
+		return e
+	}
+	a := tensor.NewArena(0)
+	plain, card := r.arenaFeatures(a)
+	for _, ex := range e.execs {
+		e.embeds = append(e.embeds, r.executedEmbedding(a, ex.Node, plain, card))
 	}
 	return e
 }
@@ -302,6 +288,9 @@ type refinedEstimator struct {
 	execs  []reopt.Executed // kept: maximal and disjoint
 	masks  []query.BitSet   // execs[i].Mask()
 	embeds []tensor.Vec     // execs[i]'s embedding; nil for RefinerSingle
+	// RefinerSingle only: execs[i].Node, and every node inside them
+	nodes    []*plan.Node
+	executed map[*plan.Node]bool
 }
 
 func (e *refinedEstimator) Name() string { return e.r.Kind.String() }
@@ -347,4 +336,57 @@ func (r *refinedSession) EstimateSubset(_ *query.Query, mask query.BitSet) float
 		return card
 	}
 	return r.s.estimate(mask)
+}
+
+// singleEstimate is the LPCE-R-Single estimate of a subset: the cardinality
+// module's pass over the subset's canonical tree, whose executed units keep
+// their real cardinalities.
+func (e *refinedEstimator) singleEstimate(q *query.Query, mask query.BitSet) float64 {
+	root := exec.CanonicalPlan(q, mask, e.nodes...)
+	return e.r.singleCards(root, e.executed)[root]
+}
+
+// markExecuted flags every node inside the executed subtrees.
+func markExecuted(execRoots []*plan.Node) map[*plan.Node]bool {
+	m := make(map[*plan.Node]bool)
+	for _, sub := range execRoots {
+		sub.Walk(func(n *plan.Node) { m[n] = true })
+	}
+	return m
+}
+
+// singleCards is the LPCE-R-Single inference pass: one cardinality-
+// augmented module processes the whole plan bottom-up; executed children
+// contribute their real cardinalities while remaining children contribute
+// the model's own running estimates — the train/inference mismatch the
+// paper blames for LPCE-R-Single's poor accuracy.
+func (r *Refiner) singleCards(root *plan.Node, executed map[*plan.Node]bool) map[*plan.Node]float64 {
+	a := tensor.NewArena(0)
+	cards := make(map[*plan.Node]float64)
+	var rec func(n *plan.Node) tensor.Vec
+	rec = func(n *plan.Node) tensor.Vec {
+		var cl, cr tensor.Vec
+		left, right := childCards(r.DB, n) // a leaf's input size, as in training
+		if n.Left != nil {
+			cl = rec(n.Left)
+			left = cards[n.Left]
+		}
+		if n.Right != nil {
+			cr = rec(n.Right)
+			right = cards[n.Right]
+		}
+		feat := a.Vec(r.Enc.DimWithCards())
+		r.Enc.EncodeNodeInto(feat, n)
+		r.Enc.EncodeCardsInto(feat, left, right, r.LogMax)
+		c := a.Vec(r.CardM.Cfg.Hidden)
+		h := r.CardM.InferNode(a, feat, cl, cr, c)
+		if executed[n] && n.TrueCard >= 0 {
+			cards[n] = n.TrueCard
+		} else {
+			cards[n] = r.CardM.InferCard(a, h)
+		}
+		return c
+	}
+	rec(root)
+	return cards
 }

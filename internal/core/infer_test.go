@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/nn"
+	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/reopt"
@@ -96,33 +98,86 @@ func tapeTreeEstimate(m *treenn.TreeModel, enc *encode.Encoder, q *query.Query, 
 // the subset on a fresh tape, the executed units inside it re-embedded by the
 // frozen modules — also on tapes — and merged by the connect layer.
 func tapeRefinedEstimate(r *Refiner, q *query.Query, kept []reopt.Executed, mask query.BitSet) float64 {
-	var units []reopt.Executed
-	var covered query.BitSet
-	for _, ex := range kept {
-		if ex.Mask() == mask {
-			return ex.Card
-		}
-		if ex.Mask()&mask == ex.Mask() {
-			units = append(units, ex)
-			covered = covered.Union(ex.Mask())
-		}
+	root, card, exact := unitTree(q, kept, mask)
+	if exact {
+		return card
 	}
-	root := buildUnitPlan(q, mask, covered, units)
 	t := autodiff.NewTape()
 	embed := func(m *treenn.TreeModel, sub *plan.Node, feat treenn.FeatureFn) *autodiff.Node {
 		return t.Const(m.Forward(autodiff.NewTape(), sub, feat, nil)[sub].C.Data)
 	}
 	childC := make(map[*plan.Node]*autodiff.Node)
-	for _, u := range units {
-		cB := embed(r.CardM, u.Node, CardFeature(r.Enc, r.LogMax, r.DB))
+	for _, ex := range kept {
+		cB := embed(r.CardM, ex.Node, CardFeature(r.Enc, r.LogMax, r.DB))
 		if r.Kind == RefinerFull {
-			childC[u.Node] = r.Connect.Apply(t, embed(r.Content, u.Node, r.Enc.EncodeNode), cB)
+			childC[ex.Node] = r.Connect.Apply(t, embed(r.Content, ex.Node, r.Enc.EncodeNode), cB)
 		} else {
-			childC[u.Node] = cB
+			childC[ex.Node] = cB
 		}
 	}
 	outs := r.Refine.Forward(t, root, r.Enc.EncodeNode, childC)
 	return outs[root].Card(r.LogMax)
+}
+
+// unitTree returns the canonical tree of mask over the kept executed
+// sub-plans or, with exact set, the true cardinality of the one whose mask
+// it is.
+func unitTree(q *query.Query, kept []reopt.Executed, mask query.BitSet) (root *plan.Node, card float64, exact bool) {
+	nodes := make([]*plan.Node, len(kept))
+	for i, ex := range kept {
+		if ex.Mask() == mask {
+			return nil, ex.Card, true
+		}
+		nodes[i] = ex.Node
+	}
+	return exec.CanonicalPlan(q, mask, nodes...), 0, false
+}
+
+// tapeSingleCards is LPCE-R-Single's pass as it ran before it went
+// tape-free: the cardinality module over the whole tree on one tape, with
+// the features of each node built from its children's running estimates,
+// or their real cardinalities where executed.
+func tapeSingleCards(r *Refiner, root *plan.Node, executed map[*plan.Node]bool) map[*plan.Node]float64 {
+	t := autodiff.NewTape()
+	cards := make(map[*plan.Node]float64)
+	hidden := r.CardM.Cfg.Hidden
+	childCard := func(n *plan.Node) float64 {
+		if executed[n] && n.TrueCard >= 0 {
+			return n.TrueCard
+		}
+		return cards[n]
+	}
+	var rec func(n *plan.Node) *autodiff.Node
+	rec = func(n *plan.Node) *autodiff.Node {
+		zero := t.NewNode(hidden)
+		cl, cr := zero, zero
+		var cardL, cardR float64
+		switch {
+		case n.Left != nil:
+			cl = rec(n.Left)
+			cardL = childCard(n.Left)
+			if n.Right != nil {
+				cr = rec(n.Right)
+				cardR = childCard(n.Right)
+			}
+		case n.Table != nil:
+			cardL = float64(r.DB.Table(n.Table).NumRows())
+		case n.Mat != nil:
+			cardL = float64(n.Mat.Card())
+		}
+		fv := r.Enc.WithCards(r.Enc.EncodeNode(n), cardL, cardR, r.LogMax)
+		x := r.CardM.Embed.Apply(t, t.Input(fv))
+		c, h := r.CardM.Cell.Apply(t, x, cl, cr)
+		_, pred := r.CardM.Out.ApplyPreOutput(t, h)
+		card := nn.DenormalizeCard(pred.Scalar(), r.LogMax)
+		if executed[n] && n.TrueCard >= 0 {
+			card = n.TrueCard
+		}
+		cards[n] = card
+		return c
+	}
+	rec(root)
+	return cards
 }
 
 // checkSession compares est against want over every connected subset: through
@@ -231,6 +286,69 @@ func TestSessionRefinedEstimatorMatchesTape(t *testing.T) {
 		if pairs < 4 {
 			t.Fatalf("%v: only %d queries had two disjoint executed subs", kind, pairs)
 		}
+	}
+}
+
+// TestSessionSingleEstimatorMatchesTape holds LPCE-R-Single to its tape pass
+// bit for bit: served, over every connected subset with 0-2 executed
+// sub-plans (one resuming from a MatScan), and in EvalPrefix, the Table 3
+// measurement, on every node after every prefix of collected plans.
+func TestSessionSingleEstimatorMatchesTape(t *testing.T) {
+	db, enc, samples, _ := fixture(t)
+	r := randomRefiner(RefinerSingle, db, enc, 350)
+	pairs := 0
+	for _, q := range sessionQueries(db, 207) {
+		a, b, ok := disjointPair(q)
+		cases := map[string][]reopt.Executed{"0 subs": nil}
+		if ok {
+			pairs++
+			cases["1 sub"] = []reopt.Executed{executedSub(q, a, 4, false)}
+			cases["2 subs"] = []reopt.Executed{executedSub(q, b, 5, false), executedSub(q, a, 6, true)}
+		}
+		for name, execs := range cases {
+			est := r.Estimator(q, execs)
+			kept := est.(*refinedEstimator).execs
+			var nodes []*plan.Node
+			for _, ex := range kept {
+				nodes = append(nodes, ex.Node)
+			}
+			checkSession(t, "lpce-r-single "+name, est, q, func(mask query.BitSet) float64 {
+				root, card, exact := unitTree(q, kept, mask)
+				if exact {
+					return card
+				}
+				return tapeSingleCards(r, root, markExecuted(nodes))[root]
+			})
+		}
+	}
+	if pairs < 4 {
+		t.Fatalf("only %d queries had two disjoint executed subs", pairs)
+	}
+	checked := 0
+	for _, s := range samples {
+		for k := 1; k < s.Plan.NumNodes(); k++ {
+			execRoots, remaining := PrefixSubtrees(s.Plan, k)
+			executed := markExecuted(execRoots)
+			got, want := r.singleCards(s.Plan, executed), tapeSingleCards(r, s.Plan, executed)
+			var wantQ []float64
+			for _, n := range s.Plan.Nodes() {
+				if math.Float64bits(got[n]) != math.Float64bits(want[n]) {
+					t.Fatalf("sample %s, prefix %d, node %b: %v, tape %v", s.Query.SQL(), k, uint32(n.Tables), got[n], want[n])
+				}
+			}
+			for _, n := range remaining {
+				if n.TrueCard >= 0 {
+					wantQ = append(wantQ, obs.QError(n.TrueCard, want[n]))
+				}
+			}
+			if gotQ := r.EvalPrefix(s, k); !slices.Equal(gotQ, wantQ) {
+				t.Fatalf("sample %s, prefix %d: EvalPrefix %v, tape %v", s.Query.SQL(), k, gotQ, wantQ)
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d prefixes checked", checked)
 	}
 }
 
@@ -368,8 +486,7 @@ func TestWarmSessionDoesNotAllocate(t *testing.T) {
 // TestInferencePathImportsNoTape asserts what "no autodiff.NewTape reachable
 // from engine.Execute" rests on: the files holding the inference path — the
 // sessions here, the tree-model and layer forward kernels below — do not
-// import the autodiff package at all. (LPCE-R-Single, an ablation, is the one
-// estimator that still calls into tape code, through lpcer.go.)
+// import the autodiff package at all.
 func TestInferencePathImportsNoTape(t *testing.T) {
 	for _, file := range []string{"infer.go", "../treenn/infer.go", "../nn/infer.go", "../encode/encode.go", "../tensor/tensor.go"} {
 		f, err := parser.ParseFile(token.NewFileSet(), filepath.FromSlash(file), nil, parser.ImportsOnly)

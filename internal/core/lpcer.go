@@ -1,15 +1,11 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/lpce-db/lpce/internal/autodiff"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/nn"
 	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
-	"github.com/lpce-db/lpce/internal/query"
-	"github.com/lpce-db/lpce/internal/reopt"
 	"github.com/lpce-db/lpce/internal/storage"
 	"github.com/lpce-db/lpce/internal/tensor"
 	"github.com/lpce-db/lpce/internal/treenn"
@@ -200,7 +196,7 @@ func (r *Refiner) adjust(cfg RefinerConfig, samples []Sample) {
 						continue
 					}
 					t := autodiff.NewTape()
-					childC := r.executedOverridesUsing(t, connect, execRoots)
+					childC := r.executedOverrides(t, connect, execRoots)
 					outs := refRep.Forward(t, s.Plan, plainFeat, childC)
 					w := weight / float64(cfg.PrefixesPerSample)
 					for _, n := range remaining {
@@ -235,16 +231,11 @@ func (r *Refiner) adjust(cfg RefinerConfig, samples []Sample) {
 // executedOverrides computes, for each executed subtree root, the embedding
 // the refine module sees in place of that child: the connect-layer merge of
 // the content and cardinality embeddings (full design) or the cardinality
-// embedding alone (two-module ablation). The frozen modules run tape-free and
-// their embeddings enter the tape as constants, so no gradient reaches them.
-func (r *Refiner) executedOverrides(t *autodiff.Tape, execRoots []*plan.Node) map[*plan.Node]*autodiff.Node {
-	return r.executedOverridesUsing(t, r.Connect, execRoots)
-}
-
-// executedOverridesUsing is executedOverrides with an explicit connect
-// layer, so adjustment workers substitute their gradient replicas while the
-// frozen content/cardinality modules are shared read-only.
-func (r *Refiner) executedOverridesUsing(t *autodiff.Tape, connect *ConnectLayer, execRoots []*plan.Node) map[*plan.Node]*autodiff.Node {
+// embedding alone (two-module ablation). connect is the layer to merge with:
+// adjustment workers pass their gradient replicas, while the frozen
+// content/cardinality modules run tape-free, are shared read-only, and
+// enter the tape as constants, so no gradient reaches them.
+func (r *Refiner) executedOverrides(t *autodiff.Tape, connect *ConnectLayer, execRoots []*plan.Node) map[*plan.Node]*autodiff.Node {
 	childC := make(map[*plan.Node]*autodiff.Node, len(execRoots))
 	a := tensor.NewArena(0)
 	plain, cardFeat := r.arenaFeatures(a)
@@ -299,8 +290,7 @@ func (r *Refiner) EvalPrefix(s Sample, k int) []float64 {
 	var qs []float64
 	switch r.Kind {
 	case RefinerSingle:
-		executed := markExecuted(execRoots)
-		cards := r.singleCards(s.Plan, executed)
+		cards := r.singleCards(s.Plan, markExecuted(execRoots))
 		for _, n := range remaining {
 			if n.TrueCard >= 0 {
 				qs = append(qs, obs.QError(n.TrueCard, cards[n]))
@@ -308,7 +298,7 @@ func (r *Refiner) EvalPrefix(s Sample, k int) []float64 {
 		}
 	default:
 		t := autodiff.NewTape()
-		childC := r.executedOverrides(t, execRoots)
+		childC := r.executedOverrides(t, r.Connect, execRoots)
 		outs := r.Refine.Forward(t, s.Plan, func(n *plan.Node) tensor.Vec { return r.Enc.EncodeNode(n) }, childC)
 		for _, n := range remaining {
 			out, ok := outs[n]
@@ -319,127 +309,4 @@ func (r *Refiner) EvalPrefix(s Sample, k int) []float64 {
 		}
 	}
 	return qs
-}
-
-// markExecuted flags every node inside the executed subtrees.
-func markExecuted(execRoots []*plan.Node) map[*plan.Node]bool {
-	m := make(map[*plan.Node]bool)
-	for _, sub := range execRoots {
-		sub.Walk(func(n *plan.Node) { m[n] = true })
-	}
-	return m
-}
-
-// singleCards is the LPCE-R-Single inference pass: one cardinality-
-// augmented module processes the whole plan bottom-up; executed children
-// contribute their real cardinalities while remaining children contribute
-// the model's own running estimates — the train/inference mismatch the
-// paper blames for LPCE-R-Single's poor accuracy.
-func (r *Refiner) singleCards(root *plan.Node, executed map[*plan.Node]bool) map[*plan.Node]float64 {
-	t := autodiff.NewTape()
-	cards := make(map[*plan.Node]float64)
-	hidden := r.CardM.Cfg.Hidden
-	var rec func(n *plan.Node) *autodiff.Node
-	rec = func(n *plan.Node) *autodiff.Node {
-		zero := t.NewNode(hidden)
-		cl, cr := zero, zero
-		var cardL, cardR float64
-		switch {
-		case n.Left != nil:
-			cl = rec(n.Left)
-			cardL = childCard(n.Left, executed, cards)
-			if n.Right != nil {
-				cr = rec(n.Right)
-				cardR = childCard(n.Right, executed, cards)
-			}
-		case n.Table != nil:
-			cardL = float64(r.DB.Table(n.Table).NumRows())
-		case n.Mat != nil:
-			cardL = float64(n.Mat.Card())
-		}
-		fv := r.Enc.WithCards(r.Enc.EncodeNode(n), cardL, cardR, r.LogMax)
-		x := r.CardM.Embed.Apply(t, t.Input(fv))
-		c, h := r.CardM.Cell.Apply(t, x, cl, cr)
-		_, pred := r.CardM.Out.ApplyPreOutput(t, h)
-		card := nn.DenormalizeCard(pred.Scalar(), r.LogMax)
-		if executed[n] && n.TrueCard >= 0 {
-			card = n.TrueCard
-		}
-		cards[n] = card
-		return c
-	}
-	rec(root)
-	return cards
-}
-
-func childCard(n *plan.Node, executed map[*plan.Node]bool, cards map[*plan.Node]float64) float64 {
-	if executed[n] && n.TrueCard >= 0 {
-		return n.TrueCard
-	}
-	return cards[n]
-}
-
-// singleEstimate is the LPCE-R-Single estimate of a subset: the unit tree
-// is built whole and run through the cardinality module on a tape.
-func (e *refinedEstimator) singleEstimate(q *query.Query, mask query.BitSet) float64 {
-	var units []reopt.Executed
-	var covered query.BitSet
-	for _, ex := range e.execs {
-		if ex.Mask()&mask == ex.Mask() {
-			units = append(units, ex)
-			covered = covered.Union(ex.Mask())
-		}
-	}
-	root := buildUnitPlan(q, mask, covered, units)
-	return e.r.singleCards(root, markExecuted(execNodes(units)))[root]
-}
-
-func execNodes(units []reopt.Executed) []*plan.Node {
-	out := make([]*plan.Node, len(units))
-	for i, u := range units {
-		out[i] = u.Node
-	}
-	return out
-}
-
-// buildUnitPlan constructs a canonical left-deep tree over heterogeneous
-// units: executed sub-plans (kept as their original subtrees) and
-// single-table scans for the uncovered part of the mask.
-func buildUnitPlan(q *query.Query, mask, covered query.BitSet, units []reopt.Executed) *plan.Node {
-	type unit struct {
-		mask query.BitSet
-		node *plan.Node
-	}
-	var us []unit
-	for _, e := range units {
-		us = append(us, unit{e.Mask(), e.Node})
-	}
-	for _, i := range mask.Indices() {
-		if covered.Has(i) {
-			continue
-		}
-		t := q.Tables[i]
-		us = append(us, unit{query.NewBitSet().Set(i), plan.NewLeaf(plan.SeqScan, t, i, q.PredsOn(t))})
-	}
-	sort.Slice(us, func(i, j int) bool { return us[i].mask < us[j].mask })
-
-	cur := us[0]
-	rest := us[1:]
-	for len(rest) > 0 {
-		pick := -1
-		for i, u := range rest {
-			if q.Neighbors(cur.mask)&u.mask != 0 {
-				pick = i
-				break
-			}
-		}
-		if pick == -1 {
-			pick = 0
-		}
-		u := rest[pick]
-		rest = append(rest[:pick], rest[pick+1:]...)
-		conds := q.JoinsBetween(cur.mask, u.mask)
-		cur = unit{cur.mask.Union(u.mask), plan.NewJoin(plan.HashJoin, cur.node, u.node, conds)}
-	}
-	return cur.node
 }

@@ -39,35 +39,19 @@ type walkStep struct {
 	conds    []query.Join // join conditions linking it to the prefix
 }
 
-// walkPlan computes the canonical attachment order for a subset: lowest
-// local index first, then lowest connected index, matching
-// exec.CanonicalPlan so all estimators featurize subsets identically.
+// walkPlan computes the attachment order for a subset: its tables in
+// query.CanonicalOrder, the order every estimator joins a subset in, each
+// attached with the join conditions linking it to the prefix.
 func walkPlan(q *query.Query, mask query.BitSet) []walkStep {
-	idxs := mask.Indices()
-	if len(idxs) == 0 {
-		return nil
+	units := make([]query.BitSet, 0, mask.Count())
+	for m := mask; m != 0; m &= m - 1 {
+		units = append(units, m&-m)
 	}
-	steps := []walkStep{{tableIdx: idxs[0]}}
-	covered := query.NewBitSet().Set(idxs[0])
-	remaining := append([]int(nil), idxs[1:]...)
-	for len(remaining) > 0 {
-		pick := -1
-		for pi, i := range remaining {
-			if len(q.JoinsBetween(covered, query.NewBitSet().Set(i))) > 0 {
-				pick = pi
-				break
-			}
-		}
-		if pick == -1 {
-			pick = 0
-		}
-		i := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		steps = append(steps, walkStep{
-			tableIdx: i,
-			conds:    q.JoinsBetween(covered, query.NewBitSet().Set(i)),
-		})
-		covered = covered.Set(i)
+	steps := make([]walkStep, len(units))
+	var covered query.BitSet
+	for i, u := range q.CanonicalOrder(units) {
+		steps[i] = walkStep{tableIdx: u.First(), conds: q.JoinsBetween(covered, u)}
+		covered |= u
 	}
 	return steps
 }

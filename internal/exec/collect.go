@@ -187,43 +187,51 @@ func (o *TrueCardOracle) EstimateSubset(q *query.Query, mask query.BitSet) float
 }
 
 // CanonicalPlan builds the canonical left-deep logical plan for a table
-// subset: relations joined in ascending local-index order, each new
-// relation attached with every join condition it shares with the prefix.
-// The learned estimators featurize subsets through this same canonical
-// shape, so one subset always maps to one feature sequence.
-func CanonicalPlan(q *query.Query, mask query.BitSet) *plan.Node {
-	idxs := mask.Indices()
-	if len(idxs) == 0 {
+// subset. Its units — each executed sub-plan lying wholly inside mask, kept
+// as a leaf, and a scan of every other table — are joined in
+// query.CanonicalOrder, each new unit attached with every join condition it
+// shares with the prefix, so a connected subset's tree has no cross joins.
+// The executed sub-plans must cover disjoint tables. The learned estimators
+// featurize subsets in this same order, so one subset always maps to one
+// feature sequence.
+func CanonicalPlan(q *query.Query, mask query.BitSet, executed ...*plan.Node) *plan.Node {
+	if mask == 0 {
 		panic("exec: canonical plan of empty subset")
 	}
-	mk := func(i int) *plan.Node {
-		t := q.Tables[i]
-		return plan.NewLeaf(plan.SeqScan, t, i, q.PredsOn(t))
+	units := make([]query.BitSet, 0, mask.Count())
+	rest := mask
+	for _, n := range executed {
+		if n.Tables&mask == n.Tables {
+			units = append(units, n.Tables)
+			rest &^= n.Tables
+		}
 	}
-	cur := mk(idxs[0])
-	covered := query.NewBitSet().Set(idxs[0])
-	remaining := append([]int(nil), idxs[1:]...)
-	for len(remaining) > 0 {
-		// pick the lowest-index remaining table connected to the prefix, so
-		// the canonical tree never contains cross products when the subset
-		// is connected
-		pick := -1
-		reach := q.Neighbors(covered)
-		for pi, i := range remaining {
-			if reach.Has(i) {
-				pick = pi
-				break
-			}
+	for ; rest != 0; rest &= rest - 1 {
+		units = append(units, rest&-rest)
+	}
+	var cur *plan.Node
+	var covered query.BitSet
+	for _, u := range q.CanonicalOrder(units) {
+		leaf := unitLeaf(q, u, executed)
+		if cur == nil {
+			cur = leaf
+		} else {
+			cur = plan.NewJoin(plan.HashJoin, cur, leaf, q.JoinsBetween(covered, u))
 		}
-		if pick == -1 {
-			pick = 0 // disconnected subset: accept a cross join
-		}
-		i := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		single := query.NewBitSet().Set(i)
-		conds := q.JoinsBetween(covered, single)
-		cur = plan.NewJoin(plan.HashJoin, cur, mk(i), conds)
-		covered = covered.Set(i)
+		covered |= u
 	}
 	return cur
+}
+
+// unitLeaf returns the executed sub-plan covering exactly u, or else a scan
+// of u's one table.
+func unitLeaf(q *query.Query, u query.BitSet, executed []*plan.Node) *plan.Node {
+	for _, n := range executed {
+		if n.Tables == u {
+			return n
+		}
+	}
+	i := u.First()
+	t := q.Tables[i]
+	return plan.NewLeaf(plan.SeqScan, t, i, q.PredsOn(t))
 }

@@ -74,9 +74,32 @@ func TestJoinMergeLayoutProperty(t *testing.T) {
 	}
 }
 
-// Property: the canonical plan of any connected subset covers exactly that
-// subset, has 2k−1 nodes, and every join condition it applies comes from
-// the query.
+// growConnected grows a random connected subset of within from one of its
+// tables, stopping at random.
+func growConnected(rng *rand.Rand, q *query.Query, within query.BitSet) query.BitSet {
+	idxs := within.Indices()
+	mask := query.NewBitSet().Set(idxs[rng.Intn(len(idxs))])
+	for grow := 0; grow < len(idxs); grow++ {
+		var cands []int
+		for _, i := range idxs {
+			if !mask.Has(i) && q.Neighbors(mask).Has(i) {
+				cands = append(cands, i)
+			}
+		}
+		if len(cands) == 0 || rng.Intn(3) == 0 {
+			break
+		}
+		mask = mask.Set(cands[rng.Intn(len(cands))])
+	}
+	return mask
+}
+
+// Property: the canonical plan of any connected subset, given executed
+// sub-plans (disjoint connected subsets of the query, inside the subset or
+// not), covers exactly that subset with 2k−1 nodes; it keeps exactly the
+// executed sub-plans lying inside the subset, as leaves; its left spine
+// joins the units in query.CanonicalOrder, each join with at least one
+// condition; and every join condition it applies comes from the query.
 func TestCanonicalPlanSubsetProperty(t *testing.T) {
 	db := testutil.TinyDB()
 	f := func(seed int64) bool {
@@ -84,29 +107,54 @@ func TestCanonicalPlanSubsetProperty(t *testing.T) {
 		g := workload.NewGenerator(db, seed)
 		q := g.Query(3 + rng.Intn(3))
 		full := q.AllTablesMask()
-		// random connected subset: grow from a random start
-		idxs := full.Indices()
-		mask := query.NewBitSet().Set(idxs[rng.Intn(len(idxs))])
-		for grow := 0; grow < len(idxs); grow++ {
-			var cands []int
-			for _, i := range idxs {
-				if mask.Has(i) {
-					continue
-				}
-				if len(q.JoinsBetween(mask, query.NewBitSet().Set(i))) > 0 {
-					cands = append(cands, i)
-				}
+		mask := growConnected(rng, q, full)
+		var executed []*plan.Node
+		var taken query.BitSet
+		for e := rng.Intn(4); e > 0; e-- {
+			pool := mask &^ taken
+			if rng.Intn(3) == 0 {
+				pool = full &^ taken
 			}
-			if len(cands) == 0 || rng.Intn(3) == 0 {
+			if pool == 0 {
 				break
 			}
-			mask = mask.Set(cands[rng.Intn(len(cands))])
+			sub := growConnected(rng, q, pool)
+			executed = append(executed, CanonicalPlan(q, sub))
+			taken |= sub
 		}
-		p := CanonicalPlan(q, mask)
+		p := CanonicalPlan(q, mask, executed...)
 		if p.Tables != mask {
 			return false
 		}
 		if p.NumNodes() != 2*mask.Count()-1 {
+			return false
+		}
+		nodes := map[*plan.Node]bool{}
+		p.Walk(func(n *plan.Node) { nodes[n] = true })
+		var units []query.BitSet
+		rest := mask
+		for _, e := range executed {
+			inside := e.Tables&mask == e.Tables
+			if nodes[e] != inside {
+				return false
+			}
+			if inside {
+				units = append(units, e.Tables)
+				rest &^= e.Tables
+			}
+		}
+		for ; rest != 0; rest &= rest - 1 {
+			units = append(units, rest&-rest)
+		}
+		order := q.CanonicalOrder(units)
+		spine := p
+		for i := len(order) - 1; i >= 1; i-- {
+			if spine.Right.Tables != order[i] || len(spine.JoinConds) == 0 {
+				return false
+			}
+			spine = spine.Left
+		}
+		if spine.Tables != order[0] {
 			return false
 		}
 		valid := true

@@ -292,7 +292,10 @@ func TestFigure17FindsExample(t *testing.T) {
 	r := Figure17(e)
 	out := r.Render()
 	if r.Found {
-		for _, frag := range []string{"query:", "initial plan", "final plan"} {
+		if r.With.Count != r.Without.Count {
+			t.Fatalf("COUNT(*) with re-optimization %d, without %d", r.With.Count, r.Without.Count)
+		}
+		for _, frag := range []string{"query:", "T_P", "T_E", "COUNT(*)", "initial plan", "final plan"} {
 			if !strings.Contains(out, frag) {
 				t.Fatalf("render missing %q", frag)
 			}

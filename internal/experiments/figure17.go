@@ -11,17 +11,13 @@ import (
 
 // Figure17Result reproduces the paper's worked re-optimization example
 // (Figures 2 and 17): one query whose LPCE-I estimates trigger
-// re-optimization, with the initial plan, the re-optimized plan, and the
-// end-to-end times of running with and without re-optimization.
+// re-optimization, run with and without it — the initial and the
+// re-optimized plan, each run's end-to-end time decomposition and its
+// COUNT(*), which must agree.
 type Figure17Result struct {
 	SQL            string
-	InitialPlan    string
-	FinalPlan      string
-	Reopts         int
-	TimeWithout    float64 // seconds, LPCE-I only
-	TimeWith       float64 // seconds, LPCE-R
-	TriggerActual  float64
-	TriggerEstim   float64
+	Without        engine.Result // LPCE-I only
+	With           engine.Result // LPCE-R
 	Found          bool
 	QueriesScanned int
 }
@@ -50,11 +46,7 @@ func Figure17(e *Env) Figure17Result {
 			continue
 		}
 		res.SQL = q.SQL()
-		res.InitialPlan = withoutR.FinalPlan.String()
-		res.FinalPlan = withR.FinalPlan.String()
-		res.Reopts = withR.Reopts
-		res.TimeWithout = withoutR.Total().Seconds()
-		res.TimeWith = withR.Total().Seconds()
+		res.Without, res.With = withoutR, withR
 		res.Found = true
 		return res
 	}
@@ -70,10 +62,21 @@ func (r Figure17Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 17: query re-optimization example\n")
 	fmt.Fprintf(&b, "query: %s\n", r.SQL)
-	fmt.Fprintf(&b, "re-optimizations: %d\n", r.Reopts)
-	fmt.Fprintf(&b, "end-to-end time without re-optimization: %s\n", FmtDur(r.TimeWithout))
-	fmt.Fprintf(&b, "end-to-end time with re-optimization:    %s\n", FmtDur(r.TimeWith))
-	fmt.Fprintf(&b, "\ninitial plan (LPCE-I):\n%s", r.InitialPlan)
-	fmt.Fprintf(&b, "\nfinal plan (LPCE-R, resumed from materialized intermediates):\n%s", r.FinalPlan)
+	fmt.Fprintf(&b, "re-optimizations: %d\n", r.With.Reopts)
+	t := &Table{
+		Title:  "end-to-end time T_end = T_P + T_I + T_R + T_E, and the result",
+		Header: []string{"run", "T_P", "T_I", "T_R", "T_E", "T_end", "COUNT(*)"},
+	}
+	for _, run := range []struct {
+		name string
+		res  engine.Result
+	}{{"without re-optimization (LPCE-I)", r.Without}, {"with re-optimization (LPCE-R)", r.With}} {
+		t.AddRow(run.name, FmtDur(run.res.PlanTime.Seconds()), FmtDur(run.res.InferTime.Seconds()),
+			FmtDur(run.res.ReoptTime.Seconds()), FmtDur(run.res.ExecTime.Seconds()),
+			FmtDur(run.res.Total().Seconds()), fmt.Sprint(run.res.Count))
+	}
+	b.WriteString(t.String())
+	fmt.Fprintf(&b, "\ninitial plan (LPCE-I):\n%s", r.Without.FinalPlan)
+	fmt.Fprintf(&b, "\nfinal plan (LPCE-R, resumed from materialized intermediates):\n%s", r.With.FinalPlan)
 	return b.String()
 }

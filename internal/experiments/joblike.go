@@ -156,7 +156,7 @@ func (r *JobLikeResult) Render() string {
 
 		b.WriteString("\n")
 		ot := &Table{
-			Title:  fmt.Sprintf("%s: per-operator runtime stats (wall and work include children)", s.Name),
+			Title:  fmt.Sprintf("%s: per-operator runtime stats (self wall and work, children excluded)", s.Name),
 			Header: []string{"operator", "instances", "rows", "wall", "work", "ns/work", "q-err p50", "q-err p99"},
 		}
 		for _, op := range rep.Operators {

@@ -195,6 +195,39 @@ func TestQueryTraceRoundsAndEvents(t *testing.T) {
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("report not serializable: %v", err)
 	}
+
+	// A round of three nested joins, in teardown order: each op's figures
+	// include its children's, and the report keeps each op's own.
+	o = NewObserver()
+	qt = o.NewQueryTrace(43, "histogram")
+	rd := qt.NewRound()
+	mask := func(tables ...int) query.BitSet {
+		var m query.BitSet
+		for _, i := range tables {
+			m = m.Set(i)
+		}
+		return m
+	}
+	op := func(name string, m query.BitSet, wall time.Duration, work int64) {
+		rd.AddOp(OpStats{Op: name, Mask: m, EstRows: 1, ActualRows: 1, Rows: 1, Wall: wall, Work: work})
+	}
+	op("SeqScan", mask(0), 10, 100)
+	op("SeqScan", mask(1), 20, 200)
+	op("HashJoin", mask(0, 1), 10+20+3, 100+200+3)
+	op("SeqScan", mask(2), 30, 300)
+	op("NestLoopJoin", mask(0, 1, 2), 33+30+5, 303+300+5)
+	op("SeqScan", mask(3), 40, 400)
+	op("HashJoin", mask(0, 1, 2, 3), 68+40+7, 608+400+7)
+	o.Observe(qt)
+	rep = o.Report()
+	self := func(i int, name string, count int, wall time.Duration, work int64) bool {
+		a := rep.Operators[i]
+		return a.Op == name && a.Count == count && a.WallSeconds == wall.Seconds() && a.Work == work
+	}
+	if len(rep.Operators) != 3 || !self(0, "HashJoin", 2, 3+7, 3+7) ||
+		!self(1, "NestLoopJoin", 1, 5, 5) || !self(2, "SeqScan", 4, 100, 1000) {
+		t.Fatalf("nested operator aggregates = %+v", rep.Operators)
+	}
 }
 
 // TestObserverTraceWindow holds the bounded trace window to its contract:

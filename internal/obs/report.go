@@ -7,9 +7,9 @@ import (
 
 // OpAggregate summarises every execution of one physical operator type
 // across a workload: how many instances ran, the rows they produced, the
-// wall time they absorbed and the executor work charged in it (both, like
-// OpStats, including their children's calls), and how the optimizer's
-// estimates distributed against reality.
+// wall time they absorbed and the executor work charged in it (both self
+// figures: unlike OpStats, without their children's), and how the
+// optimizer's estimates distributed against reality.
 type OpAggregate struct {
 	Op          string      `json:"op"`
 	Count       int         `json:"count"`
@@ -77,6 +77,14 @@ func (o *Observer) Report() *Report {
 		qerr  *Histogram
 	}
 	ops := make(map[string]*opAgg)
+	agg := func(op string) *opAgg {
+		a, ok := ops[op]
+		if !ok {
+			a = &opAgg{qerr: &Histogram{}}
+			ops[op] = a
+		}
+		return a
+	}
 
 	for _, t := range traces {
 		if t.TimedOut {
@@ -92,18 +100,21 @@ func (o *Observer) Report() *Report {
 			rep.Events = append(rep.Events, ev)
 		}
 		for _, rd := range t.Rounds {
-			for _, s := range rd.Ops {
-				a, ok := ops[s.Op]
-				if !ok {
-					a = &opAgg{qerr: &Histogram{}}
-					ops[s.Op] = a
-				}
+			for i, s := range rd.Ops {
+				a := agg(s.Op)
 				a.count++
 				a.rows += s.Rows
 				a.wall += s.Wall
 				a.work += s.Work
 				if q := s.QError(); q > 0 {
 					a.qerr.Observe(q)
+				}
+				// OpStats figures include the children's calls: take each
+				// op's own out of its parent's, leaving self figures
+				if p := parent(rd.Ops, i); p >= 0 {
+					pa := agg(rd.Ops[p].Op)
+					pa.wall -= s.Wall
+					pa.work -= s.Work
 				}
 			}
 		}
@@ -127,4 +138,19 @@ func (o *Observer) Report() *Report {
 	rep.CE = o.CE().Report()
 	rep.Metrics = o.Registry().Snapshot()
 	return rep
+}
+
+// parent returns the index of op i's parent in its round, or -1 for the
+// root: the op whose mask is the smallest proper superset of op i's. An
+// operator's ancestors are the ops whose masks strictly contain its own, so
+// an op's children are the ops whose masks are the largest proper subsets
+// of its mask.
+func parent(ops []OpStats, i int) int {
+	m, p := ops[i].Mask, -1
+	for j, o := range ops {
+		if o.Mask != m && o.Mask&m == m && (p < 0 || o.Mask.Count() < ops[p].Mask.Count()) {
+			p = j
+		}
+	}
+	return p
 }

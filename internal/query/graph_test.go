@@ -196,3 +196,86 @@ func TestJoinGraphMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// naiveCanonicalOrder states the canonical order's rule directly: take the
+// smallest unit first, then, until none remain, the smallest unit that
+// shares a join condition with the units taken, or the smallest remaining
+// unit when none does.
+func naiveCanonicalOrder(q *Query, units []BitSet) []BitSet {
+	rest := slices.Clone(units)
+	var out []BitSet
+	var covered BitSet
+	for len(rest) > 0 {
+		pick := -1
+		for i, u := range rest {
+			adjacent := len(naiveJoinsBetween(q, covered, u)) > 0
+			if (adjacent || len(out) == 0) && (pick < 0 || u < rest[pick]) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			pick = slices.Index(rest, slices.Min(rest))
+		}
+		out = append(out, rest[pick])
+		covered |= rest[pick]
+		rest = slices.Delete(rest, pick, pick+1)
+	}
+	return out
+}
+
+// TestCanonicalOrderMatchesNaive holds CanonicalOrder to the rule stated
+// directly, over generated 1-12-table graphs and random subsets of them
+// (disconnected ones included) split into random disjoint units, each given
+// in shuffled order. Every prefix of an order must be the order of the
+// units it holds, and ordering must not allocate.
+func TestCanonicalOrderMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	s, foreign := graphSchema(16), graphSchema(16)
+	disconnected := 0
+	for n := 1; n <= 12; n++ {
+		for _, shape := range []string{"chain", "star", "cycle", "tree"} {
+			for _, doubled := range []bool{false, true} {
+				q := generatedGraph(r, s, foreign, n, shape, doubled)
+				for trial := 0; trial < 40; trial++ {
+					mask := BitSet(r.Int63()) & q.AllTablesMask()
+					if mask == 0 {
+						continue
+					}
+					if !q.Connected(mask) {
+						disconnected++
+					}
+					groups := make([]BitSet, 1+r.Intn(mask.Count()))
+					for _, i := range mask.Indices() {
+						g := r.Intn(len(groups))
+						groups[g] = groups[g].Set(i)
+					}
+					var units []BitSet
+					for _, g := range groups {
+						if g != 0 {
+							units = append(units, g)
+						}
+					}
+					r.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+					want := naiveCanonicalOrder(q, units)
+					got := q.CanonicalOrder(slices.Clone(units))
+					if !slices.Equal(got, want) {
+						t.Fatalf("%d-table %s doubled=%v: CanonicalOrder(%b) = %b, want %b", n, shape, doubled, units, got, want)
+					}
+					for j := 1; j < len(got); j++ {
+						prefix := slices.Clone(got[:j])
+						r.Shuffle(j, func(a, b int) { prefix[a], prefix[b] = prefix[b], prefix[a] })
+						if p := q.CanonicalOrder(prefix); !slices.Equal(p, got[:j]) {
+							t.Fatalf("%d-table %s: order %b, prefix %d reorders to %b", n, shape, got, j, p)
+						}
+					}
+					if allocs := testing.AllocsPerRun(2, func() { q.CanonicalOrder(units) }); allocs != 0 {
+						t.Fatalf("CanonicalOrder allocates %v times", allocs)
+					}
+				}
+			}
+		}
+	}
+	if disconnected < 100 {
+		t.Fatalf("only %d disconnected subsets drawn", disconnected)
+	}
+}

@@ -308,6 +308,40 @@ func (q *Query) Connected(mask BitSet) bool {
 	return seen == mask
 }
 
+// CanonicalOrder arranges disjoint, non-empty unit masks in the order every
+// estimator joins a subset's units in: the unit with the smallest mask
+// first, then repeatedly the smallest-mask unit sharing a join condition
+// with the units placed so far, or the smallest remaining unit when none
+// does (a cross join, only in a disconnected subset). Each choice depends
+// only on the covered set, so the first j units of an order are the
+// canonical order of the subset they cover. It sorts units in place,
+// allocates nothing and returns units.
+func (q *Query) CanonicalOrder(units []BitSet) []BitSet {
+	for i := 1; i < len(units); i++ { // insertion sort, ascending by mask
+		for k := i; k > 0 && units[k] < units[k-1]; k-- {
+			units[k], units[k-1] = units[k-1], units[k]
+		}
+	}
+	if len(units) == 0 {
+		return units
+	}
+	reach := q.Neighbors(units[0])
+	for j := 1; j < len(units); j++ {
+		pick := j
+		for k := j; k < len(units); k++ {
+			if units[k]&reach != 0 {
+				pick = k
+				break
+			}
+		}
+		u := units[pick]
+		copy(units[j+1:pick+1], units[j:pick]) // keep the skipped units sorted
+		units[j] = u
+		reach |= q.Neighbors(u)
+	}
+	return units
+}
+
 // AllTablesMask returns the mask covering every table of the query.
 func (q *Query) AllTablesMask() BitSet {
 	return BitSet(uint64(1)<<uint(len(q.Tables)) - 1)
