@@ -229,12 +229,16 @@ func BenchmarkTable3RefinerKinds(b *testing.B) {
 	}
 	s := samples[0]
 	k := s.Plan.NumNodes() / 2
-	kinds := []core.RefinerKind{core.RefinerFull, core.RefinerSingle, core.RefinerTwo}
-	for _, kind := range kinds {
-		cfg := core.RefinerConfig{Kind: kind,
-			Base:         core.TrainConfig{Hidden: 10, OutWidth: 10, Epochs: 2, Batch: 16, LR: 2e-3, NodeWise: true, Seed: 3},
-			AdjustEpochs: 1, PrefixesPerSample: 1}
-		r := core.TrainRefiner(cfg, e.Enc, e.DB, e.Samples[:20], e.LogMax)
+	// the three kinds share one pair of stage-1 modules, as in Table 3
+	cfg := core.RefinerConfig{
+		Base:         core.TrainConfig{Hidden: 10, OutWidth: 10, Epochs: 2, Batch: 16, LR: 2e-3, NodeWise: true, Seed: 3},
+		AdjustEpochs: 1, PrefixesPerSample: 1}
+	train := e.Samples[:20]
+	content := core.TrainTreeModel(cfg.Base, e.Enc, train, e.LogMax, nil)
+	card := core.TrainTreeModel(cfg.Base, e.Enc, train, e.LogMax, e.DB)
+	for _, kind := range []core.RefinerKind{core.RefinerFull, core.RefinerSingle, core.RefinerTwo} {
+		cfg.Kind = kind
+		r := core.TrainRefiner(cfg, content, card, e.Enc, e.DB, train, e.LogMax)
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

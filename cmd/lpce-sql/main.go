@@ -159,7 +159,7 @@ func buildEstimator(w io.Writer, db *storage.Database, enc *encode.Encoder, estN
 		}
 		if estName == "lpce-r" {
 			set.Refiner = core.TrainRefiner(core.RefinerConfig{Kind: core.RefinerFull, Base: cfg, AdjustEpochs: 10},
-				enc, db, samples, logMax)
+				set.LPCEI.Teacher, core.TrainTreeModel(cfg, enc, samples, logMax, db), enc, db, samples, logMax)
 		}
 	}
 	if set.LPCEI == nil {

@@ -47,6 +47,14 @@ func tinyCfg(seed int64) TrainConfig {
 	return TrainConfig{Hidden: 16, OutWidth: 16, Epochs: 6, Batch: 16, LR: 3e-3, NodeWise: true, Seed: seed}
 }
 
+// trainRefiner trains a refiner's two stage-1 modules from cfg.Base, as
+// LPCE-I's teacher is trained, and runs stage 2 over them.
+func trainRefiner(cfg RefinerConfig, enc *encode.Encoder, db *storage.Database, samples []Sample, logMax float64) *Refiner {
+	content := TrainTreeModel(cfg.Base, enc, samples, logMax, nil)
+	card := TrainTreeModel(cfg.Base, enc, samples, logMax, db)
+	return TrainRefiner(cfg, content, card, enc, db, samples, logMax)
+}
+
 func TestCollectSamplesStampsTrueCards(t *testing.T) {
 	_, _, samples, _ := fixture(t)
 	for _, s := range samples[:10] {
@@ -210,7 +218,7 @@ func TestPrefixSubtreesInvariants(t *testing.T) {
 func TestRefinerFullTrainAndEval(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
 	cfg := RefinerConfig{Kind: RefinerFull, Base: tinyCfg(14), AdjustEpochs: 3, PrefixesPerSample: 2}
-	r := TrainRefiner(cfg, enc, db, samples, logMax)
+	r := trainRefiner(cfg, enc, db, samples, logMax)
 	if r.Content == nil || r.CardM == nil || r.Refine == nil || r.Connect == nil {
 		t.Fatal("full refiner missing modules")
 	}
@@ -230,7 +238,7 @@ func TestRefinerVariants(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
 	for _, kind := range []RefinerKind{RefinerSingle, RefinerTwo} {
 		cfg := RefinerConfig{Kind: kind, Base: tinyCfg(15), AdjustEpochs: 2, PrefixesPerSample: 2}
-		r := TrainRefiner(cfg, enc, db, samples, logMax)
+		r := trainRefiner(cfg, enc, db, samples, logMax)
 		if kind == RefinerSingle && (r.Refine != nil || r.Content != nil) {
 			t.Fatal("single variant should only have the cardinality module")
 		}
@@ -244,10 +252,35 @@ func TestRefinerVariants(t *testing.T) {
 	}
 }
 
+// TestTrainRefinerLeavesStageOneModules holds stage 2 to reading its
+// stage-1 modules: LPCE-I's teacher is LPCE-R's content module (and LPCE-S
+// in Figure 19), and Table 3's variants share one cardinality module, so a
+// refiner that fine-tuned either in place would change every other user.
+func TestTrainRefinerLeavesStageOneModules(t *testing.T) {
+	db, enc, samples, logMax := fixture(t)
+	cfg := tinyCfg(18)
+	lp := TrainLPCEI(LPCEIConfig{Teacher: cfg, Student: TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 18}},
+		enc, samples, logMax)
+	card := TrainTreeModel(cfg, enc, samples, logMax, db)
+	teacherDigest, cardDigest := paramDigest(lp.Teacher.Params), paramDigest(card.Params)
+	for _, kind := range []RefinerKind{RefinerFull, RefinerTwo, RefinerSingle} {
+		r := TrainRefiner(RefinerConfig{Kind: kind, Base: cfg, AdjustEpochs: 2, PrefixesPerSample: 2}, lp.Teacher, card, enc, db, samples, logMax)
+		if got := paramDigest(lp.Teacher.Params); got != teacherDigest {
+			t.Fatalf("%v: LPCE-I's teacher (the content module) changed: digest %s, was %s", kind, got, teacherDigest)
+		}
+		if got := paramDigest(card.Params); got != cardDigest {
+			t.Fatalf("%v: the cardinality module changed: digest %s, was %s", kind, got, cardDigest)
+		}
+		if r.Refine != nil && paramDigest(r.Refine.Params) == teacherDigest {
+			t.Fatalf("%v: the refine module was not fine-tuned", kind)
+		}
+	}
+}
+
 func TestRefinedEstimatorExactForExecuted(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
 	cfg := RefinerConfig{Kind: RefinerFull, Base: tinyCfg(16), AdjustEpochs: 2, PrefixesPerSample: 2}
-	r := TrainRefiner(cfg, enc, db, samples, logMax)
+	r := trainRefiner(cfg, enc, db, samples, logMax)
 	s := samples[3]
 	execRoots, _ := PrefixSubtrees(s.Plan, s.Plan.NumNodes()/2)
 	var execs []reopt.Executed
@@ -273,7 +306,7 @@ func TestRefinedEstimatorExactForExecuted(t *testing.T) {
 func TestSingleCardsUsesRealForExecuted(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
 	cfg := RefinerConfig{Kind: RefinerSingle, Base: tinyCfg(17)}
-	r := TrainRefiner(cfg, enc, db, samples, logMax)
+	r := trainRefiner(cfg, enc, db, samples, logMax)
 	s := samples[4]
 	execRoots, _ := PrefixSubtrees(s.Plan, 3)
 	executed := markExecuted(execRoots)

@@ -83,10 +83,11 @@ func (c *ConnectLayer) Apply(t *autodiff.Tape, cA, cB *autodiff.Node) *autodiff.
 	return t.ReLU(c.wout.Apply(t, mix))
 }
 
-// RefinerConfig controls LPCE-R training.
+// RefinerConfig controls LPCE-R's stage-2 training.
 type RefinerConfig struct {
 	Kind RefinerKind
-	// Base configures each module's architecture and pre-training.
+	// Base sets the fine-tuning optimizer (batch, learning rate, seed) and
+	// the AdjustEpochs default; the modules passed in fix the architecture.
 	Base TrainConfig
 	// AdjustEpochs is the fine-tuning budget for the refine module.
 	AdjustEpochs int
@@ -120,29 +121,22 @@ type Refiner struct {
 	Connect *ConnectLayer     // nil unless Full
 }
 
-// TrainRefiner runs the two-stage training of §5.2: pre-train the content
-// and cardinality modules (refine starts as a copy of content), then freeze
-// them and fine-tune the refine module (plus the connect layer) on executed
-// prefixes.
-func TrainRefiner(cfg RefinerConfig, enc *encode.Encoder, db *storage.Database, samples []Sample, logMax float64) *Refiner {
+// TrainRefiner runs stage 2 of §5.2 over the stage-1 modules: content is
+// LPCE-I's teacher and card is TrainTreeModel's cardinality-augmented model.
+// Both are only read. The refine module starts as a clone of content, with
+// zero Adam moments, and is fine-tuned (with the connect layer for LPCE-R)
+// on executed prefixes. LPCE-R-Single is card alone; its content may be nil.
+func TrainRefiner(cfg RefinerConfig, content, card *treenn.TreeModel, enc *encode.Encoder, db *storage.Database, samples []Sample, logMax float64) *Refiner {
 	cfg = cfg.Defaults()
-	r := &Refiner{Kind: cfg.Kind, Enc: enc, DB: db, LogMax: logMax}
-
-	r.CardM = TrainTreeModel(cfg.Base, enc, samples, logMax, db)
-
+	r := &Refiner{Kind: cfg.Kind, Enc: enc, DB: db, LogMax: logMax, CardM: card}
 	if cfg.Kind == RefinerSingle {
 		return r
 	}
-
+	r.Refine = cloneModel(content)
 	if cfg.Kind == RefinerFull {
-		r.Content = TrainTreeModel(cfg.Base, enc, samples, logMax, nil)
-		r.Refine = cloneModel(r.Content)
-		r.Connect = NewConnectLayer(cfg.Base.Hidden, cfg.Base.Seed+41)
-	} else { // RefinerTwo
-		pre := TrainTreeModel(cfg.Base, enc, samples, logMax, nil)
-		r.Refine = pre
+		r.Content = content
+		r.Connect = NewConnectLayer(content.Cfg.Hidden, cfg.Base.Seed+41)
 	}
-
 	r.adjust(cfg, samples)
 	return r
 }

@@ -54,7 +54,7 @@ func TestRefinerSaveLoadRoundtrip(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
 	for _, kind := range []RefinerKind{RefinerFull, RefinerSingle, RefinerTwo} {
 		cfg := RefinerConfig{Kind: kind, Base: tinyCfg(53), AdjustEpochs: 2, PrefixesPerSample: 2}
-		r := TrainRefiner(cfg, enc, db, samples, logMax)
+		r := trainRefiner(cfg, enc, db, samples, logMax)
 		var buf bytes.Buffer
 		if err := SaveRefiner(&buf, r); err != nil {
 			t.Fatalf("%v: save: %v", kind, err)

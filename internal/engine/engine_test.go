@@ -47,7 +47,7 @@ func fixture(t *testing.T) (*storage.Database, *core.LPCEI, *core.Refiner) {
 		}, enc, samples, logMax)
 		fixRefiner = core.TrainRefiner(core.RefinerConfig{
 			Kind: core.RefinerFull, Base: base, AdjustEpochs: 3, PrefixesPerSample: 2,
-		}, enc, fixDB, samples, logMax)
+		}, fixLPCEI.Teacher, core.TrainTreeModel(base, enc, samples, logMax, fixDB), enc, fixDB, samples, logMax)
 	})
 	return fixDB, fixLPCEI, fixRefiner
 }

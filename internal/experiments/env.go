@@ -266,7 +266,8 @@ func SetupWith(scale Scale, seed int64, opts SetupOptions) (*Env, error) {
 		env.LPCEI = core.TrainLPCEI(core.LPCEIConfig{Teacher: p.teacher, Student: p.student}, enc, env.Samples, env.LogMax)
 		rcfg := p.refiner
 		rcfg.Base = p.teacher
-		env.Refiner = core.TrainRefiner(rcfg, enc, db, env.Samples, env.LogMax)
+		env.Refiner = core.TrainRefiner(rcfg, env.LPCEI.Teacher,
+			core.TrainTreeModel(p.teacher, enc, env.Samples, env.LogMax, db), enc, db, env.Samples, env.LogMax)
 
 		tlstmCfg := p.teacher
 		tlstmCfg.Cell = treenn.CellLSTM

@@ -89,23 +89,22 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
-// Table3 trains the two ablation variants (the full refiner is reused from
-// the environment) and evaluates all three on executed prefixes.
+// Table3 evaluates LPCE-R and its two ablations on executed prefixes. All
+// three share the full refiner's stage-1 modules; only LPCE-R-Two trains.
 func Table3(e *Env, samples []core.Sample) Table3Result {
-	base := e.P.refiner
-	base.Base = e.P.teacher
-	single := base
-	single.Kind = core.RefinerSingle
-	two := base
-	two.Kind = core.RefinerTwo
-
+	cfg := e.P.refiner
+	cfg.Base = e.P.teacher
+	variant := func(kind core.RefinerKind) *core.Refiner {
+		cfg.Kind = kind
+		return core.TrainRefiner(cfg, e.Refiner.Content, e.Refiner.CardM, e.Enc, e.DB, e.Samples, e.LogMax)
+	}
 	variants := []struct {
 		name string
 		r    *core.Refiner
 	}{
 		{"LPCE-R", e.Refiner},
-		{"LPCE-R-Single", core.TrainRefiner(single, e.Enc, e.DB, e.Samples, e.LogMax)},
-		{"LPCE-R-Two", core.TrainRefiner(two, e.Enc, e.DB, e.Samples, e.LogMax)},
+		{"LPCE-R-Single", variant(core.RefinerSingle)},
+		{"LPCE-R-Two", variant(core.RefinerTwo)},
 	}
 
 	maxOps := 0

@@ -48,14 +48,15 @@ func fixture(t *testing.T) (*storage.Database, *encode.Encoder, *modelio.Set) {
 		samples, _ := core.CollectSamples(fixDB, histogram.NewEstimator(fixDB), queries, 50_000_000)
 		logMax := core.MaxLogCard(samples)
 		base := core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41}
+		lpcei := core.TrainLPCEI(core.LPCEIConfig{
+			Teacher: base,
+			Student: core.TrainConfig{Hidden: 6, OutWidth: 6, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41},
+		}, fixEnc, samples, logMax)
 		fixSet = &modelio.Set{
-			LPCEI: core.TrainLPCEI(core.LPCEIConfig{
-				Teacher: base,
-				Student: core.TrainConfig{Hidden: 6, OutWidth: 6, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41},
-			}, fixEnc, samples, logMax),
+			LPCEI: lpcei,
 			Refiner: core.TrainRefiner(core.RefinerConfig{
 				Kind: core.RefinerFull, Base: base, AdjustEpochs: 1, PrefixesPerSample: 1,
-			}, fixEnc, fixDB, samples, logMax),
+			}, lpcei.Teacher, core.TrainTreeModel(base, fixEnc, samples, logMax, fixDB), fixEnc, fixDB, samples, logMax),
 			TLSTM:    baselines.TrainTLSTM(base, fixEnc, samples, logMax).Model,
 			FlowLoss: baselines.TrainFlowLoss(base, fixEnc, samples, logMax).Model,
 			MSCN:     baselines.TrainMSCN(baselines.MSCNConfig{Hidden: 8, Epochs: 1, Batch: 32, LR: 3e-3, Seed: 41}, fixDB.Schema, samples, logMax),

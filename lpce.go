@@ -16,8 +16,9 @@
 //
 //	enc := lpce.NewEncoder(db.Schema)
 //	logMax := lpce.MaxLogCard(samples)
-//	model := lpce.TrainLPCEI(lpce.LPCEIConfig{}, enc, samples, logMax)
-//	refiner := lpce.TrainRefiner(lpce.RefinerConfig{}, enc, db, samples, logMax)
+//	nw := lpce.TrainConfig{NodeWise: true} // false trains the LPCE-Q ablation
+//	model := lpce.TrainLPCEI(lpce.LPCEIConfig{Teacher: nw, Student: nw}, enc, samples, logMax)
+//	refiner := lpce.TrainRefiner(lpce.RefinerConfig{Base: nw}, enc, db, samples, logMax)
 //
 //	// execute end to end with progressive re-optimization
 //	eng := lpce.NewEngine(db)
@@ -128,9 +129,13 @@ func TrainLPCEI(cfg LPCEIConfig, enc *Encoder, samples []Sample, logMax float64)
 	return core.TrainLPCEI(cfg, enc, samples, logMax)
 }
 
-// TrainRefiner runs LPCE-R's two-stage training (paper §5).
+// TrainRefiner runs LPCE-R's two stages (paper §5.2), pre-training its own
+// content and cardinality modules from cfg.Base. The content module is
+// TrainLPCEI's teacher under the same config, bit for bit; in-repo callers
+// pass that teacher to stage 2 instead of training it again.
 func TrainRefiner(cfg RefinerConfig, enc *Encoder, db *Database, samples []Sample, logMax float64) *Refiner {
-	return core.TrainRefiner(cfg, enc, db, samples, logMax)
+	return core.TrainRefiner(cfg, core.TrainTreeModel(cfg.Base, enc, samples, logMax, nil),
+		core.TrainTreeModel(cfg.Base, enc, samples, logMax, db), enc, db, samples, logMax)
 }
 
 // NewTreeEstimator adapts a trained tree model to the optimizer.
