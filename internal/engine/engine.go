@@ -315,11 +315,12 @@ func finishTrace(q *query.Query, o *obs.Observer, qt *obs.QueryTrace, res *Resul
 	res.Trace = qt
 }
 
-// replan refines the remaining estimates from the executed sub-plans and
-// searches a new plan that may resume from materialized intermediates or
-// restart from scratch.
+// replan refines the remaining estimates from the executed sub-plans,
+// overlays the lower bounds of the pipelined checks on them, whatever the
+// refiner, and searches a new plan that may resume from materialized
+// intermediates or restart from scratch.
 func (e *Engine) replan(q *query.Query, cfg Config, rctrl *reopt.Controller) (*plan.Node, error) {
-	refined := cfg.Refiner.Estimator(q, rctrl.ExecutedSubs())
+	refined := reopt.NewBounds(cfg.Refiner.Estimator(q, rctrl.ExecutedSubs()), q, rctrl.Bounds())
 	opt := optimizer.New(e.DB, refined)
 	// Replan estimates are recorded under the refined estimator's own name,
 	// so the CE report separates initial estimates from overlay/refinement

@@ -23,6 +23,10 @@ var (
 	fixDB      *storage.Database
 	fixRefiner *core.Refiner
 	fixLPCEI   *core.LPCEI
+	// what training another refiner kind over the fixture takes
+	fixRefinerCfg core.RefinerConfig
+	fixSamples    []core.Sample
+	fixLogMax     float64
 )
 
 // LPCE-R and the exact-cardinality overlay re-plan through one Config field.
@@ -45,9 +49,12 @@ func fixture(t *testing.T) (*storage.Database, *core.LPCEI, *core.Refiner) {
 			Teacher: base,
 			Student: core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 3, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 1},
 		}, enc, samples, logMax)
-		fixRefiner = core.TrainRefiner(core.RefinerConfig{
+		fixRefinerCfg = core.RefinerConfig{
 			Kind: core.RefinerFull, Base: base, AdjustEpochs: 3, PrefixesPerSample: 2,
-		}, fixLPCEI.Teacher, core.TrainTreeModel(base, enc, samples, logMax, fixDB), enc, fixDB, samples, logMax)
+		}
+		fixSamples, fixLogMax = samples, logMax
+		fixRefiner = core.TrainRefiner(fixRefinerCfg, fixLPCEI.Teacher,
+			core.TrainTreeModel(base, enc, samples, logMax, fixDB), enc, fixDB, samples, logMax)
 	})
 	return fixDB, fixLPCEI, fixRefiner
 }

@@ -81,7 +81,8 @@ func operatorAnnotations(t *obs.QueryTrace) func(*plan.Node) string {
 	}
 }
 
-// writeReoptEvents appends the trace's checkpoint events, one line each.
+// writeReoptEvents appends the trace's checkpoint events, one line each. A
+// pipelined check's count is a lower bound and reads "rows≥N".
 func writeReoptEvents(b *strings.Builder, t *obs.QueryTrace) {
 	if t == nil || len(t.Events) == 0 {
 		return
@@ -95,7 +96,11 @@ func writeReoptEvents(b *strings.Builder, t *obs.QueryTrace) {
 				outcome += " (" + ev.PlanDiff + ")"
 			}
 		}
-		fmt.Fprintf(b, "  round %d %s: est=%.0f actual=%.0f q-error=%.1f — %s\n",
-			ev.Round, ev.Op, ev.EstRows, ev.ActualRows, ev.QError, outcome)
+		op, actual, qerr := ev.Op, "actual=", "q-error="
+		if ev.LowerBound {
+			op, actual, qerr = op+" (pipelined)", "rows≥", "q-error≥"
+		}
+		fmt.Fprintf(b, "  round %d %s: est=%.0f %s%.0f %s%.1f — %s\n",
+			ev.Round, op, ev.EstRows, actual, ev.ActualRows, qerr, ev.QError, outcome)
 	}
 }

@@ -169,6 +169,7 @@ func Build(ctx *Ctx, n *plan.Node) (BatchOperator, error) {
 // Run executes the plan and returns the COUNT(*) result. On a *ReoptSignal,
 // ErrBudget or any other error the rows counted so far are discarded.
 func Run(ctx *Ctx, root *plan.Node) (int, error) {
+	ctx.root = root
 	op, err := Build(ctx, root)
 	if err != nil {
 		return 0, err

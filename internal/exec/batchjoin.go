@@ -52,6 +52,10 @@ func (p *pendingCharger) flushIfFull(ctx *Ctx) error {
 // The join's left offsets (conds, merge) are in the probe side's logical
 // layout; resolve maps them through each probe batch's column map into
 // lconds and lmerge, which the probe loops read.
+//
+// Below the root the join is also a pipelined check: once its output count
+// reaches checkAt it reports the count to the controller, which may stop
+// the pipeline for re-optimization (see Controller).
 type batchHashJoin struct {
 	node  *plan.Node
 	left  BatchOperator
@@ -68,7 +72,8 @@ type batchHashJoin struct {
 	probeOnly bool
 
 	// conds and merge resolved against the current probe batch: the same
-	// slices on a dense batch, else copies in lcondsBuf and lmergeBuf
+	// slices on a dense batch, else copies in lcondsBuf and lmergeBuf,
+	// carved from the spare capacity of conds and merge.cols
 	lconds    []condOffsets
 	lmerge    joinMerge
 	lcondsBuf []condOffsets
@@ -89,6 +94,9 @@ type batchHashJoin struct {
 	out     Batch
 	view    Batch // a probe batch re-labelled (probeUnique's pass-through)
 	count   int
+	// checkAt is the output count that reports the join to the controller,
+	// 0 when it is not checked (the root, no controller) or has reported
+	checkAt int
 }
 
 func newBatchHashJoin(ctx *Ctx, n *plan.Node) (*batchHashJoin, error) {
@@ -110,15 +118,18 @@ func newBatchHashJoin(ctx *Ctx, n *plan.Node) (*batchHashJoin, error) {
 		// a single-condition join makes the build key equal to the probe
 		// key, so an output column that is the build key is read from the
 		// probe row instead
-		if !c.fromLeft && len(conds) == 1 && c.off == conds[0].rightOff {
-			merge.cols[i] = mergeCol{true, conds[0].leftOff}
+		if c < 0 && len(conds) == 1 && ^c == conds[0].rightOff {
+			merge.cols[i] = conds[0].leftOff
 		}
-		probeOnly = probeOnly && merge.cols[i].fromLeft
+		probeOnly = probeOnly && merge.cols[i] >= 0
 	}
+	nc, w := len(conds), len(merge.cols)
 	return &batchHashJoin{
 		node: n, left: l, right: r,
-		conds: conds, merge: merge,
+		conds: conds[:nc:nc], merge: joinMerge{merge.cols[:w:w]},
+		lcondsBuf: conds[nc : 2*nc], lmergeBuf: joinMerge{merge.cols[w : 2*w]},
 		exact: len(conds) <= 1, probeOnly: probeOnly,
+		checkAt: checkRows(ctx, n),
 	}, nil
 }
 
@@ -167,20 +178,27 @@ func (h *batchHashJoin) resolve(b *Batch) {
 		h.lconds, h.lmerge = h.conds, h.merge
 		return
 	}
-	if h.lmergeBuf.cols == nil {
-		h.lcondsBuf = make([]condOffsets, len(h.conds))
-		h.lmergeBuf.cols = make([]mergeCol, len(h.merge.cols))
-	}
 	for i, c := range h.conds {
 		h.lcondsBuf[i] = condOffsets{b.cols[c.leftOff], c.rightOff}
 	}
 	for i, c := range h.merge.cols {
-		if c.fromLeft {
-			c.off = b.cols[c.off]
+		if c >= 0 {
+			c = b.cols[c]
 		}
 		h.lmergeBuf.cols[i] = c
 	}
 	h.lconds, h.lmerge = h.lcondsBuf, h.lmergeBuf
+}
+
+// check reports the join's output count to the controller once it reaches
+// checkAt, and only once; an error stops the pipeline. The count is a lower
+// bound on the join's cardinality: it stops mid-stream.
+func (h *batchHashJoin) check(ctx *Ctx) error {
+	if h.checkAt == 0 || h.count < h.checkAt {
+		return nil
+	}
+	h.checkAt = 0
+	return ctx.Controller.OnPipelined(h.node, h.count)
 }
 
 // rowCap is the most rows an output batch takes: BatchSize, or
@@ -204,6 +222,9 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 				if err := h.charges.flush(ctx); err != nil {
 					return nil, err
 				}
+				if err := h.check(ctx); err != nil {
+					return nil, err
+				}
 				return &h.out, nil
 			}
 			if err := h.charges.flushIfFull(ctx); err != nil {
@@ -225,6 +246,9 @@ func (h *batchHashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 		if b == nil {
 			h.node.TrueCard = float64(h.count)
 			if h.out.n > 0 {
+				if err := h.check(ctx); err != nil {
+					return nil, err
+				}
 				return &h.out, nil
 			}
 			return nil, nil
@@ -264,6 +288,9 @@ func (h *batchHashJoin) nextUnique(ctx *Ctx) (*Batch, error) {
 		h.resolve(b)
 		out := h.probeUnique(b)
 		if err := h.charges.flush(ctx); err != nil {
+			return nil, err
+		}
+		if err := h.check(ctx); err != nil {
 			return nil, err
 		}
 		if out.n > 0 {
@@ -329,15 +356,11 @@ func (h *batchHashJoin) probeUnique(b *Batch) *Batch {
 }
 
 // passThrough re-labels probe batch b as the join's output, a view of b's
-// arena through the resolved merge's offsets.
+// arena. Every resolved merge offset reads the probe row, so the resolved
+// merge is the view's column map as it is.
 func (h *batchHashJoin) passThrough(b *Batch) *Batch {
 	v := &h.view
-	if v.cols == nil {
-		v.cols = make([]int, len(h.merge.cols))
-	}
-	for i, c := range h.lmerge.cols {
-		v.cols[i] = c.off
-	}
+	v.cols = h.lmerge.cols
 	v.width, v.stride, v.data = len(v.cols), b.stride, b.data
 	return v
 }

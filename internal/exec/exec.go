@@ -13,7 +13,12 @@
 //   - checkpoints at those breakers: when a sub-plan's output has been
 //     fully buffered its exact cardinality is known, and a controller is
 //     notified so it can compare the actual cardinality against the
-//     optimizer's estimate and trigger re-optimization.
+//     optimizer's estimate and trigger re-optimization;
+//   - checks on the pipeline itself (POP's CHECK operator): a non-root hash
+//     join counts the rows it emits, and once the count reaches the limit
+//     the controller set when the plan was built, it reports the count — a
+//     lower bound on its cardinality — so a runaway intermediate that no
+//     breaker buffers can still pause execution.
 //
 // Every operator counts its output rows, so a completed execution leaves
 // exact cardinalities (the paper's EXPLAIN ANALYZE counters) on the plan.
@@ -66,29 +71,51 @@ const cancelPollInterval = 1024
 // decides to pause execution and re-optimize. It is an error value so it
 // unwinds the pipelined iterators without extra plumbing.
 type ReoptSignal struct {
-	Node   *plan.Node // sub-plan whose materialization triggered the signal
-	Actual int        // exact cardinality observed
+	Node   *plan.Node // sub-plan whose checkpoint or check triggered the signal
+	Actual int        // cardinality observed: exact, or a lower bound
+	// LowerBound marks a pipelined check: the join was stopped mid-stream,
+	// so Actual counts only the rows it emitted before the pause.
+	LowerBound bool
 }
 
 func (r *ReoptSignal) Error() string {
-	return fmt.Sprintf("exec: re-optimization requested at %v (est %.0f, actual %d)",
-		r.Node.Op, r.Node.EstCard, r.Actual)
+	rel := ""
+	if r.LowerBound {
+		rel = ">="
+	}
+	return fmt.Sprintf("exec: re-optimization requested at %v (est %.0f, actual %s%d)",
+		r.Node.Op, r.Node.EstCard, rel, r.Actual)
 }
 
-// Controller observes materialization checkpoints. rows is the sub-plan's
-// complete output as one flat arena in the projected layout of node.Tables,
-// in drain order.
-// OnMaterialized may retain rows — the executor never writes the arena
-// again — and may return a *ReoptSignal to pause execution.
+// Controller observes materialization checkpoints and pipelined checks.
+//
+// OnMaterialized receives a sub-plan's complete output as one flat arena in
+// the projected layout of node.Tables, in drain order. It may retain rows —
+// the executor never writes the arena again — and may return a
+// *ReoptSignal to pause execution.
+//
+// CheckRows is asked once per non-root hash join when the plan is built: the
+// output count at which the join reports itself, or 0 for never. The join
+// then calls OnPipelined at most once, with its output count so far (at
+// least the limit), and stops the pipeline if it returns an error.
 type Controller interface {
 	OnMaterialized(node *plan.Node, rows plan.Rows) error
+	CheckRows(node *plan.Node) int
+	OnPipelined(node *plan.Node, rows int) error
 }
 
-// NopController ignores all checkpoints (plain PostgreSQL behaviour).
+// NopController ignores all checkpoints and sets no pipelined check (plain
+// PostgreSQL behaviour).
 type NopController struct{}
 
 // OnMaterialized implements Controller.
 func (NopController) OnMaterialized(*plan.Node, plan.Rows) error { return nil }
+
+// CheckRows implements Controller: no join is checked.
+func (NopController) CheckRows(*plan.Node) int { return 0 }
+
+// OnPipelined implements Controller.
+func (NopController) OnPipelined(*plan.Node, int) error { return nil }
 
 // WrapFunc intercepts operator construction: Build applies it to every
 // operator it creates (outermost, above the tracing shim). The
@@ -126,7 +153,10 @@ type Ctx struct {
 	// (storage.segments_total, storage.segments_skipped). Sequential scans
 	// add to them once in Open, so a nil registry costs nothing on the
 	// per-batch paths.
-	Metrics  *obs.Registry
+	Metrics *obs.Registry
+	// root is the plan Run executes. Its output is the same under every
+	// plan, so it gets no pipelined check.
+	root     *plan.Node
 	work     int64
 	matRows  int64
 	nextPoll int64
@@ -196,6 +226,16 @@ func checkpoint(ctx *Ctx, node *plan.Node, rows plan.Rows) error {
 	return ctx.Controller.OnMaterialized(node, rows)
 }
 
+// checkRows returns the output count at which the join at node reports
+// itself to the controller, or 0 when it never does: the root and a
+// controller-less execution are never checked.
+func checkRows(ctx *Ctx, node *plan.Node) int {
+	if ctx.Controller == nil || node == ctx.root {
+		return 0
+	}
+	return ctx.Controller.CheckRows(node)
+}
+
 // matCost is the work charged per materialized tuple of node. It scales
 // with the logical (unprojected) tuple width — not the bytes actually
 // buffered — so budgets, checkpoints and the collected training set are
@@ -218,27 +258,28 @@ func leafCols(ctx *Ctx, n *plan.Node) []int {
 }
 
 // joinMerge precomputes how to stitch a left tuple and a right tuple into
-// the projected output layout: one entry per output column, naming the child
-// and the offset it is read from. Columns live in a child but dead above the
-// join — typically the join's own keys — are simply not listed.
+// the projected output layout: one entry per output column, the offset it is
+// read from — c ≥ 0 reads left[c], c < 0 reads right[^c]. Columns live in a
+// child but dead above the join — typically the join's own keys — are simply
+// not listed. When every entry reads the left side, cols is also a column
+// map of the left tuple (see batchHashJoin.passThrough).
+//
+// cols is allocated with room for a second copy past its length, which the
+// hash join carves as the buffer it resolves cols into (see
+// batchHashJoin.resolve); the other joins leave it unused.
 type joinMerge struct {
-	cols []mergeCol
-}
-
-type mergeCol struct {
-	fromLeft bool
-	off      int
+	cols []int
 }
 
 func newJoinMerge(ctx *Ctx, left, right query.BitSet) joinMerge {
 	leftLayout, rightLayout := ctx.Layout(left), ctx.Layout(right)
 	live := ctx.Layout(left.Union(right)).Live()
-	m := joinMerge{cols: make([]mergeCol, len(live))}
+	m := joinMerge{cols: make([]int, len(live), 2*len(live))}
 	for i, c := range live {
 		if left.Has(ctx.Q.TableIndex(c.Table)) {
-			m.cols[i] = mergeCol{true, leftLayout.ColOffset(c)}
+			m.cols[i] = leftLayout.ColOffset(c)
 		} else {
-			m.cols[i] = mergeCol{false, rightLayout.ColOffset(c)}
+			m.cols[i] = ^rightLayout.ColOffset(c)
 		}
 	}
 	return m
@@ -252,10 +293,10 @@ func (m joinMerge) width() int { return len(m.cols) }
 func (m joinMerge) mergeFlat(dst, l, r []int64) {
 	dst = dst[:len(m.cols)]
 	for i, c := range m.cols {
-		if c.fromLeft {
-			dst[i] = l[c.off]
+		if c >= 0 {
+			dst[i] = l[c]
 		} else {
-			dst[i] = r[c.off]
+			dst[i] = r[^c]
 		}
 	}
 }
@@ -270,14 +311,14 @@ func (m joinMerge) fillFlat(dst, l []int64) {
 		return
 	}
 	if w == 1 {
-		v := l[m.cols[0].off]
+		v := l[m.cols[0]]
 		for i := range dst {
 			dst[i] = v
 		}
 		return
 	}
 	for i, c := range m.cols {
-		dst[i] = l[c.off]
+		dst[i] = l[c]
 	}
 	// doubling copies: dst[:k] holds k/w copies of the row
 	for k := w; k < len(dst); k *= 2 {
@@ -291,11 +332,15 @@ type condOffsets struct {
 	leftOff, rightOff int
 }
 
+// resolveConds resolves each join condition against the left and right
+// child layouts. The result has room for a second copy past its length,
+// which the hash join carves as the buffer it resolves the offsets into (see
+// batchHashJoin.resolve).
 func resolveConds(ctx *Ctx, conds []query.Join, left, right query.BitSet) ([]condOffsets, error) {
 	q := ctx.Q
 	leftLayout := ctx.Layout(left)
 	rightLayout := ctx.Layout(right)
-	out := make([]condOffsets, len(conds))
+	out := make([]condOffsets, len(conds), 2*len(conds))
 	for i, c := range conds {
 		li, ri := q.TableIndex(c.Left.Table), q.TableIndex(c.Right.Table)
 		switch {

@@ -146,7 +146,8 @@ func TestTrueCardsStampedOnAllNodes(t *testing.T) {
 }
 
 type recordingController struct {
-	events []struct {
+	NopController // no pipelined checks
+	events        []struct {
 		mask query.BitSet
 		card int
 	}

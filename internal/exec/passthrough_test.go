@@ -169,8 +169,9 @@ func (c copyPath) Open(ctx *Ctx) error {
 
 // rowsRecorder keeps a copy of every checkpoint's rows.
 type rowsRecorder struct {
-	masks []query.BitSet
-	rows  []plan.Rows
+	NopController // no pipelined checks
+	masks         []query.BitSet
+	rows          []plan.Rows
 }
 
 func (r *rowsRecorder) OnMaterialized(n *plan.Node, rows plan.Rows) error {

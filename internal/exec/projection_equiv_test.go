@@ -192,10 +192,11 @@ func (r *refEval) checkRows(t testing.TB, name string, mask query.BitSet, rows p
 // refController checks every checkpoint's rows against the reference and
 // records the (mask, card) sequence.
 type refController struct {
-	t     *testing.T
-	name  string
-	ref   *refEval // nil: record only
-	ckpts []string
+	NopController // no pipelined checks
+	t             *testing.T
+	name          string
+	ref           *refEval // nil: record only
+	ckpts         []string
 }
 
 func (c *refController) OnMaterialized(n *plan.Node, rows plan.Rows) error {
@@ -469,8 +470,9 @@ func TestProjectedMatScanReuseAcrossJoinColumn(t *testing.T) {
 
 // rowKeeper retains the rows of the checkpoint at failAt and pauses there.
 type rowKeeper struct {
-	failAt query.BitSet
-	rows   plan.Rows
+	NopController // no pipelined checks
+	failAt        query.BitSet
+	rows          plan.Rows
 }
 
 func (k *rowKeeper) OnMaterialized(n *plan.Node, rows plan.Rows) error {

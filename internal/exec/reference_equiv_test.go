@@ -42,11 +42,12 @@ type ckptEvent struct {
 // must equal the reference rows of its subset; with failAt set, the
 // checkpoint at that subset answers with a *ReoptSignal.
 type ckptRecorder struct {
-	events []ckptEvent
-	failAt query.BitSet
-	t      testing.TB
-	name   string
-	ref    *refEval
+	NopController // no pipelined checks
+	events        []ckptEvent
+	failAt        query.BitSet
+	t             testing.TB
+	name          string
+	ref           *refEval
 }
 
 func (r *ckptRecorder) OnMaterialized(n *plan.Node, rows plan.Rows) error {

@@ -174,8 +174,9 @@ func collisionDB(collide bool) (*storage.Database, *catalog.Table, *catalog.Tabl
 
 // pairRows records the rows buffered at one subset.
 type pairRows struct {
-	mask query.BitSet
-	rows plan.Rows
+	NopController // no pipelined checks
+	mask          query.BitSet
+	rows          plan.Rows
 }
 
 func (p *pairRows) OnMaterialized(n *plan.Node, rows plan.Rows) error {
@@ -283,9 +284,10 @@ func missDB(n int) (*storage.Database, *query.Query) {
 // cancelAtCheckpoint cancels the execution's context at its first
 // checkpoint and records the work done up to it.
 type cancelAtCheckpoint struct {
-	ctx    *Ctx
-	cancel context.CancelFunc
-	work   int64
+	NopController // no pipelined checks
+	ctx           *Ctx
+	cancel        context.CancelFunc
+	work          int64
 }
 
 func (c *cancelAtCheckpoint) OnMaterialized(*plan.Node, plan.Rows) error {

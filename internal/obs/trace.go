@@ -95,9 +95,9 @@ func (t *ExecTrace) ByMask(mask query.BitSet) *OpStats {
 	return nil
 }
 
-// ReoptEvent records one materialization checkpoint seen by the
-// re-optimization controller: the observed cardinality, the q-error against
-// the estimate, and whether re-planning fired (and if not, why).
+// ReoptEvent records one materialization checkpoint or pipelined check seen
+// by the re-optimization controller: the observed cardinality, the q-error
+// against the estimate, and whether re-planning fired (and if not, why).
 type ReoptEvent struct {
 	Round      int          `json:"round"`
 	Op         string       `json:"op"`
@@ -105,12 +105,15 @@ type ReoptEvent struct {
 	EstRows    float64      `json:"est_rows"`
 	ActualRows float64      `json:"actual_rows"`
 	QError     float64      `json:"q_error"`
+	// LowerBound marks a pipelined check: the join was still streaming, so
+	// ActualRows and QError are lower bounds, not the exact values.
+	LowerBound bool `json:"lower_bound,omitempty"`
 	// Triggered reports whether this checkpoint paused execution for
 	// re-planning.
 	Triggered bool `json:"triggered"`
 	// Suppressed names the rule that kept a checkpoint from triggering:
-	// "below-threshold", "max-reopts", "remaining-cost", or "" when the
-	// event triggered.
+	// "below-threshold", "max-reopts", "no-estimate", "remaining-cost", or
+	// "" when the event triggered.
 	Suppressed string `json:"suppressed,omitempty"`
 	// PlanDiff summarises how the plan changed after a triggered event
 	// ("plan unchanged" when re-planning chose the same plan again).

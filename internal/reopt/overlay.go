@@ -41,26 +41,22 @@ func (o *Overlay) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
 	// error-propagation correction: scale by the largest contained
 	// executed sub-plan's observed error ratio (errors propagate
 	// multiplicatively up the join tree, the paper's §1 observation).
-	// Equal-size candidates tie-break on the smaller mask value so the
-	// choice never depends on map iteration order — replans must be
-	// reproducible run to run.
-	best := 0
-	bestMask := query.BitSet(0)
-	ratio := 1.0
-	for m, r := range o.ratios { //detlint:ignore — the smaller-mask tie-break makes the pick order-independent
-		if m&mask != m {
-			continue
-		}
-		c := m.Count()
-		if c > best || (c == best && best > 0 && m < bestMask) {
-			best, bestMask, ratio = c, m, r
+	best, ratio := query.BitSet(0), 1.0
+	for m, r := range o.ratios { //detlint:ignore — outranks makes the pick order-independent
+		if m&mask == m && outranks(m, best) {
+			best, ratio = m, r
 		}
 	}
-	v := est * ratio
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(est*ratio, 1)
+}
+
+// outranks reports whether contained subset m is a better pick than best
+// (0 for none yet) to rescale a containing subset with: the larger subset
+// wins, and among equal sizes the smaller mask, so the pick never depends
+// on iteration order — replans must be reproducible run to run.
+func outranks(m, best query.BitSet) bool {
+	c, cb := m.Count(), best.Count()
+	return c > cb || (c == cb && m < best)
 }
 
 var _ cardest.Estimator = (*Overlay)(nil)

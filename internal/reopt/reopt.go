@@ -4,9 +4,17 @@
 // estimate, and — when the q-error exceeds the trigger threshold — pauses
 // execution so the engine can refine the remaining estimates with LPCE-R
 // and re-plan from the materialized intermediates.
+//
+// It also sets the executor's pipelined checks (POP's CHECK operator): a
+// hash join below the root reports its output count once the count alone
+// exceeds the threshold, and the same trigger rule decides. Such a count is
+// a lower bound, which the re-plan overlays on the refined estimates
+// (Bounds).
 package reopt
 
 import (
+	"math"
+
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/obs"
 	"github.com/lpce-db/lpce/internal/plan"
@@ -17,7 +25,8 @@ import (
 type Policy struct {
 	// QErrThreshold triggers re-optimization when the q-error between a
 	// materialized sub-plan's actual and estimated cardinality exceeds it
-	// (paper: empirically 50).
+	// (paper: empirically 50). A pipelined join is checked once its output
+	// count alone exceeds it.
 	QErrThreshold float64
 	// MaxReopts bounds the number of re-optimizations per query (paper: 3)
 	// so difficult queries the model never learned do not thrash.
@@ -54,6 +63,8 @@ type Controller struct {
 	Reopts int
 	mats   map[query.BitSet]*plan.Materialized
 	execs  []Executed
+	// bounds are the lower bounds the pipelined checks observed
+	bounds []Bound
 	// planCost is the current plan's total estimated cost, set by the
 	// engine before each execution for the cost-aware trigger.
 	planCost float64
@@ -85,42 +96,74 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 	}
 	c.mats[node.Tables] = &plan.Materialized{Tables: node.Tables, Rows: rows}
 	c.execs = append(c.execs, Executed{Node: node, Card: float64(rows.N)})
+	return c.observe(node, rows.N, false)
+}
 
+// CheckRows implements exec.Controller: a pipelined join reports itself at
+// the first output count whose q-error against its estimate exceeds the
+// threshold. A join without an estimate, or whose limit no count reaches,
+// is not checked.
+func (c *Controller) CheckRows(node *plan.Node) int {
+	if node.EstCard <= 0 {
+		return 0
+	}
+	limit := math.Floor(c.Policy.QErrThreshold*max(node.EstCard, 1)) + 1
+	if !(limit < 1<<53) {
+		return 0
+	}
+	return int(limit)
+}
+
+// OnPipelined implements exec.Controller. rows is a lower bound on node's
+// cardinality: it is kept for the re-plan (Bounds), and the trigger rule
+// decides on it as on an exact count.
+func (c *Controller) OnPipelined(node *plan.Node, rows int) error {
+	c.bounds = append(c.bounds, Bound{Mask: node.Tables, Rows: float64(rows)})
+	return c.observe(node, rows, true)
+}
+
+// observe applies the trigger rule to one observation of node — rows, exact
+// or a lower bound — records the event, and returns the signal that pauses
+// execution when the rule fires.
+func (c *Controller) observe(node *plan.Node, rows int, lowerBound bool) error {
 	ev := obs.ReoptEvent{
 		Op:         node.Op.String(),
 		Mask:       node.Tables,
 		EstRows:    node.EstCard,
-		ActualRows: float64(rows.N),
+		ActualRows: float64(rows),
+		LowerBound: lowerBound,
 	}
 	if node.EstCard > 0 {
-		ev.QError = obs.QError(float64(rows.N), node.EstCard)
+		ev.QError = obs.QError(float64(rows), node.EstCard)
 	}
-	suppress := func(reason string) error {
-		ev.Suppressed = reason
+	if ev.Suppressed = c.suppression(node, ev.QError); ev.Suppressed != "" {
 		c.Trace.AddEvent(ev)
 		return nil
-	}
-	if c.Reopts >= c.Policy.MaxReopts {
-		return suppress("max-reopts")
-	}
-	if node.EstCard <= 0 {
-		return suppress("no-estimate")
-	}
-	if ev.QError <= c.Policy.QErrThreshold {
-		return suppress("below-threshold")
-	}
-	// cost-aware suppression: if almost all estimated work is already done,
-	// re-planning cannot pay for its own overhead
-	if c.Policy.MinRemainingCostFrac > 0 && c.planCost > 0 {
-		remaining := 1 - node.EstCost/c.planCost
-		if remaining < c.Policy.MinRemainingCostFrac {
-			return suppress("remaining-cost")
-		}
 	}
 	c.Reopts++
 	ev.Triggered = true
 	c.Trace.AddEvent(ev)
-	return &exec.ReoptSignal{Node: node, Actual: rows.N}
+	return &exec.ReoptSignal{Node: node, Actual: rows, LowerBound: lowerBound}
+}
+
+// suppression is the trigger rule, one for checkpoints and pipelined
+// checks: the name of the rule that keeps an observation of node with
+// q-error qerr from triggering, or "" when it triggers.
+func (c *Controller) suppression(node *plan.Node, qerr float64) string {
+	switch {
+	case c.Reopts >= c.Policy.MaxReopts:
+		return "max-reopts"
+	case node.EstCard <= 0:
+		return "no-estimate"
+	case qerr <= c.Policy.QErrThreshold:
+		return "below-threshold"
+	// cost-aware suppression: if almost all estimated work is already done,
+	// re-planning cannot pay for its own overhead
+	case c.Policy.MinRemainingCostFrac > 0 && c.planCost > 0 &&
+		1-node.EstCost/c.planCost < c.Policy.MinRemainingCostFrac:
+		return "remaining-cost"
+	}
+	return ""
 }
 
 // Materialized returns the accumulated intermediates for plan resumption.
@@ -131,15 +174,19 @@ func (c *Controller) Materialized() map[query.BitSet]*plan.Materialized { return
 // cardinalities stamped by the executor.
 func (c *Controller) ExecutedSubs() []Executed { return c.execs }
 
-// Release frees every accumulated materialized intermediate and executed
-// sub-plan record. The engine calls it when a query fails or is cancelled —
-// including a cancellation that lands mid-replan — so buffered rows never
-// outlive the query that materialized them. The controller is reusable
+// Bounds returns the lower bounds the pipelined checks observed so far, in
+// observation order.
+func (c *Controller) Bounds() []Bound { return c.bounds }
+
+// Release frees every accumulated materialized intermediate, executed
+// sub-plan record and lower bound. The engine calls it when a query fails
+// or is cancelled — including a cancellation that lands mid-replan — so
+// buffered rows never outlive the query that materialized them. The controller is reusable
 // afterwards, though the engine never does.
 func (c *Controller) Release() {
 	for _, m := range c.mats { //detlint:ignore — clears every entry; order-independent
 		m.Rows = plan.Rows{}
 	}
 	c.mats = make(map[query.BitSet]*plan.Materialized)
-	c.execs = nil
+	c.execs, c.bounds = nil, nil
 }
