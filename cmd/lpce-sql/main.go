@@ -150,16 +150,16 @@ func buildEstimator(w io.Writer, db *storage.Database, enc *encode.Encoder, estN
 		samples, _ := core.CollectSamples(db, histogram.NewEstimator(db),
 			gen.QueriesRange(180, 2, 6), 40_000_000)
 		logMax := core.MaxLogCard(samples)
-		cfg := core.TrainConfig{Hidden: 24, OutWidth: 32, Epochs: 20, NodeWise: true, Seed: seed}
+		teacher := core.TrainConfig{Hidden: 24, OutWidth: 32, Epochs: 20, NodeWise: true, Seed: seed}
+		student := core.TrainConfig{Hidden: 10, OutWidth: 12, Epochs: 15, NodeWise: true, Seed: seed}
 		set = &modelio.Set{
-			LPCEI: core.TrainLPCEI(core.LPCEIConfig{
-				Teacher: cfg,
-				Student: core.TrainConfig{Hidden: 10, OutWidth: 12, Epochs: 15, NodeWise: true, Seed: seed},
-			}, enc, samples, logMax),
+			LPCEI: core.TrainLPCEI(core.LPCEIConfig{Teacher: teacher, Student: student}, enc, samples, logMax),
 		}
 		if estName == "lpce-r" {
-			set.Refiner = core.TrainRefiner(core.RefinerConfig{Kind: core.RefinerFull, Base: cfg, AdjustEpochs: 10},
-				set.LPCEI.Teacher, core.TrainTreeModel(cfg, enc, samples, logMax, db), enc, db, samples, logMax)
+			// LPCE-R re-plans at LPCE-I's width: the student is its
+			// content module.
+			set.Refiner = core.TrainRefiner(core.RefinerConfig{Kind: core.RefinerFull, Base: student, AdjustEpochs: 10},
+				set.LPCEI.Model, core.TrainTreeModel(student, enc, samples, logMax, db), enc, db, samples, logMax)
 		}
 	}
 	if set.LPCEI == nil {

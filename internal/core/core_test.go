@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,8 +48,8 @@ func tinyCfg(seed int64) TrainConfig {
 	return TrainConfig{Hidden: 16, OutWidth: 16, Epochs: 6, Batch: 16, LR: 3e-3, NodeWise: true, Seed: seed}
 }
 
-// trainRefiner trains a refiner's two stage-1 modules from cfg.Base, as
-// LPCE-I's teacher is trained, and runs stage 2 over them.
+// trainRefiner trains a refiner's two stage-1 modules from cfg.Base, at its
+// width, and runs stage 2 over them.
 func trainRefiner(cfg RefinerConfig, enc *encode.Encoder, db *storage.Database, samples []Sample, logMax float64) *Refiner {
 	content := TrainTreeModel(cfg.Base, enc, samples, logMax, nil)
 	card := TrainTreeModel(cfg.Base, enc, samples, logMax, db)
@@ -253,27 +254,54 @@ func TestRefinerVariants(t *testing.T) {
 }
 
 // TestTrainRefinerLeavesStageOneModules holds stage 2 to reading its
-// stage-1 modules: LPCE-I's teacher is LPCE-R's content module (and LPCE-S
-// in Figure 19), and Table 3's variants share one cardinality module, so a
-// refiner that fine-tuned either in place would change every other user.
+// stage-1 modules: LPCE-I's student is LPCE-R's content module (and the
+// estimator LPCE-I serves), and Table 3's variants share one cardinality
+// module, so a refiner that fine-tuned either in place would change every
+// other user.
 func TestTrainRefinerLeavesStageOneModules(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
-	cfg := tinyCfg(18)
-	lp := TrainLPCEI(LPCEIConfig{Teacher: cfg, Student: TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 18}},
-		enc, samples, logMax)
-	card := TrainTreeModel(cfg, enc, samples, logMax, db)
-	teacherDigest, cardDigest := paramDigest(lp.Teacher.Params), paramDigest(card.Params)
+	student := TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 18}
+	lp := TrainLPCEI(LPCEIConfig{Teacher: tinyCfg(18), Student: student}, enc, samples, logMax)
+	card := TrainTreeModel(student, enc, samples, logMax, db)
+	studentDigest, cardDigest := paramDigest(lp.Model.Params), paramDigest(card.Params)
 	for _, kind := range []RefinerKind{RefinerFull, RefinerTwo, RefinerSingle} {
-		r := TrainRefiner(RefinerConfig{Kind: kind, Base: cfg, AdjustEpochs: 2, PrefixesPerSample: 2}, lp.Teacher, card, enc, db, samples, logMax)
-		if got := paramDigest(lp.Teacher.Params); got != teacherDigest {
-			t.Fatalf("%v: LPCE-I's teacher (the content module) changed: digest %s, was %s", kind, got, teacherDigest)
+		r := TrainRefiner(RefinerConfig{Kind: kind, Base: student, AdjustEpochs: 2, PrefixesPerSample: 2}, lp.Model, card, enc, db, samples, logMax)
+		if got := paramDigest(lp.Model.Params); got != studentDigest {
+			t.Fatalf("%v: LPCE-I's student (the content module) changed: digest %s, was %s", kind, got, studentDigest)
 		}
 		if got := paramDigest(card.Params); got != cardDigest {
 			t.Fatalf("%v: the cardinality module changed: digest %s, was %s", kind, got, cardDigest)
 		}
-		if r.Refine != nil && paramDigest(r.Refine.Params) == teacherDigest {
+		if r.Refine != nil && paramDigest(r.Refine.Params) == studentDigest {
 			t.Fatalf("%v: the refine module was not fine-tuned", kind)
 		}
+	}
+}
+
+// TestTrainRefinerRejectsWidthMismatch: the connect layer and the refine
+// module read the cardinality module's embeddings, so a content module of
+// another width must fail at TrainRefiner with a message naming both
+// widths, not with a MatVec shape panic deep in the connect layer.
+// LPCE-R-Single has no content module and needs no match.
+func TestTrainRefinerRejectsWidthMismatch(t *testing.T) {
+	db, enc, samples, logMax := fixture(t)
+	narrow := TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 19}
+	content := TrainTreeModel(narrow, enc, samples, logMax, nil)
+	card := TrainTreeModel(tinyCfg(19), enc, samples, logMax, db)
+	for _, kind := range []RefinerKind{RefinerFull, RefinerTwo} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "content module width 8, cardinality module 16") {
+					t.Errorf("%v: recovered %q, want a width-mismatch panic", kind, msg)
+				}
+			}()
+			TrainRefiner(RefinerConfig{Kind: kind, Base: narrow, AdjustEpochs: 1, PrefixesPerSample: 1}, content, card, enc, db, samples, logMax)
+		}()
+	}
+	r := TrainRefiner(RefinerConfig{Kind: RefinerSingle, Base: narrow}, content, card, enc, db, samples, logMax)
+	if r.CardM != card {
+		t.Fatal("LPCE-R-Single should keep the cardinality module")
 	}
 }
 

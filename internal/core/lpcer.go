@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/lpce-db/lpce/internal/autodiff"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/nn"
@@ -122,15 +124,22 @@ type Refiner struct {
 }
 
 // TrainRefiner runs stage 2 of §5.2 over the stage-1 modules: content is
-// LPCE-I's teacher and card is TrainTreeModel's cardinality-augmented model.
-// Both are only read. The refine module starts as a clone of content, with
-// zero Adam moments, and is fine-tuned (with the connect layer for LPCE-R)
-// on executed prefixes. LPCE-R-Single is card alone; its content may be nil.
+// LPCE-I's distilled student and card is TrainTreeModel's
+// cardinality-augmented model at the student's width. Both are only read.
+// The refine module starts as a clone of content, with zero Adam moments,
+// and is fine-tuned (with the connect layer for LPCE-R) on executed
+// prefixes. LPCE-R-Single is card alone; its content may be nil. Otherwise
+// content and card must share Hidden, as the connect layer merges their
+// embeddings and LoadRefiner rejects a set whose widths differ.
 func TrainRefiner(cfg RefinerConfig, content, card *treenn.TreeModel, enc *encode.Encoder, db *storage.Database, samples []Sample, logMax float64) *Refiner {
 	cfg = cfg.Defaults()
 	r := &Refiner{Kind: cfg.Kind, Enc: enc, DB: db, LogMax: logMax, CardM: card}
 	if cfg.Kind == RefinerSingle {
 		return r
+	}
+	if content.Cfg.Hidden != card.Cfg.Hidden {
+		panic(fmt.Sprintf("core: %s content module width %d, cardinality module %d: train the cardinality module at the content module's Hidden",
+			cfg.Kind, content.Cfg.Hidden, card.Cfg.Hidden))
 	}
 	r.Refine = cloneModel(content)
 	if cfg.Kind == RefinerFull {

@@ -44,17 +44,19 @@ func fixture(t *testing.T) (*storage.Database, *core.LPCEI, *core.Refiner) {
 		queries := g.QueriesRange(50, 2, 5)
 		samples, _ := core.CollectSamples(fixDB, histogram.NewEstimator(fixDB), queries, 50_000_000)
 		logMax := core.MaxLogCard(samples)
-		base := core.TrainConfig{Hidden: 16, OutWidth: 16, Epochs: 5, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 1}
+		student := core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 3, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 1}
 		fixLPCEI = core.TrainLPCEI(core.LPCEIConfig{
-			Teacher: base,
-			Student: core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 3, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 1},
+			Teacher: core.TrainConfig{Hidden: 16, OutWidth: 16, Epochs: 5, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 1},
+			Student: student,
 		}, enc, samples, logMax)
+		// LPCE-R at LPCE-I's width, as it is served: the student is the
+		// content module.
 		fixRefinerCfg = core.RefinerConfig{
-			Kind: core.RefinerFull, Base: base, AdjustEpochs: 3, PrefixesPerSample: 2,
+			Kind: core.RefinerFull, Base: student, AdjustEpochs: 3, PrefixesPerSample: 2,
 		}
 		fixSamples, fixLogMax = samples, logMax
-		fixRefiner = core.TrainRefiner(fixRefinerCfg, fixLPCEI.Teacher,
-			core.TrainTreeModel(base, enc, samples, logMax, fixDB), enc, fixDB, samples, logMax)
+		fixRefiner = core.TrainRefiner(fixRefinerCfg, fixLPCEI.Model,
+			core.TrainTreeModel(student, enc, samples, logMax, fixDB), enc, fixDB, samples, logMax)
 	})
 	return fixDB, fixLPCEI, fixRefiner
 }

@@ -264,10 +264,12 @@ func SetupWith(scale Scale, seed int64, opts SetupOptions) (*Env, error) {
 		env.MSCN = set.MSCN
 	} else {
 		env.LPCEI = core.TrainLPCEI(core.LPCEIConfig{Teacher: p.teacher, Student: p.student}, enc, env.Samples, env.LogMax)
+		// LPCE-R re-plans at LPCE-I's width: the student is its content
+		// module and the cardinality module trains at the student config.
 		rcfg := p.refiner
-		rcfg.Base = p.teacher
-		env.Refiner = core.TrainRefiner(rcfg, env.LPCEI.Teacher,
-			core.TrainTreeModel(p.teacher, enc, env.Samples, env.LogMax, db), enc, db, env.Samples, env.LogMax)
+		rcfg.Base = p.student
+		env.Refiner = core.TrainRefiner(rcfg, env.LPCEI.Model,
+			core.TrainTreeModel(p.student, enc, env.Samples, env.LogMax, db), enc, db, env.Samples, env.LogMax)
 
 		tlstmCfg := p.teacher
 		tlstmCfg.Cell = treenn.CellLSTM

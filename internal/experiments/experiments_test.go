@@ -26,6 +26,15 @@ func TestSetupEnvironment(t *testing.T) {
 	if e.LPCEI == nil || e.Refiner == nil || e.TLSTM == nil || e.FlowLoss == nil || e.MSCN == nil {
 		t.Fatal("missing trained models")
 	}
+	// LPCE-R re-plans at LPCE-I's width: its content module is the
+	// distilled student itself, not a copy and not the teacher.
+	if e.Refiner.Content != e.LPCEI.Model {
+		t.Fatal("the refiner's content module is not LPCE-I's student")
+	}
+	if h := e.LPCEI.Model.Cfg.Hidden; e.Refiner.CardM.Cfg.Hidden != h || e.Refiner.Refine.Cfg.Hidden != h {
+		t.Fatalf("refiner modules at widths card=%d refine=%d, LPCE-I at %d",
+			e.Refiner.CardM.Cfg.Hidden, e.Refiner.Refine.Cfg.Hidden, h)
+	}
 	if len(e.JoinLow) == 0 || len(e.JoinHigh) == 0 || len(e.JoinTiny) == 0 {
 		t.Fatal("missing test sets")
 	}

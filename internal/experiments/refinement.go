@@ -93,7 +93,7 @@ type Table3Result struct {
 // three share the full refiner's stage-1 modules; only LPCE-R-Two trains.
 func Table3(e *Env, samples []core.Sample) Table3Result {
 	cfg := e.P.refiner
-	cfg.Base = e.P.teacher
+	cfg.Base = e.P.student
 	variant := func(kind core.RefinerKind) *core.Refiner {
 		cfg.Kind = kind
 		return core.TrainRefiner(cfg, e.Refiner.Content, e.Refiner.CardM, e.Enc, e.DB, e.Samples, e.LogMax)

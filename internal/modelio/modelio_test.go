@@ -42,15 +42,14 @@ func fixture(t testing.TB) (*storage.Database, *encode.Encoder, *Set) {
 		fixSamples, _ = core.CollectSamples(fixDB, histogram.NewEstimator(fixDB), queries, 50_000_000)
 		logMax := core.MaxLogCard(fixSamples)
 		base := core.TrainConfig{Hidden: 12, OutWidth: 16, Epochs: 2, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41}
-		lpcei := core.TrainLPCEI(core.LPCEIConfig{
-			Teacher: base,
-			Student: core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 2, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41},
-		}, fixEnc, fixSamples, logMax)
+		student := core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 2, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41}
+		lpcei := core.TrainLPCEI(core.LPCEIConfig{Teacher: base, Student: student}, fixEnc, fixSamples, logMax)
 		fixSet = &Set{
 			LPCEI: lpcei,
+			// LPCE-R at LPCE-I's width: the student is the content module.
 			Refiner: core.TrainRefiner(core.RefinerConfig{
-				Kind: core.RefinerFull, Base: base, AdjustEpochs: 2, PrefixesPerSample: 2,
-			}, lpcei.Teacher, core.TrainTreeModel(base, fixEnc, fixSamples, logMax, fixDB), fixEnc, fixDB, fixSamples, logMax),
+				Kind: core.RefinerFull, Base: student, AdjustEpochs: 2, PrefixesPerSample: 2,
+			}, lpcei.Model, core.TrainTreeModel(student, fixEnc, fixSamples, logMax, fixDB), fixEnc, fixDB, fixSamples, logMax),
 			TLSTM:    baselines.TrainTLSTM(base, fixEnc, fixSamples, logMax).Model,
 			FlowLoss: baselines.TrainFlowLoss(base, fixEnc, fixSamples, logMax).Model,
 			MSCN:     baselines.TrainMSCN(baselines.MSCNConfig{Hidden: 16, Epochs: 2, Batch: 32, LR: 3e-3, Seed: 41}, fixDB.Schema, fixSamples, logMax),

@@ -48,15 +48,14 @@ func fixture(t *testing.T) (*storage.Database, *encode.Encoder, *modelio.Set) {
 		samples, _ := core.CollectSamples(fixDB, histogram.NewEstimator(fixDB), queries, 50_000_000)
 		logMax := core.MaxLogCard(samples)
 		base := core.TrainConfig{Hidden: 8, OutWidth: 8, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41}
-		lpcei := core.TrainLPCEI(core.LPCEIConfig{
-			Teacher: base,
-			Student: core.TrainConfig{Hidden: 6, OutWidth: 6, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41},
-		}, fixEnc, samples, logMax)
+		student := core.TrainConfig{Hidden: 6, OutWidth: 6, Epochs: 1, Batch: 16, LR: 3e-3, NodeWise: true, Seed: 41}
+		lpcei := core.TrainLPCEI(core.LPCEIConfig{Teacher: base, Student: student}, fixEnc, samples, logMax)
 		fixSet = &modelio.Set{
 			LPCEI: lpcei,
+			// LPCE-R at LPCE-I's width: the student is the content module.
 			Refiner: core.TrainRefiner(core.RefinerConfig{
-				Kind: core.RefinerFull, Base: base, AdjustEpochs: 1, PrefixesPerSample: 1,
-			}, lpcei.Teacher, core.TrainTreeModel(base, fixEnc, samples, logMax, fixDB), fixEnc, fixDB, samples, logMax),
+				Kind: core.RefinerFull, Base: student, AdjustEpochs: 1, PrefixesPerSample: 1,
+			}, lpcei.Model, core.TrainTreeModel(student, fixEnc, samples, logMax, fixDB), fixEnc, fixDB, samples, logMax),
 			TLSTM:    baselines.TrainTLSTM(base, fixEnc, samples, logMax).Model,
 			FlowLoss: baselines.TrainFlowLoss(base, fixEnc, samples, logMax).Model,
 			MSCN:     baselines.TrainMSCN(baselines.MSCNConfig{Hidden: 8, Epochs: 1, Batch: 32, LR: 3e-3, Seed: 41}, fixDB.Schema, samples, logMax),

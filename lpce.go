@@ -130,12 +130,16 @@ func TrainLPCEI(cfg LPCEIConfig, enc *Encoder, samples []Sample, logMax float64)
 }
 
 // TrainRefiner runs LPCE-R's two stages (paper §5.2), pre-training its own
-// content and cardinality modules from cfg.Base. The content module is
-// TrainLPCEI's teacher under the same config, bit for bit; in-repo callers
-// pass that teacher to stage 2 instead of training it again.
+// content and cardinality modules from cfg.Base at the student widths
+// LPCEIConfig{Teacher: cfg.Base} distills to, so a re-plan costs what an
+// LPCE-I call does. In-repo callers pass LPCE-I's distilled student as the
+// content module instead of training one.
 func TrainRefiner(cfg RefinerConfig, enc *Encoder, db *Database, samples []Sample, logMax float64) *Refiner {
-	return core.TrainRefiner(cfg, core.TrainTreeModel(cfg.Base, enc, samples, logMax, nil),
-		core.TrainTreeModel(cfg.Base, enc, samples, logMax, db), enc, db, samples, logMax)
+	base := cfg.Base
+	student := LPCEIConfig{Teacher: base}.Defaults().Student
+	base.Hidden, base.OutWidth = student.Hidden, student.OutWidth
+	return core.TrainRefiner(cfg, core.TrainTreeModel(base, enc, samples, logMax, nil),
+		core.TrainTreeModel(base, enc, samples, logMax, db), enc, db, samples, logMax)
 }
 
 // NewTreeEstimator adapts a trained tree model to the optimizer.

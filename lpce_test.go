@@ -145,6 +145,33 @@ type panicky struct{}
 func (panicky) Name() string                          { return "panicky" }
 func (panicky) EstimateSubset(*Query, BitSet) float64 { panic("model exploded") }
 
+// TestTrainRefinerServesAtStudentWidth holds the facade's LPCE-R to the
+// width LPCE-I serves at: under a zero config every module and the connect
+// layer are as wide as the student LPCEIConfig{} distills, so a re-plan
+// costs an LPCE-I-sized model.
+func TestTrainRefinerServesAtStudentWidth(t *testing.T) {
+	db := GenerateDatabase(DataConfig{Titles: 300, Seed: 1})
+	gen := NewWorkloadGenerator(db, 2)
+	samples, _ := CollectSamples(db, NewHistogramEstimator(db), gen.QueriesRange(12, 2, 3), 50_000_000)
+	enc := NewEncoder(db.Schema)
+	r := TrainRefiner(RefinerConfig{}, enc, db, samples, MaxLogCard(samples))
+
+	widths := LPCEIConfig{}.Defaults()
+	student := widths.Student
+	if student.Hidden >= widths.Teacher.Hidden {
+		t.Fatalf("student width %d is not below the teacher's %d", student.Hidden, widths.Teacher.Hidden)
+	}
+	for name, m := range map[string]*TreeModel{"content": r.Content, "card": r.CardM, "refine": r.Refine} {
+		if m.Cfg.Hidden != student.Hidden || m.Cfg.OutWidth != student.OutWidth {
+			t.Errorf("%s module at %d/%d, want the student's %d/%d",
+				name, m.Cfg.Hidden, m.Cfg.OutWidth, student.Hidden, student.OutWidth)
+		}
+	}
+	if got := r.Connect.Params.Get("connect.wout.W").Val; len(got) != student.Hidden*student.Hidden {
+		t.Errorf("connect layer has %d output weights, want %d", len(got), student.Hidden*student.Hidden)
+	}
+}
+
 // TestModelArtifactsRejectOtherStatistics: a model set saved against one
 // database loads back against it, and fails to load against a database with
 // the same schema but different column statistics, whose encoder would
