@@ -123,8 +123,7 @@ func (f Fixed) Name() string {
 // EstimateSubset implements Estimator.
 func (f Fixed) EstimateSubset(*query.Query, query.BitSet) float64 { return f.Value }
 
-// FuncEstimator adapts a closure; used by tests and by the re-optimization
-// controller to overlay exact cardinalities of executed sub-plans.
+// FuncEstimator adapts a closure; used by tests.
 type FuncEstimator struct {
 	Label string
 	Fn    func(q *query.Query, mask query.BitSet) float64

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/encode"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/histogram"
@@ -305,7 +306,11 @@ func TestTrainRefinerRejectsWidthMismatch(t *testing.T) {
 	}
 }
 
-func TestRefinedEstimatorExactForExecuted(t *testing.T) {
+// TestRefinedEstimatorServesSearchedSubsets: a trained LPCE-R estimator,
+// given the executed prefix of a plan, answers every subset a re-plan's
+// search asks for with a finite estimate of at least 1, its session agreeing
+// with the stateless estimate, under LPCE-R's name.
+func TestRefinedEstimatorServesSearchedSubsets(t *testing.T) {
 	db, enc, samples, logMax := fixture(t)
 	cfg := RefinerConfig{Kind: RefinerFull, Base: tinyCfg(16), AdjustEpochs: 2, PrefixesPerSample: 2}
 	r := trainRefiner(cfg, enc, db, samples, logMax)
@@ -316,15 +321,15 @@ func TestRefinedEstimatorExactForExecuted(t *testing.T) {
 		execs = append(execs, reopt.Executed{Node: n, Card: n.TrueCard})
 	}
 	est := r.Estimator(s.Query, execs)
-	for _, e := range execs {
-		if got := est.EstimateSubset(s.Query, e.Mask()); got != e.Card {
-			t.Fatalf("executed subset should be exact: got %v want %v", got, e.Card)
+	sess := cardest.BeginQuery(est, s.Query)
+	for _, m := range searchedSubsets(s.Query, execs) {
+		v := est.EstimateSubset(s.Query, m)
+		if v < 1 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("refined estimate of %b = %v, invalid", uint32(m), v)
 		}
-	}
-	// full-query estimate should be finite and >= 1
-	v := est.EstimateSubset(s.Query, s.Query.AllTablesMask())
-	if v < 1 || math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Fatalf("refined full estimate %v invalid", v)
+		if got := sess.EstimateSubset(s.Query, m); got != v {
+			t.Fatalf("subset %b: session %v, stateless %v", uint32(m), got, v)
+		}
 	}
 	if est.Name() != "lpce-r" {
 		t.Fatalf("name = %s", est.Name())

@@ -200,12 +200,12 @@ func (t *treeSession) EstimateSubset(_ *query.Query, mask query.BitSet) float64 
 var _ cardest.SessionEstimator = (*TreeEstimator)(nil)
 
 // Estimator returns a cardest.Estimator that refines subset estimates using
-// the executed sub-plans: subsets exactly matching an executed sub-plan get
-// its exact cardinality; other subsets are estimated by the refine module
-// over a unit tree in which executed sub-plans appear as pre-embedded
-// leaves. The embeddings are computed here, once per re-optimization; the
-// returned estimator is immutable and safe for concurrent use. execs is
-// read, never reordered.
+// the executed sub-plans: a subset is estimated by the refine module over a
+// unit tree in which executed sub-plans appear as pre-embedded leaves. It
+// is never asked for an executed subset itself, whose count the re-plan's
+// search seeds (engine.Refiner's contract). The embeddings are computed
+// here, once per re-optimization; the returned estimator is immutable and
+// safe for concurrent use. execs is read, never reordered.
 func (r *Refiner) Estimator(q *query.Query, execs []reopt.Executed) cardest.Estimator {
 	// keep maximal, disjoint executed subtrees, largest first; among equal
 	// sizes the earlier-executed one wins
@@ -295,22 +295,8 @@ type refinedEstimator struct {
 
 func (e *refinedEstimator) Name() string { return e.r.Kind.String() }
 
-// exact returns the true cardinality of a subset an executed sub-plan
-// covers exactly.
-func (e *refinedEstimator) exact(mask query.BitSet) (float64, bool) {
-	for i, m := range e.masks {
-		if m == mask {
-			return e.execs[i].Card, true
-		}
-	}
-	return 0, false
-}
-
 // EstimateSubset implements cardest.Estimator as a one-shot session.
 func (e *refinedEstimator) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
-	if card, ok := e.exact(mask); ok {
-		return card
-	}
 	if e.r.Kind == RefinerSingle {
 		return e.singleEstimate(q, mask)
 	}
@@ -332,9 +318,6 @@ type refinedSession struct {
 }
 
 func (r *refinedSession) EstimateSubset(_ *query.Query, mask query.BitSet) float64 {
-	if card, ok := r.exact(mask); ok {
-		return card
-	}
 	return r.s.estimate(mask)
 }
 

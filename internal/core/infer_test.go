@@ -80,6 +80,15 @@ func connectedSubsets(q *query.Query) []query.BitSet {
 	return out
 }
 
+// searchedSubsets returns the connected subsets of q that a re-plan's
+// search asks an estimator for: all but those an executed sub-plan covers,
+// whose counts the search seeds.
+func searchedSubsets(q *query.Query, execs []reopt.Executed) []query.BitSet {
+	return slices.DeleteFunc(connectedSubsets(q), func(m query.BitSet) bool {
+		return slices.ContainsFunc(execs, func(e reopt.Executed) bool { return e.Mask() == m })
+	})
+}
+
 func shuffled(masks []query.BitSet, seed int64) []query.BitSet {
 	out := append([]query.BitSet(nil), masks...)
 	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
@@ -98,10 +107,7 @@ func tapeTreeEstimate(m *treenn.TreeModel, enc *encode.Encoder, q *query.Query, 
 // the subset on a fresh tape, the executed units inside it re-embedded by the
 // frozen modules — also on tapes — and merged by the connect layer.
 func tapeRefinedEstimate(r *Refiner, q *query.Query, kept []reopt.Executed, mask query.BitSet) float64 {
-	root, card, exact := unitTree(q, kept, mask)
-	if exact {
-		return card
-	}
+	root := unitTree(q, kept, mask)
 	t := autodiff.NewTape()
 	embed := func(m *treenn.TreeModel, sub *plan.Node, feat treenn.FeatureFn) *autodiff.Node {
 		return t.Const(m.Forward(autodiff.NewTape(), sub, feat, nil)[sub].C.Data)
@@ -120,17 +126,13 @@ func tapeRefinedEstimate(r *Refiner, q *query.Query, kept []reopt.Executed, mask
 }
 
 // unitTree returns the canonical tree of mask over the kept executed
-// sub-plans or, with exact set, the true cardinality of the one whose mask
-// it is.
-func unitTree(q *query.Query, kept []reopt.Executed, mask query.BitSet) (root *plan.Node, card float64, exact bool) {
+// sub-plans.
+func unitTree(q *query.Query, kept []reopt.Executed, mask query.BitSet) *plan.Node {
 	nodes := make([]*plan.Node, len(kept))
 	for i, ex := range kept {
-		if ex.Mask() == mask {
-			return nil, ex.Card, true
-		}
 		nodes[i] = ex.Node
 	}
-	return exec.CanonicalPlan(q, mask, nodes...), 0, false
+	return exec.CanonicalPlan(q, mask, nodes...)
 }
 
 // tapeSingleCards is LPCE-R-Single's pass as it ran before it went
@@ -180,11 +182,10 @@ func tapeSingleCards(r *Refiner, root *plan.Node, executed map[*plan.Node]bool) 
 	return cards
 }
 
-// checkSession compares est against want over every connected subset: through
-// a session in DP order, through sessions in shuffled orders, and stateless.
-func checkSession(t *testing.T, label string, est cardest.Estimator, q *query.Query, want func(query.BitSet) float64) {
+// checkSession compares est against want over masks: through a session in
+// the given order, through sessions in shuffled orders, and stateless.
+func checkSession(t *testing.T, label string, est cardest.Estimator, q *query.Query, masks []query.BitSet, want func(query.BitSet) float64) {
 	t.Helper()
-	masks := connectedSubsets(q)
 	orders := [][]query.BitSet{masks, shuffled(masks, 1), shuffled(masks, 2), shuffled(masks, 3)}
 	for oi, order := range orders {
 		s := cardest.BeginQuery(est, q)
@@ -212,7 +213,7 @@ func TestSessionTreeEstimatorMatchesTape(t *testing.T) {
 	for label, m := range models {
 		est := &TreeEstimator{Label: label, Model: m, Enc: enc}
 		for _, q := range sessionQueries(db, 201) {
-			checkSession(t, label, est, q, func(mask query.BitSet) float64 {
+			checkSession(t, label, est, q, connectedSubsets(q), func(mask query.BitSet) float64 {
 				return tapeTreeEstimate(m, enc, q, mask)
 			})
 		}
@@ -278,7 +279,7 @@ func TestSessionRefinedEstimatorMatchesTape(t *testing.T) {
 				if len(kept) != len(execs) {
 					t.Fatalf("%v %s: kept %d of %d disjoint subs", kind, name, len(kept), len(execs))
 				}
-				checkSession(t, kind.String()+" "+name, est, q, func(mask query.BitSet) float64 {
+				checkSession(t, kind.String()+" "+name, est, q, searchedSubsets(q, execs), func(mask query.BitSet) float64 {
 					return tapeRefinedEstimate(r, q, kept, mask)
 				})
 			}
@@ -312,11 +313,8 @@ func TestSessionSingleEstimatorMatchesTape(t *testing.T) {
 			for _, ex := range kept {
 				nodes = append(nodes, ex.Node)
 			}
-			checkSession(t, "lpce-r-single "+name, est, q, func(mask query.BitSet) float64 {
-				root, card, exact := unitTree(q, kept, mask)
-				if exact {
-					return card
-				}
+			checkSession(t, "lpce-r-single "+name, est, q, searchedSubsets(q, execs), func(mask query.BitSet) float64 {
+				root := unitTree(q, kept, mask)
 				return tapeSingleCards(r, root, markExecuted(nodes))[root]
 			})
 		}
@@ -459,13 +457,17 @@ func TestWarmSessionDoesNotAllocate(t *testing.T) {
 		t.Fatal("query has no two disjoint executed subs")
 	}
 	r := randomRefiner(RefinerFull, db, enc, 600)
-	ests := []cardest.Estimator{
-		&TreeEstimator{Label: "lpce-i", Model: randomModel(enc.Dim(), 8, treenn.CellSRU, 601), Enc: enc},
-		&TreeEstimator{Label: "tlstm", Model: randomModel(enc.Dim(), 8, treenn.CellLSTM, 602), Enc: enc},
-		r.Estimator(q, []reopt.Executed{executedSub(q, a, 9, false), executedSub(q, b, 10, false)}),
-	}
-	masks := connectedSubsets(q)
-	for _, est := range ests {
+	execs := []reopt.Executed{executedSub(q, a, 9, false), executedSub(q, b, 10, false)}
+	all := connectedSubsets(q)
+	for _, c := range []struct {
+		est   cardest.Estimator
+		masks []query.BitSet
+	}{
+		{&TreeEstimator{Label: "lpce-i", Model: randomModel(enc.Dim(), 8, treenn.CellSRU, 601), Enc: enc}, all},
+		{&TreeEstimator{Label: "tlstm", Model: randomModel(enc.Dim(), 8, treenn.CellLSTM, 602), Enc: enc}, all},
+		{r.Estimator(q, execs), searchedSubsets(q, execs)},
+	} {
+		est, masks := c.est, c.masks
 		s := cardest.BeginQuery(est, q)
 		var sink float64
 		pass := func() {
@@ -586,7 +588,9 @@ func BenchmarkEstimateSubset(b *testing.B) {
 }
 
 // BenchmarkReplanEstimator times what one re-optimization pays for
-// estimates: embedding two executed sub-plans, then every connected subset.
+// estimates: taking in two executed sub-plans, then every subset the search
+// asks for — LPCE-R embedding them, and the error-ratio overlay over an
+// LPCE-I estimator.
 func BenchmarkReplanEstimator(b *testing.B) {
 	db := testutil.TinyDB()
 	enc := encode.NewEncoder(db.Schema)
@@ -597,12 +601,23 @@ func BenchmarkReplanEstimator(b *testing.B) {
 	}
 	r := randomRefiner(RefinerFull, db, enc, 702)
 	execs := []reopt.Executed{executedSub(q, x, 11, false), executedSub(q, y, 12, false)}
-	masks := connectedSubsets(q)
+	masks := searchedSubsets(q, execs)
 	var sink float64
 	b.Run("session", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := cardest.BeginQuery(r.Estimator(q, execs), q)
+			for _, m := range masks {
+				sink += s.EstimateSubset(q, m)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(masks)), "ns/estimate")
+	})
+	b.Run("overlay", func(b *testing.B) {
+		b.ReportAllocs()
+		lpcei := &TreeEstimator{Label: "lpce-i", Model: randomModel(enc.Dim(), 8, treenn.CellSRU, 703), Enc: enc}
+		for i := 0; i < b.N; i++ {
+			s := cardest.BeginQuery(reopt.OverlayRefiner{Base: lpcei}.Estimator(q, execs), q)
 			for _, m := range masks {
 				sink += s.EstimateSubset(q, m)
 			}

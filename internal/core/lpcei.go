@@ -12,16 +12,15 @@ import (
 // LPCEIConfig assembles the full LPCE-I training pipeline: a large teacher
 // is trained with the node-wise loss, then a small student is compressed
 // from it via knowledge distillation (paper §4.4, Eq. 4–5).
+// Both distillation phases run Student.Epochs.
 type LPCEIConfig struct {
 	Teacher TrainConfig
 	Student TrainConfig
-	// Alpha balances the student's own q-error against matching the
-	// teacher's logit in the prediction loss (paper default 0.5).
-	Alpha float64
-	// HintEpochs and PredictEpochs control the two distillation phases.
-	HintEpochs    int
-	PredictEpochs int
 }
+
+// distillAlpha balances the student's own q-error against matching the
+// teacher's logit in the prediction loss (Eq. 5; the paper's 0.5).
+const distillAlpha = 0.5
 
 // Defaults fills zero fields. The teacher is ~4x wider than the student,
 // giving the >10x parameter-count compression the paper reports.
@@ -40,15 +39,6 @@ func (c LPCEIConfig) Defaults() LPCEIConfig {
 		}
 	}
 	c.Student = c.Student.Defaults()
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
-	if c.HintEpochs == 0 {
-		c.HintEpochs = c.Student.Epochs
-	}
-	if c.PredictEpochs == 0 {
-		c.PredictEpochs = c.Student.Epochs
-	}
 	return c
 }
 
@@ -109,9 +99,7 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 	}
 
 	// Phase 1: hint loss.
-	hint := cfg.Student
-	hint.Epochs = cfg.HintEpochs
-	Minibatch(hint, streamDistillHint, len(samples), []*nn.Params{student.Params, aps},
+	Minibatch(cfg.Student, streamDistillHint, len(samples), []*nn.Params{student.Params, aps},
 		func() (func(int, float64), []*nn.Params) {
 			rep := student.Replica()
 			apsRep := aps.ShareWeights()
@@ -143,9 +131,7 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 		}, nil)
 
 	// Phase 2: prediction loss αq + (1−α)|logit_t − logit_s| (Eq. 5).
-	predict := cfg.Student
-	predict.Epochs = cfg.PredictEpochs
-	Minibatch(predict, streamDistillPredict, len(samples), []*nn.Params{student.Params},
+	Minibatch(cfg.Student, streamDistillPredict, len(samples), []*nn.Params{student.Params},
 		func() (func(int, float64), []*nn.Params) {
 			rep := student.Replica()
 			run := func(si int, weight float64) {
@@ -162,9 +148,9 @@ func Distill(cfg LPCEIConfig, enc *encode.Encoder, teacher *treenn.TreeModel, sa
 						continue
 					}
 					qloss := nn.QErrorLoss(t, so.Pred, n.TrueCard, rep.LogMax)
-					qloss.Grad[0] = cfg.Alpha * weight
+					qloss.Grad[0] = distillAlpha * weight
 					ldiff := t.AbsDiffSum(t.Const(tensor.Vec{to.logit}), so.Logit)
-					ldiff.Grad[0] = (1 - cfg.Alpha) * weight
+					ldiff.Grad[0] = (1 - distillAlpha) * weight
 				}
 				t.BackwardFrom()
 			}

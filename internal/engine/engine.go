@@ -30,8 +30,10 @@ type Config struct {
 	Estimator cardest.Estimator
 	// Refiner enables re-optimization when non-nil: LPCE-R
 	// (*core.Refiner), or reopt.OverlayRefiner over the initial estimator
-	// for estimators without a learned refinement model. A nil
-	// *core.Refiner must be passed as an untyped nil, never stored here.
+	// for estimators without a learned refinement model. The re-plan's
+	// search seeds every executed subset with its count and asks the
+	// refiner only for the rest (see Refiner). A nil *core.Refiner must be
+	// passed as an untyped nil, never stored here.
 	Refiner Refiner
 	// Policy is the re-optimization trigger rule (DefaultPolicy when zero).
 	Policy reopt.Policy
@@ -59,6 +61,12 @@ type Config struct {
 // Refiner turns the sub-plans a query has executed so far into the
 // estimator that re-plans the rest of it (paper §6.2). The engine calls it
 // once per re-optimization trigger.
+//
+// The search never asks the returned estimator, nor its sessions, for a
+// subset an executed sub-plan covers: optimizer.PlanWithMaterialized seeds
+// each such subset with its exact count, the only place an executed count
+// enters a re-plan. A refiner uses the executed sub-plans to correct the
+// subsets that contain them.
 type Refiner interface {
 	Estimator(q *query.Query, execs []reopt.Executed) cardest.Estimator
 }

@@ -29,7 +29,7 @@ var (
 	fixLogMax     float64
 )
 
-// LPCE-R and the exact-cardinality overlay re-plan through one Config field.
+// LPCE-R and the error-ratio overlay re-plan through one Config field.
 var (
 	_ Refiner = (*core.Refiner)(nil)
 	_ Refiner = reopt.OverlayRefiner{}

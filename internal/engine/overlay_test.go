@@ -10,8 +10,9 @@ import (
 )
 
 // TestOverlayRefinerCorrectness exercises the §8 extension: re-optimization
-// without a learned refiner, using exact-cardinality overlays on the base
-// estimator. Results must match the uninterrupted execution exactly.
+// without a learned refiner, scaling the base estimator by the executed
+// sub-plans' error ratios. Results must match the uninterrupted execution
+// exactly.
 func TestOverlayRefinerCorrectness(t *testing.T) {
 	db, _, _ := fixture(t)
 	e := New(db)

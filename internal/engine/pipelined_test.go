@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/lpce-db/lpce/internal/cardest"
 	"github.com/lpce-db/lpce/internal/core"
 	"github.com/lpce-db/lpce/internal/exec"
 	"github.com/lpce-db/lpce/internal/obs"
@@ -27,7 +28,7 @@ type namedRefiner struct {
 
 // refinerKinds returns every refiner kind over the fixture: LPCE-R, its
 // two ablations over the full refiner's stage-1 modules (as Table 3 builds
-// them), and the exact-cardinality overlay over est.
+// them), and the error-ratio overlay over est.
 func refinerKinds(t *testing.T, est *core.TreeEstimator) []namedRefiner {
 	t.Helper()
 	db, _, full := fixture(t)
@@ -71,8 +72,9 @@ func runSummary(res Result) string {
 // with a threshold that trips pipelined checks, and holds the re-opt
 // invariants: the count equals the no-refiner run's, every lower bound is
 // at most the subset's true cardinality, only non-root hash joins are
-// checked, MaxReopts caps both kinds of trigger together, and a second run
-// repeats the plans and work exactly.
+// checked, MaxReopts caps both kinds of trigger together, a second run
+// repeats the plans and work exactly, and no re-plan asks its refiner for
+// a subset an executed sub-plan covers (guardedRefiner).
 func TestPipelinedReoptInvariants(t *testing.T) {
 	db, lpcei, _ := fixture(t)
 	e := New(db)
@@ -92,8 +94,9 @@ func TestPipelinedReoptInvariants(t *testing.T) {
 			// pipelined triggers, pipelined checks suppressed by the cap, and
 			// queries that triggered on both kinds, over the first runs
 			pipelined, capped, mixed := 0, 0, 0
+			guard := &guardedRefiner{t: t, r: k.r}
 			for i, q := range queries {
-				cfg := Config{Estimator: est, Refiner: k.r, Policy: pipelinedPolicy}
+				cfg := Config{Estimator: est, Refiner: guard, Policy: pipelinedPolicy}
 				var first string
 				for run := range 2 {
 					cfg.Obs = obs.NewObserver()
@@ -143,12 +146,48 @@ func TestPipelinedReoptInvariants(t *testing.T) {
 					}
 				}
 			}
-			if pipelined == 0 || capped == 0 || mixed == 0 {
-				t.Fatalf("%d pipelined triggers, %d capped pipelined checks, %d queries triggering on both kinds: the invariants went unexercised",
-					pipelined, capped, mixed)
+			if pipelined == 0 || capped == 0 || mixed == 0 || guard.asked == 0 {
+				t.Fatalf("%d pipelined triggers, %d capped pipelined checks, %d queries triggering on both kinds, %d estimates after an execution: the invariants went unexercised",
+					pipelined, capped, mixed, guard.asked)
 			}
 		})
 	}
+}
+
+// guardedRefiner holds r to Refiner's contract: its estimators, called
+// directly or through a session, fail t when asked for the subset of an
+// executed sub-plan they were built from. asked counts the estimates made
+// with at least one executed sub-plan.
+type guardedRefiner struct {
+	t     *testing.T
+	r     Refiner
+	asked int
+}
+
+func (g *guardedRefiner) Estimator(q *query.Query, execs []reopt.Executed) cardest.Estimator {
+	return &guardedEstimator{Estimator: g.r.Estimator(q, execs), g: g, execs: execs}
+}
+
+type guardedEstimator struct {
+	cardest.Estimator
+	g     *guardedRefiner
+	execs []reopt.Executed
+}
+
+func (e *guardedEstimator) EstimateSubset(q *query.Query, mask query.BitSet) float64 {
+	for _, ex := range e.execs {
+		if ex.Mask() == mask {
+			e.g.t.Errorf("%s: refiner %s asked for executed subset %b", q.SQL(), e.Name(), uint32(mask))
+		}
+	}
+	if len(e.execs) > 0 {
+		e.g.asked++
+	}
+	return e.Estimator.EstimateSubset(q, mask)
+}
+
+func (e *guardedEstimator) BeginQuery(q *query.Query) cardest.Estimator {
+	return &guardedEstimator{Estimator: cardest.BeginQuery(e.Estimator, q), g: e.g, execs: e.execs}
 }
 
 // TestPipelinedPauseLeavesNoPartialCounts: an operator the signal unwinds

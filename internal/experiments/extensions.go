@@ -12,7 +12,10 @@ import (
 // estimation to other estimator families, and smarter re-optimization
 // trigger policies. Both are implemented in this repository
 // (reopt.OverlayRefiner and Policy.MinRemainingCostFrac); the experiments
-// below quantify them.
+// below quantify them. Every strategy re-plans from the executed sub-plans'
+// exact counts, which the search seeds; they differ in how the rest is
+// estimated — the base scaled by the executed error ratios
+// (OverlayRefiner), or LPCE-R.
 // They have no counterpart table/figure in the paper and are labelled as
 // extensions.
 
@@ -27,7 +30,7 @@ type ExtReoptRow struct {
 }
 
 // ExtReoptResult compares re-optimization strategies on the deep-join set:
-// no re-optimization, exact-cardinality overlay (no learning), LPCE-R, and
+// no re-optimization, error-ratio overlay (no learning), LPCE-R, and
 // LPCE-R with the cost-aware trigger.
 type ExtReoptResult struct {
 	Label string

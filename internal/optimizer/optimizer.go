@@ -95,8 +95,11 @@ func (o *Optimizer) PlanWithMaterialized(q *query.Query, mats map[query.BitSet]*
 		e.card, e.known = v, true
 		return v
 	}
-	// Materialized subsets have exact cardinalities; seed them so
-	// refinement models and overlays agree with reality for executed parts.
+	// Materialized subsets have exact cardinalities; seed them, so the
+	// estimator is never asked for one. This is the only place an executed
+	// sub-plan's count enters a re-plan: refiners and overlays rely on it
+	// (engine.Refiner's contract) and use the counts only to correct the
+	// subsets containing them.
 	for mask, m := range mats {
 		dp[mask].card, dp[mask].known = float64(m.Card()), true
 	}

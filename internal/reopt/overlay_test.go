@@ -9,16 +9,34 @@ import (
 	"github.com/lpce-db/lpce/internal/query"
 )
 
-func TestOverlayExactForExecuted(t *testing.T) {
-	base := cardest.Fixed{Value: 100, Label: "base"}
-	mask := query.NewBitSet().Set(0).Set(1)
-	execs := []Executed{executed(mask, 5000)}
-	o := OverlayRefiner{Base: base}.Estimator(nil, execs)
-	if got := o.EstimateSubset(nil, mask); got != 5000 {
-		t.Fatalf("executed subset = %v, want exact 5000", got)
-	}
+// TestOverlayRefinerForwardsSessions: the refiner's overlay estimates under
+// its base's name plus "+overlay", opens one base session per search, and
+// its session returns what the stateless estimate does for every subset a
+// search asks for — all but the executed one.
+func TestOverlayRefinerForwardsSessions(t *testing.T) {
+	q := testQuerySchema().q
+	ab := query.NewBitSet().Set(0).Set(1)
+	base := &sessionBase{fn: func(m query.BitSet) float64 { return 10 * float64(m.Count()) }}
+	o := OverlayRefiner{Base: base}.Estimator(q, []Executed{executed(ab, 5000)})
 	if o.Name() != "base+overlay" {
 		t.Fatalf("name = %s", o.Name())
+	}
+	sess := cardest.BeginQuery(o, q)
+	if base.begun != 1 {
+		t.Fatalf("BeginQuery opened %d base sessions, want 1", base.begun)
+	}
+	for _, c := range []struct {
+		mask query.BitSet
+		want float64
+	}{
+		{query.NewBitSet().Set(0), 10},
+		{query.NewBitSet().Set(2), 10},
+		{query.NewBitSet().Set(1).Set(2), 20},
+		{q.AllTablesMask(), 30 * 250}, // ab's ratio: 5000 over 20
+	} {
+		if got, gotS := o.EstimateSubset(q, c.mask), sess.EstimateSubset(q, c.mask); got != c.want || gotS != c.want {
+			t.Fatalf("subset %b: %v, session %v, want %v", uint32(c.mask), got, gotS, c.want)
+		}
 	}
 }
 
@@ -53,10 +71,7 @@ func TestOverlayWithoutEstimates(t *testing.T) {
 	}}
 	s := testQuerySchema()
 	o := OverlayRefiner{Base: base}.Estimator(s.q, []Executed{executed(sub, 7)})
-	// exact for executed, plain base elsewhere (no ratio learned)
-	if got := o.EstimateSubset(s.q, sub); got != 7 {
-		t.Fatalf("executed = %v", got)
-	}
+	// plain base for the subsets containing it (no ratio learned)
 	if got := o.EstimateSubset(s.q, s.q.AllTablesMask()); got != 100 {
 		t.Fatalf("containing without ratios = %v, want 100", got)
 	}
@@ -109,17 +124,19 @@ func TestOverlayDedupLastWriteWins(t *testing.T) {
 	base := cardest.Fixed{Value: 100, Label: "base"}
 	sub := query.NewBitSet().Set(0).Set(1)
 	// the same subset executed twice: the later observation is fresher and
-	// must win for both the exact lookup and the ratio
+	// its ratio must win
 	execs := []Executed{
 		executed(sub, 200),
 		executed(sub, 5000),
 	}
 	o := OverlayRefiner{Base: base}.Estimator(q, execs)
-	if got := o.EstimateSubset(q, sub); got != 5000 {
-		t.Fatalf("exact = %v, want last-written 5000", got)
-	}
 	if got := o.EstimateSubset(q, q.AllTablesMask()); got != 5000 {
 		t.Fatalf("containing = %v, want 100*50 from the last-written ratio", got)
+	}
+	// a later execution that yields no ratio drops the stale one
+	o = OverlayRefiner{Base: base}.Estimator(q, append(execs, executed(sub, 0)))
+	if got := o.EstimateSubset(q, q.AllTablesMask()); got != 100 {
+		t.Fatalf("containing = %v, want the plain 100 after a ratio-less execution", got)
 	}
 }
 
@@ -174,5 +191,76 @@ func TestCostAwareDisabledByDefault(t *testing.T) {
 	late.EstCost = 999
 	if err := c.OnMaterialized(late, rows(10000)); err == nil {
 		t.Fatal("plain policy should trigger regardless of remaining cost")
+	}
+}
+
+// sessionBase is a SessionEstimator whose sessions return what fn does.
+type sessionBase struct {
+	fn    func(query.BitSet) float64
+	begun int
+}
+
+func (s *sessionBase) Name() string { return "base" }
+
+func (s *sessionBase) EstimateSubset(_ *query.Query, m query.BitSet) float64 { return s.fn(m) }
+
+func (s *sessionBase) BeginQuery(*query.Query) cardest.Estimator {
+	s.begun++
+	return cardest.FuncEstimator{Label: "base", Fn: func(_ *query.Query, m query.BitSet) float64 { return s.fn(m) }}
+}
+
+// TestBoundsOverlay: a bounded subset is estimated at no less than its
+// bound; a subset containing bounded ones is scaled by the largest one's
+// ratio to the base estimate; other subsets pass through; nothing goes
+// below 1; and a session returns what the stateless estimate does.
+func TestBoundsOverlay(t *testing.T) {
+	q := testQuerySchema().q
+	a, ab, bc := query.NewBitSet().Set(0), query.NewBitSet().Set(0).Set(1), query.NewBitSet().Set(1).Set(2)
+	all := q.AllTablesMask()
+	ests := map[query.BitSet]float64{ab: 100, bc: 50}
+	base := &sessionBase{fn: func(m query.BitSet) float64 {
+		if v, ok := ests[m]; ok {
+			return v
+		}
+		if m == all {
+			return 0.001
+		}
+		return 20
+	}}
+	if got := NewBounds(base, q, nil); got != cardest.Estimator(base) {
+		t.Fatal("no bounds should leave the base estimator as it is")
+	}
+	// ab: a bound of 5000 against an estimate of 100 (a 50x ratio), seen
+	// twice — the larger bound stays; bc: a bound below the estimate
+	b := NewBounds(base, q, []Bound{{ab, 2000}, {bc, 10}, {ab, 5000}})
+	if b.Name() != "base" {
+		t.Fatalf("name = %s", b.Name())
+	}
+	want := map[query.BitSet]float64{
+		ab:  5000, // max(100, 5000)
+		bc:  50,   // max(50, 10)
+		a:   20,   // contains no bound
+		all: 1,    // 0.001 × 50 floors at 1
+	}
+	sess := cardest.BeginQuery(b, q)
+	if base.begun != 1 {
+		t.Fatalf("BeginQuery opened %d base sessions, want 1", base.begun)
+	}
+	for _, order := range [][]query.BitSet{{ab, bc, a, all}, {all, a, bc, ab}} {
+		for _, m := range order {
+			if got := b.EstimateSubset(q, m); got != want[m] {
+				t.Fatalf("EstimateSubset(%v) = %v, want %v", m, got, want[m])
+			}
+			if got := sess.EstimateSubset(q, m); got != want[m] {
+				t.Fatalf("session EstimateSubset(%v) = %v, want %v", m, got, want[m])
+			}
+		}
+	}
+	// ab and bc are the same size: the smaller mask's ratio wins whatever
+	// the observation order
+	ests[all] = 3
+	rev := NewBounds(base, q, []Bound{{bc, 10}, {ab, 5000}})
+	if got, got2 := b.EstimateSubset(q, all), rev.EstimateSubset(q, all); got != 3*50 || got2 != got {
+		t.Fatalf("containing subset = %v and %v reversed, want 3 × 50", got, got2)
 	}
 }

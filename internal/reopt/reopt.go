@@ -9,7 +9,7 @@
 // hash join below the root reports its output count once the count alone
 // exceeds the threshold, and the same trigger rule decides. Such a count is
 // a lower bound, which the re-plan overlays on the refined estimates
-// (Bounds).
+// (NewBounds).
 package reopt
 
 import (
@@ -87,7 +87,9 @@ func NewController(p Policy) *Controller {
 	return &Controller{Policy: p, mats: make(map[query.BitSet]*plan.Materialized)}
 }
 
-// OnMaterialized implements exec.Controller.
+// OnMaterialized implements exec.Controller. It records the executed
+// sub-plan in Materialized and ExecutedSubs together, so every subset a
+// refiner hears of is one the re-plan's search seeds with its count.
 // The row set is kept as it is, without a copy: it becomes the
 // intermediate a re-optimized plan scans.
 func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
@@ -96,6 +98,14 @@ func (c *Controller) OnMaterialized(node *plan.Node, rows plan.Rows) error {
 	}
 	c.mats[node.Tables] = &plan.Materialized{Tables: node.Tables, Rows: rows}
 	c.execs = append(c.execs, Executed{Node: node, Card: float64(rows.N)})
+	// The exact count supersedes an earlier lower bound on the subset: the
+	// bound stays, as the largest bounded subset its containers see, but
+	// scales nothing.
+	for i := range c.bounds {
+		if c.bounds[i].Mask == node.Tables {
+			c.bounds[i].Rows = 0
+		}
+	}
 	return c.observe(node, rows.N, false)
 }
 
@@ -115,7 +125,7 @@ func (c *Controller) CheckRows(node *plan.Node) int {
 }
 
 // OnPipelined implements exec.Controller. rows is a lower bound on node's
-// cardinality: it is kept for the re-plan (Bounds), and the trigger rule
+// cardinality: it is kept for the re-plan (NewBounds), and the trigger rule
 // decides on it as on an exact count.
 func (c *Controller) OnPipelined(node *plan.Node, rows int) error {
 	c.bounds = append(c.bounds, Bound{Mask: node.Tables, Rows: float64(rows)})
@@ -175,7 +185,9 @@ func (c *Controller) Materialized() map[query.BitSet]*plan.Materialized { return
 func (c *Controller) ExecutedSubs() []Executed { return c.execs }
 
 // Bounds returns the lower bounds the pipelined checks observed so far, in
-// observation order.
+// observation order. A bound on a subset materialized since reads 0. No
+// check fires on a subset once it is materialized: its estimate is then its
+// exact count.
 func (c *Controller) Bounds() []Bound { return c.bounds }
 
 // Release frees every accumulated materialized intermediate, executed

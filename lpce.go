@@ -160,7 +160,8 @@ type (
 	ReoptPolicy = reopt.Policy
 	// OverlayRefiner re-optimizes without a learned refiner: set
 	// EngineConfig.Refiner to OverlayRefiner{Base: est} to re-plan with
-	// est overlaid by the executed sub-plans' exact cardinalities (§8).
+	// est scaled by the executed sub-plans' error ratios (§8); the re-plan
+	// itself seeds their exact counts.
 	OverlayRefiner = reopt.OverlayRefiner
 )
 
